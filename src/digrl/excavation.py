@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import AttackRanges, Profile, get_profile
+from .config import AttackRanges, Profile, get_profile, seed_stream
 from .errors import ProtocolError, ShapeError
 from .geometry import HeightMap
 from .kinematics import (
@@ -141,6 +141,11 @@ class EnvConfig:
     tray: Tray = field(default_factory=Tray)
 
 
+def _noise_stream(seed: int | None) -> np.random.Generator:
+    """Sensor noise draws, apart from the scene stream so scene seeds never shift."""
+    return np.random.default_rng() if seed is None else seed_stream(seed, "sensor-noise")
+
+
 class ExcavationEnv:
     """Episodic excavation: one cluttered tray, a fixed budget of digs.
 
@@ -148,7 +153,9 @@ class ExcavationEnv:
     takes a normalized action, executes the dig, and returns
     ``(obs, reward, done, info)``. The observation only changes when a dig
     actually disturbs the scene; failed plans leave it untouched. Stepping a
-    finished episode raises ProtocolError.
+    finished episode raises ProtocolError. Sensor noise draws from its own
+    stream of ``seed``, and the planner uses the observation's noise-free
+    heightmap, so noise changes only the observed points.
     """
 
     def __init__(
@@ -170,8 +177,8 @@ class ExcavationEnv:
         self.bucket = bucket or BucketSpec()
         self.ranges = ranges or AttackRanges()
         self._rng = np.random.default_rng(seed)
+        self._noise_rng = _noise_stream(seed)
         self._scene: Scene | None = None
-        self._hmap: HeightMap | None = None
         self._obs: ObservationCloud | None = None
         self._digs = 0
         self._done = True
@@ -183,6 +190,7 @@ class ExcavationEnv:
     def reset(self, seed: int | None = None) -> ObservationCloud:
         if seed is not None:
             self._rng = np.random.default_rng(seed)
+            self._noise_rng = _noise_stream(seed)
         scene_seed = int(self._rng.integers(0, 2**62))
         self._scene = spawn_scene(
             scene_seed,
@@ -197,8 +205,7 @@ class ExcavationEnv:
         return self._obs
 
     def _refresh_observation(self) -> None:
-        self._hmap = scene_heightmap(self._scene, self.sensor)
-        self._obs = observe(self._scene, self.sensor)
+        self._obs = observe(self._scene, self.sensor, self._noise_rng)
 
     def step(self, action) -> tuple[ObservationCloud, float, bool, dict]:
         if self._done or self._scene is None:
@@ -211,7 +218,7 @@ class ExcavationEnv:
             self.params,
             self.bucket,
             self.ranges,
-            hmap=self._hmap,
+            hmap=self._obs.heightmap,
         )
         self._digs += 1
         info = {

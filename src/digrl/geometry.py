@@ -1,12 +1,15 @@
 """Point-cloud primitives: sampling, neighbor queries, PCA surface labels, heightmaps.
 
-All queries are exact (vectorized brute force, chunked to bound memory); at the
-cloud sizes this package works with that is both simpler and faster than an
-acceleration structure, and ties stay reproducible.
+All queries are exact, and ties stay reproducible. Neighbor queries are
+vectorized brute force, chunked to bound memory; at the cloud sizes this
+package works with that is both simpler and faster than an acceleration
+structure. Farthest point sampling sorts the cloud by x once and updates,
+after each pick, only the x-slab that can hold a point the pick moves closer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +104,14 @@ def fps(cloud, n: int, start: int = 0) -> np.ndarray:
 
     The first index is ``start``; each following index maximizes the minimum
     distance to everything already selected (ties go to the lowest index).
+
+    Each pick ``q`` has the largest squared min-distance ``m`` of the cloud,
+    and a point ``p`` can only move closer when ``|p - q|^2 < min_d2[p] <= m``,
+    which needs ``|p.x - q.x| < sqrt(m)``. So only the slab of points within
+    that x-distance (found by bisection in an x-sorted order) is updated. The
+    updated distances are computed exactly as a full pass would, and the
+    argmax still runs over the whole cloud in input order, so the indices
+    are identical to the unpruned greedy loop, ties included.
     """
     pts = _as_points(cloud)
     total = len(pts)
@@ -110,14 +121,25 @@ def fps(cloud, n: int, start: int = 0) -> np.ndarray:
         raise SizeError(f"requested {n} samples from a cloud of {total}")
     if not 0 <= start < total:
         raise SizeError(f"start index {start} out of range for {total} points")
+    order = np.argsort(pts[:, 0], kind="stable")
+    sorted_pts = pts[order]
+    sorted_x = sorted_pts[:, 0]
     selected = np.empty(n, dtype=np.int64)
     selected[0] = start
     min_d2 = np.sum((pts - pts[start]) ** 2, axis=1)
     for i in range(1, n):
         nxt = int(np.argmax(min_d2))
         selected[i] = nxt
-        d2 = np.sum((pts - pts[nxt]) ** 2, axis=1)
-        np.minimum(min_d2, d2, out=min_d2)
+        q = pts[nxt]
+        qx = float(q[0])
+        # The pad outweighs float rounding in the slab bounds and in the
+        # distances: a point outside the slab computes d2 >= m >= its min_d2,
+        # so a full pass would not have lowered it either.
+        r = math.sqrt(min_d2[nxt]) * (1.0 + 1e-12) + 1e-12 * abs(qx)
+        lo, hi = sorted_x.searchsorted((qx - r, qx + r))
+        slab = order[lo:hi]
+        d2 = np.sum((sorted_pts[lo:hi] - q) ** 2, axis=1)
+        min_d2[slab] = np.minimum(min_d2[slab], d2)
     return selected
 
 

@@ -335,8 +335,11 @@ def train_rl(
     observation into a flat code. With ``graph_encode`` set, update batches
     rebuild each stored observation's code through that callable's graph so
     encoder parameters train jointly; pass the encoder's ``store`` so the
-    optimizer sees them.
+    optimizer sees them. ``rollout`` must be a multiple of ``n_envs``, so
+    every update collects exactly ``rollout`` samples.
     """
+    if n_envs <= 0 or rollout % n_envs:
+        raise SizeError(f"rollout={rollout} is not a multiple of n_envs={n_envs}")
     core = PolicyCore(code_size, act_dim=act_dim, hidden=hidden, store=store, seed=seed)
     act_rng = seed_stream(seed, "rl-act")
     sgd_rng = seed_stream(seed, "rl-minibatch")

@@ -8,7 +8,7 @@ can sit under another body's top surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -38,6 +38,7 @@ class ObservationCloud:
 
     cloud: PointCloud
     object_count: int | None = None
+    heightmap: HeightMap | None = None
 
     @property
     def points(self) -> np.ndarray:
@@ -47,16 +48,22 @@ class ObservationCloud:
         return len(self.cloud)
 
 
-def _surface_grid(scene: Scene, cfg: SensorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ray-grid axes and per-cell surface heights over the tray floor."""
+def _ray_axes(tray, cfg: SensorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Centres of the ray columns along x and along y."""
     if cfg.ray_pitch <= 0:
         raise ShapeError("ray pitch must be positive")
-    tray = scene.tray
     (x0, x1), (y0, y1) = tray.x_range, tray.y_range
     nx = max(1, int(round((x1 - x0) / cfg.ray_pitch)))
     ny = max(1, int(round((y1 - y0) / cfg.ray_pitch)))
-    xs = x0 + (np.arange(nx) + 0.5) * cfg.ray_pitch
-    ys = y0 + (np.arange(ny) + 0.5) * cfg.ray_pitch
+    return x0 + (np.arange(nx) + 0.5) * cfg.ray_pitch, y0 + (np.arange(ny) + 0.5) * cfg.ray_pitch
+
+
+def _surface_grid(scene: Scene, cfg: SensorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ray-grid axes and per-cell surface heights over the tray floor."""
+    tray = scene.tray
+    xs, ys = _ray_axes(tray, cfg)
+    x0, y0 = tray.x_range[0], tray.y_range[0]
+    nx, ny = len(xs), len(ys)
     heights = np.full((nx, ny), tray.floor_z, dtype=np.float64)
     for placed in scene.placed:
         wverts = placed.world_vertices()
@@ -77,9 +84,7 @@ def _surface_grid(scene: Scene, cfg: SensorConfig) -> tuple[np.ndarray, np.ndarr
     return xs, ys, heights
 
 
-def scene_heightmap(scene: Scene, cfg: SensorConfig) -> HeightMap:
-    """Noise-free surface heights of the whole tray as a grid."""
-    xs, ys, heights = _surface_grid(scene, cfg)
+def _grid_heightmap(xs: np.ndarray, ys: np.ndarray, heights: np.ndarray, cfg: SensorConfig) -> HeightMap:
     return HeightMap(
         origin=np.array([xs[0] - 0.5 * cfg.ray_pitch, ys[0] - 0.5 * cfg.ray_pitch]),
         resolution=cfg.ray_pitch,
@@ -88,17 +93,27 @@ def scene_heightmap(scene: Scene, cfg: SensorConfig) -> HeightMap:
     )
 
 
-def render_surface(scene: Scene, cfg: SensorConfig, rng: np.random.Generator | None = None) -> PointCloud:
-    """Cast the full ray grid over the tray floor and return one point per ray."""
-    xs, ys, heights = _surface_grid(scene, cfg)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([gx.reshape(-1), gy.reshape(-1), heights.reshape(-1)], axis=1)
+def scene_heightmap(scene: Scene, cfg: SensorConfig) -> HeightMap:
+    """Noise-free surface heights of the whole tray as a grid."""
+    return _grid_heightmap(*_surface_grid(scene, cfg), cfg)
+
+
+def _with_noise(pts: np.ndarray, cfg: SensorConfig, rng: np.random.Generator | None) -> np.ndarray:
+    """``pts`` with additive z noise of ``cfg.noise_sigma``; a copy when noisy."""
     if cfg.noise_sigma > 0.0:
         if rng is None:
             raise ShapeError("noisy sensing needs an rng")
         pts = pts.copy()
         pts[:, 2] += rng.normal(0.0, cfg.noise_sigma, size=len(pts))
-    return PointCloud(pts)
+    return pts
+
+
+def render_surface(scene: Scene, cfg: SensorConfig, rng: np.random.Generator | None = None) -> PointCloud:
+    """Cast the full ray grid over the tray floor and return one point per ray."""
+    xs, ys, heights = _surface_grid(scene, cfg)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.stack([gx.reshape(-1), gy.reshape(-1), heights.reshape(-1)], axis=1)
+    return PointCloud(_with_noise(pts, cfg, rng))
 
 
 def observe(
@@ -107,11 +122,15 @@ def observe(
     """Render, crop to the excavation range, and downsample to the FPS target.
 
     Clouds already at or below the target size pass through unsampled. The
-    scene's true object count rides along as supervision metadata; policies
-    must only consume the points.
+    scene's true object count and its noise-free heightmap (equal to
+    :func:`scene_heightmap`) ride along as metadata for supervision and
+    planning; policies must only consume the points.
     """
-    surface = render_surface(scene, cfg, rng)
-    pts = surface.points
+    # One render serves both outputs: noise goes onto the points only.
+    clean = render_surface(scene, replace(cfg, noise_sigma=0.0)).points
+    xs, ys = _ray_axes(scene.tray, cfg)
+    hmap = _grid_heightmap(xs, ys, clean[:, 2].reshape(len(xs), len(ys)).copy(), cfg)
+    pts = _with_noise(clean, cfg, rng)
     keep = (
         (pts[:, 0] >= cfg.crop_x[0])
         & (pts[:, 0] <= cfg.crop_x[1])
@@ -123,7 +142,7 @@ def observe(
         raise EmptyObservationError("sensor crop produced zero points")
     if len(cropped) > cfg.fps_target:
         cropped = cropped[fps(cropped, cfg.fps_target)]
-    return ObservationCloud(PointCloud(cropped), object_count=scene.object_count)
+    return ObservationCloud(PointCloud(cropped), object_count=scene.object_count, heightmap=hmap)
 
 
 def _orient_steep_downhill(points: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -162,6 +181,4 @@ def label_observation(obs: ObservationCloud, k: int = 30) -> ObservationCloud:
     """
     normals, curvature, _ = estimate_normals_curvature(obs.cloud.points, k)
     normals = _orient_steep_downhill(obs.cloud.points, normals)
-    return ObservationCloud(
-        PointCloud(obs.cloud.points, normals, curvature), object_count=obs.object_count
-    )
+    return replace(obs, cloud=PointCloud(obs.cloud.points, normals, curvature))

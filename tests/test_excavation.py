@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from digrl import sensor
 from digrl.config import AttackRanges, get_profile
 from digrl.errors import ProtocolError, ShapeError
 from digrl.excavation import (
@@ -19,8 +20,8 @@ from digrl.excavation import (
 )
 from digrl.geometry import HeightMap
 from digrl.kinematics import ArmModel, AttackPose, TrajectoryParams
-from digrl.scenegen import PlacedObject, Scene, Tray
-from digrl.sensor import SensorConfig
+from digrl.scenegen import PlacedObject, Scene, Tray, save_scene
+from digrl.sensor import SensorConfig, scene_heightmap
 from test_scenegen import make_box
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -205,12 +206,16 @@ class TestActionMapping:
 
 
 class TestEnv:
-    def small_env(self, seed=0, digs=3):
+    # Seed 3 captures on the third of these actions.
+    CAPTURE_SEED = 3
+    ACTIONS = [[0.3, 0.0, 0.2], [-0.2, 0.4, 0.0], [0.6, -0.5, 0.8]]
+
+    def small_env(self, seed=0, digs=3, noise_sigma=0.0):
         return ExcavationEnv(
             profile=get_profile("desk"),
             seed=seed,
             env_cfg=EnvConfig(digs_per_episode=digs, count_range=(5, 8)),
-            sensor=SensorConfig(fps_target=512),
+            sensor=SensorConfig(fps_target=512, noise_sigma=noise_sigma),
         )
 
     def test_episode_protocol(self):
@@ -234,6 +239,59 @@ class TestEnv:
         assert steps == 3
         with pytest.raises(ProtocolError):
             env.step([0.0, 0.0, 0.0])
+
+    def assert_planner_map_is_noise_free(self, env, obs):
+        expected = scene_heightmap(env.scene, env.sensor)
+        assert obs.heightmap.heights.tobytes() == expected.heights.tobytes()
+        assert obs.heightmap.origin.tobytes() == expected.origin.tobytes()
+        assert obs.heightmap.resolution == expected.resolution
+        assert np.array_equal(obs.heightmap.occupied, expected.occupied)
+
+    def test_one_render_per_refresh(self, monkeypatch):
+        renders = []
+        grid = sensor._surface_grid
+
+        def counted(*args):
+            renders.append(1)
+            return grid(*args)
+
+        monkeypatch.setattr(sensor, "_surface_grid", counted)
+        env = self.small_env(seed=self.CAPTURE_SEED)
+        obs = env.reset()
+        assert len(renders) == 1
+        self.assert_planner_map_is_noise_free(env, obs)
+        captures = 0
+        for a in self.ACTIONS:
+            renders.clear()
+            obs, _, _, info = env.step(a)
+            captured = info["captured_cm3"] > 0 and not info["emptied"]
+            captures += captured
+            assert len(renders) == (1 if captured else 0)
+            self.assert_planner_map_is_noise_free(env, obs)
+        assert captures >= 1
+
+    def test_noisy_sensor(self, tmp_path):
+        def run(noise_sigma):
+            env = self.small_env(seed=self.CAPTURE_SEED, noise_sigma=noise_sigma)
+            obs = env.reset()
+            rows = []
+            for a in [None] + self.ACTIONS:
+                reward = None
+                if a is not None:
+                    obs, reward, _, _ = env.step(a)
+                self.assert_planner_map_is_noise_free(env, obs)
+                path = tmp_path / f"scene-{noise_sigma}-{len(rows)}.bin"
+                save_scene(env.scene, path)
+                rows.append((obs.points.tobytes(), reward, path.read_bytes()))
+            return rows
+
+        noisy = run(0.002)
+        assert run(0.002) == noisy
+        clean = run(0.0)
+        # Noise has its own stream and never reaches the planner, so scenes and
+        # rewards match the noise-free run; only the observed points differ.
+        assert [r[1:] for r in noisy] == [r[1:] for r in clean]
+        assert all(n[0] != c[0] for n, c in zip(noisy, clean))
 
     def test_deterministic_episodes(self):
         actions = [[0.3, 0.0, 0.2], [-0.2, 0.4, 0.0], [0.6, -0.5, 0.8]]

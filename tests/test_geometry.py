@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from digrl.config import get_profile
 from digrl.errors import EmptyObservationError, ShapeError, SizeError
 from digrl.geometry import (
     CURVATURE_MAX,
@@ -15,6 +16,7 @@ from digrl.geometry import (
     save_xyzl,
     to_heightmap,
 )
+from digrl.sensor import SensorConfig, observe
 
 
 def fps_oracle(pts, n, start=0):
@@ -30,12 +32,73 @@ def fps_oracle(pts, n, start=0):
     return np.array(chosen)
 
 
+def fps_reference(pts, n, start=0):
+    """The unpruned vectorised greedy loop: every pick updates every point."""
+    selected = np.empty(n, dtype=np.int64)
+    selected[0] = start
+    min_d2 = np.sum((pts - pts[start]) ** 2, axis=1)
+    for i in range(1, n):
+        nxt = int(np.argmax(min_d2))
+        selected[i] = nxt
+        d2 = np.sum((pts - pts[nxt]) ** 2, axis=1)
+        np.minimum(min_d2, d2, out=min_d2)
+    return selected
+
+
+def tie_heavy_clouds():
+    """Clouds where exact distance ties or zero max-min distances are common."""
+    rng = np.random.default_rng(7)
+    gx, gy = np.meshgrid(np.arange(40) * 0.005, np.arange(25) * 0.005, indexing="ij")
+    grid = np.stack([gx.reshape(-1), gy.reshape(-1), np.zeros(gx.size)], axis=1)
+    lx, ly, lz = np.meshgrid(*[np.arange(k) * 0.005 for k in (8, 8, 2)], indexing="ij")
+    lattice = np.stack([lx.reshape(-1), ly.reshape(-1), lz.reshape(-1)], axis=1)
+    distinct = rng.uniform(-1, 1, size=(30, 3))
+    one_x = rng.uniform(-1, 1, size=(200, 3))
+    one_x[:, 0] = 0.3
+    return {
+        "flat-grid": grid,
+        # Far from the origin the rounding of x itself exceeds a slab pad
+        # proportional to the radius alone.
+        "lattice-far": lattice + (1e3, 0.0, 0.0),
+        "flat-grid-shifted": grid + (-0.37, 0.2, 0.0),
+        # 120 points over 30 positions: past 30 picks the max-min is 0.
+        "duplicates": distinct[rng.permutation(np.tile(np.arange(30), 4))],
+        "one-x": one_x,
+    }
+
+
+TIE_HEAVY = tie_heavy_clouds()
+
+
+@pytest.fixture(scope="module")
+def desk_crop(small_scene):
+    """The full 132 x 80 ray crop of a rendered scene, unsampled."""
+    return observe(small_scene, SensorConfig(fps_target=10 ** 6)).points
+
+
 class TestFps:
     def test_matches_greedy_oracle(self, rng):
         for _ in range(5):
             pts = rng.uniform(-1, 1, size=(40, 3))
             got = fps(pts, 12)
             assert np.array_equal(got, fps_oracle(pts, 12))
+
+    def test_matches_reference_on_desk_crop(self, desk_crop):
+        assert len(desk_crop) == 10_560
+        assert np.array_equal(fps(desk_crop, 2048), fps_reference(desk_crop, 2048))
+
+    def test_matches_reference_on_encoder_levels(self, desk_crop):
+        level = desk_crop[fps_reference(desk_crop, 2048)]
+        for n in get_profile("desk").level_points:
+            idx = fps(level, n)
+            assert np.array_equal(idx, fps_reference(level, n))
+            level = level[idx]
+
+    @pytest.mark.parametrize("name", sorted(TIE_HEAVY))
+    def test_matches_reference_on_ties(self, name):
+        pts = TIE_HEAVY[name]
+        for n in (2, 37, len(pts) // 2, len(pts)):
+            assert np.array_equal(fps(pts, n), fps_reference(pts, n))
 
     def test_min_distance_sequence_non_increasing(self, rng):
         pts = rng.normal(size=(300, 3))
@@ -53,12 +116,16 @@ class TestFps:
 
     def test_start_index_is_first(self, rng):
         pts = rng.normal(size=(30, 3))
-        assert fps(pts, 5, start=17)[0] == 17
+        idx = fps(pts, 5, start=17)
+        assert idx[0] == 17
+        assert np.array_equal(idx, fps_reference(pts, 5, start=17))
 
     def test_full_sample_is_permutation(self, rng):
         pts = rng.normal(size=(25, 3))
         idx = fps(pts, 25)
         assert sorted(idx) == list(range(25))
+        assert np.array_equal(idx, fps_reference(pts, 25))
+        assert np.array_equal(fps(pts, 25, start=9), fps_reference(pts, 25, start=9))
 
     def test_rejects_bad_sizes(self, rng):
         pts = rng.normal(size=(10, 3))

@@ -247,6 +247,18 @@ class TestTraining:
                 rollout=64,
             )
 
+    def test_rejects_rollout_not_divisible_by_envs(self):
+        # 768 // 5 * 5 = 765 steps would be collected but 768 reported.
+        with pytest.raises(SizeError):
+            train_rl(
+                make_env=QuadraticBandit,
+                encode=lambda o: o,
+                code_size=2,
+                total_samples=768,
+                n_envs=5,
+                rollout=768,
+            )
+
     def test_evaluate_policy_records(self):
         core = PolicyCore(2, act_dim=1, hidden=(8, 4), seed=5)
         records = evaluate_policy(

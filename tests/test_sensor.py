@@ -120,6 +120,30 @@ class TestObserve:
         obs = observe(small_scene, SensorConfig())
         assert obs.object_count == small_scene.object_count
 
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.002])
+    def test_heightmap_metadata_is_noise_free(self, small_scene, noise_sigma):
+        cfg = SensorConfig(fps_target=2048, noise_sigma=noise_sigma)
+        obs = observe(small_scene, cfg, np.random.default_rng(5))
+        hm = scene_heightmap(small_scene, cfg)
+        assert obs.heightmap.heights.tobytes() == hm.heights.tobytes()
+        assert obs.heightmap.origin.tobytes() == hm.origin.tobytes()
+        assert obs.heightmap.resolution == hm.resolution
+        assert np.all(obs.heightmap.occupied)
+        labeled = label_observation(obs)
+        assert labeled.heightmap is obs.heightmap
+
+    def test_noisy_observation_matches_noisy_render(self, small_scene):
+        cfg = SensorConfig(fps_target=10 ** 6, noise_sigma=0.002)
+        obs = observe(small_scene, cfg, np.random.default_rng(5))
+        surface = render_surface(small_scene, cfg, np.random.default_rng(5)).points
+        keep = (
+            (surface[:, 0] >= cfg.crop_x[0]) & (surface[:, 0] <= cfg.crop_x[1])
+            & (surface[:, 1] >= cfg.crop_y[0]) & (surface[:, 1] <= cfg.crop_y[1])
+        )
+        assert obs.points.tobytes() == surface[keep].tobytes()
+        with pytest.raises(ShapeError):
+            observe(small_scene, cfg)
+
     def test_empty_crop_raises(self, tray):
         cfg = SensorConfig(crop_x=(0.50, 0.60))
         with pytest.raises(EmptyObservationError):
