@@ -1,4 +1,8 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the checked binary reader."""
+
+import struct
+
+import numpy as np
 
 
 class DigrlError(Exception):
@@ -39,3 +43,40 @@ class EmptyObservationError(DigrlError, RuntimeError):
 
 class ConfigError(DigrlError, ValueError):
     """A config file or profile override is malformed."""
+
+
+class BlobReader:
+    """Sequential reads from the bytes of a binary file.
+
+    Every read checks the remaining length first, so truncated input raises
+    ShapeError instead of a struct or numpy error; :meth:`finish` rejects
+    trailing bytes.
+    """
+
+    def __init__(self, blob: bytes, path):
+        self.blob = blob
+        self.path = path
+        self.off = 0
+
+    def _advance(self, nbytes: int) -> int:
+        start, end = self.off, self.off + nbytes
+        if end > len(self.blob):
+            raise ShapeError(f"{self.path}: truncated, needs {end} bytes, has {len(self.blob)}")
+        self.off = end
+        return start
+
+    def take(self, nbytes: int) -> bytes:
+        start = self._advance(nbytes)
+        return self.blob[start : self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.blob, self._advance(struct.calcsize(fmt)))
+
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        """A writable copy of ``count`` items of ``dtype``."""
+        start = self._advance(np.dtype(dtype).itemsize * count)
+        return np.frombuffer(self.blob, dtype=dtype, count=count, offset=start).copy()
+
+    def finish(self) -> None:
+        if self.off != len(self.blob):
+            raise ShapeError(f"{self.path}: {len(self.blob) - self.off} trailing bytes")

@@ -305,19 +305,15 @@ def check_collision(
     yaws: np.ndarray,
     tray: Tray,
     bucket,
-    include_floor: bool = True,
 ) -> np.ndarray:
-    """Per-waypoint bucket-vs-tray collision mask.
+    """Per-waypoint bucket-vs-wall collision mask.
 
-    With ``include_floor`` the bucket is tested against the walls and the
-    floor slab; without it only against the walls. Dig planning passes
-    False because the bucket is expected to cut below the surface, where
-    the floor is the digging medium's container rather than an obstacle.
+    Only the walls are obstacles: the bucket is expected to cut below the
+    surface, where the floor is the digging medium's container.
     """
     centers, axes, half = bucket_frames(tips, pitches, yaws, bucket)
-    boxes = tray.wall_and_floor_boxes() if include_floor else tray.wall_boxes()
     hits = np.zeros(len(tips), dtype=bool)
-    for box_center, box_half in boxes:
+    for box_center, box_half in tray.wall_boxes():
         hits |= obb_hits_aabb(centers, axes, half, box_center, box_half)
     return hits
 
@@ -465,9 +461,7 @@ def plan_trajectory(
         i = int(bad[0])
         kind = IK_FAILURE if status[i] == _UNREACHABLE else SELF_COLLISION
         return PlanOutcome.failed(kind, i)
-    hits = check_collision(
-        positions, pitches, joints[:, 0], tray, arm.bucket_box, include_floor=False
-    )
+    hits = check_collision(positions, pitches, joints[:, 0], tray, arm.bucket_box)
     if hits.any():
         return PlanOutcome.failed(ENV_COLLISION, int(np.argmax(hits)))
     traj = JointTrajectory(

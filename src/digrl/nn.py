@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .errors import ShapeError, SizeError
+from .errors import BlobReader, ShapeError, SizeError
 
 _CKPT_MAGIC = b"CKPT"
 _CKPT_VERSION = 1
@@ -602,27 +602,18 @@ def save_ckpt(store: ParamStore, path) -> None:
 def load_ckpt(path) -> ParamStore:
     """Read a checkpoint back into a float32 store, preserving tensor order."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _CKPT_MAGIC:
+        rd = BlobReader(fh.read(), path)
+    if rd.take(4) != _CKPT_MAGIC:
         raise ShapeError(f"{path} is not a checkpoint (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 4)
+    version, count = rd.unpack("<II")
     if version != _CKPT_VERSION:
         raise ShapeError(f"unsupported checkpoint version {version}")
-    off = 12
     store = ParamStore(dtype=np.float32)
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
-        size = int(np.prod(dims)) if rank else 1
-        flat = np.frombuffer(blob, dtype="<f4", count=size, offset=off)
-        off += 4 * size
-        store.add(name, flat.reshape(dims))
-    if off != len(blob):
-        raise ShapeError(f"{path}: {len(blob) - off} trailing bytes")
+        (name_len,) = rd.unpack("<I")
+        name = rd.take(name_len).decode("utf-8")
+        (rank,) = rd.unpack("<I")
+        dims = rd.unpack(f"<{rank}I")
+        store.add(name, rd.array("<f4", math.prod(dims)).reshape(dims))
+    rd.finish()
     return store

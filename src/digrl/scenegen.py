@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from .config import AttackRanges
 from .errors import (
+    BlobReader,
     DegenerateGeometryError,
     PlacementError,
     ShapeError,
@@ -29,6 +31,7 @@ VERTEX_RADIUS_RANGE = (0.01, 0.07)  # m, sampled distance of hull seeds from the
 VERTEX_COUNT_RANGE = (8, 24)  # inclusive
 INTERPENETRATION_TOL = 0.002  # m, declared settling tolerance
 PLACEMENT_RETRIES = 50
+_PLACEMENT = AttackRanges()  # objects are dropped where the bucket can attack
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +238,6 @@ class Tray:
             (np.array([0.0, hy + t / 2, zc]), np.array([hx + t, t / 2, h / 2])),
         ]
 
-    def wall_and_floor_boxes(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Wall boxes plus the floor modeled as a thick slab below floor_z."""
-        hx, hy = self.inner_length / 2.0, self.inner_width / 2.0
-        t = self.wall_thickness
-        slab = 0.10
-        return self.wall_boxes() + [
-            (
-                np.array([0.0, 0.0, self.floor_z - slab / 2]),
-                np.array([hx + t, hy + t, slab / 2]),
-            )
-        ]
-
 
 @dataclass
 class PlacedObject:
@@ -287,17 +278,22 @@ class Scene:
 
 
 def mesh_edges(faces: np.ndarray) -> np.ndarray:
-    """Unique undirected edges (E, 2) of a triangle mesh."""
+    """Unique undirected edges (E, 2) of a triangle mesh, in lexicographic order."""
     pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0)
-    return np.unique(np.sort(pairs, axis=1), axis=0)
+    pairs = np.sort(pairs, axis=1)
+    # One integer key per pair orders like the rows, and a 1-D unique is cheap.
+    n = int(pairs.max()) + 1
+    key = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    return np.column_stack([key // n, key % n])
 
 
-def _segment_crossings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _segment_crossings(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interior intersection points of two batches of 2-D segments.
 
-    ``a`` is (Na, 2, 2) and ``b`` is (Nb, 2, 2); returns (M, 2) crossing
-    points. Parallel or endpoint-touching pairs are skipped: those contacts
-    are already covered by vertex columns.
+    ``a`` is (Na, 2, 2) and ``b`` is (Nb, 2, 2); returns the (M, 2) crossing
+    points and, for each, the index of its ``b`` segment. Parallel or
+    endpoint-touching pairs are skipped: those contacts are already covered
+    by vertex columns.
     """
     p = a[:, 0][:, None, :]
     r = (a[:, 1] - a[:, 0])[:, None, :]
@@ -310,10 +306,36 @@ def _segment_crossings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     t = (qp[..., 0] * s[..., 1] - qp[..., 1] * s[..., 0]) / denom
     u = (qp[..., 0] * r[..., 1] - qp[..., 1] * r[..., 0]) / denom
     ok &= (t > 0.0) & (t < 1.0) & (u > 0.0) & (u < 1.0)
-    if not ok.any():
-        return np.empty((0, 2))
     ti, tj = np.nonzero(ok)
-    return a[ti, 0] + t[ti, tj, None] * (a[ti, 1] - a[ti, 0])
+    return a[ti, 0] + t[ti, tj, None] * (a[ti, 1] - a[ti, 0]), tj
+
+
+def _grouped_envelopes(
+    c: np.ndarray, nz: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`vertical_envelopes` reduced over runs of planes instead of all of them.
+
+    ``c`` holds the column offsets ``(o - x*nx) - y*ny`` with planes along
+    its last axis, ``nz`` the matching plane z normals, and ``starts`` the
+    first plane of each run. Every run is one convex body, so the result is
+    (z_low, z_high, feasible) per column and body, bit for bit what
+    :func:`vertical_envelopes` gives for that body alone. The sensor keeps
+    calling :func:`vertical_envelopes`, which is faster for a single body.
+    """
+    up = nz > 1e-12
+    down = nz < -1e-12
+    z = c / np.where(up | down, nz, 1.0)
+    z_high = np.minimum.reduceat(np.where(up, z, np.inf), starts, axis=-1)
+    z_low = np.maximum.reduceat(np.where(down, z, -np.inf), starts, axis=-1)
+    sides = np.logical_and.reduceat((c >= -1e-9) | up | down, starts, axis=-1)
+    return z_low, z_high, (z_low <= z_high + 1e-9) & sides
+
+
+def _run_starts(lengths: np.ndarray) -> np.ndarray:
+    """First index of each run when runs of ``lengths`` are laid end to end."""
+    starts = np.zeros(len(lengths), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    return starts
 
 
 class _RestPile:
@@ -325,70 +347,86 @@ class _RestPile:
     at a projected vertex of either body or at a crossing of projected edges,
     so evaluating exactly these candidate columns gives the exact rest height
     and zero interpenetration by construction.
+
+    Each drop is one batched pass. The rested AABBs are stacked, so one mask
+    picks the candidate supports, whose planes, vertices and projected edges
+    are then concatenated. Three gap families are evaluated in bulk: incoming
+    vertices against every candidate's upper envelope, nearby rested vertices
+    against the incoming lower envelope, and projected edge crossings, each
+    against the planes of its own body only. Gaps use the same elementwise
+    float operations as a per-body loop, and the drop is their minimum, so
+    rest heights do not depend on how the candidates are grouped.
     """
 
     def __init__(self, tray: Tray):
         self.tray = tray
         self.floor = tray.floor_z
+        self._lo = np.empty((0, 3))
+        self._hi = np.empty((0, 3))
         self._verts: list[np.ndarray] = []
-        self._planes: list[tuple[np.ndarray, np.ndarray]] = []
-        self._edges: list[np.ndarray] = []
-        self._lo: list[np.ndarray] = []
-        self._hi: list[np.ndarray] = []
+        self._planes: list[np.ndarray] = []  # (F, 4) rows of nx, ny, nz, offset
+        self._segs: list[np.ndarray] = []  # (E, 2, 2) edges projected to xy
 
     def drop_and_add(self, placed: PlacedObject) -> float:
         """Drop ``placed`` (posed at z offset 0) to rest; returns the rest z offset."""
         wverts = placed.world_vertices()
         normals, offsets = face_planes(wverts, placed.obj.faces)
         edges = mesh_edges(placed.obj.faces)
-        seg_new = wverts[:, :2][edges]
         aabb_min, aabb_max = wverts.min(axis=0), wverts.max(axis=0)
         gap_groups = [np.array([aabb_min[2] - self.floor])]
-        for k in range(len(self._verts)):
-            lo, hi = self._lo[k], self._hi[k]
-            if (
-                lo[0] > aabb_max[0]
-                or hi[0] < aabb_min[0]
-                or lo[1] > aabb_max[1]
-                or hi[1] < aabb_min[1]
-            ):
-                continue
-            r_verts = self._verts[k]
-            r_n, r_o = self._planes[k]
-            # Incoming vertex above the rested body's upper envelope.
-            _, r_high, r_ok = vertical_envelopes(r_n, r_o, wverts[:, :2])
-            if r_ok.any():
-                gap_groups.append(wverts[r_ok, 2] - r_high[r_ok])
-            # Rested vertex below the incoming body's lower envelope.
-            near = (
-                (r_verts[:, 0] >= aabb_min[0])
-                & (r_verts[:, 0] <= aabb_max[0])
-                & (r_verts[:, 1] >= aabb_min[1])
-                & (r_verts[:, 1] <= aabb_max[1])
+        cand = np.flatnonzero(
+            ((self._lo[:, :2] <= aabb_max[:2]) & (self._hi[:, :2] >= aabb_min[:2])).all(axis=1)
+        )
+        if len(cand):
+            planes = np.concatenate([self._planes[k] for k in cand])
+            n_planes = np.array([len(self._planes[k]) for k in cand])
+            plane_starts = _run_starts(n_planes)
+            r_verts = np.concatenate([self._verts[k] for k in cand])
+            segs = [self._segs[k] for k in cand]
+            seg_body = np.repeat(np.arange(len(cand)), [len(e) for e in segs])
+            segs = np.concatenate(segs)
+            # Only edges whose xy box meets the incoming AABB can cross its edges.
+            lo, hi = segs.min(axis=1), segs.max(axis=1)
+            meets = np.flatnonzero(((lo <= aabb_max[:2]) & (hi >= aabb_min[:2])).all(axis=1))
+            # Incoming vertices above each candidate's upper envelope.
+            c = planes[:, 3] - wverts[:, 0:1] * planes[:, 0] - wverts[:, 1:2] * planes[:, 1]
+            _, r_high, r_ok = _grouped_envelopes(c, planes[:, 2], plane_starts)
+            gap_groups.append((wverts[:, 2:3] - r_high)[r_ok])
+            # Rested vertices below, and projected-edge crossings under, the
+            # incoming lower envelope.
+            near = ((r_verts[:, :2] >= aabb_min[:2]) & (r_verts[:, :2] <= aabb_max[:2])).all(
+                axis=1
             )
-            if near.any():
-                pts = r_verts[near]
-                p_low, _, p_ok = vertical_envelopes(normals, offsets, pts[:, :2])
-                if p_ok.any():
-                    gap_groups.append(p_low[p_ok] - pts[p_ok, 2])
-            # Projected-edge crossings: lower envelope over upper envelope.
-            cross = _segment_crossings(seg_new, r_verts[:, :2][self._edges[k]])
+            pts = r_verts[near]
+            cross, seg = _segment_crossings(wverts[:, :2][edges], segs[meets])
+            low, _, low_ok = vertical_envelopes(
+                normals, offsets, np.concatenate([pts[:, :2], cross])
+            )
+            n_pts = len(pts)
+            gap_groups.append(low[:n_pts][low_ok[:n_pts]] - pts[low_ok[:n_pts], 2])
             if len(cross):
-                c_low, _, c_ok1 = vertical_envelopes(normals, offsets, cross)
-                _, c_high, c_ok2 = vertical_envelopes(r_n, r_o, cross)
-                both = c_ok1 & c_ok2
-                if both.any():
-                    gap_groups.append(c_low[both] - c_high[both])
+                # Pair each crossing with the planes of its own body only.
+                body = seg_body[meets[seg]]
+                n_pair = n_planes[body]
+                pair_starts = _run_starts(n_pair)
+                shift = np.repeat(plane_starts[body] - pair_starts, n_pair)
+                plane = np.arange(n_pair.sum()) + shift
+                point = np.repeat(np.arange(len(cross)), n_pair)
+                pp = planes[plane]
+                c = pp[:, 3] - cross[point, 0] * pp[:, 0] - cross[point, 1] * pp[:, 1]
+                _, c_high, c_ok = _grouped_envelopes(c, pp[:, 2], pair_starts)
+                both = low_ok[n_pts:] & c_ok
+                gap_groups.append(low[n_pts:][both] - c_high[both])
         drop = float(np.concatenate(gap_groups).min())
         placed.translation = placed.translation + np.array([0.0, 0.0, -drop])
         rested = wverts.copy()
         rested[:, 2] -= drop
         self._verts.append(rested)
         # Translating a plane set by -drop along z shifts each offset by -nz*drop.
-        self._planes.append((normals, offsets - normals[:, 2] * drop))
-        self._edges.append(edges)
-        self._lo.append(rested.min(axis=0))
-        self._hi.append(rested.max(axis=0))
+        self._planes.append(np.column_stack([normals, offsets - normals[:, 2] * drop]))
+        self._segs.append(rested[:, :2][edges])
+        self._lo = np.vstack([self._lo, rested.min(axis=0)])
+        self._hi = np.vstack([self._hi, rested.max(axis=0)])
         return -drop
 
 
@@ -396,8 +434,8 @@ def settle_scene(
     objects: list[RigidObject],
     tray: Tray,
     rng: np.random.Generator,
-    placement_x: tuple[float, float] = (-0.37, 0.29),
-    placement_y: tuple[float, float] = (-0.20, 0.20),
+    placement_x: tuple[float, float] = _PLACEMENT.x,
+    placement_y: tuple[float, float] = _PLACEMENT.y,
     seed: int | None = None,
 ) -> Scene:
     """Drop objects one by one at random poses inside the placement range.
@@ -454,8 +492,8 @@ def spawn_scene(
     seed: int,
     count_range: tuple[int, int],
     tray: Tray | None = None,
-    placement_x: tuple[float, float] = (-0.37, 0.29),
-    placement_y: tuple[float, float] = (-0.20, 0.20),
+    placement_x: tuple[float, float] = _PLACEMENT.x,
+    placement_y: tuple[float, float] = _PLACEMENT.y,
 ) -> Scene:
     """Generate and settle a full scene from one seed (count drawn inclusive)."""
     lo, hi = count_range
@@ -499,36 +537,22 @@ def save_scene(scene: Scene, path) -> None:
 
 def load_scene(path) -> Scene:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _SCENE_MAGIC:
+        rd = BlobReader(fh.read(), path)
+    if rd.take(4) != _SCENE_MAGIC:
         raise ShapeError(f"{path} is not a scene file (bad magic)")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    (version,) = rd.unpack("<I")
     if version != _SCENE_VERSION:
         raise ShapeError(f"unsupported scene version {version}")
-    dims = struct.unpack_from("<5d", blob, 8)
-    off = 8 + 40
-    (seed,) = struct.unpack_from("<q", blob, off)
-    off += 8
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    tray = Tray(*dims)
+    tray = Tray(*rd.unpack("<5d"))
+    seed, count = rd.unpack("<qI")
     placed = []
     for _ in range(count):
-        nv, nf = struct.unpack_from("<II", blob, off)
-        off += 8
-        (density,) = struct.unpack_from("<d", blob, off)
-        off += 8
-        verts = np.frombuffer(blob, dtype="<f8", count=nv * 3, offset=off).reshape(nv, 3).copy()
-        off += nv * 24
-        faces = np.frombuffer(blob, dtype="<u4", count=nf * 3, offset=off).reshape(nf, 3)
-        faces = faces.astype(np.int64)
-        off += nf * 12
-        quat = np.frombuffer(blob, dtype="<f8", count=4, offset=off).copy()
-        off += 32
-        trans = np.frombuffer(blob, dtype="<f8", count=3, offset=off).copy()
-        off += 24
+        nv, nf, density = rd.unpack("<IId")
+        verts = rd.array("<f8", nv * 3).reshape(nv, 3)
+        faces = rd.array("<u4", nf * 3).reshape(nf, 3).astype(np.int64)
+        quat = rd.array("<f8", 4)
+        trans = rd.array("<f8", 3)
         vol = polytope_volume(verts, faces)
         placed.append(PlacedObject(RigidObject(verts, faces, vol, density), quat, trans))
-    if off != len(blob):
-        raise ShapeError(f"{path}: {len(blob) - off} trailing bytes")
+    rd.finish()
     return Scene(tray, placed, None if seed < 0 else int(seed))

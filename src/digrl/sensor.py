@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .config import AttackRanges
 from .errors import EmptyObservationError, ShapeError
 from .geometry import HeightMap, PointCloud, estimate_normals_curvature, fps
 from .scenegen import Scene, vertical_envelopes
@@ -28,8 +29,8 @@ class SensorConfig:
     ray_pitch: float = DEFAULT_RAY_PITCH
     noise_sigma: float = 0.0  # stddev of additive z noise, metres
     fps_target: int = 7000
-    crop_x: tuple[float, float] = (-0.37, 0.29)
-    crop_y: tuple[float, float] = (-0.20, 0.20)
+    crop_x: tuple[float, float] = AttackRanges().x
+    crop_y: tuple[float, float] = AttackRanges().y
 
 
 @dataclass

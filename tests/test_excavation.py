@@ -19,10 +19,10 @@ from digrl.excavation import (
     save_episodes,
 )
 from digrl.geometry import HeightMap
-from digrl.kinematics import ArmModel, AttackPose, TrajectoryParams
-from digrl.scenegen import PlacedObject, Scene, Tray, save_scene
+from digrl.kinematics import ArmModel, AttackPose, TrajectoryParams, plan_trajectory
+from digrl.scenegen import INTERPENETRATION_TOL, PlacedObject, Scene, Tray, save_scene, spawn_scene
 from digrl.sensor import SensorConfig, scene_heightmap
-from test_scenegen import make_box
+from test_scenegen import make_box, penetration_depth
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -175,6 +175,44 @@ class TestExecuteDig:
         assert result.reward == PLAN_FAILURE_REWARD
         assert result.captured_indices == ()
         assert result.scene_after is scene
+
+
+def max_interpenetration(scene):
+    """Deepest overlap over every pair of objects whose AABBs meet."""
+    wv = [p.world_vertices() for p in scene.placed]
+    lo = np.array([v.min(axis=0) for v in wv])
+    hi = np.array([v.max(axis=0) for v in wv])
+    meets = ((lo[:, None] <= hi[None]) & (lo[None] <= hi[:, None])).all(axis=-1)
+    pairs = zip(*np.nonzero(np.triu(meets, 1)))
+    faces = [p.obj.faces for p in scene.placed]
+    return max(
+        (penetration_depth(wv[i], faces[i], wv[j], faces[j]) for i, j in pairs), default=0.0
+    )
+
+
+class TestDigSequence:
+    def test_invariants_hold_across_digs(self):
+        """20 digs on one 250-object scene: no interpenetration, capacity, conservation."""
+        scene = spawn_scene(3, (250, 250))
+        rng = np.random.default_rng(3)
+        ranges, arm, params, bucket = AttackRanges(), ArmModel(), TrajectoryParams(), BucketSpec()
+        captures = 0
+        for _ in range(20):
+            hmap = scene_heightmap(scene, SensorConfig())
+            while True:  # draw until the planner accepts, so most digs capture
+                attack = AttackPose(*(rng.uniform(*r) for r in (ranges.x, ranges.y, ranges.alpha)))
+                if plan_trajectory(arm, attack, hmap, scene.tray, params, ranges).ok:
+                    break
+            before = scene.object_count
+            result = execute_dig(scene, attack, arm, params, bucket, ranges, hmap=hmap)
+            scene = result.scene_after
+            if not result.captured_indices:
+                continue
+            captures += 1
+            assert max_interpenetration(scene) <= INTERPENETRATION_TOL
+            assert result.captured_volume <= bucket.capacity
+            assert scene.object_count + len(result.captured_indices) == before
+        assert captures >= 10
 
 
 class TestActionMapping:

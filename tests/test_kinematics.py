@@ -315,12 +315,19 @@ class TestBucketGeometry:
             np.array([[0.0, 0.0, 0.30]]), np.array([-math.pi / 2]), np.array([0.0]), tray,
             (0.12, 0.12, 0.04),
         )
-        low = check_collision(
+        # Pointing down with its tip 2 cm inside the +x wall face, at wall height.
+        wall = check_collision(
+            np.array([[0.38, 0.0, 0.02]]), np.array([-math.pi / 2]), np.array([0.0]), tray,
+            (0.12, 0.12, 0.04),
+        )
+        # Below the floor in the middle of the tray: the floor is no obstacle.
+        below = check_collision(
             np.array([[0.0, 0.0, -0.05]]), np.array([-math.pi / 2]), np.array([0.0]), tray,
             (0.12, 0.12, 0.04),
         )
         assert not high[0]
-        assert low[0]
+        assert wall[0]
+        assert not below[0]
 
 
 class TestTrajFile:

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from digrl import scenegen
 from digrl.errors import (
     DegenerateGeometryError,
     PlacementError,
@@ -15,6 +17,7 @@ from digrl.scenegen import (
     Scene,
     Tray,
     _RestPile,
+    _segment_crossings,
     convex_hull,
     face_planes,
     gen_object,
@@ -57,6 +60,69 @@ def penetration_depth(verts_a, faces_a, verts_b, faces_b):
     pb = verts_b @ dirs.T
     overlap = np.minimum(pa.max(0), pb.max(0)) - np.maximum(pa.min(0), pb.min(0))
     return max(0.0, float(overlap.min()))
+
+
+class RestPileReference:
+    """The per-body loop that ``_RestPile`` batches, kept as its reference.
+
+    For each earlier body whose AABB overlaps the incoming one it evaluates
+    the three gap families with separate calls; the batched pile must give
+    the same rest offsets bit for bit.
+    """
+
+    def __init__(self, tray):
+        self.floor = tray.floor_z
+        self._verts, self._planes, self._edges, self._lo, self._hi = [], [], [], [], []
+
+    def drop_and_add(self, placed):
+        wverts = placed.world_vertices()
+        normals, offsets = face_planes(wverts, placed.obj.faces)
+        edges = mesh_edges(placed.obj.faces)
+        seg_new = wverts[:, :2][edges]
+        aabb_min, aabb_max = wverts.min(axis=0), wverts.max(axis=0)
+        gap_groups = [np.array([aabb_min[2] - self.floor])]
+        for k in range(len(self._verts)):
+            lo, hi = self._lo[k], self._hi[k]
+            if (
+                lo[0] > aabb_max[0]
+                or hi[0] < aabb_min[0]
+                or lo[1] > aabb_max[1]
+                or hi[1] < aabb_min[1]
+            ):
+                continue
+            r_verts = self._verts[k]
+            r_n, r_o = self._planes[k]
+            _, r_high, r_ok = vertical_envelopes(r_n, r_o, wverts[:, :2])
+            if r_ok.any():
+                gap_groups.append(wverts[r_ok, 2] - r_high[r_ok])
+            near = (
+                (r_verts[:, 0] >= aabb_min[0])
+                & (r_verts[:, 0] <= aabb_max[0])
+                & (r_verts[:, 1] >= aabb_min[1])
+                & (r_verts[:, 1] <= aabb_max[1])
+            )
+            if near.any():
+                pts = r_verts[near]
+                p_low, _, p_ok = vertical_envelopes(normals, offsets, pts[:, :2])
+                if p_ok.any():
+                    gap_groups.append(p_low[p_ok] - pts[p_ok, 2])
+            cross, _ = _segment_crossings(seg_new, r_verts[:, :2][self._edges[k]])
+            if len(cross):
+                c_low, _, c_ok1 = vertical_envelopes(normals, offsets, cross)
+                _, c_high, c_ok2 = vertical_envelopes(r_n, r_o, cross)
+                both = c_ok1 & c_ok2
+                if both.any():
+                    gap_groups.append(c_low[both] - c_high[both])
+        drop = float(np.concatenate(gap_groups).min())
+        placed.translation = placed.translation + np.array([0.0, 0.0, -drop])
+        rested = wverts.copy()
+        rested[:, 2] -= drop
+        self._verts.append(rested)
+        self._planes.append((normals, offsets - normals[:, 2] * drop))
+        self._edges.append(edges)
+        self._lo.append(rested.min(axis=0))
+        self._hi.append(rested.max(axis=0))
+        return -drop
 
 
 def make_box(dx, dy, dz):
@@ -275,6 +341,103 @@ class TestSettling:
         assert dropped.placed[0].world_vertices()[:, 2].min() == pytest.approx(
             tray.floor_z, abs=1e-9
         )
+
+
+IDENTITY = np.array([1.0, 0, 0, 0])
+
+
+def _boxes_stacked():
+    box = make_box(0.08, 0.08, 0.06)
+    return [(box, (0.0, 0.0, 0.5)), (box, (0.0, 0.0, 0.9))]
+
+
+def _boxes_edge_contact():
+    box = make_box(0.08, 0.08, 0.05)
+    return [(box, (0.0, 0.0, 0.2)), (box, (0.04, 0.04, 0.7))]
+
+
+def _boxes_crossed():
+    # Long thin bars at right angles: the rest column is a crossing of edges.
+    return [
+        (make_box(0.20, 0.02, 0.03), (0.0, 0.0, 0.0)),
+        (make_box(0.02, 0.20, 0.03), (0.01, 0.0, 0.0)),
+        (make_box(0.20, 0.02, 0.03), (0.0, 0.03, 0.0)),
+        (make_box(0.05, 0.05, 0.05), (0.005, 0.015, 0.0)),
+    ]
+
+
+def _scene_bytes(scene, path):
+    save_scene(scene, path)
+    return path.read_bytes()
+
+
+def _settle_three_ways(seed, count, path):
+    """Bytes of a spawn, its full resettle, and a resettle without every third object."""
+    spawned = spawn_scene(seed, (count, count))
+    full = resettle(spawned)
+    kept = [p for i, p in enumerate(spawned.placed) if i % 3 != 2]
+    partial = resettle(Scene(spawned.tray, kept, spawned.seed))
+    return [_scene_bytes(s, path) for s in (spawned, full, partial)]
+
+
+class TestBatchedPile:
+    """``_RestPile`` gives the bits of the per-body loop it replaced."""
+
+    @pytest.mark.parametrize("case", [_boxes_stacked, _boxes_edge_contact, _boxes_crossed])
+    def test_hand_built_matches_reference(self, tray, case):
+        rests = []
+        for pile_cls in (_RestPile, RestPileReference):
+            pile = pile_cls(tray)
+            placed = [PlacedObject(box, IDENTITY.copy(), np.array(at)) for box, at in case()]
+            offsets = [pile.drop_and_add(p) for p in placed]
+            rests.append((offsets, [p.translation for p in placed]))
+        (new_off, new_t), (ref_off, ref_t) = rests
+        assert new_off == ref_off
+        for a, b in zip(new_t, ref_t):
+            assert a.tobytes() == b.tobytes()
+
+    def test_resettle_after_removing_base_matches_reference(self, tray, monkeypatch, tmp_path):
+        def run():
+            pile = scenegen._RestPile(tray)
+            placed = [
+                PlacedObject(box, IDENTITY.copy(), np.array(at)) for box, at in _boxes_crossed()
+            ]
+            for p in placed:
+                pile.drop_and_add(p)
+            return _scene_bytes(resettle(Scene(tray, placed[1:])), tmp_path / "r.scene")
+
+        new = run()
+        monkeypatch.setattr(scenegen, "_RestPile", RestPileReference)
+        assert new == run()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_scenes_match_reference(self, seed, monkeypatch, tmp_path):
+        count = 50 + 250 * seed // 19  # 50 to 300 objects
+        new = _settle_three_ways(seed, count, tmp_path / "s.scene")
+        monkeypatch.setattr(scenegen, "_RestPile", RestPileReference)
+        ref = _settle_three_ways(seed, count, tmp_path / "s.scene")
+        for kind, a, b in zip(("spawn", "full resettle", "partial resettle"), new, ref):
+            assert a == b, f"{kind} differs from the reference at seed {seed}"
+
+    def test_golden_settle_hash(self, tmp_path):
+        """Pins the settled bits, so the pile and its reference cannot drift together."""
+        spawned = spawn_scene(2024, (200, 200))
+        kept = [p for i, p in enumerate(spawned.placed) if i % 3 != 2]
+        partial = resettle(Scene(spawned.tray, kept, spawned.seed))
+        digests = [
+            hashlib.sha256(_scene_bytes(s, tmp_path / "g.scene")).hexdigest()
+            for s in (spawned, partial)
+        ]
+        assert digests == [
+            "5ab7a20f0e5066fa3a4a86e80e1f41ab1cce6b322a69a1325388cf90e693db16",
+            "0ba880565fd2628a5f939c370628384a231c2afef2685df2fbf2dbb5040a175f",
+        ]
+
+    def test_mesh_edges_match_row_unique(self, rng):
+        for _ in range(20):
+            faces = gen_object(rng).faces
+            pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+            assert np.array_equal(mesh_edges(faces), np.unique(np.sort(pairs, axis=1), axis=0))
 
 
 class TestSpawnScene:
