@@ -141,21 +141,46 @@ def vertical_envelopes(
     columns miss the body entirely.
     """
     xy = np.asarray(xy, dtype=np.float64)
-    c = offsets[None, :] - xy[:, 0:1] * normals[None, :, 0] - xy[:, 1:2] * normals[None, :, 1]
-    nz = normals[:, 2]
+    c = offsets[:, None] - normals[:, 0:1] * xy[:, 0] - normals[:, 1:2] * xy[:, 1]
+    z_low, z_high, feasible = _grouped_envelopes(c, normals[:, 2], np.zeros(1, dtype=np.int64))
+    return z_low[0], z_high[0], feasible[0]
+
+
+def _grouped_envelopes(
+    c: np.ndarray, nz: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`vertical_envelopes` of several bodies whose planes are laid end to end.
+
+    ``c`` holds the column offsets ``(o - x*nx) - y*ny`` with planes along
+    its first axis, ``nz`` the matching plane z normals, and ``starts`` the
+    first plane of each run. Every run is one convex body, and the result is
+    (z_low, z_high, feasible) per body and column.
+    """
     up = nz > 1e-12
     down = nz < -1e-12
-    vert = ~(up | down)
-    z_high = np.full(len(xy), np.inf)
-    z_low = np.full(len(xy), -np.inf)
-    if up.any():
-        z_high = (c[:, up] / nz[up]).min(axis=1)
-    if down.any():
-        z_low = (c[:, down] / nz[down]).max(axis=1)
+    side = ~(up | down)
+    per_plane = (-1,) + (1,) * (c.ndim - 1)
+    z = c / np.where(side, 1.0, nz).reshape(per_plane)
+    z_high = _reduce_runs(np.minimum, np.where(up.reshape(per_plane), z, np.inf), starts)
+    z_low = _reduce_runs(np.maximum, np.where(down.reshape(per_plane), z, -np.inf), starts)
     feasible = z_low <= z_high + 1e-9
-    if vert.any():
-        feasible &= (c[:, vert] >= -1e-9).all(axis=1)
+    if side.any():
+        feasible &= _reduce_runs(np.logical_and, (c >= -1e-9) | ~side.reshape(per_plane), starts)
     return z_low, z_high, feasible
+
+
+def _reduce_runs(op: np.ufunc, a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``op`` over each run along the first axis; one run takes the faster plain reduce."""
+    if len(starts) == 1:
+        return op.reduce(a, axis=0, keepdims=True)
+    return op.reduceat(a, starts, axis=0)
+
+
+def _run_starts(lengths: np.ndarray) -> np.ndarray:
+    """First index of each run when runs of ``lengths`` are laid end to end."""
+    starts = np.zeros(len(lengths), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    return starts
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +303,9 @@ class Scene:
 
 
 def mesh_edges(faces: np.ndarray) -> np.ndarray:
-    """Unique undirected edges (E, 2) of a triangle mesh, in lexicographic order."""
+    """Unique undirected edges (E, 2) of a triangle mesh."""
     pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0)
-    pairs = np.sort(pairs, axis=1)
-    # One integer key per pair orders like the rows, and a 1-D unique is cheap.
-    n = int(pairs.max()) + 1
-    key = np.unique(pairs[:, 0] * n + pairs[:, 1])
-    return np.column_stack([key // n, key % n])
+    return np.unique(np.sort(pairs, axis=1), axis=0)
 
 
 def _segment_crossings(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,34 +329,6 @@ def _segment_crossings(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     ok &= (t > 0.0) & (t < 1.0) & (u > 0.0) & (u < 1.0)
     ti, tj = np.nonzero(ok)
     return a[ti, 0] + t[ti, tj, None] * (a[ti, 1] - a[ti, 0]), tj
-
-
-def _grouped_envelopes(
-    c: np.ndarray, nz: np.ndarray, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`vertical_envelopes` reduced over runs of planes instead of all of them.
-
-    ``c`` holds the column offsets ``(o - x*nx) - y*ny`` with planes along
-    its last axis, ``nz`` the matching plane z normals, and ``starts`` the
-    first plane of each run. Every run is one convex body, so the result is
-    (z_low, z_high, feasible) per column and body, bit for bit what
-    :func:`vertical_envelopes` gives for that body alone. The sensor keeps
-    calling :func:`vertical_envelopes`, which is faster for a single body.
-    """
-    up = nz > 1e-12
-    down = nz < -1e-12
-    z = c / np.where(up | down, nz, 1.0)
-    z_high = np.minimum.reduceat(np.where(up, z, np.inf), starts, axis=-1)
-    z_low = np.maximum.reduceat(np.where(down, z, -np.inf), starts, axis=-1)
-    sides = np.logical_and.reduceat((c >= -1e-9) | up | down, starts, axis=-1)
-    return z_low, z_high, (z_low <= z_high + 1e-9) & sides
-
-
-def _run_starts(lengths: np.ndarray) -> np.ndarray:
-    """First index of each run when runs of ``lengths`` are laid end to end."""
-    starts = np.zeros(len(lengths), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    return starts
 
 
 class _RestPile:
@@ -389,9 +382,9 @@ class _RestPile:
             lo, hi = segs.min(axis=1), segs.max(axis=1)
             meets = np.flatnonzero(((lo <= aabb_max[:2]) & (hi >= aabb_min[:2])).all(axis=1))
             # Incoming vertices above each candidate's upper envelope.
-            c = planes[:, 3] - wverts[:, 0:1] * planes[:, 0] - wverts[:, 1:2] * planes[:, 1]
+            c = planes[:, 3:4] - planes[:, 0:1] * wverts[:, 0] - planes[:, 1:2] * wverts[:, 1]
             _, r_high, r_ok = _grouped_envelopes(c, planes[:, 2], plane_starts)
-            gap_groups.append((wverts[:, 2:3] - r_high)[r_ok])
+            gap_groups.append((wverts[:, 2] - r_high)[r_ok])
             # Rested vertices below, and projected-edge crossings under, the
             # incoming lower envelope.
             near = ((r_verts[:, :2] >= aabb_min[:2]) & (r_verts[:, :2] <= aabb_max[:2])).all(

@@ -199,10 +199,12 @@ class TestDigSequence:
         captures = 0
         for _ in range(20):
             hmap = scene_heightmap(scene, SensorConfig())
-            while True:  # draw until the planner accepts, so most digs capture
+            for _ in range(500):  # draw until the planner accepts, so most digs capture
                 attack = AttackPose(*(rng.uniform(*r) for r in (ranges.x, ranges.y, ranges.alpha)))
                 if plan_trajectory(arm, attack, hmap, scene.tray, params, ranges).ok:
                     break
+            else:
+                pytest.fail("no plannable attack in 500 draws")
             before = scene.object_count
             result = execute_dig(scene, attack, arm, params, bucket, ranges, hmap=hmap)
             scene = result.scene_after

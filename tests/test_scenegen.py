@@ -242,6 +242,40 @@ class TestVerticalEnvelopes:
         assert z_lo[0] == pytest.approx(0.25, abs=1e-12)
         assert z_hi[0] == pytest.approx(0.35, abs=1e-12)
 
+    @staticmethod
+    def masked_reference(normals, offsets, xy):
+        """Envelopes over the boolean-selected plane subsets, one body at a time."""
+        c = offsets[None, :] - xy[:, 0:1] * normals[None, :, 0] - xy[:, 1:2] * normals[None, :, 1]
+        nz = normals[:, 2]
+        up, down = nz > 1e-12, nz < -1e-12
+        vert = ~(up | down)
+        z_high, z_low = np.full(len(xy), np.inf), np.full(len(xy), -np.inf)
+        if up.any():
+            z_high = (c[:, up] / nz[up]).min(axis=1)
+        if down.any():
+            z_low = (c[:, down] / nz[down]).max(axis=1)
+        feasible = z_low <= z_high + 1e-9
+        if vert.any():
+            feasible &= (c[:, vert] >= -1e-9).all(axis=1)
+        return z_low, z_high, feasible
+
+    def test_matches_masked_reference_bitwise(self, rng):
+        """Random hulls and an upright box (vertical faces), columns on and off the body."""
+        bodies = [PlacedObject(make_box(0.1, 0.06, 0.04), np.array([1.0, 0, 0, 0]),
+                               np.array([0.01, -0.02, 0.1]))]
+        for _ in range(30):
+            q = rng.normal(size=4)
+            bodies.append(PlacedObject(gen_object(rng), q / np.linalg.norm(q),
+                                       rng.uniform(-0.05, 0.05, size=3)))
+        for placed in bodies:
+            normals, offsets = placed.world_planes()
+            xy = rng.uniform(-0.12, 0.12, size=(400, 2))
+            got = vertical_envelopes(normals, offsets, xy)
+            want = self.masked_reference(normals, offsets, xy)
+            assert got[2].any() and not got[2].all()
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
 
 class TestSettling:
     def test_single_object_rests_on_floor(self, tray):
@@ -432,12 +466,6 @@ class TestBatchedPile:
             "5ab7a20f0e5066fa3a4a86e80e1f41ab1cce6b322a69a1325388cf90e693db16",
             "0ba880565fd2628a5f939c370628384a231c2afef2685df2fbf2dbb5040a175f",
         ]
-
-    def test_mesh_edges_match_row_unique(self, rng):
-        for _ in range(20):
-            faces = gen_object(rng).faces
-            pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-            assert np.array_equal(mesh_edges(faces), np.unique(np.sort(pairs, axis=1), axis=0))
 
 
 class TestSpawnScene:
