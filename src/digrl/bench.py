@@ -283,9 +283,13 @@ def eval_rl_experiment(
     env_cfg: EnvConfig | None = None,
     **env_kwargs,
 ) -> list[dict]:
-    """Deterministic policy evaluation under the standard dig budget."""
+    """Deterministic policy evaluation under the standard dig budget.
+
+    An e2e policy store carries the encoder it was trained with, and that
+    encoder is used; otherwise the frozen encoder comes from ``rep_store``.
+    """
     profile = profile or get_profile()
-    net = RepNet(profile, store=rep_store)
+    net = RepNet(profile, store=policy_store if "sa1_l1.w" in policy_store else rep_store)
     core = PolicyCore(profile.code_size, store=policy_store)
     make_env = make_env_factory(profile, env_cfg=env_cfg, **env_kwargs)
     return evaluate_policy(

@@ -294,7 +294,11 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("eval-rl", help="evaluate a trained policy")
     _add_common(sp)
-    sp.add_argument("--rep-ckpt", required=True)
+    sp.add_argument(
+        "--rep-ckpt",
+        required=True,
+        help="representation checkpoint, unused when the policy checkpoint holds its e2e encoder",
+    )
     sp.add_argument("--policy-ckpt", required=True)
     sp.add_argument("--episodes", type=int, default=20)
     sp.set_defaults(func=cmd_eval_rl)

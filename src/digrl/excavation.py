@@ -258,8 +258,26 @@ def save_episodes(records: list[dict], path) -> None:
 
 
 def load_episodes(path) -> list[dict]:
+    """Read dig records written by :func:`save_episodes`.
+
+    An empty file, a line that is not a JSON object, or a wrong header
+    raises ShapeError naming the path and line.
+    """
+    records = []
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != "EPI" or header.get("version") != 1:
-            raise ShapeError(f"{path}: not an EPI v1 file")
-        return [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if lineno > 1 and not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ShapeError(f"{path}:{lineno}: corrupt line: {exc}") from None
+            if not isinstance(rec, dict):
+                raise ShapeError(f"{path}:{lineno}: expected a JSON object")
+            records.append(rec)
+    if not records:
+        raise ShapeError(f"{path}: empty file, expected an EPI header")
+    header = records.pop(0)
+    if header.get("format") != "EPI" or header.get("version") != 1:
+        raise ShapeError(f"{path}: not an EPI v1 file")
+    return records

@@ -3,8 +3,13 @@
 All queries are exact, and ties stay reproducible. Neighbor queries are
 vectorized brute force, chunked to bound memory; at the cloud sizes this
 package works with that is both simpler and faster than an acceleration
-structure. Farthest point sampling sorts the cloud by x once and updates,
-after each pick, only the x-slab that can hold a point the pick moves closer.
+structure. ``ball_query`` answers every center of a level in one call and
+returns a padded index matrix. Every squared distance taken from coordinate
+differences goes through ``_sq_dist``, which adds the squared x, y and z
+differences in the order ``np.sum(..., axis=-1)`` would; only the PCA
+neighborhoods use the expanded form |a|^2 - 2 a.b + |b|^2. Farthest point
+sampling sorts the cloud by x once and updates, after each pick, only the
+x-slab that can hold a point the pick moves closer.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .errors import EmptyObservationError, ShapeError, SizeError
 
 CURVATURE_MAX = 1.0 / 3.0
 
-# Rows per pairwise-distance block; 512 x 20k float64 stays under ~100 MB.
+# Rows per pairwise-distance block; a 512 x 20k float64 block is 82 MB.
 _CHUNK = 512
 
 
@@ -126,7 +131,7 @@ def fps(cloud, n: int, start: int = 0) -> np.ndarray:
     sorted_x = sorted_pts[:, 0]
     selected = np.empty(n, dtype=np.int64)
     selected[0] = start
-    min_d2 = np.sum((pts - pts[start]) ** 2, axis=1)
+    min_d2 = _sq_dist(pts, pts[start])
     for i in range(1, n):
         nxt = int(np.argmax(min_d2))
         selected[i] = nxt
@@ -138,44 +143,64 @@ def fps(cloud, n: int, start: int = 0) -> np.ndarray:
         r = math.sqrt(min_d2[nxt]) * (1.0 + 1e-12) + 1e-12 * abs(qx)
         lo, hi = sorted_x.searchsorted((qx - r, qx + r))
         slab = order[lo:hi]
-        d2 = np.sum((sorted_pts[lo:hi] - q) ** 2, axis=1)
+        d2 = _sq_dist(sorted_pts[lo:hi], q)
         min_d2[slab] = np.minimum(min_d2[slab], d2)
     return selected
 
 
-def knn(cloud, query, k: int) -> np.ndarray:
-    """Indices of the ``k`` nearest cloud points to ``query``, nearest first.
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances over the last (xyz) axis, broadcasting ``a`` against ``b``.
 
-    Exact; distance ties break toward the lower index.
+    Adds the three squared component differences in x, y, z order, which is
+    what ``np.sum((a - b) ** 2, axis=-1)`` does, so the bits are the same;
+    it skips the generic axis reduction and the (..., 3) temporaries.
+    """
+    d2 = a[..., 0] - b[..., 0]
+    d2 *= d2
+    d = a[..., 1] - b[..., 1]
+    d *= d
+    d2 += d
+    d = np.subtract(a[..., 2], b[..., 2], out=d)
+    d *= d
+    d2 += d
+    return d2
+
+
+def ball_query(cloud, centers, radius: float, max_k: int) -> np.ndarray:
+    """Neighbors within ``radius`` of each of the (G, 3) ``centers``.
+
+    Returns a (G, max_k) int64 matrix padded with -1. Row ``g`` lists up to
+    ``max_k`` indices of cloud points inside the ball around ``centers[g]``,
+    nearest first, distance ties to the lower index. If nothing falls inside
+    a ball its row holds the single nearest point, so downstream grouping
+    never sees an empty group.
     """
     pts = _as_points(cloud)
-    if len(pts) == 0:
-        raise SizeError("knn on an empty cloud")
-    if not 0 < k <= len(pts):
-        raise SizeError(f"k={k} out of range for cloud of {len(pts)}")
-    q = np.asarray(query, dtype=np.float64).reshape(3)
-    d2 = np.sum((pts - q) ** 2, axis=1)
-    return np.argsort(d2, kind="stable")[:k]
-
-
-def ball_query(cloud, center, radius: float, max_k: int) -> np.ndarray:
-    """Up to ``max_k`` point indices within ``radius`` of ``center``, nearest first.
-
-    If nothing falls inside the ball the single nearest point is returned, so
-    downstream grouping never sees an empty group.
-    """
-    pts = _as_points(cloud)
+    ctr = np.asarray(centers, dtype=np.float64)
+    if ctr.ndim != 2 or ctr.shape[1] != 3:
+        raise ShapeError(f"centers must be (G, 3), got {ctr.shape}")
     if len(pts) == 0:
         raise SizeError("ball_query on an empty cloud")
     if radius <= 0 or max_k <= 0:
         raise SizeError("radius and max_k must be positive")
-    c = np.asarray(center, dtype=np.float64).reshape(3)
-    d2 = np.sum((pts - c) ** 2, axis=1)
-    order = np.argsort(d2, kind="stable")
-    inside = order[d2[order] <= radius * radius]
-    if len(inside) == 0:
-        return order[:1]
-    return inside[:max_k]
+    r2 = radius * radius
+    out = np.full((len(ctr), max_k), -1, dtype=np.int64)
+    for lo in range(0, len(ctr), _CHUNK):
+        hi = min(lo + _CHUNK, len(ctr))
+        d2 = _sq_dist(pts[None, :, :], ctr[lo:hi, None, :])
+        inside = d2 <= r2
+        rows, cols = np.nonzero(inside)
+        # One stable sort of the in-ball entries by (row, d2): within a row
+        # equal distances keep nonzero's ascending column order.
+        order = np.lexsort((d2[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        counts = np.count_nonzero(inside, axis=1)
+        rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        keep = rank < max_k
+        out[lo + rows[keep], rank[keep]] = cols[keep]
+        empty = np.flatnonzero(counts == 0)
+        out[lo + empty, 0] = np.argmin(d2[empty], axis=1)
+    return out
 
 
 def _neighbor_indices(pts: np.ndarray, k: int) -> np.ndarray:
@@ -253,7 +278,7 @@ def idw_weights(src_points, dst_points, k: int = 3) -> tuple[np.ndarray, np.ndar
         # Difference form, not the expanded quadratic: coordinate differences
         # cancel any common translation exactly, which keeps interpolation
         # stencils (and everything downstream) bitwise translation invariant.
-        d2 = np.sum((block[:, None, :] - src[None, :, :]) ** 2, axis=2)
+        d2 = _sq_dist(block[:, None, :], src[None, :, :])
         if k < len(src):
             part = np.argpartition(d2, k - 1, axis=1)[:, :k]
         else:
@@ -271,17 +296,6 @@ def idw_weights(src_points, dst_points, k: int = 3) -> tuple[np.ndarray, np.ndar
         idx[lo:hi] = nearest
         weights[lo:hi] = w
     return idx, weights
-
-
-def idw_interpolate(src_points, src_features, dst_points, k: int = 3) -> np.ndarray:
-    """Interpolate per-point features from src onto dst by inverse squared distance."""
-    feats = np.asarray(src_features, dtype=np.float64)
-    if feats.ndim == 1:
-        feats = feats[:, None]
-    if len(feats) != len(_as_points(src_points)):
-        raise SizeError("one feature row per source point required")
-    idx, w = idw_weights(src_points, dst_points, k)
-    return np.einsum("dk,dkf->df", w, feats[idx])
 
 
 def to_heightmap(cloud, bounds, resolution: float) -> HeightMap:
@@ -356,14 +370,18 @@ def load_xyzl(path) -> PointCloud:
             if not line:
                 continue
             parts = line.split()
-            if len(parts) == 3:
-                all_labeled = False
-            elif len(parts) == 7:
-                normals.append([float(v) for v in parts[3:6]])
-                curvature.append(float(parts[6]))
-            else:
+            if len(parts) not in (3, 7):
                 raise ShapeError(f"{path}:{lineno}: expected 3 or 7 fields, got {len(parts)}")
-            points.append([float(v) for v in parts[:3]])
+            try:
+                values = [float(v) for v in parts]
+            except ValueError as exc:
+                raise ShapeError(f"{path}:{lineno}: {exc}") from None
+            points.append(values[:3])
+            if len(values) == 7:
+                normals.append(values[3:6])
+                curvature.append(values[6])
+            else:
+                all_labeled = False
     if not points:
         raise EmptyObservationError(f"{path} holds no points")
     pts = np.asarray(points, dtype=np.float64)

@@ -1,11 +1,12 @@
 """Hierarchical point-cloud encoder-decoder with geometric self-supervision.
 
 The encoder stacks five grouping levels. Each level picks centers by farthest
-point sampling, gathers neighbors inside a radius ball (capped per group),
-runs a small shared two-layer tanh MLP on center-relative coordinates
-concatenated with member features, and max-pools each group. The last
-level's features plus center positions, flattened, form the fixed-size code
-consumed by the digging policy.
+point sampling, gathers the neighbors inside a radius ball around every
+center with one batched query (capped per group, padded with -1), runs a
+small shared two-layer tanh MLP on the members' center-relative coordinates
+concatenated with their features, and max-pools each group. The last level's
+features plus center positions, flattened, form the fixed-size code consumed
+by the digging policy.
 
 The decoder walks back up: features are interpolated onto the next finer
 level by inverse-squared-distance weighting over the three nearest coarse
@@ -122,13 +123,10 @@ class RepNet:
             prev = positions[-1]
             centers_idx = fps(prev, p.level_points[i])
             centers = prev[centers_idx]
-            groups = [
-                ball_query(prev, c, p.level_radii[i], p.level_group_sizes[i]) for c in centers
-            ]
-            flat_idx = np.concatenate(groups)
-            rel = np.concatenate(
-                [prev[g] - centers[gi] for gi, g in enumerate(groups)], axis=0
-            )
+            groups = ball_query(prev, centers, p.level_radii[i], p.level_group_sizes[i])
+            rows, cols = np.nonzero(groups >= 0)
+            flat_idx = groups[rows, cols]
+            rel = prev[flat_idx] - centers[rows]
             # Offsets are divided by the grouping radius so every level sees
             # inputs near unit scale; raw meter offsets are too small for the
             # tanh layers to train on.
@@ -139,12 +137,10 @@ class RepNet:
                 x = nn.concat([rel_t, nn.gather_rows(feats, flat_idx)], axis=1)
             h = nn.tanh(self._norm_layer(x, f"sa{i + 1}_l1"))
             h = nn.tanh(self._norm_layer(h, f"sa{i + 1}_l2"))
-            flat_groups = []
-            off = 0
-            for g in groups:
-                flat_groups.append(np.arange(off, off + len(g)))
-                off += len(g)
-            feats = nn.max_pool_groups(h, flat_groups)
+            # Row g of ``pooled`` lists the rows of ``h`` that belong to group g.
+            pooled = np.full(groups.shape, -1, dtype=np.int64)
+            pooled[rows, cols] = np.arange(len(rows))
+            feats = nn.max_pool_groups(h, pooled)
             positions.append(centers)
             level_feats.append(feats)
 

@@ -69,6 +69,17 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 # Convex meshes
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the last axis: np.cross's arithmetic, bit for bit.
+
+    np.cross spends most of its time on generic axis handling when it is
+    given a few dozen rows.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def convex_hull(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Watertight convex triangle mesh (vertices, faces) of a point set.
 
@@ -91,7 +102,7 @@ def convex_hull(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Qhull does not guarantee consistent winding; fix it against the outward
     # plane normals it reports.
     v0, v1, v2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    cross = np.cross(v1 - v0, v2 - v0)
+    cross = _cross(v1 - v0, v2 - v0)
     flip = np.einsum("ij,ij->i", cross, hull.equations[:, :3]) < 0
     faces[flip] = faces[flip][:, [0, 2, 1]]
     return verts, faces
@@ -115,7 +126,7 @@ def polytope_volume(vertices: np.ndarray, faces: np.ndarray) -> float:
         raise ShapeError(f"faces must be (F, 3), got {faces.shape}")
     _check_watertight(faces)
     v0, v1, v2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    vol = float(np.einsum("ij,ij->i", v0, np.cross(v1, v2)).sum() / 6.0)
+    vol = float(np.einsum("ij,ij->i", v0, _cross(v1, v2)).sum() / 6.0)
     if vol <= 0:
         raise DegenerateGeometryError(f"non-positive mesh volume {vol}")
     return vol
@@ -124,7 +135,7 @@ def polytope_volume(vertices: np.ndarray, faces: np.ndarray) -> float:
 def face_planes(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Outward unit normals and offsets so that inside points satisfy n.p <= d."""
     v0 = vertices[faces[:, 0]]
-    n = np.cross(vertices[faces[:, 1]] - v0, vertices[faces[:, 2]] - v0)
+    n = _cross(vertices[faces[:, 1]] - v0, vertices[faces[:, 2]] - v0)
     lengths = np.linalg.norm(n, axis=1, keepdims=True)
     if (lengths <= 1e-16).any():
         raise DegenerateGeometryError("zero-area face")

@@ -8,6 +8,7 @@ from digrl.bench import (
     collect_report,
     compute_metrics,
     encoder_from_store,
+    eval_rl_experiment,
     format_report,
     heuristic_action,
     load_metrics_table,
@@ -21,6 +22,8 @@ from digrl.config import AttackRanges, get_profile
 from digrl.errors import ConfigError, SizeError
 from digrl.excavation import EnvConfig, action_to_attack
 from digrl.kinematics import AttackPose
+from digrl.nn import load_ckpt, save_ckpt
+from digrl.ppo import PolicyCore, evaluate_policy
 from digrl.repnet import RepNet
 from digrl.sensor import SensorConfig
 
@@ -219,6 +222,31 @@ class TestExperimentDrivers:
         before = store.state_bytes()
         _, _, net = train_rl_experiment(store, variant="e2e", **self.tiny_kwargs())
         assert net.store.state_bytes() != before
+
+    def test_e2e_policy_evaluates_with_its_trained_encoder(self, tmp_path):
+        kwargs = self.tiny_kwargs()
+        profile = kwargs["profile"]
+        store = RepNet(profile, seed=0).store
+        save_ckpt(store, tmp_path / "rep.ckpt")
+        core, _, _ = train_rl_experiment(store, variant="e2e", **kwargs)
+        save_ckpt(core.store, tmp_path / "policy.ckpt")
+        rep_store = load_ckpt(tmp_path / "rep.ckpt")
+        policy_store = load_ckpt(tmp_path / "policy.ckpt")
+        env = dict(env_cfg=kwargs["env_cfg"], sensor=kwargs["sensor"])
+        got = eval_rl_experiment(rep_store, policy_store, 1, profile=profile, seed=3, **env)
+
+        def evaluate_with(encoder_store):
+            net = RepNet(profile, store=encoder_store)
+            return evaluate_policy(
+                PolicyCore(profile.code_size, store=policy_store),
+                lambda obs: net.encode(obs.points),
+                make_env_factory(profile, **env),
+                1,
+                seed=3,
+            )
+
+        assert got == evaluate_with(policy_store)
+        assert got != evaluate_with(rep_store)
 
     def test_unknown_variant(self):
         store = RepNet(get_profile("desk"), seed=0).store

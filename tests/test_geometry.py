@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from digrl import geometry
 from digrl.config import get_profile
 from digrl.errors import EmptyObservationError, ShapeError, SizeError
 from digrl.geometry import (
@@ -8,14 +9,14 @@ from digrl.geometry import (
     PointCloud,
     ball_query,
     estimate_normals_curvature,
+    _sq_dist,
     fps,
-    idw_interpolate,
     idw_weights,
-    knn,
     load_xyzl,
     save_xyzl,
     to_heightmap,
 )
+from digrl.scenegen import spawn_scene
 from digrl.sensor import SensorConfig, observe
 
 
@@ -43,6 +44,23 @@ def fps_reference(pts, n, start=0):
         d2 = np.sum((pts - pts[nxt]) ** 2, axis=1)
         np.minimum(min_d2, d2, out=min_d2)
     return selected
+
+
+def ball_query_reference(pts, center, radius, max_k):
+    """The per-center query that ``ball_query`` batches: one stable sort per center."""
+    d2 = np.sum((pts - center) ** 2, axis=1)
+    order = np.argsort(d2, kind="stable")
+    inside = order[d2[order] <= radius * radius]
+    return inside[:max_k] if len(inside) else order[:1]
+
+
+def assert_rows_match_reference(pts, centers, radius, max_k):
+    got = ball_query(pts, centers, radius, max_k)
+    assert got.shape == (len(centers), max_k) and got.dtype == np.int64
+    for row, c in zip(got, centers):
+        want = ball_query_reference(pts, c, radius, max_k)
+        assert np.array_equal(row[: len(want)], want)
+        assert (row[len(want) :] == -1).all()
 
 
 def tie_heavy_clouds():
@@ -74,6 +92,13 @@ TIE_HEAVY = tie_heavy_clouds()
 def desk_crop(small_scene):
     """The full 132 x 80 ray crop of a rendered scene, unsampled."""
     return observe(small_scene, SensorConfig(fps_target=10 ** 6)).points
+
+
+@pytest.fixture(scope="module")
+def crop_250():
+    """A desk observation (2,048 FPS points) of a settled 250-object scene."""
+    scene = spawn_scene(seed=5, count_range=(250, 250))
+    return observe(scene, SensorConfig(fps_target=2048)).points
 
 
 class TestFps:
@@ -137,35 +162,15 @@ class TestFps:
             fps(np.empty((0, 3)), 1)
 
 
-class TestKnn:
-    def test_matches_brute_force(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(5, 300))
-            pts = rng.uniform(-2, 2, size=(n, 3))
-            q = rng.uniform(-2, 2, size=3)
-            k = int(rng.integers(1, n + 1))
-            got = knn(pts, q, k)
-            d2 = np.sum((pts - q) ** 2, axis=1)
-            want = np.argsort(d2, kind="stable")[:k]
-            assert np.array_equal(got, want)
-
-    def test_nearest_first_ordering(self, rng):
-        pts = rng.normal(size=(80, 3))
-        q = np.zeros(3)
-        idx = knn(pts, q, 10)
-        d = np.linalg.norm(pts[idx] - q, axis=1)
-        assert np.all(np.diff(d) >= -1e-15)
-
-    def test_tie_breaks_to_lower_index(self):
-        # Two points equidistant from the origin: index order decides.
-        pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [5.0, 0, 0]])
-        assert np.array_equal(knn(pts, [0, 0, 0], 2), [0, 1])
-
-    def test_rejects_empty_and_bad_k(self, rng):
-        with pytest.raises(SizeError):
-            knn(np.empty((0, 3)), [0, 0, 0], 1)
-        with pytest.raises(SizeError):
-            knn(rng.normal(size=(4, 3)), [0, 0, 0], 5)
+class TestSqDist:
+    def test_matches_axis_sum_bitwise(self, rng):
+        shapes = [((500, 3), (3,)), ((1, 300, 3), (40, 1, 3)), ((64, 1, 3), (1, 90, 3))]
+        for a_shape, b_shape in shapes:
+            for _ in range(10):
+                a = rng.normal(size=a_shape) * 10.0 ** rng.uniform(-3, 3)
+                b = rng.normal(size=b_shape) + rng.uniform(-1e3, 1e3)
+                want = np.sum((a - b) ** 2, axis=-1)
+                assert _sq_dist(a, b).tobytes() == want.tobytes()
 
 
 class TestBallQuery:
@@ -173,30 +178,90 @@ class TestBallQuery:
         for _ in range(30):
             n = int(rng.integers(5, 400))
             pts = rng.uniform(-1, 1, size=(n, 3))
-            c = rng.uniform(-1, 1, size=3)
+            centers = rng.uniform(-1, 1, size=(int(rng.integers(1, 12)), 3))
             r = float(rng.uniform(0.05, 1.2))
             max_k = int(rng.integers(1, 40))
-            got = ball_query(pts, c, r, max_k)
-            d2 = np.sum((pts - c) ** 2, axis=1)
-            order = np.argsort(d2, kind="stable")
-            inside = order[d2[order] <= r * r]
-            want = inside[:max_k] if len(inside) else order[:1]
-            assert np.array_equal(got, want)
+            got = ball_query(pts, centers, r, max_k)
+            assert got.shape == (len(centers), max_k)
+            for row, c in zip(got, centers):
+                d2 = np.sum((pts - c) ** 2, axis=1)
+                order = np.argsort(d2, kind="stable")
+                inside = order[d2[order] <= r * r]
+                want = inside[:max_k] if len(inside) else order[:1]
+                assert np.array_equal(row[: len(want)], want)
+                assert (row[len(want) :] == -1).all()
 
     def test_far_center_falls_back_to_nearest(self, rng):
         pts = rng.normal(size=(50, 3))
-        got = ball_query(pts, [100.0, 0, 0], 0.01, 8)
+        got = ball_query(pts, [[100.0, 0, 0]], 0.01, 8)
         d2 = np.sum((pts - [100.0, 0, 0]) ** 2, axis=1)
-        assert len(got) == 1 and got[0] == np.argmin(d2)
+        assert got.shape == (1, 8)
+        assert got[0, 0] == np.argmin(d2) and (got[0, 1:] == -1).all()
 
     def test_covering_radius_returns_everything(self, rng):
         pts = rng.uniform(-0.1, 0.1, size=(20, 3))
-        got = ball_query(pts, [0, 0, 0], 10.0, 50)
-        assert sorted(got) == list(range(20))
+        got = ball_query(pts, [[0, 0, 0]], 10.0, 50)
+        assert sorted(got[0, :20]) == list(range(20))
+        assert (got[0, 20:] == -1).all()
 
     def test_respects_max_k(self, rng):
         pts = rng.uniform(-0.1, 0.1, size=(30, 3))
-        assert len(ball_query(pts, [0, 0, 0], 10.0, 7)) == 7
+        got = ball_query(pts, [[0, 0, 0]], 10.0, 7)
+        assert got.shape == (1, 7) and (got >= 0).all()
+
+    def test_tie_breaks_to_lower_index(self):
+        pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [5.0, 0, 0]])
+        assert ball_query(pts, [[0, 0, 0]], 2.0, 3).tolist() == [[0, 1, -1]]
+        assert ball_query(pts, [[0, 0, 0]], 0.5, 3).tolist() == [[0, -1, -1]]
+
+    def test_matches_reference_on_encoder_levels(self, crop_250):
+        p = get_profile("desk")
+        level = crop_250
+        assert len(level) == 2048
+        for n, r, k in zip(p.level_points, p.level_radii, p.level_group_sizes):
+            centers = level[fps(level, n)]
+            assert_rows_match_reference(level, centers, r, k)
+            level = centers
+
+    @pytest.mark.parametrize("name", ["flat-grid", "lattice-far", "duplicates"])
+    def test_matches_reference_on_ties(self, name):
+        pts = TIE_HEAVY[name]
+        # Centers on the points and halfway between them make many exact ties.
+        centers = np.concatenate([pts[::3], pts[::5] + (0.0025, 0.0, 0.0)])
+        for r in (0.0025, 0.005, 0.0075, 0.012):
+            for k in (1, 4, 9, 40):
+                assert_rows_match_reference(pts, centers, r, k)
+
+    def test_empty_balls_fall_back_to_reference(self, rng):
+        pts = rng.uniform(-1, 1, size=(300, 3))
+        centers = np.concatenate([rng.uniform(-1, 1, size=(50, 3)), [[9.0, 9.0, 9.0]]])
+        got = ball_query(pts, centers, 1e-4, 5)
+        assert (got[:, 1:] == -1).all()
+        assert_rows_match_reference(pts, centers, 1e-4, 5)
+
+    def test_max_k_above_cloud_size(self, rng):
+        pts = rng.uniform(-0.1, 0.1, size=(20, 3))
+        centers = rng.uniform(-0.1, 0.1, size=(15, 3))
+        for r in (0.02, 0.08, 1.0):
+            assert_rows_match_reference(pts, centers, r, 50)
+
+    def test_chunks_match_one_block(self, rng, monkeypatch):
+        pts = rng.uniform(-1, 1, size=(200, 3))
+        centers = rng.uniform(-1, 1, size=(70, 3))
+        whole = ball_query(pts, centers, 0.3, 12)
+        monkeypatch.setattr(geometry, "_CHUNK", 16)
+        assert np.array_equal(ball_query(pts, centers, 0.3, 12), whole)
+
+    def test_rejects_bad_input(self, rng):
+        pts = rng.normal(size=(10, 3))
+        with pytest.raises(ShapeError):
+            ball_query(pts, [0.0, 0.0, 0.0], 1.0, 4)
+        with pytest.raises(SizeError):
+            ball_query(np.empty((0, 3)), [[0.0, 0.0, 0.0]], 1.0, 4)
+        with pytest.raises(SizeError):
+            ball_query(pts, [[0.0, 0.0, 0.0]], 0.0, 4)
+        with pytest.raises(SizeError):
+            ball_query(pts, [[0.0, 0.0, 0.0]], 1.0, 0)
 
 
 class TestNormalsCurvature:
@@ -247,28 +312,30 @@ class TestIdw:
 
     def test_coincident_point_copies_exactly(self, rng):
         src = rng.normal(size=(30, 3))
-        feats = rng.normal(size=(30, 5))
         dst = np.vstack([src[13], rng.normal(size=3)])
-        out = idw_interpolate(src, feats, dst, k=3)
-        assert np.array_equal(out[0], feats[13])
+        idx, w = idw_weights(src, dst, k=3)
+        assert idx[0, 0] == 13
+        assert w[0].tolist() == [1.0, 0.0, 0.0]
 
     def test_equidistant_pair_averages(self):
         src = np.array([[-1.0, 0, 0], [1.0, 0, 0]])
-        feats = np.array([[2.0], [6.0]])
-        out = idw_interpolate(src, feats, np.array([[0.0, 0, 0]]), k=2)
-        assert out[0, 0] == pytest.approx(4.0, abs=1e-12)
+        idx, w = idw_weights(src, np.array([[0.0, 0, 0]]), k=2)
+        assert idx.tolist() == [[0, 1]]
+        assert w[0] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_matches_direct_formula(self, rng):
         src = rng.uniform(-1, 1, size=(40, 3))
         feats = rng.normal(size=(40, 2))
         dst = rng.uniform(-1, 1, size=(15, 3))
         k = 3
-        out = idw_interpolate(src, feats, dst, k=k)
+        idx, w = idw_weights(src, dst, k=k)
+        out = np.einsum("dk,dkf->df", w, feats[idx])
         for d in range(len(dst)):
             d2 = np.sum((src - dst[d]) ** 2, axis=1)
             nearest = np.argsort(d2)[:k]
-            w = 1.0 / d2[nearest]
-            want = (w[:, None] * feats[nearest]).sum(axis=0) / w.sum()
+            assert np.array_equal(idx[d], nearest)
+            wd = 1.0 / d2[nearest]
+            want = (wd[:, None] * feats[nearest]).sum(axis=0) / wd.sum()
             assert np.allclose(out[d], want, atol=1e-10)
 
     def test_translation_invariant_stencil(self, rng):

@@ -1,10 +1,16 @@
-"""Binary loaders reject every truncation and trailing bytes with ShapeError."""
+"""Loaders reject truncated and corrupt files with the package's own errors.
+
+Binary files raise ShapeError on every truncation and on trailing bytes.
+Text files either load a prefix of what was written or raise ShapeError.
+"""
 
 import numpy as np
 import pytest
 
 from digrl import nn
-from digrl.errors import ShapeError
+from digrl.errors import EmptyObservationError, ShapeError
+from digrl.excavation import load_episodes, save_episodes
+from digrl.geometry import PointCloud, load_xyzl, save_xyzl
 from digrl.scenegen import load_scene, save_scene, spawn_scene
 
 
@@ -53,3 +59,73 @@ def test_trailing_bytes_raise_shape_error(write, load, tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ShapeError, match="trailing"):
         load(path)
+
+
+def xyzl_file(path):
+    normals = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, -0.6, 0.8]])
+    points = np.array([[0.1, -0.25, -1.5e-5], [1e-3, 2.5, -7.0], [-0.5, 0.0, 3.25]])
+    save_xyzl(path, PointCloud(points, normals, np.array([0.0, 1e-5, 0.3])))
+
+
+def epi_file(path):
+    save_episodes(
+        [
+            {"episode": 0, "dig": 1, "reward": 216.5, "plan_ok": True, "kind": "ok"},
+            {"episode": 0, "dig": 2, "reward": -1.0, "plan_ok": False, "kind": None},
+        ],
+        path,
+    )
+
+
+TEXT_KINDS = [
+    pytest.param(xyzl_file, load_xyzl, id="xyzl"),
+    pytest.param(epi_file, load_episodes, id="epi"),
+]
+
+
+@pytest.mark.parametrize("write, load", TEXT_KINDS)
+def test_text_truncation_loads_or_raises_shape_error(write, load, tmp_path):
+    path = tmp_path / "whole"
+    write(path)
+    blob = path.read_bytes()
+    load(path)
+    cut = tmp_path / "cut"
+    foreign = []
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        try:
+            load(cut)
+        except ShapeError:
+            continue
+        except EmptyObservationError:
+            # A cut inside the comment line leaves an empty cloud, not a malformed one.
+            if size <= blob.index(b"\n") + 1:
+                continue
+            foreign.append((size, "EmptyObservationError"))
+        except Exception as exc:
+            foreign.append((size, type(exc).__name__))
+    assert foreign == [], f"{len(foreign)} of {len(blob)} truncations: {foreign[:5]}"
+
+
+def test_xyzl_corrupt_field_names_line(tmp_path):
+    path = tmp_path / "bad.xyzl"
+    path.write_text("# cloud\n1 2 3\n4 5 six\n")
+    with pytest.raises(ShapeError, match=r"bad\.xyzl:3"):
+        load_xyzl(path)
+
+
+def test_epi_corrupt_line_names_line(tmp_path):
+    path = tmp_path / "bad.epi"
+    epi_file(path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + '{"episode": 0, "dig": \n' + lines[2])
+    with pytest.raises(ShapeError, match=r"bad\.epi:2"):
+        load_episodes(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "[1, 2]\n", '{"format": "EPI", "version": 1}\n7\n'])
+def test_epi_empty_or_foreign_json_raises_shape_error(text, tmp_path):
+    path = tmp_path / "odd.epi"
+    path.write_text(text)
+    with pytest.raises(ShapeError):
+        load_episodes(path)

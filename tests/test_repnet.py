@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from digrl import nn
+from digrl import nn, repnet
 from digrl.config import get_profile
 from digrl.errors import ShapeError, SizeError
 from digrl.repnet import (
@@ -79,6 +81,58 @@ class TestForwardShapes:
         net = RepNet(get_profile("desk"), seed=0)
         with pytest.raises(ShapeError):
             net.forward(np.zeros((500, 2)))
+
+
+def golden_cloud():
+    """A 2,048-point slab whose first-level balls overflow their group cap."""
+    rng = np.random.default_rng(2022)
+    pts = rng.uniform((-0.2, -0.2, 0.0), (0.2, 0.2, 0.03), size=(2048, 3))
+    normals = rng.normal(size=(2048, 3))
+    normals[:, 2] = np.abs(normals[:, 2])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return pts, normals, rng.uniform(0.0, 1.0 / 3.0, size=2048)
+
+
+class TestGolden:
+    """Hashes recorded with one ball query per center, before batching.
+
+    The float64 store keeps the last bit of every distance and IDW weight
+    visible in the hashes.
+    """
+
+    def golden_net(self):
+        return RepNet(get_profile("desk"), store=nn.ParamStore(dtype=np.float64), seed=0)
+
+    def test_encode_hash(self):
+        pts, _, _ = golden_cloud()
+        code = self.golden_net().encode(pts)
+        assert (
+            hashlib.sha256(code.tobytes()).hexdigest()
+            == "d23c0f3cacf1681c0b36220d2410d294b84fcad2d03f127f6817fbe4fd402215"
+        )
+
+    def test_backward_hash(self):
+        pts, normals, curv = golden_cloud()
+        net = self.golden_net()
+        nn.backward(rep_loss(net.forward(pts), normals, curv, 42))
+        h = hashlib.sha256()
+        for name in net.store.names():
+            h.update(net.store.get(name).grad.tobytes())
+        assert h.hexdigest() == "7c64ace5b68eb5476793ee68608af605288d8228abb430f770feba4f17d31d40"
+
+
+def test_one_ball_query_per_level(rng, monkeypatch):
+    calls = []
+    query = repnet.ball_query
+
+    def counted(cloud, centers, radius, max_k):
+        calls.append(len(centers))
+        return query(cloud, centers, radius, max_k)
+
+    monkeypatch.setattr(repnet, "ball_query", counted)
+    p = get_profile("desk")
+    RepNet(p, seed=0).forward(rng.uniform(-0.2, 0.2, size=(2048, 3)))
+    assert calls == list(p.level_points)
 
 
 class TestTranslationInvariance:

@@ -17,6 +17,7 @@ from digrl.scenegen import (
     Scene,
     Tray,
     _RestPile,
+    _cross,
     _segment_crossings,
     convex_hull,
     face_planes,
@@ -176,6 +177,15 @@ class TestConvexHull:
         # Euler: closed triangle mesh has E = 3F/2 and each undirected edge
         # is shared by exactly two triangles.
         assert len(edges) * 2 == 3 * len(faces)
+
+
+    def test_cross_matches_numpy_bitwise(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            a = rng.normal(size=(n, 3)) * scale
+            b = rng.normal(size=(n, 3))
+            assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 class TestPolytopeVolume:
