@@ -28,14 +28,13 @@ import numpy as np
 
 from .config import AttackRanges, Profile, get_profile, seed_stream, stream_seed
 from .errors import ConfigError, SizeError
-from .excavation import ExcavationEnv, EnvConfig
+from .excavation import M3_TO_CM3, BucketSpec, EnvConfig, ExcavationEnv
 from .geometry import to_heightmap
 from .kinematics import AttackPose
 from .nn import ParamStore
 from .ppo import PolicyCore, evaluate_policy, train_rl
 from .repnet import RepNet
 
-BUCKET_CAPACITY_CM3 = 450.0
 HEURISTIC_GRID_RES = 0.02
 
 
@@ -80,7 +79,7 @@ def compute_metrics(method: str, records: list[dict]) -> MetricsRecord:
         episodes=episodes,
         digs=len(records),
         avg_v_cm3=avg_v,
-        fill_rate_pct=100.0 * avg_v / BUCKET_CAPACITY_CM3,
+        fill_rate_pct=100.0 * avg_v / (BucketSpec().capacity * M3_TO_CM3),
         plan_succ_pct=100.0 * succ,
         avg_v_w_plan_cm3=avg_with_plan,
     )
@@ -215,10 +214,6 @@ def run_baseline(
 
 # ---------------------------------------------------------------------------
 # Experiment drivers gluing encoder, environment and optimizer together
-
-
-def encoder_from_store(profile: Profile, store: ParamStore) -> RepNet:
-    return RepNet(profile, store=store)
 
 
 def train_rl_experiment(

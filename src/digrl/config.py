@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
@@ -122,26 +121,3 @@ def load_config(path: str) -> dict[str, dict[str, str]]:
     if not read:
         raise ConfigError(f"config file not found: {path}")
     return {section: dict(parser.items(section)) for section in parser.sections()}
-
-
-def apply_overrides(obj, overrides: dict[str, str]):
-    """Return a copy of dataclass ``obj`` with string overrides coerced to field types."""
-    changes = {}
-    fields = {f.name: f for f in dataclasses.fields(obj)}
-    for key, raw in overrides.items():
-        if key not in fields:
-            raise ConfigError(f"unknown option {key!r} for {type(obj).__name__}")
-        current = getattr(obj, key)
-        if isinstance(current, bool):
-            changes[key] = raw.strip().lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            changes[key] = int(raw)
-        elif isinstance(current, float):
-            changes[key] = float(raw)
-        elif isinstance(current, tuple):
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            kind = type(current[0]) if current else float
-            changes[key] = tuple(kind(p) for p in parts)
-        else:
-            changes[key] = raw
-    return dataclasses.replace(obj, **changes)

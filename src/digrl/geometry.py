@@ -15,6 +15,7 @@ x-slab that can hold a point the pick moves closer.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -340,6 +341,9 @@ def to_heightmap(cloud, bounds, resolution: float) -> HeightMap:
     )
 
 
+_XYZL_HEADER = re.compile(r"# digrl point cloud, (\d+) points, (?:labeled|bare)\n")
+
+
 def save_xyzl(path, cloud: PointCloud) -> None:
     """Write a cloud as text: ``x y z`` or ``x y z nx ny nz c`` per line."""
     labeled = cloud.normals is not None and cloud.curvature is not None
@@ -361,11 +365,19 @@ def load_xyzl(path) -> PointCloud:
 
     Lines may carry 3 fields (bare point) or 7 (point + normal + curvature);
     ``#`` starts a comment. Labels survive only when every line carries them.
+    A truncated file raises ShapeError: every line must end in a newline, and
+    when the first line is :func:`save_xyzl`'s header the point count must
+    match the one it records.
     """
     points, normals, curvature = [], [], []
     all_labeled = True
+    declared = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
+            if not raw.endswith("\n"):
+                raise ShapeError(f"{path}:{lineno}: truncated line (no newline)")
+            if lineno == 1 and (header := _XYZL_HEADER.fullmatch(raw)):
+                declared = int(header.group(1))
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -382,6 +394,8 @@ def load_xyzl(path) -> PointCloud:
                 curvature.append(values[6])
             else:
                 all_labeled = False
+    if declared is not None and declared != len(points):
+        raise ShapeError(f"{path}: header records {declared} points, file holds {len(points)}")
     if not points:
         raise EmptyObservationError(f"{path} holds no points")
     pts = np.asarray(points, dtype=np.float64)

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from digrl.bench import (
-    BUCKET_CAPACITY_CM3,
     METRICS_FIELDS,
     attack_to_action,
     collect_report,
     compute_metrics,
-    encoder_from_store,
     eval_rl_experiment,
     format_report,
     heuristic_action,
@@ -20,7 +18,7 @@ from digrl.bench import (
 )
 from digrl.config import AttackRanges, get_profile
 from digrl.errors import ConfigError, SizeError
-from digrl.excavation import EnvConfig, action_to_attack
+from digrl.excavation import M3_TO_CM3, BucketSpec, EnvConfig, action_to_attack
 from digrl.kinematics import AttackPose
 from digrl.nn import load_ckpt, save_ckpt
 from digrl.ppo import PolicyCore, evaluate_policy
@@ -52,7 +50,9 @@ class TestMetrics:
         assert m.avg_v_w_plan_cm3 == pytest.approx(155.0, abs=1e-12)
         identity = (m.plan_succ_pct / 100.0) * m.avg_v_w_plan_cm3
         assert m.avg_v_cm3 == pytest.approx(identity, abs=1e-9)
-        assert m.fill_rate_pct == pytest.approx(100.0 * m.avg_v_cm3 / BUCKET_CAPACITY_CM3)
+        capacity_cm3 = BucketSpec().capacity * M3_TO_CM3
+        assert capacity_cm3 == 450.0
+        assert m.fill_rate_pct == pytest.approx(100.0 * m.avg_v_cm3 / capacity_cm3)
 
     def test_reference_fill_pairing(self):
         m = compute_metrics("ref", [dig_record(0, 208.4, True)])
@@ -252,11 +252,6 @@ class TestExperimentDrivers:
         store = RepNet(get_profile("desk"), seed=0).store
         with pytest.raises(ConfigError):
             train_rl_experiment(store, variant="both", **self.tiny_kwargs())
-
-    def test_encoder_from_store_reuses_parameters(self):
-        profile = get_profile("desk")
-        store = RepNet(profile, seed=0).store
-        assert encoder_from_store(profile, store).store is store
 
     def test_env_factory_seeds(self):
         make_env = make_env_factory(

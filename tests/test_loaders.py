@@ -1,7 +1,10 @@
 """Loaders reject truncated and corrupt files with the package's own errors.
 
 Binary files raise ShapeError on every truncation and on trailing bytes.
-Text files either load a prefix of what was written or raise ShapeError.
+An xyzl file records its point count and ends every line in a newline, so
+every strict prefix raises ShapeError (or EmptyObservationError while the
+cut is inside its comment line). EPI files record no length: a prefix either
+loads the records before the cut or raises ShapeError.
 """
 
 import numpy as np
@@ -78,13 +81,13 @@ def epi_file(path):
 
 
 TEXT_KINDS = [
-    pytest.param(xyzl_file, load_xyzl, id="xyzl"),
-    pytest.param(epi_file, load_episodes, id="epi"),
+    pytest.param(xyzl_file, load_xyzl, True, id="xyzl"),
+    pytest.param(epi_file, load_episodes, False, id="epi"),
 ]
 
 
-@pytest.mark.parametrize("write, load", TEXT_KINDS)
-def test_text_truncation_loads_or_raises_shape_error(write, load, tmp_path):
+@pytest.mark.parametrize("write, load, must_raise", TEXT_KINDS)
+def test_text_truncation_loads_or_raises_shape_error(write, load, must_raise, tmp_path):
     path = tmp_path / "whole"
     write(path)
     blob = path.read_bytes()
@@ -104,7 +107,29 @@ def test_text_truncation_loads_or_raises_shape_error(write, load, tmp_path):
             foreign.append((size, "EmptyObservationError"))
         except Exception as exc:
             foreign.append((size, type(exc).__name__))
+        else:
+            if must_raise:
+                foreign.append((size, "loaded"))
     assert foreign == [], f"{len(foreign)} of {len(blob)} truncations: {foreign[:5]}"
+
+
+def test_xyzl_header_count_mismatch_raises(tmp_path):
+    path = tmp_path / "short.xyzl"
+    path.write_text("# digrl point cloud, 3 points, bare\n1 2 3\n4 5 6\n")
+    with pytest.raises(ShapeError, match="3 points"):
+        load_xyzl(path)
+    path.write_text("# digrl point cloud, 1 points, bare\n1 2 3\n4 5 6\n")
+    with pytest.raises(ShapeError, match="1 points"):
+        load_xyzl(path)
+    path.write_text("# a hand-written cloud\n1 2 3\n4 5 6\n")
+    assert len(load_xyzl(path)) == 2
+
+
+def test_xyzl_final_line_without_newline_raises(tmp_path):
+    path = tmp_path / "cut.xyzl"
+    path.write_text("1 2 3\n4 5 6")
+    with pytest.raises(ShapeError, match="cut.xyzl:2"):
+        load_xyzl(path)
 
 
 def test_xyzl_corrupt_field_names_line(tmp_path):

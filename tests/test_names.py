@@ -1,10 +1,16 @@
-"""Every global name a module reads is bound in that module or is a builtin.
+"""Static checks on the names the package binds and reads.
 
+Every global name a module reads is bound in that module or is a builtin.
 A missing import raises NameError only when the line that reads the name
 runs, so a branch that seldom runs can hide one. This scan finds such names
 from the compiler's own symbol tables, without running the module.
+
+Every public top-level function or class of the package has a caller
+outside the tests, apart from a fixed list of known leftovers that may only
+shrink.
 """
 
+import ast
 import builtins
 import symtable
 from pathlib import Path
@@ -54,3 +60,66 @@ def test_no_undefined_global_names():
         if (names := undefined_globals(path.read_text(encoding="utf-8"), str(path)))
     }
     assert found == {}
+
+
+# Public names whose only callers are tests. Delete an entry together with its
+# function, or once the pipeline calls it; never add one.
+UNCALLED = {
+    "PlannerError",
+    "build_rep_dataset",
+    "fk",
+    "ik",
+    "load_episodes",
+    "load_traj",
+    "save_traj",
+}
+
+
+def public_definitions(tree):
+    """Names of the public functions and classes defined at a module's top level."""
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def referenced_names(tree):
+    """Every name a module reads or looks up as an attribute.
+
+    A top-level definition's reads of its own name (recursion) do not count,
+    and neither do imports: a re-export is not a caller.
+    """
+    found = set()
+
+    def walk(node, own):
+        for child in ast.iter_child_nodes(node):
+            inner = own
+            if node is tree and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                inner = child.name
+            if isinstance(child, ast.Name) and child.id != inner:
+                found.add(child.id)
+            elif isinstance(child, ast.Attribute) and child.attr != inner:
+                found.add(child.attr)
+            walk(child, inner)
+
+    walk(tree, None)
+    return found
+
+
+def test_public_names_have_callers():
+    probe = ast.parse("def used():\n    return used()\ndef caller():\n    return used()\n")
+    assert public_definitions(probe) == {"used", "caller"}
+    assert referenced_names(probe) == {"used"}
+
+    package = sorted((ROOT / "src" / "digrl").glob("*.py"))
+    callers = package + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in callers}
+    defined = set().union(*(public_definitions(trees[p]) for p in package))
+    called = set().union(*(referenced_names(trees[p]) for p in callers))
+    uncalled = defined - called
+    assert uncalled - UNCALLED == set(), "public names without a non-test caller"
+    assert UNCALLED - uncalled == set(), "stale entries: these names are gone or have a caller now"

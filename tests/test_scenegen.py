@@ -16,7 +16,9 @@ from digrl.scenegen import (
     RigidObject,
     Scene,
     Tray,
+    _PRUNE_MARGIN,
     _RestPile,
+    _check_watertight,
     _cross,
     _segment_crossings,
     convex_hull,
@@ -25,6 +27,7 @@ from digrl.scenegen import (
     load_scene,
     mesh_edges,
     polytope_volume,
+    quat_from_euler,
     resettle,
     save_scene,
     settle_scene,
@@ -186,6 +189,75 @@ class TestConvexHull:
             a = rng.normal(size=(n, 3)) * scale
             b = rng.normal(size=(n, 3))
             assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+
+def mesh_edges_rowwise(faces):
+    """The row-wise ``np.unique`` that ``mesh_edges`` replaced."""
+    pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0)
+    return np.unique(np.sort(pairs, axis=1), axis=0)
+
+
+def watertight_by_dict(faces):
+    """The dict loop ``_check_watertight`` replaced: None, or the message it raises."""
+    edges = {}
+    for tri in faces:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            edges[(a, b)] = edges.get((a, b), 0) + 1
+    for (a, b), count in edges.items():
+        if count != 1 or edges.get((b, a), 0) != 1:
+            return f"mesh is not watertight at edge ({a}, {b})"
+    return None
+
+
+class TestMeshTopology:
+    def test_mesh_edges_match_rowwise_unique(self, rng):
+        for _ in range(100):
+            _, faces = convex_hull(rng.normal(size=(int(rng.integers(4, 40)), 3)))
+            got, want = mesh_edges(faces), mesh_edges_rowwise(faces)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_mesh_edges_of_no_faces(self):
+        got = mesh_edges(np.zeros((0, 3), dtype=np.int64))
+        assert got.shape == (0, 2) and got.dtype == np.int64
+
+    @staticmethod
+    def broken_meshes(faces):
+        flipped = faces.copy()
+        flipped[0] = flipped[0, [0, 2, 1]]
+        yield "good", faces
+        yield "duplicated face", np.vstack([faces, faces[:1]])
+        yield "flipped face", flipped
+        yield "missing face", faces[:-1]
+        yield "shifted indices", faces + 7
+        middle = int(faces.max()) // 2
+        yield "mixed-sign indices", faces - middle
+        yield "mixed-sign flipped face", flipped - middle
+        yield "lone degenerate face", np.array([[0, 0, 1]])
+        yield "repeated degenerate edge", np.array([[0, 0, 1], [0, 0, 2]])
+        yield "degenerate face added", np.vstack([faces, [[0, 0, 1]]])
+        yield "no faces", np.zeros((0, 3), dtype=np.int64)
+        huge = faces.copy()
+        huge[0, 0] = 2**40  # beyond the integer keys, checked by the dict loop
+        yield "index beyond the keys", huge
+
+    def test_watertight_check_matches_dict_version(self, rng):
+        outcomes = set()
+        for _ in range(20):
+            _, faces = convex_hull(rng.normal(size=(int(rng.integers(4, 30)), 3)))
+            for kind, mesh in self.broken_meshes(faces):
+                want = watertight_by_dict(mesh)
+                if want is None:
+                    _check_watertight(mesh)
+                else:
+                    with pytest.raises(TopologyError) as exc:
+                        _check_watertight(mesh)
+                    assert str(exc.value) == want, kind
+                outcomes.add((kind, want is None))
+        # Both the accepted and the rejected cases were exercised.
+        assert ("good", True) in outcomes and ("lone degenerate face", True) in outcomes
+        assert ("flipped face", False) in outcomes and ("missing face", False) in outcomes
+        assert ("repeated degenerate edge", False) in outcomes
 
 
 class TestPolytopeVolume:
@@ -476,6 +548,110 @@ class TestBatchedPile:
             "5ab7a20f0e5066fa3a4a86e80e1f41ab1cce6b322a69a1325388cf90e693db16",
             "0ba880565fd2628a5f939c370628384a231c2afef2685df2fbf2dbb5040a175f",
         ]
+
+
+def _drop_boxes(pile, boxes):
+    placed = [PlacedObject(box, IDENTITY.copy(), np.array(at)) for box, at in boxes]
+    return [pile.drop_and_add(p) for p in placed], placed
+
+
+def _segments_reached(monkeypatch):
+    """Record the rested segments each drop hands to ``_segment_crossings``."""
+    calls = []
+
+    def counting(a, b):
+        calls.append(b.copy())
+        return _segment_crossings(a, b)
+
+    monkeypatch.setattr(scenegen, "_segment_crossings", counting)
+    return calls
+
+
+class TestPrunedPile:
+    """The branch-and-bound drop skips deep supports and keeps every bit."""
+
+    @staticmethod
+    def check_against_reference(tray, boxes):
+        new_off, new_placed = _drop_boxes(_RestPile(tray), boxes)
+        ref_off, ref_placed = _drop_boxes(RestPileReference(tray), boxes)
+        assert new_off == ref_off
+        for a, b in zip(new_placed, ref_placed):
+            assert a.translation.tobytes() == b.translation.tobytes()
+        return new_placed
+
+    def test_crossing_support_beside_the_bound_body(self, tray):
+        # A bar along x carries the incoming bar along y; they touch only
+        # where their edges cross. A box under the incoming bar's end sets
+        # the bound from its vertices, 2**-10 m below the true support.
+        h = 0.0625
+        boxes = [
+            (make_box(0.25, 0.03125, h), (0.0, 0.0, 0.0)),
+            (make_box(0.0625, 0.0625, h - 2.0**-10), (0.0, 0.125, 0.0)),
+            (make_box(0.03125, 0.25, h), (0.0, 0.0, 0.0)),
+        ]
+        placed = self.check_against_reference(tray, boxes)
+        assert placed[2].world_vertices()[:, 2].min() == h
+
+    @pytest.mark.parametrize("depth, kept", [(_PRUNE_MARGIN, True), (2 * _PRUNE_MARGIN, False)])
+    def test_body_at_bound_plus_margin_is_kept(self, tray, monkeypatch, depth, kept):
+        # The incoming bar rests on the left box, which sets the bound; the
+        # right box's top sits ``depth`` lower, so its clearance is
+        # bound + depth. All sizes are binary fractions, so this is exact.
+        h = 0.0625
+        boxes = [
+            (make_box(0.0625, 0.0625, h), (-0.046875, 0.0, 0.0)),
+            (make_box(0.0625, 0.0625, h - depth), (0.046875, 0.0, 0.0)),
+            (make_box(0.125, 0.03125, 0.03125), (0.0, 0.0, 0.0)),
+        ]
+        calls = _segments_reached(monkeypatch)
+        placed = self.check_against_reference(tray, boxes)
+        assert placed[2].world_vertices()[:, 2].min() == h
+        # Only the last drop has candidates; the right box's edges lie at x > 0.
+        assert len(calls) == 1
+        assert (calls[0][..., 0] > 0.0).any() == kept
+
+    def test_lands_on_floor_beside_tall_body(self, tray, monkeypatch):
+        # A tall box turned 45 degrees: its AABB overlaps the small box's,
+        # its footprint does not, so the small box falls to the floor.
+        tall = PlacedObject(make_box(0.1, 0.1, 0.3), quat_from_euler(np.pi / 4, 0.0, 0.0),
+                            np.zeros(3))
+        small = PlacedObject(make_box(0.02, 0.02, 0.02), IDENTITY.copy(),
+                             np.array([0.06, 0.06, 0.0]))
+        calls = _segments_reached(monkeypatch)
+        pile = _RestPile(tray)
+        pile.drop_and_add(tall)
+        pile.drop_and_add(small)
+        ref = RestPileReference(tray)
+        ref_small = PlacedObject(small.obj, IDENTITY.copy(), np.array([0.06, 0.06, 0.0]))
+        ref.drop_and_add(PlacedObject(tall.obj, tall.quat.copy(), np.zeros(3)))
+        ref.drop_and_add(ref_small)
+        assert small.translation.tobytes() == ref_small.translation.tobytes()
+        assert small.world_vertices()[:, 2].min() == pytest.approx(tray.floor_z, abs=1e-12)
+        # The floor sets the bound, and a body taller than the drop is kept.
+        assert len(calls) == 1 and len(calls[0]) > 0
+
+    def test_most_candidate_segments_are_skipped(self, monkeypatch):
+        reached = []
+
+        def counting(a, b):
+            reached.append(len(b))
+            return _segment_crossings(a, b)
+
+        monkeypatch.setattr(scenegen, "_segment_crossings", counting)
+        scene = spawn_scene(3, (250, 250))
+        # Replay the candidates the unpruned pile would hand over: edges of
+        # every earlier body whose xy box overlaps, that meet the incoming box.
+        xy = [p.world_vertices()[:, :2] for p in scene.placed]
+        segs = [v[mesh_edges(p.obj.faces)] for v, p in zip(xy, scene.placed)]
+        lo = np.array([v.min(axis=0) for v in xy])
+        hi = np.array([v.max(axis=0) for v in xy])
+        candidates = 0
+        for i in range(1, len(xy)):
+            for k in np.flatnonzero(((lo[:i] <= hi[i]) & (hi[:i] >= lo[i])).all(axis=1)):
+                s_lo, s_hi = segs[k].min(axis=1), segs[k].max(axis=1)
+                candidates += int(((s_lo <= hi[i]) & (s_hi >= lo[i])).all(axis=1).sum())
+        assert candidates > 10_000
+        assert sum(reached) < 0.4 * candidates, (sum(reached), candidates)
 
 
 class TestSpawnScene:
