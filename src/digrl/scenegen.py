@@ -465,6 +465,8 @@ class _RestPile:
             c = planes[:, 3:4] - planes[:, 0:1] * wverts[:, 0] - planes[:, 1:2] * wverts[:, 1]
             _, r_high, r_ok = _grouped_envelopes(c, planes[:, 2], plane_starts)
             gap_groups.append((wverts[:, 2] - r_high)[r_ok])
+            # An attained clearance bounds the drop; a body whose top lies
+            # deeper than that (plus rounding) holds no smaller gap.
             bound = np.concatenate(gap_groups).min()
             keep = aabb_min[2] - hi[cand, 2] <= bound + _PRUNE_MARGIN
             if keep.any():

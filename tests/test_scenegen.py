@@ -581,8 +581,8 @@ class TestPrunedPile:
 
     def test_crossing_support_beside_the_bound_body(self, tray):
         # A bar along x carries the incoming bar along y; they touch only
-        # where their edges cross. A box under the incoming bar's end sets
-        # the bound from its vertices, 2**-10 m below the true support.
+        # where their edges cross. A box under the incoming bar's end, its
+        # top 2**-10 m lower, sets the bound from the incoming vertices.
         h = 0.0625
         boxes = [
             (make_box(0.25, 0.03125, h), (0.0, 0.0, 0.0)),
