@@ -22,7 +22,6 @@ from .errors import (
     DigrlError,
     EmptyObservationError,
     PlacementError,
-    PlannerError,
     ProtocolError,
     ShapeError,
     SizeError,
@@ -56,7 +55,6 @@ __all__ = [
     "PAPER_PROFILE",
     "PlacementError",
     "PlanOutcome",
-    "PlannerError",
     "PointCloud",
     "PolicyCore",
     "Profile",

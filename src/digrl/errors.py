@@ -29,10 +29,6 @@ class PlacementError(DigrlError, RuntimeError):
     """An object could not be placed into the tray within the retry budget."""
 
 
-class PlannerError(DigrlError, RuntimeError):
-    """A baseline planner has no admissible target."""
-
-
 class ProtocolError(DigrlError, RuntimeError):
     """An API was driven out of order (e.g. stepping a finished episode)."""
 

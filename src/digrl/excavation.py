@@ -120,9 +120,7 @@ def execute_dig(
     tips, _ = fk_batch(arm, traj.joints)
     drag_tips = tips[traj.phase_slice("drag")]
     taken, vol = capture_from_drag(scene, drag_tips, hmap, bucket)
-    keep = [p for i, p in enumerate(scene.placed) if i not in set(taken)]
-    remaining = Scene(tray=scene.tray, placed=keep, seed=scene.seed)
-    after = resettle(remaining) if taken else remaining
+    after = resettle(scene, taken) if taken else Scene(scene.tray, list(scene.placed), scene.seed)
     return DigResult(attack, outcome, tuple(taken), vol, vol * M3_TO_CM3, after)
 
 

@@ -225,9 +225,11 @@ class RolloutBuffer:
         self.streams = [_Stream() for _ in range(n_envs)]
 
     def add(self, env_id, code, obs, u, logp, reward, value, done) -> None:
+        """Append one step; ``obs`` is None when no update re-encodes it."""
         s = self.streams[env_id]
         s.codes.append(np.asarray(code, dtype=np.float64))
-        s.obs.append(obs)
+        if obs is not None:
+            s.obs.append(obs)
         s.us.append(np.asarray(u, dtype=np.float64))
         s.logps.append(logp)
         s.rewards.append(reward)
@@ -366,9 +368,8 @@ def train_rl(
                 step = core.act(codes[e], act_rng)
                 next_obs, reward, done, info = envs[e].step(step.action)
                 r_norm = normalizer.normalize(reward)
-                buffer.add(
-                    e, codes[e], obs[e], step.pre_squash, step.logp, r_norm, step.value, done
-                )
+                kept = obs[e] if graph_encode is not None else None
+                buffer.add(e, codes[e], kept, step.pre_squash, step.logp, r_norm, step.value, done)
                 raw_acc[e] += reward
                 norm_acc[e] += r_norm
                 dig_acc[e] += 1

@@ -6,7 +6,8 @@ center with one batched query (capped per group, padded with -1), runs a
 small shared two-layer tanh MLP on the members' center-relative coordinates
 concatenated with their features, and max-pools each group. The last level's
 features plus center positions, flattened, form the fixed-size code consumed
-by the digging policy.
+by the digging policy. As in PointNet++, the code comes from set abstraction
+alone, so the policy's encode runs the encoder and no decoder.
 
 The decoder walks back up: features are interpolated onto the next finer
 level by inverse-squared-distance weighting over the three nearest coarse
@@ -99,12 +100,11 @@ class RepNet:
         """
         return nn.standardize_cols(self._layer(x, name))
 
-    def forward(self, points) -> dict:
-        """Run the full network on one (N, 3) cloud.
+    def encoder(self, points) -> dict:
+        """Set abstraction over one (N, 3) cloud: the encoder half of :meth:`forward`.
 
-        Returns a dict of graph tensors: per-point raw ``normals`` (N, 3) and
-        ``curvature`` (N, 1), the scalar-normalized ``count`` (1, 1), and the
-        flattened ``code``.
+        Returns the flattened ``code`` tensor, the ``positions`` of the cloud
+        and of every level's centers, and each level's pooled ``feats``.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
@@ -147,7 +147,18 @@ class RepNet:
         code = nn.reshape(
             nn.concat([feats, nn.Tensor.const(positions[-1], dtype=dtype)], axis=1), (-1,)
         )
+        return {"code": code, "positions": positions, "feats": level_feats}
 
+    def forward(self, points) -> dict:
+        """Run the full network on one (N, 3) cloud: :meth:`encoder`, then the decoder.
+
+        Returns a dict of graph tensors: per-point raw ``normals`` (N, 3) and
+        ``curvature`` (N, 1), the scalar-normalized ``count`` (1, 1), and the
+        flattened ``code``.
+        """
+        enc = self.encoder(points)
+        p, dtype = self.profile, self.store.dtype
+        positions, level_feats = enc["positions"], enc["feats"]
         cur = level_feats[-1]
         for j in range(5, 0, -1):
             src_pos = positions[j]
@@ -183,13 +194,13 @@ class RepNet:
             "normals": normals,
             "curvature": curvature,
             "count": count,
-            "code": code,
+            "code": enc["code"],
             "positions": positions,
         }
 
     def encode(self, points) -> np.ndarray:
         """Fixed-size scene code for the policy (no gradients retained)."""
-        return np.array(self.forward(points)["code"].value, dtype=np.float64)
+        return np.array(self.encoder(points)["code"].value, dtype=np.float64)
 
     def predict(self, points) -> tuple[np.ndarray, np.ndarray, float]:
         """Evaluated per-point labels: unit normals, clipped curvature, count."""
@@ -310,29 +321,6 @@ def label_scene_files(
         fh.write("# labeled observation dataset, one line per scene\n")
         fh.write("\n".join(lines) + "\n")
     return lines
-
-
-def build_rep_dataset(
-    out_dir,
-    profile: Profile | None = None,
-    seed: int = 0,
-    n_scenes: int | None = None,
-    count_range: tuple[int, int] = (50, 300),
-    val_fraction: float = 0.1,
-    progress=None,
-) -> list[str]:
-    """Generate, observe, and label a full dataset tree in one call."""
-    gen_scene_files(
-        out_dir,
-        profile=profile,
-        seed=seed,
-        n_scenes=n_scenes,
-        count_range=count_range,
-        progress=progress,
-    )
-    return label_scene_files(
-        out_dir, profile=profile, seed=seed, val_fraction=val_fraction, progress=progress
-    )
 
 
 def load_rep_dataset(data_dir) -> list[RepSample]:

@@ -12,7 +12,9 @@ the pile give an attained clearance, an upper bound on the drop; a rested
 body whose top lies more than that bound, plus a rounding margin, below the
 incoming object cannot hold a smaller gap, so its vertices and edges are
 skipped. Only gaps above the minimum are skipped, so the settled scene is
-the same to the last bit as without pruning (see ``_RestPile``).
+the same to the last bit as without pruning (see ``_RestPile``). After a
+dig, :func:`resettle` re-drops only the objects whose xy box meets a removed
+or re-dropped one; the rest keep the rest heights a re-drop would give them.
 """
 
 from __future__ import annotations
@@ -388,7 +390,26 @@ class _Rows:
         self.n = end
 
 
-# Keep-test slack of the branch-and-bound drop, in metres; see ``_RestPile``.
+# Slack of the keep tests that compare an envelope value with its body's
+# vertex extremes: the settle's ``aabb_min_z - hi_k_z <= bound + margin``
+# (``_RestPile``) and the render's ``height < top + margin``
+# (``sensor._surface_grid``). Two effects let a computed envelope pass them.
+#
+# Rounding. Coordinates stay within 4 m of the origin (the tray is 0.8 x 0.5 m,
+# and a 300-object pile stands below 1.5 m), so a column offset
+# ``c = (o - x*nx) - y*ny`` of a unit normal, its offset ``o`` included, is
+# off by ``|dc| < 8 * 2**-53 * 4 m``, about 3.6e-15 m. An envelope's z is
+# ``c / nz`` with ``|nz| > 1e-12`` (flatter planes are side planes and give no
+# z), so it is off by at most 3.6 mm, and a gap, a difference of two, by 7.2 mm.
+#
+# Tolerance. A feasible column passes ``z_low <= z_high + 1e-9`` and, on side
+# planes, ``c >= -1e-9``, so (x, y, z_high) may break each face plane by 1e-9 m.
+# It lies in the body grown by 1e-9 m, whose top is higher by 1e-9 m times the
+# top vertex's summed dual weights (1 / cos of the face tilt for a symmetric cone).
+#
+# ``2**-7`` m (7.8 mm) is exact in binary and leaves 0.6 mm over the rounding,
+# enough for the tolerance unless those weights reach 6e5, a spike far sharper
+# than a hull of 8 to 24 points at radii of 1 to 7 cm.
 _PRUNE_MARGIN = 2.0**-7
 
 
@@ -420,19 +441,12 @@ class _RestPile:
        a body that fails the test has no gap below ``bound`` and cannot set
        the minimum.
 
-    The margin covers the envelope's rounding. Coordinates stay within 4 m
-    of the origin (the tray is 0.8 x 0.5 m, and a 300-object pile stands
-    below 1.5 m), so a column offset ``c = (o - x*nx) - y*ny`` of a unit
-    normal, its offset ``o`` included, is off by ``|dc| < 8 * 2**-53 * 4 m``,
-    about 3.6e-15 m. An envelope's z is ``c / nz`` with ``|nz| > 1e-12``
-    (flatter planes are side planes and give no z), so it is off by at most
-    ``|dc| / |nz|``, 3.6 mm, and a gap, the difference of two envelope
-    values, by 7.2 mm. ``2**-7`` m (7.8 mm) covers that and is exact in
-    binary. Pruning only drops gaps that exceed ``bound``, and the drop is
-    the minimum of the rest, each computed with the same elementwise float
-    operations as in a per-body loop over every candidate; so rest heights,
-    and the settled scene bytes, depend neither on the pruning nor on how
-    the candidates are grouped.
+    The margin covers the envelopes' rounding and feasibility tolerance (see
+    ``_PRUNE_MARGIN``). Pruning only drops gaps that exceed ``bound``, and
+    the drop is the minimum of the rest, each computed with the same
+    elementwise float operations as in a per-body loop over every
+    candidate; so rest heights, and the settled scene bytes, depend neither
+    on the pruning nor on how the candidates are grouped.
     """
 
     def __init__(self, tray: Tray):
@@ -447,11 +461,33 @@ class _RestPile:
         self._verts = _Rows((3,))
         self._segs = _Rows((2, 2))  # edges projected to xy
 
-    def drop_and_add(self, placed: PlacedObject) -> float:
-        """Drop ``placed`` (posed at z offset 0) to rest; returns the rest z offset."""
+    def drop_and_add(self, placed: PlacedObject, drop: float | None = None) -> float:
+        """Drop ``placed`` (posed at z offset 0) to rest; returns the rest z offset.
+
+        A known ``drop`` skips the search and adds the body that far down.
+        """
         wverts = placed.world_vertices()
         normals, offsets = face_planes(wverts, placed.obj.faces)
         edges = mesh_edges(placed.obj.faces)
+        if drop is None:
+            drop = self._lowest_gap(wverts, normals, offsets, edges)
+        placed.translation = placed.translation + np.array([0.0, 0.0, -drop])
+        rested = wverts.copy()
+        rested[:, 2] -= drop
+        # Translating a plane set by -drop along z shifts each offset by -nz*drop.
+        planes = np.column_stack([normals, offsets - normals[:, 2] * drop])
+        segs = rested[:, :2][edges]
+        self._start.append([[self._planes.n, self._verts.n, self._segs.n]])
+        self._len.append([[len(planes), len(rested), len(segs)]])
+        self._planes.append(planes)
+        self._verts.append(rested)
+        self._segs.append(segs)
+        self._lo.append(rested.min(axis=0)[None])
+        self._hi.append(rested.max(axis=0)[None])
+        return -drop
+
+    def _lowest_gap(self, wverts, normals, offsets, edges) -> float:
+        """The smallest clearance below the incoming body: its drop."""
         aabb_min, aabb_max = wverts.min(axis=0), wverts.max(axis=0)
         gap_groups = [np.array([aabb_min[2] - self.floor])]
         lo, hi = self._lo.view, self._hi.view
@@ -473,21 +509,7 @@ class _RestPile:
                 gap_groups += self._vertex_and_crossing_gaps(
                     wverts, normals, offsets, edges, aabb_min, aabb_max, start[keep], length[keep]
                 )
-        drop = float(np.concatenate(gap_groups).min())
-        placed.translation = placed.translation + np.array([0.0, 0.0, -drop])
-        rested = wverts.copy()
-        rested[:, 2] -= drop
-        # Translating a plane set by -drop along z shifts each offset by -nz*drop.
-        planes = np.column_stack([normals, offsets - normals[:, 2] * drop])
-        segs = rested[:, :2][edges]
-        self._start.append([[self._planes.n, self._verts.n, self._segs.n]])
-        self._len.append([[len(planes), len(rested), len(segs)]])
-        self._planes.append(planes)
-        self._verts.append(rested)
-        self._segs.append(segs)
-        self._lo.append(rested.min(axis=0)[None])
-        self._hi.append(rested.max(axis=0)[None])
-        return -drop
+        return float(np.concatenate(gap_groups).min())
 
     def _vertex_and_crossing_gaps(
         self, wverts, normals, offsets, edges, aabb_min, aabb_max, start, length
@@ -568,17 +590,36 @@ def settle_scene(
     return Scene(tray, placed_list, seed)
 
 
-def resettle(scene: Scene) -> Scene:
-    """Re-drop every object vertically, in order, keeping (x, y) and rotation.
+def resettle(scene: Scene, removed=None) -> Scene:
+    """Re-drop the objects vertically, in order, keeping (x, y) and rotation.
 
-    Used after an excavation removes support from under the remaining pile.
+    Used after an excavation removes support from under the pile: pass the
+    pre-dig ``scene`` and the ``removed`` indices. An object is then dirty
+    if its xy AABB meets that of an earlier removed or dirty object, and only
+    dirty objects are re-dropped. A vertical drop keeps xy, so a clean object
+    has the same candidate supports with the same rows as when it settled,
+    and it is added at its known drop, bit for bit what a re-drop gives.
+    That needs ``scene`` to be settled already, as :func:`settle_scene` and
+    this function leave it. ``removed=None`` re-drops every object.
     """
+    gone = set(removed or ())
+    moved_lo, moved_hi = _Rows((2,)), _Rows((2,))  # xy boxes of removed and dirty objects
     grid = _RestPile(scene.tray)
     new_placed = []
-    for p in scene.placed:
-        np_obj = PlacedObject(p.obj, p.quat.copy(), np.array([p.translation[0], p.translation[1], 0.0]))
-        grid.drop_and_add(np_obj)
-        new_placed.append(np_obj)
+    for i, p in enumerate(scene.placed):
+        drop = None
+        if removed is not None:
+            xy = p.world_vertices()[:, :2]
+            lo, hi = xy.min(axis=0), xy.max(axis=0)
+            if i in gone or ((moved_lo.view <= hi) & (moved_hi.view >= lo)).all(axis=1).any():
+                moved_lo.append(lo[None])
+                moved_hi.append(hi[None])
+            else:
+                drop = -float(p.translation[2])
+        if i not in gone:
+            at = np.array([p.translation[0], p.translation[1], 0.0])
+            new_placed.append(PlacedObject(p.obj, p.quat.copy(), at))
+            grid.drop_and_add(new_placed[-1], drop)
     return Scene(scene.tray, new_placed, scene.seed)
 
 

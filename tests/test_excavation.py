@@ -20,9 +20,17 @@ from digrl.excavation import (
 )
 from digrl.geometry import HeightMap
 from digrl.kinematics import ArmModel, AttackPose, TrajectoryParams, plan_trajectory
-from digrl.scenegen import INTERPENETRATION_TOL, PlacedObject, Scene, Tray, save_scene, spawn_scene
+from digrl.scenegen import (
+    INTERPENETRATION_TOL,
+    PlacedObject,
+    Scene,
+    Tray,
+    resettle,
+    save_scene,
+    spawn_scene,
+)
 from digrl.sensor import SensorConfig, scene_heightmap
-from test_scenegen import make_box, penetration_depth
+from test_scenegen import _scene_bytes, make_box, penetration_depth
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -215,6 +223,31 @@ class TestDigSequence:
             assert result.captured_volume <= bucket.capacity
             assert scene.object_count + len(result.captured_indices) == before
         assert captures >= 10
+
+
+    def test_dirty_resettle_matches_full_resettle(self, tmp_path):
+        """20 capturing digs on 100 objects: the dig's resettle has the full re-drop's bytes."""
+        scene = spawn_scene(3, (100, 100))
+        rng = np.random.default_rng(3)
+        ranges, arm, params, bucket = AttackRanges(), ArmModel(), TrajectoryParams(), BucketSpec()
+        hmap = scene_heightmap(scene, SensorConfig())
+        captures = 0
+        for _ in range(1000):
+            attack = AttackPose(*(rng.uniform(*r) for r in (ranges.x, ranges.y, ranges.alpha)))
+            result = execute_dig(scene, attack, arm, params, bucket, ranges, hmap=hmap)
+            if not result.captured_indices:
+                continue
+            gone = set(result.captured_indices)
+            kept = [p for i, p in enumerate(scene.placed) if i not in gone]
+            full = resettle(Scene(scene.tray, kept, scene.seed))
+            path = tmp_path / "s.scene"
+            assert _scene_bytes(result.scene_after, path) == _scene_bytes(full, path)
+            scene = result.scene_after
+            hmap = scene_heightmap(scene, SensorConfig())
+            captures += 1
+            if captures == 20:
+                break
+        assert captures == 20
 
 
 class TestActionMapping:

@@ -65,8 +65,6 @@ def test_no_undefined_global_names():
 # Public names whose only callers are tests. Delete an entry together with its
 # function, or once the pipeline calls it; never add one.
 UNCALLED = {
-    "PlannerError",
-    "build_rep_dataset",
     "fk",
     "ik",
     "load_episodes",

@@ -295,6 +295,27 @@ class TestOpIdentities:
         out = nn.max_pool_groups(leaf(x), [np.array([1])])
         assert np.array_equal(out.value, x[1:2])
 
+    def test_pool_matches_argmax_on_ties(self, rng):
+        # Half-step values tie often, zeros come with both signs, and -1 pads
+        # short groups. The pooled value and its gradient must come from the
+        # first member holding the max, as a plain argmax over members picks.
+        x = np.round(rng.normal(size=(60, 5)) * 2) / 2
+        x[::2][x[::2] == 0.0] = -0.0
+        idx = rng.integers(0, 60, size=(25, 9))
+        for row, n in zip(idx, rng.integers(1, 10, size=25)):
+            row[n:] = -1
+        valid = idx >= 0
+        members = np.where(valid[:, :, None], x[np.where(valid, idx, 0)], -np.inf)
+        arg = np.argmax(members, axis=1)
+        want = np.take_along_axis(members, arg[:, None, :], axis=1)[:, 0, :]
+        t = leaf(x)
+        out = nn.max_pool_groups(t, idx)
+        assert out.value.tobytes() == want.tobytes()
+        nn.backward(nn.total_sum(out))
+        grad = np.zeros_like(x)
+        np.add.at(grad, (np.take_along_axis(idx, arg, axis=1), np.arange(5)[None, :]), 1.0)
+        assert np.array_equal(t.grad, grad)
+
     def test_pool_rejects_empty_group(self):
         with pytest.raises(SizeError):
             nn.max_pool_groups(leaf(np.ones((2, 2))), [np.array([], dtype=np.int64)])

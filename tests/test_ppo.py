@@ -237,6 +237,32 @@ class TestTraining:
         assert text[0] == ",".join(CURVE_FIELDS)
         assert len(text) == 25
 
+    @pytest.mark.parametrize("e2e", [False, True])
+    def test_batch_keeps_clouds_only_for_e2e(self, monkeypatch, e2e):
+        batches = []
+        finish = RolloutBuffer.finish
+
+        def keep(buffer, bootstraps):
+            batches.append(finish(buffer, bootstraps))
+            return batches[-1]
+
+        monkeypatch.setattr(RolloutBuffer, "finish", keep)
+        train_rl(
+            make_env=QuadraticBandit,
+            encode=lambda o: o,
+            code_size=2,
+            total_samples=8,
+            act_dim=1,
+            n_envs=2,
+            rollout=8,
+            minibatch=4,
+            update_epochs=1,
+            hidden=(4, 4),
+            graph_encode=(lambda o: nn.Tensor.const(o)) if e2e else None,
+        )
+        (batch,) = batches
+        assert len(batch["obs"]) == (8 if e2e else 0)
+
     def test_rejects_sub_rollout_budget(self):
         with pytest.raises(SizeError):
             train_rl(

@@ -10,8 +10,9 @@ from digrl.repnet import (
     COUNT_SCALE,
     RepNet,
     RepSample,
-    build_rep_dataset,
     eval_rep,
+    gen_scene_files,
+    label_scene_files,
     load_rep_dataset,
     rep_loss,
     save_metrics_csv,
@@ -81,6 +82,23 @@ class TestForwardShapes:
         net = RepNet(get_profile("desk"), seed=0)
         with pytest.raises(ShapeError):
             net.forward(np.zeros((500, 2)))
+
+
+class TestEncoderOnly:
+    def test_encode_is_the_forward_code_without_the_decoder(self, rng, monkeypatch):
+        net = RepNet(get_profile("desk"), seed=3)
+        cloud = rng.uniform(-0.2, 0.2, size=(2048, 3))
+        want = np.array(net.forward(cloud)["code"].value, dtype=np.float64)
+        calls = []
+        idw_weights = repnet.idw_weights
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return idw_weights(*args, **kwargs)
+
+        monkeypatch.setattr(repnet, "idw_weights", counting)
+        assert net.encode(cloud).tobytes() == want.tobytes()
+        assert calls == []
 
 
 def golden_cloud():
@@ -249,10 +267,16 @@ class TestTraining:
             train_rep(samples, get_profile("desk"), epochs=1)
 
 
+def build_dataset(root, profile, seed, n_scenes, count_range):
+    """The CLI's two dataset steps: spawn and save scenes, then observe and label them."""
+    gen_scene_files(root, profile=profile, seed=seed, n_scenes=n_scenes, count_range=count_range)
+    return label_scene_files(root, profile=profile, seed=seed)
+
+
 class TestDataset:
     def test_build_and_load_round_trip(self, tmp_path):
         root = tmp_path / "data"
-        lines = build_rep_dataset(
+        lines = build_dataset(
             str(root), profile=get_profile("desk"), seed=11, n_scenes=3, count_range=(3, 6)
         )
         assert len(lines) == 3
@@ -267,8 +291,8 @@ class TestDataset:
 
     def test_deterministic_rebuild(self, tmp_path):
         kwargs = dict(profile=get_profile("desk"), seed=11, n_scenes=2, count_range=(3, 5))
-        build_rep_dataset(str(tmp_path / "a"), **kwargs)
-        build_rep_dataset(str(tmp_path / "b"), **kwargs)
+        build_dataset(str(tmp_path / "a"), **kwargs)
+        build_dataset(str(tmp_path / "b"), **kwargs)
         for sub in ("manifest.txt", "scenes/0000.xyzl", "scenes/0001.xyzl"):
             assert (tmp_path / "a" / sub).read_bytes() == (tmp_path / "b" / sub).read_bytes()
 

@@ -71,21 +71,22 @@ class RestPileReference:
 
     For each earlier body whose AABB overlaps the incoming one it evaluates
     the three gap families with separate calls; the batched pile must give
-    the same rest offsets bit for bit.
+    the same rest offsets bit for bit. Like the pile, it takes a known
+    ``drop`` without searching.
     """
 
     def __init__(self, tray):
         self.floor = tray.floor_z
         self._verts, self._planes, self._edges, self._lo, self._hi = [], [], [], [], []
 
-    def drop_and_add(self, placed):
+    def drop_and_add(self, placed, drop=None):
         wverts = placed.world_vertices()
         normals, offsets = face_planes(wverts, placed.obj.faces)
         edges = mesh_edges(placed.obj.faces)
         seg_new = wverts[:, :2][edges]
         aabb_min, aabb_max = wverts.min(axis=0), wverts.max(axis=0)
         gap_groups = [np.array([aabb_min[2] - self.floor])]
-        for k in range(len(self._verts)):
+        for k in range(len(self._verts) if drop is None else 0):
             lo, hi = self._lo[k], self._hi[k]
             if (
                 lo[0] > aabb_max[0]
@@ -117,7 +118,8 @@ class RestPileReference:
                 both = c_ok1 & c_ok2
                 if both.any():
                     gap_groups.append(c_low[both] - c_high[both])
-        drop = float(np.concatenate(gap_groups).min())
+        if drop is None:
+            drop = float(np.concatenate(gap_groups).min())
         placed.translation = placed.translation + np.array([0.0, 0.0, -drop])
         rested = wverts.copy()
         rested[:, 2] -= drop
@@ -652,6 +654,56 @@ class TestPrunedPile:
                 candidates += int(((s_lo <= hi[i]) & (s_hi >= lo[i])).all(axis=1).sum())
         assert candidates > 10_000
         assert sum(reached) < 0.4 * candidates, (sum(reached), candidates)
+
+
+class TestDirtyResettle:
+    """``resettle(scene, removed)`` re-drops only disturbed objects, with the full re-drop's bits."""
+
+    @staticmethod
+    def check(scene, removed, path):
+        """Bytes of the dirty-set resettle, after checking them against the full one."""
+        gone = set(removed)
+        kept = Scene(scene.tray, [p for i, p in enumerate(scene.placed) if i not in gone], scene.seed)
+        dirty = _scene_bytes(resettle(scene, removed), path)
+        assert dirty == _scene_bytes(resettle(kept), path)
+        return dirty
+
+    def test_transitive_support_chain(self, tray, tmp_path):
+        # Each box overlaps only its neighbours in xy and rests on the one
+        # before; removing the first drops the rest one level each, and the
+        # last two move only because the box under them moved.
+        box = make_box(0.08, 0.08, 0.0625)
+        placed = [PlacedObject(box, IDENTITY.copy(), np.array([x, 0.0, 0.0]))
+                  for x in (0.0, 0.0625, 0.125, 0.1875)]
+        pile = _RestPile(tray)
+        for p in placed:
+            pile.drop_and_add(p)
+        scene = Scene(tray, placed)
+        self.check(scene, [0], tmp_path / "d.scene")
+        bottoms = [p.world_vertices()[:, 2].min() for p in resettle(scene, [0]).placed]
+        assert bottoms == [0.0, 0.0625, 0.125]
+
+    @pytest.fixture(scope="class")
+    def spawned(self):
+        return spawn_scene(4, (120, 120))
+
+    def test_remove_first_object(self, spawned, tmp_path):
+        self.check(spawned, [0], tmp_path / "d.scene")
+
+    def test_remove_last_object_searches_nothing(self, spawned, monkeypatch, tmp_path):
+        searches = []
+        search = _RestPile._lowest_gap
+
+        def counting(pile, *args):
+            searches.append(1)
+            return search(pile, *args)
+
+        monkeypatch.setattr(_RestPile, "_lowest_gap", counting)
+        dirty = self.check(spawned, [119], tmp_path / "d.scene")
+        # The full resettle searches all 119 drops; the dirty one searches none.
+        assert len(searches) == 119
+        kept = Scene(spawned.tray, spawned.placed[:-1], spawned.seed)
+        assert dirty == _scene_bytes(kept, tmp_path / "s.scene")
 
 
 class TestSpawnScene:

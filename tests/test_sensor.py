@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
 
+from digrl import sensor
 from digrl.errors import EmptyObservationError, ShapeError
-from digrl.scenegen import PlacedObject, Scene, Tray, vertical_envelopes
+from digrl.scenegen import (
+    _PRUNE_MARGIN,
+    PlacedObject,
+    Scene,
+    Tray,
+    _RestPile,
+    face_planes,
+    resettle,
+    spawn_scene,
+    vertical_envelopes,
+)
 from digrl.sensor import (
     STEEP_NZ,
     SensorConfig,
+    _ray_axes,
+    _surface_grid,
     label_observation,
     observe,
     render_surface,
@@ -185,3 +198,134 @@ class TestLabels:
         assert far.sum() > 100
         assert np.allclose(labeled.cloud.normals[far], [0.0, 0.0, 1.0], atol=1e-9)
         assert np.allclose(labeled.cloud.curvature[far], 0.0, atol=1e-12)
+
+
+def footprint_windows(scene, cfg):
+    """Per body: the ray cells of its footprint box, as index arrays, or None when empty."""
+    xs, ys = _ray_axes(scene.tray, cfg)
+    x0, y0 = scene.tray.x_range[0], scene.tray.y_range[0]
+    for placed in scene.placed:
+        wverts = placed.world_vertices()
+        lo, hi = wverts.min(axis=0), wverts.max(axis=0)
+        i0 = max(0, int(np.floor((lo[0] - x0) / cfg.ray_pitch - 0.5)))
+        i1 = min(len(xs) - 1, int(np.ceil((hi[0] - x0) / cfg.ray_pitch)))
+        j0 = max(0, int(np.floor((lo[1] - y0) / cfg.ray_pitch - 0.5)))
+        j1 = min(len(ys) - 1, int(np.ceil((hi[1] - y0) / cfg.ray_pitch)))
+        if i1 < i0 or j1 < j0:
+            yield placed, None
+            continue
+        ii, jj = np.meshgrid(np.arange(i0, i1 + 1), np.arange(j0, j1 + 1), indexing="ij")
+        yield placed, (ii.reshape(-1), jj.reshape(-1))
+
+
+def surface_grid_reference(scene, cfg):
+    """The per-body render loop that the culled ``_surface_grid`` replaced.
+
+    Every body, in placement order, evaluates its envelopes on every cell of
+    its footprint box. Returns the heights and, over all feasible cells, the
+    largest ``z_high - top`` of a body, the slack that ``_PRUNE_MARGIN`` must
+    exceed.
+    """
+    xs, ys = _ray_axes(scene.tray, cfg)
+    heights = np.full((len(xs), len(ys)), scene.tray.floor_z, dtype=np.float64)
+    worst = -np.inf
+    for placed, cells in footprint_windows(scene, cfg):
+        if cells is None:
+            continue
+        ii, jj = cells
+        normals, offsets = placed.world_planes()
+        cols = np.stack([xs[ii], ys[jj]], axis=1)
+        _, z_high, feasible = vertical_envelopes(normals, offsets, cols)
+        if feasible.any():
+            top = placed.world_vertices()[:, 2].max()
+            worst = max(worst, float((z_high[feasible] - top).max()))
+        sel = feasible & (z_high > heights[ii, jj])
+        heights[ii[sel], jj[sel]] = z_high[sel]
+    return heights, worst
+
+
+@pytest.fixture(scope="module")
+def reference_renders():
+    """(scene, reference heights, slack) for 20 spawns of 50 to 300 objects and a resettle of each.
+
+    Counts grow geometrically, and the resettle removes every third object
+    of the later half.
+    """
+    cases = []
+    for k in range(20):
+        spawned = spawn_scene(300 + k, (round(50 * 6 ** (k / 19)),) * 2)
+        n = spawned.object_count
+        for scene in (spawned, resettle(spawned, range(n // 2, n, 3))):
+            cases.append((scene, *surface_grid_reference(scene, SensorConfig())))
+    return cases
+
+
+class TestCulledRender:
+    """``_surface_grid`` skips occluded cells and keeps every bit of the per-body loop."""
+
+    def test_heights_match_reference(self, reference_renders):
+        for scene, want, _ in reference_renders:
+            assert _surface_grid(scene, SensorConfig())[2].tobytes() == want.tobytes()
+
+    def test_margin_exceeds_envelope_slack(self, reference_renders):
+        worst = max(slack for _, _, slack in reference_renders)
+        assert worst < _PRUNE_MARGIN, worst
+
+    def test_most_footprint_cells_are_skipped(self, monkeypatch):
+        cfg = SensorConfig()
+        scene = spawn_scene(5, (250, 250))
+        footprint = sum(len(c[0]) for _, c in footprint_windows(scene, cfg) if c is not None)
+        reached = []
+
+        def counting(normals, offsets, xy):
+            reached.append(len(xy))
+            return vertical_envelopes(normals, offsets, xy)
+
+        monkeypatch.setattr(sensor, "vertical_envelopes", counting)
+        heights = _surface_grid(scene, cfg)[2]
+        assert heights.tobytes() == surface_grid_reference(scene, cfg)[0].tobytes()
+        assert sum(reached) < 0.4 * footprint, (sum(reached), footprint)
+
+    @staticmethod
+    def render_counting_planes(monkeypatch, scene):
+        """Heights of ``scene`` and the number of bodies whose planes the render built."""
+        built = []
+
+        def counting(vertices, faces):
+            built.append(len(faces))
+            return face_planes(vertices, faces)
+
+        monkeypatch.setattr(sensor, "face_planes", counting)
+        heights = _surface_grid(scene, SensorConfig())[2]
+        assert heights.tobytes() == surface_grid_reference(scene, SensorConfig())[0].tobytes()
+        return heights, len(built)
+
+    @staticmethod
+    def box_under_lid(lid_height):
+        """A 6.25 cm box on the floor under a wider lid of ``lid_height``, dropped onto it."""
+        pile = _RestPile(Tray())
+        placed = [
+            PlacedObject(make_box(0.0625, 0.0625, 0.0625), IDENTITY_QUAT.copy(), np.zeros(3)),
+            PlacedObject(make_box(0.125, 0.125, lid_height), IDENTITY_QUAT.copy(), np.zeros(3)),
+        ]
+        for p in placed:
+            pile.drop_and_add(p)
+        return Scene(Tray(), placed)
+
+    def test_fully_buried_box_is_skipped(self, monkeypatch):
+        scene = self.box_under_lid(0.03125)
+        heights, built = self.render_counting_planes(monkeypatch, scene)
+        assert heights.max() == 0.0625 + 0.03125
+        assert built == 1  # the lid's planes only
+
+    @pytest.mark.parametrize(
+        "lid, kept", [(_PRUNE_MARGIN - 2.0**-10, True), (_PRUNE_MARGIN, False)]
+    )
+    def test_box_at_top_plus_margin(self, monkeypatch, lid, kept):
+        # The lid's top sits ``lid`` above the box's top; sizes are binary
+        # fractions, so heights are exact. A cell at exactly the box's top
+        # plus the margin is skipped, one just below it is evaluated.
+        scene = self.box_under_lid(lid)
+        heights, built = self.render_counting_planes(monkeypatch, scene)
+        assert heights.max() == 0.0625 + lid
+        assert built == (2 if kept else 1)
