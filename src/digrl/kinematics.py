@@ -471,45 +471,3 @@ def plan_trajectory(
         rate_hz=1.0 / arm.dt,
     )
     return PlanOutcome(trajectory=traj)
-
-
-# ---------------------------------------------------------------------------
-# TRAJ v1 text format
-
-
-def save_traj(traj: JointTrajectory, path) -> None:
-    """Write ``t q0 q1 q2 q3 phase`` lines under a rate header."""
-    with open(path, "w") as fh:
-        fh.write(f"rate_hz={traj.rate_hz:g}\n")
-        for i, (t, q) in enumerate(zip(traj.times, traj.joints)):
-            fh.write(
-                "%.6f %.9g %.9g %.9g %.9g %s\n" % (t, q[0], q[1], q[2], q[3], traj.phase_of(i))
-            )
-
-
-def load_traj(path) -> JointTrajectory:
-    times, joints, phases = [], [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("rate_hz="):
-            raise ShapeError(f"{path}: missing rate_hz header")
-        rate = float(header.split("=", 1)[1])
-        for lineno, line in enumerate(fh, 2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ShapeError(f"{path}:{lineno}: expected 6 fields")
-            times.append(float(parts[0]))
-            joints.append([float(v) for v in parts[1:5]])
-            phases.append(parts[5])
-    ends = []
-    for name in PHASE_NAMES:
-        idx = [i for i, p in enumerate(phases) if p == name]
-        ends.append(idx[-1] if idx else (ends[-1] if ends else 0))
-    return JointTrajectory(
-        times=np.asarray(times),
-        joints=np.asarray(joints),
-        phase_ends=tuple(ends),
-        rate_hz=rate,
-    )

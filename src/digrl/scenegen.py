@@ -12,9 +12,18 @@ the pile give an attained clearance, an upper bound on the drop; a rested
 body whose top lies more than that bound, plus a rounding margin, below the
 incoming object cannot hold a smaller gap, so its vertices and edges are
 skipped. Only gaps above the minimum are skipped, so the settled scene is
-the same to the last bit as without pruning (see ``_RestPile``). After a
-dig, :func:`resettle` re-drops only the objects whose xy box meets a removed
-or re-dropped one; the rest keep the rest heights a re-drop would give them.
+the same to the last bit as without pruning (see ``_RestPile``).
+
+An object can only rest on an earlier object whose xy box meets its own, so
+objects settle in dependency wavefronts: an object's wavefront is one more
+than the latest wavefront of an earlier object whose box meets its own.
+Each wavefront drops in one batched pass onto the wavefronts before it.
+Every earlier object that meets an object is then on the pile when it
+drops, and no other object that meets it is, so it sees the candidate
+supports of a one-by-one drop in placement order and gets the same rest
+height to the last bit. After a dig, :func:`resettle` re-drops only the
+objects whose xy box meets a removed or re-dropped one; the rest keep the
+rest heights a re-drop would give them.
 """
 
 from __future__ import annotations
@@ -64,7 +73,8 @@ def quat_from_euler(yaw: float, pitch: float, roll: float) -> np.ndarray:
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
-    w, x, y, z = q / np.linalg.norm(q)
+    # Python floats round like float64 scalars and skip numpy's per-scalar cost.
+    w, x, y, z = (q / np.linalg.norm(q)).tolist()
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -172,7 +182,7 @@ def vertical_envelopes(
     """
     xy = np.asarray(xy, dtype=np.float64)
     c = offsets[:, None] - normals[:, 0:1] * xy[:, 0] - normals[:, 1:2] * xy[:, 1]
-    z_low, z_high, feasible = _grouped_envelopes(c, normals[:, 2], np.zeros(1, dtype=np.int64))
+    z_low, z_high, feasible = _grouped_envelopes(c, normals[:, 2:3], np.zeros(1, dtype=np.int64))
     return z_low[0], z_high[0], feasible[0]
 
 
@@ -182,20 +192,20 @@ def _grouped_envelopes(
     """:func:`vertical_envelopes` of several bodies whose planes are laid end to end.
 
     ``c`` holds the column offsets ``(o - x*nx) - y*ny`` with planes along
-    its first axis, ``nz`` the matching plane z normals, and ``starts`` the
-    first plane of each run. Every run is one convex body, and the result is
-    (z_low, z_high, feasible) per body and column.
+    its first axis, ``nz`` the matching plane z normals, shaped to broadcast
+    against ``c``, and ``starts`` the first plane of each run. Every run is
+    one convex body, and the result is (z_low, z_high, feasible) per body
+    and column.
     """
     up = nz > 1e-12
     down = nz < -1e-12
     side = ~(up | down)
-    per_plane = (-1,) + (1,) * (c.ndim - 1)
-    z = c / np.where(side, 1.0, nz).reshape(per_plane)
-    z_high = _reduce_runs(np.minimum, np.where(up.reshape(per_plane), z, np.inf), starts)
-    z_low = _reduce_runs(np.maximum, np.where(down.reshape(per_plane), z, -np.inf), starts)
+    z = c / np.where(side, 1.0, nz)
+    z_high = _reduce_runs(np.minimum, np.where(up, z, np.inf), starts)
+    z_low = _reduce_runs(np.maximum, np.where(down, z, -np.inf), starts)
     feasible = z_low <= z_high + 1e-9
     if side.any():
-        feasible &= _reduce_runs(np.logical_and, (c >= -1e-9) | ~side.reshape(per_plane), starts)
+        feasible &= _reduce_runs(np.logical_and, (c >= -1e-9) | ~side, starts)
     return z_low, z_high, feasible
 
 
@@ -341,27 +351,30 @@ def mesh_edges(faces: np.ndarray) -> np.ndarray:
     return np.stack([keys // n, keys % n], axis=1)
 
 
-def _segment_crossings(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interior intersection points of two batches of 2-D segments.
+def _segment_crossings(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Interior intersection points of 2-D segments ``a`` and ``b`` paired by broadcasting.
 
-    ``a`` is (Na, 2, 2) and ``b`` is (Nb, 2, 2); returns the (M, 2) crossing
-    points and, for each, the index of its ``b`` segment. Parallel or
-    endpoint-touching pairs are skipped: those contacts are already covered
-    by vertex columns.
+    ``a`` and ``b`` are (..., 2, 2) arrays whose leading axes broadcast
+    together, so ``a[:, None]`` against ``b[None]`` pairs every segment of
+    one batch with every segment of the other. Returns the (M, 2) crossing
+    points, each on its ``a`` segment, and their indices into the broadcast
+    leading shape. Parallel or endpoint-touching pairs are skipped: those
+    contacts are already covered by vertex columns.
     """
-    p = a[:, 0][:, None, :]
-    r = (a[:, 1] - a[:, 0])[:, None, :]
-    q = b[None, :, 0, :]
-    s = (b[:, 1] - b[:, 0])[None, :, :]
-    denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
+    # One array per coordinate: numpy loops over a trailing axis of 2 slowly.
+    px, py = a[..., 0, 0], a[..., 0, 1]
+    rx, ry = a[..., 1, 0] - px, a[..., 1, 1] - py
+    sx, sy = b[..., 1, 0] - b[..., 0, 0], b[..., 1, 1] - b[..., 0, 1]
+    denom = rx * sy - ry * sx
     ok = np.abs(denom) > 1e-14
     denom = np.where(ok, denom, 1.0)
-    qp = q - p
-    t = (qp[..., 0] * s[..., 1] - qp[..., 1] * s[..., 0]) / denom
-    u = (qp[..., 0] * r[..., 1] - qp[..., 1] * r[..., 0]) / denom
+    qpx, qpy = b[..., 0, 0] - px, b[..., 0, 1] - py
+    t = (qpx * sy - qpy * sx) / denom
+    u = (qpx * ry - qpy * rx) / denom
     ok &= (t > 0.0) & (t < 1.0) & (u > 0.0) & (u < 1.0)
-    ti, tj = np.nonzero(ok)
-    return a[ti, 0] + t[ti, tj, None] * (a[ti, 1] - a[ti, 0]), tj
+    hit = np.flatnonzero(ok)
+    x, y = (px + t * rx).ravel()[hit], (py + t * ry).ravel()[hit]
+    return np.stack([x, y], axis=1), np.unravel_index(hit, ok.shape)
 
 
 def _gather_runs(starts: np.ndarray, lengths: np.ndarray, run_starts: np.ndarray) -> np.ndarray:
@@ -425,10 +438,15 @@ class _RestPile:
 
     The pile is stored packed: one growable buffer each for the rested
     planes (nx, ny, nz, offset), vertices and xy-projected edges, with each
-    body's start and length in every buffer, and the rested AABBs. One mask
-    over the AABBs picks the candidate supports, and one fancy index gathers
-    their rows. Each drop is then a branch-and-bound pass over three gap
-    families, each gap evaluated against the planes of its own body:
+    body's start and length in every buffer, and the rested AABBs.
+    :meth:`settle` drops a batch of bodies with pairwise-disjoint xy boxes
+    onto the pile as it stands, in one vectorised pass, and then adds them
+    all. The incoming bodies' vertices, planes and edges are padded to one
+    length by repeating each body's first row, which only repeats a gap. One
+    mask over the AABBs picks every (body, candidate support) pair, and one
+    fancy index gathers the candidates' rows. Each body's drop is then a
+    branch and bound over three gap families, each gap evaluated against
+    the planes of its own two bodies:
 
     1. The floor gap and the incoming vertices against every candidate's
        upper envelope. Their minimum ``bound`` is a clearance that is
@@ -446,7 +464,7 @@ class _RestPile:
     the drop is the minimum of the rest, each computed with the same
     elementwise float operations as in a per-body loop over every
     candidate; so rest heights, and the settled scene bytes, depend neither
-    on the pruning nor on how the candidates are grouped.
+    on the pruning nor on how bodies and candidates are grouped.
     """
 
     def __init__(self, tray: Tray):
@@ -462,88 +480,158 @@ class _RestPile:
         self._segs = _Rows((2, 2))  # edges projected to xy
 
     def drop_and_add(self, placed: PlacedObject, drop: float | None = None) -> float:
-        """Drop ``placed`` (posed at z offset 0) to rest; returns the rest z offset.
+        """:meth:`settle` of ``placed`` alone; returns its rest z offset."""
+        return self.settle([placed], [drop])[0]
 
-        A known ``drop`` skips the search and adds the body that far down.
+    def settle(self, batch: list[PlacedObject], drops: list[float | None]) -> list[float]:
+        """Drop each body of ``batch`` (posed at z offset 0) onto the pile, then add them all.
+
+        The bodies' xy boxes must be pairwise disjoint, so none of them could
+        rest on another. A known drop in ``drops`` adds its body that far down
+        without a search; ``None`` searches it. Returns the rest z offsets.
         """
-        wverts = placed.world_vertices()
-        normals, offsets = face_planes(wverts, placed.obj.faces)
-        edges = mesh_edges(placed.obj.faces)
-        if drop is None:
-            drop = self._lowest_gap(wverts, normals, offsets, edges)
-        placed.translation = placed.translation + np.array([0.0, 0.0, -drop])
-        rested = wverts.copy()
-        rested[:, 2] -= drop
+        # Laid end to end with shifted vertex indices, the batch is one mesh
+        # whose face planes and edges are each body's own, in body order.
+        n_verts = np.array([len(p.obj.vertices) for p in batch])
+        n_planes = np.array([len(p.obj.faces) for p in batch])
+        vert_starts = _run_starts(n_verts)
+        verts = np.concatenate([p.world_vertices() for p in batch])
+        faces = np.concatenate([p.obj.faces for p in batch])
+        faces += np.repeat(vert_starts, n_planes)[:, None]
+        planes = np.column_stack(face_planes(verts, faces))
+        edges = mesh_edges(faces)
+        segs = verts[:, :2][edges]
+        n_segs = np.diff(np.searchsorted(edges[:, 0], vert_starts), append=len(edges))
+        counts = np.column_stack([n_planes, n_verts, n_segs])
+        starts = np.cumsum(counts, axis=0) - counts
+        search = [i for i, d in enumerate(drops) if d is None]
+        drops = np.array([0.0 if d is None else d for d in drops])
+        if search:
+            incoming = (
+                _padded(rows, starts[search, col], counts[search, col])
+                for col, rows in enumerate((planes, verts, segs))
+            )
+            drops[search] = self._lowest_gaps(*incoming)
+        verts[:, 2] -= np.repeat(drops, n_verts)  # now at rest
         # Translating a plane set by -drop along z shifts each offset by -nz*drop.
-        planes = np.column_stack([normals, offsets - normals[:, 2] * drop])
-        segs = rested[:, :2][edges]
-        self._start.append([[self._planes.n, self._verts.n, self._segs.n]])
-        self._len.append([[len(planes), len(rested), len(segs)]])
+        planes[:, 3] = planes[:, 3] - planes[:, 2] * np.repeat(drops, n_planes)
+        self._start.append(starts + np.array([self._planes.n, self._verts.n, self._segs.n]))
+        self._len.append(counts)
         self._planes.append(planes)
-        self._verts.append(rested)
+        self._verts.append(verts)
         self._segs.append(segs)
-        self._lo.append(rested.min(axis=0)[None])
-        self._hi.append(rested.max(axis=0)[None])
-        return -drop
+        self._lo.append(np.minimum.reduceat(verts, vert_starts))
+        self._hi.append(np.maximum.reduceat(verts, vert_starts))
+        for p, drop in zip(batch, drops):
+            p.translation = p.translation + np.array([0.0, 0.0, -drop])
+        return [-float(d) for d in drops]
 
-    def _lowest_gap(self, wverts, normals, offsets, edges) -> float:
-        """The smallest clearance below the incoming body: its drop."""
-        aabb_min, aabb_max = wverts.min(axis=0), wverts.max(axis=0)
-        gap_groups = [np.array([aabb_min[2] - self.floor])]
-        lo, hi = self._lo.view, self._hi.view
-        overlap = (lo[:, :2] <= aabb_max[:2]) & (hi[:, :2] >= aabb_min[:2])
-        cand = np.flatnonzero(overlap.all(axis=1))
-        if len(cand):
-            start, length = self._start.view[cand], self._len.view[cand]
-            plane_starts = _run_starts(length[:, 0])
-            planes = self._planes.view[_gather_runs(start[:, 0], length[:, 0], plane_starts)]
-            # Incoming vertices above each candidate's upper envelope.
-            c = planes[:, 3:4] - planes[:, 0:1] * wverts[:, 0] - planes[:, 1:2] * wverts[:, 1]
-            _, r_high, r_ok = _grouped_envelopes(c, planes[:, 2], plane_starts)
-            gap_groups.append((wverts[:, 2] - r_high)[r_ok])
-            # An attained clearance bounds the drop; a body whose top lies
-            # deeper than that (plus rounding) holds no smaller gap.
-            bound = np.concatenate(gap_groups).min()
-            keep = aabb_min[2] - hi[cand, 2] <= bound + _PRUNE_MARGIN
-            if keep.any():
-                gap_groups += self._vertex_and_crossing_gaps(
-                    wverts, normals, offsets, edges, aabb_min, aabb_max, start[keep], length[keep]
-                )
-        return float(np.concatenate(gap_groups).min())
+    def _lowest_gaps(self, planes, wverts, segs) -> np.ndarray:
+        """The smallest clearance below each incoming body: its drop.
 
-    def _vertex_and_crossing_gaps(
-        self, wverts, normals, offsets, edges, aabb_min, aabb_max, start, length
-    ) -> list[np.ndarray]:
-        """Gaps of nearby rested vertices and of projected-edge crossings, over the kept bodies.
-
-        ``start`` and ``length`` are the kept bodies' rows in the plane,
-        vertex and segment buffers.
+        ``planes`` (B, F, 4), ``wverts`` (B, V, 3) and ``segs`` (B, E, 2, 2)
+        hold the incoming bodies' world planes, vertices and xy edges, padded.
         """
+        aabb_min, aabb_max = wverts.min(axis=1), wverts.max(axis=1)
+        drop = aabb_min[:, 2] - self.floor
+        lo, hi = self._lo.view, self._hi.view
+        overlap = (lo[:, :2] <= aabb_max[:, None, :2]) & (hi[:, :2] >= aabb_min[:, None, :2])
+        body, cand = np.nonzero(overlap.all(axis=2))
+        if not len(body):
+            return drop
+        start, length = self._start.view[cand], self._len.view[cand]
+        # Incoming vertices above each candidate's upper envelope.
+        n_planes = length[:, 0]
+        plane_starts = _run_starts(n_planes)
+        pl = self._planes.view[_gather_runs(start[:, 0], n_planes, plane_starts)]
+        row = np.repeat(body, n_planes)
+        c = pl[:, 3:4] - pl[:, 0:1] * wverts[row, :, 0] - pl[:, 1:2] * wverts[row, :, 1]
+        _, r_high, r_ok = _grouped_envelopes(c, pl[:, 2:3], plane_starts)
+        np.minimum.at(drop, body, np.where(r_ok, wverts[body, :, 2] - r_high, np.inf).min(axis=1))
+        # An attained clearance bounds each drop; a body whose top lies deeper
+        # than that (plus rounding) holds no smaller gap.
+        keep = aabb_min[body, 2] - hi[cand, 2] <= drop[body] + _PRUNE_MARGIN
+        if not keep.any():
+            return drop
+        body, start, length = body[keep], start[keep], length[keep]
+        # Nearby rested vertices under the incoming lower envelope.
         n_verts = length[:, 1]
         r_verts = self._verts.view[_gather_runs(start[:, 1], n_verts, _run_starts(n_verts))]
-        near = ((r_verts[:, :2] >= aabb_min[:2]) & (r_verts[:, :2] <= aabb_max[:2])).all(axis=1)
-        pts = r_verts[near]
+        pt_body = np.repeat(body, n_verts)
+        near = (r_verts[:, :2] >= aabb_min[pt_body, :2]) & (r_verts[:, :2] <= aabb_max[pt_body, :2])
+        near = near.all(axis=1)
+        pts, pt_body = r_verts[near], pt_body[near]
+        # Crossings of incoming edges with rested edges whose xy box meets the incoming AABB.
         n_segs = length[:, 2]
-        segs = self._segs.view[_gather_runs(start[:, 2], n_segs, _run_starts(n_segs))]
-        # Only edges whose xy box meets the incoming AABB can cross its edges.
-        seg_lo, seg_hi = segs.min(axis=1), segs.max(axis=1)
-        meets = np.flatnonzero(((seg_lo <= aabb_max[:2]) & (seg_hi >= aabb_min[:2])).all(axis=1))
-        cross, seg = _segment_crossings(wverts[:, :2][edges], segs[meets])
-        low, _, low_ok = vertical_envelopes(normals, offsets, np.concatenate([pts[:, :2], cross]))
+        r_segs = self._segs.view[_gather_runs(start[:, 2], n_segs, _run_starts(n_segs))]
+        pair = np.repeat(np.arange(len(body)), n_segs)
+        seg_lo, seg_hi = r_segs.min(axis=1), r_segs.max(axis=1)
+        meets = (seg_lo <= aabb_max[body[pair], :2]) & (seg_hi >= aabb_min[body[pair], :2])
+        meets = np.flatnonzero(meets.all(axis=1))
+        pair = pair[meets]
+        cross, (seg, _) = _segment_crossings(segs[body[pair]], r_segs[meets][:, None])
+        pair = pair[seg]
+        # The incoming lower envelope over both kinds of column at once.
+        xy = np.concatenate([pts[:, :2], cross])
+        at = np.concatenate([pt_body, body[pair]])
+        own = planes[at].transpose(1, 0, 2)  # (F, columns, 4)
+        c = own[..., 3] - own[..., 0] * xy[:, 0] - own[..., 1] * xy[:, 1]
+        low, _, low_ok = _grouped_envelopes(c, own[..., 2], np.zeros(1, dtype=np.int64))
+        low, low_ok = low[0], low_ok[0]
         n_pts = len(pts)
-        gaps = [low[:n_pts][low_ok[:n_pts]] - pts[low_ok[:n_pts], 2]]
+        gaps = [(low[:n_pts] - pts[:, 2])[low_ok[:n_pts]]]
+        at = [pt_body[low_ok[:n_pts]]]
         if len(cross):
-            # Pair each crossing with the planes of its own body only.
-            body = np.repeat(np.arange(len(start)), n_segs)[meets[seg]]
-            n_pair = length[body, 0]
+            # Pair each crossing with the planes of its own rested body only.
+            n_pair = length[pair, 0]
             pair_starts = _run_starts(n_pair)
-            pp = self._planes.view[_gather_runs(start[body, 0], n_pair, pair_starts)]
+            pp = self._planes.view[_gather_runs(start[pair, 0], n_pair, pair_starts)]
             point = np.repeat(np.arange(len(cross)), n_pair)
             c = pp[:, 3] - cross[point, 0] * pp[:, 0] - cross[point, 1] * pp[:, 1]
             _, c_high, c_ok = _grouped_envelopes(c, pp[:, 2], pair_starts)
             both = low_ok[n_pts:] & c_ok
             gaps.append(low[n_pts:][both] - c_high[both])
-        return gaps
+            at.append(body[pair][both])
+        np.minimum.at(drop, np.concatenate(at), np.concatenate(gaps))
+        return drop
+
+
+def _padded(rows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Runs ``rows[start : start + length]`` as (B, longest, ...), padded with their first rows."""
+    col = np.arange(lengths.max())
+    return rows[np.where(col < lengths[:, None], col, 0) + starts[:, None]]
+
+
+def _xy_meets(placed: list[PlacedObject]) -> np.ndarray:
+    """(n, n) matrix of which objects' xy AABBs meet, boundaries included, as the pile tests."""
+    if not placed:
+        return np.zeros((0, 0), dtype=bool)
+    xy = np.concatenate([p.world_vertices()[:, :2] for p in placed])
+    starts = _run_starts(np.array([len(p.obj.vertices) for p in placed]))
+    lo, hi = np.minimum.reduceat(xy, starts), np.maximum.reduceat(xy, starts)
+    return ((lo[:, None] <= hi[None]) & (hi[:, None] >= lo[None])).all(axis=2)
+
+
+def _settle_wavefronts(pile: _RestPile, placed: list[PlacedObject], drops: list, meets) -> None:
+    """Settle ``placed`` onto ``pile``, one dependency wavefront per :meth:`_RestPile.settle`.
+
+    ``meets`` is :func:`_xy_meets` of ``placed``. An object's wavefront is
+    one more than the latest wavefront of an earlier object whose xy box
+    meets its own, and 0 without one. Every earlier object that meets an
+    object lies in an earlier wavefront, so it is on the pile when that
+    object drops. A later object never is: it lies in a later wavefront than
+    the earlier one it meets. Objects of one wavefront meet no other. So
+    each object drops onto exactly the candidate supports, with the same
+    rows, that dropping everything one by one in placement order gives it,
+    and gets the same rest height to the last bit.
+    """
+    wave = np.zeros(len(placed), dtype=np.int64)
+    for j in range(1, len(placed)):
+        below = wave[:j][meets[j, :j]]
+        wave[j] = below.max() + 1 if len(below) else 0
+    for w in range(wave.max(initial=-1) + 1):
+        members = np.flatnonzero(wave == w)
+        pile.settle([placed[i] for i in members], [drops[i] for i in members])
 
 
 def settle_scene(
@@ -554,14 +642,18 @@ def settle_scene(
     placement_y: tuple[float, float] = _PLACEMENT.y,
     seed: int | None = None,
 ) -> Scene:
-    """Drop objects one by one at random poses inside the placement range.
+    """Drop objects at random poses inside the placement range, in order.
 
     Each object gets a uniform yaw-pitch-roll rotation and up to 50 draws of
     (x, y) until its footprint fits inside the tray walls; it then falls
-    straight down onto the current pile. Raises PlacementError when an object
-    exhausts its retries.
+    straight down onto the objects before it. Raises PlacementError when an
+    object exhausts its retries.
+
+    A pose never depends on the pile, so every pose is drawn first, in the
+    same rng order as one drop at a time. The objects then settle in
+    dependency wavefronts (see :func:`_settle_wavefronts`), each in one
+    batched pass, with the rest heights of one-by-one drops.
     """
-    grid = _RestPile(tray)
     placed_list: list[PlacedObject] = []
     (wx0, wx1), (wy0, wy1) = tray.x_range, tray.y_range
     for index, obj in enumerate(objects):
@@ -584,9 +676,9 @@ def settle_scene(
                 and y + half_y[1] <= wy1
             ):
                 break
-        placed = PlacedObject(obj, quat, np.array([x, y, 0.0]))
-        grid.drop_and_add(placed)
-        placed_list.append(placed)
+        placed_list.append(PlacedObject(obj, quat, np.array([x, y, 0.0])))
+    meets = _xy_meets(placed_list)
+    _settle_wavefronts(_RestPile(tray), placed_list, [None] * len(placed_list), meets)
     return Scene(tray, placed_list, seed)
 
 
@@ -601,26 +693,23 @@ def resettle(scene: Scene, removed=None) -> Scene:
     and it is added at its known drop, bit for bit what a re-drop gives.
     That needs ``scene`` to be settled already, as :func:`settle_scene` and
     this function leave it. ``removed=None`` re-drops every object.
+
+    The remaining objects settle in dependency wavefronts, as in
+    :func:`settle_scene`; one wavefront may hold clean and dirty objects.
     """
+    meets = _xy_meets(scene.placed)
     gone = set(removed or ())
-    moved_lo, moved_hi = _Rows((2,)), _Rows((2,))  # xy boxes of removed and dirty objects
-    grid = _RestPile(scene.tray)
-    new_placed = []
+    moved = np.zeros(len(scene.placed), dtype=bool)  # removed or dirty
+    kept, placed, drops = [], [], []
     for i, p in enumerate(scene.placed):
-        drop = None
-        if removed is not None:
-            xy = p.world_vertices()[:, :2]
-            lo, hi = xy.min(axis=0), xy.max(axis=0)
-            if i in gone or ((moved_lo.view <= hi) & (moved_hi.view >= lo)).all(axis=1).any():
-                moved_lo.append(lo[None])
-                moved_hi.append(hi[None])
-            else:
-                drop = -float(p.translation[2])
+        moved[i] = removed is None or i in gone or (meets[i, :i] & moved[:i]).any()
         if i not in gone:
+            kept.append(i)
             at = np.array([p.translation[0], p.translation[1], 0.0])
-            new_placed.append(PlacedObject(p.obj, p.quat.copy(), at))
-            grid.drop_and_add(new_placed[-1], drop)
-    return Scene(scene.tray, new_placed, scene.seed)
+            placed.append(PlacedObject(p.obj, p.quat.copy(), at))
+            drops.append(None if moved[i] else -float(p.translation[2]))
+    _settle_wavefronts(_RestPile(scene.tray), placed, drops, meets[np.ix_(kept, kept)])
+    return Scene(scene.tray, placed, scene.seed)
 
 
 def spawn_scene(

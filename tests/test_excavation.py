@@ -226,8 +226,8 @@ class TestDigSequence:
 
 
     def test_dirty_resettle_matches_full_resettle(self, tmp_path):
-        """20 capturing digs on 100 objects: the dig's resettle has the full re-drop's bytes."""
-        scene = spawn_scene(3, (100, 100))
+        """20 capturing digs on 250 objects: the dig's resettle has the full re-drop's bytes."""
+        scene = spawn_scene(3, (250, 250))
         rng = np.random.default_rng(3)
         ranges, arm, params, bucket = AttackRanges(), ArmModel(), TrajectoryParams(), BucketSpec()
         hmap = scene_heightmap(scene, SensorConfig())

@@ -20,10 +20,8 @@ from digrl.kinematics import (
     fk_batch,
     ik,
     ik_batch,
-    load_traj,
     obb_hits_aabb,
     plan_trajectory,
-    save_traj,
 )
 from digrl.scenegen import Tray
 
@@ -328,46 +326,6 @@ class TestBucketGeometry:
         assert not high[0]
         assert wall[0]
         assert not below[0]
-
-
-class TestTrajFile:
-    def plan(self):
-        arm = ArmModel()
-        out = plan_trajectory(
-            arm, AttackPose(0.05, -0.03, math.radians(75.0)), flat_bed(0.15), Tray(),
-            TrajectoryParams(),
-        )
-        assert out.ok
-        return out.trajectory
-
-    def test_round_trip_values(self, tmp_path):
-        traj = self.plan()
-        path = tmp_path / "dig.traj"
-        save_traj(traj, path)
-        back = load_traj(path)
-        assert back.rate_hz == traj.rate_hz
-        assert back.phase_ends == traj.phase_ends
-        assert np.abs(back.joints - traj.joints).max() < 1e-8
-        assert np.abs(back.times - traj.times).max() < 1e-9
-
-    def test_second_generation_bytes_identical(self, tmp_path):
-        traj = self.plan()
-        p1, p2 = tmp_path / "a.traj", tmp_path / "b.traj"
-        save_traj(traj, p1)
-        save_traj(load_traj(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_missing_header(self, tmp_path):
-        path = tmp_path / "bad.traj"
-        path.write_text("0.0 0 0 0 0 penetrate\n")
-        with pytest.raises(ShapeError):
-            load_traj(path)
-
-    def test_bad_field_count(self, tmp_path):
-        path = tmp_path / "bad.traj"
-        path.write_text("rate_hz=100\n0.0 0 0 0 penetrate\n")
-        with pytest.raises(ShapeError):
-            load_traj(path)
 
 
 class TestAttackRanges:

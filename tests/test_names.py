@@ -68,8 +68,6 @@ UNCALLED = {
     "fk",
     "ik",
     "load_episodes",
-    "load_traj",
-    "save_traj",
 }
 
 

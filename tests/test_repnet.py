@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import digrl
 from digrl import nn, repnet
 from digrl.config import get_profile
 from digrl.errors import ShapeError, SizeError
@@ -130,13 +135,35 @@ class TestGolden:
         )
 
     def test_backward_hash(self):
-        pts, normals, curv = golden_cloud()
-        net = self.golden_net()
-        nn.backward(rep_loss(net.forward(pts), normals, curv, 42))
-        h = hashlib.sha256()
-        for name in net.store.names():
-            h.update(net.store.get(name).grad.tobytes())
-        assert h.hexdigest() == "7c64ace5b68eb5476793ee68608af605288d8228abb430f770feba4f17d31d40"
+        """Gradients of the golden loss, computed with one BLAS and OpenMP thread.
+
+        A threaded matmul may split its sums differently for another thread
+        count, so the gradients come from a child process whose thread pools
+        all have one thread, whatever the test process uses.
+        """
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        paths = [str(Path(digrl.__file__).parents[1]), str(Path(__file__).parent)]
+        env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
+        child = subprocess.run(
+            [sys.executable, "-c", "import test_repnet; print(test_repnet.golden_grad_hash())"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        assert (
+            child.stdout.strip()
+            == "ba81cd79211871dfb63d961788a6884b619c7859433a76125a0f554293386b57"
+        )
+
+
+def golden_grad_hash():
+    """SHA-256 of every parameter gradient of the golden loss, in store order."""
+    pts, normals, curv = golden_cloud()
+    net = TestGolden().golden_net()
+    nn.backward(rep_loss(net.forward(pts), normals, curv, 42))
+    h = hashlib.sha256()
+    for name in net.store.names():
+        h.update(net.store.get(name).grad.tobytes())
+    return h.hexdigest()
 
 
 def test_one_ball_query_per_level(rng, monkeypatch):

@@ -72,12 +72,17 @@ class RestPileReference:
     For each earlier body whose AABB overlaps the incoming one it evaluates
     the three gap families with separate calls; the batched pile must give
     the same rest offsets bit for bit. Like the pile, it takes a known
-    ``drop`` without searching.
+    ``drop`` without searching. Its ``settle`` drops a batch one body at a
+    time, each seeing the ones before it, so a batch whose bodies could
+    touch would settle differently here than in the pile.
     """
 
     def __init__(self, tray):
         self.floor = tray.floor_z
         self._verts, self._planes, self._edges, self._lo, self._hi = [], [], [], [], []
+
+    def settle(self, batch, drops):
+        return [self.drop_and_add(p, d) for p, d in zip(batch, drops)]
 
     def drop_and_add(self, placed, drop=None):
         wverts = placed.world_vertices()
@@ -111,7 +116,7 @@ class RestPileReference:
                 p_low, _, p_ok = vertical_envelopes(normals, offsets, pts[:, :2])
                 if p_ok.any():
                     gap_groups.append(p_low[p_ok] - pts[p_ok, 2])
-            cross, _ = _segment_crossings(seg_new, r_verts[:, :2][self._edges[k]])
+            cross, _ = _segment_crossings(seg_new[:, None], r_verts[:, :2][self._edges[k]][None])
             if len(cross):
                 c_low, _, c_ok1 = vertical_envelopes(normals, offsets, cross)
                 _, c_high, c_ok2 = vertical_envelopes(r_n, r_o, cross)
@@ -692,18 +697,111 @@ class TestDirtyResettle:
 
     def test_remove_last_object_searches_nothing(self, spawned, monkeypatch, tmp_path):
         searches = []
-        search = _RestPile._lowest_gap
+        search = _RestPile._lowest_gaps
 
-        def counting(pile, *args):
-            searches.append(1)
-            return search(pile, *args)
+        def counting(pile, planes, *args):
+            searches.append(len(planes))
+            return search(pile, planes, *args)
 
-        monkeypatch.setattr(_RestPile, "_lowest_gap", counting)
+        monkeypatch.setattr(_RestPile, "_lowest_gaps", counting)
         dirty = self.check(spawned, [119], tmp_path / "d.scene")
         # The full resettle searches all 119 drops; the dirty one searches none.
-        assert len(searches) == 119
+        assert sum(searches) == 119
         kept = Scene(spawned.tray, spawned.placed[:-1], spawned.seed)
         assert dirty == _scene_bytes(kept, tmp_path / "s.scene")
+
+
+def _record_passes(monkeypatch):
+    """Record the (batch, drops) of every ``_RestPile.settle`` call."""
+    passes = []
+    settle = _RestPile.settle
+
+    def recording(pile, batch, drops):
+        passes.append((list(batch), list(drops)))
+        return settle(pile, batch, drops)
+
+    monkeypatch.setattr(_RestPile, "settle", recording)
+    return passes
+
+
+class TestWavefronts:
+    """Objects settle in dependency wavefronts, one batched pass each, with one-by-one bits."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_wavefront_rule(self, seed, monkeypatch):
+        passes = _record_passes(monkeypatch)
+        scene = spawn_scene(seed, (40, 120))
+        index = {id(p): i for i, p in enumerate(scene.placed)}
+        wave = np.full(scene.object_count, -1)
+        for w, (batch, _) in enumerate(passes):
+            for p in batch:
+                assert wave[index[id(p)]] == -1
+                wave[index[id(p)]] = w
+        assert (wave >= 0).all()
+        xy = [p.world_vertices()[:, :2] for p in scene.placed]
+        lo, hi = np.array([v.min(axis=0) for v in xy]), np.array([v.max(axis=0) for v in xy])
+        meets = ((lo[:, None] <= hi[None]) & (hi[:, None] >= lo[None])).all(axis=2)
+        for j in range(scene.object_count):
+            earlier = wave[:j][meets[j, :j]]
+            # Every earlier object that meets j sits in an earlier wavefront,
+            # and j sits in the first wavefront after all of them.
+            assert (earlier < wave[j]).all()
+            assert wave[j] == earlier.max(initial=-1) + 1
+            # Objects of one wavefront have pairwise-disjoint xy boxes.
+            assert not meets[j, (wave == wave[j]) & (np.arange(len(wave)) != j)].any()
+        assert len(passes) < scene.object_count
+
+    def test_two_boxes_on_one_bar_settle_in_one_pass(self, tray, monkeypatch):
+        bar = make_box(0.25, 0.03125, 0.0625)
+        cube = make_box(0.0625, 0.0625, 0.0625)
+        tilt = quat_from_euler(0.3, 0.2, 0.1)
+        poses = [(bar, IDENTITY, (0.0, 0.0)), (cube, tilt, (-0.09375, 0.0)),
+                 (cube, tilt, (0.09375, 0.0))]
+        placed = [PlacedObject(b, q.copy(), np.array([x, y, 0.0])) for b, q, (x, y) in poses]
+        passes = _record_passes(monkeypatch)
+        settled = resettle(Scene(tray, placed))
+        assert [len(batch) for batch, _ in passes] == [1, 2]
+        ref = RestPileReference(tray)
+        for p, s in zip(placed, settled.placed):
+            ref.drop_and_add(p)
+            assert s.translation.tobytes() == p.translation.tobytes()
+        # Both cubes rest on the bar, not on the floor.
+        assert all(p.world_vertices()[:, 2].min() > 0.03 for p in settled.placed[1:])
+
+    def test_resettle_wavefront_mixes_clean_and_dirty(self, tray, monkeypatch, tmp_path):
+        # Two stacks of two cubes. Removing the left base leaves its top
+        # cube dirty and with no remaining support below, so it settles in
+        # the first wavefront beside the clean right base.
+        cube = make_box(0.0625, 0.0625, 0.0625)
+        placed = [PlacedObject(cube, IDENTITY.copy(), np.array([x, 0.0, 0.0]))
+                  for x in (-0.125, 0.125, -0.125, 0.125)]
+        scene = resettle(Scene(tray, placed))
+        passes = _record_passes(monkeypatch)
+        after = resettle(scene, [0])
+        # The cubes are centred on their origin, so a known drop is minus the
+        # rest height of the centre.
+        assert [(len(batch), drops) for batch, drops in passes] == [
+            (2, [-0.03125, None]),
+            (1, [-0.09375]),
+        ]
+        TestDirtyResettle.check(scene, [0], tmp_path / "m.scene")
+        bottoms = [p.world_vertices()[:, 2].min() for p in after.placed]
+        assert bottoms == [0.0, 0.0, 0.0625]
+
+    def test_overfull_tray_names_the_failing_object(self, tray, monkeypatch):
+        small = make_box(0.03125, 0.03125, 0.03125)
+        passes = _record_passes(monkeypatch)
+        with pytest.raises(PlacementError, match="object 2 does not fit"):
+            settle_scene([small, small, make_box(0.9, 0.9, 0.1), small], tray,
+                         np.random.default_rng(0))
+        # Every pose is drawn before anything settles.
+        assert passes == []
+
+    def test_spawn_makes_at_most_a_third_as_many_passes_as_objects(self, monkeypatch):
+        passes = _record_passes(monkeypatch)
+        spawn_scene(5, (250, 250))
+        assert sum(len(batch) for batch, _ in passes) == 250
+        assert len(passes) <= 250 / 3, len(passes)
 
 
 class TestSpawnScene:
