@@ -134,12 +134,6 @@ class PlanOutcome:
 # Forward / inverse kinematics
 
 
-def fk(arm: ArmModel, q: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Tip position, bucket pitch and yaw for one joint vector."""
-    pos, pitch = fk_batch(arm, np.asarray(q, dtype=np.float64)[None, :])
-    return pos[0], float(pitch[0]), float(q[0])
-
-
 def fk_batch(arm: ArmModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized forward kinematics: (N, 4) joints -> (N, 3) tips, (N,) pitches."""
     q = np.asarray(q, dtype=np.float64)
@@ -225,12 +219,6 @@ def ik_batch(
     status[~any_good] = _LIMITS
     status[~any_geom] = _UNREACHABLE
     return joints, status
-
-
-def ik(arm: ArmModel, position, pitch: float) -> np.ndarray | None:
-    """Single-pose IK honoring joint limits; None when no branch works."""
-    joints, status = ik_batch(arm, np.asarray(position)[None, :], np.array([pitch]))
-    return joints[0] if status[0] == _OK else None
 
 
 # ---------------------------------------------------------------------------

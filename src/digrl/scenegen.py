@@ -1,5 +1,15 @@
 """Synthetic cluttered scenes: convex rigid objects dropped into a tray.
 
+A scene's meshes are built in batches. :func:`gen_objects` draws each
+object's hull seeds from the generator in turn, and Qhull builds each hull;
+the winding fix, the watertight check and the volumes then run once over all
+the scene's meshes laid end to end. :func:`load_scene` reads every record
+first and measures the volumes the same way. A settle computes each object's
+rotation, world vertices, face planes, edges and xy box once, into
+scene-wide tables (``_SceneMeshes``) that every wavefront pass gathers its
+rows from. Each of these steps works per vertex, face or edge, so every
+object gets the bits it would get on its own.
+
 Settling is quasi-static drop-and-rest without rotation on contact: each
 object falls straight down, in placement order, onto the tray floor or onto
 whatever already lies there, with a declared interpenetration tolerance of
@@ -99,34 +109,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def convex_hull(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Watertight convex triangle mesh (vertices, faces) of a point set.
-
-    Faces are index triples into the returned vertex array, wound so their
-    normals point outward. Coplanar or degenerate input raises.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ShapeError(f"hull input must be (N, 3), got {pts.shape}")
-    if len(pts) < 4:
-        raise DegenerateGeometryError(f"hull needs at least 4 points, got {len(pts)}")
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:
-        raise DegenerateGeometryError(f"degenerate hull input: {exc}") from exc
-    remap = np.full(len(pts), -1, dtype=np.int64)
-    remap[hull.vertices] = np.arange(len(hull.vertices))
-    verts = pts[hull.vertices]
-    faces = remap[hull.simplices]
-    # Qhull does not guarantee consistent winding; fix it against the outward
-    # plane normals it reports.
-    v0, v1, v2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    cross = _cross(v1 - v0, v2 - v0)
-    flip = np.einsum("ij,ij->i", cross, hull.equations[:, :3]) < 0
-    faces[flip] = faces[flip][:, [0, 2, 1]]
-    return verts, faces
-
-
 def _check_watertight(faces: np.ndarray) -> None:
     """Raise TopologyError unless every directed edge occurs once and so does its reverse."""
     # Below 2**31 distinct indices the keys a * n + b fit in int64.
@@ -147,18 +129,31 @@ def _check_watertight(faces: np.ndarray) -> None:
             raise TopologyError(f"mesh is not watertight at edge ({a}, {b})")
 
 
-def polytope_volume(vertices: np.ndarray, faces: np.ndarray) -> float:
-    """Volume of a watertight, outward-wound triangle mesh via signed tetrahedra."""
-    verts = np.asarray(vertices, dtype=np.float64)
-    faces = np.asarray(faces, dtype=np.int64)
-    if faces.ndim != 2 or faces.shape[1] != 3:
-        raise ShapeError(f"faces must be (F, 3), got {faces.shape}")
+def _mesh_volumes(verts: np.ndarray, faces: np.ndarray, n_faces: np.ndarray) -> list[float]:
+    """Volumes of watertight, outward-wound triangle meshes via signed tetrahedra.
+
+    The meshes are laid end to end: ``faces`` index the shared ``verts``,
+    and mesh ``k`` owns the next ``n_faces[k]`` faces. A face index of one
+    mesh must not reach another mesh's vertices. Meshes that share no
+    vertex make a watertight whole exactly when each is watertight.
+    """
     _check_watertight(faces)
     v0, v1, v2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    vol = float(np.einsum("ij,ij->i", v0, _cross(v1, v2)).sum() / 6.0)
-    if vol <= 0:
-        raise DegenerateGeometryError(f"non-positive mesh volume {vol}")
-    return vol
+    rows = np.einsum("ij,ij->i", v0, _cross(v1, v2))
+    # One pairwise sum per mesh over its own rows: the bits of a lone mesh.
+    ends = np.cumsum(n_faces)
+    return [float(rows[e - n : e].sum() / 6.0) for n, e in zip(n_faces.tolist(), ends.tolist())]
+
+
+def _laid_end_to_end(verts: list[np.ndarray], faces: list[np.ndarray]):
+    """One vertex array of several meshes, faces shifted onto their own vertices.
+
+    Returns (vertices, faces, first vertex of each mesh, faces per mesh).
+    """
+    n_faces = np.array([len(f) for f in faces])
+    vert_starts = _run_starts(np.array([len(v) for v in verts]))
+    shifted = np.concatenate(faces) + np.repeat(vert_starts, n_faces)[:, None]
+    return np.concatenate(verts), shifted, vert_starts, n_faces
 
 
 def face_planes(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,24 +248,111 @@ class RigidObject:
         return self.volume * self.density
 
 
-def gen_object(rng: np.random.Generator, density: float = DEFAULT_DENSITY) -> RigidObject:
-    """Sample one convex object: hull of 8..24 points at radii 1..7 cm."""
+def _hull_objects(
+    point_sets: list[np.ndarray], density: float = DEFAULT_DENSITY
+) -> list[RigidObject]:
+    """Convex objects of ``point_sets``, in order, up to the first degenerate hull.
+
+    A hull is degenerate when Qhull rejects its points or its volume is not
+    positive. Qhull runs once per set. The winding fix, the watertight check
+    and the volumes then run once over all the hulls laid end to end; every
+    step is elementwise or per face, so each object gets the bits it would
+    get alone.
+    """
+    # Only these two arrays of each Qhull result are kept; the rest is freed at once.
+    facets, planes = [], []
+    for pts in point_sets:
+        try:
+            hull = ConvexHull(pts)
+        except QhullError:
+            break
+        facets.append(hull.simplices)
+        planes.append(hull.equations)
+    if not facets:
+        return []
+    n_faces = np.array([len(f) for f in facets])
+    pt_starts = _run_starts(np.array([len(p) for p in point_sets[: len(facets)]]))
+    offsets = np.repeat(pt_starts, n_faces)[:, None]
+    simplices = np.concatenate(facets) + offsets
+    # A hull's vertices are the points its facets use, in input order.
+    hull_points = np.unique(simplices)
+    pts = np.concatenate(point_sets[: len(facets)])
+    remap = np.full(len(pts), -1, dtype=np.int64)
+    remap[hull_points] = np.arange(len(hull_points))
+    verts = pts[hull_points]
+    faces = remap[simplices]
+    # Qhull does not guarantee consistent winding; fix it against the outward
+    # plane normals it reports.
+    v0, v1, v2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    normals = np.concatenate(planes)[:, :3]
+    flip = np.einsum("ij,ij->i", _cross(v1 - v0, v2 - v0), normals) < 0
+    faces[flip] = faces[flip][:, [0, 2, 1]]
+    vert_starts = np.searchsorted(hull_points, pt_starts)
+    vert_ends = np.append(vert_starts[1:], len(verts))
+    face_ends = np.cumsum(n_faces)
+    objects = []
+    for vol, v_lo, v_hi, f_lo, f_hi in zip(
+        _mesh_volumes(verts, faces, n_faces), vert_starts, vert_ends, face_ends - n_faces, face_ends
+    ):
+        if vol <= 0:
+            break
+        objects.append(RigidObject(verts[v_lo:v_hi], faces[f_lo:f_hi] - v_lo, vol, density))
+    return objects
+
+
+def _draw_points(rng: np.random.Generator, first: int) -> tuple[np.ndarray, int] | None:
+    """One object's hull seeds, 8..24 points at radii 1..7 cm, and the attempts used so far.
+
+    Counting from attempt ``first``, the points are redrawn while a
+    direction is too short to normalise; None once 64 attempts are used.
+    """
     lo, hi = VERTEX_COUNT_RANGE
     r_lo, r_hi = VERTEX_RADIUS_RANGE
-    for _ in range(64):
+    for attempt in range(first, 64):
         n = int(rng.integers(lo, hi + 1))
         dirs = rng.normal(size=(n, 3))
         lens = np.linalg.norm(dirs, axis=1, keepdims=True)
         if (lens < 1e-12).any():
             continue
-        seeds = dirs / lens * rng.uniform(r_lo, r_hi, size=(n, 1))
-        try:
-            verts, faces = convex_hull(seeds)
-            vol = polytope_volume(verts, faces)
-        except DegenerateGeometryError:
-            continue
-        return RigidObject(verts, faces, vol, density)
-    raise DegenerateGeometryError("could not sample a non-degenerate hull")
+        return dirs / lens * rng.uniform(r_lo, r_hi, size=(n, 1)), attempt + 1
+    return None
+
+
+def gen_objects(
+    rng: np.random.Generator, count: int, density: float = DEFAULT_DENSITY
+) -> list[RigidObject]:
+    """Sample ``count`` convex objects, each the hull of 8..24 points at radii 1..7 cm.
+
+    One object at a time gets up to 64 attempts at points with a
+    non-degenerate hull. Every object's points are drawn first, in order,
+    and :func:`_hull_objects` builds them all in one batch. When it stops at
+    a degenerate hull, the generator goes back to its state just after that
+    draw, and the object is drawn again with the attempts it has left, then
+    every later one. So the objects, and the generator's state afterwards,
+    are those of drawing and checking the objects one at a time.
+    """
+    objects: list[RigidObject] = []
+    used = 0  # attempts the next object spent on a hull rejected in a batch
+    while len(objects) < count:
+        point_sets, attempts, states = [], [], []
+        exhausted = False
+        while len(objects) + len(point_sets) < count:
+            drawn = _draw_points(rng, used)
+            used = 0
+            if drawn is None:
+                exhausted = True
+                break
+            point_sets.append(drawn[0])
+            attempts.append(drawn[1])
+            states.append(rng.bit_generator.state)
+        built = _hull_objects(point_sets, density)
+        objects += built
+        if len(built) < len(point_sets):
+            rng.bit_generator.state = states[len(built)]
+            used = attempts[len(built)]
+        elif exhausted:
+            raise DegenerateGeometryError("could not sample a non-degenerate hull")
+    return objects
 
 
 @dataclass
@@ -403,6 +485,36 @@ class _Rows:
         self.n = end
 
 
+class _SceneMeshes:
+    """The world meshes of ``placed``, laid end to end in order, built once per settle.
+
+    ``wverts`` holds each object's world vertices at its current pose, from
+    where the pile drops it. ``planes`` holds the face planes (nx, ny, nz,
+    offset), ``verts`` the world vertices and ``segs`` the edges projected
+    to xy. Object ``k`` owns ``counts[k]`` rows of each, in that column
+    order, from row ``starts[k]`` on. ``lo`` and ``hi`` are the objects'
+    AABB corners. Every wavefront pass gathers its objects' rows from here,
+    so each object's rotation, planes, edges and box are computed once per
+    settle. ``face_planes`` and ``mesh_edges`` work face by face and edge by
+    edge, so each object's rows have the bits they would have alone.
+    """
+
+    def __init__(self, placed: list[PlacedObject], wverts: list[np.ndarray]):
+        self.placed = placed
+        faces = [p.obj.faces for p in placed]
+        verts, faces, vert_starts, n_planes = _laid_end_to_end(wverts, faces)
+        self.planes = np.column_stack(face_planes(verts, faces))
+        edges = mesh_edges(faces)
+        self.segs = verts[:, :2][edges]
+        self.verts = verts
+        n_verts = np.diff(vert_starts, append=len(verts))
+        n_segs = np.diff(np.searchsorted(edges[:, 0], vert_starts), append=len(edges))
+        self.counts = np.column_stack([n_planes, n_verts, n_segs])
+        self.starts = np.cumsum(self.counts, axis=0) - self.counts
+        self.lo = np.minimum.reduceat(verts, vert_starts)
+        self.hi = np.maximum.reduceat(verts, vert_starts)
+
+
 # Slack of the keep tests that compare an envelope value with its body's
 # vertex extremes: the settle's ``aabb_min_z - hi_k_z <= bound + margin``
 # (``_RestPile``) and the render's ``height < top + margin``
@@ -481,48 +593,47 @@ class _RestPile:
 
     def drop_and_add(self, placed: PlacedObject, drop: float | None = None) -> float:
         """:meth:`settle` of ``placed`` alone; returns its rest z offset."""
-        return self.settle([placed], [drop])[0]
+        return self.settle(_SceneMeshes([placed], [placed.world_vertices()]), [0], [drop])[0]
 
-    def settle(self, batch: list[PlacedObject], drops: list[float | None]) -> list[float]:
-        """Drop each body of ``batch`` (posed at z offset 0) onto the pile, then add them all.
+    def settle(self, meshes: _SceneMeshes, members, drops: list[float | None]) -> list[float]:
+        """Drop the objects ``members`` of ``meshes`` onto the pile, then add them all.
 
         The bodies' xy boxes must be pairwise disjoint, so none of them could
         rest on another. A known drop in ``drops`` adds its body that far down
         without a search; ``None`` searches it. Returns the rest z offsets.
         """
-        # Laid end to end with shifted vertex indices, the batch is one mesh
-        # whose face planes and edges are each body's own, in body order.
-        n_verts = np.array([len(p.obj.vertices) for p in batch])
-        n_planes = np.array([len(p.obj.faces) for p in batch])
-        vert_starts = _run_starts(n_verts)
-        verts = np.concatenate([p.world_vertices() for p in batch])
-        faces = np.concatenate([p.obj.faces for p in batch])
-        faces += np.repeat(vert_starts, n_planes)[:, None]
-        planes = np.column_stack(face_planes(verts, faces))
-        edges = mesh_edges(faces)
-        segs = verts[:, :2][edges]
-        n_segs = np.diff(np.searchsorted(edges[:, 0], vert_starts), append=len(edges))
-        counts = np.column_stack([n_planes, n_verts, n_segs])
-        starts = np.cumsum(counts, axis=0) - counts
+        members = np.asarray(members, dtype=np.int64)
+        counts, starts = meshes.counts[members], meshes.starts[members]
+        tables = (meshes.planes, meshes.verts, meshes.segs)
         search = [i for i, d in enumerate(drops) if d is None]
         drops = np.array([0.0 if d is None else d for d in drops])
         if search:
             incoming = (
                 _padded(rows, starts[search, col], counts[search, col])
-                for col, rows in enumerate((planes, verts, segs))
+                for col, rows in enumerate(tables)
             )
             drops[search] = self._lowest_gaps(*incoming)
-        verts[:, 2] -= np.repeat(drops, n_verts)  # now at rest
+        planes, verts, segs = (
+            rows[_gather_runs(starts[:, col], counts[:, col], _run_starts(counts[:, col]))]
+            for col, rows in enumerate(tables)
+        )
+        verts[:, 2] -= np.repeat(drops, counts[:, 1])  # now at rest
         # Translating a plane set by -drop along z shifts each offset by -nz*drop.
-        planes[:, 3] = planes[:, 3] - planes[:, 2] * np.repeat(drops, n_planes)
-        self._start.append(starts + np.array([self._planes.n, self._verts.n, self._segs.n]))
+        planes[:, 3] = planes[:, 3] - planes[:, 2] * np.repeat(drops, counts[:, 0])
+        packed = np.cumsum(counts, axis=0) - counts
+        self._start.append(packed + np.array([self._planes.n, self._verts.n, self._segs.n]))
         self._len.append(counts)
         self._planes.append(planes)
         self._verts.append(verts)
         self._segs.append(segs)
-        self._lo.append(np.minimum.reduceat(verts, vert_starts))
-        self._hi.append(np.maximum.reduceat(verts, vert_starts))
-        for p, drop in zip(batch, drops):
+        # Rounding is monotonic, so the lowered extremes are the extremes of the lowered vertices.
+        lo, hi = meshes.lo[members], meshes.hi[members]
+        lo[:, 2] -= drops
+        hi[:, 2] -= drops
+        self._lo.append(lo)
+        self._hi.append(hi)
+        for i, drop in zip(members.tolist(), drops):
+            p = meshes.placed[i]
             p.translation = p.translation + np.array([0.0, 0.0, -drop])
         return [-float(d) for d in drops]
 
@@ -602,36 +713,39 @@ def _padded(rows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.nda
     return rows[np.where(col < lengths[:, None], col, 0) + starts[:, None]]
 
 
-def _xy_meets(placed: list[PlacedObject]) -> np.ndarray:
+def _xy_meets(meshes: _SceneMeshes) -> np.ndarray:
     """(n, n) matrix of which objects' xy AABBs meet, boundaries included, as the pile tests."""
-    if not placed:
-        return np.zeros((0, 0), dtype=bool)
-    xy = np.concatenate([p.world_vertices()[:, :2] for p in placed])
-    starts = _run_starts(np.array([len(p.obj.vertices) for p in placed]))
-    lo, hi = np.minimum.reduceat(xy, starts), np.maximum.reduceat(xy, starts)
-    return ((lo[:, None] <= hi[None]) & (hi[:, None] >= lo[None])).all(axis=2)
+    # One (n, n) test per coordinate: numpy loops over a trailing axis of 2 slowly.
+    (x0, y0), (x1, y1) = meshes.lo[:, :2].T, meshes.hi[:, :2].T
+    return (x0[:, None] <= x1) & (x1[:, None] >= x0) & (y0[:, None] <= y1) & (y1[:, None] >= y0)
 
 
-def _settle_wavefronts(pile: _RestPile, placed: list[PlacedObject], drops: list, meets) -> None:
-    """Settle ``placed`` onto ``pile``, one dependency wavefront per :meth:`_RestPile.settle`.
+def _settle_wavefronts(
+    pile: _RestPile, meshes: _SceneMeshes, members: list[int], drops: list, meets: np.ndarray
+) -> None:
+    """Settle objects ``members`` of ``meshes`` onto ``pile``, one wavefront per pile pass.
 
-    ``meets`` is :func:`_xy_meets` of ``placed``. An object's wavefront is
-    one more than the latest wavefront of an earlier object whose xy box
-    meets its own, and 0 without one. Every earlier object that meets an
+    Each wavefront is one :meth:`_RestPile.settle` call. ``drops`` go with
+    ``members``, as in that method, and
+    ``meets`` is :func:`_xy_meets` of ``meshes``. An object's wavefront is
+    one more than the latest wavefront of an earlier member whose xy box
+    meets its own, and 0 without one. Every earlier member that meets an
     object lies in an earlier wavefront, so it is on the pile when that
-    object drops. A later object never is: it lies in a later wavefront than
+    object drops. A later member never is: it lies in a later wavefront than
     the earlier one it meets. Objects of one wavefront meet no other. So
     each object drops onto exactly the candidate supports, with the same
-    rows, that dropping everything one by one in placement order gives it,
-    and gets the same rest height to the last bit.
+    rows, that dropping the members one by one in order gives it, and gets
+    the same rest height to the last bit.
     """
-    wave = np.zeros(len(placed), dtype=np.int64)
-    for j in range(1, len(placed)):
+    members = np.asarray(members, dtype=np.int64)
+    meets = meets[np.ix_(members, members)]
+    wave = np.zeros(len(members), dtype=np.int64)
+    for j in range(1, len(members)):
         below = wave[:j][meets[j, :j]]
         wave[j] = below.max() + 1 if len(below) else 0
     for w in range(wave.max(initial=-1) + 1):
-        members = np.flatnonzero(wave == w)
-        pile.settle([placed[i] for i in members], [drops[i] for i in members])
+        at = np.flatnonzero(wave == w)
+        pile.settle(meshes, members[at], [drops[i] for i in at])
 
 
 def settle_scene(
@@ -655,13 +769,13 @@ def settle_scene(
     batched pass, with the rest heights of one-by-one drops.
     """
     placed_list: list[PlacedObject] = []
+    wverts: list[np.ndarray] = []
     (wx0, wx1), (wy0, wy1) = tray.x_range, tray.y_range
     for index, obj in enumerate(objects):
         yaw, pitch, roll = rng.uniform(0.0, 2.0 * np.pi, size=3)
         quat = quat_from_euler(yaw, pitch, roll)
         rot_verts = obj.vertices @ quat_to_matrix(quat).T
-        half_x = (rot_verts[:, 0].min(), rot_verts[:, 0].max())
-        half_y = (rot_verts[:, 1].min(), rot_verts[:, 1].max())
+        (lo_x, lo_y, _), (hi_x, hi_y, _) = rot_verts.min(axis=0), rot_verts.max(axis=0)
         for attempt in range(PLACEMENT_RETRIES + 1):
             if attempt == PLACEMENT_RETRIES:
                 raise PlacementError(
@@ -670,15 +784,18 @@ def settle_scene(
             x = rng.uniform(*placement_x)
             y = rng.uniform(*placement_y)
             if (
-                x + half_x[0] >= wx0
-                and x + half_x[1] <= wx1
-                and y + half_y[0] >= wy0
-                and y + half_y[1] <= wy1
+                x + lo_x >= wx0
+                and x + hi_x <= wx1
+                and y + lo_y >= wy0
+                and y + hi_y <= wy1
             ):
                 break
         placed_list.append(PlacedObject(obj, quat, np.array([x, y, 0.0])))
-    meets = _xy_meets(placed_list)
-    _settle_wavefronts(_RestPile(tray), placed_list, [None] * len(placed_list), meets)
+        # What PlacedObject.world_vertices gives, without a second rotation.
+        wverts.append(rot_verts + placed_list[-1].translation)
+    if placed_list:
+        meshes, n = _SceneMeshes(placed_list, wverts), len(placed_list)
+        _settle_wavefronts(_RestPile(tray), meshes, range(n), [None] * n, _xy_meets(meshes))
     return Scene(tray, placed_list, seed)
 
 
@@ -697,19 +814,25 @@ def resettle(scene: Scene, removed=None) -> Scene:
     The remaining objects settle in dependency wavefronts, as in
     :func:`settle_scene`; one wavefront may hold clean and dirty objects.
     """
-    meets = _xy_meets(scene.placed)
+    if not scene.placed:
+        return Scene(scene.tray, [], scene.seed)
+    # Every pre-dig object posed at z offset 0; the removed ones only lend their boxes.
+    placed = [
+        PlacedObject(p.obj, p.quat.copy(), np.array([p.translation[0], p.translation[1], 0.0]))
+        for p in scene.placed
+    ]
+    meshes = _SceneMeshes(placed, [p.world_vertices() for p in placed])
+    meets = _xy_meets(meshes)
     gone = set(removed or ())
-    moved = np.zeros(len(scene.placed), dtype=bool)  # removed or dirty
-    kept, placed, drops = [], [], []
+    moved = np.zeros(len(placed), dtype=bool)  # removed or dirty
+    kept, drops = [], []
     for i, p in enumerate(scene.placed):
         moved[i] = removed is None or i in gone or (meets[i, :i] & moved[:i]).any()
         if i not in gone:
             kept.append(i)
-            at = np.array([p.translation[0], p.translation[1], 0.0])
-            placed.append(PlacedObject(p.obj, p.quat.copy(), at))
             drops.append(None if moved[i] else -float(p.translation[2]))
-    _settle_wavefronts(_RestPile(scene.tray), placed, drops, meets[np.ix_(kept, kept)])
-    return Scene(scene.tray, placed, scene.seed)
+    _settle_wavefronts(_RestPile(scene.tray), meshes, kept, drops, meets)
+    return Scene(scene.tray, [placed[i] for i in kept], scene.seed)
 
 
 def spawn_scene(
@@ -725,7 +848,7 @@ def spawn_scene(
         raise SizeError(f"bad object count range {count_range}")
     rng = np.random.default_rng(seed)
     count = int(rng.integers(lo, hi + 1))
-    objects = [gen_object(rng) for _ in range(count)]
+    objects = gen_objects(rng, count)
     tray = tray if tray is not None else Tray()
     return settle_scene(objects, tray, rng, placement_x, placement_y, seed=seed)
 
@@ -769,14 +892,23 @@ def load_scene(path) -> Scene:
         raise ShapeError(f"unsupported scene version {version}")
     tray = Tray(*rd.unpack("<5d"))
     seed, count = rd.unpack("<qI")
-    placed = []
-    for _ in range(count):
+    verts, faces, poses = [], [], []
+    for index in range(count):
         nv, nf, density = rd.unpack("<IId")
-        verts = rd.array("<f8", nv * 3).reshape(nv, 3)
-        faces = rd.array("<u4", nf * 3).reshape(nf, 3).astype(np.int64)
-        quat = rd.array("<f8", 4)
-        trans = rd.array("<f8", 3)
-        vol = polytope_volume(verts, faces)
-        placed.append(PlacedObject(RigidObject(verts, faces, vol, density), quat, trans))
+        verts.append(rd.array("<f8", nv * 3).reshape(nv, 3))
+        faces.append(rd.array("<u4", nf * 3).reshape(nf, 3).astype(np.int64))
+        # Laid end to end, an index past its own object would read the next one's vertices.
+        if nf and faces[-1].max() >= nv:
+            raise ShapeError(f"{path}: object {index} has a face index beyond its {nv} vertices")
+        poses.append((density, rd.array("<f8", 4), rd.array("<f8", 3)))
     rd.finish()
+    volumes = []
+    if count:
+        joined, shifted, _, n_faces = _laid_end_to_end(verts, faces)
+        volumes = _mesh_volumes(joined, shifted, n_faces)
+    placed = []
+    for index, (vol, v, f, (density, quat, trans)) in enumerate(zip(volumes, verts, faces, poses)):
+        if vol <= 0:
+            raise DegenerateGeometryError(f"{path}: object {index} has volume {vol}")
+        placed.append(PlacedObject(RigidObject(v, f, vol, density), quat, trans))
     return Scene(tray, placed, None if seed < 0 else int(seed))

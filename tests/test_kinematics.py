@@ -16,9 +16,7 @@ from digrl.kinematics import (
     TrajectoryParams,
     bucket_frames,
     check_collision,
-    fk,
     fk_batch,
-    ik,
     ik_batch,
     obb_hits_aabb,
     plan_trajectory,
@@ -40,29 +38,41 @@ def flat_bed(height):
     )
 
 
+def fk_one(arm, q):
+    """Tip, pitch and yaw of one joint vector through ``fk_batch``."""
+    tips, pitches = fk_batch(arm, np.asarray(q, dtype=np.float64)[None, :])
+    return tips[0], pitches[0], q[0]
+
+
+def ik_one(arm, position, pitch):
+    """Joints of one pose through ``ik_batch``; None unless the status is ok."""
+    joints, status = ik_batch(arm, np.asarray(position)[None, :], np.array([pitch]))
+    return joints[0] if status[0] == 0 else None
+
+
 class TestForwardKinematics:
     def test_straight_arm(self):
         arm = ArmModel()
-        tip, pitch, yaw = fk(arm, np.zeros(4))
+        tip, pitch, yaw = fk_one(arm, np.zeros(4))
         assert np.allclose(tip, [-0.55 + 1.00, 0.0, 0.05], atol=1e-12)
         assert pitch == 0.0 and yaw == 0.0
 
     def test_full_extension_ik_recovers_zero(self):
         arm = ArmModel()
-        q = ik(arm, np.array([0.45, 0.0, 0.05]), 0.0)
+        q = ik_one(arm, np.array([0.45, 0.0, 0.05]), 0.0)
         assert q is not None
         assert np.abs(q).max() < 1e-9
 
     def test_yawed_arm(self):
         arm = ArmModel()
-        tip, _, yaw = fk(arm, np.array([math.pi / 2, 0.0, 0.0, 0.0]))
+        tip, _, yaw = fk_one(arm, np.array([math.pi / 2, 0.0, 0.0, 0.0]))
         assert np.allclose(tip, [-0.55, 1.00, 0.05], atol=1e-12)
         assert yaw == math.pi / 2
 
     def test_bent_arm(self):
         # Shoulder straight up, elbow back to horizontal: tip rises by l1.
         arm = ArmModel()
-        tip, pitch, _ = fk(arm, np.array([0.0, math.pi / 2, -math.pi / 2, 0.0]))
+        tip, pitch, _ = fk_one(arm, np.array([0.0, math.pi / 2, -math.pi / 2, 0.0]))
         assert np.allclose(tip, [-0.55 + 0.55, 0.0, 0.05 + 0.45], atol=1e-12)
         assert pitch == pytest.approx(0.0, abs=1e-12)
 
@@ -85,19 +95,22 @@ class TestInverseKinematics:
         assert np.abs(wrap(pitches2 - pitches)).max() < 1e-9
 
     def test_single_pose_matches_batch(self):
+        # A pose solved alone gets the joints of its row in a larger batch.
         arm = ArmModel()
         pos = np.array([0.1, 0.05, 0.2])
-        q = ik(arm, pos, -1.0)
-        joints, status = ik_batch(arm, pos[None, :], np.array([-1.0]))
-        assert status[0] == 0
-        assert np.array_equal(q, joints[0])
-        tip, pitch, _ = fk(arm, q)
+        q = ik_one(arm, pos, -1.0)
+        joints, status = ik_batch(
+            arm, np.array([[0.3, -0.1, 0.1], pos, [5.0, 0.0, 0.0]]), np.array([-0.5, -1.0, 0.0])
+        )
+        assert status[1] == 0
+        assert np.array_equal(q, joints[1])
+        tip, pitch, _ = fk_one(arm, q)
         assert np.allclose(tip, pos, atol=1e-9)
         assert wrap(np.array([pitch + 1.0]))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_unreachable_returns_none(self):
         arm = ArmModel()
-        assert ik(arm, np.array([5.0, 0.0, 0.0]), 0.0) is None
+        assert ik_one(arm, np.array([5.0, 0.0, 0.0]), 0.0) is None
         _, status = ik_batch(arm, np.array([[5.0, 0.0, 0.0]]), np.array([0.0]))
         assert status[0] == 1
 
@@ -114,8 +127,8 @@ class TestInverseKinematics:
 
     def test_deterministic(self):
         arm = ArmModel()
-        a = ik(arm, np.array([0.0, 0.1, 0.15]), -2.0)
-        b = ik(arm, np.array([0.0, 0.1, 0.15]), -2.0)
+        a = ik_one(arm, np.array([0.0, 0.1, 0.15]), -2.0)
+        b = ik_one(arm, np.array([0.0, 0.1, 0.15]), -2.0)
         assert np.array_equal(a, b)
 
 

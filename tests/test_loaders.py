@@ -64,6 +64,18 @@ def test_trailing_bytes_raise_shape_error(write, load, tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("index", range(3))
+def test_face_index_beyond_its_object_raises_shape_error(index, tmp_path):
+    # Vertex 0 renumbered to one past the last vertex: laid end to end, the
+    # face would read the next object's first vertex.
+    scene = spawn_scene(3, (3, 3))
+    obj = scene.placed[index].obj
+    obj.faces = np.where(obj.faces == 0, len(obj.vertices), obj.faces)
+    save_scene(scene, tmp_path / "bad.scene")
+    with pytest.raises(ShapeError, match=f"object {index} has a face index beyond"):
+        load_scene(tmp_path / "bad.scene")
+
+
 def xyzl_file(path):
     normals = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, -0.6, 0.8]])
     points = np.array([[0.1, -0.25, -1.5e-5], [1e-3, 2.5, -7.0], [-0.5, 0.0, 3.25]])

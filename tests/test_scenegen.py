@@ -1,8 +1,10 @@
 import hashlib
 import itertools
+import sys
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
 from digrl import scenegen
 from digrl.errors import (
@@ -20,13 +22,13 @@ from digrl.scenegen import (
     _RestPile,
     _check_watertight,
     _cross,
+    _hull_objects,
+    _mesh_volumes,
     _segment_crossings,
-    convex_hull,
     face_planes,
-    gen_object,
+    gen_objects,
     load_scene,
     mesh_edges,
-    polytope_volume,
     quat_from_euler,
     resettle,
     save_scene,
@@ -81,8 +83,8 @@ class RestPileReference:
         self.floor = tray.floor_z
         self._verts, self._planes, self._edges, self._lo, self._hi = [], [], [], [], []
 
-    def settle(self, batch, drops):
-        return [self.drop_and_add(p, d) for p, d in zip(batch, drops)]
+    def settle(self, meshes, members, drops):
+        return [self.drop_and_add(meshes.placed[i], d) for i, d in zip(members, drops)]
 
     def drop_and_add(self, placed, drop=None):
         wverts = placed.world_vertices()
@@ -136,6 +138,69 @@ class RestPileReference:
         return -drop
 
 
+# ---------------------------------------------------------------------------
+# Frozen references: one object at a time, as objects were built before the
+# scene-wide batch. ``gen_objects`` and ``load_scene`` must give their bits.
+
+
+def convex_hull_reference(points):
+    """Watertight outward-wound hull (vertices, faces) of one point set."""
+    pts = np.asarray(points, dtype=np.float64)
+    try:
+        hull = ConvexHull(pts)
+    except QhullError as exc:
+        raise DegenerateGeometryError(f"degenerate hull input: {exc}") from exc
+    remap = np.full(len(pts), -1, dtype=np.int64)
+    remap[hull.vertices] = np.arange(len(hull.vertices))
+    verts = pts[hull.vertices]
+    faces = remap[hull.simplices]
+    v0, v1, v2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    cross = _cross(v1 - v0, v2 - v0)
+    flip = np.einsum("ij,ij->i", cross, hull.equations[:, :3]) < 0
+    faces[flip] = faces[flip][:, [0, 2, 1]]
+    return verts, faces
+
+
+def polytope_volume_reference(vertices, faces):
+    """Volume of one watertight, outward-wound mesh via signed tetrahedra."""
+    verts = np.asarray(vertices, dtype=np.float64)
+    faces = np.asarray(faces, dtype=np.int64)
+    _check_watertight(faces)
+    v0, v1, v2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    vol = float(np.einsum("ij,ij->i", v0, _cross(v1, v2)).sum() / 6.0)
+    if vol <= 0:
+        raise DegenerateGeometryError(f"non-positive mesh volume {vol}")
+    return vol
+
+
+def gen_object_reference(rng, density=2700.0):
+    """One convex object: hull of 8..24 points at radii 1..7 cm, up to 64 attempts."""
+    lo, hi = scenegen.VERTEX_COUNT_RANGE
+    r_lo, r_hi = scenegen.VERTEX_RADIUS_RANGE
+    for _ in range(64):
+        n = int(rng.integers(lo, hi + 1))
+        dirs = rng.normal(size=(n, 3))
+        lens = np.linalg.norm(dirs, axis=1, keepdims=True)
+        if (lens < 1e-12).any():
+            continue
+        seeds = dirs / lens * rng.uniform(r_lo, r_hi, size=(n, 1))
+        try:
+            verts, faces = convex_hull_reference(seeds)
+            vol = polytope_volume_reference(verts, faces)
+        except DegenerateGeometryError:
+            continue
+        return RigidObject(verts, faces, vol, density)
+    raise DegenerateGeometryError("could not sample a non-degenerate hull")
+
+
+def hull_object(points):
+    """The convex object of one point set; raises when its hull is degenerate."""
+    built = _hull_objects([np.asarray(points, dtype=np.float64)])
+    if not built:
+        raise DegenerateGeometryError("degenerate hull")
+    return built[0]
+
+
 def make_box(dx, dy, dz):
     corners = np.array(
         [
@@ -145,49 +210,45 @@ def make_box(dx, dy, dz):
             for sz in (-1, 1)
         ]
     )
-    verts, faces = convex_hull(corners)
-    vol = polytope_volume(verts, faces)
-    return RigidObject(
-        vertices=verts, faces=faces, volume=vol, density=2700.0, centroid=np.zeros(3)
-    )
+    return hull_object(corners)
 
 
 class TestConvexHull:
     def test_tetrahedron(self):
-        pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
-        verts, faces = convex_hull(pts)
-        assert len(verts) == 4
-        assert len(faces) == 4
-        assert polytope_volume(verts, faces) == pytest.approx(1 / 6, abs=1e-12)
+        obj = hull_object([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
+        assert len(obj.vertices) == 4
+        assert len(obj.faces) == 4
+        assert obj.volume == pytest.approx(1 / 6, abs=1e-12)
 
     def test_interior_point_excluded(self):
         cube = np.array(
             [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=float
         )
-        pts = np.vstack([cube, [[0.5, 0.5, 0.5]]])
-        verts, faces = convex_hull(pts)
-        assert len(verts) == 8
-        assert polytope_volume(verts, faces) == pytest.approx(1.0, abs=1e-12)
+        obj = hull_object(np.vstack([cube, [[0.5, 0.5, 0.5]]]))
+        assert len(obj.vertices) == 8
+        assert obj.volume == pytest.approx(1.0, abs=1e-12)
 
     def test_random_points_inside_halfspaces(self, rng):
         pts = rng.normal(size=(50, 3))
-        verts, faces = convex_hull(pts)
-        normals, offsets = face_planes(verts, faces)
+        obj = hull_object(pts)
+        normals, offsets = face_planes(obj.vertices, obj.faces)
         slack = pts @ normals.T - offsets
         assert slack.max() <= 1e-9
 
     def test_coplanar_input_rejected(self, rng):
         flat = np.column_stack([rng.normal(size=(10, 2)), np.zeros(10)])
+        good = rng.normal(size=(10, 3))
+        # The batch stops before the first degenerate hull.
+        assert len(_hull_objects([good, flat, good])) == 1
         with pytest.raises(DegenerateGeometryError):
-            convex_hull(flat)
+            hull_object(flat)
 
     def test_watertight_edge_count(self, rng):
-        verts, faces = convex_hull(rng.normal(size=(30, 3)))
+        faces = hull_object(rng.normal(size=(30, 3))).faces
         edges = mesh_edges(faces)
         # Euler: closed triangle mesh has E = 3F/2 and each undirected edge
         # is shared by exactly two triangles.
         assert len(edges) * 2 == 3 * len(faces)
-
 
     def test_cross_matches_numpy_bitwise(self, rng):
         for _ in range(200):
@@ -219,7 +280,7 @@ def watertight_by_dict(faces):
 class TestMeshTopology:
     def test_mesh_edges_match_rowwise_unique(self, rng):
         for _ in range(100):
-            _, faces = convex_hull(rng.normal(size=(int(rng.integers(4, 40)), 3)))
+            faces = hull_object(rng.normal(size=(int(rng.integers(4, 40)), 3))).faces
             got, want = mesh_edges(faces), mesh_edges_rowwise(faces)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
@@ -251,7 +312,7 @@ class TestMeshTopology:
     def test_watertight_check_matches_dict_version(self, rng):
         outcomes = set()
         for _ in range(20):
-            _, faces = convex_hull(rng.normal(size=(int(rng.integers(4, 30)), 3)))
+            faces = hull_object(rng.normal(size=(int(rng.integers(4, 30)), 3))).faces
             for kind, mesh in self.broken_meshes(faces):
                 want = watertight_by_dict(mesh)
                 if want is None:
@@ -267,36 +328,133 @@ class TestMeshTopology:
         assert ("repeated degenerate edge", False) in outcomes
 
 
+def one_volume(verts, faces):
+    return _mesh_volumes(verts, faces, np.array([len(faces)]))[0]
+
+
 class TestPolytopeVolume:
     def test_unit_cube(self):
         box = make_box(1.0, 1.0, 1.0)
         assert box.volume == pytest.approx(1.0, abs=1e-12)
 
     def test_scaling_is_cubic(self, rng):
-        pts = rng.normal(size=(20, 3))
-        verts, faces = convex_hull(pts)
-        v1 = polytope_volume(verts, faces)
-        v3 = polytope_volume(verts * 3.0, faces)
-        assert v3 == pytest.approx(27.0 * v1, rel=1e-10)
+        obj = hull_object(rng.normal(size=(20, 3)))
+        v3 = one_volume(obj.vertices * 3.0, obj.faces)
+        assert v3 == pytest.approx(27.0 * obj.volume, rel=1e-10)
 
     def test_open_mesh_rejected(self):
-        pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
-        verts, faces = convex_hull(pts)
+        obj = hull_object([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
         with pytest.raises(TopologyError):
-            polytope_volume(verts, faces[:-1])
+            one_volume(obj.vertices, obj.faces[:-1])
+
+    def test_meshes_laid_end_to_end_match_reference(self, rng):
+        objs = [hull_object(rng.normal(size=(int(rng.integers(4, 30)), 3))) for _ in range(50)]
+        verts, faces, _, n_faces = scenegen._laid_end_to_end(
+            [o.vertices for o in objs], [o.faces for o in objs]
+        )
+        got = _mesh_volumes(verts, faces, n_faces)
+        assert got == [polytope_volume_reference(o.vertices, o.faces) for o in objs]
+        # One open mesh among closed ones fails the whole batch.
+        counts = n_faces.copy()
+        counts[1] -= 1
+        with pytest.raises(TopologyError):
+            _mesh_volumes(verts, np.delete(faces, n_faces[0], axis=0), counts)
+
+
+THIS = sys.modules[__name__]
+
+
+def reject_volumes(monkeypatch, rejected):
+    """Give each hull whose face count passes ``rejected`` a negative volume, in both generators."""
+    reference, batched = polytope_volume_reference, _mesh_volumes
+
+    def one(verts, faces):
+        if rejected(len(faces)):
+            raise DegenerateGeometryError("non-positive mesh volume")
+        return reference(verts, faces)
+
+    def many(verts, faces, counts):
+        return [-v if rejected(n) else v for v, n in zip(batched(verts, faces, counts), counts)]
+
+    monkeypatch.setattr(THIS, "polytope_volume_reference", one)
+    monkeypatch.setattr(scenegen, "_mesh_volumes", many)
+
+
+def reject_qhull(monkeypatch, n_points):
+    """Make Qhull reject every set of ``n_points`` points, in both generators."""
+    qhull = ConvexHull
+
+    def hull(points):
+        if len(points) == n_points:
+            raise QhullError("rejected")
+        return qhull(points)
+
+    monkeypatch.setattr(THIS, "ConvexHull", hull)
+    monkeypatch.setattr(scenegen, "ConvexHull", hull)
 
 
 class TestGenObject:
+    @staticmethod
+    def check_against_reference(seed, count):
+        """gen_objects against one reference draw per object: same objects, same generator state."""
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = gen_objects(rng_new, count)
+        ref = [gen_object_reference(rng_ref) for _ in range(count)]
+        assert len(new) == count
+        for a, b in zip(new, ref):
+            assert a.vertices.tobytes() == b.vertices.tobytes()
+            assert a.faces.dtype == b.faces.dtype and a.faces.tobytes() == b.faces.tobytes()
+            assert np.float64(a.volume).tobytes() == np.float64(b.volume).tobytes()
+            assert a.density == b.density
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_one_object_at_a_time(self, seed):
+        self.check_against_reference(seed, 250)  # 2,000 objects over the seeds
+
+    @pytest.mark.parametrize("kind", ["volume", "qhull"])
+    def test_rejected_hull_is_redrawn_in_place(self, kind, monkeypatch):
+        if kind == "volume":
+            reject_volumes(monkeypatch, lambda n_faces: n_faces == 20)
+        else:
+            reject_qhull(monkeypatch, 9)
+        batches = []
+        build = scenegen._hull_objects
+
+        def counting(point_sets, density):
+            batches.append(len(point_sets))
+            return build(point_sets, density)
+
+        monkeypatch.setattr(scenegen, "_hull_objects", counting)
+        self.check_against_reference(3, 100)
+        # Each rejection started a new batch at the rejected object.
+        assert len(batches) > 2 and batches[0] == 100
+
+    def test_exhausted_attempts_raise(self, monkeypatch):
+        reject_volumes(monkeypatch, lambda n_faces: True)
+        rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        with pytest.raises(DegenerateGeometryError, match="could not sample"):
+            gen_objects(rng_new, 3)
+        with pytest.raises(DegenerateGeometryError, match="could not sample"):
+            gen_object_reference(rng_ref)
+        # The first object used all 64 attempts, and nothing was drawn after them.
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_no_objects(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert gen_objects(rng, 0) == []
+        assert rng.bit_generator.state == state
+
     def test_deterministic(self):
-        a = gen_object(np.random.default_rng(11))
-        b = gen_object(np.random.default_rng(11))
+        a = gen_objects(np.random.default_rng(11), 1)[0]
+        b = gen_objects(np.random.default_rng(11), 1)[0]
         assert np.array_equal(a.vertices, b.vertices)
         assert np.array_equal(a.faces, b.faces)
         assert a.volume == b.volume
 
     def test_size_density_and_recentring(self, rng):
-        for _ in range(20):
-            obj = gen_object(rng)
+        for obj in gen_objects(rng, 20):
             assert obj.density == 2700.0
             # Body frame is recentred: the volume centroid sits at the origin.
             assert np.linalg.norm(obj.centroid) < 1e-9
@@ -308,12 +466,11 @@ class TestGenObject:
         r = 0.05
         dirs = rng.normal(size=(500, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        verts, faces = convex_hull(dirs * r)
-        vol = polytope_volume(verts, faces)
+        vol = hull_object(dirs * r).volume
         assert vol == pytest.approx(4.0 / 3.0 * np.pi * r**3, rel=0.10)
 
     def test_hull_contains_samples(self, rng):
-        obj = gen_object(rng)
+        obj = gen_objects(rng, 1)[0]
         normals, offsets = face_planes(obj.vertices, obj.faces)
         slack = obj.vertices @ normals.T - offsets
         assert slack.max() <= 1e-9
@@ -354,7 +511,7 @@ class TestVerticalEnvelopes:
                                np.array([0.01, -0.02, 0.1]))]
         for _ in range(30):
             q = rng.normal(size=4)
-            bodies.append(PlacedObject(gen_object(rng), q / np.linalg.norm(q),
+            bodies.append(PlacedObject(gen_objects(rng, 1)[0], q / np.linalg.norm(q),
                                        rng.uniform(-0.05, 0.05, size=3)))
         for placed in bodies:
             normals, offsets = placed.world_planes()
@@ -368,7 +525,7 @@ class TestVerticalEnvelopes:
 
 class TestSettling:
     def test_single_object_rests_on_floor(self, tray):
-        scene = settle_scene([gen_object(np.random.default_rng(3))], tray,
+        scene = settle_scene(gen_objects(np.random.default_rng(3), 1), tray,
                              np.random.default_rng(4))
         low = scene.placed[0].world_vertices()[:, 2].min()
         assert abs(low - tray.floor_z) <= 1e-9
@@ -408,7 +565,7 @@ class TestSettling:
         assert pen <= 1e-9
 
     def test_settle_deterministic_bitwise(self, tray):
-        objs = [gen_object(np.random.default_rng(100 + i)) for i in range(12)]
+        objs = [gen_objects(np.random.default_rng(100 + i), 1)[0] for i in range(12)]
         s1 = settle_scene(list(objs), tray, np.random.default_rng(55))
         s2 = settle_scene(list(objs), tray, np.random.default_rng(55))
         for p1, p2 in zip(s1.placed, s2.placed):
@@ -716,9 +873,9 @@ def _record_passes(monkeypatch):
     passes = []
     settle = _RestPile.settle
 
-    def recording(pile, batch, drops):
-        passes.append((list(batch), list(drops)))
-        return settle(pile, batch, drops)
+    def recording(pile, meshes, members, drops):
+        passes.append(([meshes.placed[i] for i in members], list(drops)))
+        return settle(pile, meshes, members, drops)
 
     monkeypatch.setattr(_RestPile, "settle", recording)
     return passes
@@ -858,3 +1015,30 @@ class TestSceneFile:
         assert loaded.tray.inner_length == small_scene.tray.inner_length
         assert loaded.tray.inner_width == small_scene.tray.inner_width
         assert loaded.tray.floor_z == small_scene.tray.floor_z
+
+    @pytest.mark.parametrize("seed, count", [(3, 50), (5, 175), (7, 300)])
+    def test_loaded_volumes_match_reference(self, seed, count, tmp_path):
+        scene = spawn_scene(seed, (count, count))
+        save_scene(scene, tmp_path / "v.scene")
+        loaded = load_scene(tmp_path / "v.scene")
+        for a, b in zip(loaded.placed, scene.placed, strict=True):
+            want = polytope_volume_reference(b.obj.vertices, b.obj.faces)
+            assert np.float64(a.obj.volume).tobytes() == np.float64(want).tobytes()
+            assert np.float64(b.obj.volume).tobytes() == np.float64(want).tobytes()
+
+    def test_open_object_in_file_raises_topology_error(self, tmp_path):
+        scene = spawn_scene(3, (3, 3))
+        obj = scene.placed[1].obj
+        scene.placed[1].obj = RigidObject(obj.vertices, obj.faces[:-1], obj.volume)
+        save_scene(scene, tmp_path / "open.scene")
+        with pytest.raises(TopologyError):
+            load_scene(tmp_path / "open.scene")
+
+
+def test_golden_volume_hash():
+    """Pins the volume bits: rewards use them, and SCENE files do not store them."""
+    volumes = np.array([p.obj.volume for p in spawn_scene(2024, (200, 200)).placed])
+    assert volumes.dtype == np.float64
+    assert hashlib.sha256(volumes.tobytes()).hexdigest() == (
+        "36c189ed858168902d24771c8f736926c09427b016873cac890814968e3de0c9"
+    )
