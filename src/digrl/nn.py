@@ -556,9 +556,6 @@ class ParamStore:
         for p in self._params.values():
             p.grad[...] = 0.0
 
-    def param_count(self) -> int:
-        return sum(p.value.size for p in self._params.values())
-
     def adam_step(
         self,
         lr: float,

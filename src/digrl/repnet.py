@@ -299,11 +299,12 @@ def label_scene_files(
         raise SizeError(f"no scenes listed in {raw_manifest}")
     split_rng = seed_stream(seed, "rep-split")
     splits = np.where(split_rng.random(len(entries)) < val_fraction, "val", "train")
-    if len(entries) >= 2:  # both splits must be inhabited
-        if (splits == "train").all():
-            splits[-1] = "val"
-        if (splits == "val").all():
-            splits[-1] = "train"
+    if len(entries) == 1:  # a lone scene is all there is to train on
+        splits[0] = "train"
+    elif (splits == "train").all():  # both splits must be inhabited
+        splits[-1] = "val"
+    elif (splits == "val").all():
+        splits[-1] = "train"
     scene_dir = os.path.join(out_dir, "scenes")
     os.makedirs(scene_dir, exist_ok=True)
     lines = []

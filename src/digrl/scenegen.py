@@ -243,10 +243,6 @@ class RigidObject:
         if self.volume <= 0:
             raise DegenerateGeometryError(f"object volume must be positive, got {self.volume}")
 
-    @property
-    def mass(self) -> float:
-        return self.volume * self.density
-
 
 def _hull_objects(
     point_sets: list[np.ndarray], density: float = DEFAULT_DENSITY
@@ -399,9 +395,6 @@ class PlacedObject:
 
     def world_vertices(self) -> np.ndarray:
         return self.obj.vertices @ self.rotation().T + self.translation
-
-    def world_planes(self) -> tuple[np.ndarray, np.ndarray]:
-        return face_planes(self.world_vertices(), self.obj.faces)
 
     def world_centroid(self) -> np.ndarray:
         return self.rotation() @ self.obj.centroid + self.translation

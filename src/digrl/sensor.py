@@ -5,7 +5,11 @@ Each ray keeps the highest surface it meets (an object's top envelope or the
 tray floor), so occlusion falls out of a per-cell max and no returned point
 can sit under another body's top surface. The render visits bodies from the
 highest top down and skips every cell that already lies above a body's top,
-so buried bodies cost almost nothing and the heights keep their bits.
+so buried bodies cost almost nothing and the heights keep their bits. One
+``face_planes`` call per render builds the planes of every body, laid end to
+end; each body the culling keeps reads its own slice. The grid is emitted
+x-major, so a crop of it has the non-decreasing x that lets ``fps`` update
+one contiguous slab per pick.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from scipy.spatial import cKDTree
 from .config import AttackRanges
 from .errors import EmptyObservationError, ShapeError
 from .geometry import HeightMap, PointCloud, estimate_normals_curvature, fps
-from .scenegen import _PRUNE_MARGIN, Scene, face_planes, vertical_envelopes
+from .scenegen import _PRUNE_MARGIN, Scene, _laid_end_to_end, face_planes, vertical_envelopes
 
 DEFAULT_RAY_PITCH = 0.005  # m; ~16k rays over the default tray footprint
 STEEP_NZ = 0.35      # below this the upward-flip convention stops pinning the sign
@@ -69,29 +73,41 @@ def _surface_grid(scene: Scene, cfg: SensorConfig) -> tuple[np.ndarray, np.ndarr
     body evaluates only the cells of its footprint box below its top plus
     ``_PRUNE_MARGIN``, a bound no envelope value of it passes (see the
     margin's comment in ``scenegen``), so the skipped cells keep their bits.
+    The planes, boxes and tops of all bodies come from one pass over their
+    world meshes laid end to end; ``face_planes`` works face by face, so
+    each body's planes have the bits they would have alone.
     """
     tray = scene.tray
     xs, ys = _ray_axes(tray, cfg)
     x0, y0 = tray.x_range[0], tray.y_range[0]
     nx, ny = len(xs), len(ys)
     heights = np.full((nx, ny), tray.floor_z, dtype=np.float64)
-    wverts = [p.world_vertices() for p in scene.placed]
-    tops = np.array([v[:, 2].max() for v in wverts])
-    for k in np.argsort(-tops, kind="stable"):
-        lo, hi = wverts[k].min(axis=0), wverts[k].max(axis=0)
-        i0 = max(0, int(np.floor((lo[0] - x0) / cfg.ray_pitch - 0.5)))
-        i1 = min(nx - 1, int(np.ceil((hi[0] - x0) / cfg.ray_pitch)))
-        j0 = max(0, int(np.floor((lo[1] - y0) / cfg.ray_pitch - 0.5)))
-        j1 = min(ny - 1, int(np.ceil((hi[1] - y0) / cfg.ray_pitch)))
+    if not scene.placed:
+        return xs, ys, heights
+    verts, faces, vert_starts, n_faces = _laid_end_to_end(
+        [p.world_vertices() for p in scene.placed], [p.obj.faces for p in scene.placed]
+    )
+    normals, offsets = face_planes(verts, faces)
+    los = np.minimum.reduceat(verts, vert_starts)
+    his = np.maximum.reduceat(verts, vert_starts)
+    # Per body: its footprint box's window of ray cells, clipped to the
+    # grid, and its run of planes.
+    first = np.maximum(0, np.floor((los[:, :2] - (x0, y0)) / cfg.ray_pitch - 0.5))
+    last = np.minimum((nx - 1, ny - 1), np.ceil((his[:, :2] - (x0, y0)) / cfg.ray_pitch))
+    plane_ends = np.cumsum(n_faces)
+    runs = np.column_stack([first, last, plane_ends - n_faces, plane_ends])
+    runs = runs.astype(np.int64).tolist()
+    tops = his[:, 2]
+    for k in np.argsort(-tops, kind="stable").tolist():
+        i0, j0, i1, j1, p0, p1 = runs[k]
         if i1 < i0 or j1 < j0:
             continue
         ii, jj = np.nonzero(heights[i0 : i1 + 1, j0 : j1 + 1] < tops[k] + _PRUNE_MARGIN)
         if len(ii) == 0:
             continue
         ii, jj = ii + i0, jj + j0
-        normals, offsets = face_planes(wverts[k], scene.placed[k].obj.faces)
         cols = np.stack([xs[ii], ys[jj]], axis=1)
-        _, z_high, feasible = vertical_envelopes(normals, offsets, cols)
+        _, z_high, feasible = vertical_envelopes(normals[p0:p1], offsets[p0:p1], cols)
         sel = feasible & (z_high > heights[ii, jj])
         heights[ii[sel], jj[sel]] = z_high[sel]
     return xs, ys, heights

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from digrl import geometry
+from digrl import geometry, sensor
 from digrl.config import get_profile
 from digrl.errors import EmptyObservationError, ShapeError, SizeError
 from digrl.geometry import (
@@ -88,6 +88,33 @@ def tie_heavy_clouds():
 TIE_HEAVY = tie_heavy_clouds()
 
 
+def x_non_decreasing(pts):
+    return bool((pts[1:, 0] >= pts[:-1, 0]).all())
+
+
+def fps_update_widths(monkeypatch, pts, n):
+    """Indices of ``fps(pts, n)`` and how many points each pick's update touched.
+
+    The updates are counted on the ``minimum`` calls that ``fps`` makes
+    through its module's ``np``.
+    """
+    widths = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def minimum(a, b, out):
+            widths.append(len(a))
+            return np.minimum(a, b, out=out)
+
+    monkeypatch.setattr(geometry, "np", CountingNumpy())
+    idx = fps(pts, n)
+    monkeypatch.undo()
+    return idx, widths
+
+
 @pytest.fixture(scope="module")
 def desk_crop(small_scene):
     """The full 132 x 80 ray crop of a rendered scene, unsampled."""
@@ -124,6 +151,71 @@ class TestFps:
         pts = TIE_HEAVY[name]
         for n in (2, 37, len(pts) // 2, len(pts)):
             assert np.array_equal(fps(pts, n), fps_reference(pts, n))
+
+    @pytest.mark.parametrize("name", sorted(TIE_HEAVY))
+    def test_matches_reference_on_shuffled_ties(self, name):
+        pts = TIE_HEAVY[name]
+        shuffled = pts[np.random.default_rng(3).permutation(len(pts))]
+        # A constant x stays in order under any shuffle.
+        assert x_non_decreasing(shuffled) == (name == "one-x")
+        for n in (2, 37, len(pts) // 2, len(pts)):
+            assert np.array_equal(fps(shuffled, n), fps_reference(shuffled, n))
+
+    def test_matches_reference_on_shuffled_desk_crop(self, desk_crop):
+        shuffled = desk_crop[np.random.default_rng(3).permutation(len(desk_crop))]
+        assert not x_non_decreasing(shuffled)
+        assert np.array_equal(fps(shuffled, 2048), fps_reference(shuffled, 2048))
+
+    def test_matches_reference_on_reversed_x_grid(self):
+        grid = TIE_HEAVY["flat-grid"][::-1]
+        assert not x_non_decreasing(grid)
+        for n in (2, 37, len(grid)):
+            assert np.array_equal(fps(grid, n), fps_reference(grid, n))
+
+    def test_matches_reference_from_other_starts(self, desk_crop):
+        grid = TIE_HEAVY["flat-grid"]
+        for start in (1, 517, len(grid) - 1):
+            assert np.array_equal(fps(grid, 300, start), fps_reference(grid, 300, start))
+        start = len(desk_crop) // 2 + 7
+        assert np.array_equal(fps(desk_crop, 512, start), fps_reference(desk_crop, 512, start))
+
+    def test_full_sample_of_sorted_grid(self):
+        grid = TIE_HEAVY["flat-grid"]
+        idx = fps(grid, len(grid))
+        assert sorted(idx) == list(range(len(grid)))
+        assert np.array_equal(idx, fps_reference(grid, len(grid)))
+
+    def test_one_point_cloud(self):
+        assert fps(np.array([[0.1, -0.2, 0.3]]), 1).tolist() == [0]
+        with pytest.raises(SizeError):
+            fps(np.zeros((1, 3)), 1, start=1)
+
+    def test_sorted_x_updates_slabs_and_other_orders_the_whole_cloud(
+        self, monkeypatch, desk_crop
+    ):
+        # The crop has 80 points on each x, so a strict order test would
+        # miss it and fall back to whole-cloud updates.
+        idx, widths = fps_update_widths(monkeypatch, desk_crop, 512)
+        assert np.array_equal(idx, fps_reference(desk_crop, 512))
+        assert len(widths) == 511 and widths[0] == len(desk_crop)
+        assert np.mean(widths[1:]) < 0.5 * len(desk_crop)
+        shuffled = desk_crop[np.random.default_rng(3).permutation(len(desk_crop))]
+        idx, widths = fps_update_widths(monkeypatch, shuffled, 64)
+        assert widths == [len(desk_crop)] * 63
+
+    @pytest.mark.parametrize("noise", [0.0, 0.002])
+    def test_sensor_crop_reaches_fps_in_x_order(self, monkeypatch, small_scene, noise):
+        seen = []
+
+        def recording(cloud, n, start=0):
+            seen.append(np.array(cloud))
+            return fps(cloud, n, start)
+
+        monkeypatch.setattr(sensor, "fps", recording)
+        cfg = SensorConfig(fps_target=2048, noise_sigma=noise)
+        observe(small_scene, cfg, np.random.default_rng(5))
+        assert len(seen) == 1 and len(seen[0]) > 2048
+        assert x_non_decreasing(seen[0])
 
     def test_min_distance_sequence_non_increasing(self, rng):
         pts = rng.normal(size=(300, 3))

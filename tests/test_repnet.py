@@ -316,6 +316,17 @@ class TestDataset:
             assert np.all((s.curvature >= 0.0) & (s.curvature <= 1.0 / 3.0))
             assert 3 <= s.count <= 6
 
+    def test_single_scene_is_a_training_scene(self, tmp_path):
+        # Seed 1 draws this lone scene into the validation split.
+        root = str(tmp_path / "data")
+        profile = get_profile("desk")
+        lines = build_dataset(root, profile=profile, seed=1, n_scenes=1, count_range=(50, 60))
+        assert len(lines) == 1 and lines[0].endswith("split=train")
+        samples = load_rep_dataset(root)
+        assert [s.split for s in samples] == ["train"]
+        _, history = train_rep(samples, profile, epochs=1)
+        assert {row["split"] for row in history} == {"train"}
+
     def test_deterministic_rebuild(self, tmp_path):
         kwargs = dict(profile=get_profile("desk"), seed=11, n_scenes=2, count_range=(3, 5))
         build_dataset(str(tmp_path / "a"), **kwargs)

@@ -480,7 +480,7 @@ class TestVerticalEnvelopes:
     def test_unit_cube_column(self):
         box = make_box(0.1, 0.1, 0.1)
         placed = PlacedObject(box, np.array([1.0, 0, 0, 0]), np.array([0.0, 0.0, 0.3]))
-        normals, offsets = placed.world_planes()
+        normals, offsets = face_planes(placed.world_vertices(), placed.obj.faces)
         z_lo, z_hi, ok = vertical_envelopes(
             normals, offsets, np.array([[0.0, 0.0], [0.04, -0.04], [0.2, 0.0]])
         )
@@ -514,7 +514,7 @@ class TestVerticalEnvelopes:
             bodies.append(PlacedObject(gen_objects(rng, 1)[0], q / np.linalg.norm(q),
                                        rng.uniform(-0.05, 0.05, size=3)))
         for placed in bodies:
-            normals, offsets = placed.world_planes()
+            normals, offsets = face_planes(placed.world_vertices(), placed.obj.faces)
             xy = rng.uniform(-0.12, 0.12, size=(400, 2))
             got = vertical_envelopes(normals, offsets, xy)
             want = self.masked_reference(normals, offsets, xy)

@@ -67,7 +67,7 @@ class TestRenderSurface:
         cloud = render_surface(small_scene, SensorConfig())
         pts = cloud.points
         for placed in small_scene.placed:
-            normals, offsets = placed.world_planes()
+            normals, offsets = face_planes(placed.world_vertices(), placed.obj.faces)
             _, z_high, feasible = vertical_envelopes(normals, offsets, pts[:, :2])
             assert np.all(pts[feasible, 2] >= z_high[feasible] - 1e-9)
 
@@ -233,7 +233,7 @@ def surface_grid_reference(scene, cfg):
         if cells is None:
             continue
         ii, jj = cells
-        normals, offsets = placed.world_planes()
+        normals, offsets = face_planes(placed.world_vertices(), placed.obj.faces)
         cols = np.stack([xs[ii], ys[jj]], axis=1)
         _, z_high, feasible = vertical_envelopes(normals, offsets, cols)
         if feasible.any():
@@ -287,18 +287,18 @@ class TestCulledRender:
         assert sum(reached) < 0.4 * footprint, (sum(reached), footprint)
 
     @staticmethod
-    def render_counting_planes(monkeypatch, scene):
-        """Heights of ``scene`` and the number of bodies whose planes the render built."""
-        built = []
+    def render_counting_bodies(monkeypatch, scene):
+        """Heights of ``scene`` and the number of bodies whose envelopes the render evaluated."""
+        evaluated = []
 
-        def counting(vertices, faces):
-            built.append(len(faces))
-            return face_planes(vertices, faces)
+        def counting(normals, offsets, xy):
+            evaluated.append(len(normals))
+            return vertical_envelopes(normals, offsets, xy)
 
-        monkeypatch.setattr(sensor, "face_planes", counting)
+        monkeypatch.setattr(sensor, "vertical_envelopes", counting)
         heights = _surface_grid(scene, SensorConfig())[2]
         assert heights.tobytes() == surface_grid_reference(scene, SensorConfig())[0].tobytes()
-        return heights, len(built)
+        return heights, len(evaluated)
 
     @staticmethod
     def box_under_lid(lid_height):
@@ -314,9 +314,9 @@ class TestCulledRender:
 
     def test_fully_buried_box_is_skipped(self, monkeypatch):
         scene = self.box_under_lid(0.03125)
-        heights, built = self.render_counting_planes(monkeypatch, scene)
+        heights, evaluated = self.render_counting_bodies(monkeypatch, scene)
         assert heights.max() == 0.0625 + 0.03125
-        assert built == 1  # the lid's planes only
+        assert evaluated == 1  # the lid only
 
     @pytest.mark.parametrize(
         "lid, kept", [(_PRUNE_MARGIN - 2.0**-10, True), (_PRUNE_MARGIN, False)]
@@ -326,6 +326,6 @@ class TestCulledRender:
         # fractions, so heights are exact. A cell at exactly the box's top
         # plus the margin is skipped, one just below it is evaluated.
         scene = self.box_under_lid(lid)
-        heights, built = self.render_counting_planes(monkeypatch, scene)
+        heights, evaluated = self.render_counting_bodies(monkeypatch, scene)
         assert heights.max() == 0.0625 + lid
-        assert built == (2 if kept else 1)
+        assert evaluated == (2 if kept else 1)
