@@ -1,17 +1,18 @@
 """Point-cloud primitives: sampling, neighbor queries, PCA surface labels, heightmaps.
 
-All queries are exact, and ties stay reproducible. Neighbor queries are
-vectorized brute force, chunked to bound memory; at the cloud sizes this
-package works with that is both simpler and faster than an acceleration
-structure. ``ball_query`` answers every center of a level in one call and
-returns a padded index matrix. Every squared distance taken from coordinate
-differences adds the squared x, y and z differences in the order
-``np.sum(..., axis=-1)`` would: through ``_sq_dist``, or in ``fps`` by the
-same steps into reused buffers. Only the PCA neighborhoods use the expanded
-form |a|^2 - 2 a.b + |b|^2. Farthest point sampling updates its distances in
-place after each pick: on a cloud whose x is non-decreasing, such as the
-sensor's crop, only the contiguous x-slab that can hold a point the pick
-moves closer; on any other cloud, every point.
+All queries are exact, and ties stay reproducible. The encoder's
+``ball_query``, ``idw_weights`` and ``fps`` stay vectorized brute force,
+chunked to bound memory, since ``TestGolden`` pins their bits and their
+clouds are small. They add the squared x, y and z coordinate differences in
+the order ``np.sum(..., axis=-1)`` would: through ``_sq_dist``, or in
+``fps`` by the same steps into reused buffers. ``ball_query`` answers every
+center of a level in one call. ``fps`` updates its distances in place after
+each pick: on a cloud whose x is non-decreasing, such as the sensor's crop,
+only the x-slab that can hold a point the pick moves closer; elsewhere,
+every point. The PCA labels rank neighbors by the expanded form
+(|a|^2 - 2 a.b) + |b|^2 of a chunked brute force: a KD-tree picks the
+candidates, their expanded values re-rank them exactly, and a row they
+cannot certify falls back to its brute-force row (``_knn_indices``).
 """
 
 from __future__ import annotations
@@ -22,13 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from .errors import EmptyObservationError, ShapeError, SizeError
 
 CURVATURE_MAX = 1.0 / 3.0
 
-# Rows per pairwise-distance block; a 512 x 20k float64 block is 82 MB.
+# Rows per pairwise-distance block: a 512 x 2,048 float64 block is 8 MB, a
+# 512 x 20k one 82 MB. The PCA labels' bits follow the gemm of these blocks.
 _CHUNK = 512
+# Tree candidates per point beyond the k that a PCA label needs.
+_SPARE = 8
 
 
 @dataclass
@@ -225,22 +230,53 @@ def ball_query(cloud, centers, radius: float, max_k: int) -> np.ndarray:
     return out
 
 
-def _neighbor_indices(pts: np.ndarray, k: int) -> np.ndarray:
-    """(N, k) indices of each point's k nearest neighbors (self included)."""
+def _knn_indices(pts: np.ndarray, k: int) -> np.ndarray:
+    """(N, k) indices of each point's k nearest neighbors (self included), nearest first.
+
+    The rows are those of a chunked brute force: rank every point by the
+    expanded form (|a|^2 - 2 a.b) + |b|^2, with 2 a.b from one gemm per
+    ``_CHUNK`` block, take the k smallest with ``argpartition`` and order
+    them with a stable ``argsort``. A KD-tree offers each point k +
+    ``_SPARE`` candidates, ranked by their expanded values read from that
+    gemm. A row keeps this ranking when its first k + 1 values strictly
+    increase, so there is no tie for ``argpartition`` to break, and its k-th
+    value plus ``tol`` lies below the last candidate's squared tree distance
+    minus ``tol``, so no other point can rank among its k. Every other row
+    is rebuilt in full and ranked the brute-force way.
+    """
     n = len(pts)
+    kk = min(k + _SPARE, n)
+    dist, cand = (a.reshape(n, kk) for a in cKDTree(pts).query(pts, kk))
+    sq = np.sum(pts**2, axis=1)
+    # The rounding bound: an expanded value is off by at most about
+    # 6 eps (|a|^2 + |b|^2), a tree distance r^2 by about 8 eps r^2, and
+    # r^2 <= 2 (|a|^2 + |b|^2).
+    tol = 32.0 * np.finfo(np.float64).eps * (sq + sq.max())
+    limit = dist[:, -1] ** 2 - tol if kk < n else np.full(n, np.inf)
     out = np.empty((n, k), dtype=np.int64)
+    # OpenBLAS's bits depend on the product's shape, so every row takes its
+    # 2 a.b from the same block gemm as the brute force, into one buffer.
+    gram = np.empty((min(_CHUNK, n), n))
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        block = pts[lo:hi]
-        d2 = (
-            np.sum(block**2, axis=1)[:, None]
-            - 2.0 * block @ pts.T
-            + np.sum(pts**2, axis=1)[None, :]
-        )
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        rows = np.arange(hi - lo)[:, None]
-        order = np.argsort(d2[rows, part], kind="stable", axis=1)
-        out[lo:hi] = part[rows, order]
+        g = np.matmul(2.0 * pts[lo:hi], pts.T, out=gram[: hi - lo])
+        c = cand[lo:hi]
+        e = sq[lo:hi, None] - np.take_along_axis(g, c, axis=1) + sq[c]
+        order = np.argsort(e, axis=1, kind="stable")
+        e = np.take_along_axis(e, order, axis=1)
+        ok = (np.diff(e[:, : k + 1], axis=1) > 0.0).all(axis=1)
+        ok &= e[:, k - 1] + tol[lo:hi] < limit[lo:hi]
+        out[lo:hi] = np.take_along_axis(c, order[:, :k], axis=1)
+        redo = np.flatnonzero(~ok)
+        if len(redo):
+            # The full rows, with the bits of (|a|^2 - 2 a.b) + |b|^2.
+            d2 = g[redo]
+            d2 *= -1.0
+            d2 += sq[lo + redo, None]
+            d2 += sq
+            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            rows = np.arange(len(redo))[:, None]
+            out[lo + redo] = part[rows, np.argsort(d2[rows, part], kind="stable", axis=1)]
     return out
 
 
@@ -249,11 +285,14 @@ def estimate_normals_curvature(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-point PCA surface labels from k-neighborhoods.
 
-    The normal is the eigenvector of the neighborhood covariance with the
-    smallest eigenvalue, flipped so its z component is non-negative. The
-    curvature is the surface variation lam0 / (lam0 + lam1 + lam2), which
-    lives in [0, 1/3]. Neighborhoods that collapse to a point are flagged
-    degenerate and get normal (0, 0, 1) and curvature 0.
+    A neighborhood is a point's k nearest points, itself included, ranked as
+    the chunked brute force ranks them, ties and all: tree candidates where
+    they certify that ranking, the brute-force row elsewhere (see
+    ``_knn_indices``). The normal is the eigenvector of the neighborhood
+    covariance with the smallest eigenvalue, flipped so its z component is
+    non-negative. The curvature is the surface variation lam0 / (lam0 +
+    lam1 + lam2), which lives in [0, 1/3]. Neighborhoods that collapse to a
+    point are flagged degenerate and get normal (0, 0, 1) and curvature 0.
 
     Returns (normals (N,3), curvature (N,), degenerate mask (N,)).
     """
@@ -263,7 +302,7 @@ def estimate_normals_curvature(
         raise SizeError("cannot label an empty cloud")
     if not 0 < k <= n:
         raise SizeError(f"k={k} out of range for cloud of {n}")
-    idx = _neighbor_indices(pts, k)
+    idx = _knn_indices(pts, k)
     nbr = pts[idx]  # (N, k, 3)
     centered = nbr - nbr.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / k
@@ -368,17 +407,11 @@ _XYZL_HEADER = re.compile(r"# digrl point cloud, (\d+) points, (?:labeled|bare)\
 def save_xyzl(path, cloud: PointCloud) -> None:
     """Write a cloud as text: ``x y z`` or ``x y z nx ny nz c`` per line."""
     labeled = cloud.normals is not None and cloud.curvature is not None
+    table = np.column_stack([cloud.points, cloud.normals, cloud.curvature]) if labeled else cloud.points
+    line = " ".join(["%.9g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write("# digrl point cloud, %d points, %s\n" % (len(cloud), "labeled" if labeled else "bare"))
-        if labeled:
-            for p, nrm, c in zip(cloud.points, cloud.normals, cloud.curvature):
-                fh.write(
-                    "%.9g %.9g %.9g %.9g %.9g %.9g %.9g\n"
-                    % (p[0], p[1], p[2], nrm[0], nrm[1], nrm[2], c)
-                )
-        else:
-            for p in cloud.points:
-                fh.write("%.9g %.9g %.9g\n" % (p[0], p[1], p[2]))
+        fh.write(line * len(table) % tuple(table.ravel().tolist()))
 
 
 def load_xyzl(path) -> PointCloud:

@@ -61,13 +61,6 @@ class ArmModel:
     # cutting tip; x along the scoop direction, z out of the mouth.
     bucket_box: tuple[float, float, float] = (0.12, 0.12, 0.04)
 
-    def within_limits(self, q: np.ndarray) -> np.ndarray:
-        q = np.atleast_2d(q)
-        return (
-            (q >= self.joint_limits[None, :, 0] - 1e-12)
-            & (q <= self.joint_limits[None, :, 1] + 1e-12)
-        ).all(axis=1)
-
 
 @dataclass
 class AttackPose:
@@ -100,12 +93,6 @@ class JointTrajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def phase_of(self, index: int) -> str:
-        for name, end in zip(PHASE_NAMES, self.phase_ends):
-            if index <= end:
-                return name
-        return PHASE_NAMES[-1]
 
     def phase_slice(self, name: str) -> slice:
         i = PHASE_NAMES.index(name)

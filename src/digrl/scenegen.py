@@ -412,10 +412,6 @@ class Scene:
     def object_count(self) -> int:
         return len(self.placed)
 
-    @property
-    def total_volume(self) -> float:
-        return float(sum(p.obj.volume for p in self.placed))
-
 
 def mesh_edges(faces: np.ndarray) -> np.ndarray:
     """Unique undirected edges (E, 2) of a triangle mesh, sorted by (low, high) vertex."""

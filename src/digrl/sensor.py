@@ -14,6 +14,7 @@ one contiguous slab per pick.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -195,11 +196,27 @@ def _orient_steep_downhill(points: np.ndarray, normals: np.ndarray) -> np.ndarra
     d = normals[steep, :2] / horiz[steep, None]
     ahead = tree.query_ball_point(xy[steep] + _SIDE_OFFSET * d, _SIDE_RADIUS)
     behind = tree.query_ball_point(xy[steep] - _SIDE_OFFSET * d, _SIDE_RADIUS)
+    (mean_a, n_a), (mean_b, n_b) = _ball_means(z, ahead), _ball_means(z, behind)
+    # The flip test is mean(z[ahead]) > mean(z[behind]) + 1e-9, with the bits
+    # of ``mean``. These means sum in another order, which moves each by at
+    # most n eps max|z|; within the bound below, the row takes the exact test.
+    both = (n_a > 0) & (n_b > 0)
+    gap = mean_a - mean_b - 1e-9
+    bound = 2.0 * (n_a + n_b + 3) * np.finfo(np.float64).eps * (np.abs(z).max() + 1e-9)
+    flip = both & (gap > bound)
+    for row in np.flatnonzero(both & (np.abs(gap) <= bound)).tolist():
+        flip[row] = z[ahead[row]].mean() > z[behind[row]].mean() + 1e-9
     out = normals.copy()
-    for row, (ia, ib) in enumerate(zip(ahead, behind)):
-        if ia and ib and z[ia].mean() > z[ib].mean() + 1e-9:
-            out[steep[row]] = -out[steep[row]]
+    out[steep[flip]] *= -1.0
     return out
+
+
+def _ball_means(z: np.ndarray, balls) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of ``z`` over each index list in ``balls`` (0 when empty), and the list lengths."""
+    counts = np.fromiter(map(len, balls), dtype=np.int64, count=len(balls))
+    flat = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64, count=int(counts.sum()))
+    sums = np.bincount(np.repeat(np.arange(len(balls)), counts), z[flat], minlength=len(balls))
+    return sums / np.maximum(counts, 1), counts
 
 
 def label_observation(obs: ObservationCloud, k: int = 30) -> ObservationCloud:

@@ -30,7 +30,7 @@ from digrl.scenegen import (
     spawn_scene,
 )
 from digrl.sensor import SensorConfig, scene_heightmap
-from test_scenegen import _scene_bytes, make_box, penetration_depth
+from test_scenegen import _scene_bytes, make_box, penetration_depth, total_volume
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -160,8 +160,8 @@ class TestExecuteDig:
             TrajectoryParams(), BucketSpec(),
         )
         assert result.outcome.ok
-        total_after = result.scene_after.total_volume + result.captured_volume
-        assert total_after == pytest.approx(scene.total_volume, abs=1e-12)
+        total_after = total_volume(result.scene_after) + result.captured_volume
+        assert total_after == pytest.approx(total_volume(scene), abs=1e-12)
 
     def test_empty_tray_dig(self):
         scene = Scene(Tray(), [])

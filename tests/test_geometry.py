@@ -63,6 +63,66 @@ def assert_rows_match_reference(pts, centers, radius, max_k):
         assert (row[len(want) :] == -1).all()
 
 
+def neighbor_indices_reference(pts, k):
+    """The chunked brute-force kNN that the PCA labels rank by.
+
+    Per ``geometry._CHUNK`` block: expanded squared distances
+    (|a|^2 - 2 a.b) + |b|^2 to every point, the k smallest by
+    ``argpartition``, ordered by a stable ``argsort``.
+    """
+    n = len(pts)
+    out = np.empty((n, k), dtype=np.int64)
+    for lo in range(0, n, geometry._CHUNK):
+        hi = min(lo + geometry._CHUNK, n)
+        block = pts[lo:hi]
+        d2 = (
+            np.sum(block**2, axis=1)[:, None]
+            - 2.0 * block @ pts.T
+            + np.sum(pts**2, axis=1)[None, :]
+        )
+        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        rows = np.arange(hi - lo)[:, None]
+        order = np.argsort(d2[rows, part], kind="stable", axis=1)
+        out[lo:hi] = part[rows, order]
+    return out
+
+
+def knn_rows_redone(pts, k):
+    """``_knn_indices(pts, k)`` and how many of its rows were rebuilt in full.
+
+    The rebuilt rows are counted on the ``argpartition`` calls that
+    ``_knn_indices`` makes through its module's ``np``.
+    """
+    redone = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def argpartition(a, kth, axis):
+            redone.append(len(a))
+            return np.argpartition(a, kth, axis=axis)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "np", CountingNumpy())
+        idx = geometry._knn_indices(pts, k)
+    return idx, sum(redone)
+
+
+def assert_labels_match_reference(pts, k):
+    """Same index matrix and label bytes as the brute force; returns the rows redone."""
+    idx, redone = knn_rows_redone(pts, k)
+    assert np.array_equal(idx, neighbor_indices_reference(pts, k))
+    got = estimate_normals_curvature(pts, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_knn_indices", neighbor_indices_reference)
+        want = estimate_normals_curvature(pts, k)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    return redone
+
+
 def tie_heavy_clouds():
     """Clouds where exact distance ties or zero max-min distances are common."""
     rng = np.random.default_rng(7)
@@ -119,6 +179,22 @@ def fps_update_widths(monkeypatch, pts, n):
 def desk_crop(small_scene):
     """The full 132 x 80 ray crop of a rendered scene, unsampled."""
     return observe(small_scene, SensorConfig(fps_target=10 ** 6)).points
+
+
+# One object count from each of the five scene-dataset strata (50-300).
+STRATA_COUNTS = (75, 125, 175, 225, 275)
+
+
+@pytest.fixture(scope="module")
+def strata_crops():
+    """Desk observations (2,048 FPS points), noise-free and at 3 mm, per stratum."""
+    crops = {}
+    for count in STRATA_COUNTS:
+        scene = spawn_scene(seed=count, count_range=(count, count))
+        for sigma in (0.0, 0.003):
+            cfg = SensorConfig(fps_target=2048, noise_sigma=sigma)
+            crops[count, sigma] = observe(scene, cfg, np.random.default_rng(count)).points
+    return crops
 
 
 @pytest.fixture(scope="module")
@@ -395,6 +471,57 @@ class TestNormalsCurvature:
         assert np.all(curv == 0)
 
 
+class TestKnnIndices:
+    """The KD-tree path against the brute force it certifies rows for."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.003])
+    @pytest.mark.parametrize("count", STRATA_COUNTS)
+    def test_matches_reference_on_desk_crops(self, strata_crops, count, sigma):
+        assert_labels_match_reference(strata_crops[count, sigma], 30)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 30, "n"])
+    @pytest.mark.parametrize("name", sorted(TIE_HEAVY))
+    def test_matches_reference_on_ties(self, name, k):
+        pts = TIE_HEAVY[name]
+        assert_labels_match_reference(pts, len(pts) if k == "n" else k)
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (9, 4), (10, 5), (13, 5), (14, 5), (38, 30), (39, 30)])
+    def test_matches_reference_on_clouds_within_the_spare(self, rng, n, k):
+        pts = rng.uniform(-1, 1, size=(n, 3))
+        assert_labels_match_reference(pts, k)
+        # A 3 x 3 grid has ties at every k.
+        grid = TIE_HEAVY["flat-grid"][[0, 1, 2, 25, 26, 27, 50, 51, 52]]
+        assert_labels_match_reference(grid, min(k, len(grid)))
+
+    def test_small_chunks_match_reference(self, strata_crops, monkeypatch):
+        monkeypatch.setattr(geometry, "_CHUNK", 16)
+        assert 0 < assert_labels_match_reference(strata_crops[75, 0.0], 30)
+
+    def test_certified_and_redone_rows_both_occur(self, strata_crops):
+        # The flat floor of a noise-free render ties the k-th distance on
+        # some rows; noise breaks those ties.
+        _, redone = knn_rows_redone(strata_crops[75, 0.0], 30)
+        assert 0 < redone < 2048 // 2
+        _, redone = knn_rows_redone(strata_crops[75, 0.003], 30)
+        assert redone < 2048 // 100
+        # Every lattice row ties at its 5th distance.
+        pts = TIE_HEAVY["lattice-far"]
+        _, redone = knn_rows_redone(pts, 5)
+        assert redone == len(pts)
+
+    def test_rounding_bound_far_from_the_origin(self, rng):
+        # 30 centres 1e5 m out, each with 40 points on a 0.1 m sphere around
+        # it. The expanded form's rounding, about 1e-5 m^2 there, reorders
+        # each sphere, so on some rows without ties the 2nd nearest by
+        # expanded value is none of the tree's candidates.
+        centres = np.column_stack([np.full(30, 1e5), 10.0 * np.arange(30), np.zeros(30)])
+        v = rng.normal(size=(30, 40, 3))
+        v /= np.linalg.norm(v, axis=2, keepdims=True)
+        pts = np.concatenate([centres[:, None], centres[:, None] + 0.1 * v], axis=1).reshape(-1, 3)
+        redone = assert_labels_match_reference(pts, 2)
+        assert 0 < redone < len(pts)
+
+
 class TestIdw:
     def test_weights_sum_to_one(self, rng):
         src = rng.normal(size=(50, 3))
@@ -486,6 +613,22 @@ class TestHeightmap:
             to_heightmap(np.zeros((1, 3)), (0, 1, 0, 1), 0.0)
 
 
+def save_xyzl_reference(path, cloud):
+    """The per-point writer: one ``fh.write`` per line."""
+    labeled = cloud.normals is not None and cloud.curvature is not None
+    with open(path, "w") as fh:
+        fh.write("# digrl point cloud, %d points, %s\n" % (len(cloud), "labeled" if labeled else "bare"))
+        if labeled:
+            for p, nrm, c in zip(cloud.points, cloud.normals, cloud.curvature):
+                fh.write(
+                    "%.9g %.9g %.9g %.9g %.9g %.9g %.9g\n"
+                    % (p[0], p[1], p[2], nrm[0], nrm[1], nrm[2], c)
+                )
+        else:
+            for p in cloud.points:
+                fh.write("%.9g %.9g %.9g\n" % (p[0], p[1], p[2]))
+
+
 class TestXyzl:
     def test_bare_round_trip(self, rng, tmp_path):
         cloud = PointCloud(rng.uniform(-1, 1, size=(57, 3)))
@@ -505,6 +648,27 @@ class TestXyzl:
         assert np.allclose(back.points, pts, atol=1e-8)
         assert np.allclose(back.normals, normals, atol=1e-7)
         assert np.allclose(back.curvature, curv, atol=1e-8)
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "bare"])
+    def test_bytes_match_per_line_writer(self, rng, tmp_path, labeled):
+        pts = rng.uniform(-1, 1, size=(64, 3))
+        pts[:3] = [[-0.0, 1e-300, 1e6], [1e6, -0.0, -1e-300], [0.0, -1e6, 123456789.0]]
+        cloud = PointCloud(pts)
+        if labeled:
+            normals, curv, _ = estimate_normals_curvature(pts, k=8)
+            normals[0] = (-0.0, -0.0, 1.0)
+            curv[:3] = (-0.0, 1e-300, 0.0)
+            cloud = PointCloud(pts, normals, curv)
+        save_xyzl(tmp_path / "a.xyzl", cloud)
+        save_xyzl_reference(tmp_path / "b.xyzl", cloud)
+        text = (tmp_path / "a.xyzl").read_bytes()
+        assert text == (tmp_path / "b.xyzl").read_bytes()
+        assert b"\n-0 1e-300 1000000" in text
+
+    def test_empty_cloud_writes_the_header_only(self, tmp_path):
+        save_xyzl(tmp_path / "a.xyzl", PointCloud(np.empty((0, 3))))
+        save_xyzl_reference(tmp_path / "b.xyzl", PointCloud(np.empty((0, 3))))
+        assert (tmp_path / "a.xyzl").read_bytes() == (tmp_path / "b.xyzl").read_bytes()
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "c.xyzl"

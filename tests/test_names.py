@@ -64,14 +64,10 @@ def test_no_undefined_global_names():
 
 # Public names whose only callers are tests. Delete an entry together with its
 # function, or once the pipeline calls it; never add one. Methods and
-# properties go under their qualified names. The three below are the
-# invariant oracles of tests: joint limits, trajectory phases and the
-# conserved volume.
+# properties go under their qualified names. Oracles that only tests need
+# live in the tests.
 UNCALLED = {
     "load_episodes",
-    "ArmModel.within_limits",
-    "JointTrajectory.phase_of",
-    "Scene.total_volume",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -36,6 +36,7 @@ from digrl.scenegen import (
     spawn_scene,
     vertical_envelopes,
 )
+from digrl.sensor import SensorConfig, label_observation, observe
 
 # ---------------------------------------------------------------------------
 # Frozen oracle: exact minimum translation distance between convex polytopes
@@ -191,6 +192,11 @@ def gen_object_reference(rng, density=2700.0):
             continue
         return RigidObject(verts, faces, vol, density)
     raise DegenerateGeometryError("could not sample a non-degenerate hull")
+
+
+def total_volume(scene):
+    """The volume a dig conserves: the summed volume of a scene's objects."""
+    return float(sum(p.obj.volume for p in scene.placed))
 
 
 def hull_object(points):
@@ -713,6 +719,13 @@ class TestBatchedPile:
             "0ba880565fd2628a5f939c370628384a231c2afef2685df2fbf2dbb5040a175f",
         ]
 
+    def test_golden_label_hash(self):
+        """Pins the PCA label bits of one desk observation, downhill flips included."""
+        scene = spawn_scene(seed=5, count_range=(250, 250))
+        cloud = label_observation(observe(scene, SensorConfig(fps_target=2048))).cloud
+        digest = hashlib.sha256(cloud.normals.tobytes() + cloud.curvature.tobytes()).hexdigest()
+        assert digest == "26f2720c3ac4acfd5d50a56059806e438b05bd662bea0a285526cd7c6d90dc5b"
+
 
 def _drop_boxes(pile, boxes):
     placed = [PlacedObject(box, IDENTITY.copy(), np.array(at)) for box, at in boxes]
@@ -987,8 +1000,8 @@ class TestSpawnScene:
             spawn_scene(0, (0, 3))
 
     def test_total_volume_sums_objects(self, small_scene):
-        assert small_scene.total_volume == pytest.approx(
-            sum(p.obj.volume for p in small_scene.placed)
+        assert total_volume(small_scene) == pytest.approx(
+            sum(polytope_volume_reference(p.obj.vertices, p.obj.faces) for p in small_scene.placed)
         )
 
 

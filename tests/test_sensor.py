@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from digrl import sensor
 from digrl.errors import EmptyObservationError, ShapeError
+from digrl.geometry import estimate_normals_curvature
 from digrl.scenegen import (
     _PRUNE_MARGIN,
     PlacedObject,
@@ -17,6 +19,7 @@ from digrl.scenegen import (
 from digrl.sensor import (
     STEEP_NZ,
     SensorConfig,
+    _orient_steep_downhill,
     _ray_axes,
     _surface_grid,
     label_observation,
@@ -198,6 +201,84 @@ class TestLabels:
         assert far.sum() > 100
         assert np.allclose(labeled.cloud.normals[far], [0.0, 0.0, 1.0], atol=1e-9)
         assert np.allclose(labeled.cloud.curvature[far], 0.0, atol=1e-12)
+
+
+def orient_steep_downhill_reference(points, normals):
+    """The per-row loop: one ``mean`` per side of each steep point."""
+    nz = normals[:, 2]
+    horiz = np.hypot(normals[:, 0], normals[:, 1])
+    steep = np.flatnonzero((np.abs(nz) < STEEP_NZ) & (horiz > 1e-12))
+    if len(steep) == 0:
+        return normals
+    xy = points[:, :2]
+    z = points[:, 2]
+    tree = cKDTree(xy)
+    d = normals[steep, :2] / horiz[steep, None]
+    ahead = tree.query_ball_point(xy[steep] + sensor._SIDE_OFFSET * d, sensor._SIDE_RADIUS)
+    behind = tree.query_ball_point(xy[steep] - sensor._SIDE_OFFSET * d, sensor._SIDE_RADIUS)
+    out = normals.copy()
+    for row, (ia, ib) in enumerate(zip(ahead, behind)):
+        if ia and ib and z[ia].mean() > z[ib].mean() + 1e-9:
+            out[steep[row]] = -out[steep[row]]
+    return out
+
+
+def step_floor(ahead_z):
+    """A 5 mm grid over [-0.1, 0.1]^2 at height ``ahead_z`` for x > 0, else 0.
+
+    Each point of the column x = 0 gets the normal (1, 0, 0). Each point of
+    the edge x = 0.1 gets (-1, 0, 0), so its behind side, 0.02 past the
+    edge, holds no point. Every other normal is vertical.
+    """
+    axis = np.round(np.arange(-20, 21) * 0.005, 12)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel(), np.where(gx.ravel() > 0.001, ahead_z, 0.0)], axis=1)
+    normals = np.tile([0.0, 0.0, 1.0], (len(pts), 1))
+    normals[pts[:, 0] == 0.0] = (1.0, 0.0, 0.0)
+    normals[pts[:, 0] == 0.1] = (-1.0, 0.0, 0.0)
+    return pts, normals
+
+
+class TestOrientSteepDownhill:
+    def assert_matches_reference(self, pts, normals):
+        got = _orient_steep_downhill(pts, normals)
+        assert got.tobytes() == orient_steep_downhill_reference(pts, normals).tobytes()
+        return got
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.003])
+    @pytest.mark.parametrize("seed,count", [(5, 250), (50, 60), (51, 150)])
+    def test_matches_reference_on_desk_crops(self, seed, count, sigma):
+        scene = spawn_scene(seed=seed, count_range=(count, count))
+        cfg = SensorConfig(fps_target=2048, noise_sigma=sigma)
+        pts = observe(scene, cfg, np.random.default_rng(seed)).points
+        normals, _, _ = estimate_normals_curvature(pts, 30)
+        got = self.assert_matches_reference(pts, normals)
+        assert (got != normals).any()
+
+    def test_flat_floor_rows_with_zero_means_keep_their_sign(self, rng):
+        pts, _ = step_floor(0.0)
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=len(pts))
+        normals = np.column_stack([np.cos(angle), np.sin(angle), np.zeros(len(pts))])
+        got = self.assert_matches_reference(pts, normals)
+        assert np.array_equal(got, normals)
+
+    def test_empty_side_keeps_the_sign(self):
+        pts, normals = step_floor(0.05)
+        got = self.assert_matches_reference(pts, normals)
+        edge = pts[:, 0] == 0.1
+        assert np.array_equal(got[edge], normals[edge])
+        assert (got[pts[:, 0] == 0.0] == (-1.0, 0.0, 0.0)).all()
+
+    @pytest.mark.parametrize("scale", [-1e-15, -2**-52, 0.0, 2**-52, 2**-51, 1e-15, 1e-12])
+    def test_steps_at_the_margin_take_the_exact_test(self, scale):
+        # The ahead side sits 1e-9 above the behind side, so a row's flip is
+        # decided within rounding of its means.
+        pts, normals = step_floor(1e-9 * (1.0 + scale))
+        got = self.assert_matches_reference(pts, normals)
+        pts[0, 2] = 1.5  # a tall point elsewhere widens the rounding bound
+        assert np.array_equal(self.assert_matches_reference(pts, normals), got)
+        flipped = (got[pts[:, 0] == 0.0, 0] < 0.0).sum()
+        assert flipped == {0.0: 0, 1e-12: 41}.get(scale, flipped)
 
 
 def footprint_windows(scene, cfg):
