@@ -9,33 +9,30 @@ plan as zero captured volume, so
 holds identically for any record set and is asserted downstream.
 
 The two scripted baselines act on the same observations the policy sees: the
-greedy one attacks the highest surface cell inside the attack range (ties to
-the lowest row-major cell index) with a uniformly random entry angle, and the
-random one draws the whole action uniformly. Baselines retry failed plans
-until they bank the required number of plan-valid digs, under a hard attempt
-cap; an episode that exhausts the cap is dropped from the record wholesale
-and reported separately. An episode that empties the tray early is kept:
-there was nothing left to dig.
+greedy one attacks the (x, y) of the highest observed point (ties to the
+lowest point index), clipped to the attack ranges, with a uniformly random
+entry angle, and the random one draws the whole action uniformly. Baselines
+retry failed plans until they bank the required number of plan-valid digs,
+under a hard attempt cap; an episode that exhausts the cap is dropped from
+the record wholesale and reported separately. An episode that empties the
+tray early is kept: there was nothing left to dig.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .config import AttackRanges, Profile, get_profile, seed_stream, stream_seed
 from .errors import ConfigError, SizeError
 from .excavation import M3_TO_CM3, BucketSpec, EnvConfig, ExcavationEnv
-from .geometry import to_heightmap
 from .kinematics import AttackPose
 from .nn import ParamStore
-from .ppo import PolicyCore, evaluate_policy, train_rl
+from .ppo import PolicyCore, dig_record, evaluate_policy, train_rl
 from .repnet import RepNet
-
-HEURISTIC_GRID_RES = 0.02
 
 
 @dataclass
@@ -49,15 +46,7 @@ class MetricsRecord:
     avg_v_w_plan_cm3: float
 
 
-METRICS_FIELDS = (
-    "method",
-    "episodes",
-    "digs",
-    "avg_v_cm3",
-    "fill_rate_pct",
-    "plan_succ_pct",
-    "avg_v_w_plan_cm3",
-)
+METRICS_FIELDS = tuple(f.name for f in fields(MetricsRecord))
 
 
 def compute_metrics(method: str, records: list[dict]) -> MetricsRecord:
@@ -85,12 +74,12 @@ def compute_metrics(method: str, records: list[dict]) -> MetricsRecord:
     )
 
 
-def save_metrics_table(rows: list[MetricsRecord], path) -> None:
+def save_metrics_table(rows: list[dict], path) -> None:
+    """Write metric rows, keyed by ``METRICS_FIELDS``, as one CSV table."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=METRICS_FIELDS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: getattr(row, k) for k in METRICS_FIELDS})
+        writer.writerows({k: row[k] for k in METRICS_FIELDS} for row in rows)
 
 
 def load_metrics_table(path) -> list[dict]:
@@ -115,16 +104,12 @@ def attack_to_action(attack: AttackPose, ranges: AttackRanges = AttackRanges()) 
 def heuristic_action(
     obs, rng: np.random.Generator, ranges: AttackRanges = AttackRanges()
 ) -> np.ndarray:
-    """Attack the highest cell of the observed surface, random entry angle."""
-    hm = to_heightmap(
-        obs.points,
-        bounds=(ranges.x[0], ranges.x[1], ranges.y[0], ranges.y[1]),
-        resolution=HEURISTIC_GRID_RES,
-    )
-    i, j = np.unravel_index(int(np.argmax(hm.heights)), hm.heights.shape)
-    x, y = hm.cell_center(i, j)
-    x = min(max(x, ranges.x[0]), ranges.x[1])
-    y = min(max(y, ranges.y[0]), ranges.y[1])
+    """Attack the (x, y) of the highest observed point, random entry angle.
+
+    Ties go to the lowest point index. ``attack_to_action`` clips a point
+    outside the ranges onto their edge.
+    """
+    x, y, _ = obs.points[int(np.argmax(obs.points[:, 2]))]
     alpha = rng.uniform(*ranges.alpha)
     return attack_to_action(AttackPose(x, y, alpha), ranges)
 
@@ -192,19 +177,7 @@ def run_baseline(
             if info["plan_ok"]:
                 valid += 1
             emptied = emptied or info["emptied"]
-            ep_records.append(
-                {
-                    "episode": ep,
-                    "dig": info["dig"],
-                    "raw_action": [float(v) for v in action],
-                    "action": [float(v) for v in info["attack"]],
-                    "reward": float(reward),
-                    "plan_ok": bool(info["plan_ok"]),
-                    "failure": info["failure"],
-                    "captured_cm3": float(info["captured_cm3"]),
-                    "objects_left": int(info["objects_left"]),
-                }
-            )
+            ep_records.append(dig_record(ep, info["dig"], action, reward, info))
         if valid >= valid_digs or emptied:
             records.extend(ep_records)
         else:
@@ -322,9 +295,5 @@ def collect_report(paths: list[str], out_path: str | None = None) -> str:
         rows.extend(load_metrics_table(p))
     text = format_report(rows)
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=METRICS_FIELDS)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: row[k] for k in METRICS_FIELDS})
+        save_metrics_table(rows, out_path)
     return text

@@ -5,19 +5,22 @@ a runtime failure (missing files, failed runs). Every command takes
 ``--seed``, ``--profile`` (falling back to the DIGRL_PROFILE environment
 variable, then ``desk``), ``--out`` where it writes artifacts, and
 ``--config`` pointing at a ``key = value`` file with ``[section]`` headers
-for the tunables that have no dedicated flag.
+for the tunables that have no dedicated flag. ``eval-rl`` and ``baseline``
+each write one metrics CSV, ``<method>_metrics.csv``; ``report`` merges such
+CSVs into one table.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from . import bench, ppo, repnet
 from .config import get_profile, load_config
 from .errors import ConfigError
-from .excavation import EnvConfig, save_episodes
+from .excavation import EnvConfig
 from .nn import load_ckpt, save_ckpt
 
 
@@ -181,7 +184,9 @@ def cmd_train_rl(args) -> int:
     profile = get_profile(args.profile)
     sec = _config_section(args, "rl")
     out = _ensure_out(args)
-    total = args.samples if args.samples is not None else sec.pop("total_samples", None)
+    total = sec.pop("total_samples", None)
+    if args.samples is not None:
+        total = args.samples
     core, curve, _net = bench.train_rl_experiment(
         load_ckpt(args.rep_ckpt),
         profile=profile,
@@ -198,6 +203,13 @@ def cmd_train_rl(args) -> int:
     return 0
 
 
+def _score(method: str, records: list[dict], out: str) -> None:
+    """Reduce dig records to a metrics row, save it as CSV and print it."""
+    row = dataclasses.asdict(bench.compute_metrics(method, records))
+    bench.save_metrics_table([row], os.path.join(out, f"{method}_metrics.csv"))
+    print(bench.format_report([row]))
+
+
 def cmd_eval_rl(args) -> int:
     profile = get_profile(args.profile)
     out = _ensure_out(args)
@@ -209,10 +221,7 @@ def cmd_eval_rl(args) -> int:
         seed=args.seed,
         env_cfg=_env_config(args),
     )
-    save_episodes(records, os.path.join(out, "rl_eval.epi"))
-    metrics = bench.compute_metrics("rl", records)
-    bench.save_metrics_table([metrics], os.path.join(out, "rl_metrics.csv"))
-    print(bench.format_report([{k: getattr(metrics, k) for k in bench.METRICS_FIELDS}]))
+    _score("rl", records, out)
     return 0
 
 
@@ -228,10 +237,7 @@ def cmd_baseline(args) -> int:
         env_cfg=_env_config(args),
         **sec,
     )
-    save_episodes(records, os.path.join(out, f"{args.method}_eval.epi"))
-    metrics = bench.compute_metrics(args.method, records)
-    bench.save_metrics_table([metrics], os.path.join(out, f"{args.method}_metrics.csv"))
-    print(bench.format_report([{k: getattr(metrics, k) for k in bench.METRICS_FIELDS}]))
+    _score(args.method, records, out)
     if incomplete:
         print(f"dropped {incomplete} episode(s) that never reached the valid-dig quota")
     return 0

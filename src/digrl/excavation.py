@@ -15,7 +15,6 @@ physical attack ranges.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,42 +239,3 @@ class ExcavationEnv:
             self._done = True
         return self._obs, result.reward, self._done, info
 
-
-# ---------------------------------------------------------------------------
-# EPI v1: one JSON object per line, header first
-
-EPI_HEADER = {"format": "EPI", "version": 1}
-
-
-def save_episodes(records: list[dict], path) -> None:
-    """Write dig records as JSON lines under a format header."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(EPI_HEADER) + "\n")
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-
-
-def load_episodes(path) -> list[dict]:
-    """Read dig records written by :func:`save_episodes`.
-
-    An empty file, a line that is not a JSON object, or a wrong header
-    raises ShapeError naming the path and line.
-    """
-    records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if lineno > 1 and not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ShapeError(f"{path}:{lineno}: corrupt line: {exc}") from None
-            if not isinstance(rec, dict):
-                raise ShapeError(f"{path}:{lineno}: expected a JSON object")
-            records.append(rec)
-    if not records:
-        raise ShapeError(f"{path}: empty file, expected an EPI header")
-    header = records.pop(0)
-    if header.get("format") != "EPI" or header.get("version") != 1:
-        raise ShapeError(f"{path}: not an EPI v1 file")
-    return records

@@ -1,4 +1,4 @@
-"""Point-cloud primitives: sampling, neighbor queries, PCA surface labels, heightmaps.
+"""Point-cloud primitives: sampling, neighbor queries, PCA surface labels, the heightmap grid.
 
 All queries are exact, and ties stay reproducible. The encoder's
 ``ball_query``, ``idw_weights`` and ``fps`` stay vectorized brute force,
@@ -22,7 +22,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import EmptyObservationError, ShapeError, SizeError
@@ -79,18 +78,12 @@ class HeightMap:
     """Regular x/y grid of surface heights.
 
     ``heights[i, j]`` covers the cell with x index ``i`` and y index ``j``;
-    flat row-major order therefore scans x first, then y. ``occupied`` marks
-    cells whose height came from actual points; unoccupied cells are filled
-    from their nearest occupied cell.
+    flat row-major order therefore scans x first, then y.
     """
 
     origin: np.ndarray  # (2,) lower corner (x_min, y_min)
     resolution: float
     heights: np.ndarray  # (nx, ny)
-    occupied: np.ndarray  # (nx, ny) bool
-
-    def cell_center(self, i: int, j: int) -> np.ndarray:
-        return self.origin + (np.array([i, j], dtype=np.float64) + 0.5) * self.resolution
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         i = int(np.floor((x - self.origin[0]) / self.resolution))
@@ -357,48 +350,6 @@ def idw_weights(src_points, dst_points, k: int = 3) -> tuple[np.ndarray, np.ndar
         idx[lo:hi] = nearest
         weights[lo:hi] = w
     return idx, weights
-
-
-def to_heightmap(cloud, bounds, resolution: float) -> HeightMap:
-    """Rasterize a cloud into a max-z heightmap over ``bounds``.
-
-    ``bounds`` is (x_min, x_max, y_min, y_max). Each occupied cell keeps the
-    max z of its points; unoccupied cells copy their nearest occupied cell and
-    stay flagged via ``occupied``. A cloud entirely outside the bounds yields
-    an all-unoccupied map with zero heights.
-    """
-    pts = _as_points(cloud)
-    x_min, x_max, y_min, y_max = (float(v) for v in bounds)
-    if not (x_max > x_min and y_max > y_min):
-        raise ShapeError("bounds must span a positive area")
-    if resolution <= 0:
-        raise ShapeError("resolution must be positive")
-    nx = max(1, int(np.ceil((x_max - x_min) / resolution)))
-    ny = max(1, int(np.ceil((y_max - y_min) / resolution)))
-    heights = np.zeros((nx, ny), dtype=np.float64)
-    occupied = np.zeros((nx, ny), dtype=bool)
-    if len(pts):
-        keep = (
-            (pts[:, 0] >= x_min)
-            & (pts[:, 0] <= x_max)
-            & (pts[:, 1] >= y_min)
-            & (pts[:, 1] <= y_max)
-        )
-        inside = pts[keep]
-        if len(inside):
-            i = np.clip(((inside[:, 0] - x_min) / resolution).astype(np.int64), 0, nx - 1)
-            j = np.clip(((inside[:, 1] - y_min) / resolution).astype(np.int64), 0, ny - 1)
-            filler = np.full((nx, ny), -np.inf)
-            np.maximum.at(filler, (i, j), inside[:, 2])
-            occupied = filler > -np.inf
-            heights = np.where(occupied, filler, 0.0)
-    if occupied.any() and not occupied.all():
-        _, (ii, jj) = ndimage.distance_transform_edt(~occupied, return_indices=True)
-        heights = heights[ii, jj]
-    return HeightMap(
-        origin=np.array([x_min, y_min]), resolution=float(resolution),
-        heights=heights, occupied=occupied,
-    )
 
 
 _XYZL_HEADER = re.compile(r"# digrl point cloud, (\d+) points, (?:labeled|bare)\n")

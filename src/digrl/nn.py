@@ -222,30 +222,14 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     return Tensor(out_val, (x,), bw)
 
 
-def pad_groups(groups, fill: int = -1) -> np.ndarray:
-    """Stack variable-length index lists into a (G, K) int matrix, ``fill``-padded."""
-    if len(groups) == 0:
-        raise SizeError("no groups given")
-    width = max(len(g) for g in groups)
-    if width == 0:
-        raise SizeError("max_pool_groups: empty group")
-    out = np.full((len(groups), width), fill, dtype=np.int64)
-    for row, g in enumerate(groups):
-        out[row, : len(g)] = g
-    return out
-
-
-def max_pool_groups(x: Tensor, groups) -> Tensor:
+def max_pool_groups(x: Tensor, idx: np.ndarray) -> Tensor:
     """Per-group, per-feature max over rows of ``x``.
 
-    ``groups`` is a list of index arrays or an already padded (G, K) matrix
-    with -1 marking padding. The gradient flows to the argmax row only (first
-    occurrence on ties), so total gradient mass is preserved.
+    ``idx`` is a (G, K) int matrix: row g lists the rows of ``x`` in group g,
+    padded at its end with -1. The gradient flows to the argmax row only
+    (first occurrence on ties), so total gradient mass is preserved.
     """
-    if isinstance(groups, np.ndarray) and groups.ndim == 2:
-        idx = groups.astype(np.int64, copy=False)
-    else:
-        idx = pad_groups(groups)
+    idx = idx.astype(np.int64, copy=False)
     if (idx >= len(x.value)).any():
         raise SizeError("group index out of range")
     if (idx[:, 0] < 0).any():

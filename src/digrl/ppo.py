@@ -31,7 +31,6 @@ GAMMA = 0.99
 GAE_LAMBDA = 0.95
 CLIP_EPS = 0.2
 VF_COEF = 0.5
-ENT_COEF = 0.0
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 1.0
 SQUASH_EPS = 1e-6
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -272,28 +271,26 @@ def ppo_loss(
     old_logp: np.ndarray,
     advantages: np.ndarray,
     returns: np.ndarray,
-    clip_eps: float = CLIP_EPS,
-    vf_coef: float = VF_COEF,
-    ent_coef: float = ENT_COEF,
 ) -> tuple[nn.Tensor, dict]:
-    """Clipped surrogate + value regression - entropy bonus, as one scalar."""
+    """Clipped surrogate + value regression, as one scalar.
+
+    The loss has no entropy bonus; the entropy is only reported.
+    """
     logp, values, entropy = core.evaluate(codes, us)
     dtype = core.store.dtype
     ratio = nn.exp(nn.sub(logp, nn.Tensor.const(old_logp, dtype)))
     adv_t = nn.Tensor.const(advantages, dtype)
     surr1 = nn.mul(ratio, adv_t)
-    surr2 = nn.mul(nn.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps), adv_t)
+    surr2 = nn.mul(nn.clip(ratio, 1.0 - CLIP_EPS, 1.0 + CLIP_EPS), adv_t)
     pg_loss = nn.neg(nn.mean(nn.minimum(surr1, surr2)))
     v_loss = nn.mse(values, np.asarray(returns, dtype=dtype))
-    loss = nn.add(pg_loss, nn.mul(v_loss, 0.5 * vf_coef))
-    if ent_coef:
-        loss = nn.sub(loss, nn.mul(entropy, ent_coef))
+    loss = nn.add(pg_loss, nn.mul(v_loss, 0.5 * VF_COEF))
     stats = {
         "pg_loss": float(pg_loss.value),
         "v_loss": float(v_loss.value),
         "entropy": float(entropy.value),
         "clip_frac": float(
-            np.mean(np.abs(ratio.value - 1.0) > clip_eps).item()
+            np.mean(np.abs(ratio.value - 1.0) > CLIP_EPS).item()
         ),
     }
     return loss, stats
@@ -436,19 +433,33 @@ def stream_seed_for(seed: int, env_id: int) -> int:
     return stream_seed(seed, f"env-{env_id}")
 
 
+def dig_record(episode: int, dig: int, action, reward: float, info: dict) -> dict:
+    """One per-dig record: episode and dig index, raw and physical action,
+    reward and plan outcome; keys that ``info`` lacks get neutral defaults.
+    """
+    return {
+        "episode": episode,
+        "dig": dig,
+        "raw_action": [float(v) for v in action],
+        "action": [float(v) for v in info.get("attack", action)],
+        "reward": float(reward),
+        "plan_ok": bool(info.get("plan_ok", True)),
+        "failure": info.get("failure"),
+        "captured_cm3": float(info.get("captured_cm3", 0.0)),
+        "objects_left": int(info.get("objects_left", -1)),
+    }
+
+
 def evaluate_policy(
     core: PolicyCore,
     encode,
     make_env,
     n_episodes: int,
     seed: int = 0,
-    digs_per_episode: int | None = None,
 ) -> list[dict]:
-    """Roll deterministic episodes; returns one record per dig.
+    """Roll deterministic episodes; returns one :func:`dig_record` per dig.
 
-    Actions are the squashed distribution mean. Each record carries the
-    episode and dig index, the raw and physical action, the reward, and the
-    plan outcome, ready for episode-file serialization.
+    Actions are the squashed distribution mean.
     """
     if n_episodes <= 0:
         raise SizeError("need at least one evaluation episode")
@@ -463,22 +474,8 @@ def evaluate_policy(
             action = core.act_deterministic(code)
             ob2, reward, done, info = env.step(action)
             dig += 1
-            records.append(
-                {
-                    "episode": ep,
-                    "dig": dig,
-                    "raw_action": [float(v) for v in action],
-                    "action": [float(v) for v in info.get("attack", action)],
-                    "reward": float(reward),
-                    "plan_ok": bool(info.get("plan_ok", True)),
-                    "failure": info.get("failure"),
-                    "captured_cm3": float(info.get("captured_cm3", 0.0)),
-                    "objects_left": int(info.get("objects_left", -1)),
-                }
-            )
+            records.append(dig_record(ep, dig, action, reward, info))
             if ob2 is not ob:
                 code = encode(ob2)
             ob = ob2
-            if digs_per_episode is not None and dig >= digs_per_episode:
-                break
     return records

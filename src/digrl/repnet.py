@@ -187,7 +187,7 @@ class RepNet:
         normals = nn.col_slice(cur, 0, 3)
         curvature = nn.col_slice(cur, 3, 4)
         ch = nn.relu(self._norm_layer(level_feats[-1], "cnt_l1"))
-        pooled = nn.max_pool_groups(ch, [np.arange(len(ch.value))])
+        pooled = nn.max_pool_groups(ch, np.arange(len(ch.value))[None, :])
         ch = nn.relu(self._layer(pooled, "cnt_l2"))
         count = self._layer(ch, "cnt_l3")
         return {

@@ -119,7 +119,6 @@ def _grid_heightmap(xs: np.ndarray, ys: np.ndarray, heights: np.ndarray, cfg: Se
         origin=np.array([xs[0] - 0.5 * cfg.ray_pitch, ys[0] - 0.5 * cfg.ray_pitch]),
         resolution=cfg.ray_pitch,
         heights=heights,
-        occupied=np.ones(heights.shape, dtype=bool),
     )
 
 

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -70,8 +72,8 @@ class TestMetrics:
 
     def test_table_round_trip(self, tmp_path):
         rows = [
-            compute_metrics("a", [dig_record(0, 100.0, True)]),
-            compute_metrics("b", [dig_record(0, 0.0, False)]),
+            asdict(compute_metrics("a", [dig_record(0, 100.0, True)])),
+            asdict(compute_metrics("b", [dig_record(0, 0.0, False)])),
         ]
         path = tmp_path / "metrics.csv"
         save_metrics_table(rows, path)
@@ -110,30 +112,30 @@ class FakeObs:
 
 
 class TestHeuristic:
-    def test_targets_highest_cell(self, rng):
+    def test_targets_highest_point(self):
         r = AttackRanges()
-        # Cover every grid cell so no nearest-copy fill competes, then raise
-        # one cell center above the rest.
-        xs = r.x[0] + 0.01 + 0.02 * np.arange(33)
-        ys = r.y[0] + 0.01 + 0.02 * np.arange(20)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, 0.01)])
-        pts = np.vstack([pts, [0.10, 0.05, 0.25]])
-        action = heuristic_action(FakeObs(pts), rng, r)
-        att = action_to_attack(action, r)
-        assert att.x == pytest.approx(0.10, abs=1e-9)
-        assert att.y == pytest.approx(0.05, abs=1e-9)
-        assert r.alpha[0] <= att.alpha <= r.alpha[1]
+        pts = np.random.default_rng(0).uniform(
+            [r.x[0], r.y[0], 0.0], [r.x[1], r.y[1], 0.05], size=(500, 3)
+        )
+        pts[123] = [0.1234567, -0.0456789, 0.25]
+        action = heuristic_action(FakeObs(pts), np.random.default_rng(3), r)
+        alpha = np.random.default_rng(3).uniform(*r.alpha)
+        want = attack_to_action(AttackPose(0.1234567, -0.0456789, alpha), r)
+        assert action.tobytes() == want.tobytes()
 
-    def test_flat_tie_breaks_to_first_cell(self, rng):
-        r = AttackRanges()
-        pts = np.array([[0.0, 0.0, 0.02], [0.2, 0.1, 0.02]])
-        action = heuristic_action(FakeObs(pts), rng, r)
-        att = action_to_attack(action, r)
-        # All unoccupied cells copy a neighbor; equal heights pick the
-        # lowest row-major index, the corner cell.
-        assert att.x == pytest.approx(r.x[0] + 0.01, abs=1e-9)
-        assert att.y == pytest.approx(r.y[0] + 0.01, abs=1e-9)
+    def test_tie_goes_to_lowest_point_index(self, rng):
+        pts = np.array(
+            [[0.0, 0.0, 0.01], [0.05, 0.1, 0.03], [-0.1, -0.05, 0.02], [0.2, 0.1, 0.03]]
+        )
+        att = action_to_attack(heuristic_action(FakeObs(pts), rng))
+        assert att.x == pytest.approx(0.05, abs=1e-12)
+        assert att.y == pytest.approx(0.1, abs=1e-12)
+
+    def test_point_outside_ranges_is_clipped(self, rng):
+        pts = np.array([[0.0, 0.0, 0.01], [5.0, -5.0, 0.3]])
+        action = heuristic_action(FakeObs(pts), rng)
+        assert action[0] == 1.0 and action[1] == -1.0
+        assert -1.0 <= action[2] <= 1.0
 
 
 class TestRunBaseline:
@@ -266,8 +268,8 @@ class TestExperimentDrivers:
 
 class TestReport:
     def test_format_and_merge(self, tmp_path):
-        rows_a = [compute_metrics("alpha", [dig_record(0, 90.0, True)])]
-        rows_b = [compute_metrics("beta", [dig_record(0, 0.0, False)])]
+        rows_a = [asdict(compute_metrics("alpha", [dig_record(0, 90.0, True)]))]
+        rows_b = [asdict(compute_metrics("beta", [dig_record(0, 0.0, False)]))]
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         save_metrics_table(rows_a, pa)
         save_metrics_table(rows_b, pb)
@@ -278,6 +280,7 @@ class TestReport:
         assert "alpha" in text and "beta" in text
         back = load_metrics_table(merged)
         assert [r["method"] for r in back] == ["alpha", "beta"]
+        assert back == load_metrics_table(pa) + load_metrics_table(pb)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

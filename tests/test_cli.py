@@ -1,0 +1,117 @@
+"""The ``digrl`` command line, run in process through ``cli.main``.
+
+The whole pipeline runs at toy scale from one ``--config`` file: two scenes
+of 5 to 8 objects, one representation epoch, one tiny PPO update, and
+two-dig episodes.
+"""
+
+import csv
+
+import pytest
+
+from digrl import cli
+from digrl.config import get_profile
+from digrl.nn import save_ckpt
+from digrl.repnet import RepNet
+
+TOY_CONFIG = """\
+[scenes]
+count_min = 5
+count_max = 8
+n_scenes = 2
+
+[rep]
+epochs = 1
+
+[rl]
+n_envs = 2
+rollout = 4
+minibatch = 4
+update_epochs = 1
+total_samples = 4
+
+[env]
+digs_per_episode = 2
+count_min = 5
+count_max = 8
+
+[bench]
+valid_digs = 1
+attempt_cap = 4
+"""
+
+
+@pytest.fixture
+def config(tmp_path):
+    path = tmp_path / "toy.cfg"
+    path.write_text(TOY_CONFIG)
+    return str(path)
+
+
+def run(*argv):
+    return cli.main([str(a) for a in argv])
+
+
+def test_pipeline_from_one_config(tmp_path, config, capsys):
+    data, rep, rl, ev = (tmp_path / d for d in ("data", "rep", "rl", "eval"))
+    assert run("gen-scenes", "--config", config, "--out", data) == 0
+    assert run("label", "--config", config, "--data", data) == 0
+    assert run("train-rep", "--config", config, "--data", data, "--out", rep) == 0
+    assert run("train-rl", "--config", config, "--rep-ckpt", rep / "rep.ckpt", "--out", rl) == 0
+    policy = rl / "policy_rep.ckpt"
+    assert run(
+        "eval-rl", "--config", config, "--rep-ckpt", rep / "rep.ckpt",
+        "--policy-ckpt", policy, "--episodes", 1, "--out", ev,
+    ) == 0
+    for method in ("heuristic", "random"):
+        assert run(
+            "baseline", "--config", config, "--method", method, "--episodes", 1, "--out", ev
+        ) == 0
+    metrics = [ev / f"{m}_metrics.csv" for m in ("rl", "heuristic", "random")]
+    capsys.readouterr()
+    assert run("report", "--inputs", *metrics, "--out", tmp_path / "report") == 0
+    table = capsys.readouterr().out.splitlines()
+
+    written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == {
+        "toy.cfg",
+        "data/raw_manifest.txt",
+        "data/raw_scenes/0000.scene",
+        "data/raw_scenes/0001.scene",
+        "data/manifest.txt",
+        "data/scenes/0000.xyzl",
+        "data/scenes/0001.xyzl",
+        "rep/rep.ckpt",
+        "rep/rep_metrics.csv",
+        "rl/policy_rep.ckpt",
+        "rl/rl_curve.csv",
+        "eval/rl_metrics.csv",
+        "eval/heuristic_metrics.csv",
+        "eval/random_metrics.csv",
+        "report/report.csv",
+    }
+    assert [line.split()[0] for line in table[2:]] == ["rl", "heuristic", "random"]
+    with open(tmp_path / "report" / "report.csv", newline="") as fh:
+        assert [r["method"] for r in csv.DictReader(fh)] == ["rl", "heuristic", "random"]
+
+
+def test_samples_flag_overrides_config_total(tmp_path, config):
+    ckpt = tmp_path / "rep.ckpt"
+    save_ckpt(RepNet(get_profile("desk"), seed=0).store, ckpt)
+    out = tmp_path / "rl"
+    assert run(
+        "train-rl", "--config", config, "--rep-ckpt", ckpt, "--samples", 8, "--out", out
+    ) == 0
+    with open(out / "rl_curve.csv", newline="") as fh:
+        assert [int(r["samples"]) for r in csv.DictReader(fh)] == [4, 8]
+
+
+def test_usage_error_exits_1(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run("baseline", "--method", "greedy", "--out", tmp_path)
+    assert exc.value.code == 1
+
+
+def test_missing_input_exits_2(tmp_path, capsys):
+    assert run("report", "--inputs", tmp_path / "nope.csv") == 2
+    assert "metrics file not found" in capsys.readouterr().err

@@ -15,8 +15,6 @@ from digrl.excavation import (
     action_to_attack,
     capture_from_drag,
     execute_dig,
-    load_episodes,
-    save_episodes,
 )
 from digrl.geometry import HeightMap
 from digrl.kinematics import ArmModel, AttackPose, TrajectoryParams, plan_trajectory
@@ -52,7 +50,6 @@ def flat_map(height):
         origin=np.array([-0.40, -0.25]),
         resolution=0.005,
         heights=np.full((160, 100), float(height)),
-        occupied=np.ones((160, 100), dtype=bool),
     )
 
 
@@ -318,7 +315,6 @@ class TestEnv:
         assert obs.heightmap.heights.tobytes() == expected.heights.tobytes()
         assert obs.heightmap.origin.tobytes() == expected.origin.tobytes()
         assert obs.heightmap.resolution == expected.resolution
-        assert np.array_equal(obs.heightmap.occupied, expected.occupied)
 
     def test_one_render_per_refresh(self, monkeypatch):
         renders = []
@@ -395,24 +391,3 @@ class TestEnv:
             assert reward == PLAN_FAILURE_REWARD
             assert obs1 is obs0
 
-
-class TestEpisodeFile:
-    def test_round_trip(self, tmp_path):
-        records = [
-            {"episode": 0, "dig": 1, "reward": 216.0, "plan_ok": True},
-            {"episode": 0, "dig": 2, "reward": -1.0, "plan_ok": False},
-        ]
-        path = tmp_path / "digs.epi"
-        save_episodes(records, path)
-        assert load_episodes(path) == records
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.epi"
-        path.write_text('{"format": "nope", "version": 1}\n')
-        with pytest.raises(ShapeError):
-            load_episodes(path)
-
-    def test_empty_records(self, tmp_path):
-        path = tmp_path / "empty.epi"
-        save_episodes([], path)
-        assert load_episodes(path) == []

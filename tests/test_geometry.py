@@ -6,6 +6,7 @@ from digrl.config import get_profile
 from digrl.errors import EmptyObservationError, ShapeError, SizeError
 from digrl.geometry import (
     CURVATURE_MAX,
+    HeightMap,
     PointCloud,
     ball_query,
     estimate_normals_curvature,
@@ -14,7 +15,6 @@ from digrl.geometry import (
     idw_weights,
     load_xyzl,
     save_xyzl,
-    to_heightmap,
 )
 from digrl.scenegen import spawn_scene
 from digrl.sensor import SensorConfig, observe
@@ -571,46 +571,13 @@ class TestIdw:
 
 
 class TestHeightmap:
-    def test_single_point(self):
-        hm = to_heightmap(np.array([[0.05, 0.05, 0.1]]), (0, 0.1, 0, 0.1), 0.1)
-        assert hm.heights.shape == (1, 1)
-        assert hm.heights[0, 0] == 0.1
-        assert hm.occupied[0, 0]
-
-    def test_max_rule_within_cell(self):
-        pts = np.array([[0.05, 0.05, 0.1], [0.04, 0.06, 0.2]])
-        hm = to_heightmap(pts, (0, 0.1, 0, 0.1), 0.1)
-        assert hm.heights[0, 0] == 0.2
-
-    def test_unoccupied_cells_copy_nearest(self):
-        pts = np.array([[0.05, 0.05, 0.3]])
-        hm = to_heightmap(pts, (0, 0.3, 0, 0.1), 0.1)
-        assert hm.occupied.sum() == 1
-        assert np.all(hm.heights == 0.3)
-
-    def test_all_outside_gives_unoccupied_zeros(self):
-        hm = to_heightmap(np.array([[5.0, 5.0, 1.0]]), (0, 1, 0, 1), 0.5)
-        assert not hm.occupied.any()
-        assert np.all(hm.heights == 0.0)
-
     def test_height_at_clamps_to_grid(self, rng):
-        pts = rng.uniform(0, 1, size=(200, 3))
-        hm = to_heightmap(pts, (0, 1, 0, 1), 0.25)
+        hm = HeightMap(
+            origin=np.array([0.0, 0.0]), resolution=0.25, heights=rng.uniform(0, 1, size=(4, 4))
+        )
         assert hm.height_at(-10, -10) == hm.heights[0, 0]
         assert hm.height_at(10, 10) == hm.heights[-1, -1]
-
-    def test_flat_floor(self, rng):
-        xy = rng.uniform(0, 1, size=(5000, 2))
-        pts = np.column_stack([xy, np.zeros(len(xy))])
-        hm = to_heightmap(pts, (0, 1, 0, 1), 0.1)
-        assert np.all(hm.heights == 0.0)
-        assert hm.occupied.all()
-
-    def test_rejects_degenerate_bounds(self):
-        with pytest.raises(ShapeError):
-            to_heightmap(np.zeros((1, 3)), (0, 0, 0, 1), 0.1)
-        with pytest.raises(ShapeError):
-            to_heightmap(np.zeros((1, 3)), (0, 1, 0, 1), 0.0)
+        assert hm.height_at(0.3, 0.6) == hm.heights[1, 2]
 
 
 def save_xyzl_reference(path, cloud):

@@ -50,7 +50,6 @@ def flat_bed(height):
         origin=np.array([-0.40, -0.25]),
         resolution=0.005,
         heights=np.full((160, 100), float(height)),
-        occupied=np.ones((160, 100), dtype=bool),
     )
 
 

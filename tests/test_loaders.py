@@ -3,8 +3,7 @@
 Binary files raise ShapeError on every truncation and on trailing bytes.
 An xyzl file records its point count and ends every line in a newline, so
 every strict prefix raises ShapeError (or EmptyObservationError while the
-cut is inside its comment line). EPI files record no length: a prefix either
-loads the records before the cut or raises ShapeError.
+cut is inside its comment line).
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 
 from digrl import nn
 from digrl.errors import EmptyObservationError, ShapeError
-from digrl.excavation import load_episodes, save_episodes
 from digrl.geometry import PointCloud, load_xyzl, save_xyzl
 from digrl.scenegen import load_scene, save_scene, spawn_scene
 
@@ -82,24 +80,8 @@ def xyzl_file(path):
     save_xyzl(path, PointCloud(points, normals, np.array([0.0, 1e-5, 0.3])))
 
 
-def epi_file(path):
-    save_episodes(
-        [
-            {"episode": 0, "dig": 1, "reward": 216.5, "plan_ok": True, "kind": "ok"},
-            {"episode": 0, "dig": 2, "reward": -1.0, "plan_ok": False, "kind": None},
-        ],
-        path,
-    )
-
-
-TEXT_KINDS = [
-    pytest.param(xyzl_file, load_xyzl, True, id="xyzl"),
-    pytest.param(epi_file, load_episodes, False, id="epi"),
-]
-
-
-@pytest.mark.parametrize("write, load, must_raise", TEXT_KINDS)
-def test_text_truncation_loads_or_raises_shape_error(write, load, must_raise, tmp_path):
+@pytest.mark.parametrize("write, load", [pytest.param(xyzl_file, load_xyzl, id="xyzl")])
+def test_text_truncation_loads_or_raises_shape_error(write, load, tmp_path):
     path = tmp_path / "whole"
     write(path)
     blob = path.read_bytes()
@@ -120,8 +102,7 @@ def test_text_truncation_loads_or_raises_shape_error(write, load, must_raise, tm
         except Exception as exc:
             foreign.append((size, type(exc).__name__))
         else:
-            if must_raise:
-                foreign.append((size, "loaded"))
+            foreign.append((size, "loaded"))
     assert foreign == [], f"{len(foreign)} of {len(blob)} truncations: {foreign[:5]}"
 
 
@@ -150,19 +131,3 @@ def test_xyzl_corrupt_field_names_line(tmp_path):
     with pytest.raises(ShapeError, match=r"bad\.xyzl:3"):
         load_xyzl(path)
 
-
-def test_epi_corrupt_line_names_line(tmp_path):
-    path = tmp_path / "bad.epi"
-    epi_file(path)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text(lines[0] + '{"episode": 0, "dig": \n' + lines[2])
-    with pytest.raises(ShapeError, match=r"bad\.epi:2"):
-        load_episodes(path)
-
-
-@pytest.mark.parametrize("text", ["", "\n", "[1, 2]\n", '{"format": "EPI", "version": 1}\n7\n'])
-def test_epi_empty_or_foreign_json_raises_shape_error(text, tmp_path):
-    path = tmp_path / "odd.epi"
-    path.write_text(text)
-    with pytest.raises(ShapeError):
-        load_episodes(path)

@@ -192,7 +192,7 @@ class TestGradients:
 
     def test_max_pool_groups(self, rng):
         x0 = rng.normal(size=(7, 3))
-        groups = [np.array([0, 1, 2]), np.array([3]), np.array([4, 5, 6])]
+        groups = np.array([[0, 1, 2], [3, -1, -1], [4, 5, 6]])
 
         def build(arr):
             t = leaf(arr)
@@ -264,7 +264,7 @@ class TestBackwardSemantics:
 
     def test_max_pool_gradient_only_at_argmax(self):
         x = leaf(np.array([[1.0, 5.0], [3.0, 2.0], [2.0, 7.0]]))
-        out = nn.max_pool_groups(x, [np.array([0, 1, 2])])
+        out = nn.max_pool_groups(x, np.array([[0, 1, 2]]))
         nn.backward(nn.total_sum(out))
         want = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert np.array_equal(x.grad, want)
@@ -292,7 +292,7 @@ class TestOpIdentities:
 
     def test_single_element_group_pool_is_identity(self, rng):
         x = rng.normal(size=(3, 4))
-        out = nn.max_pool_groups(leaf(x), [np.array([1])])
+        out = nn.max_pool_groups(leaf(x), np.array([[1]]))
         assert np.array_equal(out.value, x[1:2])
 
     def test_pool_matches_argmax_on_ties(self, rng):
@@ -318,11 +318,7 @@ class TestOpIdentities:
 
     def test_pool_rejects_empty_group(self):
         with pytest.raises(SizeError):
-            nn.max_pool_groups(leaf(np.ones((2, 2))), [np.array([], dtype=np.int64)])
-
-    def test_pad_groups_layout(self):
-        padded = nn.pad_groups([np.array([3, 1]), np.array([2])])
-        assert np.array_equal(padded, [[3, 1], [2, -1]])
+            nn.max_pool_groups(leaf(np.ones((2, 2))), np.array([[0, 1], [-1, -1]]))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
