@@ -76,3 +76,10 @@ class BlobReader:
     def finish(self) -> None:
         if self.off != len(self.blob):
             raise ShapeError(f"{self.path}: {len(self.blob) - self.off} trailing bytes")
+
+
+def require_positive(**sizes: int) -> None:
+    """Raise SizeError naming the first of ``sizes`` that is below 1."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise SizeError(f"{name} must be at least 1, got {value}")

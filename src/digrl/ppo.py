@@ -25,7 +25,7 @@ import numpy as np
 
 from . import nn
 from .config import seed_stream, stream_seed
-from .errors import SizeError
+from .errors import SizeError, require_positive
 
 GAMMA = 0.99
 GAE_LAMBDA = 0.95
@@ -339,6 +339,7 @@ def train_rl(
     """
     if n_envs <= 0 or rollout % n_envs:
         raise SizeError(f"rollout={rollout} is not a multiple of n_envs={n_envs}")
+    require_positive(minibatch=minibatch, update_epochs=update_epochs)
     core = PolicyCore(code_size, act_dim=act_dim, hidden=hidden, store=store, seed=seed)
     act_rng = seed_stream(seed, "rl-act")
     sgd_rng = seed_stream(seed, "rl-minibatch")

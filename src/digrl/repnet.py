@@ -16,6 +16,14 @@ another two-layer MLP. At the finest step the skip input is each point's
 offset to its nearest first-level center, so the whole per-point path sees
 only relative geometry and is exactly translation invariant.
 
+The sampling, grouping and interpolation depend on the coordinates alone,
+so :meth:`RepNet.plan` computes them once as a :class:`GroupingPlan`: per
+encoder level the FPS centers, the ball-query member and pool indices and
+the radius-scaled offsets, and per decoder step the IDW indices and weights,
+plus the finest skip offsets. A forward given a plan skips that work and
+gives the same bits. ``train_rep`` keeps the plans of its evaluation clouds
+for the length of one call; nothing caches them across calls.
+
 Per-point heads predict the surface normal and the curvature; a global head
 max-pools the coarsest features into an object-count estimate. Training is
 self-supervised: the targets are PCA labels computed on the observed cloud
@@ -32,7 +40,7 @@ import numpy as np
 
 from . import nn
 from .config import Profile, get_profile, seed_stream
-from .errors import DigrlError, ShapeError, SizeError
+from .errors import DigrlError, ShapeError, SizeError, require_positive
 from .geometry import (
     CURVATURE_MAX,
     PointCloud,
@@ -48,6 +56,43 @@ from .sensor import SensorConfig, label_observation, observe
 NORMAL_LOSS_WEIGHT = 10.0
 COUNT_SCALE = 300.0  # object counts are regressed as count / COUNT_SCALE
 INTERP_K = 3
+SPLITS = ("train", "val")
+
+
+@dataclass(frozen=True)
+class Level:
+    """One encoder level's grouping of the previous level's points.
+
+    ``members`` lists the grouped points one row per member, ``pooled`` is
+    the (G, K) ball-query layout with each slot holding its row of
+    ``members`` (-1 pads), and ``offsets`` are the members' offsets to their
+    centers divided by the level's radius, in the store's dtype.
+    """
+
+    centers: np.ndarray
+    members: np.ndarray
+    pooled: np.ndarray
+    offsets: np.ndarray
+
+
+@dataclass(frozen=True)
+class GroupingPlan:
+    """Everything :meth:`RepNet.forward` computes from the coordinates alone.
+
+    ``stencils`` holds the decoder's IDW (indices, weights), coarsest step
+    first, and ``skip`` each point's offset to its nearest first-level
+    center over the first radius, in the store's dtype.
+    """
+
+    points: np.ndarray
+    levels: tuple[Level, ...]
+    stencils: tuple[tuple[np.ndarray, np.ndarray], ...]
+    skip: np.ndarray
+
+    @property
+    def positions(self) -> list[np.ndarray]:
+        """The cloud, then every level's centers."""
+        return [self.points] + [lv.centers for lv in self.levels]
 
 
 class RepNet:
@@ -100,12 +145,7 @@ class RepNet:
         """
         return nn.standardize_cols(self._layer(x, name))
 
-    def encoder(self, points) -> dict:
-        """Set abstraction over one (N, 3) cloud: the encoder half of :meth:`forward`.
-
-        Returns the flattened ``code`` tensor, the ``positions`` of the cloud
-        and of every level's centers, and each level's pooled ``feats``.
-        """
+    def _cloud(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ShapeError(f"expected (N, 3) points, got {pts.shape}")
@@ -115,55 +155,87 @@ class RepNet:
                 f"cloud of {len(pts)} points is below the first grouping level "
                 f"({p.level_points[0]}); profile {p.name!r} expects denser input"
             )
-        dtype = self.store.dtype
-        positions = [pts]
-        level_feats: list[nn.Tensor] = []
-        feats: nn.Tensor | None = None
+        return pts
+
+    def _levels(self, pts: np.ndarray) -> tuple[Level, ...]:
+        """FPS centers and ball-query groups of every encoder level."""
+        p = self.profile
+        levels = []
+        prev = pts
         for i in range(len(p.level_points)):
-            prev = positions[-1]
-            centers_idx = fps(prev, p.level_points[i])
-            centers = prev[centers_idx]
+            centers = prev[fps(prev, p.level_points[i])]
             groups = ball_query(prev, centers, p.level_radii[i], p.level_group_sizes[i])
             rows, cols = np.nonzero(groups >= 0)
-            flat_idx = groups[rows, cols]
-            rel = prev[flat_idx] - centers[rows]
+            members = groups[rows, cols]
             # Offsets are divided by the grouping radius so every level sees
             # inputs near unit scale; raw meter offsets are too small for the
             # tanh layers to train on.
-            rel_t = nn.Tensor.const(rel / p.level_radii[i], dtype=dtype)
+            rel = (prev[members] - centers[rows]) / p.level_radii[i]
+            pooled = np.full(groups.shape, -1, dtype=np.int64)
+            pooled[rows, cols] = np.arange(len(rows))
+            levels.append(Level(centers, members, pooled, rel.astype(self.store.dtype)))
+            prev = centers
+        return tuple(levels)
+
+    def plan(self, points) -> GroupingPlan:
+        """The weight-free geometry a :meth:`forward` on these points needs."""
+        pts = self._cloud(points)
+        levels = self._levels(pts)
+        positions = [pts] + [lv.centers for lv in levels]
+        stencils = tuple(
+            idw_weights(positions[j], positions[j - 1], k=min(INTERP_K, len(positions[j])))
+            for j in range(len(levels), 0, -1)
+        )
+        nearest = positions[1][stencils[-1][0][:, 0]]
+        skip = (pts - nearest) / self.profile.level_radii[0]
+        return GroupingPlan(pts, levels, stencils, skip.astype(self.store.dtype))
+
+    def encoder(self, points, plan: GroupingPlan | None = None) -> dict:
+        """Set abstraction over one (N, 3) cloud: the encoder half of :meth:`forward`.
+
+        Without a ``plan`` only the encoder levels are grouped, so no decoder
+        stencil is computed. Returns the flattened ``code`` tensor and each
+        level's pooled ``feats``.
+        """
+        levels = self._levels(self._cloud(points)) if plan is None else plan.levels
+        dtype = self.store.dtype
+        level_feats: list[nn.Tensor] = []
+        feats: nn.Tensor | None = None
+        for i, lv in enumerate(levels):
+            rel_t = nn.Tensor.const(lv.offsets)
             if feats is None:
                 x = rel_t
             else:
-                x = nn.concat([rel_t, nn.gather_rows(feats, flat_idx)], axis=1)
+                x = nn.concat([rel_t, nn.gather_rows(feats, lv.members)], axis=1)
             h = nn.tanh(self._norm_layer(x, f"sa{i + 1}_l1"))
             h = nn.tanh(self._norm_layer(h, f"sa{i + 1}_l2"))
-            # Row g of ``pooled`` lists the rows of ``h`` that belong to group g.
-            pooled = np.full(groups.shape, -1, dtype=np.int64)
-            pooled[rows, cols] = np.arange(len(rows))
-            feats = nn.max_pool_groups(h, pooled)
-            positions.append(centers)
+            feats = nn.max_pool_groups(h, lv.pooled)
             level_feats.append(feats)
 
         code = nn.reshape(
-            nn.concat([feats, nn.Tensor.const(positions[-1], dtype=dtype)], axis=1), (-1,)
+            nn.concat([feats, nn.Tensor.const(levels[-1].centers, dtype=dtype)], axis=1), (-1,)
         )
-        return {"code": code, "positions": positions, "feats": level_feats}
+        return {"code": code, "feats": level_feats}
 
-    def forward(self, points) -> dict:
+    def forward(self, points, plan: GroupingPlan | None = None) -> dict:
         """Run the full network on one (N, 3) cloud: :meth:`encoder`, then the decoder.
 
-        Returns a dict of graph tensors: per-point raw ``normals`` (N, 3) and
-        ``curvature`` (N, 1), the scalar-normalized ``count`` (1, 1), and the
-        flattened ``code``.
+        ``plan`` is the cloud's :meth:`plan`, reused in place of computing
+        the same geometry again; it must come from these points. Returns a
+        dict of graph tensors: per-point raw ``normals`` (N, 3) and
+        ``curvature`` (N, 1), the scalar-normalized ``count`` (1, 1), and
+        the flattened ``code``, plus the ``positions`` of the cloud and of
+        every level's centers.
         """
-        enc = self.encoder(points)
-        p, dtype = self.profile, self.store.dtype
-        positions, level_feats = enc["positions"], enc["feats"]
+        if plan is None:
+            plan = self.plan(points)
+        elif np.shape(points) != plan.points.shape:
+            raise ShapeError(f"plan for {plan.points.shape} points, cloud {np.shape(points)}")
+        enc = self.encoder(points, plan)
+        dtype = self.store.dtype
+        level_feats = enc["feats"]
         cur = level_feats[-1]
-        for j in range(5, 0, -1):
-            src_pos = positions[j]
-            dst_pos = positions[j - 1]
-            idx, wts = idw_weights(src_pos, dst_pos, k=min(INTERP_K, len(src_pos)))
+        for j, (idx, wts) in zip(range(len(level_feats), 0, -1), plan.stencils):
             parts = [
                 nn.scale_rows(nn.gather_rows(cur, idx[:, kk]), wts[:, kk].astype(dtype))
                 for kk in range(idx.shape[1])
@@ -171,12 +243,7 @@ class RepNet:
             interp = parts[0]
             for extra in parts[1:]:
                 interp = nn.add(interp, extra)
-            if j > 1:
-                skip = level_feats[j - 2]
-            else:
-                skip = nn.Tensor.const(
-                    (dst_pos - src_pos[idx[:, 0]]) / p.level_radii[0], dtype=dtype
-                )
+            skip = level_feats[j - 2] if j > 1 else nn.Tensor.const(plan.skip)
             x = nn.concat([interp, skip], axis=1)
             cur = nn.tanh(self._norm_layer(x, f"fp{j}_l1"))
             if j > 1:
@@ -195,16 +262,18 @@ class RepNet:
             "curvature": curvature,
             "count": count,
             "code": enc["code"],
-            "positions": positions,
+            "positions": plan.positions,
         }
 
     def encode(self, points) -> np.ndarray:
         """Fixed-size scene code for the policy (no gradients retained)."""
         return np.array(self.encoder(points)["code"].value, dtype=np.float64)
 
-    def predict(self, points) -> tuple[np.ndarray, np.ndarray, float]:
+    def predict(
+        self, points, plan: GroupingPlan | None = None
+    ) -> tuple[np.ndarray, np.ndarray, float]:
         """Evaluated per-point labels: unit normals, clipped curvature, count."""
-        out = self.forward(points)
+        out = self.forward(points, plan)
         raw = np.asarray(out["normals"].value, dtype=np.float64)
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
         normals = raw / np.where(norms <= 1e-8, 1e-8, norms)
@@ -287,14 +356,7 @@ def label_scene_files(
     out_dir = out_dir or root_dir
     cfg = SensorConfig(fps_target=profile.fps_target)
     raw_manifest = os.path.join(root_dir, "raw_manifest.txt")
-    entries = []
-    with open(raw_manifest) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            scene_id, *kvs = line.split()
-            entries.append((scene_id, dict(kv.split("=", 1) for kv in kvs)))
+    entries = _read_manifest(raw_manifest)
     if not entries:
         raise SizeError(f"no scenes listed in {raw_manifest}")
     split_rng = seed_stream(seed, "rep-split")
@@ -324,29 +386,52 @@ def label_scene_files(
     return lines
 
 
-def load_rep_dataset(data_dir) -> list[RepSample]:
-    manifest = os.path.join(data_dir, "manifest.txt")
-    samples = []
-    with open(manifest) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
+def _read_manifest(path) -> list[tuple[str, dict]]:
+    """The ``(scene_id, {key: value})`` entries of a manifest, one per line.
+
+    A line is a scene id followed by ``key=value`` tokens; blank lines and
+    ``#`` comments are skipped. Every entry needs a ``count`` of decimal
+    digits, which is returned as an int, and a ``split`` tag, if present,
+    must be ``train`` or ``val``. A malformed line raises ShapeError naming ``path:line``.
+    """
+    entries = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
                 continue
-            scene_id, *kvs = line.split()
+            scene_id, *kvs = tokens
+            where = f"{path}:{lineno}"
+            bad = [kv for kv in kvs if "=" not in kv]
+            if bad:
+                raise ShapeError(f"{where}: expected key=value, got {bad[0]!r}")
             meta = dict(kv.split("=", 1) for kv in kvs)
-            cloud = load_xyzl(os.path.join(data_dir, "scenes", f"{scene_id}.xyzl"))
-            if cloud.normals is None or cloud.curvature is None:
-                raise ShapeError(f"scene {scene_id} has no labels")
-            samples.append(
-                RepSample(
-                    scene_id=scene_id,
-                    points=cloud.points,
-                    normals=cloud.normals,
-                    curvature=cloud.curvature,
-                    count=int(meta["count"]),
-                    split=meta.get("split", "train"),
-                )
+            count = meta.get("count", "")
+            if not (count.isascii() and count.isdigit()):
+                raise ShapeError(f"{where}: needs an integer count=, got {meta.get('count')!r}")
+            meta["count"] = int(count)
+            if meta.get("split", "train") not in SPLITS:
+                raise ShapeError(f"{where}: split={meta['split']!r} is not one of {SPLITS}")
+            entries.append((scene_id, meta))
+    return entries
+
+
+def load_rep_dataset(data_dir) -> list[RepSample]:
+    samples = []
+    for scene_id, meta in _read_manifest(os.path.join(data_dir, "manifest.txt")):
+        cloud = load_xyzl(os.path.join(data_dir, "scenes", f"{scene_id}.xyzl"))
+        if cloud.normals is None or cloud.curvature is None:
+            raise ShapeError(f"scene {scene_id} has no labels")
+        samples.append(
+            RepSample(
+                scene_id=scene_id,
+                points=cloud.points,
+                normals=cloud.normals,
+                curvature=cloud.curvature,
+                count=meta["count"],
+                split=meta.get("split", "train"),
             )
+        )
     if not samples:
         raise SizeError(f"no samples found under {data_dir}")
     return samples
@@ -356,13 +441,27 @@ def load_rep_dataset(data_dir) -> list[RepSample]:
 # Training and evaluation
 
 
-def eval_rep(net: RepNet, samples: list[RepSample]) -> dict:
-    """Aggregate label metrics over a sample list."""
+def eval_rep(net: RepNet, samples: list[RepSample], plans: list | None = None) -> dict:
+    """Aggregate label metrics over a sample list.
+
+    ``plans``, if given, runs parallel to ``samples``: each ``None`` entry is
+    replaced by that cloud's :meth:`RepNet.plan` before its forward, and a
+    filled entry is reused, so a caller that keeps the list over several
+    calls computes each cloud's geometry once.
+    """
+    if not samples:
+        raise SizeError("eval_rep needs at least one sample")
+    if plans is None:
+        plans = [None] * len(samples)
+    elif len(plans) != len(samples):
+        raise SizeError(f"{len(plans)} plans for {len(samples)} samples")
     cos_sum, cos_n = 0.0, 0
     curv_sum = 0.0
     count_err = []
-    for s in samples:
-        normals, curv, count = net.predict(s.points)
+    for k, s in enumerate(samples):
+        if plans[k] is None:
+            plans[k] = net.plan(s.points)
+        normals, curv, count = net.predict(s.points, plans[k])
         cos_sum += float(np.sum(np.sum(normals * s.normals, axis=1)))
         cos_n += len(s.points)
         curv_sum += float(np.sum(np.abs(curv - s.curvature)))
@@ -391,8 +490,13 @@ def train_rep(
 
     Each optimizer step averages gradients over a batch of clouds; every
     cloud is jittered by one shared planar translation, which the network
-    must ignore by construction. Training aborts on a non-finite loss.
+    must ignore by construction. A jittered cloud is new at every step, so
+    each training forward groups it afresh. The end-of-epoch evaluation
+    sees the same unjittered clouds every epoch: each one's grouping plan is
+    built at its first evaluation and kept for this call only. Training
+    aborts on a non-finite loss.
     """
+    require_positive(epochs=epochs, batch_size=batch_size)
     profile = profile or get_profile()
     net = RepNet(profile, seed=seed)
     rng = seed_stream(seed, "rep-train")
@@ -400,6 +504,7 @@ def train_rep(
     val = [s for s in samples if s.split == "val"]
     if not train:
         raise SizeError("no training split")
+    plans = {"train": [None] * len(train), "val": [None] * len(val)}
     history = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(train))
@@ -419,7 +524,7 @@ def train_rep(
             if not split_samples:
                 continue
             row = {"epoch": epoch, "split": split_name}
-            row.update(eval_rep(net, split_samples))
+            row.update(eval_rep(net, split_samples, plans[split_name]))
             history.append(row)
             if log is not None:
                 log(

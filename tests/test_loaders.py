@@ -3,8 +3,11 @@
 Binary files raise ShapeError on every truncation and on trailing bytes.
 An xyzl file records its point count and ends every line in a newline, so
 every strict prefix raises ShapeError (or EmptyObservationError while the
-cut is inside its comment line).
+cut is inside its comment line). A malformed dataset manifest line raises
+ShapeError naming the file and line.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ import pytest
 from digrl import nn
 from digrl.errors import EmptyObservationError, ShapeError
 from digrl.geometry import PointCloud, load_xyzl, save_xyzl
+from digrl.repnet import label_scene_files, load_rep_dataset
 from digrl.scenegen import load_scene, save_scene, spawn_scene
 
 
@@ -131,3 +135,27 @@ def test_xyzl_corrupt_field_names_line(tmp_path):
     with pytest.raises(ShapeError, match=r"bad\.xyzl:3"):
         load_xyzl(path)
 
+
+
+COUNT = "needs an integer count=, got "
+BAD_MANIFEST_LINES = [
+    pytest.param("0000 seed=1 split=train", COUNT + "None", id="no-count"),
+    pytest.param("0000 count=abc split=train", COUNT + "'abc'", id="count-word"),
+    pytest.param("0000 count=2.5 split=train", COUNT + "'2.5'", id="count-float"),
+    pytest.param("0000 count=3_0 split=train", COUNT + "'3_0'", id="count-digit-groups"),
+    pytest.param("0000 seed=1 count=2 train", "expected key=value, got 'train'", id="bare-token"),
+    pytest.param("0000 count=2 split=tset", "split='tset' is not one of", id="split-typo"),
+]
+
+
+@pytest.mark.parametrize("line, message", BAD_MANIFEST_LINES)
+def test_manifest_bad_line_raises_shape_error(line, message, tmp_path):
+    (tmp_path / "manifest.txt").write_text(f"# dataset\n{line}\n")
+    with pytest.raises(ShapeError, match=re.escape(f"manifest.txt:2: {message}")):
+        load_rep_dataset(tmp_path)
+
+
+def test_raw_manifest_bad_line_raises_shape_error(tmp_path):
+    (tmp_path / "raw_manifest.txt").write_text("0000 seed=1 count=3\n0001 seed=2 count\n")
+    with pytest.raises(ShapeError, match=r"raw_manifest\.txt:2: expected key=value"):
+        label_scene_files(tmp_path)

@@ -263,6 +263,28 @@ class TestTraining:
         (batch,) = batches
         assert len(batch["obs"]) == (8 if e2e else 0)
 
+    @pytest.mark.parametrize(
+        "name, value", [("minibatch", -4), ("minibatch", 0), ("update_epochs", 0)]
+    )
+    def test_rejects_non_positive_batch_sizes(self, name, value):
+        # Below 1 the update loop ran no step and still returned a curve.
+        built = []
+        kwargs = dict(
+            make_env=lambda i, seed: built.append(i) or QuadraticBandit(i, seed),
+            encode=lambda o: o,
+            code_size=2,
+            total_samples=8,
+            act_dim=1,
+            n_envs=2,
+            rollout=8,
+            minibatch=4,
+            update_epochs=1,
+        )
+        kwargs[name] = value
+        with pytest.raises(SizeError, match=f"{name} must be at least 1, got {value}"):
+            train_rl(**kwargs)
+        assert built == []
+
     def test_rejects_sub_rollout_budget(self):
         with pytest.raises(SizeError):
             train_rl(

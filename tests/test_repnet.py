@@ -180,6 +180,98 @@ def test_one_ball_query_per_level(rng, monkeypatch):
     assert calls == list(p.level_points)
 
 
+def test_plan_reaches_geometry_through_module_names(rng, monkeypatch):
+    """The benchmark times grouping by wrapping ``digrl.repnet``'s own
+    ``fps``, ``ball_query`` and ``idw_weights``; a plan built through any
+    other binding would drop out of those per-layer figures.
+    """
+    calls = []
+    for name in ("fps", "ball_query", "idw_weights"):
+        original = getattr(repnet, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(repnet, name, counted)
+    p = get_profile("desk")
+    RepNet(p, seed=0).plan(rng.uniform(-0.2, 0.2, size=(2048, 3)))
+    levels = len(p.level_points)
+    assert calls == ["fps", "ball_query"] * levels + ["idw_weights"] * levels
+
+
+def out_bytes(out):
+    return [out[k].value.tobytes() for k in ("normals", "curvature", "count", "code")]
+
+
+class TestPlan:
+    """A forward on a prebuilt plan has the bits of one that groups the cloud."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_with_plan_is_bitwise_equal(self, rng, dtype):
+        net = RepNet(get_profile("desk"), store=nn.ParamStore(dtype=dtype), seed=5)
+        for n in (256, 2048):
+            cloud = rng.uniform(-0.2, 0.2, size=(n, 3))
+            plan = net.plan(cloud)
+            want = out_bytes(net.forward(cloud))
+            assert out_bytes(net.forward(cloud, plan)) == want
+            assert out_bytes(net.forward(cloud, plan)) == want  # a plan is reusable
+
+    def test_forward_with_plan_on_a_dataset_scene(self, tmp_path):
+        profile = get_profile("desk")
+        build_dataset(str(tmp_path), profile=profile, seed=1, n_scenes=1, count_range=(3, 6))
+        (sample,) = load_rep_dataset(str(tmp_path))
+        net = RepNet(profile, seed=2)
+        plan = net.plan(sample.points)
+        assert out_bytes(net.forward(sample.points, plan)) == out_bytes(net.forward(sample.points))
+        assert eval_rep(net, [sample], [plan]) == eval_rep(net, [sample])
+
+    def test_plan_of_another_cloud_rejected(self, rng):
+        net = RepNet(get_profile("desk"), seed=0)
+        plan = net.plan(rng.uniform(-0.2, 0.2, size=(300, 3)))
+        with pytest.raises(ShapeError):
+            net.forward(rng.uniform(-0.2, 0.2, size=(301, 3)), plan)
+
+    def test_train_rep_matches_rebuilding_geometry_every_epoch(self, monkeypatch):
+        samples = tiny_samples(n_scenes=3)
+        profile = get_profile("desk")
+        net, history = train_rep(samples, profile, seed=4, epochs=3, batch_size=2)
+        original = repnet.eval_rep
+        monkeypatch.setattr(
+            repnet, "eval_rep", lambda net, samples, plans=None: original(net, samples)
+        )
+        ref_net, ref_history = train_rep(samples, profile, seed=4, epochs=3, batch_size=2)
+        assert history == ref_history
+        assert net.store.state_bytes() == ref_net.store.state_bytes()
+
+    def test_train_rep_groups_each_evaluation_cloud_once(self, monkeypatch):
+        samples = tiny_samples(n_scenes=3)
+        n_train = sum(s.split == "train" for s in samples)
+        n_val = len(samples) - n_train
+        counts = dict.fromkeys(("fps", "ball_query", "idw_weights"), 0)
+        for name in counts:
+            original = getattr(repnet, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(repnet, name, counted)
+        per_epoch = []
+
+        def snapshot(line):  # the val row is an epoch's last log line
+            if " val " in line:
+                per_epoch.append(dict(counts))
+
+        train_rep(samples, get_profile("desk"), epochs=3, batch_size=2, log=snapshot)
+        levels = len(get_profile("desk").level_points)
+        # Every training forward groups its jittered cloud; the evaluation
+        # clouds are grouped in the first epoch only.
+        clouds = [2 * n_train + n_val, n_train, n_train]
+        totals = np.cumsum(clouds) * levels
+        assert per_epoch == [dict.fromkeys(counts, int(t)) for t in totals]
+
+
 class TestTranslationInvariance:
     def test_code_halves(self, rng):
         store = nn.ParamStore(dtype=np.float64)
@@ -285,6 +377,20 @@ class TestTraining:
         assert set(metrics) == {"normal_cos", "normal_deg", "curv_mae", "count_mae"}
         assert -1.0 <= metrics["normal_cos"] <= 1.0
         assert metrics["curv_mae"] >= 0.0
+
+    def test_eval_of_no_samples_rejected(self):
+        net = RepNet(get_profile("desk"), seed=0)
+        with pytest.raises(SizeError):
+            eval_rep(net, [])
+
+    @pytest.mark.parametrize(
+        "name, value", [("batch_size", -2), ("batch_size", 0), ("epochs", 0)]
+    )
+    def test_non_positive_sizes_rejected(self, name, value):
+        # A negative batch size used to take no step and still report every epoch.
+        samples = tiny_samples(n_scenes=2)
+        with pytest.raises(SizeError, match=f"{name} must be at least 1, got {value}"):
+            train_rep(samples, get_profile("desk"), **{name: value})
 
     def test_empty_train_split_rejected(self):
         samples = tiny_samples(n_scenes=2)
