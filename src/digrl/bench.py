@@ -16,6 +16,8 @@ retry failed plans until they bank the required number of plan-valid digs,
 under a hard attempt cap; an episode that exhausts the cap is dropped from
 the record wholesale and reported separately. An episode that empties the
 tray early is kept: there was nothing left to dig.
+
+The fill rate is over the default ``BucketSpec``, the one every environment digs with.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import AttackRanges, Profile, get_profile, seed_stream, stream_seed
-from .errors import ConfigError, SizeError
+from .config import ATTACK_RANGES, Profile, get_profile, seed_stream, stream_seed
+from .errors import ConfigError, ShapeError, SizeError
 from .excavation import M3_TO_CM3, BucketSpec, EnvConfig, ExcavationEnv
 from .kinematics import AttackPose
 from .nn import ParamStore
 from .ppo import PolicyCore, dig_record, evaluate_policy, train_rl
 from .repnet import RepNet
+from .sensor import SensorConfig
 
 
 @dataclass
@@ -74,44 +77,48 @@ def compute_metrics(method: str, records: list[dict]) -> MetricsRecord:
     )
 
 
-def save_metrics_table(rows: list[dict], path) -> None:
-    """Write metric rows, keyed by ``METRICS_FIELDS``, as one CSV table."""
+def save_table(rows: list[dict], fields: tuple[str, ...], path) -> None:
+    """Write the ``fields`` columns of dict rows as one CSV table."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRICS_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
-        writer.writerows({k: row[k] for k in METRICS_FIELDS} for row in rows)
+        writer.writerows({k: row[k] for k in fields} for row in rows)
 
 
 def load_metrics_table(path) -> list[dict]:
+    """Rows of a metrics CSV; ShapeError naming ``path`` when a metric column is missing."""
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [k for k in METRICS_FIELDS if k not in (reader.fieldnames or ())]
+        if missing:
+            raise ShapeError(f"{path}: not a metrics table, missing columns {missing}")
+        return list(reader)
 
 
 # ---------------------------------------------------------------------------
 # Scripted baselines
 
 
-def attack_to_action(attack: AttackPose, ranges: AttackRanges = AttackRanges()) -> np.ndarray:
+def attack_to_action(attack: AttackPose) -> np.ndarray:
     """Inverse of the affine action map, clipped into [-1, 1]."""
+    r = ATTACK_RANGES
     out = np.empty(3)
     for i, (v, (lo, hi)) in enumerate(
-        zip((attack.x, attack.y, attack.alpha), (ranges.x, ranges.y, ranges.alpha))
+        zip((attack.x, attack.y, attack.alpha), (r.x, r.y, r.alpha))
     ):
         out[i] = 2.0 * (v - lo) / (hi - lo) - 1.0
     return np.clip(out, -1.0, 1.0)
 
 
-def heuristic_action(
-    obs, rng: np.random.Generator, ranges: AttackRanges = AttackRanges()
-) -> np.ndarray:
+def heuristic_action(obs, rng: np.random.Generator) -> np.ndarray:
     """Attack the (x, y) of the highest observed point, random entry angle.
 
     Ties go to the lowest point index. ``attack_to_action`` clips a point
     outside the ranges onto their edge.
     """
     x, y, _ = obs.points[int(np.argmax(obs.points[:, 2]))]
-    alpha = rng.uniform(*ranges.alpha)
-    return attack_to_action(AttackPose(x, y, alpha), ranges)
+    alpha = rng.uniform(*ATTACK_RANGES.alpha)
+    return attack_to_action(AttackPose(x, y, alpha))
 
 
 def random_action(rng: np.random.Generator) -> np.ndarray:
@@ -119,14 +126,12 @@ def random_action(rng: np.random.Generator) -> np.ndarray:
 
 
 def make_env_factory(
-    profile: Profile | None = None,
-    env_cfg: EnvConfig | None = None,
-    **env_kwargs,
+    profile: Profile | None, env_cfg: EnvConfig | None, sensor: SensorConfig | None
 ):
     """Factory of factories: ``make_env(i, seed)`` as the trainer expects."""
 
     def make_env(_i: int, env_seed: int) -> ExcavationEnv:
-        return ExcavationEnv(profile=profile, seed=env_seed, env_cfg=env_cfg, **env_kwargs)
+        return ExcavationEnv(profile=profile, seed=env_seed, env_cfg=env_cfg, sensor=sensor)
 
     return make_env
 
@@ -139,25 +144,18 @@ def run_baseline(
     valid_digs: int = 10,
     attempt_cap: int = 200,
     env_cfg: EnvConfig | None = None,
-    ranges: AttackRanges | None = None,
-    **env_kwargs,
+    sensor: SensorConfig | None = None,
 ) -> tuple[list[dict], int]:
     """Roll baseline episodes; returns (records, dropped_incomplete_episodes)."""
     if method not in ("random", "heuristic"):
         raise ConfigError(f"unknown baseline {method!r}")
-    ranges = ranges or AttackRanges()
     base_cfg = env_cfg or EnvConfig()
-    cfg = EnvConfig(
-        digs_per_episode=attempt_cap,
-        count_range=base_cfg.count_range,
-        tray=base_cfg.tray,
-    )
+    cfg = EnvConfig(digs_per_episode=attempt_cap, count_range=base_cfg.count_range)
     env = ExcavationEnv(
         profile=profile,
         seed=stream_seed(seed, f"baseline-{method}-env"),
         env_cfg=cfg,
-        ranges=ranges,
-        **env_kwargs,
+        sensor=sensor,
     )
     act_rng = seed_stream(seed, f"baseline-{method}-act")
     records: list[dict] = []
@@ -170,7 +168,7 @@ def run_baseline(
         done = False
         while valid < valid_digs and not done:
             if method == "heuristic":
-                action = heuristic_action(obs, act_rng, ranges)
+                action = heuristic_action(obs, act_rng)
             else:
                 action = random_action(act_rng)
             obs, reward, done, info = env.step(action)
@@ -202,7 +200,7 @@ def train_rl_experiment(
     lr: float = 3e-4,
     env_cfg: EnvConfig | None = None,
     log=None,
-    **env_kwargs,
+    sensor: SensorConfig | None = None,
 ) -> tuple[PolicyCore, list[dict], RepNet]:
     """Train the digging policy on top of a representation.
 
@@ -217,7 +215,7 @@ def train_rl_experiment(
         # Training scenes are denser than evaluation scenes: 200 to 300
         # objects, versus 50 to 300 held out for evaluation.
         env_cfg = EnvConfig(count_range=(200, 300))
-    make_env = make_env_factory(profile, env_cfg=env_cfg, **env_kwargs)
+    make_env = make_env_factory(profile, env_cfg, sensor)
     encode = lambda obs: net.encode(obs.points)  # noqa: E731
     kwargs = {}
     if variant == "e2e":
@@ -249,7 +247,7 @@ def eval_rl_experiment(
     profile: Profile | None = None,
     seed: int = 0,
     env_cfg: EnvConfig | None = None,
-    **env_kwargs,
+    sensor: SensorConfig | None = None,
 ) -> list[dict]:
     """Deterministic policy evaluation under the standard dig budget.
 
@@ -259,7 +257,7 @@ def eval_rl_experiment(
     profile = profile or get_profile()
     net = RepNet(profile, store=policy_store if "sa1_l1.w" in policy_store else rep_store)
     core = PolicyCore(profile.code_size, store=policy_store)
-    make_env = make_env_factory(profile, env_cfg=env_cfg, **env_kwargs)
+    make_env = make_env_factory(profile, env_cfg, sensor)
     return evaluate_policy(
         core, lambda obs: net.encode(obs.points), make_env, n_episodes, seed=seed
     )
@@ -295,5 +293,5 @@ def collect_report(paths: list[str], out_path: str | None = None) -> str:
         rows.extend(load_metrics_table(p))
     text = format_report(rows)
     if out_path:
-        save_metrics_table(rows, out_path)
+        save_table(rows, METRICS_FIELDS, out_path)
     return text

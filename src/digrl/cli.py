@@ -79,7 +79,6 @@ def _env_config(args) -> EnvConfig:
     return EnvConfig(
         digs_per_episode=sec.get("digs_per_episode", cfg.digs_per_episode),
         count_range=_count_range(sec, cfg.count_range),
-        tray=cfg.tray,
     )
 
 
@@ -144,7 +143,7 @@ def cmd_train_rep(args) -> int:
         samples, profile=profile, seed=args.seed, log=print, **sec
     )
     save_ckpt(net.store, os.path.join(out, "rep.ckpt"))
-    repnet.save_metrics_csv(history, os.path.join(out, "rep_metrics.csv"))
+    bench.save_table(history, repnet.METRIC_FIELDS, os.path.join(out, "rep_metrics.csv"))
     final = [h for h in history if h["split"] == "val"] or history
     print(
         "final val: cos=%.4f deg=%.2f curv_mae=%.4f count_mae=%.2f"
@@ -176,7 +175,7 @@ def cmd_eval_rep(args) -> int:
         )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        repnet.save_metrics_csv(rows, os.path.join(args.out, "rep_eval.csv"))
+        bench.save_table(rows, repnet.METRIC_FIELDS, os.path.join(args.out, "rep_eval.csv"))
     return 0
 
 
@@ -198,7 +197,7 @@ def cmd_train_rl(args) -> int:
         **sec,
     )
     save_ckpt(core.store, os.path.join(out, f"policy_{args.variant}.ckpt"))
-    ppo.save_curve_csv(curve, os.path.join(out, "rl_curve.csv"))
+    bench.save_table(curve, ppo.CURVE_FIELDS, os.path.join(out, "rl_curve.csv"))
     print(f"trained {args.variant} policy over {curve[-1]['samples']} samples")
     return 0
 
@@ -206,7 +205,7 @@ def cmd_train_rl(args) -> int:
 def _score(method: str, records: list[dict], out: str) -> None:
     """Reduce dig records to a metrics row, save it as CSV and print it."""
     row = dataclasses.asdict(bench.compute_metrics(method, records))
-    bench.save_metrics_table([row], os.path.join(out, f"{method}_metrics.csv"))
+    bench.save_table([row], bench.METRICS_FIELDS, os.path.join(out, f"{method}_metrics.csv"))
     print(bench.format_report([row]))
 
 
@@ -256,14 +255,11 @@ def cmd_report(args) -> int:
 # Parser wiring
 
 
-def _add_common(sp, out_required: bool = True, out_default: str | None = None):
+def _add_common(sp, out_required: bool = True):
     sp.add_argument("--seed", type=int, default=0, help="master seed for this command")
     sp.add_argument("--profile", default=None, help="run profile (paper or desk)")
     sp.add_argument("--config", default=None, help="key=value config file")
-    if out_required:
-        sp.add_argument("--out", required=True, help="output directory")
-    else:
-        sp.add_argument("--out", default=out_default, help="output directory")
+    sp.add_argument("--out", required=out_required, help="output directory")
 
 
 def build_parser() -> _Parser:

@@ -30,6 +30,11 @@ class AttackRanges:
         )
 
 
+# The one set of ranges: objects are placed, the sensor crops, the planner
+# gates and the actions map inside these.
+ATTACK_RANGES = AttackRanges()
+
+
 @dataclass(frozen=True)
 class Profile:
     """Scale knobs for a full run.

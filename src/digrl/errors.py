@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package, and the checked binary reader."""
+"""Exception taxonomy shared across the package, and the checked file readers."""
 
 import struct
 
@@ -76,6 +76,19 @@ class BlobReader:
     def finish(self) -> None:
         if self.off != len(self.blob):
             raise ShapeError(f"{self.path}: {len(self.blob) - self.off} trailing bytes")
+
+
+def text_lines(path):
+    """``(line number, line)`` pairs of a UTF-8 text file, each line with its newline.
+
+    A line that is not UTF-8 raises ShapeError naming ``path:line``.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ShapeError(f"{path}:{lineno}: not UTF-8 text") from None
 
 
 def require_positive(**sizes: int) -> None:

@@ -8,18 +8,19 @@ re-settles vertically. Reward is the captured solid volume in cubic
 centimeters, or -1 when trajectory planning fails (the scene is untouched).
 
 The environment wraps this into fixed-length episodes: a fresh cluttered
-scene per reset, a fixed number of digs per episode, actions given as
-normalized (x, y, alpha) triples in [-1, 1] that map affinely onto the
-physical attack ranges.
+scene in the default tray per reset, a fixed number of digs per episode,
+actions given as normalized (x, y, alpha) triples in [-1, 1] that map
+affinely onto ``config.ATTACK_RANGES``. Every environment digs with the
+default arm, trajectory parameters and bucket.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AttackRanges, Profile, get_profile, seed_stream
+from .config import ATTACK_RANGES, Profile, get_profile, seed_stream
 from .errors import ProtocolError, ShapeError
 from .geometry import HeightMap
 from .kinematics import (
@@ -30,7 +31,7 @@ from .kinematics import (
     fk_batch,
     plan_trajectory,
 )
-from .scenegen import Scene, Tray, resettle, spawn_scene
+from .scenegen import Scene, resettle, spawn_scene
 from .sensor import ObservationCloud, SensorConfig, observe, scene_heightmap
 
 M3_TO_CM3 = 1.0e6
@@ -79,7 +80,7 @@ def capture_from_drag(
     edge_z = float(start[2])
     candidates = []
     for i, placed in enumerate(scene.placed):
-        c = placed.world_centroid()
+        c = placed.translation
         rel = c[:2] - start[:2]
         s = float(rel @ g_hat)
         t = float(rel @ t_hat)
@@ -105,14 +106,12 @@ def execute_dig(
     arm: ArmModel,
     params: TrajectoryParams,
     bucket: BucketSpec,
-    ranges: AttackRanges = AttackRanges(),
     hmap: HeightMap | None = None,
-    sensor: SensorConfig | None = None,
 ) -> DigResult:
     """Plan and score one dig. The input scene is never mutated."""
     if hmap is None:
-        hmap = scene_heightmap(scene, sensor or SensorConfig())
-    outcome = plan_trajectory(arm, attack, hmap, scene.tray, params, ranges)
+        hmap = scene_heightmap(scene, SensorConfig())
+    outcome = plan_trajectory(arm, attack, hmap, scene.tray, params)
     if not outcome.ok:
         return DigResult(attack, outcome, (), 0.0, PLAN_FAILURE_REWARD, scene)
     traj = outcome.trajectory
@@ -123,10 +122,10 @@ def execute_dig(
     return DigResult(attack, outcome, tuple(taken), vol, vol * M3_TO_CM3, after)
 
 
-def action_to_attack(action, ranges: AttackRanges = AttackRanges()) -> AttackPose:
+def action_to_attack(action) -> AttackPose:
     """Map a normalized [-1, 1]^3 action onto the physical attack ranges."""
     a = np.clip(np.asarray(action, dtype=np.float64).reshape(3), -1.0, 1.0)
-    spans = [ranges.x, ranges.y, ranges.alpha]
+    spans = [ATTACK_RANGES.x, ATTACK_RANGES.y, ATTACK_RANGES.alpha]
     vals = [lo + (v + 1.0) * 0.5 * (hi - lo) for v, (lo, hi) in zip(a, spans)]
     return AttackPose(*vals)
 
@@ -135,12 +134,6 @@ def action_to_attack(action, ranges: AttackRanges = AttackRanges()) -> AttackPos
 class EnvConfig:
     digs_per_episode: int = 10
     count_range: tuple[int, int] = (50, 300)
-    tray: Tray = field(default_factory=Tray)
-
-
-def _noise_stream(seed: int | None) -> np.random.Generator:
-    """Sensor noise draws, apart from the scene stream so scene seeds never shift."""
-    return np.random.default_rng() if seed is None else seed_stream(seed, "sensor-noise")
 
 
 class ExcavationEnv:
@@ -152,7 +145,8 @@ class ExcavationEnv:
     actually disturbs the scene; failed plans leave it untouched. Stepping a
     finished episode raises ProtocolError. Sensor noise draws from its own
     stream of ``seed``, and the planner uses the observation's noise-free
-    heightmap, so noise changes only the observed points.
+    heightmap, so noise changes only the observed points. Only the profile,
+    seed, episode config and sensor vary between environments.
     """
 
     def __init__(
@@ -161,20 +155,15 @@ class ExcavationEnv:
         seed: int | None = None,
         env_cfg: EnvConfig | None = None,
         sensor: SensorConfig | None = None,
-        arm: ArmModel | None = None,
-        params: TrajectoryParams | None = None,
-        bucket: BucketSpec | None = None,
-        ranges: AttackRanges | None = None,
     ) -> None:
         self.profile = profile or get_profile()
         self.cfg = env_cfg or EnvConfig()
         self.sensor = sensor or SensorConfig(fps_target=self.profile.fps_target)
-        self.arm = arm or ArmModel()
-        self.params = params or TrajectoryParams()
-        self.bucket = bucket or BucketSpec()
-        self.ranges = ranges or AttackRanges()
         self._rng = np.random.default_rng(seed)
-        self._noise_rng = _noise_stream(seed)
+        # Sensor noise has its own stream, so scene seeds never shift.
+        self._noise_rng = (
+            np.random.default_rng() if seed is None else seed_stream(seed, "sensor-noise")
+        )
         self._scene: Scene | None = None
         self._obs: ObservationCloud | None = None
         self._digs = 0
@@ -184,18 +173,9 @@ class ExcavationEnv:
     def scene(self) -> Scene | None:
         return self._scene
 
-    def reset(self, seed: int | None = None) -> ObservationCloud:
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
-            self._noise_rng = _noise_stream(seed)
+    def reset(self) -> ObservationCloud:
         scene_seed = int(self._rng.integers(0, 2**62))
-        self._scene = spawn_scene(
-            scene_seed,
-            count_range=self.cfg.count_range,
-            tray=self.cfg.tray,
-            placement_x=self.ranges.x,
-            placement_y=self.ranges.y,
-        )
+        self._scene = spawn_scene(scene_seed, count_range=self.cfg.count_range)
         self._refresh_observation()
         self._digs = 0
         self._done = False
@@ -207,14 +187,13 @@ class ExcavationEnv:
     def step(self, action) -> tuple[ObservationCloud, float, bool, dict]:
         if self._done or self._scene is None:
             raise ProtocolError("step() on a finished episode; call reset() first")
-        attack = action_to_attack(action, self.ranges)
+        attack = action_to_attack(action)
         result = execute_dig(
             self._scene,
             attack,
-            self.arm,
-            self.params,
-            self.bucket,
-            self.ranges,
+            ArmModel(),
+            TrajectoryParams(),
+            BucketSpec(),
             hmap=self._obs.heightmap,
         )
         self._digs += 1

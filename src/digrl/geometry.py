@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyObservationError, ShapeError, SizeError
+from .errors import EmptyObservationError, ShapeError, SizeError, text_lines
 
 CURVATURE_MAX = 1.0 / 3.0
 
@@ -105,10 +105,10 @@ def _as_points(cloud) -> np.ndarray:
     return pts
 
 
-def fps(cloud, n: int, start: int = 0) -> np.ndarray:
+def fps(cloud, n: int) -> np.ndarray:
     """Farthest point sampling: greedy max-min-distance subset of ``n`` indices.
 
-    The first index is ``start``; each following index maximizes the minimum
+    The first index is 0; each following index maximizes the minimum
     distance to everything already selected (ties go to the lowest index).
 
     Each pick ``q`` has the largest squared min-distance ``m`` of the cloud,
@@ -127,16 +127,14 @@ def fps(cloud, n: int, start: int = 0) -> np.ndarray:
         raise SizeError("cannot sample from an empty cloud")
     if not 0 < n <= total:
         raise SizeError(f"requested {n} samples from a cloud of {total}")
-    if not 0 <= start < total:
-        raise SizeError(f"start index {start} out of range for {total} points")
     x, y, z = (np.ascontiguousarray(pts[:, k]) for k in range(3))
     bisect = bool((x[1:] >= x[:-1]).all())
     d2_buf, d_buf = np.empty(total), np.empty(total)
     # From inf, the first update (always the whole cloud) sets the distances
-    # to ``start`` exactly.
+    # to point 0 exactly.
     min_d2 = np.full(total, np.inf)
     selected = np.empty(n, dtype=np.int64)
-    selected[0] = nxt = start
+    selected[0] = nxt = 0
     lo, hi = 0, total
     for i in range(1, n):
         # _sq_dist's arithmetic on the slab, into preallocated buffers.
@@ -273,9 +271,7 @@ def _knn_indices(pts: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def estimate_normals_curvature(
-    cloud, k: int = 30
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def estimate_normals_curvature(cloud, k: int = 30) -> tuple[np.ndarray, np.ndarray]:
     """Per-point PCA surface labels from k-neighborhoods.
 
     A neighborhood is a point's k nearest points, itself included, ranked as
@@ -285,9 +281,9 @@ def estimate_normals_curvature(
     covariance with the smallest eigenvalue, flipped so its z component is
     non-negative. The curvature is the surface variation lam0 / (lam0 +
     lam1 + lam2), which lives in [0, 1/3]. Neighborhoods that collapse to a
-    point are flagged degenerate and get normal (0, 0, 1) and curvature 0.
+    point get normal (0, 0, 1) and curvature 0.
 
-    Returns (normals (N,3), curvature (N,), degenerate mask (N,)).
+    Returns (normals (N,3), curvature (N,)).
     """
     pts = _as_points(cloud)
     n = len(pts)
@@ -309,7 +305,7 @@ def estimate_normals_curvature(
         curvature = np.where(degenerate, 0.0, evals[:, 0] / np.where(degenerate, 1.0, total))
     normals[degenerate] = (0.0, 0.0, 1.0)
     curvature = np.clip(curvature, 0.0, CURVATURE_MAX)
-    return normals, curvature, degenerate
+    return normals, curvature
 
 
 def idw_weights(src_points, dst_points, k: int = 3) -> tuple[np.ndarray, np.ndarray]:
@@ -372,33 +368,36 @@ def load_xyzl(path) -> PointCloud:
     ``#`` starts a comment. Labels survive only when every line carries them.
     A truncated file raises ShapeError: every line must end in a newline, and
     when the first line is :func:`save_xyzl`'s header the point count must
-    match the one it records.
+    match the one it records. So do bytes that are not UTF-8 and a normal
+    whose length is zero or not finite.
     """
     points, normals, curvature = [], [], []
     all_labeled = True
     declared = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.endswith("\n"):
-                raise ShapeError(f"{path}:{lineno}: truncated line (no newline)")
-            if lineno == 1 and (header := _XYZL_HEADER.fullmatch(raw)):
-                declared = int(header.group(1))
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (3, 7):
-                raise ShapeError(f"{path}:{lineno}: expected 3 or 7 fields, got {len(parts)}")
-            try:
-                values = [float(v) for v in parts]
-            except ValueError as exc:
-                raise ShapeError(f"{path}:{lineno}: {exc}") from None
-            points.append(values[:3])
-            if len(values) == 7:
-                normals.append(values[3:6])
-                curvature.append(values[6])
-            else:
-                all_labeled = False
+    for lineno, raw in text_lines(path):
+        if not raw.endswith("\n"):
+            raise ShapeError(f"{path}:{lineno}: truncated line (no newline)")
+        if lineno == 1 and (header := _XYZL_HEADER.fullmatch(raw)):
+            declared = int(header.group(1))
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) not in (3, 7):
+            raise ShapeError(f"{path}:{lineno}: expected 3 or 7 fields, got {len(parts)}")
+        try:
+            values = [float(v) for v in parts]
+        except ValueError as exc:
+            raise ShapeError(f"{path}:{lineno}: {exc}") from None
+        points.append(values[:3])
+        if len(values) == 7:
+            # Renormalizing below divides by this length.
+            if not 0.0 < math.hypot(*values[3:6]) < math.inf:
+                raise ShapeError(f"{path}:{lineno}: normal {values[3:6]} has no direction")
+            normals.append(values[3:6])
+            curvature.append(values[6])
+        else:
+            all_labeled = False
     if declared is not None and declared != len(points):
         raise ShapeError(f"{path}: header records {declared} points, file holds {len(points)}")
     if not points:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import AttackRanges
+from .config import ATTACK_RANGES
 from .errors import ShapeError
 from .geometry import HeightMap
 from .scenegen import Tray
@@ -84,15 +84,10 @@ class TrajectoryParams:
 
 @dataclass
 class JointTrajectory:
-    """Joint-space waypoints on a uniform time grid with phase boundaries."""
+    """Joint-space waypoints, one per ``ArmModel.dt``, with phase boundaries."""
 
-    times: np.ndarray  # (N,)
     joints: np.ndarray  # (N, 4)
     phase_ends: tuple[int, int, int, int]  # last waypoint index of each phase
-    rate_hz: float = 100.0
-
-    def __len__(self) -> int:
-        return len(self.times)
 
     def phase_slice(self, name: str) -> slice:
         i = PHASE_NAMES.index(name)
@@ -334,17 +329,16 @@ def plan_trajectory(
     hmap: HeightMap,
     tray: Tray,
     params: TrajectoryParams,
-    ranges: AttackRanges = AttackRanges(),
 ) -> PlanOutcome:
     """Plan the four dig phases for one attacking pose.
 
-    Checks, in order: attack ranges, per-waypoint IK reachability, joint
-    limits (reported as self collision), and bucket-vs-wall collisions.
+    Checks, in order: ``config.ATTACK_RANGES``, per-waypoint IK reachability,
+    joint limits (reported as self collision), and bucket-vs-wall collisions.
     The tray floor is the digging medium's container: cutting below the
     surface is the whole point of the motion, so the floor never
     invalidates a plan.
     """
-    if not ranges.contains(attack.x, attack.y, attack.alpha):
+    if not ATTACK_RANGES.contains(attack.x, attack.y, attack.alpha):
         return PlanOutcome.failed(OUT_OF_RANGE)
     alpha = attack.alpha
     z0 = hmap.height_at(attack.x, attack.y)
@@ -439,10 +433,5 @@ def plan_trajectory(
     hits = check_collision(positions, pitches, joints[:, 0], tray, arm.bucket_box)
     if hits.any():
         return PlanOutcome.failed(ENV_COLLISION, int(np.argmax(hits)))
-    traj = JointTrajectory(
-        times=np.arange(len(positions)) * arm.dt,
-        joints=joints,
-        phase_ends=(pen_end, drag_end, close_end, lift_end),
-        rate_hz=1.0 / arm.dt,
-    )
+    traj = JointTrajectory(joints=joints, phase_ends=(pen_end, drag_end, close_end, lift_end))
     return PlanOutcome(trajectory=traj)

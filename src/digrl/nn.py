@@ -134,14 +134,6 @@ def exp(a: Tensor) -> Tensor:
     return Tensor(out_val, (a,), bw)
 
 
-def log(a: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g / a.value)
-
-    return Tensor(np.log(a.value), (a,), bw)
-
-
 def square(a: Tensor) -> Tensor:
     def bw(g):
         if a.requires_grad:
@@ -594,7 +586,10 @@ def load_ckpt(path) -> ParamStore:
     store = ParamStore(dtype=np.float32)
     for _ in range(count):
         (name_len,) = rd.unpack("<I")
-        name = rd.take(name_len).decode("utf-8")
+        try:
+            name = rd.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ShapeError(f"{path}: parameter name is not UTF-8") from None
         (rank,) = rd.unpack("<I")
         dims = rd.unpack(f"<{rank}I")
         store.add(name, rd.array("<f4", math.prod(dims)).reshape(dims))

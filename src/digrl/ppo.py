@@ -16,7 +16,6 @@ running standard deviation before entering the buffer.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -33,6 +32,7 @@ CLIP_EPS = 0.2
 VF_COEF = 0.5
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 1.0
 SQUASH_EPS = 1e-6
+REWARD_STD_FLOOR = 1e-8
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -147,11 +147,10 @@ class RewardNormalizer:
     """Scale rewards by their running standard deviation (Welford).
 
     The first sample passes through unscaled; a degenerate (constant) reward
-    stream trips a one-time warning and divides by the floor instead.
+    stream trips a one-time warning and divides by ``REWARD_STD_FLOOR`` instead.
     """
 
-    def __init__(self, floor: float = 1e-8) -> None:
-        self.floor = floor
+    def __init__(self) -> None:
         self.count = 0
         self.mean = 0.0
         self.m2 = 0.0
@@ -174,10 +173,10 @@ class RewardNormalizer:
         if self.count < 2:
             return x
         s = self.std
-        if s < self.floor and not self._warned:
+        if s < REWARD_STD_FLOOR and not self._warned:
             warnings.warn("reward stream is (near) constant; normalizer hit its floor")
             self._warned = True
-        return x / max(s, self.floor)
+        return x / max(s, REWARD_STD_FLOOR)
 
 
 def gae(
@@ -301,14 +300,6 @@ def ppo_loss(
 
 
 CURVE_FIELDS = ("update", "samples", "ep_reward_raw", "ep_reward_norm", "plan_fail_frac")
-
-
-def save_curve_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CURVE_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in CURVE_FIELDS})
 
 
 def train_rl(

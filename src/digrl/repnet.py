@@ -32,7 +32,6 @@ itself plus the known ground-truth object count.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import nn
 from .config import Profile, get_profile, seed_stream
-from .errors import DigrlError, ShapeError, SizeError, require_positive
+from .errors import DigrlError, ShapeError, SizeError, require_positive, text_lines
 from .geometry import (
     CURVATURE_MAX,
     PointCloud,
@@ -88,11 +87,6 @@ class GroupingPlan:
     levels: tuple[Level, ...]
     stencils: tuple[tuple[np.ndarray, np.ndarray], ...]
     skip: np.ndarray
-
-    @property
-    def positions(self) -> list[np.ndarray]:
-        """The cloud, then every level's centers."""
-        return [self.points] + [lv.centers for lv in self.levels]
 
 
 class RepNet:
@@ -224,8 +218,7 @@ class RepNet:
         the same geometry again; it must come from these points. Returns a
         dict of graph tensors: per-point raw ``normals`` (N, 3) and
         ``curvature`` (N, 1), the scalar-normalized ``count`` (1, 1), and
-        the flattened ``code``, plus the ``positions`` of the cloud and of
-        every level's centers.
+        the flattened ``code``.
         """
         if plan is None:
             plan = self.plan(points)
@@ -262,7 +255,6 @@ class RepNet:
             "curvature": curvature,
             "count": count,
             "code": enc["code"],
-            "positions": plan.positions,
         }
 
     def encode(self, points) -> np.ndarray:
@@ -323,6 +315,7 @@ def gen_scene_files(
     """
     profile = profile or get_profile()
     n_scenes = n_scenes if n_scenes is not None else profile.rep_scenes
+    require_positive(n_scenes=n_scenes)
     raw_dir = os.path.join(out_dir, "raw_scenes")
     os.makedirs(raw_dir, exist_ok=True)
     lines = []
@@ -392,27 +385,27 @@ def _read_manifest(path) -> list[tuple[str, dict]]:
     A line is a scene id followed by ``key=value`` tokens; blank lines and
     ``#`` comments are skipped. Every entry needs a ``count`` of decimal
     digits, which is returned as an int, and a ``split`` tag, if present,
-    must be ``train`` or ``val``. A malformed line raises ShapeError naming ``path:line``.
+    must be ``train`` or ``val``. A malformed or non-UTF-8 line raises
+    ShapeError naming ``path:line``.
     """
     entries = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            scene_id, *kvs = tokens
-            where = f"{path}:{lineno}"
-            bad = [kv for kv in kvs if "=" not in kv]
-            if bad:
-                raise ShapeError(f"{where}: expected key=value, got {bad[0]!r}")
-            meta = dict(kv.split("=", 1) for kv in kvs)
-            count = meta.get("count", "")
-            if not (count.isascii() and count.isdigit()):
-                raise ShapeError(f"{where}: needs an integer count=, got {meta.get('count')!r}")
-            meta["count"] = int(count)
-            if meta.get("split", "train") not in SPLITS:
-                raise ShapeError(f"{where}: split={meta['split']!r} is not one of {SPLITS}")
-            entries.append((scene_id, meta))
+    for lineno, line in text_lines(path):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        scene_id, *kvs = tokens
+        where = f"{path}:{lineno}"
+        bad = [kv for kv in kvs if "=" not in kv]
+        if bad:
+            raise ShapeError(f"{where}: expected key=value, got {bad[0]!r}")
+        meta = dict(kv.split("=", 1) for kv in kvs)
+        count = meta.get("count", "")
+        if not (count.isascii() and count.isdigit()):
+            raise ShapeError(f"{where}: needs an integer count=, got {meta.get('count')!r}")
+        meta["count"] = int(count)
+        if meta.get("split", "train") not in SPLITS:
+            raise ShapeError(f"{where}: split={meta['split']!r} is not one of {SPLITS}")
+        entries.append((scene_id, meta))
     return entries
 
 
@@ -542,11 +535,3 @@ def train_rep(
 
 
 METRIC_FIELDS = ("epoch", "split", "normal_cos", "normal_deg", "curv_mae", "count_mae")
-
-
-def save_metrics_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRIC_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in METRIC_FIELDS})

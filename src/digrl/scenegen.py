@@ -39,12 +39,12 @@ rest heights a re-drop would give them.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .config import AttackRanges
+from .config import ATTACK_RANGES
 from .errors import (
     BlobReader,
     DegenerateGeometryError,
@@ -59,7 +59,6 @@ VERTEX_RADIUS_RANGE = (0.01, 0.07)  # m, sampled distance of hull seeds from the
 VERTEX_COUNT_RANGE = (8, 24)  # inclusive
 INTERPENETRATION_TOL = 0.002  # m, declared settling tolerance
 PLACEMENT_RETRIES = 50
-_PLACEMENT = AttackRanges()  # objects are dropped where the bucket can attack
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +227,13 @@ class RigidObject:
 
     The body frame is centered on the generation centroid (the point hull
     seeds were sampled around), so every vertex lies within the sampling
-    radius of the origin. ``centroid`` records that origin.
+    radius of the origin, and a placed object's centroid is its translation.
     """
 
     vertices: np.ndarray
     faces: np.ndarray
     volume: float
     density: float = DEFAULT_DENSITY
-    centroid: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
@@ -244,9 +242,7 @@ class RigidObject:
             raise DegenerateGeometryError(f"object volume must be positive, got {self.volume}")
 
 
-def _hull_objects(
-    point_sets: list[np.ndarray], density: float = DEFAULT_DENSITY
-) -> list[RigidObject]:
+def _hull_objects(point_sets: list[np.ndarray]) -> list[RigidObject]:
     """Convex objects of ``point_sets``, in order, up to the first degenerate hull.
 
     A hull is degenerate when Qhull rejects its points or its volume is not
@@ -292,7 +288,7 @@ def _hull_objects(
     ):
         if vol <= 0:
             break
-        objects.append(RigidObject(verts[v_lo:v_hi], faces[f_lo:f_hi] - v_lo, vol, density))
+        objects.append(RigidObject(verts[v_lo:v_hi], faces[f_lo:f_hi] - v_lo, vol))
     return objects
 
 
@@ -314,9 +310,7 @@ def _draw_points(rng: np.random.Generator, first: int) -> tuple[np.ndarray, int]
     return None
 
 
-def gen_objects(
-    rng: np.random.Generator, count: int, density: float = DEFAULT_DENSITY
-) -> list[RigidObject]:
+def gen_objects(rng: np.random.Generator, count: int) -> list[RigidObject]:
     """Sample ``count`` convex objects, each the hull of 8..24 points at radii 1..7 cm.
 
     One object at a time gets up to 64 attempts at points with a
@@ -341,7 +335,7 @@ def gen_objects(
             point_sets.append(drawn[0])
             attempts.append(drawn[1])
             states.append(rng.bit_generator.state)
-        built = _hull_objects(point_sets, density)
+        built = _hull_objects(point_sets)
         objects += built
         if len(built) < len(point_sets):
             rng.bit_generator.state = states[len(built)]
@@ -395,9 +389,6 @@ class PlacedObject:
 
     def world_vertices(self) -> np.ndarray:
         return self.obj.vertices @ self.rotation().T + self.translation
-
-    def world_centroid(self) -> np.ndarray:
-        return self.rotation() @ self.obj.centroid + self.translation
 
 
 @dataclass
@@ -580,10 +571,6 @@ class _RestPile:
         self._verts = _Rows((3,))
         self._segs = _Rows((2, 2))  # edges projected to xy
 
-    def drop_and_add(self, placed: PlacedObject, drop: float | None = None) -> float:
-        """:meth:`settle` of ``placed`` alone; returns its rest z offset."""
-        return self.settle(_SceneMeshes([placed], [placed.world_vertices()]), [0], [drop])[0]
-
     def settle(self, meshes: _SceneMeshes, members, drops: list[float | None]) -> list[float]:
         """Drop the objects ``members`` of ``meshes`` onto the pile, then add them all.
 
@@ -741,11 +728,9 @@ def settle_scene(
     objects: list[RigidObject],
     tray: Tray,
     rng: np.random.Generator,
-    placement_x: tuple[float, float] = _PLACEMENT.x,
-    placement_y: tuple[float, float] = _PLACEMENT.y,
     seed: int | None = None,
 ) -> Scene:
-    """Drop objects at random poses inside the placement range, in order.
+    """Drop objects at random poses inside the attack ranges, in order.
 
     Each object gets a uniform yaw-pitch-roll rotation and up to 50 draws of
     (x, y) until its footprint fits inside the tray walls; it then falls
@@ -770,8 +755,8 @@ def settle_scene(
                 raise PlacementError(
                     f"object {index} does not fit after {PLACEMENT_RETRIES} (x, y) retries"
                 )
-            x = rng.uniform(*placement_x)
-            y = rng.uniform(*placement_y)
+            x = rng.uniform(*ATTACK_RANGES.x)
+            y = rng.uniform(*ATTACK_RANGES.y)
             if (
                 x + lo_x >= wx0
                 and x + hi_x <= wx1
@@ -824,22 +809,14 @@ def resettle(scene: Scene, removed=None) -> Scene:
     return Scene(scene.tray, [placed[i] for i in kept], scene.seed)
 
 
-def spawn_scene(
-    seed: int,
-    count_range: tuple[int, int],
-    tray: Tray | None = None,
-    placement_x: tuple[float, float] = _PLACEMENT.x,
-    placement_y: tuple[float, float] = _PLACEMENT.y,
-) -> Scene:
+def spawn_scene(seed: int, count_range: tuple[int, int]) -> Scene:
     """Generate and settle a full scene from one seed (count drawn inclusive)."""
     lo, hi = count_range
     if not 0 < lo <= hi:
         raise SizeError(f"bad object count range {count_range}")
     rng = np.random.default_rng(seed)
     count = int(rng.integers(lo, hi + 1))
-    objects = gen_objects(rng, count)
-    tray = tray if tray is not None else Tray()
-    return settle_scene(objects, tray, rng, placement_x, placement_y, seed=seed)
+    return settle_scene(gen_objects(rng, count), Tray(), rng, seed=seed)
 
 
 # ---------------------------------------------------------------------------

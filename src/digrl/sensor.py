@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .config import AttackRanges
+from .config import ATTACK_RANGES
 from .errors import EmptyObservationError, ShapeError
 from .geometry import HeightMap, PointCloud, estimate_normals_curvature, fps
 from .scenegen import _PRUNE_MARGIN, Scene, _laid_end_to_end, face_planes, vertical_envelopes
@@ -33,11 +33,11 @@ _SIDE_RADIUS = 0.015  # m; disk radius for the side height samples
 
 @dataclass
 class SensorConfig:
+    """Ray grid pitch, z noise and FPS target; the crop is the attack ranges' (x, y) box."""
+
     ray_pitch: float = DEFAULT_RAY_PITCH
     noise_sigma: float = 0.0  # stddev of additive z noise, metres
     fps_target: int = 7000
-    crop_x: tuple[float, float] = AttackRanges().x
-    crop_y: tuple[float, float] = AttackRanges().y
 
 
 @dataclass
@@ -127,45 +127,34 @@ def scene_heightmap(scene: Scene, cfg: SensorConfig) -> HeightMap:
     return _grid_heightmap(*_surface_grid(scene, cfg), cfg)
 
 
-def _with_noise(pts: np.ndarray, cfg: SensorConfig, rng: np.random.Generator | None) -> np.ndarray:
-    """``pts`` with additive z noise of ``cfg.noise_sigma``; a copy when noisy."""
-    if cfg.noise_sigma > 0.0:
-        if rng is None:
-            raise ShapeError("noisy sensing needs an rng")
-        pts = pts.copy()
-        pts[:, 2] += rng.normal(0.0, cfg.noise_sigma, size=len(pts))
-    return pts
-
-
-def render_surface(scene: Scene, cfg: SensorConfig, rng: np.random.Generator | None = None) -> PointCloud:
-    """Cast the full ray grid over the tray floor and return one point per ray."""
+def render_surface(scene: Scene, cfg: SensorConfig) -> PointCloud:
+    """Cast the full ray grid over the tray floor and return one noise-free point per ray."""
     xs, ys, heights = _surface_grid(scene, cfg)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([gx.reshape(-1), gy.reshape(-1), heights.reshape(-1)], axis=1)
-    return PointCloud(_with_noise(pts, cfg, rng))
+    return PointCloud(np.stack([gx.reshape(-1), gy.reshape(-1), heights.reshape(-1)], axis=1))
 
 
 def observe(
     scene: Scene, cfg: SensorConfig, rng: np.random.Generator | None = None
 ) -> ObservationCloud:
-    """Render, crop to the excavation range, and downsample to the FPS target.
+    """Render, add z noise, crop to the attack ranges' (x, y), and downsample to the FPS target.
 
-    Clouds already at or below the target size pass through unsampled. The
-    scene's true object count and its noise-free heightmap (equal to
-    :func:`scene_heightmap`) ride along as metadata for supervision and
-    planning; policies must only consume the points.
+    Noise of ``cfg.noise_sigma`` draws from ``rng``, which noisy sensing
+    needs. Clouds already at or below the target size pass through
+    unsampled. The scene's true object count and its noise-free heightmap
+    (equal to :func:`scene_heightmap`) ride along as metadata for
+    supervision and planning; policies must only consume the points.
     """
     # One render serves both outputs: noise goes onto the points only.
-    clean = render_surface(scene, replace(cfg, noise_sigma=0.0)).points
+    pts = render_surface(scene, cfg).points
     xs, ys = _ray_axes(scene.tray, cfg)
-    hmap = _grid_heightmap(xs, ys, clean[:, 2].reshape(len(xs), len(ys)).copy(), cfg)
-    pts = _with_noise(clean, cfg, rng)
-    keep = (
-        (pts[:, 0] >= cfg.crop_x[0])
-        & (pts[:, 0] <= cfg.crop_x[1])
-        & (pts[:, 1] >= cfg.crop_y[0])
-        & (pts[:, 1] <= cfg.crop_y[1])
-    )
+    hmap = _grid_heightmap(xs, ys, pts[:, 2].reshape(len(xs), len(ys)).copy(), cfg)
+    if cfg.noise_sigma > 0.0:
+        if rng is None:
+            raise ShapeError("noisy sensing needs an rng")
+        pts[:, 2] += rng.normal(0.0, cfg.noise_sigma, size=len(pts))
+    (x0, x1), (y0, y1) = ATTACK_RANGES.x, ATTACK_RANGES.y
+    keep = (pts[:, 0] >= x0) & (pts[:, 0] <= x1) & (pts[:, 1] >= y0) & (pts[:, 1] <= y1)
     cropped = pts[keep]
     if len(cropped) == 0:
         raise EmptyObservationError("sensor crop produced zero points")
@@ -218,12 +207,12 @@ def _ball_means(z: np.ndarray, balls) -> tuple[np.ndarray, np.ndarray]:
     return sums / np.maximum(counts, 1), counts
 
 
-def label_observation(obs: ObservationCloud, k: int = 30) -> ObservationCloud:
+def label_observation(obs: ObservationCloud) -> ObservationCloud:
     """Attach PCA normal and curvature labels computed on the observed cloud.
 
     Normals come out of the estimator facing up; near-vertical ones are then
     re-oriented to face downhill so labels stay consistent along walls.
     """
-    normals, curvature, _ = estimate_normals_curvature(obs.cloud.points, k)
+    normals, curvature = estimate_normals_curvature(obs.cloud.points)
     normals = _orient_steep_downhill(obs.cloud.points, normals)
     return replace(obs, cloud=PointCloud(obs.cloud.points, normals, curvature))

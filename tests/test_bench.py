@@ -15,10 +15,10 @@ from digrl.bench import (
     make_env_factory,
     random_action,
     run_baseline,
-    save_metrics_table,
+    save_table,
     train_rl_experiment,
 )
-from digrl.config import AttackRanges, get_profile
+from digrl.config import ATTACK_RANGES, get_profile
 from digrl.errors import ConfigError, SizeError
 from digrl.excavation import M3_TO_CM3, BucketSpec, EnvConfig, action_to_attack
 from digrl.kinematics import AttackPose
@@ -76,7 +76,7 @@ class TestMetrics:
             asdict(compute_metrics("b", [dig_record(0, 0.0, False)])),
         ]
         path = tmp_path / "metrics.csv"
-        save_metrics_table(rows, path)
+        save_table(rows, METRICS_FIELDS, path)
         back = load_metrics_table(path)
         assert [r["method"] for r in back] == ["a", "b"]
         assert float(back[0]["avg_v_cm3"]) == 100.0
@@ -85,19 +85,18 @@ class TestMetrics:
 
 class TestActions:
     def test_attack_action_round_trip(self, rng):
-        r = AttackRanges()
+        r = ATTACK_RANGES
         for _ in range(25):
             att = AttackPose(
                 rng.uniform(*r.x), rng.uniform(*r.y), rng.uniform(*r.alpha)
             )
-            back = action_to_attack(attack_to_action(att, r), r)
+            back = action_to_attack(attack_to_action(att))
             assert back.x == pytest.approx(att.x, abs=1e-12)
             assert back.y == pytest.approx(att.y, abs=1e-12)
             assert back.alpha == pytest.approx(att.alpha, abs=1e-12)
 
     def test_attack_outside_band_clips(self):
-        r = AttackRanges()
-        a = attack_to_action(AttackPose(5.0, -5.0, 0.0), r)
+        a = attack_to_action(AttackPose(5.0, -5.0, 0.0))
         assert a[0] == 1.0 and a[1] == -1.0 and a[2] == -1.0
 
     def test_random_action_bounds(self, rng):
@@ -113,14 +112,14 @@ class FakeObs:
 
 class TestHeuristic:
     def test_targets_highest_point(self):
-        r = AttackRanges()
+        r = ATTACK_RANGES
         pts = np.random.default_rng(0).uniform(
             [r.x[0], r.y[0], 0.0], [r.x[1], r.y[1], 0.05], size=(500, 3)
         )
         pts[123] = [0.1234567, -0.0456789, 0.25]
-        action = heuristic_action(FakeObs(pts), np.random.default_rng(3), r)
+        action = heuristic_action(FakeObs(pts), np.random.default_rng(3))
         alpha = np.random.default_rng(3).uniform(*r.alpha)
-        want = attack_to_action(AttackPose(0.1234567, -0.0456789, alpha), r)
+        want = attack_to_action(AttackPose(0.1234567, -0.0456789, alpha))
         assert action.tobytes() == want.tobytes()
 
     def test_tie_goes_to_lowest_point_index(self, rng):
@@ -271,8 +270,8 @@ class TestReport:
         rows_a = [asdict(compute_metrics("alpha", [dig_record(0, 90.0, True)]))]
         rows_b = [asdict(compute_metrics("beta", [dig_record(0, 0.0, False)]))]
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_metrics_table(rows_a, pa)
-        save_metrics_table(rows_b, pb)
+        save_table(rows_a, METRICS_FIELDS, pa)
+        save_table(rows_b, METRICS_FIELDS, pb)
         merged = tmp_path / "merged.csv"
         text = collect_report([str(pa), str(pb)], str(merged))
         lines = text.splitlines()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from digrl import sensor
-from digrl.config import AttackRanges, get_profile
+from digrl.config import ATTACK_RANGES, get_profile
 from digrl.errors import ProtocolError, ShapeError
 from digrl.excavation import (
     M3_TO_CM3,
@@ -200,18 +200,18 @@ class TestDigSequence:
         """20 digs on one 250-object scene: no interpenetration, capacity, conservation."""
         scene = spawn_scene(3, (250, 250))
         rng = np.random.default_rng(3)
-        ranges, arm, params, bucket = AttackRanges(), ArmModel(), TrajectoryParams(), BucketSpec()
+        ranges, arm, params, bucket = ATTACK_RANGES, ArmModel(), TrajectoryParams(), BucketSpec()
         captures = 0
         for _ in range(20):
             hmap = scene_heightmap(scene, SensorConfig())
             for _ in range(500):  # draw until the planner accepts, so most digs capture
                 attack = AttackPose(*(rng.uniform(*r) for r in (ranges.x, ranges.y, ranges.alpha)))
-                if plan_trajectory(arm, attack, hmap, scene.tray, params, ranges).ok:
+                if plan_trajectory(arm, attack, hmap, scene.tray, params).ok:
                     break
             else:
                 pytest.fail("no plannable attack in 500 draws")
             before = scene.object_count
-            result = execute_dig(scene, attack, arm, params, bucket, ranges, hmap=hmap)
+            result = execute_dig(scene, attack, arm, params, bucket, hmap=hmap)
             scene = result.scene_after
             if not result.captured_indices:
                 continue
@@ -226,12 +226,12 @@ class TestDigSequence:
         """20 capturing digs on 250 objects: the dig's resettle has the full re-drop's bytes."""
         scene = spawn_scene(3, (250, 250))
         rng = np.random.default_rng(3)
-        ranges, arm, params, bucket = AttackRanges(), ArmModel(), TrajectoryParams(), BucketSpec()
+        ranges, arm, params, bucket = ATTACK_RANGES, ArmModel(), TrajectoryParams(), BucketSpec()
         hmap = scene_heightmap(scene, SensorConfig())
         captures = 0
         for _ in range(1000):
             attack = AttackPose(*(rng.uniform(*r) for r in (ranges.x, ranges.y, ranges.alpha)))
-            result = execute_dig(scene, attack, arm, params, bucket, ranges, hmap=hmap)
+            result = execute_dig(scene, attack, arm, params, bucket, hmap=hmap)
             if not result.captured_indices:
                 continue
             gone = set(result.captured_indices)
@@ -249,10 +249,10 @@ class TestDigSequence:
 
 class TestActionMapping:
     def test_corners_and_midpoint(self):
-        r = AttackRanges()
-        lo = action_to_attack([-1.0, -1.0, -1.0], r)
-        hi = action_to_attack([1.0, 1.0, 1.0], r)
-        mid = action_to_attack([0.0, 0.0, 0.0], r)
+        r = ATTACK_RANGES
+        lo = action_to_attack([-1.0, -1.0, -1.0])
+        hi = action_to_attack([1.0, 1.0, 1.0])
+        mid = action_to_attack([0.0, 0.0, 0.0])
         assert (lo.x, lo.y, lo.alpha) == (r.x[0], r.y[0], r.alpha[0])
         assert hi.x == pytest.approx(r.x[1], abs=1e-12)
         assert hi.y == pytest.approx(r.y[1], abs=1e-12)
@@ -262,16 +262,15 @@ class TestActionMapping:
         assert mid.alpha == pytest.approx((r.alpha[0] + r.alpha[1]) / 2)
 
     def test_out_of_band_actions_clip(self):
-        r = AttackRanges()
-        a = action_to_attack([5.0, -7.0, 0.2], r)
-        b = action_to_attack([1.0, -1.0, 0.2], r)
+        a = action_to_attack([5.0, -7.0, 0.2])
+        b = action_to_attack([1.0, -1.0, 0.2])
         assert (a.x, a.y, a.alpha) == (b.x, b.y, b.alpha)
 
     def test_round_trip_within_band(self, rng):
-        r = AttackRanges()
+        r = ATTACK_RANGES
         for _ in range(20):
             v = rng.uniform(-1.0, 1.0, size=3)
-            att = action_to_attack(v, r)
+            att = action_to_attack(v)
             assert r.contains(att.x, att.y, att.alpha)
 
 
@@ -375,13 +374,15 @@ class TestEnv:
             outs.append(rows)
         assert outs[0] == outs[1]
 
-    def test_reset_reseeds(self):
-        env = self.small_env(seed=1)
-        a = env.reset(seed=123).points.copy()
-        b = env.reset(seed=123).points.copy()
-        c = env.reset(seed=124).points.copy()
-        assert np.array_equal(a, b)
-        assert a.shape != c.shape or not np.array_equal(a, c)
+    def test_seed_sets_the_scenes(self):
+        def resets(seed):
+            env = self.small_env(seed=seed)
+            return [env.reset().points.tobytes() for _ in range(2)]
+
+        a = resets(123)
+        assert resets(123) == a
+        assert a[0] != a[1]
+        assert all(x != y for x, y in zip(a, resets(124)))
 
     def test_failed_plan_keeps_observation(self):
         env = self.small_env()

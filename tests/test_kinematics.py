@@ -155,12 +155,6 @@ class TestPlanValid:
         assert out.ok and out.failure is None and out.fail_index is None
         return arm, out.trajectory
 
-    def test_time_grid(self):
-        _, traj = self.make()
-        assert traj.times[0] == 0.0
-        assert np.allclose(np.diff(traj.times), 0.01, atol=1e-12)
-        assert traj.rate_hz == 100.0
-
     def test_joints_within_limits(self):
         arm, traj = self.make()
         assert within_limits(arm, traj.joints).all()
@@ -168,7 +162,7 @@ class TestPlanValid:
     def test_phase_order_and_labels(self):
         _, traj = self.make()
         p_end, d_end, c_end, l_end = traj.phase_ends
-        assert 0 < p_end < d_end < c_end < l_end == len(traj) - 1
+        assert 0 < p_end < d_end < c_end < l_end == len(traj.joints) - 1
         assert phase_of(traj, 0) == "penetrate"
         assert phase_of(traj, p_end) == "penetrate"
         assert phase_of(traj, p_end + 1) == "drag"
@@ -261,16 +255,21 @@ class TestPlanFailures:
         assert np.allclose(np.linalg.norm(steps, axis=1), 0.001, atol=1e-9)
 
     def test_near_wall_attack_collides(self):
-        # With the range gate widened, an attack right next to the base-side
-        # wall runs the bucket into it while penetrating.
+        # x = -0.39 lies outside the attack ranges, so the planner's gate
+        # stops it. Its penetrate waypoints, laid out as the planner lays
+        # them, run the bucket into the base-side wall from waypoint 49 on.
         arm = ArmModel()
-        wide = AttackRanges(x=(-0.40, 0.40))
-        attack = AttackPose(-0.39, 0.0, math.radians(60.0))
-        out = plan_trajectory(
-            arm, attack, flat_bed(0.15), Tray(), TrajectoryParams(), ranges=wide
-        )
-        assert out.failure == ENV_COLLISION
-        assert out.fail_index is not None
+        alpha = math.radians(60.0)
+        attack = AttackPose(-0.39, 0.0, alpha)
+        out = plan_trajectory(arm, attack, flat_bed(0.15), Tray(), TrajectoryParams())
+        assert out.failure == OUT_OF_RANGE
+        step = arm.linear_speed * arm.dt
+        n = int(math.floor(TrajectoryParams().penetration_depth / math.sin(alpha) / step))
+        entry = np.array([-math.cos(alpha), 0.0, -math.sin(alpha)])  # toward the base, down
+        tips = np.array([-0.39, 0.0, 0.15]) + np.arange(n + 1)[:, None] * step * entry
+        pitches, yaws = np.full(n + 1, alpha - math.pi), np.zeros(n + 1)
+        hits = check_collision(tips, pitches, yaws, Tray(), arm.bucket_box)
+        assert np.flatnonzero(hits)[0] == 49
 
     def test_drag_into_side_wall(self):
         # Attacking next to the base-side wall runs the bucket into it even

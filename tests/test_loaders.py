@@ -4,7 +4,8 @@ Binary files raise ShapeError on every truncation and on trailing bytes.
 An xyzl file records its point count and ends every line in a newline, so
 every strict prefix raises ShapeError (or EmptyObservationError while the
 cut is inside its comment line). A malformed dataset manifest line raises
-ShapeError naming the file and line.
+ShapeError naming the file and line, and so does a text line that is not
+UTF-8 or an xyzl normal without a direction.
 """
 
 import re
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from digrl import nn
+from digrl.bench import collect_report
 from digrl.errors import EmptyObservationError, ShapeError
 from digrl.geometry import PointCloud, load_xyzl, save_xyzl
 from digrl.repnet import label_scene_files, load_rep_dataset
@@ -153,6 +155,50 @@ def test_manifest_bad_line_raises_shape_error(line, message, tmp_path):
     (tmp_path / "manifest.txt").write_text(f"# dataset\n{line}\n")
     with pytest.raises(ShapeError, match=re.escape(f"manifest.txt:2: {message}")):
         load_rep_dataset(tmp_path)
+
+
+def ckpt_with_foreign_name(path):
+    ckpt_file(path)
+    blob = path.read_bytes()
+    assert blob.count(b"scalar") == 1
+    path.write_bytes(blob.replace(b"scalar", b"sc\xffl\xe9r"))
+
+
+def write_bytes(blob):
+    return lambda path: path.write_bytes(blob)
+
+
+FOREIGN_CONTENT = [
+    pytest.param(
+        "p.ckpt", ckpt_with_foreign_name, nn.load_ckpt, r"p\.ckpt: parameter name is not UTF-8",
+        id="ckpt-name-bytes",
+    ),
+    pytest.param(
+        "c.xyzl", write_bytes(b"# cloud\n1 2 3\n4 5 \xff\n"), load_xyzl, r"c\.xyzl:3: not UTF-8",
+        id="xyzl-bytes",
+    ),
+    pytest.param(
+        "c.xyzl", write_bytes(b"1 2 3 0 0 1 0.1\n4 5 6 0 0 0 0.1\n"), load_xyzl,
+        r"c\.xyzl:2: normal \[0\.0, 0\.0, 0\.0\] has no direction", id="xyzl-zero-normal",
+    ),
+    pytest.param(
+        "manifest.txt", write_bytes(b"# dataset\n0000 count=2 split=\xe9\n"),
+        lambda path: load_rep_dataset(path.parent), r"manifest\.txt:2: not UTF-8",
+        id="manifest-bytes",
+    ),
+    pytest.param(
+        "m.csv", write_bytes(b"a,b\n1,2\n"), lambda path: collect_report([str(path)]),
+        r"m\.csv: not a metrics table, missing columns \['method'", id="metrics-columns",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, write, load, message", FOREIGN_CONTENT)
+def test_foreign_content_raises_shape_error(name, write, load, message, tmp_path):
+    path = tmp_path / name
+    write(path)
+    with pytest.raises(ShapeError, match=message):
+        load(path)
 
 
 def test_raw_manifest_bad_line_raises_shape_error(tmp_path):

@@ -7,7 +7,9 @@ from the compiler's own symbol tables, without running the module.
 
 Every public top-level function or class of the package, and every public
 method or property of a public class, has a caller outside the tests, apart
-from a fixed list of known leftovers that may only shrink.
+from a fixed list of known leftovers that may only shrink. Likewise every
+defaulted parameter of those functions and methods is passed by a caller
+outside the tests, by keyword, by position or through ``*`` or ``**``.
 """
 
 import ast
@@ -136,3 +138,123 @@ def test_public_names_have_callers():
     uncalled = {name for name in defined if name.rsplit(".", 1)[-1] not in called}
     assert uncalled - UNCALLED == set(), "public names without a non-test caller"
     assert UNCALLED - uncalled == set(), "stale entries: these names are gone or have a caller now"
+
+
+# Defaulted parameters that no caller in the package or the benchmark passes:
+# numeric constants the tests sweep, and the sensor the tests shrink. Delete an
+# entry together with its parameter, or once a caller passes it; never add one.
+# A class's entries are its constructor's.
+UNPASSED: set[str] = {
+    "ParamStore.adam_step(beta1)",
+    "ParamStore.adam_step(beta2)",
+    "ParamStore.adam_step(eps)",
+    "Tensor(requires_grad)",
+    "estimate_normals_curvature(k)",
+    "eval_rl_experiment(sensor)",
+    "gae(gamma)",
+    "gae(lam)",
+    "normalize_rows(eps)",
+    "standardize_cols(eps)",
+}
+
+
+def defaulted_parameters(tree):
+    """``(callee, parameter, position)`` for each defaulted parameter of a public function.
+
+    Public top-level functions and the public methods of public classes
+    count, and a class's ``__init__`` under the class name. ``position``
+    counts the arguments a call passes, so it skips ``self``; it is None
+    for a keyword-only parameter.
+    """
+    found = set()
+
+    def add(fn, name, skip):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            found.add((name, positional[i].arg, i - skip))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.add((name, arg.arg, None))
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            add(node, node.name, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for child in node.body:
+                if not isinstance(child, ast.FunctionDef):
+                    continue
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list
+                )
+                if child.name == "__init__":
+                    add(child, node.name, 1)
+                elif not child.name.startswith("_"):
+                    add(child, f"{node.name}.{child.name}", 0 if static else 1)
+    return found
+
+
+def passed_arguments(tree):
+    """``(callee, key)`` for every argument a call passes: a keyword, a position, ``*`` or ``**``.
+
+    The callee is the called name or attribute, whatever the object, as in
+    :func:`referenced_names`.
+    """
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            callee = func.id
+        elif isinstance(func, ast.Attribute):
+            callee = func.attr
+        else:
+            continue
+        for i, arg in enumerate(node.args):
+            if isinstance(arg, ast.Starred):
+                found.add((callee, "*"))
+                break
+            found.add((callee, i))
+        found |= {(callee, kw.arg or "**") for kw in node.keywords}
+    return found
+
+
+def unpassed(defined, passed):
+    """The defaulted parameters that no call in ``passed`` can set, as ``callee(parameter)``."""
+    out = set()
+    for name, param, position in defined:
+        callee = name.rsplit(".", 1)[-1]
+        keys = {(callee, param), (callee, "**")}
+        if position is not None:
+            keys |= {(callee, position), (callee, "*")}
+        if not keys & passed:
+            out.add(f"{name}({param})")
+    return out
+
+
+def test_defaulted_parameters_have_callers():
+    probe = ast.parse(
+        "def f(a, b=1, *, c=2):\n    return a\n"
+        "class K:\n"
+        "    def __init__(self, x=0):\n        pass\n"
+        "    def m(self, y=1, z=2):\n        pass\n"
+        "    @staticmethod\n    def s(w=3):\n        pass\n"
+    )
+    defined = defaulted_parameters(probe)
+    assert defined == {
+        ("f", "b", 1), ("f", "c", None), ("K", "x", 0),
+        ("K.m", "y", 0), ("K.m", "z", 1), ("K.s", "w", 0),
+    }
+    calls = passed_arguments(ast.parse("f(1, 2)\nK(**kw)\nobj.m(5)\nK.s(*args)\n"))
+    assert unpassed(defined, calls) == {"f(c)", "K.m(z)"}
+    calls = passed_arguments(ast.parse("f(0, c=3)\nobj.m(z=1)\n"))
+    assert unpassed(defined, calls) == {"f(b)", "K(x)", "K.m(y)", "K.s(w)"}
+
+    package = sorted((ROOT / "src" / "digrl").glob("*.py"))
+    callers = package + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in callers}
+    defined = set().union(*(defaulted_parameters(trees[p]) for p in package))
+    found = unpassed(defined, set().union(*(passed_arguments(trees[p]) for p in callers)))
+    assert found - UNPASSED == set(), "defaulted parameters that no caller outside the tests passes"
+    assert UNPASSED - found == set(), "stale entries: these parameters are gone or passed now"

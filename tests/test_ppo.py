@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from digrl import nn
+from digrl.bench import save_table
 from digrl.errors import SizeError
 from digrl.ppo import (
     CURVE_FIELDS,
@@ -15,7 +16,6 @@ from digrl.ppo import (
     evaluate_policy,
     gae,
     ppo_loss,
-    save_curve_csv,
     squash_correction,
     stream_seed_for,
     train_rl,
@@ -232,7 +232,7 @@ class TestTraining:
         assert last > first
         a = float(core.act_deterministic(code)[0])
         assert abs(a - 0.5) < 0.25
-        save_curve_csv(curve, tmp_path / "curve.csv")
+        save_table(curve, CURVE_FIELDS, tmp_path / "curve.csv")
         text = (tmp_path / "curve.csv").read_text().splitlines()
         assert text[0] == ",".join(CURVE_FIELDS)
         assert len(text) == 25

@@ -10,9 +10,11 @@ import pytest
 import digrl
 from digrl import nn, repnet
 from digrl.config import get_profile
+from digrl.bench import save_table
 from digrl.errors import ShapeError, SizeError
 from digrl.repnet import (
     COUNT_SCALE,
+    METRIC_FIELDS,
     RepNet,
     RepSample,
     eval_rep,
@@ -20,7 +22,6 @@ from digrl.repnet import (
     label_scene_files,
     load_rep_dataset,
     rep_loss,
-    save_metrics_csv,
     train_rep,
 )
 from digrl.scenegen import spawn_scene
@@ -64,10 +65,8 @@ class TestForwardShapes:
         assert out["curvature"].value.shape == (2048, 1)
         assert out["count"].value.shape == (1, 1)
         assert out["code"].value.shape == (p.code_size,)
-        positions = out["positions"]
-        assert len(positions) == len(p.level_points) + 1
-        for lvl, n in enumerate(p.level_points):
-            assert positions[lvl + 1].shape == (n, 3)
+        levels = net.plan(cloud).levels
+        assert [lv.centers.shape for lv in levels] == [(n, 3) for n in p.level_points]
 
     def test_code_size_both_profiles(self, rng):
         for name, n_pts in (("desk", 2048), ("paper", 1100)):
@@ -440,6 +439,13 @@ class TestDataset:
         for sub in ("manifest.txt", "scenes/0000.xyzl", "scenes/0001.xyzl"):
             assert (tmp_path / "a" / sub).read_bytes() == (tmp_path / "b" / sub).read_bytes()
 
+    @pytest.mark.parametrize("n_scenes", [0, -1])
+    def test_non_positive_scene_count_rejected(self, n_scenes, tmp_path):
+        # A count of 0 used to write an empty manifest that ``label`` then rejected.
+        with pytest.raises(SizeError, match=f"n_scenes must be at least 1, got {n_scenes}"):
+            gen_scene_files(tmp_path / "data", n_scenes=n_scenes)
+        assert not (tmp_path / "data").exists()
+
     def test_missing_labels_rejected(self, tmp_path):
         root = tmp_path / "data"
         (root / "scenes").mkdir(parents=True)
@@ -462,7 +468,7 @@ class TestDataset:
             }
         ]
         path = tmp_path / "m.csv"
-        save_metrics_csv(rows, path)
+        save_table(rows, METRIC_FIELDS, path)
         text = path.read_text().strip().splitlines()
         assert text[0] == "epoch,split,normal_cos,normal_deg,curv_mae,count_mae"
         assert text[1].startswith("1,train,0.5,60.0,")

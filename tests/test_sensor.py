@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from digrl import sensor
+from digrl.config import ATTACK_RANGES
 from digrl.errors import EmptyObservationError, ShapeError
 from digrl.geometry import estimate_normals_curvature
 from digrl.scenegen import (
@@ -27,7 +28,7 @@ from digrl.sensor import (
     render_surface,
     scene_heightmap,
 )
-from test_scenegen import make_box
+from test_scenegen import drop_and_add, make_box
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -82,14 +83,18 @@ class TestRenderSurface:
         with pytest.raises(ShapeError):
             render_surface(Scene(tray, []), SensorConfig(ray_pitch=0.0))
 
+    # The render is noise-free; ``observe`` adds the noise to its points.
     def test_noise_needs_rng(self, tray):
         with pytest.raises(ShapeError):
-            render_surface(Scene(tray, []), SensorConfig(noise_sigma=0.001))
+            observe(Scene(tray, []), SensorConfig(noise_sigma=0.001))
 
     def test_noise_statistics(self, tray, rng):
-        cfg = SensorConfig(noise_sigma=0.002)
-        clean = render_surface(Scene(tray, []), SensorConfig())
-        noisy = render_surface(Scene(tray, []), cfg, rng)
+        cfg = SensorConfig(noise_sigma=0.002, fps_target=10 ** 6)
+        assert render_surface(Scene(tray, []), cfg).points.tobytes() == (
+            render_surface(Scene(tray, []), SensorConfig()).points.tobytes()
+        )
+        clean = observe(Scene(tray, []), SensorConfig(fps_target=10 ** 6))
+        noisy = observe(Scene(tray, []), cfg, rng)
         dz = noisy.points[:, 2] - clean.points[:, 2]
         assert np.allclose(noisy.points[:, :2], clean.points[:, :2])
         assert abs(dz.std() - 0.002) < 0.0002
@@ -111,11 +116,11 @@ class TestSceneHeightmap:
 
 class TestObserve:
     def test_crop_bounds(self, small_scene):
-        cfg = SensorConfig()
-        obs = observe(small_scene, cfg)
+        obs = observe(small_scene, SensorConfig())
         pts = obs.points
-        assert np.all(pts[:, 0] >= cfg.crop_x[0]) and np.all(pts[:, 0] <= cfg.crop_x[1])
-        assert np.all(pts[:, 1] >= cfg.crop_y[0]) and np.all(pts[:, 1] <= cfg.crop_y[1])
+        (x0, x1), (y0, y1) = ATTACK_RANGES.x, ATTACK_RANGES.y
+        assert np.all(pts[:, 0] >= x0) and np.all(pts[:, 0] <= x1)
+        assert np.all(pts[:, 1] >= y0) and np.all(pts[:, 1] <= y1)
 
     def test_downsamples_to_target(self, small_scene):
         obs = observe(small_scene, SensorConfig(fps_target=2048))
@@ -149,17 +154,21 @@ class TestObserve:
     def test_noisy_observation_matches_noisy_render(self, small_scene):
         cfg = SensorConfig(fps_target=10 ** 6, noise_sigma=0.002)
         obs = observe(small_scene, cfg, np.random.default_rng(5))
-        surface = render_surface(small_scene, cfg, np.random.default_rng(5)).points
+        surface = render_surface(small_scene, cfg).points
+        surface[:, 2] += np.random.default_rng(5).normal(0.0, 0.002, size=len(surface))
+        (x0, x1), (y0, y1) = ATTACK_RANGES.x, ATTACK_RANGES.y
         keep = (
-            (surface[:, 0] >= cfg.crop_x[0]) & (surface[:, 0] <= cfg.crop_x[1])
-            & (surface[:, 1] >= cfg.crop_y[0]) & (surface[:, 1] <= cfg.crop_y[1])
+            (surface[:, 0] >= x0) & (surface[:, 0] <= x1)
+            & (surface[:, 1] >= y0) & (surface[:, 1] <= y1)
         )
         assert obs.points.tobytes() == surface[keep].tobytes()
         with pytest.raises(ShapeError):
             observe(small_scene, cfg)
 
     def test_empty_crop_raises(self, tray):
-        cfg = SensorConfig(crop_x=(0.50, 0.60))
+        # One ray per axis, at (0.10, 0.25): y lies outside the crop.
+        cfg = SensorConfig(ray_pitch=1.0)
+        assert np.allclose(render_surface(Scene(tray, []), cfg).points, [[0.1, 0.25, 0.0]])
         with pytest.raises(EmptyObservationError):
             observe(Scene(tray, []), cfg)
 
@@ -249,7 +258,7 @@ class TestOrientSteepDownhill:
         scene = spawn_scene(seed=seed, count_range=(count, count))
         cfg = SensorConfig(fps_target=2048, noise_sigma=sigma)
         pts = observe(scene, cfg, np.random.default_rng(seed)).points
-        normals, _, _ = estimate_normals_curvature(pts, 30)
+        normals, _ = estimate_normals_curvature(pts, 30)
         got = self.assert_matches_reference(pts, normals)
         assert (got != normals).any()
 
@@ -388,7 +397,7 @@ class TestCulledRender:
             PlacedObject(make_box(0.125, 0.125, lid_height), IDENTITY_QUAT.copy(), np.zeros(3)),
         ]
         for p in placed:
-            pile.drop_and_add(p)
+            drop_and_add(pile, p)
         return Scene(Tray(), placed)
 
     def test_fully_buried_box_is_skipped(self, monkeypatch):
