@@ -86,13 +86,24 @@ def save_table(rows: list[dict], fields: tuple[str, ...], path) -> None:
 
 
 def load_metrics_table(path) -> list[dict]:
-    """Rows of a metrics CSV; ShapeError naming ``path`` when a metric column is missing."""
+    """Rows of a metrics CSV.
+
+    Raises ShapeError naming ``path`` when a metric column is missing, and
+    naming ``path:line`` when a row has fewer or more fields than the header.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [k for k in METRICS_FIELDS if k not in (reader.fieldnames or ())]
         if missing:
             raise ShapeError(f"{path}: not a metrics table, missing columns {missing}")
-        return list(reader)
+        rows = []
+        for row in reader:
+            # DictReader fills a short row with None and files extra fields under the key None.
+            if None in row or None in row.values():
+                where, width = f"{path}:{reader.line_num}", len(reader.fieldnames)
+                raise ShapeError(f"{where}: expected {width} fields like the header")
+            rows.append(row)
+        return rows
 
 
 # ---------------------------------------------------------------------------

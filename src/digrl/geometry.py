@@ -66,6 +66,8 @@ class PointCloud:
             self.curvature = np.asarray(self.curvature, dtype=np.float64)
             if self.curvature.shape != (n,):
                 raise ShapeError(f"curvature must be ({n},), got {self.curvature.shape}")
+            if not np.isfinite(self.curvature).all():
+                raise ShapeError("curvature contains non-finite values")
             if n and (self.curvature.min() < -1e-12 or self.curvature.max() > CURVATURE_MAX + 1e-9):
                 raise ShapeError("curvature out of [0, 1/3] range")
 
@@ -348,31 +350,29 @@ def idw_weights(src_points, dst_points, k: int = 3) -> tuple[np.ndarray, np.ndar
     return idx, weights
 
 
-_XYZL_HEADER = re.compile(r"# digrl point cloud, (\d+) points, (?:labeled|bare)\n")
+_XYZL_HEADER = re.compile(r"# digrl point cloud, (\d+) points, labeled\n")
 
 
 def save_xyzl(path, cloud: PointCloud) -> None:
-    """Write a cloud as text: ``x y z`` or ``x y z nx ny nz c`` per line."""
-    labeled = cloud.normals is not None and cloud.curvature is not None
-    table = np.column_stack([cloud.points, cloud.normals, cloud.curvature]) if labeled else cloud.points
-    line = " ".join(["%.9g"] * table.shape[1]) + "\n"
+    """Write a cloud with normals and curvature as text, ``x y z nx ny nz c`` per line."""
+    table = np.column_stack([cloud.points, cloud.normals, cloud.curvature])
+    line = " ".join(["%.9g"] * 7) + "\n"
     with open(path, "w") as fh:
-        fh.write("# digrl point cloud, %d points, %s\n" % (len(cloud), "labeled" if labeled else "bare"))
+        fh.write("# digrl point cloud, %d points, labeled\n" % len(cloud))
         fh.write(line * len(table) % tuple(table.ravel().tolist()))
 
 
 def load_xyzl(path) -> PointCloud:
     """Read a cloud written by :func:`save_xyzl`.
 
-    Lines may carry 3 fields (bare point) or 7 (point + normal + curvature);
-    ``#`` starts a comment. Labels survive only when every line carries them.
-    A truncated file raises ShapeError: every line must end in a newline, and
-    when the first line is :func:`save_xyzl`'s header the point count must
-    match the one it records. So do bytes that are not UTF-8 and a normal
-    whose length is zero or not finite.
+    Every line carries 7 fields, a point, its normal and its curvature;
+    ``#`` starts a comment. A truncated file raises ShapeError: every line
+    must end in a newline, and when the first line is :func:`save_xyzl`'s
+    header the point count must match the one it records. So do bytes that
+    are not UTF-8, a normal whose length is zero or not finite, and a
+    curvature that is not finite.
     """
     points, normals, curvature = [], [], []
-    all_labeled = True
     declared = None
     for lineno, raw in text_lines(path):
         if not raw.endswith("\n"):
@@ -383,29 +383,25 @@ def load_xyzl(path) -> PointCloud:
         if not line:
             continue
         parts = line.split()
-        if len(parts) not in (3, 7):
-            raise ShapeError(f"{path}:{lineno}: expected 3 or 7 fields, got {len(parts)}")
+        if len(parts) != 7:
+            raise ShapeError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
         try:
             values = [float(v) for v in parts]
         except ValueError as exc:
             raise ShapeError(f"{path}:{lineno}: {exc}") from None
+        # Renormalizing below divides by this length.
+        if not 0.0 < math.hypot(*values[3:6]) < math.inf:
+            raise ShapeError(f"{path}:{lineno}: normal {values[3:6]} has no direction")
+        if not math.isfinite(values[6]):
+            raise ShapeError(f"{path}:{lineno}: curvature {values[6]} is not finite")
         points.append(values[:3])
-        if len(values) == 7:
-            # Renormalizing below divides by this length.
-            if not 0.0 < math.hypot(*values[3:6]) < math.inf:
-                raise ShapeError(f"{path}:{lineno}: normal {values[3:6]} has no direction")
-            normals.append(values[3:6])
-            curvature.append(values[6])
-        else:
-            all_labeled = False
+        normals.append(values[3:6])
+        curvature.append(values[6])
     if declared is not None and declared != len(points):
         raise ShapeError(f"{path}: header records {declared} points, file holds {len(points)}")
     if not points:
         raise EmptyObservationError(f"{path} holds no points")
-    pts = np.asarray(points, dtype=np.float64)
-    if all_labeled and normals:
-        nrm = np.asarray(normals)
-        # Renormalize against text round-off so the unit invariant holds exactly.
-        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-        return PointCloud(pts, nrm, np.clip(np.asarray(curvature), 0.0, CURVATURE_MAX))
-    return PointCloud(pts)
+    nrm = np.asarray(normals)
+    # Renormalize against text round-off so the unit invariant holds exactly.
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    return PointCloud(np.asarray(points), nrm, np.clip(np.asarray(curvature), 0.0, CURVATURE_MAX))

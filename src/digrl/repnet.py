@@ -413,8 +413,6 @@ def load_rep_dataset(data_dir) -> list[RepSample]:
     samples = []
     for scene_id, meta in _read_manifest(os.path.join(data_dir, "manifest.txt")):
         cloud = load_xyzl(os.path.join(data_dir, "scenes", f"{scene_id}.xyzl"))
-        if cloud.normals is None or cloud.curvature is None:
-            raise ShapeError(f"scene {scene_id} has no labels")
         samples.append(
             RepSample(
                 scene_id=scene_id,

@@ -5,10 +5,11 @@ object's hull seeds from the generator in turn, and Qhull builds each hull;
 the winding fix, the watertight check and the volumes then run once over all
 the scene's meshes laid end to end. :func:`load_scene` reads every record
 first and measures the volumes the same way. A settle computes each object's
-rotation, world vertices, face planes, edges and xy box once, into
-scene-wide tables (``_SceneMeshes``) that every wavefront pass gathers its
-rows from. Each of these steps works per vertex, face or edge, so every
-object gets the bits it would get on its own.
+rotation, world vertices, face planes, edges and xy box once, into one
+scene-wide table (``_Pile``) that every wavefront pass gathers its rows
+from, and that lowers each object's own rows in place when it rests. Each
+of these steps works per vertex, face or edge, so every object gets the bits
+it would get on its own.
 
 Settling is quasi-static drop-and-rest without rotation on contact: each
 object falls straight down, in placement order, onto the tray floor or onto
@@ -22,7 +23,7 @@ the pile give an attained clearance, an upper bound on the drop; a rested
 body whose top lies more than that bound, plus a rounding margin, below the
 incoming object cannot hold a smaller gap, so its vertices and edges are
 skipped. Only gaps above the minimum are skipped, so the settled scene is
-the same to the last bit as without pruning (see ``_RestPile``).
+the same to the last bit as without pruning (see ``_Pile``).
 
 An object can only rest on an earlier object whose xy box meets its own, so
 objects settle in dependency wavefronts: an object's wavefront is one more
@@ -444,60 +445,9 @@ def _gather_runs(starts: np.ndarray, lengths: np.ndarray, run_starts: np.ndarray
     return np.arange(lengths.sum()) + np.repeat(starts - run_starts, lengths)
 
 
-class _Rows:
-    """A growable stack of equally shaped rows; ``view`` holds those appended so far."""
-
-    def __init__(self, row_shape: tuple[int, ...], dtype=np.float64):
-        self._buf = np.empty((64, *row_shape), dtype=dtype)
-        self.n = 0
-
-    @property
-    def view(self) -> np.ndarray:
-        return self._buf[: self.n]
-
-    def append(self, rows: np.ndarray) -> None:
-        end = self.n + len(rows)
-        if end > len(self._buf):
-            grown = np.empty((max(end, 2 * len(self._buf)), *self._buf.shape[1:]), self._buf.dtype)
-            grown[: self.n] = self.view
-            self._buf = grown
-        self._buf[self.n : end] = rows
-        self.n = end
-
-
-class _SceneMeshes:
-    """The world meshes of ``placed``, laid end to end in order, built once per settle.
-
-    ``wverts`` holds each object's world vertices at its current pose, from
-    where the pile drops it. ``planes`` holds the face planes (nx, ny, nz,
-    offset), ``verts`` the world vertices and ``segs`` the edges projected
-    to xy. Object ``k`` owns ``counts[k]`` rows of each, in that column
-    order, from row ``starts[k]`` on. ``lo`` and ``hi`` are the objects'
-    AABB corners. Every wavefront pass gathers its objects' rows from here,
-    so each object's rotation, planes, edges and box are computed once per
-    settle. ``face_planes`` and ``mesh_edges`` work face by face and edge by
-    edge, so each object's rows have the bits they would have alone.
-    """
-
-    def __init__(self, placed: list[PlacedObject], wverts: list[np.ndarray]):
-        self.placed = placed
-        faces = [p.obj.faces for p in placed]
-        verts, faces, vert_starts, n_planes = _laid_end_to_end(wverts, faces)
-        self.planes = np.column_stack(face_planes(verts, faces))
-        edges = mesh_edges(faces)
-        self.segs = verts[:, :2][edges]
-        self.verts = verts
-        n_verts = np.diff(vert_starts, append=len(verts))
-        n_segs = np.diff(np.searchsorted(edges[:, 0], vert_starts), append=len(edges))
-        self.counts = np.column_stack([n_planes, n_verts, n_segs])
-        self.starts = np.cumsum(self.counts, axis=0) - self.counts
-        self.lo = np.minimum.reduceat(verts, vert_starts)
-        self.hi = np.maximum.reduceat(verts, vert_starts)
-
-
 # Slack of the keep tests that compare an envelope value with its body's
 # vertex extremes: the settle's ``aabb_min_z - hi_k_z <= bound + margin``
-# (``_RestPile``) and the render's ``height < top + margin``
+# (``_Pile``) and the render's ``height < top + margin``
 # (``sensor._surface_grid``). Two effects let a computed envelope pass them.
 #
 # Rounding. Coordinates stay within 4 m of the origin (the tray is 0.8 x 0.5 m,
@@ -518,8 +468,8 @@ class _SceneMeshes:
 _PRUNE_MARGIN = 2.0**-7
 
 
-class _RestPile:
-    """Exact vertical-drop support model of everything already in the tray.
+class _Pile:
+    """Exact vertical-drop support model: the scene's meshes, rested in place.
 
     A falling convex hull comes to rest where the vertical clearance between
     it and the pile (or the floor) first reaches zero. For convex polytopes
@@ -528,17 +478,26 @@ class _RestPile:
     so evaluating exactly these candidate columns gives the exact rest height
     and zero interpenetration by construction.
 
-    The pile is stored packed: one growable buffer each for the rested
-    planes (nx, ny, nz, offset), vertices and xy-projected edges, with each
-    body's start and length in every buffer, and the rested AABBs.
-    :meth:`settle` drops a batch of bodies with pairwise-disjoint xy boxes
-    onto the pile as it stands, in one vectorised pass, and then adds them
-    all. The incoming bodies' vertices, planes and edges are padded to one
-    length by repeating each body's first row, which only repeats a gap. One
-    mask over the AABBs picks every (body, candidate support) pair, and one
-    fancy index gathers the candidates' rows. Each body's drop is then a
-    branch and bound over three gap families, each gap evaluated against
-    the planes of its own two bodies:
+    The meshes of ``placed``, at the world vertices ``wverts`` they drop
+    from, are laid end to end in order, once per settle: ``planes`` holds
+    the face planes (nx, ny, nz, offset), ``verts`` the world vertices and
+    ``segs`` the edges projected to xy. Object ``k`` owns ``counts[k]`` rows
+    of each, in that column order, from row ``starts[k]`` on. ``lo`` and
+    ``hi`` are the objects' AABB corners, and ``meets`` is the (n, n) matrix
+    of which objects' xy boxes meet, boundaries included, as the drop tests.
+    ``face_planes`` and ``mesh_edges`` work face by face and edge by edge, so
+    each object's rows have the bits they would have alone. When an object
+    rests, its own vertex, plane and box rows are lowered in place and its
+    ``rested`` bit is set; the rested objects are the pile.
+
+    :meth:`_rest` drops a batch of objects with pairwise-disjoint xy boxes
+    onto the pile as it stands, in one vectorised pass. The incoming bodies'
+    vertices, planes and edges are padded to one length by repeating each
+    body's first row, which only repeats a gap. One mask over the rested
+    AABBs picks every (body, candidate support) pair, and one fancy index
+    gathers the candidates' rows. Each body's drop is then a branch and
+    bound over three gap families, each gap evaluated against the planes of
+    its own two bodies:
 
     1. The floor gap and the incoming vertices against every candidate's
        upper envelope. Their minimum ``bound`` is a clearance that is
@@ -559,78 +518,101 @@ class _RestPile:
     on the pruning nor on how bodies and candidates are grouped.
     """
 
-    def __init__(self, tray: Tray):
-        self.tray = tray
-        self.floor = tray.floor_z
-        self._lo = _Rows((3,))
-        self._hi = _Rows((3,))
-        # Per body: first row and row count in the plane, vertex and segment buffers.
-        self._start = _Rows((3,), np.int64)
-        self._len = _Rows((3,), np.int64)
-        self._planes = _Rows((4,))  # nx, ny, nz, offset
-        self._verts = _Rows((3,))
-        self._segs = _Rows((2, 2))  # edges projected to xy
+    def __init__(self, placed: list[PlacedObject], wverts: list[np.ndarray], floor: float):
+        self.placed, self.floor = placed, floor
+        faces = [p.obj.faces for p in placed]
+        verts, faces, vert_starts, n_planes = _laid_end_to_end(wverts, faces)
+        self.planes = np.column_stack(face_planes(verts, faces))
+        edges = mesh_edges(faces)
+        self.segs = verts[:, :2][edges]
+        self.verts = verts
+        n_verts = np.diff(vert_starts, append=len(verts))
+        n_segs = np.diff(np.searchsorted(edges[:, 0], vert_starts), append=len(edges))
+        self.counts = np.column_stack([n_planes, n_verts, n_segs])
+        self.starts = np.cumsum(self.counts, axis=0) - self.counts
+        self.lo = np.minimum.reduceat(verts, vert_starts)
+        self.hi = np.maximum.reduceat(verts, vert_starts)
+        # One (n, n) test per coordinate: numpy loops over a trailing axis of 2 slowly.
+        (x0, y0), (x1, y1) = self.lo[:, :2].T, self.hi[:, :2].T
+        x_meets = (x0[:, None] <= x1) & (x1[:, None] >= x0)
+        self.meets = x_meets & (y0[:, None] <= y1) & (y1[:, None] >= y0)
+        self.rested = np.zeros(len(placed), dtype=bool)
 
-    def settle(self, meshes: _SceneMeshes, members, drops: list[float | None]) -> list[float]:
-        """Drop the objects ``members`` of ``meshes`` onto the pile, then add them all.
+    def settle(self, members, drops: list[float | None]) -> list[float]:
+        """Rest objects ``members``, one wavefront per :meth:`_rest` pass; returns their z offsets.
 
-        The bodies' xy boxes must be pairwise disjoint, so none of them could
-        rest on another. A known drop in ``drops`` adds its body that far down
-        without a search; ``None`` searches it. Returns the rest z offsets.
+        A known drop in ``drops`` rests its object that far down without a
+        search; ``None`` searches it. An object's wavefront is one more than
+        the latest wavefront of an earlier member whose xy box meets its own,
+        and 0 without one. Every earlier member that meets an object lies in
+        an earlier wavefront, so it is on the pile when that object drops. A
+        later member never is: it lies in a later wavefront than the earlier
+        one it meets. Objects of one wavefront meet no other. So each object
+        drops onto exactly the candidate supports, with the same rows, that
+        dropping the members one by one in order gives it, and gets the same
+        rest height to the last bit.
         """
         members = np.asarray(members, dtype=np.int64)
-        counts, starts = meshes.counts[members], meshes.starts[members]
-        tables = (meshes.planes, meshes.verts, meshes.segs)
+        meets = self.meets[np.ix_(members, members)]
+        wave = np.zeros(len(members), dtype=np.int64)
+        for j in range(1, len(members)):
+            below = wave[:j][meets[j, :j]]
+            wave[j] = below.max() + 1 if len(below) else 0
+        rests = np.zeros(len(members))
+        for w in range(wave.max(initial=-1) + 1):
+            at = np.flatnonzero(wave == w)
+            rests[at] = self._rest(members[at], [drops[i] for i in at])
+        return rests.tolist()
+
+    def _rest(self, members: np.ndarray, drops: list[float | None]) -> np.ndarray:
+        """Drop objects ``members``, whose xy boxes are pairwise disjoint, and rest them all.
+
+        Returns the rest z offsets.
+        """
+        counts, starts = self.counts[members], self.starts[members]
         search = [i for i, d in enumerate(drops) if d is None]
         drops = np.array([0.0 if d is None else d for d in drops])
         if search:
             incoming = (
                 _padded(rows, starts[search, col], counts[search, col])
-                for col, rows in enumerate(tables)
+                for col, rows in enumerate((self.planes, self.verts, self.segs))
             )
             drops[search] = self._lowest_gaps(*incoming)
-        planes, verts, segs = (
-            rows[_gather_runs(starts[:, col], counts[:, col], _run_starts(counts[:, col]))]
-            for col, rows in enumerate(tables)
+        planes, verts = (
+            _gather_runs(starts[:, col], counts[:, col], _run_starts(counts[:, col]))
+            for col in (0, 1)
         )
-        verts[:, 2] -= np.repeat(drops, counts[:, 1])  # now at rest
+        self.verts[verts, 2] -= np.repeat(drops, counts[:, 1])  # now at rest
         # Translating a plane set by -drop along z shifts each offset by -nz*drop.
-        planes[:, 3] = planes[:, 3] - planes[:, 2] * np.repeat(drops, counts[:, 0])
-        packed = np.cumsum(counts, axis=0) - counts
-        self._start.append(packed + np.array([self._planes.n, self._verts.n, self._segs.n]))
-        self._len.append(counts)
-        self._planes.append(planes)
-        self._verts.append(verts)
-        self._segs.append(segs)
+        self.planes[planes, 3] -= self.planes[planes, 2] * np.repeat(drops, counts[:, 0])
         # Rounding is monotonic, so the lowered extremes are the extremes of the lowered vertices.
-        lo, hi = meshes.lo[members], meshes.hi[members]
-        lo[:, 2] -= drops
-        hi[:, 2] -= drops
-        self._lo.append(lo)
-        self._hi.append(hi)
+        self.lo[members, 2] -= drops
+        self.hi[members, 2] -= drops
+        self.rested[members] = True
         for i, drop in zip(members.tolist(), drops):
-            p = meshes.placed[i]
+            p = self.placed[i]
             p.translation = p.translation + np.array([0.0, 0.0, -drop])
-        return [-float(d) for d in drops]
+        return -drops
 
     def _lowest_gaps(self, planes, wverts, segs) -> np.ndarray:
-        """The smallest clearance below each incoming body: its drop.
+        """The smallest clearance below each incoming body onto the rested objects: its drop.
 
         ``planes`` (B, F, 4), ``wverts`` (B, V, 3) and ``segs`` (B, E, 2, 2)
         hold the incoming bodies' world planes, vertices and xy edges, padded.
+        The candidates' rows are gathered from the table; none is changed.
         """
         aabb_min, aabb_max = wverts.min(axis=1), wverts.max(axis=1)
         drop = aabb_min[:, 2] - self.floor
-        lo, hi = self._lo.view, self._hi.view
+        lo, hi = self.lo, self.hi
         overlap = (lo[:, :2] <= aabb_max[:, None, :2]) & (hi[:, :2] >= aabb_min[:, None, :2])
-        body, cand = np.nonzero(overlap.all(axis=2))
+        body, cand = np.nonzero(overlap.all(axis=2) & self.rested)
         if not len(body):
             return drop
-        start, length = self._start.view[cand], self._len.view[cand]
+        start, length = self.starts[cand], self.counts[cand]
         # Incoming vertices above each candidate's upper envelope.
         n_planes = length[:, 0]
         plane_starts = _run_starts(n_planes)
-        pl = self._planes.view[_gather_runs(start[:, 0], n_planes, plane_starts)]
+        pl = self.planes[_gather_runs(start[:, 0], n_planes, plane_starts)]
         row = np.repeat(body, n_planes)
         c = pl[:, 3:4] - pl[:, 0:1] * wverts[row, :, 0] - pl[:, 1:2] * wverts[row, :, 1]
         _, r_high, r_ok = _grouped_envelopes(c, pl[:, 2:3], plane_starts)
@@ -643,14 +625,14 @@ class _RestPile:
         body, start, length = body[keep], start[keep], length[keep]
         # Nearby rested vertices under the incoming lower envelope.
         n_verts = length[:, 1]
-        r_verts = self._verts.view[_gather_runs(start[:, 1], n_verts, _run_starts(n_verts))]
+        r_verts = self.verts[_gather_runs(start[:, 1], n_verts, _run_starts(n_verts))]
         pt_body = np.repeat(body, n_verts)
         near = (r_verts[:, :2] >= aabb_min[pt_body, :2]) & (r_verts[:, :2] <= aabb_max[pt_body, :2])
         near = near.all(axis=1)
         pts, pt_body = r_verts[near], pt_body[near]
         # Crossings of incoming edges with rested edges whose xy box meets the incoming AABB.
         n_segs = length[:, 2]
-        r_segs = self._segs.view[_gather_runs(start[:, 2], n_segs, _run_starts(n_segs))]
+        r_segs = self.segs[_gather_runs(start[:, 2], n_segs, _run_starts(n_segs))]
         pair = np.repeat(np.arange(len(body)), n_segs)
         seg_lo, seg_hi = r_segs.min(axis=1), r_segs.max(axis=1)
         meets = (seg_lo <= aabb_max[body[pair], :2]) & (seg_hi >= aabb_min[body[pair], :2])
@@ -672,7 +654,7 @@ class _RestPile:
             # Pair each crossing with the planes of its own rested body only.
             n_pair = length[pair, 0]
             pair_starts = _run_starts(n_pair)
-            pp = self._planes.view[_gather_runs(start[pair, 0], n_pair, pair_starts)]
+            pp = self.planes[_gather_runs(start[pair, 0], n_pair, pair_starts)]
             point = np.repeat(np.arange(len(cross)), n_pair)
             c = pp[:, 3] - cross[point, 0] * pp[:, 0] - cross[point, 1] * pp[:, 1]
             _, c_high, c_ok = _grouped_envelopes(c, pp[:, 2], pair_starts)
@@ -687,41 +669,6 @@ def _padded(rows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.nda
     """Runs ``rows[start : start + length]`` as (B, longest, ...), padded with their first rows."""
     col = np.arange(lengths.max())
     return rows[np.where(col < lengths[:, None], col, 0) + starts[:, None]]
-
-
-def _xy_meets(meshes: _SceneMeshes) -> np.ndarray:
-    """(n, n) matrix of which objects' xy AABBs meet, boundaries included, as the pile tests."""
-    # One (n, n) test per coordinate: numpy loops over a trailing axis of 2 slowly.
-    (x0, y0), (x1, y1) = meshes.lo[:, :2].T, meshes.hi[:, :2].T
-    return (x0[:, None] <= x1) & (x1[:, None] >= x0) & (y0[:, None] <= y1) & (y1[:, None] >= y0)
-
-
-def _settle_wavefronts(
-    pile: _RestPile, meshes: _SceneMeshes, members: list[int], drops: list, meets: np.ndarray
-) -> None:
-    """Settle objects ``members`` of ``meshes`` onto ``pile``, one wavefront per pile pass.
-
-    Each wavefront is one :meth:`_RestPile.settle` call. ``drops`` go with
-    ``members``, as in that method, and
-    ``meets`` is :func:`_xy_meets` of ``meshes``. An object's wavefront is
-    one more than the latest wavefront of an earlier member whose xy box
-    meets its own, and 0 without one. Every earlier member that meets an
-    object lies in an earlier wavefront, so it is on the pile when that
-    object drops. A later member never is: it lies in a later wavefront than
-    the earlier one it meets. Objects of one wavefront meet no other. So
-    each object drops onto exactly the candidate supports, with the same
-    rows, that dropping the members one by one in order gives it, and gets
-    the same rest height to the last bit.
-    """
-    members = np.asarray(members, dtype=np.int64)
-    meets = meets[np.ix_(members, members)]
-    wave = np.zeros(len(members), dtype=np.int64)
-    for j in range(1, len(members)):
-        below = wave[:j][meets[j, :j]]
-        wave[j] = below.max() + 1 if len(below) else 0
-    for w in range(wave.max(initial=-1) + 1):
-        at = np.flatnonzero(wave == w)
-        pile.settle(meshes, members[at], [drops[i] for i in at])
 
 
 def settle_scene(
@@ -739,7 +686,7 @@ def settle_scene(
 
     A pose never depends on the pile, so every pose is drawn first, in the
     same rng order as one drop at a time. The objects then settle in
-    dependency wavefronts (see :func:`_settle_wavefronts`), each in one
+    dependency wavefronts (see :meth:`_Pile.settle`), each in one
     batched pass, with the rest heights of one-by-one drops.
     """
     placed_list: list[PlacedObject] = []
@@ -768,8 +715,8 @@ def settle_scene(
         # What PlacedObject.world_vertices gives, without a second rotation.
         wverts.append(rot_verts + placed_list[-1].translation)
     if placed_list:
-        meshes, n = _SceneMeshes(placed_list, wverts), len(placed_list)
-        _settle_wavefronts(_RestPile(tray), meshes, range(n), [None] * n, _xy_meets(meshes))
+        n = len(placed_list)
+        _Pile(placed_list, wverts, tray.floor_z).settle(range(n), [None] * n)
     return Scene(tray, placed_list, seed)
 
 
@@ -795,17 +742,16 @@ def resettle(scene: Scene, removed=None) -> Scene:
         PlacedObject(p.obj, p.quat.copy(), np.array([p.translation[0], p.translation[1], 0.0]))
         for p in scene.placed
     ]
-    meshes = _SceneMeshes(placed, [p.world_vertices() for p in placed])
-    meets = _xy_meets(meshes)
+    pile = _Pile(placed, [p.world_vertices() for p in placed], scene.tray.floor_z)
     gone = set(removed or ())
     moved = np.zeros(len(placed), dtype=bool)  # removed or dirty
     kept, drops = [], []
     for i, p in enumerate(scene.placed):
-        moved[i] = removed is None or i in gone or (meets[i, :i] & moved[:i]).any()
+        moved[i] = removed is None or i in gone or (pile.meets[i, :i] & moved[:i]).any()
         if i not in gone:
             kept.append(i)
             drops.append(None if moved[i] else -float(p.translation[2]))
-    _settle_wavefronts(_RestPile(scene.tray), meshes, kept, drops, meets)
+    pile.settle(kept, drops)
     return Scene(scene.tray, [placed[i] for i in kept], scene.seed)
 
 

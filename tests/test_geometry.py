@@ -570,29 +570,16 @@ class TestHeightmap:
 
 def save_xyzl_reference(path, cloud):
     """The per-point writer: one ``fh.write`` per line."""
-    labeled = cloud.normals is not None and cloud.curvature is not None
     with open(path, "w") as fh:
-        fh.write("# digrl point cloud, %d points, %s\n" % (len(cloud), "labeled" if labeled else "bare"))
-        if labeled:
-            for p, nrm, c in zip(cloud.points, cloud.normals, cloud.curvature):
-                fh.write(
-                    "%.9g %.9g %.9g %.9g %.9g %.9g %.9g\n"
-                    % (p[0], p[1], p[2], nrm[0], nrm[1], nrm[2], c)
-                )
-        else:
-            for p in cloud.points:
-                fh.write("%.9g %.9g %.9g\n" % (p[0], p[1], p[2]))
+        fh.write("# digrl point cloud, %d points, labeled\n" % len(cloud))
+        for p, nrm, c in zip(cloud.points, cloud.normals, cloud.curvature):
+            fh.write(
+                "%.9g %.9g %.9g %.9g %.9g %.9g %.9g\n"
+                % (p[0], p[1], p[2], nrm[0], nrm[1], nrm[2], c)
+            )
 
 
 class TestXyzl:
-    def test_bare_round_trip(self, rng, tmp_path):
-        cloud = PointCloud(rng.uniform(-1, 1, size=(57, 3)))
-        p = tmp_path / "bare.xyzl"
-        save_xyzl(p, cloud)
-        back = load_xyzl(p)
-        assert back.normals is None
-        assert np.allclose(back.points, cloud.points, atol=1e-8)
-
     def test_labeled_round_trip(self, rng, tmp_path):
         pts = rng.uniform(-1, 1, size=(40, 3))
         normals, curv = estimate_normals_curvature(pts, k=8)
@@ -604,16 +591,13 @@ class TestXyzl:
         assert np.allclose(back.normals, normals, atol=1e-7)
         assert np.allclose(back.curvature, curv, atol=1e-8)
 
-    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "bare"])
-    def test_bytes_match_per_line_writer(self, rng, tmp_path, labeled):
+    def test_bytes_match_per_line_writer(self, rng, tmp_path):
         pts = rng.uniform(-1, 1, size=(64, 3))
         pts[:3] = [[-0.0, 1e-300, 1e6], [1e6, -0.0, -1e-300], [0.0, -1e6, 123456789.0]]
-        cloud = PointCloud(pts)
-        if labeled:
-            normals, curv = estimate_normals_curvature(pts, k=8)
-            normals[0] = (-0.0, -0.0, 1.0)
-            curv[:3] = (-0.0, 1e-300, 0.0)
-            cloud = PointCloud(pts, normals, curv)
+        normals, curv = estimate_normals_curvature(pts, k=8)
+        normals[0] = (-0.0, -0.0, 1.0)
+        curv[:3] = (-0.0, 1e-300, 0.0)
+        cloud = PointCloud(pts, normals, curv)
         save_xyzl(tmp_path / "a.xyzl", cloud)
         save_xyzl_reference(tmp_path / "b.xyzl", cloud)
         text = (tmp_path / "a.xyzl").read_bytes()
@@ -621,13 +605,14 @@ class TestXyzl:
         assert b"\n-0 1e-300 1000000" in text
 
     def test_empty_cloud_writes_the_header_only(self, tmp_path):
-        save_xyzl(tmp_path / "a.xyzl", PointCloud(np.empty((0, 3))))
-        save_xyzl_reference(tmp_path / "b.xyzl", PointCloud(np.empty((0, 3))))
+        empty = PointCloud(np.empty((0, 3)), np.empty((0, 3)), np.empty(0))
+        save_xyzl(tmp_path / "a.xyzl", empty)
+        save_xyzl_reference(tmp_path / "b.xyzl", empty)
         assert (tmp_path / "a.xyzl").read_bytes() == (tmp_path / "b.xyzl").read_bytes()
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "c.xyzl"
-        p.write_text("# header\n\n1 2 3\n4 5 6 # trailing note\n")
+        p.write_text("# header\n\n1 2 3 0 0 1 0.1\n4 5 6 0 0 1 0.2 # trailing note\n")
         back = load_xyzl(p)
         assert np.array_equal(back.points, [[1, 2, 3], [4, 5, 6]])
 
@@ -650,6 +635,11 @@ class TestPointCloudType:
             PointCloud(np.zeros((3, 2)))
         with pytest.raises(ShapeError):
             PointCloud(np.array([[np.nan, 0, 0]]))
+
+    def test_rejects_non_finite_curvature(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ShapeError, match="curvature contains non-finite values"):
+                PointCloud(np.zeros((2, 3)), curvature=np.array([bad, 0.1]))
 
     def test_rejects_non_unit_normals(self):
         pts = np.zeros((1, 3))

@@ -5,7 +5,8 @@ An xyzl file records its point count and ends every line in a newline, so
 every strict prefix raises ShapeError (or EmptyObservationError while the
 cut is inside its comment line). A malformed dataset manifest line raises
 ShapeError naming the file and line, and so does a text line that is not
-UTF-8 or an xyzl normal without a direction.
+UTF-8, an xyzl normal without a direction or curvature that is not finite,
+and a metrics row whose field count differs from its header.
 """
 
 import re
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from digrl import nn
-from digrl.bench import collect_report
+from digrl.bench import METRICS_FIELDS, collect_report
 from digrl.errors import EmptyObservationError, ShapeError
 from digrl.geometry import PointCloud, load_xyzl, save_xyzl
 from digrl.repnet import label_scene_files, load_rep_dataset
@@ -114,26 +115,27 @@ def test_text_truncation_loads_or_raises_shape_error(write, load, tmp_path):
 
 def test_xyzl_header_count_mismatch_raises(tmp_path):
     path = tmp_path / "short.xyzl"
-    path.write_text("# digrl point cloud, 3 points, bare\n1 2 3\n4 5 6\n")
+    lines = "1 2 3 0 0 1 0.1\n4 5 6 0 0 1 0.1\n"
+    path.write_text("# digrl point cloud, 3 points, labeled\n" + lines)
     with pytest.raises(ShapeError, match="3 points"):
         load_xyzl(path)
-    path.write_text("# digrl point cloud, 1 points, bare\n1 2 3\n4 5 6\n")
+    path.write_text("# digrl point cloud, 1 points, labeled\n" + lines)
     with pytest.raises(ShapeError, match="1 points"):
         load_xyzl(path)
-    path.write_text("# a hand-written cloud\n1 2 3\n4 5 6\n")
+    path.write_text("# a hand-written cloud\n" + lines)
     assert len(load_xyzl(path)) == 2
 
 
 def test_xyzl_final_line_without_newline_raises(tmp_path):
     path = tmp_path / "cut.xyzl"
-    path.write_text("1 2 3\n4 5 6")
+    path.write_text("1 2 3 0 0 1 0.1\n4 5 6 0 0 1 0.1")
     with pytest.raises(ShapeError, match="cut.xyzl:2"):
         load_xyzl(path)
 
 
 def test_xyzl_corrupt_field_names_line(tmp_path):
     path = tmp_path / "bad.xyzl"
-    path.write_text("# cloud\n1 2 3\n4 5 six\n")
+    path.write_text("# cloud\n1 2 3 0 0 1 0.1\n4 5 six 0 0 1 0.1\n")
     with pytest.raises(ShapeError, match=r"bad\.xyzl:3"):
         load_xyzl(path)
 
@@ -168,18 +170,24 @@ def write_bytes(blob):
     return lambda path: path.write_bytes(blob)
 
 
+HEADER = ",".join(METRICS_FIELDS)
 FOREIGN_CONTENT = [
     pytest.param(
         "p.ckpt", ckpt_with_foreign_name, nn.load_ckpt, r"p\.ckpt: parameter name is not UTF-8",
         id="ckpt-name-bytes",
     ),
     pytest.param(
-        "c.xyzl", write_bytes(b"# cloud\n1 2 3\n4 5 \xff\n"), load_xyzl, r"c\.xyzl:3: not UTF-8",
+        "c.xyzl", write_bytes(b"# cloud\n1 2 3 0 0 1 0.1\n4 5 \xff\n"), load_xyzl,
+        r"c\.xyzl:3: not UTF-8",
         id="xyzl-bytes",
     ),
     pytest.param(
         "c.xyzl", write_bytes(b"1 2 3 0 0 1 0.1\n4 5 6 0 0 0 0.1\n"), load_xyzl,
         r"c\.xyzl:2: normal \[0\.0, 0\.0, 0\.0\] has no direction", id="xyzl-zero-normal",
+    ),
+    pytest.param(
+        "c.xyzl", write_bytes(b"0 0 0 0 0 1 nan\n0 0 1 0 0 1 0.1\n"), load_xyzl,
+        r"c\.xyzl:1: curvature nan is not finite", id="xyzl-nan-curvature",
     ),
     pytest.param(
         "manifest.txt", write_bytes(b"# dataset\n0000 count=2 split=\xe9\n"),
@@ -189,6 +197,16 @@ FOREIGN_CONTENT = [
     pytest.param(
         "m.csv", write_bytes(b"a,b\n1,2\n"), lambda path: collect_report([str(path)]),
         r"m\.csv: not a metrics table, missing columns \['method'", id="metrics-columns",
+    ),
+    pytest.param(
+        "m.csv", write_bytes(f"{HEADER}\na,1\n".encode()),
+        lambda path: collect_report([str(path)]),
+        rf"m\.csv:2: expected {len(METRICS_FIELDS)} fields like the header", id="metrics-short-row",
+    ),
+    pytest.param(
+        "m.csv", write_bytes(f"{HEADER}\n{HEADER}\n{HEADER},1\n".encode()),
+        lambda path: collect_report([str(path)]),
+        rf"m\.csv:3: expected {len(METRICS_FIELDS)} fields like the header", id="metrics-long-row",
     ),
 ]
 

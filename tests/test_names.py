@@ -9,7 +9,10 @@ Every public top-level function or class of the package, and every public
 method or property of a public class, has a caller outside the tests, apart
 from a fixed list of known leftovers that may only shrink. Likewise every
 defaulted parameter of those functions and methods is passed by a caller
-outside the tests, by keyword, by position or through ``*`` or ``**``.
+outside the tests, by keyword, by position or through ``*`` or ``**``. A
+call passes a function's parameter only when the caller's own definitions or
+its imports from ``digrl`` resolve the call to that function; a call on any
+other object passes the parameters of every method of its name.
 """
 
 import ast
@@ -141,9 +144,10 @@ def test_public_names_have_callers():
 
 
 # Defaulted parameters that no caller in the package or the benchmark passes:
-# numeric constants the tests sweep, and the sensor the tests shrink. Delete an
-# entry together with its parameter, or once a caller passes it; never add one.
-# A class's entries are its constructor's.
+# numeric constants the tests sweep, the sensor the tests shrink, and the argv
+# that ``tests/test_cli.py`` drives ``main`` with (the console script passes
+# none). Delete an entry together with its parameter, or once a caller passes
+# it; never add one. A class's entries are its constructor's.
 UNPASSED: set[str] = {
     "ParamStore.adam_step(beta1)",
     "ParamStore.adam_step(beta2)",
@@ -153,9 +157,13 @@ UNPASSED: set[str] = {
     "eval_rl_experiment(sensor)",
     "gae(gamma)",
     "gae(lam)",
+    "main(argv)",
     "normalize_rows(eps)",
     "standardize_cols(eps)",
 }
+
+PACKAGE = sorted((ROOT / "src" / "digrl").glob("*.py"))
+SUBMODULES = {p.stem for p in PACKAGE}
 
 
 def defaulted_parameters(tree):
@@ -194,21 +202,68 @@ def defaulted_parameters(tree):
     return found
 
 
-def passed_arguments(tree):
+def digrl_imports(tree):
+    """What a module's imports, in any scope, bind to ``digrl``.
+
+    Returns the local names of ``digrl`` modules, mapped to the module
+    (``digrl`` itself to ``""``), and the local names of functions and
+    classes imported from ``digrl``, mapped to ``module.name``. A relative
+    import comes from ``digrl``, the only package here. A name that ``digrl``
+    itself re-exports resolves to the module it comes from.
+    """
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "digrl":
+                    local = alias.asname or "digrl"
+                    modules[local] = alias.name[len("digrl.") :] if alias.asname else ""
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level and module.split(".")[0] != "digrl":
+                continue
+            module = module if node.level else module[len("digrl.") :]
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if not module and alias.name in SUBMODULES:
+                    modules[local] = alias.name
+                elif module:
+                    names[local] = f"{module}.{alias.name}"
+                else:
+                    names[local] = REEXPORTS.get(alias.name, alias.name)
+    return modules, names
+
+
+REEXPORTS = digrl_imports(ast.parse((ROOT / "src" / "digrl" / "__init__.py").read_text()))[1]
+
+
+def passed_arguments(tree, module=None):
     """``(callee, key)`` for every argument a call passes: a keyword, a position, ``*`` or ``**``.
 
-    The callee is the called name or attribute, whatever the object, as in
-    :func:`referenced_names`.
+    The callee of a bare call ``f(...)`` is ``module.f`` when the calling
+    ``module`` of ``digrl`` defines ``f``, or when ``f`` is imported from
+    ``digrl``; a call ``m.f(...)`` names ``x.f`` when ``m`` is the imported
+    ``digrl`` module ``x``. Any other call ``obj.m(...)`` names ``.m``, a
+    method of that name, whatever the object. Other bare calls name nothing.
     """
+    modules, names = digrl_imports(tree)
+    if module:
+        names |= {n.name: f"{module}.{n.name}" for n in tree.body if isinstance(n, _DEFS)}
     found = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if isinstance(func, ast.Name):
-            callee = func.id
+        if isinstance(func, ast.Name) and func.id in names:
+            callee = names[func.id]
         elif isinstance(func, ast.Attribute):
-            callee = func.attr
+            value = func.value.id if isinstance(func.value, ast.Name) else None
+            if value not in modules:
+                callee = f".{func.attr}"
+            elif modules[value]:
+                callee = f"{modules[value]}.{func.attr}"
+            else:
+                callee = REEXPORTS.get(func.attr, func.attr)
         else:
             continue
         for i, arg in enumerate(node.args):
@@ -220,11 +275,16 @@ def passed_arguments(tree):
     return found
 
 
-def unpassed(defined, passed):
-    """The defaulted parameters that no call in ``passed`` can set, as ``callee(parameter)``."""
+def unpassed(defined, passed, module):
+    """The defaulted parameters of ``module`` that no call in ``passed`` can set.
+
+    ``defined`` is :func:`defaulted_parameters` of that module, and each
+    result reads ``callee(parameter)``.
+    """
     out = set()
     for name, param, position in defined:
-        callee = name.rsplit(".", 1)[-1]
+        cls, _, method = name.rpartition(".")
+        callee = f".{method}" if cls else f"{module}.{name}"
         keys = {(callee, param), (callee, "**")}
         if position is not None:
             keys |= {(callee, position), (callee, "*")}
@@ -246,15 +306,46 @@ def test_defaulted_parameters_have_callers():
         ("f", "b", 1), ("f", "c", None), ("K", "x", 0),
         ("K.m", "y", 0), ("K.m", "z", 1), ("K.s", "w", 0),
     }
-    calls = passed_arguments(ast.parse("f(1, 2)\nK(**kw)\nobj.m(5)\nK.s(*args)\n"))
-    assert unpassed(defined, calls) == {"f(c)", "K.m(z)"}
-    calls = passed_arguments(ast.parse("f(0, c=3)\nobj.m(z=1)\n"))
-    assert unpassed(defined, calls) == {"f(b)", "K(x)", "K.m(y)", "K.s(w)"}
+    calls = passed_arguments(
+        ast.parse("from .nn import K, f\nf(1, 2)\nK(**kw)\nobj.m(5)\nK.s(*args)\n")
+    )
+    assert unpassed(defined, calls, "nn") == {"f(c)", "K.m(z)"}
+    calls = passed_arguments(ast.parse("from digrl import nn\nnn.f(0, c=3)\nobj.m(z=1)\n"))
+    assert unpassed(defined, calls, "nn") == {"f(b)", "K(x)", "K.m(y)", "K.s(w)"}
+    # Another module's f, and names the caller neither defines nor imports, pass nothing.
+    calls = passed_arguments(
+        ast.parse("from digrl import ppo\nppo.f(1, 2, c=3)\nf(1, 2, c=3)\nK(1)\n")
+    )
+    assert unpassed(defined, calls, "nn") == {"f(b)", "f(c)", "K(x)", "K.m(y)", "K.m(z)", "K.s(w)"}
+    # A callback of the package function's name is not that function: the
+    # benchmark's tracer calls ``observe(tracer, args, kwargs, result)``.
+    observe = "def observe(scene, cfg, rng=None, extra=1):\n    pass\n"
+    defined = defaulted_parameters(ast.parse(observe))
+    tracer = "def wrap(observe):\n    observe(tracer, args, kwargs, result)\n"
+    tracer += "env.observe(a, b, c, d)\n"
+    assert unpassed(defined, passed_arguments(ast.parse(tracer)), "sensor") == {
+        "observe(rng)", "observe(extra)",
+    }
+    for caller in (
+        "from .sensor import observe as look\nlook(a, b, c, d)\n",
+        "from digrl import sensor\nsensor.observe(a, b, c, d)\n",
+        "import digrl\ndigrl.observe(a, b, c, d)\n",
+        "from digrl import observe\nobserve(a, b, c, d)\n",
+    ):
+        assert unpassed(defined, passed_arguments(ast.parse(caller)), "sensor") == set(), caller
+    # A module's own observe is the package's only inside the package: the
+    # benchmark's ``main(sys.argv)`` calls its own main, not ``cli.main``.
+    own = ast.parse(observe + "observe(a, b, c, d)\n")
+    assert unpassed(defined, passed_arguments(own, "sensor"), "sensor") == set()
+    assert unpassed(defined, passed_arguments(own), "sensor") == {"observe(rng)", "observe(extra)"}
 
-    package = sorted((ROOT / "src" / "digrl").glob("*.py"))
-    callers = package + sorted((ROOT / "perfbench").glob("*.py"))
+    callers = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in callers}
-    defined = set().union(*(defaulted_parameters(trees[p]) for p in package))
-    found = unpassed(defined, set().union(*(passed_arguments(trees[p]) for p in callers)))
+    passed = set().union(
+        *(passed_arguments(trees[p], p.stem if p in PACKAGE else None) for p in callers)
+    )
+    found = set().union(
+        *(unpassed(defaulted_parameters(trees[p]), passed, p.stem) for p in PACKAGE)
+    )
     assert found - UNPASSED == set(), "defaulted parameters that no caller outside the tests passes"
     assert UNPASSED - found == set(), "stale entries: these parameters are gone or passed now"

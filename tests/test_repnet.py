@@ -450,10 +450,8 @@ class TestDataset:
         root = tmp_path / "data"
         (root / "scenes").mkdir(parents=True)
         (root / "manifest.txt").write_text("0000 seed=1 count=2 split=train\n")
-        from digrl.geometry import PointCloud, save_xyzl
-
-        save_xyzl(root / "scenes" / "0000.xyzl", PointCloud(np.zeros((4, 3))))
-        with pytest.raises(ShapeError):
+        (root / "scenes" / "0000.xyzl").write_text("0 0 0\n" * 4)
+        with pytest.raises(ShapeError, match=r"0000\.xyzl:1: expected 7 fields, got 3"):
             load_rep_dataset(str(root))
 
     def test_metrics_csv(self, tmp_path):

@@ -19,7 +19,7 @@ from digrl.scenegen import (
     Scene,
     Tray,
     _PRUNE_MARGIN,
-    _RestPile,
+    _Pile,
     _check_watertight,
     _cross,
     _hull_objects,
@@ -69,28 +69,37 @@ def penetration_depth(verts_a, faces_a, verts_b, faces_b):
     return max(0.0, float(overlap.min()))
 
 
-def drop_and_add(pile, placed, drop=None):
-    """``pile.settle`` of ``placed`` alone; returns its rest z offset."""
-    return pile.settle(scenegen._SceneMeshes([placed], [placed.world_vertices()]), [0], [drop])[0]
+def settle_in_order(placed, pile_cls=_Pile):
+    """One table over ``placed`` in a ``Tray()``, its objects settled one at a time, in order.
+
+    Returns the pile and the rest z offsets of those one-by-one drops.
+    """
+    pile = pile_cls(placed, [p.world_vertices() for p in placed], Tray().floor_z)
+    return pile, [pile.settle([i], [None])[0] for i in range(len(placed))]
 
 
 class RestPileReference:
-    """The per-body loop that ``_RestPile`` batches, kept as its reference.
+    """The per-body loop that ``_Pile`` batches, kept as its reference.
 
-    For each earlier body whose AABB overlaps the incoming one it evaluates
-    the three gap families with separate calls; the batched pile must give
-    the same rest offsets bit for bit. Like the pile, it takes a known
-    ``drop`` without searching. Its ``settle`` drops a batch one body at a
-    time, each seeing the ones before it, so a batch whose bodies could
-    touch would settle differently here than in the pile.
+    It takes the pile's constructor. For each earlier body whose AABB
+    overlaps the incoming one it evaluates the three gap families with
+    separate calls; the batched pile must give the same rest offsets bit for
+    bit. Like the pile, it takes a known ``drop`` without searching. Its
+    ``settle`` drops the members one body at a time, in order, each seeing
+    the ones before it: the drops that the pile's wavefronts must reproduce.
+    It keeps each rested body's lowered vertices, planes and box in drop
+    order, and ``meets`` from its own boxes.
     """
 
-    def __init__(self, tray):
-        self.floor = tray.floor_z
+    def __init__(self, placed, wverts, floor):
+        self.placed, self.floor = placed, floor
+        lo = np.array([v.min(axis=0)[:2] for v in wverts])
+        hi = np.array([v.max(axis=0)[:2] for v in wverts])
+        self.meets = ((lo[:, None] <= hi[None]) & (hi[:, None] >= lo[None])).all(axis=2)
         self._verts, self._planes, self._edges, self._lo, self._hi = [], [], [], [], []
 
-    def settle(self, meshes, members, drops):
-        return [self.drop_and_add(meshes.placed[i], d) for i, d in zip(members, drops)]
+    def settle(self, members, drops):
+        return [self.drop_and_add(self.placed[i], d) for i, d in zip(members, drops)]
 
     def drop_and_add(self, placed, drop=None):
         wverts = placed.world_vertices()
@@ -542,13 +551,11 @@ class TestSettling:
     def test_identical_boxes_stack_exactly(self, tray):
         # White-box check of the rest mechanics: same column, flat faces.
         h = 0.06
-        pile = _RestPile(tray)
         a = PlacedObject(make_box(0.08, 0.08, h), np.array([1.0, 0, 0, 0]),
                          np.array([0.0, 0.0, 0.5]))
         b = PlacedObject(make_box(0.08, 0.08, h), np.array([1.0, 0, 0, 0]),
                          np.array([0.0, 0.0, 0.9]))
-        drop_and_add(pile, a)
-        drop_and_add(pile, b)
+        settle_in_order([a, b])
         assert a.world_vertices()[:, 2].min() == pytest.approx(tray.floor_z, abs=1e-9)
         assert b.world_vertices()[:, 2].min() == pytest.approx(
             tray.floor_z + h, abs=2e-3
@@ -558,13 +565,11 @@ class TestSettling:
         # Half-overlapping boxes: contact happens along an edge crossing,
         # which the exact rest search must catch.
         h = 0.05
-        pile = _RestPile(tray)
         a = PlacedObject(make_box(0.08, 0.08, h), np.array([1.0, 0, 0, 0]),
                          np.array([0.0, 0.0, 0.2]))
-        drop_and_add(pile, a)
         b = PlacedObject(make_box(0.08, 0.08, h), np.array([1.0, 0, 0, 0]),
                          np.array([0.04, 0.04, 0.7]))
-        drop_and_add(pile, b)
+        settle_in_order([a, b])
         assert b.world_vertices()[:, 2].min() == pytest.approx(
             tray.floor_z + h, abs=1e-9
         )
@@ -621,9 +626,7 @@ class TestSettling:
                             np.array([0.0, 0.0, 0.0]))
         top = PlacedObject(make_box(0.08, 0.08, h), np.array([1.0, 0, 0, 0]),
                            np.array([0.0, 0.0, 0.0]))
-        pile = _RestPile(tray)
-        drop_and_add(pile, base)
-        drop_and_add(pile, top)
+        settle_in_order([base, top])
         scene = Scene(tray, [base, top])
         scene.placed.pop(0)  # excavate the base
         dropped = resettle(scene)
@@ -670,40 +673,76 @@ def _settle_three_ways(seed, count, path):
 
 
 class TestBatchedPile:
-    """``_RestPile`` gives the bits of the per-body loop it replaced."""
+    """``_Pile`` gives the bits of the per-body loop it replaced."""
 
     @pytest.mark.parametrize("case", [_boxes_stacked, _boxes_edge_contact, _boxes_crossed])
     def test_hand_built_matches_reference(self, tray, case):
         rests = []
-        for pile_cls in (_RestPile, RestPileReference):
-            pile = pile_cls(tray)
+        for pile_cls in (_Pile, RestPileReference):
             placed = [PlacedObject(box, IDENTITY.copy(), np.array(at)) for box, at in case()]
-            offsets = [drop_and_add(pile, p) for p in placed]
+            _, offsets = settle_in_order(placed, pile_cls)
             rests.append((offsets, [p.translation for p in placed]))
         (new_off, new_t), (ref_off, ref_t) = rests
         assert new_off == ref_off
         for a, b in zip(new_t, ref_t):
             assert a.tobytes() == b.tobytes()
 
+    @staticmethod
+    def check_rested_rows(pile, ref):
+        """Each object's rows in the table are the reference's lowered rows, bit for bit."""
+        assert pile.rested.all() and len(ref._verts) == len(pile.placed)
+        for i, ((n_planes, n_verts, _), (p0, v0, _)) in enumerate(zip(pile.counts, pile.starts)):
+            normals, offsets = ref._planes[i]
+            planes = np.column_stack([normals, offsets])
+            assert pile.planes[p0 : p0 + n_planes].tobytes() == planes.tobytes()
+            assert pile.verts[v0 : v0 + n_verts].tobytes() == ref._verts[i].tobytes()
+            assert pile.lo[i].tobytes() == ref._lo[i].tobytes()
+            assert pile.hi[i].tobytes() == ref._hi[i].tobytes()
+
+    @pytest.mark.parametrize("case", [_boxes_stacked, _boxes_edge_contact, _boxes_crossed])
+    def test_hand_built_rows_lowered_in_place(self, case):
+        piles = []
+        for pile_cls in (_Pile, RestPileReference):
+            placed = [PlacedObject(box, IDENTITY.copy(), np.array(at)) for box, at in case()]
+            piles.append(settle_in_order(placed, pile_cls)[0])
+        self.check_rested_rows(*piles)
+
+    def test_spawned_rows_lowered_in_place(self, monkeypatch):
+        piles = []
+        settle = _Pile.settle
+
+        def recording(pile, members, drops):
+            piles.append(pile)
+            return settle(pile, members, drops)
+
+        monkeypatch.setattr(_Pile, "settle", recording)
+        scene = spawn_scene(6, (150, 150))
+        # Every object is spawned at z offset 0 and dropped from there.
+        posed = [
+            PlacedObject(p.obj, p.quat.copy(), np.array([p.translation[0], p.translation[1], 0.0]))
+            for p in scene.placed
+        ]
+        ref, _ = settle_in_order(posed, RestPileReference)
+        assert len(piles) == 1
+        self.check_rested_rows(piles[0], ref)
+
     def test_resettle_after_removing_base_matches_reference(self, tray, monkeypatch, tmp_path):
         def run():
-            pile = scenegen._RestPile(tray)
             placed = [
                 PlacedObject(box, IDENTITY.copy(), np.array(at)) for box, at in _boxes_crossed()
             ]
-            for p in placed:
-                drop_and_add(pile, p)
+            settle_in_order(placed, scenegen._Pile)
             return _scene_bytes(resettle(Scene(tray, placed[1:])), tmp_path / "r.scene")
 
         new = run()
-        monkeypatch.setattr(scenegen, "_RestPile", RestPileReference)
+        monkeypatch.setattr(scenegen, "_Pile", RestPileReference)
         assert new == run()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_scenes_match_reference(self, seed, monkeypatch, tmp_path):
         count = 50 + 250 * seed // 19  # 50 to 300 objects
         new = _settle_three_ways(seed, count, tmp_path / "s.scene")
-        monkeypatch.setattr(scenegen, "_RestPile", RestPileReference)
+        monkeypatch.setattr(scenegen, "_Pile", RestPileReference)
         ref = _settle_three_ways(seed, count, tmp_path / "s.scene")
         for kind, a, b in zip(("spawn", "full resettle", "partial resettle"), new, ref):
             assert a == b, f"{kind} differs from the reference at seed {seed}"
@@ -730,9 +769,9 @@ class TestBatchedPile:
         assert digest == "26f2720c3ac4acfd5d50a56059806e438b05bd662bea0a285526cd7c6d90dc5b"
 
 
-def _drop_boxes(pile, boxes):
+def _drop_boxes(pile_cls, boxes):
     placed = [PlacedObject(box, IDENTITY.copy(), np.array(at)) for box, at in boxes]
-    return [drop_and_add(pile, p) for p in placed], placed
+    return settle_in_order(placed, pile_cls)[1], placed
 
 
 def _segments_reached(monkeypatch):
@@ -752,8 +791,8 @@ class TestPrunedPile:
 
     @staticmethod
     def check_against_reference(tray, boxes):
-        new_off, new_placed = _drop_boxes(_RestPile(tray), boxes)
-        ref_off, ref_placed = _drop_boxes(RestPileReference(tray), boxes)
+        new_off, new_placed = _drop_boxes(_Pile, boxes)
+        ref_off, ref_placed = _drop_boxes(RestPileReference, boxes)
         assert new_off == ref_off
         for a, b in zip(new_placed, ref_placed):
             assert a.translation.tobytes() == b.translation.tobytes()
@@ -798,13 +837,10 @@ class TestPrunedPile:
         small = PlacedObject(make_box(0.02, 0.02, 0.02), IDENTITY.copy(),
                              np.array([0.06, 0.06, 0.0]))
         calls = _segments_reached(monkeypatch)
-        pile = _RestPile(tray)
-        drop_and_add(pile, tall)
-        drop_and_add(pile, small)
-        ref = RestPileReference(tray)
+        settle_in_order([tall, small])
         ref_small = PlacedObject(small.obj, IDENTITY.copy(), np.array([0.06, 0.06, 0.0]))
-        drop_and_add(ref, PlacedObject(tall.obj, tall.quat.copy(), np.zeros(3)))
-        drop_and_add(ref, ref_small)
+        ref_tall = PlacedObject(tall.obj, tall.quat.copy(), np.zeros(3))
+        settle_in_order([ref_tall, ref_small], RestPileReference)
         assert small.translation.tobytes() == ref_small.translation.tobytes()
         assert small.world_vertices()[:, 2].min() == pytest.approx(tray.floor_z, abs=1e-12)
         # The floor sets the bound, and a body taller than the drop is kept.
@@ -853,9 +889,7 @@ class TestDirtyResettle:
         box = make_box(0.08, 0.08, 0.0625)
         placed = [PlacedObject(box, IDENTITY.copy(), np.array([x, 0.0, 0.0]))
                   for x in (0.0, 0.0625, 0.125, 0.1875)]
-        pile = _RestPile(tray)
-        for p in placed:
-            drop_and_add(pile, p)
+        settle_in_order(placed)
         scene = Scene(tray, placed)
         self.check(scene, [0], tmp_path / "d.scene")
         bottoms = [p.world_vertices()[:, 2].min() for p in resettle(scene, [0]).placed]
@@ -870,13 +904,13 @@ class TestDirtyResettle:
 
     def test_remove_last_object_searches_nothing(self, spawned, monkeypatch, tmp_path):
         searches = []
-        search = _RestPile._lowest_gaps
+        search = _Pile._lowest_gaps
 
         def counting(pile, planes, *args):
             searches.append(len(planes))
             return search(pile, planes, *args)
 
-        monkeypatch.setattr(_RestPile, "_lowest_gaps", counting)
+        monkeypatch.setattr(_Pile, "_lowest_gaps", counting)
         dirty = self.check(spawned, [119], tmp_path / "d.scene")
         # The full resettle searches all 119 drops; the dirty one searches none.
         assert sum(searches) == 119
@@ -885,15 +919,15 @@ class TestDirtyResettle:
 
 
 def _record_passes(monkeypatch):
-    """Record the (batch, drops) of every ``_RestPile.settle`` call."""
+    """Record the (batch, drops) of every ``_Pile._rest`` pass."""
     passes = []
-    settle = _RestPile.settle
+    rest = _Pile._rest
 
-    def recording(pile, meshes, members, drops):
-        passes.append(([meshes.placed[i] for i in members], list(drops)))
-        return settle(pile, meshes, members, drops)
+    def recording(pile, members, drops):
+        passes.append(([pile.placed[i] for i in members], list(drops)))
+        return rest(pile, members, drops)
 
-    monkeypatch.setattr(_RestPile, "settle", recording)
+    monkeypatch.setattr(_Pile, "_rest", recording)
     return passes
 
 
@@ -934,9 +968,8 @@ class TestWavefronts:
         passes = _record_passes(monkeypatch)
         settled = resettle(Scene(tray, placed))
         assert [len(batch) for batch, _ in passes] == [1, 2]
-        ref = RestPileReference(tray)
+        settle_in_order(placed, RestPileReference)
         for p, s in zip(placed, settled.placed):
-            drop_and_add(ref, p)
             assert s.translation.tobytes() == p.translation.tobytes()
         # Both cubes rest on the bar, not on the floor.
         assert all(p.world_vertices()[:, 2].min() > 0.03 for p in settled.placed[1:])

@@ -11,7 +11,6 @@ from digrl.scenegen import (
     PlacedObject,
     Scene,
     Tray,
-    _RestPile,
     face_planes,
     resettle,
     spawn_scene,
@@ -28,7 +27,7 @@ from digrl.sensor import (
     render_surface,
     scene_heightmap,
 )
-from test_scenegen import drop_and_add, make_box
+from test_scenegen import make_box, settle_in_order
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -391,13 +390,11 @@ class TestCulledRender:
     @staticmethod
     def box_under_lid(lid_height):
         """A 6.25 cm box on the floor under a wider lid of ``lid_height``, dropped onto it."""
-        pile = _RestPile(Tray())
         placed = [
             PlacedObject(make_box(0.0625, 0.0625, 0.0625), IDENTITY_QUAT.copy(), np.zeros(3)),
             PlacedObject(make_box(0.125, 0.125, lid_height), IDENTITY_QUAT.copy(), np.zeros(3)),
         ]
-        for p in placed:
-            drop_and_add(pile, p)
+        settle_in_order(placed)
         return Scene(Tray(), placed)
 
     def test_fully_buried_box_is_skipped(self, monkeypatch):
