@@ -1,22 +1,25 @@
 """Point-cloud primitives: sampling, neighbor queries, PCA surface labels, the heightmap grid.
 
-All queries are exact, and ties stay reproducible. The encoder's
-``ball_query``, ``idw_weights`` and ``fps`` stay vectorized brute force,
-chunked to bound memory, since ``TestGolden`` pins their bits and their
-clouds are small. They add the squared x, y and z coordinate differences in
-the order ``np.sum(..., axis=-1)`` would: through ``_sq_dist``, or in
-``fps`` by the same steps into reused buffers. ``ball_query`` answers every
-center of a level in one call. ``fps`` updates its distances in place after
-each pick: on a cloud whose x is non-decreasing, such as the sensor's crop,
-only the x-slab that can hold a point the pick moves closer; elsewhere,
-every point. The PCA labels rank neighbors by the expanded form
-(|a|^2 - 2 a.b) + |b|^2 of a chunked brute force: a KD-tree picks the
-candidates, their expanded values re-rank them exactly, and a row they
-cannot certify falls back to its brute-force row (``_knn_indices``).
+All queries are exact, and ties stay reproducible: each returns the rows of
+a brute force over every point, bit for bit. The encoder's ``ball_query``,
+``idw_weights`` and ``fps`` add the squared x, y and z coordinate
+differences in the order ``np.sum(..., axis=-1)`` would: through
+``_sq_dist``, or in ``fps`` by the same steps into reused buffers. ``fps``
+updates its distances in place after each pick: on a cloud whose x is
+non-decreasing, such as the sensor's crop, only the x-slab that can hold a
+point the pick moves closer; elsewhere, every point. The neighbor queries
+share one path: a KD-tree offers candidates and the brute force's own values
+rank them. ``ball_query`` answers every center of a level from one ball
+search at a slightly inflated radius, keeping the candidates whose
+``_sq_dist`` value is inside. ``idw_weights`` ranks k + 1 tree neighbors by
+``_sq_dist``, and the PCA labels rank k + ``_SPARE`` by the expanded form
+(|a|^2 - 2 a.b) + |b|^2 of a chunked brute force (``_knn_indices``); a row
+whose ranking ``_certify`` cannot settle falls back to its brute-force row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -191,6 +194,18 @@ def ball_query(cloud, centers, radius: float, max_k: int) -> np.ndarray:
     nearest first, distance ties to the lower index. If nothing falls inside
     a ball its row holds the single nearest point, so downstream grouping
     never sees an empty group.
+
+    A point is inside when its ``_sq_dist`` value is at most radius^2, and
+    the rows rank by that value, as a brute force over the whole cloud
+    would. A KD-tree offers the candidates, from one ball search at a radius
+    inflated past the rounding of either distance. ``_sq_dist`` and the
+    tree's squared distance each lie within about 8 eps of the exact value,
+    relative. The tree's box bounds, updated level by level, gather a few
+    eps of radius^2 per level on the way to an in-ball point, since every
+    box holding that point lies within the radius of the center along each
+    axis. The inflation, 1e-9 of the radius (2e-9 of radius^2), clears both
+    by five orders of magnitude, so no point ``_sq_dist`` puts inside is
+    missed; the candidates outside are dropped by their ``_sq_dist`` value.
     """
     pts = _as_points(cloud)
     ctr = np.asarray(centers, dtype=np.float64)
@@ -200,27 +215,49 @@ def ball_query(cloud, centers, radius: float, max_k: int) -> np.ndarray:
         raise SizeError("ball_query on an empty cloud")
     if radius <= 0 or max_k <= 0:
         raise SizeError("radius and max_k must be positive")
-    r2 = radius * radius
+    found = cKDTree(pts).query_ball_point(ctr, radius * (1.0 + 1e-9), return_sorted=False)
+    lengths = np.fromiter(map(len, found), np.int64, len(ctr))
+    cols = np.fromiter(itertools.chain.from_iterable(found), np.int64, lengths.sum())
+    rows = np.repeat(np.arange(len(ctr)), lengths)
+    d2 = _sq_dist(pts[cols], ctr[rows])
+    inside = d2 <= radius * radius
+    rows, cols, d2 = rows[inside], cols[inside], d2[inside]
+    # The brute force's order: by (row, d2), equal distances by point index.
+    order = np.lexsort((cols, d2, rows))
+    rows, cols = rows[order], cols[order]
+    counts = np.bincount(rows, minlength=len(ctr))
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    keep = rank < max_k
     out = np.full((len(ctr), max_k), -1, dtype=np.int64)
-    # Blocks of at most 2**17 distances (1 MB) stay in cache: 64 x 2,048 ran
-    # a third faster than 512 x 2,048.
-    step = min(_CHUNK, max(1, 2**17 // len(pts)))
-    for lo in range(0, len(ctr), step):
-        hi = min(lo + step, len(ctr))
-        d2 = _sq_dist(pts[None, :, :], ctr[lo:hi, None, :])
-        inside = d2 <= r2
-        rows, cols = np.nonzero(inside)
-        # One stable sort of the in-ball entries by (row, d2): within a row
-        # equal distances keep nonzero's ascending column order.
-        order = np.lexsort((d2[rows, cols], rows))
-        rows, cols = rows[order], cols[order]
-        counts = np.count_nonzero(inside, axis=1)
-        rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        keep = rank < max_k
-        out[lo + rows[keep], rank[keep]] = cols[keep]
-        empty = np.flatnonzero(counts == 0)
-        out[lo + empty, 0] = np.argmin(d2[empty], axis=1)
+    out[rows[keep], rank[keep]] = cols[keep]
+    # An empty ball (only a center off the cloud has one) takes the nearest
+    # point by brute force, in blocks of at most 2**17 distances.
+    empty = np.flatnonzero(counts == 0)
+    step = max(1, 2**17 // len(pts))
+    for lo in range(0, len(empty), step):
+        block = empty[lo : lo + step]
+        out[block, 0] = np.argmin(_sq_dist(pts[None, :, :], ctr[block, None, :]), axis=1)
     return out
+
+
+def _certify(vals: np.ndarray, cand: np.ndarray, k: int, last: np.ndarray, tol: np.ndarray):
+    """Rank each row's tree candidates by ``vals`` and flag the rows that ranking settles.
+
+    ``vals`` (R, kk) are the candidates' values in the arithmetic of the
+    brute force being matched, ``last`` each row's squared tree distance to
+    its last candidate (inf when the candidates are every point), and
+    ``tol`` a per-row bound on the rounding of a value and of a squared
+    tree distance. A row is settled when its first k + 1 ranked values
+    strictly increase, so there is no tie for ``argpartition`` to break,
+    and its k-th value plus ``tol`` lies below ``last`` minus ``tol``, so no
+    point outside the candidates can rank among its k. Returns the ranked
+    (R, k) indices, the ranked (R, kk) values and the settled mask.
+    """
+    order = np.argsort(vals, axis=1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=1)
+    ok = (np.diff(vals[:, : k + 1], axis=1) > 0.0).all(axis=1)
+    ok &= vals[:, k - 1] + tol < last - tol
+    return np.take_along_axis(cand, order[:, :k], axis=1), vals, ok
 
 
 def _knn_indices(pts: np.ndarray, k: int) -> np.ndarray:
@@ -231,11 +268,8 @@ def _knn_indices(pts: np.ndarray, k: int) -> np.ndarray:
     ``_CHUNK`` block, take the k smallest with ``argpartition`` and order
     them with a stable ``argsort``. A KD-tree offers each point k +
     ``_SPARE`` candidates, ranked by their expanded values read from that
-    gemm. A row keeps this ranking when its first k + 1 values strictly
-    increase, so there is no tie for ``argpartition`` to break, and its k-th
-    value plus ``tol`` lies below the last candidate's squared tree distance
-    minus ``tol``, so no other point can rank among its k. Every other row
-    is rebuilt in full and ranked the brute-force way.
+    gemm. A row keeps this ranking when ``_certify`` settles it; every other
+    row is rebuilt in full and ranked the brute-force way.
     """
     n = len(pts)
     kk = min(k + _SPARE, n)
@@ -245,7 +279,7 @@ def _knn_indices(pts: np.ndarray, k: int) -> np.ndarray:
     # 6 eps (|a|^2 + |b|^2), a tree distance r^2 by about 8 eps r^2, and
     # r^2 <= 2 (|a|^2 + |b|^2).
     tol = 32.0 * np.finfo(np.float64).eps * (sq + sq.max())
-    limit = dist[:, -1] ** 2 - tol if kk < n else np.full(n, np.inf)
+    last = dist[:, -1] ** 2 if kk < n else np.full(n, np.inf)
     out = np.empty((n, k), dtype=np.int64)
     # OpenBLAS's bits depend on the product's shape, so every row takes its
     # 2 a.b from the same block gemm as the brute force, into one buffer.
@@ -255,11 +289,7 @@ def _knn_indices(pts: np.ndarray, k: int) -> np.ndarray:
         g = np.matmul(2.0 * pts[lo:hi], pts.T, out=gram[: hi - lo])
         c = cand[lo:hi]
         e = sq[lo:hi, None] - np.take_along_axis(g, c, axis=1) + sq[c]
-        order = np.argsort(e, axis=1, kind="stable")
-        e = np.take_along_axis(e, order, axis=1)
-        ok = (np.diff(e[:, : k + 1], axis=1) > 0.0).all(axis=1)
-        ok &= e[:, k - 1] + tol[lo:hi] < limit[lo:hi]
-        out[lo:hi] = np.take_along_axis(c, order[:, :k], axis=1)
+        out[lo:hi], _, ok = _certify(e, c, k, last[lo:hi], tol[lo:hi])
         redo = np.flatnonzero(~ok)
         if len(redo):
             # The full rows, with the bits of (|a|^2 - 2 a.b) + |b|^2.
@@ -315,38 +345,54 @@ def idw_weights(src_points, dst_points, k: int = 3) -> tuple[np.ndarray, np.ndar
 
     Returns (idx (D,k), weights (D,k)); weights per row sum to 1. A dst point
     coinciding with a source point copies that source exactly (weight 1).
+
+    Sources rank by their ``_sq_dist`` value, as a brute force over every
+    source would: the k smallest by ``argpartition``, ordered by a stable
+    ``argsort`` (for k equal to the source count, every source in index
+    order, stably sorted). The difference form, not the expanded quadratic,
+    cancels any common translation exactly, which keeps the stencils (and
+    everything downstream) bitwise translation invariant. A KD-tree offers
+    each row k + 1 candidates, and a row keeps their ranking when
+    ``_certify`` settles it. Its tolerance, 32 eps of the squared distance
+    to the last candidate, covers the relative rounding of ``_sq_dist``
+    (about 5 eps) and of the tree's squared distance (about 8 eps) on
+    either side. Every other row is rebuilt by the brute force.
     """
     src = _as_points(src_points)
     dst = _as_points(dst_points)
-    if len(src) == 0:
+    n = len(src)
+    if n == 0:
         raise SizeError("interpolation needs at least one source point")
-    if not 0 < k <= len(src):
-        raise SizeError(f"k={k} out of range for {len(src)} source points")
+    if not 0 < k <= n:
+        raise SizeError(f"k={k} out of range for {n} source points")
+    redo = np.arange(len(dst))
     idx = np.empty((len(dst), k), dtype=np.int64)
-    weights = np.empty((len(dst), k), dtype=np.float64)
-    for lo in range(0, len(dst), _CHUNK):
-        hi = min(lo + _CHUNK, len(dst))
-        block = dst[lo:hi]
-        # Difference form, not the expanded quadratic: coordinate differences
-        # cancel any common translation exactly, which keeps interpolation
-        # stencils (and everything downstream) bitwise translation invariant.
-        d2 = _sq_dist(block[:, None, :], src[None, :, :])
-        if k < len(src):
+    nd2 = np.empty((len(dst), k))
+    if k < n:
+        dist, cand = cKDTree(src).query(dst, k + 1)
+        tol = 32.0 * np.finfo(np.float64).eps * dist[:, -1] ** 2
+        last = dist[:, -1] ** 2 if k + 1 < n else np.full(len(dst), np.inf)
+        d2 = _sq_dist(dst[:, None, :], src[cand])
+        idx, d2, ok = _certify(d2, cand, k, last, tol)
+        nd2 = d2[:, :k]
+        redo = np.flatnonzero(~ok)
+    for lo in range(0, len(redo), _CHUNK):
+        rows = redo[lo : lo + _CHUNK]
+        d2 = _sq_dist(dst[rows, None, :], src[None, :, :])
+        if k < n:
             part = np.argpartition(d2, k - 1, axis=1)[:, :k]
         else:
-            part = np.tile(np.arange(len(src)), (hi - lo, 1))
-        rows = np.arange(hi - lo)[:, None]
-        order = np.argsort(d2[rows, part], kind="stable", axis=1)
-        nearest = part[rows, order]
-        nd2 = d2[rows, nearest]
-        exact = nd2[:, 0] == 0.0
-        with np.errstate(divide="ignore"):
-            w = 1.0 / nd2
-        w[exact] = 0.0
-        w[exact, 0] = 1.0
-        w /= w.sum(axis=1, keepdims=True)
-        idx[lo:hi] = nearest
-        weights[lo:hi] = w
+            part = np.tile(np.arange(n), (len(rows), 1))
+        near = np.take_along_axis(d2, part, axis=1)
+        order = np.argsort(near, kind="stable", axis=1)
+        idx[rows] = np.take_along_axis(part, order, axis=1)
+        nd2[rows] = np.take_along_axis(near, order, axis=1)
+    exact = nd2[:, 0] == 0.0
+    with np.errstate(divide="ignore"):
+        weights = 1.0 / nd2
+    weights[exact] = 0.0
+    weights[exact, 0] = 1.0
+    weights /= weights.sum(axis=1, keepdims=True)
     return idx, weights
 
 
@@ -369,8 +415,8 @@ def load_xyzl(path) -> PointCloud:
     ``#`` starts a comment. A truncated file raises ShapeError: every line
     must end in a newline, and when the first line is :func:`save_xyzl`'s
     header the point count must match the one it records. So do bytes that
-    are not UTF-8, a normal whose length is zero or not finite, and a
-    curvature that is not finite.
+    are not UTF-8, a point that is not finite, a normal whose length is zero
+    or not finite, and a curvature that is not finite.
     """
     points, normals, curvature = [], [], []
     declared = None
@@ -389,6 +435,8 @@ def load_xyzl(path) -> PointCloud:
             values = [float(v) for v in parts]
         except ValueError as exc:
             raise ShapeError(f"{path}:{lineno}: {exc}") from None
+        if not all(map(math.isfinite, values[:3])):
+            raise ShapeError(f"{path}:{lineno}: point {values[:3]} is not finite")
         # Renormalizing below divides by this length.
         if not 0.0 < math.hypot(*values[3:6]) < math.inf:
             raise ShapeError(f"{path}:{lineno}: normal {values[3:6]} has no direction")

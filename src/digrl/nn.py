@@ -200,6 +200,28 @@ def concat(tensors, axis: int = 1) -> Tensor:
     return Tensor(out_val, tuple(tensors), bw)
 
 
+def _scatter_add_rows(like: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Zeros shaped like ``like`` with each ``rows[e]`` added at row ``idx[e]``.
+
+    The sums are those of an unbuffered scatter-add, bit for bit: every
+    target row adds its entries in index order, starting from zero. Pass j
+    adds the j-th entry of every row that has one in one vectorised step;
+    those rows are distinct, so a plain fancy-index ``+=`` is exact.
+    """
+    out = np.zeros_like(like)
+    order = np.argsort(idx, kind="stable")
+    counts = np.bincount(idx, minlength=len(like))
+    first = np.cumsum(counts) - counts
+    # Targets by falling entry count: pass j takes the prefix of those with
+    # more than j entries.
+    targets = np.argsort(-counts, kind="stable")
+    taking = len(counts) - np.cumsum(np.bincount(counts))[:-1]
+    for j, m in enumerate(taking.tolist()):
+        t = targets[:m]
+        out[t] += rows[order[first[t] + j]]
+    return out
+
+
 def gather_rows(x: Tensor, idx) -> Tensor:
     """Select rows by integer index; duplicate indices accumulate gradient."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -207,43 +229,51 @@ def gather_rows(x: Tensor, idx) -> Tensor:
 
     def bw(g):
         if x.requires_grad:
-            gx = np.zeros_like(x.value)
-            np.add.at(gx, idx.reshape(-1), g.reshape(-1, g.shape[-1]))
-            x._accumulate(gx)
+            x._accumulate(_scatter_add_rows(x.value, idx.reshape(-1), g.reshape(-1, g.shape[-1])))
 
     return Tensor(out_val, (x,), bw)
 
 
-def max_pool_groups(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Per-group, per-feature max over rows of ``x``.
+def _first_holders(x: np.ndarray, pooled: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(G, F) index of the first row of each run holding that run's max, per column."""
+    n = len(x)
+    run_max = np.repeat(pooled, np.diff(starts, append=n), axis=0)
+    # ~(x < max) is x == max for a finite max, either zero for a zero one,
+    # and every row for a NaN max, so each run has a holder.
+    rows = np.where(x < run_max, n, np.arange(n)[:, None])
+    return np.minimum.reduceat(rows, starts, axis=0)
 
-    ``idx`` is a (G, K) int matrix: row g lists the rows of ``x`` in group g,
-    padded at its end with -1. The gradient flows to the argmax row only
-    (first occurrence on ties), so total gradient mass is preserved.
+
+def max_pool_groups(x: Tensor, starts) -> Tensor:
+    """Per-group, per-feature max over consecutive runs of rows of ``x``.
+
+    Group g is the run of rows from ``starts[g]`` up to ``starts[g + 1]``,
+    the last one up to the end of ``x``. ``starts`` begins at 0 and strictly
+    increases, so no run is empty. The pooled value has the bits of the
+    first row holding the max (which matters for a max of -0 and +0), and
+    the gradient flows to that row only, so total gradient mass is
+    preserved. The holders are found in backward; within a column they are
+    distinct rows, so the gradient is assigned, not accumulated.
     """
-    idx = idx.astype(np.int64, copy=False)
-    if (idx >= len(x.value)).any():
-        raise SizeError("group index out of range")
-    if (idx[:, 0] < 0).any():
-        raise SizeError("max_pool_groups: empty group")
-    valid = idx >= 0
-    gathered = x.value[np.where(valid, idx, 0)]  # (G, K, F)
-    gathered[~valid] = -np.inf
-    # The first member equal to the group max is argmax's pick; numpy's argmax
-    # over a middle axis is several times slower than this.
-    arg = np.argmax(gathered == gathered.max(axis=1, keepdims=True), axis=1)  # (G, F)
-    g_rows = np.arange(idx.shape[0])[:, None]
-    out_val = gathered[g_rows, arg, np.arange(x.value.shape[1])[None, :]]
+    starts = np.asarray(starts, dtype=np.int64)
+    n = len(x.value)
+    if starts.ndim != 1 or len(starts) == 0 or starts[0] != 0:
+        raise SizeError("max_pool_groups: runs must start at row 0")
+    if (np.diff(starts) <= 0).any() or starts[-1] >= n:
+        raise SizeError("max_pool_groups: empty run or run start out of range")
+    out_val = np.maximum.reduceat(x.value, starts, axis=0)
+    cols = np.arange(x.value.shape[1])
+    zero = out_val == 0.0
+    if zero.any():
+        out_val[zero] = x.value[_first_holders(x.value, out_val, starts), cols][zero]
 
     def bw(g):
         if x.requires_grad:
             gx = np.zeros_like(x.value)
-            src_rows = idx[g_rows, arg]  # (G, F) row index per output element
-            cols = np.broadcast_to(np.arange(x.value.shape[1])[None, :], src_rows.shape)
-            np.add.at(gx, (src_rows.reshape(-1), cols.reshape(-1)), g.reshape(-1))
+            gx[_first_holders(x.value, out_val, starts), cols] = g
             x._accumulate(gx)
 
-    return Tensor(np.ascontiguousarray(out_val), (x,), bw)
+    return Tensor(out_val, (x,), bw)
 
 
 def normalize_rows(x: Tensor, eps: float = 1e-8) -> Tensor:

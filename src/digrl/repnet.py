@@ -2,11 +2,11 @@
 
 The encoder stacks five grouping levels. Each level picks centers by farthest
 point sampling, gathers the neighbors inside a radius ball around every
-center with one batched query (capped per group, padded with -1), runs a
-small shared two-layer tanh MLP on the members' center-relative coordinates
-concatenated with their features, and max-pools each group. The last level's
-features plus center positions, flattened, form the fixed-size code consumed
-by the digging policy. As in PointNet++, the code comes from set abstraction
+center with one batched query (capped per group), runs a small shared
+two-layer tanh MLP on the members' center-relative coordinates concatenated
+with their features, and max-pools each group over its run of member rows.
+The last level's features plus center positions, flattened, form the
+fixed-size code consumed by the digging policy. As in PointNet++, the code comes from set abstraction
 alone, so the policy's encode runs the encoder and no decoder.
 
 The decoder walks back up: features are interpolated onto the next finer
@@ -18,9 +18,9 @@ only relative geometry and is exactly translation invariant.
 
 The sampling, grouping and interpolation depend on the coordinates alone,
 so :meth:`RepNet.plan` computes them once as a :class:`GroupingPlan`: per
-encoder level the FPS centers, the ball-query member and pool indices and
-the radius-scaled offsets, and per decoder step the IDW indices and weights,
-plus the finest skip offsets. A forward given a plan skips that work and
+encoder level the FPS centers, the ball-query members with the start of
+each group's run and the radius-scaled offsets, and per decoder step the
+IDW indices and weights, plus the finest skip offsets. A forward given a plan skips that work and
 gives the same bits. ``train_rep`` keeps the plans of its evaluation clouds
 for the length of one call; nothing caches them across calls.
 
@@ -62,15 +62,16 @@ SPLITS = ("train", "val")
 class Level:
     """One encoder level's grouping of the previous level's points.
 
-    ``members`` lists the grouped points one row per member, ``pooled`` is
-    the (G, K) ball-query layout with each slot holding its row of
-    ``members`` (-1 pads), and ``offsets`` are the members' offsets to their
-    centers divided by the level's radius, in the store's dtype.
+    ``members`` lists the grouped points one row per member, each group's
+    members as one run of consecutive rows, nearest first; ``starts`` holds
+    the first row of each group's run, so its max pool is
+    ``nn.max_pool_groups(h, starts)``. ``offsets`` are the members' offsets
+    to their centers divided by the level's radius, in the store's dtype.
     """
 
     centers: np.ndarray
     members: np.ndarray
-    pooled: np.ndarray
+    starts: np.ndarray
     offsets: np.ndarray
 
 
@@ -78,9 +79,11 @@ class Level:
 class GroupingPlan:
     """Everything :meth:`RepNet.forward` computes from the coordinates alone.
 
-    ``stencils`` holds the decoder's IDW (indices, weights), coarsest step
-    first, and ``skip`` each point's offset to its nearest first-level
-    center over the first radius, in the store's dtype.
+    ``levels`` holds each encoder level's :class:`Level`, its groups laid
+    out as runs of member rows. ``stencils`` holds the decoder's IDW
+    (indices, weights), coarsest step first, and ``skip`` each point's
+    offset to its nearest first-level center over the first radius, in the
+    store's dtype.
     """
 
     points: np.ndarray
@@ -159,15 +162,18 @@ class RepNet:
         for i in range(len(p.level_points)):
             centers = prev[fps(prev, p.level_points[i])]
             groups = ball_query(prev, centers, p.level_radii[i], p.level_group_sizes[i])
-            rows, cols = np.nonzero(groups >= 0)
-            members = groups[rows, cols]
+            # Row-major order lays each group's members out as one run; no
+            # group is empty.
+            valid = groups >= 0
+            members = groups[valid]
+            sizes = np.count_nonzero(valid, axis=1)
+            starts = np.cumsum(sizes) - sizes
+            rows = np.repeat(np.arange(len(groups)), sizes)
             # Offsets are divided by the grouping radius so every level sees
             # inputs near unit scale; raw meter offsets are too small for the
             # tanh layers to train on.
             rel = (prev[members] - centers[rows]) / p.level_radii[i]
-            pooled = np.full(groups.shape, -1, dtype=np.int64)
-            pooled[rows, cols] = np.arange(len(rows))
-            levels.append(Level(centers, members, pooled, rel.astype(self.store.dtype)))
+            levels.append(Level(centers, members, starts, rel.astype(self.store.dtype)))
             prev = centers
         return tuple(levels)
 
@@ -203,7 +209,7 @@ class RepNet:
                 x = nn.concat([rel_t, nn.gather_rows(feats, lv.members)], axis=1)
             h = nn.tanh(self._norm_layer(x, f"sa{i + 1}_l1"))
             h = nn.tanh(self._norm_layer(h, f"sa{i + 1}_l2"))
-            feats = nn.max_pool_groups(h, lv.pooled)
+            feats = nn.max_pool_groups(h, lv.starts)
             level_feats.append(feats)
 
         code = nn.reshape(
@@ -247,7 +253,7 @@ class RepNet:
         normals = nn.col_slice(cur, 0, 3)
         curvature = nn.col_slice(cur, 3, 4)
         ch = nn.relu(self._norm_layer(level_feats[-1], "cnt_l1"))
-        pooled = nn.max_pool_groups(ch, np.arange(len(ch.value))[None, :])
+        pooled = nn.max_pool_groups(ch, [0])
         ch = nn.relu(self._layer(pooled, "cnt_l2"))
         count = self._layer(ch, "cnt_l3")
         return {

@@ -87,11 +87,58 @@ def neighbor_indices_reference(pts, k):
     return out
 
 
-def knn_rows_redone(pts, k):
-    """``_knn_indices(pts, k)`` and how many of its rows were rebuilt in full.
+def ball_query_brute(pts, centers, radius, max_k):
+    """The chunked brute force ``ball_query`` replaced: every center against every point."""
+    r2 = radius * radius
+    out = np.full((len(centers), max_k), -1, dtype=np.int64)
+    step = min(geometry._CHUNK, max(1, 2**17 // len(pts)))
+    for lo in range(0, len(centers), step):
+        hi = min(lo + step, len(centers))
+        d2 = np.sum((pts[None, :, :] - centers[lo:hi, None, :]) ** 2, axis=-1)
+        inside = d2 <= r2
+        rows, cols = np.nonzero(inside)
+        order = np.lexsort((d2[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        counts = np.count_nonzero(inside, axis=1)
+        rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        keep = rank < max_k
+        out[lo + rows[keep], rank[keep]] = cols[keep]
+        empty = np.flatnonzero(counts == 0)
+        out[lo + empty, 0] = np.argmin(d2[empty], axis=1)
+    return out
+
+
+def idw_brute(src, dst, k):
+    """The chunked brute force ``idw_weights`` replaced: every dst point against every source."""
+    idx = np.empty((len(dst), k), dtype=np.int64)
+    weights = np.empty((len(dst), k), dtype=np.float64)
+    for lo in range(0, len(dst), geometry._CHUNK):
+        hi = min(lo + geometry._CHUNK, len(dst))
+        d2 = np.sum((dst[lo:hi, None, :] - src[None, :, :]) ** 2, axis=-1)
+        if k < len(src):
+            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        else:
+            part = np.tile(np.arange(len(src)), (hi - lo, 1))
+        rows = np.arange(hi - lo)[:, None]
+        order = np.argsort(d2[rows, part], kind="stable", axis=1)
+        nearest = part[rows, order]
+        nd2 = d2[rows, nearest]
+        exact = nd2[:, 0] == 0.0
+        with np.errstate(divide="ignore"):
+            w = 1.0 / nd2
+        w[exact] = 0.0
+        w[exact, 0] = 1.0
+        w /= w.sum(axis=1, keepdims=True)
+        idx[lo:hi] = nearest
+        weights[lo:hi] = w
+    return idx, weights
+
+
+def rows_redone(fn, *args):
+    """``fn(*args)`` and how many rows it rebuilt by brute force.
 
     The rebuilt rows are counted on the ``argpartition`` calls that
-    ``_knn_indices`` makes through its module's ``np``.
+    ``_knn_indices`` and ``idw_weights`` make through their module's ``np``.
     """
     redone = []
 
@@ -106,8 +153,22 @@ def knn_rows_redone(pts, k):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "np", CountingNumpy())
-        idx = geometry._knn_indices(pts, k)
-    return idx, sum(redone)
+        out = fn(*args)
+    return out, sum(redone)
+
+
+def knn_rows_redone(pts, k):
+    """``_knn_indices(pts, k)`` and how many of its rows were rebuilt in full."""
+    return rows_redone(geometry._knn_indices, pts, k)
+
+
+def assert_idw_matches_brute(src, dst, k):
+    """Same stencil bits as the brute force; returns the rows redone."""
+    (idx, w), redone = rows_redone(idw_weights, src, dst, k)
+    want_idx, want_w = idw_brute(src, dst, k)
+    assert np.array_equal(idx, want_idx)
+    assert w.tobytes() == want_w.tobytes()
+    return redone
 
 
 def assert_labels_match_reference(pts, k):
@@ -556,6 +617,69 @@ class TestIdw:
         i1, w1 = idw_weights(src + t, dst + t, k=3)
         assert np.array_equal(i0, i1)
         assert np.array_equal(w0, w1)
+
+
+class TestTreeQueriesMatchBruteForce:
+    """``ball_query`` and ``idw_weights`` give the brute force's rows, bit for bit."""
+
+    def test_desk_crops_and_their_jitter(self, crop_250, strata_crops):
+        p = get_profile("desk")
+        rng = np.random.default_rng(11)
+        redone = rows = 0
+        for cloud in (crop_250, *strata_crops.values()):
+            # train_rep's case: the whole cloud under one planar translation.
+            shift = np.zeros(3)
+            shift[:2] = rng.uniform(-0.1, 0.1, size=2)
+            for pts in (cloud, cloud + shift):
+                positions = [pts]
+                for n, r, k in zip(p.level_points, p.level_radii, p.level_group_sizes):
+                    prev = positions[-1]
+                    centers = prev[fps(prev, n)]
+                    got = ball_query(prev, centers, r, k)
+                    assert np.array_equal(got, ball_query_brute(prev, centers, r, k))
+                    positions.append(centers)
+                for src, dst in zip(positions[:0:-1], positions[-2::-1]):
+                    redone += assert_idw_matches_brute(src, dst, min(3, len(src)))
+                    rows += len(dst)
+        # The tree's ranking settles nearly every row.
+        assert redone < 0.01 * rows
+
+    @pytest.mark.parametrize("name", ["flat-grid", "lattice-far", "duplicates", "quantized"])
+    def test_tie_heavy_clouds(self, name):
+        if name == "quantized":
+            q = 2.0**-6
+            pts = np.round(np.random.default_rng(4).uniform(-0.2, 0.2, size=(400, 3)) / q) * q
+            step = q / 2
+        else:
+            pts, step = TIE_HEAVY[name], 0.0025
+        # On the points and halfway between them, many sources are equidistant.
+        dst = np.concatenate([pts, pts + (step, 0.0, 0.0), pts + (step, step, 0.0)])
+        redone = sum(assert_idw_matches_brute(pts, dst, k) for k in (1, 3, 4))
+        assert 0 < redone
+        for r in (step, 2 * step, 3 * step):
+            assert np.array_equal(ball_query(pts, dst, r, 9), ball_query_brute(pts, dst, r, 9))
+
+    def test_off_cloud_centers(self, crop_250):
+        rng = np.random.default_rng(2)
+        lo, hi = crop_250.min(axis=0), crop_250.max(axis=0)
+        centers = np.concatenate([rng.uniform(lo, hi, size=(300, 3)), [[5.0, 5.0, 5.0]]])
+        d2 = np.sum((crop_250[None, :, :] - centers[:, None, :]) ** 2, axis=-1)
+        for r in (0.005, 0.02, 0.05):
+            empty = np.count_nonzero((d2 <= r * r).sum(axis=1) == 0)
+            assert 0 < empty < len(centers)
+            got = ball_query(crop_250, centers, r, 32)
+            assert np.array_equal(got, ball_query_brute(crop_250, centers, r, 32))
+
+    def test_k_up_to_the_source_count(self, rng):
+        for n in (1, 2, 3, 5):
+            src = rng.uniform(-1, 1, size=(n, 3))
+            dst = np.concatenate([rng.uniform(-1, 1, size=(40, 3)), src])
+            for k in range(1, n + 1):
+                assert_idw_matches_brute(src, dst, k)
+        # Equidistant sources keep their index order when k covers them all.
+        src = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        for k in (2, 3):
+            assert_idw_matches_brute(src, np.zeros((1, 3)), k)
 
 
 class TestHeightmap:

@@ -5,8 +5,8 @@ An xyzl file records its point count and ends every line in a newline, so
 every strict prefix raises ShapeError (or EmptyObservationError while the
 cut is inside its comment line). A malformed dataset manifest line raises
 ShapeError naming the file and line, and so does a text line that is not
-UTF-8, an xyzl normal without a direction or curvature that is not finite,
-and a metrics row whose field count differs from its header.
+UTF-8, an xyzl point that is not finite, normal without a direction or
+curvature that is not finite, and a metrics row whose field count differs from its header.
 """
 
 import re
@@ -188,6 +188,10 @@ FOREIGN_CONTENT = [
     pytest.param(
         "c.xyzl", write_bytes(b"0 0 0 0 0 1 nan\n0 0 1 0 0 1 0.1\n"), load_xyzl,
         r"c\.xyzl:1: curvature nan is not finite", id="xyzl-nan-curvature",
+    ),
+    pytest.param(
+        "c.xyzl", write_bytes(b"nan 0 0 0 0 1 0.1\n"), load_xyzl,
+        r"c\.xyzl:1: point \[nan, 0\.0, 0\.0\] is not finite", id="xyzl-nan-point",
     ),
     pytest.param(
         "manifest.txt", write_bytes(b"# dataset\n0000 count=2 split=\xe9\n"),

@@ -183,12 +183,13 @@ class TestGradients:
 
     def test_max_pool_groups(self, rng):
         x0 = rng.normal(size=(7, 3))
-        groups = np.array([[0, 1, 2], [3, -1, -1], [4, 5, 6]])
+        # Runs of rows 0-2, 3 and 4-6.
+        starts = np.array([0, 3, 4])
 
         def build(arr):
             t = leaf(arr)
             return t, weighted_sum(
-                nn.max_pool_groups(t, groups), np.random.default_rng(5)
+                nn.max_pool_groups(t, starts), np.random.default_rng(5)
             )
 
         assert fd_max_rel_err(build, x0) < 1e-6
@@ -255,11 +256,26 @@ class TestBackwardSemantics:
 
     def test_max_pool_gradient_only_at_argmax(self):
         x = leaf(np.array([[1.0, 5.0], [3.0, 2.0], [2.0, 7.0]]))
-        out = nn.max_pool_groups(x, np.array([[0, 1, 2]]))
+        out = nn.max_pool_groups(x, np.array([0]))
         nn.backward(nn.total_sum(out))
         want = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert np.array_equal(x.grad, want)
         assert x.grad.sum() == out.value.size  # mass preserved
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gather_rows_gradient_sums_like_add_at(self, rng, dtype):
+        # Few rows take many entries each, with magnitudes over six decades,
+        # so any other summation order changes low bits.
+        x = nn.Tensor(np.zeros((40, 6), dtype=dtype), requires_grad=True)
+        for idx in (rng.integers(0, 5, size=700), rng.integers(0, 40, size=(30, 9))):
+            scale = 10.0 ** rng.uniform(-3, 3, size=idx.shape + (1,))
+            w = nn.Tensor.const(rng.normal(size=idx.shape + (6,)) * scale, dtype=dtype)
+            x.grad = None
+            nn.backward(nn.total_sum(nn.mul(nn.gather_rows(x, idx), w)))
+            want = np.zeros_like(x.value)
+            np.add.at(want, idx.reshape(-1), w.value.reshape(-1, 6))
+            assert x.grad.dtype == dtype
+            assert x.grad.tobytes() == want.tobytes()
 
     def test_unreferenced_parameter_keeps_zero_gradient(self, rng):
         store = nn.ParamStore(dtype=np.float64)
@@ -283,33 +299,55 @@ class TestOpIdentities:
 
     def test_single_element_group_pool_is_identity(self, rng):
         x = rng.normal(size=(3, 4))
-        out = nn.max_pool_groups(leaf(x), np.array([[1]]))
-        assert np.array_equal(out.value, x[1:2])
+        x[0, 0], x[2, 1] = -0.0, 0.0
+        t = leaf(x)
+        out = nn.max_pool_groups(t, np.arange(3))
+        assert out.value.tobytes() == x.tobytes()
+        nn.backward(nn.total_sum(out))
+        assert np.array_equal(t.grad, np.ones_like(x))
 
     def test_pool_matches_argmax_on_ties(self, rng):
-        # Half-step values tie often, zeros come with both signs, and -1 pads
-        # short groups. The pooled value and its gradient must come from the
-        # first member holding the max, as a plain argmax over members picks.
-        x = np.round(rng.normal(size=(60, 5)) * 2) / 2
-        x[::2][x[::2] == 0.0] = -0.0
+        # Half-step values tie often, zeros come with both signs, and rows of
+        # a 63-row table repeat within and across the 25 runs of 1 to 9 rows.
+        # The pooled value and its gradient must come from the first row of
+        # a run holding the max, as a plain argmax over its members picks.
+        table = np.round(rng.normal(size=(60, 5)) * 2) / 2
+        table[::2][table[::2] == 0.0] = -0.0
+        # Rows 60-62 make one run in which the first and the last holder of
+        # a zero max differ in sign, in each of the first four columns.
+        signed = [
+            [-0.0, 0.0, -0.5, 0.0, -1.0],
+            [0.0, -0.0, -0.0, 0.0, -0.5],
+            [-1.0, -2.0, 0.0, -0.0, -0.5],
+        ]
+        table = np.concatenate([table, signed])
         idx = rng.integers(0, 60, size=(25, 9))
         for row, n in zip(idx, rng.integers(1, 10, size=25)):
             row[n:] = -1
+        idx[0] = [60, 61, 62] + [-1] * 6
         valid = idx >= 0
-        members = np.where(valid[:, :, None], x[np.where(valid, idx, 0)], -np.inf)
+        x = table[idx[valid]]
+        sizes = valid.sum(axis=1)
+        starts = np.cumsum(sizes) - sizes
+        members = np.where(valid[:, :, None], table[np.where(valid, idx, 0)], -np.inf)
         arg = np.argmax(members, axis=1)
         want = np.take_along_axis(members, arg[:, None, :], axis=1)[:, 0, :]
         t = leaf(x)
-        out = nn.max_pool_groups(t, idx)
+        out = nn.max_pool_groups(t, starts)
         assert out.value.tobytes() == want.tobytes()
         nn.backward(nn.total_sum(out))
         grad = np.zeros_like(x)
-        np.add.at(grad, (np.take_along_axis(idx, arg, axis=1), np.arange(5)[None, :]), 1.0)
+        grad[starts[:, None] + arg, np.arange(5)[None, :]] = 1.0
         assert np.array_equal(t.grad, grad)
 
     def test_pool_rejects_empty_group(self):
-        with pytest.raises(SizeError):
-            nn.max_pool_groups(leaf(np.ones((2, 2))), np.array([[0, 1], [-1, -1]]))
+        x = leaf(np.ones((3, 2)))
+        nn.max_pool_groups(x, np.array([0, 1, 2]))
+        # A repeated or falling start is an empty run; runs start at row 0
+        # and inside the table, and ``starts`` is one flat list.
+        for bad in ([0, 1, 1], [0, 2, 1], [1, 2], [0, 3], [], [[0, 1]]):
+            with pytest.raises(SizeError):
+                nn.max_pool_groups(x, np.array(bad, dtype=np.int64))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
