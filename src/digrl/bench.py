@@ -23,6 +23,7 @@ The fill rate is over the default ``BucketSpec``, the one every environment digs
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from dataclasses import dataclass, fields
 
@@ -136,17 +137,6 @@ def random_action(rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=3)
 
 
-def make_env_factory(
-    profile: Profile | None, env_cfg: EnvConfig | None, sensor: SensorConfig | None
-):
-    """Factory of factories: ``make_env(i, seed)`` as the trainer expects."""
-
-    def make_env(_i: int, env_seed: int) -> ExcavationEnv:
-        return ExcavationEnv(profile=profile, seed=env_seed, env_cfg=env_cfg, sensor=sensor)
-
-    return make_env
-
-
 def run_baseline(
     method: str,
     n_episodes: int,
@@ -197,6 +187,10 @@ def run_baseline(
 # ---------------------------------------------------------------------------
 # Experiment drivers gluing encoder, environment and optimizer together
 
+# Training scenes are denser than evaluation scenes: 200 to 300 objects,
+# versus the 50 to 300 of ``EnvConfig`` held out for evaluation.
+TRAIN_COUNT_RANGE = (200, 300)
+
 
 def train_rl_experiment(
     rep_store: ParamStore,
@@ -219,14 +213,12 @@ def train_rl_experiment(
     observation and the optimizer never touches encoder parameters.
     ``variant="e2e"`` shares one parameter store and backpropagates through
     the encoder at every update epoch (only tractable at toy scale).
+    Without ``env_cfg``, scenes hold ``TRAIN_COUNT_RANGE`` objects.
     """
     profile = profile or get_profile()
     net = RepNet(profile, store=rep_store)
-    if env_cfg is None:
-        # Training scenes are denser than evaluation scenes: 200 to 300
-        # objects, versus 50 to 300 held out for evaluation.
-        env_cfg = EnvConfig(count_range=(200, 300))
-    make_env = make_env_factory(profile, env_cfg, sensor)
+    env_cfg = env_cfg or EnvConfig(count_range=TRAIN_COUNT_RANGE)
+    make_env = functools.partial(ExcavationEnv, profile, env_cfg=env_cfg, sensor=sensor)
     encode = lambda obs: net.encode(obs.points)  # noqa: E731
     kwargs = {}
     if variant == "e2e":
@@ -268,7 +260,7 @@ def eval_rl_experiment(
     profile = profile or get_profile()
     net = RepNet(profile, store=policy_store if "sa1_l1.w" in policy_store else rep_store)
     core = PolicyCore(profile.code_size, store=policy_store)
-    make_env = make_env_factory(profile, env_cfg, sensor)
+    make_env = functools.partial(ExcavationEnv, profile, env_cfg=env_cfg, sensor=sensor)
     return evaluate_policy(
         core, lambda obs: net.encode(obs.points), make_env, n_episodes, seed=seed
     )

@@ -5,9 +5,10 @@ a runtime failure (missing files, failed runs). Every command takes
 ``--seed``, ``--profile`` (falling back to the DIGRL_PROFILE environment
 variable, then ``desk``), ``--out`` where it writes artifacts, and
 ``--config`` pointing at a ``key = value`` file with ``[section]`` headers
-for the tunables that have no dedicated flag. ``eval-rl`` and ``baseline``
-each write one metrics CSV, ``<method>_metrics.csv``; ``report`` merges such
-CSVs into one table.
+for the tunables that have no dedicated flag; a section or key that
+``_SECTION_TYPES`` does not list is a runtime failure. ``eval-rl`` and
+``baseline`` each write one metrics CSV, ``<method>_metrics.csv``;
+``report`` merges such CSVs into one table.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ _SECTION_TYPES = {
 
 def _config_section(args, name: str) -> dict:
     """Typed key=value options from one section of the ``--config`` file."""
-    if not getattr(args, "config", None):
+    if not args.config:
         return {}
     raw = load_config(args.config).get(name, {})
     types = _SECTION_TYPES[name]
@@ -73,12 +74,12 @@ def _count_range(section: dict, default=(50, 300)) -> tuple[int, int]:
     return (section.get("count_min", default[0]), section.get("count_max", default[1]))
 
 
-def _env_config(args) -> EnvConfig:
+def _env_config(args, count_range=EnvConfig.count_range) -> EnvConfig:
+    """``EnvConfig`` from the ``[env]`` section; ``count_range`` fills in absent count keys."""
     sec = _config_section(args, "env")
-    cfg = EnvConfig()
     return EnvConfig(
-        digs_per_episode=sec.get("digs_per_episode", cfg.digs_per_episode),
-        count_range=_count_range(sec, cfg.count_range),
+        digs_per_episode=sec.get("digs_per_episode", EnvConfig.digs_per_episode),
+        count_range=_count_range(sec, count_range),
     )
 
 
@@ -192,7 +193,7 @@ def cmd_train_rl(args) -> int:
         seed=args.seed,
         total_samples=total,
         variant=args.variant,
-        env_cfg=_env_config(args),
+        env_cfg=_env_config(args, bench.TRAIN_COUNT_RANGE),
         log=print,
         **sec,
     )
@@ -322,6 +323,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            unknown = sorted(set(load_config(args.config)) - set(_SECTION_TYPES))
+            if unknown:
+                raise ConfigError(f"unknown config sections {unknown}")
         return args.func(args)
     except Exception as exc:  # runtime failures map to a stable exit code
         print(f"digrl: error: {exc}", file=sys.stderr)

@@ -115,8 +115,8 @@ def stream_seed(master_seed: int, name: str) -> int:
 def load_config(path: str) -> dict[str, dict[str, str]]:
     """Read a plain ``key = value`` file with ``[section]`` headers.
 
-    Values are returned as strings; callers coerce what they need. Unknown
-    sections are preserved so experiment code can keep its own knobs.
+    Values are returned as strings; callers coerce what they need and reject
+    the sections and keys they do not know.
     """
     parser = configparser.ConfigParser()
     try:

@@ -102,8 +102,6 @@ class HeightMap:
 
 
 def _as_points(cloud) -> np.ndarray:
-    if isinstance(cloud, PointCloud):
-        return cloud.points
     pts = np.asarray(cloud, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ShapeError(f"expected (N, 3) points, got {pts.shape}")

@@ -46,10 +46,6 @@ class Tensor:
             arr = arr.astype(dtype, copy=False)
         return Tensor(arr)
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
@@ -83,9 +79,7 @@ def add(a: Tensor, b) -> Tensor:
     return Tensor(out_val, (a, b), bw)
 
 
-def sub(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = _scalarize(a, b)
+def sub(a: Tensor, b) -> Tensor:
     b = _scalarize(b, a)
     if a.value.ndim and b.value.ndim:
         _same_shape(a, b, "sub")
@@ -462,26 +456,21 @@ def backward(loss: Tensor) -> None:
 
 
 def smooth_l1(pred: Tensor, target) -> Tensor:
-    """Mean smooth L1: 0.5 d^2 for |d| < 1, |d| - 0.5 beyond."""
-    target_t = target if isinstance(target, Tensor) else Tensor.const(target, pred.value.dtype)
-    if pred.value.shape != target_t.value.shape:
-        raise ShapeError(
-            f"smooth_l1: shape mismatch {pred.value.shape} vs {target_t.value.shape}"
-        )
-    d = pred.value - target_t.value
+    """Mean smooth L1 against a raw-array target: 0.5 d^2 for |d| < 1, |d| - 0.5 beyond."""
+    target = np.asarray(target).astype(pred.value.dtype, copy=False)
+    if pred.value.shape != target.shape:
+        raise ShapeError(f"smooth_l1: shape mismatch {pred.value.shape} vs {target.shape}")
+    d = pred.value - target
     small = np.abs(d) < 1.0
     vals = np.where(small, 0.5 * d * d, np.abs(d) - 0.5)
     out_val = np.asarray(vals.mean(), dtype=pred.value.dtype)
     size = d.size
 
     def bw(g):
-        gd = g * np.clip(d, -1.0, 1.0) / size
         if pred.requires_grad:
-            pred._accumulate(gd)
-        if target_t.requires_grad:
-            target_t._accumulate(-gd)
+            pred._accumulate(g * np.clip(d, -1.0, 1.0) / size)
 
-    return Tensor(out_val, (pred, target_t), bw)
+    return Tensor(out_val, (pred,), bw)
 
 
 def normal_loss(pred: Tensor, gt_unit) -> Tensor:
@@ -498,8 +487,8 @@ def normal_loss(pred: Tensor, gt_unit) -> Tensor:
 
 
 def mse(pred: Tensor, target) -> Tensor:
-    target_t = target if isinstance(target, Tensor) else Tensor.const(target, pred.value.dtype)
-    return mean(square(sub(pred, target_t)))
+    """Mean squared error against a raw-array target."""
+    return mean(square(sub(pred, target)))
 
 
 # ---------------------------------------------------------------------------

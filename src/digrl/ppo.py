@@ -4,21 +4,22 @@ The policy is a small MLP on the fixed-size scene code with a squashed
 Gaussian head: pre-squash samples u ~ N(mu, diag(sigma)) are pushed through
 tanh into [-1, 1]^3, and the log density carries the change-of-variables
 correction. sigma is state independent (one learned log-std vector, clamped
-to a sane band). The buffer keeps the pre-squash sample of every step, so
+to a sane band). The rollout keeps the pre-squash sample of every step, so
 update-time densities are recomputed from u exactly.
 
-Collection runs a fixed number of single-threaded environments round-robin
-until the rollout quota is met. Advantages come from generalized advantage
-estimation per environment stream with value bootstrap at the rollout cut,
-and are normalized once over the whole rollout. Raw rewards are scaled by a
-running standard deviation before entering the buffer.
+Collection steps a fixed number of single-threaded environments
+round-robin, each exactly ``rollout // n_envs`` times per update, into
+(env, round) arrays. Generalized advantage estimation runs along the round
+axis for every environment at once, with a value bootstrap at the rollout
+cut, and the advantages are normalized once over the whole rollout. Raw
+rewards are scaled by a running standard deviation before they are stored.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,84 +184,39 @@ def gae(
     rewards: np.ndarray,
     values: np.ndarray,
     dones: np.ndarray,
-    bootstrap: float,
+    bootstrap: float | np.ndarray,
     gamma: float = GAMMA,
     lam: float = GAE_LAMBDA,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimation over one stream, newest-last.
+    """Generalized advantage estimation along the last (time) axis, newest-last.
 
-    ``bootstrap`` is the value of the state after the final step; it only
+    Leading axes are independent streams, one per environment. ``bootstrap``
+    holds the value of each stream's state after its final step; it only
     matters when that step did not terminate its episode.
     """
-    t = len(rewards)
-    adv = np.zeros(t)
+    adv = np.zeros(np.shape(rewards))
     next_value = bootstrap
     next_adv = 0.0
-    for i in range(t - 1, -1, -1):
-        live = 1.0 - float(dones[i])
-        delta = rewards[i] + gamma * next_value * live - values[i]
+    for i in range(adv.shape[-1] - 1, -1, -1):
+        live = 1.0 - dones[..., i]
+        delta = rewards[..., i] + gamma * next_value * live - values[..., i]
         next_adv = delta + gamma * lam * live * next_adv
-        adv[i] = next_adv
-        next_value = values[i]
+        adv[..., i] = next_adv
+        next_value = values[..., i]
     return adv, adv + values
 
 
-@dataclass
-class _Stream:
-    codes: list = field(default_factory=list)
-    obs: list = field(default_factory=list)
-    us: list = field(default_factory=list)
-    logps: list = field(default_factory=list)
-    rewards: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-    dones: list = field(default_factory=list)
+def flat_advantages(
+    rewards: np.ndarray, values: np.ndarray, dones: np.ndarray, bootstraps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """GAE over (n_envs, rounds) arrays, flattened env-major.
 
-
-class RolloutBuffer:
-    """Per-environment streams that flatten into one update batch."""
-
-    def __init__(self, n_envs: int) -> None:
-        self.streams = [_Stream() for _ in range(n_envs)]
-
-    def add(self, env_id, code, obs, u, logp, reward, value, done) -> None:
-        """Append one step; ``obs`` is None when no update re-encodes it."""
-        s = self.streams[env_id]
-        s.codes.append(np.asarray(code, dtype=np.float64))
-        if obs is not None:
-            s.obs.append(obs)
-        s.us.append(np.asarray(u, dtype=np.float64))
-        s.logps.append(logp)
-        s.rewards.append(reward)
-        s.values.append(value)
-        s.dones.append(done)
-
-    def finish(self, bootstraps: list[float]) -> dict:
-        """Run GAE per stream and normalize advantages over the whole batch."""
-        codes, obs, us, logps, advs, rets = [], [], [], [], [], []
-        for s, boot in zip(self.streams, bootstraps):
-            if not s.codes:
-                continue
-            a, r = gae(
-                np.asarray(s.rewards), np.asarray(s.values), np.asarray(s.dones), boot
-            )
-            codes.append(np.stack(s.codes))
-            obs.extend(s.obs)
-            us.append(np.stack(s.us))
-            logps.append(np.asarray(s.logps))
-            advs.append(a)
-            rets.append(r)
-        if not codes:
-            raise SizeError("empty rollout")
-        adv = np.concatenate(advs)
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-        return {
-            "codes": np.concatenate(codes, axis=0),
-            "obs": obs,
-            "us": np.concatenate(us, axis=0),
-            "logps": np.concatenate(logps),
-            "advantages": adv,
-            "returns": np.concatenate(rets),
-        }
+    Returns (advantages, returns); the advantages are normalized once over
+    the whole rollout.
+    """
+    adv, ret = gae(rewards, values, dones, bootstraps)
+    adv = adv.reshape(-1)
+    return (adv - adv.mean()) / (adv.std() + 1e-8), ret.reshape(-1)
 
 
 def ppo_loss(
@@ -321,44 +277,52 @@ def train_rl(
 ) -> tuple[PolicyCore, list[dict]]:
     """Run PPO for ``total_samples // rollout`` updates.
 
-    ``make_env(i, seed)`` builds environment ``i``; ``encode(obs)`` turns an
-    observation into a flat code. With ``graph_encode`` set, update batches
-    rebuild each stored observation's code through that callable's graph so
-    encoder parameters train jointly; pass the encoder's ``store`` so the
-    optimizer sees them. ``rollout`` must be a multiple of ``n_envs``, so
-    every update collects exactly ``rollout`` samples.
+    ``make_env(seed)`` builds one environment; environment ``i`` gets the
+    seed ``stream_seed(seed, f"env-{i}")``. ``encode(obs)`` turns an
+    observation into a flat code. ``rollout`` must be a multiple of
+    ``n_envs``: each update steps every environment ``rollout // n_envs``
+    times and fills (n_envs, rounds) arrays of codes, pre-squash actions,
+    log-probs, normalized rewards, values and dones, flattened env-major for
+    the minibatches. With ``graph_encode`` set, the rollout also keeps each
+    step's observation, and update batches rebuild its code through that
+    callable's graph so encoder parameters train jointly; pass the encoder's
+    ``store`` so the optimizer sees them. Without it no observation is kept.
     """
     if n_envs <= 0 or rollout % n_envs:
         raise SizeError(f"rollout={rollout} is not a multiple of n_envs={n_envs}")
-    require_positive(minibatch=minibatch, update_epochs=update_epochs)
+    require_positive(rollout=rollout, minibatch=minibatch, update_epochs=update_epochs)
+    updates = total_samples // rollout
+    if updates <= 0:
+        raise SizeError(f"total_samples={total_samples} is below one rollout of {rollout}")
     core = PolicyCore(code_size, act_dim=act_dim, hidden=hidden, store=store, seed=seed)
     act_rng = seed_stream(seed, "rl-act")
     sgd_rng = seed_stream(seed, "rl-minibatch")
     normalizer = RewardNormalizer()
-    envs = [make_env(i, stream_seed_for(seed, i)) for i in range(n_envs)]
+    envs = [make_env(stream_seed(seed, f"env-{i}")) for i in range(n_envs)]
     obs = [env.reset() for env in envs]
     codes = [encode(o) for o in obs]
     raw_acc = [0.0] * n_envs
     norm_acc = [0.0] * n_envs
     fail_acc = [0] * n_envs
     dig_acc = [0] * n_envs
-    updates = total_samples // rollout
-    if updates <= 0:
-        raise SizeError(
-            f"total_samples={total_samples} is below one rollout of {rollout}"
-        )
     rounds = rollout // n_envs
+    # Row e, column t holds env e's step of round t; every update refills them.
+    b_codes = np.empty((n_envs, rounds, code_size))
+    b_us = np.empty((n_envs, rounds, act_dim))
+    b_logps, b_rewards, b_values, b_dones = (np.empty((n_envs, rounds)) for _ in range(4))
     curve: list[dict] = []
     for update in range(1, updates + 1):
-        buffer = RolloutBuffer(n_envs)
+        kept = [None] * rollout if graph_encode is not None else None  # env-major
         ep_raw, ep_norm, ep_fail = [], [], []
-        for _ in range(rounds):
+        for t in range(rounds):
             for e in range(n_envs):
                 step = core.act(codes[e], act_rng)
                 next_obs, reward, done, info = envs[e].step(step.action)
                 r_norm = normalizer.normalize(reward)
-                kept = obs[e] if graph_encode is not None else None
-                buffer.add(e, codes[e], kept, step.pre_squash, step.logp, r_norm, step.value, done)
+                b_codes[e, t], b_us[e, t], b_logps[e, t] = codes[e], step.pre_squash, step.logp
+                b_rewards[e, t], b_values[e, t], b_dones[e, t] = r_norm, step.value, done
+                if kept is not None:
+                    kept[e * rounds + t] = obs[e]
                 raw_acc[e] += reward
                 norm_acc[e] += r_norm
                 dig_acc[e] += 1
@@ -377,30 +341,24 @@ def train_rl(
                     if next_obs is not obs[e]:
                         codes[e] = encode(next_obs)
                     obs[e] = next_obs
-        bootstraps = [
-            0.0 if buffer.streams[e].dones and buffer.streams[e].dones[-1] else core.value_of(codes[e])
-            for e in range(n_envs)
-        ]
-        batch = buffer.finish(bootstraps)
-        n = len(batch["us"])
+        bootstraps = np.array(
+            [0.0 if b_dones[e, -1] else core.value_of(codes[e]) for e in range(n_envs)]
+        )
+        advantages, returns = flat_advantages(b_rewards, b_values, b_dones, bootstraps)
+        flat_codes = b_codes.reshape(rollout, code_size)
+        flat_us = b_us.reshape(rollout, act_dim)
+        flat_logps = b_logps.reshape(rollout)
         for _ in range(update_epochs):
-            perm = sgd_rng.permutation(n)
-            for lo in range(0, n, minibatch):
+            perm = sgd_rng.permutation(rollout)
+            for lo in range(0, rollout, minibatch):
                 sel = perm[lo : lo + minibatch]
-                if graph_encode is not None:
-                    code_rows = [
-                        nn.reshape(graph_encode(batch["obs"][i]), (1, -1)) for i in sel
-                    ]
+                if kept is not None:
+                    code_rows = [nn.reshape(graph_encode(kept[i]), (1, -1)) for i in sel]
                     mb_codes = nn.concat(code_rows, axis=0)
                 else:
-                    mb_codes = batch["codes"][sel]
+                    mb_codes = flat_codes[sel]
                 loss, _ = ppo_loss(
-                    core,
-                    mb_codes,
-                    batch["us"][sel],
-                    batch["logps"][sel],
-                    batch["advantages"][sel],
-                    batch["returns"][sel],
+                    core, mb_codes, flat_us[sel], flat_logps[sel], advantages[sel], returns[sel]
                 )
                 core.store.zero_grads()
                 nn.backward(loss)
@@ -419,10 +377,6 @@ def train_rl(
                 % (update, updates, row["ep_reward_raw"], row["plan_fail_frac"])
             )
     return core, curve
-
-
-def stream_seed_for(seed: int, env_id: int) -> int:
-    return stream_seed(seed, f"env-{env_id}")
 
 
 def dig_record(episode: int, dig: int, action, reward: float, info: dict) -> dict:
@@ -451,11 +405,12 @@ def evaluate_policy(
 ) -> list[dict]:
     """Roll deterministic episodes; returns one :func:`dig_record` per dig.
 
-    Actions are the squashed distribution mean.
+    Actions are the squashed distribution mean. All episodes run in one
+    environment, ``make_env(stream_seed(seed, "env-9000"))``.
     """
     if n_episodes <= 0:
         raise SizeError("need at least one evaluation episode")
-    env = make_env(0, stream_seed_for(seed, 9000))
+    env = make_env(stream_seed(seed, "env-9000"))
     records = []
     for ep in range(n_episodes):
         ob = env.reset()

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import asdict
 
 import numpy as np
@@ -12,7 +13,6 @@ from digrl.bench import (
     format_report,
     heuristic_action,
     load_metrics_table,
-    make_env_factory,
     random_action,
     run_baseline,
     save_table,
@@ -20,7 +20,7 @@ from digrl.bench import (
 )
 from digrl.config import ATTACK_RANGES, get_profile
 from digrl.errors import ConfigError, SizeError
-from digrl.excavation import M3_TO_CM3, BucketSpec, EnvConfig, action_to_attack
+from digrl.excavation import M3_TO_CM3, BucketSpec, EnvConfig, ExcavationEnv, action_to_attack
 from digrl.kinematics import AttackPose
 from digrl.nn import load_ckpt, save_ckpt
 from digrl.ppo import PolicyCore, evaluate_policy
@@ -241,7 +241,7 @@ class TestExperimentDrivers:
             return evaluate_policy(
                 PolicyCore(profile.code_size, store=policy_store),
                 lambda obs: net.encode(obs.points),
-                make_env_factory(profile, **env),
+                functools.partial(ExcavationEnv, profile, **env),
                 1,
                 seed=3,
             )
@@ -253,16 +253,6 @@ class TestExperimentDrivers:
         store = RepNet(get_profile("desk"), seed=0).store
         with pytest.raises(ConfigError):
             train_rl_experiment(store, variant="both", **self.tiny_kwargs())
-
-    def test_env_factory_seeds(self):
-        make_env = make_env_factory(
-            get_profile("desk"),
-            env_cfg=EnvConfig(count_range=(5, 8)),
-            sensor=SensorConfig(fps_target=300),
-        )
-        e1 = make_env(0, 7)
-        e2 = make_env(0, 7)
-        assert np.array_equal(e1.reset().points, e2.reset().points)
 
 
 class TestReport:

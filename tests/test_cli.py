@@ -9,7 +9,7 @@ import csv
 
 import pytest
 
-from digrl import cli
+from digrl import cli, excavation
 from digrl.config import get_profile
 from digrl.nn import save_ckpt
 from digrl.repnet import RepNet
@@ -115,3 +115,46 @@ def test_usage_error_exits_1(tmp_path):
 def test_missing_input_exits_2(tmp_path, capsys):
     assert run("report", "--inputs", tmp_path / "nope.csv") == 2
     assert "metrics file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("train-rl", "--rep-ckpt", "rep.ckpt"), "[rll]\nn_envs = 2\n", "sections ['rll']"),
+        (("baseline", "--method", "random"), "[bnch]\nvalid_digs = 1\n", "sections ['bnch']"),
+        (("report", "--inputs", "metrics.csv"), "[rep]\nepochs = 1\n[eval]\n", "sections ['eval']"),
+        (("train-rl", "--rep-ckpt", "rep.ckpt"), "[rl]\nn_env = 2\n", "option 'n_env' in section [rl]"),
+    ],
+    ids=["section-rll", "section-bnch", "section-eval", "key-n_env"],
+)
+def test_config_typo_exits_2(tmp_path, capsys, argv, text, message):
+    # A misspelt section used to be skipped, and the run went on with the defaults.
+    path = tmp_path / "typo.cfg"
+    path.write_text(text)
+    assert run(*argv, "--config", path, "--out", tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_rl_spawns_training_density(tmp_path, monkeypatch):
+    # No [env] count keys: training scenes hold 200 to 300 objects, as in
+    # bench.TRAIN_COUNT_RANGE, not the 50 to 300 of evaluation.
+    path = tmp_path / "rl.cfg"
+    path.write_text(
+        "[rl]\nn_envs = 2\nrollout = 2\nminibatch = 2\nupdate_epochs = 1\n"
+        "total_samples = 2\n\n[env]\ndigs_per_episode = 2\n"
+    )
+    ckpt = tmp_path / "rep.ckpt"
+    save_ckpt(RepNet(get_profile("desk"), seed=0).store, ckpt)
+    spawned = []
+    spawn = excavation.spawn_scene
+
+    def spy(seed, count_range):
+        scene = spawn(seed, count_range=count_range)
+        spawned.append((count_range, scene.object_count))
+        return scene
+
+    monkeypatch.setattr(excavation, "spawn_scene", spy)
+    assert run("train-rl", "--config", path, "--rep-ckpt", ckpt, "--out", tmp_path / "rl") == 0
+    assert [r for r, _ in spawned] == [(200, 300)] * 2
+    assert all(200 <= n <= 300 for _, n in spawned)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from digrl import sensor
+from digrl import excavation, sensor
+from digrl.bench import attack_to_action
 from digrl.config import ATTACK_RANGES, get_profile
 from digrl.errors import ProtocolError, ShapeError
 from digrl.excavation import (
@@ -383,6 +384,23 @@ class TestEnv:
         assert resets(123) == a
         assert a[0] != a[1]
         assert all(x != y for x, y in zip(a, resets(124)))
+
+    def test_capturing_the_last_object_ends_the_episode(self, monkeypatch):
+        # One box in the tray; an attack just past it sweeps it up.
+        monkeypatch.setattr(
+            excavation, "spawn_scene", lambda seed, count_range: boxes_scene([(0.05, 0.0)])
+        )
+        env = self.small_env(digs=3)
+        env.reset()
+        action = attack_to_action(AttackPose(0.075, 0.0, math.radians(90.0)))
+        _, reward, done, info = env.step(action)
+        assert info["plan_ok"] and info["objects_left"] == 0
+        assert reward == pytest.approx(0.06**3 * M3_TO_CM3, rel=1e-9)
+        assert info["emptied"]
+        assert done and info["dig"] == 1
+        assert env.scene.object_count == 0
+        with pytest.raises(ProtocolError):
+            env.step(action)
 
     def test_failed_plan_keeps_observation(self):
         env = self.small_env()

@@ -464,13 +464,6 @@ class TestBallQuery:
         for r in (0.02, 0.08, 1.0):
             assert_rows_match_reference(pts, centers, r, 50)
 
-    def test_chunks_match_one_block(self, rng, monkeypatch):
-        pts = rng.uniform(-1, 1, size=(200, 3))
-        centers = rng.uniform(-1, 1, size=(70, 3))
-        whole = ball_query(pts, centers, 0.3, 12)
-        monkeypatch.setattr(geometry, "_CHUNK", 16)
-        assert np.array_equal(ball_query(pts, centers, 0.3, 12), whole)
-
     def test_rejects_bad_input(self, rng):
         pts = rng.normal(size=(10, 3))
         with pytest.raises(ShapeError):
@@ -617,6 +610,22 @@ class TestIdw:
         i1, w1 = idw_weights(src + t, dst + t, k=3)
         assert np.array_equal(i0, i1)
         assert np.array_equal(w0, w1)
+
+
+    def test_chunks_match_one_block(self, monkeypatch):
+        # Rows the tree cannot certify are rebuilt by brute force in
+        # ``geometry._CHUNK`` blocks: 112 rows here, one block by default.
+        src = TIE_HEAVY["lattice-far"]
+        dst = src + (0.0025, 0.0025, 0.0)
+        want_idx, want_w = idw_brute(src, dst, 3)
+        (idx, w), redone = rows_redone(idw_weights, src, dst, 3)
+        assert 3 * 16 < redone <= geometry._CHUNK
+        monkeypatch.setattr(geometry, "_CHUNK", 16)
+        (idx16, w16), redone16 = rows_redone(idw_weights, src, dst, 3)
+        assert redone16 == redone
+        for got_idx, got_w in ((idx, w), (idx16, w16)):
+            assert np.array_equal(got_idx, want_idx)
+            assert got_w.tobytes() == want_w.tobytes()
 
 
 class TestTreeQueriesMatchBruteForce:

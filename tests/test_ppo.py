@@ -1,10 +1,13 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from digrl import nn
+from digrl import nn, ppo
 from digrl.bench import save_table
+from digrl.config import stream_seed
 from digrl.errors import SizeError
 from digrl.ppo import (
     CURVE_FIELDS,
@@ -12,12 +15,11 @@ from digrl.ppo import (
     GAMMA,
     PolicyCore,
     RewardNormalizer,
-    RolloutBuffer,
     evaluate_policy,
+    flat_advantages,
     gae,
     ppo_loss,
     squash_correction,
-    stream_seed_for,
     train_rl,
 )
 
@@ -109,49 +111,70 @@ class TestRewardNormalizer:
         assert not caught
 
 
-class TestRolloutBuffer:
-    def test_per_stream_gae_and_normalization(self, rng):
-        buf = RolloutBuffer(2)
-        data = {0: [], 1: []}
-        for e in (0, 1):
-            for t in range(4):
-                row = (
-                    rng.normal(size=3),          # code
-                    None,                        # obs
-                    rng.normal(size=3),          # pre-squash
-                    float(rng.normal()),         # logp
-                    float(rng.normal()),         # reward
-                    float(rng.normal()),         # value
-                    bool(t == 3 and e == 0),     # done
-                )
-                buf.add(e, *row)
-                data[e].append(row)
-        boots = [0.4, -0.2]
-        batch = buf.finish(boots)
-        advs = []
-        for e in (0, 1):
-            rewards = np.array([r[4] for r in data[e]])
-            values = np.array([r[5] for r in data[e]])
-            dones = np.array([float(r[6]) for r in data[e]])
-            a, _ = gae(rewards, values, dones, boots[e])
-            advs.append(a)
-        raw = np.concatenate(advs)
-        expect = (raw - raw.mean()) / (raw.std() + 1e-8)
-        assert batch["advantages"] == pytest.approx(expect, abs=1e-12)
-        assert abs(batch["advantages"].mean()) < 1e-12
-        assert batch["advantages"].std() == pytest.approx(1.0, abs=1e-6)
-        assert batch["codes"].shape == (8, 3)
-        assert batch["us"].shape == (8, 3)
+def gae_one_stream(rewards, values, dones, bootstrap):
+    """The scalar per-stream GAE loop that ``gae`` vectorises over envs."""
+    adv = np.zeros(len(rewards))
+    next_value = bootstrap
+    next_adv = 0.0
+    for i in range(len(rewards) - 1, -1, -1):
+        live = 1.0 - float(dones[i])
+        delta = rewards[i] + GAMMA * next_value * live - values[i]
+        next_adv = delta + GAMMA * GAE_LAMBDA * live * next_adv
+        adv[i] = next_adv
+        next_value = values[i]
+    return adv, adv + values
 
-    def test_empty_buffer_raises(self):
-        with pytest.raises(SizeError):
-            RolloutBuffer(2).finish([0.0, 0.0])
 
-    def test_idle_stream_skipped(self, rng):
-        buf = RolloutBuffer(2)
-        buf.add(1, rng.normal(size=3), None, rng.normal(size=3), 0.1, 1.0, 0.5, True)
-        batch = buf.finish([0.0, 0.0])
-        assert len(batch["us"]) == 1
+def rollout_buffer_finish(streams, bootstraps):
+    """The per-env list streams the array rollout replaced, as the oracle.
+
+    ``streams[e]`` is env e's list of (reward, value, done) steps, oldest
+    first; GAE runs per stream, the streams concatenate in env order, and
+    the advantages are normalized once over the whole batch.
+    """
+    advs, rets = [], []
+    for steps, boot in zip(streams, bootstraps):
+        rewards, values, dones = (np.asarray(col) for col in zip(*steps))
+        a, r = gae_one_stream(rewards, values, dones, boot)
+        advs.append(a)
+        rets.append(r)
+    adv = np.concatenate(advs)
+    return (adv - adv.mean()) / (adv.std() + 1e-8), np.concatenate(rets)
+
+
+class TestRolloutArrays:
+    def test_matches_rollout_buffer_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n_envs, rounds = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            rewards = rng.normal(size=(n_envs, rounds)) * 10.0 ** rng.uniform(-3, 3)
+            values = rng.normal(size=(n_envs, rounds))
+            # Episode ends mid-stream and, for some envs, at the last step.
+            dones = rng.random((n_envs, rounds)) < 0.3
+            dones[:, -1] |= rng.random(n_envs) < 0.5
+            boots = [0.0 if d else float(v) for d, v in zip(dones[:, -1], rng.normal(size=n_envs))]
+            streams = [
+                [(float(r), float(v), bool(d)) for r, v, d in zip(*rows)]
+                for rows in zip(rewards, values, dones)
+            ]
+            want_adv, want_ret = rollout_buffer_finish(streams, boots)
+            adv, ret = flat_advantages(rewards, values, dones.astype(np.float64), np.array(boots))
+            assert adv.tobytes() == want_adv.tobytes()
+            assert ret.tobytes() == want_ret.tobytes()
+
+    def test_normalized_env_major(self, rng):
+        rewards, values = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        dones = np.zeros((2, 4))
+        dones[0, 3] = 1.0
+        boots = np.array([0.0, -0.2])
+        adv, ret = flat_advantages(rewards, values, dones, boots)
+        raw = np.concatenate(
+            [gae(rewards[e], values[e], dones[e], boots[e])[0] for e in (0, 1)]
+        )
+        assert adv == pytest.approx((raw - raw.mean()) / (raw.std() + 1e-8), abs=1e-12)
+        assert abs(adv.mean()) < 1e-12
+        assert adv.std() == pytest.approx(1.0, abs=1e-6)
+        assert ret.shape == (8,)
 
 
 class TestPpoLoss:
@@ -193,7 +216,7 @@ class TestPpoLoss:
 class QuadraticBandit:
     """One-step episodes; reward peaks at action 0.5."""
 
-    def __init__(self, env_id=0, seed=0):
+    def __init__(self, seed=0):
         self.obs = np.zeros(2)
 
     def reset(self, seed=None):
@@ -206,9 +229,22 @@ class QuadraticBandit:
 
 class TestTraining:
     def test_seed_streams_distinct(self):
-        seeds = [stream_seed_for(0, i) for i in range(6)]
+        seeds = []
+        train_rl(
+            make_env=lambda seed: seeds.append(seed) or QuadraticBandit(seed),
+            encode=lambda o: o,
+            code_size=2,
+            total_samples=6,
+            seed=5,
+            act_dim=1,
+            n_envs=6,
+            rollout=6,
+            minibatch=6,
+            update_epochs=1,
+            hidden=(4, 4),
+        )
+        assert seeds == [stream_seed(5, f"env-{i}") for i in range(6)]
         assert len(set(seeds)) == 6
-        assert seeds == [stream_seed_for(0, i) for i in range(6)]
 
     def test_quadratic_bandit_improves(self, tmp_path):
         code = np.zeros(2)
@@ -239,17 +275,34 @@ class TestTraining:
 
     @pytest.mark.parametrize("e2e", [False, True])
     def test_batch_keeps_clouds_only_for_e2e(self, monkeypatch, e2e):
-        batches = []
-        finish = RolloutBuffer.finish
+        # Every reset and step hands out a new observation; at the update,
+        # count how many of them are still alive.
+        handed = []
 
-        def keep(buffer, bootstraps):
-            batches.append(finish(buffer, bootstraps))
-            return batches[-1]
+        class Obs:
+            def __init__(self):
+                self.x = np.zeros(2)
+                handed.append(weakref.ref(self))
 
-        monkeypatch.setattr(RolloutBuffer, "finish", keep)
+        class FreshObsBandit(QuadraticBandit):
+            def reset(self):
+                return Obs()
+
+            def step(self, action):
+                return (Obs(),) + super().step(action)[1:]
+
+        alive = []
+        loss = ppo.ppo_loss
+
+        def count_alive(*args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in handed))
+            return loss(*args)
+
+        monkeypatch.setattr(ppo, "ppo_loss", count_alive)
         train_rl(
-            make_env=QuadraticBandit,
-            encode=lambda o: o,
+            make_env=FreshObsBandit,
+            encode=lambda o: o.x,
             code_size=2,
             total_samples=8,
             act_dim=1,
@@ -258,19 +311,20 @@ class TestTraining:
             minibatch=4,
             update_epochs=1,
             hidden=(4, 4),
-            graph_encode=(lambda o: nn.Tensor.const(o)) if e2e else None,
+            graph_encode=(lambda o: nn.Tensor.const(o.x)) if e2e else None,
         )
-        (batch,) = batches
-        assert len(batch["obs"]) == (8 if e2e else 0)
+        # Each env's current observation, plus the 8 of the rollout for e2e.
+        assert alive == [2 + (8 if e2e else 0)] * 2
 
     @pytest.mark.parametrize(
-        "name, value", [("minibatch", -4), ("minibatch", 0), ("update_epochs", 0)]
+        "name, value", [("minibatch", -4), ("minibatch", 0), ("update_epochs", 0), ("rollout", 0)]
     )
     def test_rejects_non_positive_batch_sizes(self, name, value):
-        # Below 1 the update loop ran no step and still returned a curve.
+        # Below 1 the update loop ran no step and still returned a curve, and
+        # a rollout of 0 raised ZeroDivisionError.
         built = []
         kwargs = dict(
-            make_env=lambda i, seed: built.append(i) or QuadraticBandit(i, seed),
+            make_env=lambda seed: built.append(seed) or QuadraticBandit(seed),
             encode=lambda o: o,
             code_size=2,
             total_samples=8,
