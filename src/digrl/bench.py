@@ -222,7 +222,7 @@ def train_rl_experiment(
     encode = lambda obs: net.encode(obs.points)  # noqa: E731
     kwargs = {}
     if variant == "e2e":
-        kwargs["graph_encode"] = lambda obs: net.encoder(obs.points)["code"]
+        kwargs["graph_encode"] = lambda obs: net.encoder(net.levels(obs.points))["code"]
         kwargs["store"] = net.store
     elif variant != "rep":
         raise ConfigError(f"unknown variant {variant!r}; expected rep or e2e")

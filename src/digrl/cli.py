@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import bench, ppo, repnet
-from .config import get_profile, load_config
+from .config import OBJECT_COUNT_RANGE, get_profile, load_config
 from .errors import ConfigError
 from .excavation import EnvConfig
 from .nn import load_ckpt, save_ckpt
@@ -70,7 +70,7 @@ def _config_section(args, name: str) -> dict:
     return out
 
 
-def _count_range(section: dict, default=(50, 300)) -> tuple[int, int]:
+def _count_range(section: dict, default=OBJECT_COUNT_RANGE) -> tuple[int, int]:
     return (section.get("count_min", default[0]), section.get("count_max", default[1]))
 
 
@@ -168,7 +168,7 @@ def cmd_eval_rep(args) -> int:
         if not subset:
             continue
         row = {"epoch": 0, "split": split}
-        row.update(repnet.eval_rep(net, subset))
+        row.update(repnet.eval_rep(net, subset, [net.plan(s.points) for s in subset]))
         rows.append(row)
         print(
             "%s: cos=%.4f deg=%.2f curv_mae=%.4f count_mae=%.2f"

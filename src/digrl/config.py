@@ -34,6 +34,10 @@ class AttackRanges:
 # gates and the actions map inside these.
 ATTACK_RANGES = AttackRanges()
 
+# Objects per scene unless a run asks for another range: the environment's,
+# the dataset's and the config file's default.
+OBJECT_COUNT_RANGE = (50, 300)
+
 
 @dataclass(frozen=True)
 class Profile:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ATTACK_RANGES, Profile, get_profile, seed_stream
+from .config import ATTACK_RANGES, OBJECT_COUNT_RANGE, Profile, get_profile, seed_stream
 from .errors import ProtocolError, ShapeError
 from .geometry import HeightMap
 from .kinematics import (
@@ -133,7 +133,7 @@ def action_to_attack(action) -> AttackPose:
 @dataclass
 class EnvConfig:
     digs_per_episode: int = 10
-    count_range: tuple[int, int] = (50, 300)
+    count_range: tuple[int, int] = OBJECT_COUNT_RANGE
 
 
 class ExcavationEnv:
@@ -209,11 +209,9 @@ class ExcavationEnv:
         }
         if result.outcome.ok and result.captured_indices:
             self._scene = result.scene_after
+            self._refresh_observation()
             if self._scene.object_count == 0:
-                info["emptied"] = True
-                self._done = True
-            else:
-                self._refresh_observation()
+                info["emptied"] = self._done = True
         if self._digs >= self.cfg.digs_per_episode:
             self._done = True
         return self._obs, result.reward, self._done, info

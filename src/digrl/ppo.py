@@ -18,7 +18,6 @@ rewards are scaled by a running standard deviation before they are stored.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,15 +146,15 @@ class PolicyCore:
 class RewardNormalizer:
     """Scale rewards by their running standard deviation (Welford).
 
-    The first sample passes through unscaled; a degenerate (constant) reward
-    stream trips a one-time warning and divides by ``REWARD_STD_FLOOR`` instead.
+    A reward passes through unscaled while the running std is below
+    ``REWARD_STD_FLOOR``: on the first sample, and while the stream has
+    been constant.
     """
 
     def __init__(self) -> None:
         self.count = 0
         self.mean = 0.0
         self.m2 = 0.0
-        self._warned = False
 
     def update(self, x: float) -> None:
         self.count += 1
@@ -171,13 +170,8 @@ class RewardNormalizer:
 
     def normalize(self, x: float) -> float:
         self.update(x)
-        if self.count < 2:
-            return x
         s = self.std
-        if s < REWARD_STD_FLOOR and not self._warned:
-            warnings.warn("reward stream is (near) constant; normalizer hit its floor")
-            self._warned = True
-        return x / max(s, REWARD_STD_FLOOR)
+        return x if s < REWARD_STD_FLOOR else x / s
 
 
 def gae(

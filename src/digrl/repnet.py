@@ -20,9 +20,11 @@ The sampling, grouping and interpolation depend on the coordinates alone,
 so :meth:`RepNet.plan` computes them once as a :class:`GroupingPlan`: per
 encoder level the FPS centers, the ball-query members with the start of
 each group's run and the radius-scaled offsets, and per decoder step the
-IDW indices and weights, plus the finest skip offsets. A forward given a plan skips that work and
-gives the same bits. ``train_rep`` keeps the plans of its evaluation clouds
-for the length of one call; nothing caches them across calls.
+IDW indices and weights, plus the finest skip offsets. :meth:`RepNet.forward`
+and :meth:`RepNet.predict` run on a plan, and :meth:`RepNet.encoder` on the
+encoder levels alone (:meth:`RepNet.levels`), so the policy's encode computes
+no decoder stencil. ``train_rep`` builds the plans of its evaluation clouds
+once per call; nothing caches them across calls.
 
 Per-point heads predict the surface normal and the curvature; a global head
 max-pools the coarsest features into an object-count estimate. Training is
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .config import Profile, get_profile, seed_stream
+from .config import OBJECT_COUNT_RANGE, Profile, get_profile, seed_stream
 from .errors import DigrlError, ShapeError, SizeError, require_positive, text_lines
 from .geometry import (
     CURVATURE_MAX,
@@ -77,7 +79,7 @@ class Level:
 
 @dataclass(frozen=True)
 class GroupingPlan:
-    """Everything :meth:`RepNet.forward` computes from the coordinates alone.
+    """Everything :meth:`RepNet.forward` needs from the coordinates alone.
 
     ``levels`` holds each encoder level's :class:`Level`, its groups laid
     out as runs of member rows. ``stencils`` holds the decoder's IDW
@@ -86,7 +88,6 @@ class GroupingPlan:
     store's dtype.
     """
 
-    points: np.ndarray
     levels: tuple[Level, ...]
     stencils: tuple[tuple[np.ndarray, np.ndarray], ...]
     skip: np.ndarray
@@ -142,7 +143,8 @@ class RepNet:
         """
         return nn.standardize_cols(self._layer(x, name))
 
-    def _cloud(self, points) -> np.ndarray:
+    def levels(self, points) -> tuple[Level, ...]:
+        """FPS centers and ball-query groups of every encoder level of one (N, 3) cloud."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ShapeError(f"expected (N, 3) points, got {pts.shape}")
@@ -152,11 +154,6 @@ class RepNet:
                 f"cloud of {len(pts)} points is below the first grouping level "
                 f"({p.level_points[0]}); profile {p.name!r} expects denser input"
             )
-        return pts
-
-    def _levels(self, pts: np.ndarray) -> tuple[Level, ...]:
-        """FPS centers and ball-query groups of every encoder level."""
-        p = self.profile
         levels = []
         prev = pts
         for i in range(len(p.level_points)):
@@ -179,8 +176,8 @@ class RepNet:
 
     def plan(self, points) -> GroupingPlan:
         """The weight-free geometry a :meth:`forward` on these points needs."""
-        pts = self._cloud(points)
-        levels = self._levels(pts)
+        levels = self.levels(points)
+        pts = np.asarray(points, dtype=np.float64)
         positions = [pts] + [lv.centers for lv in levels]
         stencils = tuple(
             idw_weights(positions[j], positions[j - 1], k=min(INTERP_K, len(positions[j])))
@@ -188,16 +185,13 @@ class RepNet:
         )
         nearest = positions[1][stencils[-1][0][:, 0]]
         skip = (pts - nearest) / self.profile.level_radii[0]
-        return GroupingPlan(pts, levels, stencils, skip.astype(self.store.dtype))
+        return GroupingPlan(levels, stencils, skip.astype(self.store.dtype))
 
-    def encoder(self, points, plan: GroupingPlan | None = None) -> dict:
-        """Set abstraction over one (N, 3) cloud: the encoder half of :meth:`forward`.
+    def encoder(self, levels: tuple[Level, ...]) -> dict:
+        """Set abstraction over one cloud's :meth:`levels`: the encoder half of :meth:`forward`.
 
-        Without a ``plan`` only the encoder levels are grouped, so no decoder
-        stencil is computed. Returns the flattened ``code`` tensor and each
-        level's pooled ``feats``.
+        Returns the flattened ``code`` tensor and each level's pooled ``feats``.
         """
-        levels = self._levels(self._cloud(points)) if plan is None else plan.levels
         dtype = self.store.dtype
         level_feats: list[nn.Tensor] = []
         feats: nn.Tensor | None = None
@@ -217,20 +211,14 @@ class RepNet:
         )
         return {"code": code, "feats": level_feats}
 
-    def forward(self, points, plan: GroupingPlan | None = None) -> dict:
-        """Run the full network on one (N, 3) cloud: :meth:`encoder`, then the decoder.
+    def forward(self, plan: GroupingPlan) -> dict:
+        """Run the full network on one cloud's :meth:`plan`: :meth:`encoder`, then the decoder.
 
-        ``plan`` is the cloud's :meth:`plan`, reused in place of computing
-        the same geometry again; it must come from these points. Returns a
-        dict of graph tensors: per-point raw ``normals`` (N, 3) and
+        Returns a dict of graph tensors: per-point raw ``normals`` (N, 3) and
         ``curvature`` (N, 1), the scalar-normalized ``count`` (1, 1), and
         the flattened ``code``.
         """
-        if plan is None:
-            plan = self.plan(points)
-        elif np.shape(points) != plan.points.shape:
-            raise ShapeError(f"plan for {plan.points.shape} points, cloud {np.shape(points)}")
-        enc = self.encoder(points, plan)
+        enc = self.encoder(plan.levels)
         dtype = self.store.dtype
         level_feats = enc["feats"]
         cur = level_feats[-1]
@@ -265,13 +253,11 @@ class RepNet:
 
     def encode(self, points) -> np.ndarray:
         """Fixed-size scene code for the policy (no gradients retained)."""
-        return np.array(self.encoder(points)["code"].value, dtype=np.float64)
+        return np.array(self.encoder(self.levels(points))["code"].value, dtype=np.float64)
 
-    def predict(
-        self, points, plan: GroupingPlan | None = None
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Evaluated per-point labels: unit normals, clipped curvature, count."""
-        out = self.forward(points, plan)
+    def predict(self, plan: GroupingPlan) -> tuple[np.ndarray, np.ndarray, float]:
+        """Evaluated labels of one cloud's :meth:`plan`: unit normals, clipped curvature, count."""
+        out = self.forward(plan)
         raw = np.asarray(out["normals"].value, dtype=np.float64)
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
         normals = raw / np.where(norms <= 1e-8, 1e-8, norms)
@@ -312,7 +298,7 @@ def gen_scene_files(
     profile: Profile | None = None,
     seed: int = 0,
     n_scenes: int | None = None,
-    count_range: tuple[int, int] = (50, 300),
+    count_range: tuple[int, int] = OBJECT_COUNT_RANGE,
     progress=None,
 ) -> list[str]:
     """Spawn settled scenes and write them under ``raw_scenes/NNNN.scene``.
@@ -438,27 +424,17 @@ def load_rep_dataset(data_dir) -> list[RepSample]:
 # Training and evaluation
 
 
-def eval_rep(net: RepNet, samples: list[RepSample], plans: list | None = None) -> dict:
-    """Aggregate label metrics over a sample list.
-
-    ``plans``, if given, runs parallel to ``samples``: each ``None`` entry is
-    replaced by that cloud's :meth:`RepNet.plan` before its forward, and a
-    filled entry is reused, so a caller that keeps the list over several
-    calls computes each cloud's geometry once.
-    """
+def eval_rep(net: RepNet, samples: list[RepSample], plans: list[GroupingPlan]) -> dict:
+    """Aggregate label metrics over a sample list, given each sample's :meth:`RepNet.plan`."""
     if not samples:
         raise SizeError("eval_rep needs at least one sample")
-    if plans is None:
-        plans = [None] * len(samples)
-    elif len(plans) != len(samples):
+    if len(plans) != len(samples):
         raise SizeError(f"{len(plans)} plans for {len(samples)} samples")
     cos_sum, cos_n = 0.0, 0
     curv_sum = 0.0
     count_err = []
-    for k, s in enumerate(samples):
-        if plans[k] is None:
-            plans[k] = net.plan(s.points)
-        normals, curv, count = net.predict(s.points, plans[k])
+    for s, plan in zip(samples, plans):
+        normals, curv, count = net.predict(plan)
         cos_sum += float(np.sum(np.sum(normals * s.normals, axis=1)))
         cos_n += len(s.points)
         curv_sum += float(np.sum(np.abs(curv - s.curvature)))
@@ -489,9 +465,9 @@ def train_rep(
     cloud is jittered by one shared planar translation, which the network
     must ignore by construction. A jittered cloud is new at every step, so
     each training forward groups it afresh. The end-of-epoch evaluation
-    sees the same unjittered clouds every epoch: each one's grouping plan is
-    built at its first evaluation and kept for this call only. Training
-    aborts on a non-finite loss.
+    sees the same unjittered clouds every epoch: their grouping plans hold
+    no weights, so they are built once, before the first epoch, and kept
+    for this call only. Training aborts on a non-finite loss.
     """
     require_positive(epochs=epochs, batch_size=batch_size)
     profile = profile or get_profile()
@@ -501,7 +477,8 @@ def train_rep(
     val = [s for s in samples if s.split == "val"]
     if not train:
         raise SizeError("no training split")
-    plans = {"train": [None] * len(train), "val": [None] * len(val)}
+    splits = {"train": train, "val": val}
+    plans = {name: [net.plan(s.points) for s in split] for name, split in splits.items()}
     history = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(train))
@@ -511,13 +488,13 @@ def train_rep(
             for s in batch:
                 shift = np.zeros(3)
                 shift[:2] = rng.uniform(-translate_jitter, translate_jitter, size=2)
-                out = net.forward(s.points + shift)
+                out = net.forward(net.plan(s.points + shift))
                 loss = nn.mul(rep_loss(out, s.normals, s.curvature, s.count), 1.0 / len(batch))
                 if not np.isfinite(loss.value):
                     raise DigrlError(f"non-finite loss at epoch {epoch}")
                 nn.backward(loss)
             net.store.adam_step(lr, weight_decay=weight_decay)
-        for split_name, split_samples in (("train", train), ("val", val)):
+        for split_name, split_samples in splits.items():
             if not split_samples:
                 continue
             row = {"epoch": epoch, "split": split_name}

@@ -1,15 +1,15 @@
 """Synthetic cluttered scenes: convex rigid objects dropped into a tray.
 
 A scene's meshes are built in batches. :func:`gen_objects` draws each
-object's hull seeds from the generator in turn, and Qhull builds each hull;
-the winding fix, the watertight check and the volumes then run once over all
-the scene's meshes laid end to end. :func:`load_scene` reads every record
-first and measures the volumes the same way. A settle computes each object's
-rotation, world vertices, face planes, edges and xy box once, into one
-scene-wide table (``_Pile``) that every wavefront pass gathers its rows
-from, and that lowers each object's own rows in place when it rests. Each
-of these steps works per vertex, face or edge, so every object gets the bits
-it would get on its own.
+object's hull seeds from the generator in turn, and Qhull accepts or
+rejects each draw before the next; the winding fix, the watertight check
+and the volumes then run once over all the accepted hulls laid end to end.
+:func:`load_scene` reads every record first and measures the volumes the
+same way. A settle computes each object's rotation, world vertices, face
+planes, edges and xy box once, into one scene-wide table (``_Pile``) that
+every wavefront pass gathers its rows from, and that lowers each object's
+own rows in place when it rests. Each of these steps works per vertex, face
+or edge, so every object gets the bits it would get on its own.
 
 Settling is quasi-static drop-and-rest without rotation on contact: each
 object falls straight down, in placement order, onto the tray floor or onto
@@ -243,33 +243,22 @@ class RigidObject:
             raise DegenerateGeometryError(f"object volume must be positive, got {self.volume}")
 
 
-def _hull_objects(point_sets: list[np.ndarray]) -> list[RigidObject]:
-    """Convex objects of ``point_sets``, in order, up to the first degenerate hull.
+def _hull_objects(hulls: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> list[RigidObject]:
+    """Convex objects of Qhull's accepted ``hulls``, each (points, simplices, normals), in order.
 
-    A hull is degenerate when Qhull rejects its points or its volume is not
-    positive. Qhull runs once per set. The winding fix, the watertight check
-    and the volumes then run once over all the hulls laid end to end; every
-    step is elementwise or per face, so each object gets the bits it would
-    get alone.
+    The winding fix, the watertight check and the volumes run once over all
+    the hulls laid end to end; every step is elementwise or per face, so
+    each object gets the bits it would get alone. A hull whose volume is
+    not positive raises DegenerateGeometryError.
     """
-    # Only these two arrays of each Qhull result are kept; the rest is freed at once.
-    facets, planes = [], []
-    for pts in point_sets:
-        try:
-            hull = ConvexHull(pts)
-        except QhullError:
-            break
-        facets.append(hull.simplices)
-        planes.append(hull.equations)
-    if not facets:
-        return []
+    point_sets, facets, planes = zip(*hulls)
     n_faces = np.array([len(f) for f in facets])
-    pt_starts = _run_starts(np.array([len(p) for p in point_sets[: len(facets)]]))
+    pt_starts = _run_starts(np.array([len(p) for p in point_sets]))
     offsets = np.repeat(pt_starts, n_faces)[:, None]
     simplices = np.concatenate(facets) + offsets
     # A hull's vertices are the points its facets use, in input order.
     hull_points = np.unique(simplices)
-    pts = np.concatenate(point_sets[: len(facets)])
+    pts = np.concatenate(point_sets)
     remap = np.full(len(pts), -1, dtype=np.int64)
     remap[hull_points] = np.arange(len(hull_points))
     verts = pts[hull_points]
@@ -277,73 +266,50 @@ def _hull_objects(point_sets: list[np.ndarray]) -> list[RigidObject]:
     # Qhull does not guarantee consistent winding; fix it against the outward
     # plane normals it reports.
     v0, v1, v2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    normals = np.concatenate(planes)[:, :3]
+    normals = np.concatenate(planes)
     flip = np.einsum("ij,ij->i", _cross(v1 - v0, v2 - v0), normals) < 0
     faces[flip] = faces[flip][:, [0, 2, 1]]
     vert_starts = np.searchsorted(hull_points, pt_starts)
     vert_ends = np.append(vert_starts[1:], len(verts))
     face_ends = np.cumsum(n_faces)
-    objects = []
-    for vol, v_lo, v_hi, f_lo, f_hi in zip(
-        _mesh_volumes(verts, faces, n_faces), vert_starts, vert_ends, face_ends - n_faces, face_ends
-    ):
-        if vol <= 0:
-            break
-        objects.append(RigidObject(verts[v_lo:v_hi], faces[f_lo:f_hi] - v_lo, vol))
-    return objects
-
-
-def _draw_points(rng: np.random.Generator, first: int) -> tuple[np.ndarray, int] | None:
-    """One object's hull seeds, 8..24 points at radii 1..7 cm, and the attempts used so far.
-
-    Counting from attempt ``first``, the points are redrawn while a
-    direction is too short to normalise; None once 64 attempts are used.
-    """
-    lo, hi = VERTEX_COUNT_RANGE
-    r_lo, r_hi = VERTEX_RADIUS_RANGE
-    for attempt in range(first, 64):
-        n = int(rng.integers(lo, hi + 1))
-        dirs = rng.normal(size=(n, 3))
-        lens = np.linalg.norm(dirs, axis=1, keepdims=True)
-        if (lens < 1e-12).any():
-            continue
-        return dirs / lens * rng.uniform(r_lo, r_hi, size=(n, 1)), attempt + 1
-    return None
+    volumes = _mesh_volumes(verts, faces, n_faces)
+    return [
+        RigidObject(verts[v_lo:v_hi], faces[f_lo:f_hi] - v_lo, vol)
+        for vol, v_lo, v_hi, f_lo, f_hi in zip(
+            volumes, vert_starts, vert_ends, face_ends - n_faces, face_ends
+        )
+    ]
 
 
 def gen_objects(rng: np.random.Generator, count: int) -> list[RigidObject]:
     """Sample ``count`` convex objects, each the hull of 8..24 points at radii 1..7 cm.
 
-    One object at a time gets up to 64 attempts at points with a
-    non-degenerate hull. Every object's points are drawn first, in order,
-    and :func:`_hull_objects` builds them all in one batch. When it stops at
-    a degenerate hull, the generator goes back to its state just after that
-    draw, and the object is drawn again with the attempts it has left, then
-    every later one. So the objects, and the generator's state afterwards,
-    are those of drawing and checking the objects one at a time.
+    Each object in turn gets up to 64 attempts: its points are redrawn
+    while a direction is too short to normalise or Qhull rejects them, so
+    the generator ends where drawing the objects one at a time leaves it.
+    :func:`_hull_objects` then builds the accepted hulls in one batch.
     """
-    objects: list[RigidObject] = []
-    used = 0  # attempts the next object spent on a hull rejected in a batch
-    while len(objects) < count:
-        point_sets, attempts, states = [], [], []
-        exhausted = False
-        while len(objects) + len(point_sets) < count:
-            drawn = _draw_points(rng, used)
-            used = 0
-            if drawn is None:
-                exhausted = True
-                break
-            point_sets.append(drawn[0])
-            attempts.append(drawn[1])
-            states.append(rng.bit_generator.state)
-        built = _hull_objects(point_sets)
-        objects += built
-        if len(built) < len(point_sets):
-            rng.bit_generator.state = states[len(built)]
-            used = attempts[len(built)]
-        elif exhausted:
+    lo, hi = VERTEX_COUNT_RANGE
+    r_lo, r_hi = VERTEX_RADIUS_RANGE
+    hulls = []
+    for _ in range(count):
+        for _ in range(64):
+            n = int(rng.integers(lo, hi + 1))
+            dirs = rng.normal(size=(n, 3))
+            lens = np.linalg.norm(dirs, axis=1, keepdims=True)
+            if (lens < 1e-12).any():
+                continue
+            points = dirs / lens * rng.uniform(r_lo, r_hi, size=(n, 1))
+            try:
+                hull = ConvexHull(points)
+            except QhullError:
+                continue
+            # Only these two arrays of the Qhull result are kept; the rest is freed at once.
+            hulls.append((points, hull.simplices, hull.equations[:, :3]))
+            break
+        else:
             raise DegenerateGeometryError("could not sample a non-degenerate hull")
-    return objects
+    return _hull_objects(hulls) if hulls else []
 
 
 @dataclass

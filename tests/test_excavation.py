@@ -391,9 +391,11 @@ class TestEnv:
             excavation, "spawn_scene", lambda seed, count_range: boxes_scene([(0.05, 0.0)])
         )
         env = self.small_env(digs=3)
-        env.reset()
+        before = env.reset()
         action = attack_to_action(AttackPose(0.075, 0.0, math.radians(90.0)))
-        _, reward, done, info = env.step(action)
+        obs, reward, done, info = env.step(action)
+        # The returned observation is of the emptied tray, not the pre-dig one.
+        assert obs is not before and obs.object_count == 0
         assert info["plan_ok"] and info["objects_left"] == 0
         assert reward == pytest.approx(0.06**3 * M3_TO_CM3, rel=1e-9)
         assert info["emptied"]

@@ -9,10 +9,11 @@ Every public top-level function or class of the package, and every public
 method or property of a public class, has a caller outside the tests, apart
 from a fixed list of known leftovers that may only shrink. Likewise every
 defaulted parameter of those functions and methods is passed by a caller
-outside the tests, by keyword, by position or through ``*`` or ``**``. A
-call passes a function's parameter only when the caller's own definitions or
-its imports from ``digrl`` resolve the call to that function; a call on any
-other object passes the parameters of every method of its name.
+outside the tests, by keyword, by position or through ``*`` or ``**``. Both
+checks resolve a name through the caller's own definitions and its imports
+from ``digrl``: a read or call reaches a function or class only when they
+resolve it to that one, and an attribute of any other object reaches every
+method of its name.
 """
 
 import ast
@@ -21,7 +22,9 @@ import symtable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "src" / "digrl").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "digrl").glob("*.py"))
+SUBMODULES = {p.stem for p in PACKAGE}
+MODULES = sorted([*(ROOT / "tests").glob("*.py"), *PACKAGE])
 # The import system sets `__file__` on every module it loads from a file.
 KNOWN = set(dir(builtins)) | {"__file__"}
 
@@ -94,14 +97,15 @@ def public_definitions(tree):
     return found
 
 
-def referenced_names(tree):
-    """Every name a module reads or looks up as an attribute.
+def referenced_names(tree, module=None):
+    """What the names and attributes a module reads reach, by :func:`resolve`.
 
-    A top-level definition's reads of its own name (recursion) do not count,
-    nor do a method's reads of its own name, and neither do imports: a
-    re-export is not a caller. A method counts as called when any module
-    reads an attribute of its name, whatever the object.
+    The calling ``module``'s own definitions resolve as its imports from
+    ``digrl`` do. A top-level definition's reads of its own name (recursion)
+    do not count, nor do a method's reads of its own name, and neither do
+    imports.
     """
+    modules, names = resolved_names(tree, module)
     found = set()
 
     def walk(node, own, in_class):
@@ -109,10 +113,9 @@ def referenced_names(tree):
             inner = own
             if (node is tree or in_class) and isinstance(child, _DEFS):
                 inner = own | {child.name}
-            if isinstance(child, ast.Name) and child.id not in inner:
-                found.add(child.id)
-            elif isinstance(child, ast.Attribute) and child.attr not in inner:
-                found.add(child.attr)
+            target = resolve(child, modules, names)
+            if target and target.rsplit(".", 1)[1] not in inner:
+                found.add(target)
             walk(child, inner, node is tree and isinstance(child, ast.ClassDef))
 
     walk(tree, frozenset(), False)
@@ -122,7 +125,18 @@ def referenced_names(tree):
 def test_public_names_have_callers():
     probe = ast.parse("def used():\n    return used()\ndef caller():\n    return used()\n")
     assert public_definitions(probe) == {"used", "caller"}
-    assert referenced_names(probe) == {"used"}
+    assert referenced_names(probe, "m") == {"m.used"}
+    # Outside its module a name is the package's only when imported from it:
+    # the benchmark's tracer calls a callback parameter named ``observe``.
+    assert referenced_names(probe) == set()
+    tracer = "def wrap(observe):\n    observe(t)\nenv.observe\n"
+    assert referenced_names(ast.parse(tracer)) == {".observe"}
+    for caller in (
+        "from .sensor import observe as look\nlook\n",
+        "from digrl import sensor\nsensor.observe\n",
+        "from digrl.sensor import observe\nobserve\n",
+    ):
+        assert referenced_names(ast.parse(caller)) == {"sensor.observe"}, caller
     probe = ast.parse(
         "class A:\n"
         "    def m(self):\n        return self.m() + A\n"
@@ -131,14 +145,19 @@ def test_public_names_have_callers():
         "    def _hidden(self):\n        return 0\n"
     )
     assert public_definitions(probe) == {"A", "A.m", "A.p", "A.q"}
-    assert referenced_names(probe) == {"self", "q", "property"}
+    assert referenced_names(probe, "m") == {".q"}
 
-    package = sorted((ROOT / "src" / "digrl").glob("*.py"))
-    callers = package + sorted((ROOT / "perfbench").glob("*.py"))
+    callers = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in callers}
-    defined = set().union(*(public_definitions(trees[p]) for p in package))
-    called = set().union(*(referenced_names(trees[p]) for p in callers))
-    uncalled = {name for name in defined if name.rsplit(".", 1)[-1] not in called}
+    called = set().union(
+        *(referenced_names(trees[p], p.stem if p in PACKAGE else None) for p in callers)
+    )
+    uncalled = set()
+    for p in PACKAGE:
+        for name in public_definitions(trees[p]):
+            cls, _, method = name.rpartition(".")
+            if (f".{method}" if cls else f"{p.stem}.{name}") not in called:
+                uncalled.add(name)
     assert uncalled - UNCALLED == set(), "public names without a non-test caller"
     assert UNCALLED - uncalled == set(), "stale entries: these names are gone or have a caller now"
 
@@ -161,9 +180,6 @@ UNPASSED: set[str] = {
     "normalize_rows(eps)",
     "standardize_cols(eps)",
 }
-
-PACKAGE = sorted((ROOT / "src" / "digrl").glob("*.py"))
-SUBMODULES = {p.stem for p in PACKAGE}
 
 
 def defaulted_parameters(tree):
@@ -202,14 +218,14 @@ def defaulted_parameters(tree):
     return found
 
 
-def digrl_imports(tree):
-    """What a module's imports, in any scope, bind to ``digrl``.
+def resolved_names(tree, module=None):
+    """What a module's imports, in any scope, and its own definitions bind to ``digrl``.
 
     Returns the local names of ``digrl`` modules, mapped to the module
     (``digrl`` itself to ``""``), and the local names of functions and
     classes imported from ``digrl``, mapped to ``module.name``. A relative
-    import comes from ``digrl``, the only package here. A name that ``digrl``
-    itself re-exports resolves to the module it comes from.
+    import comes from ``digrl``, the only package here. Inside the package,
+    the calling ``module``'s top-level definitions map to ``module.name`` too.
     """
     modules, names = {}, {}
     for node in ast.walk(tree):
@@ -219,52 +235,54 @@ def digrl_imports(tree):
                     local = alias.asname or "digrl"
                     modules[local] = alias.name[len("digrl.") :] if alias.asname else ""
         elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if not node.level and module.split(".")[0] != "digrl":
+            source = node.module or ""
+            if not node.level and source.split(".")[0] != "digrl":
                 continue
-            module = module if node.level else module[len("digrl.") :]
+            source = source if node.level else source[len("digrl.") :]
             for alias in node.names:
                 local = alias.asname or alias.name
-                if not module and alias.name in SUBMODULES:
+                if not source and alias.name in SUBMODULES:
                     modules[local] = alias.name
-                elif module:
-                    names[local] = f"{module}.{alias.name}"
-                else:
-                    names[local] = REEXPORTS.get(alias.name, alias.name)
+                elif source:
+                    names[local] = f"{source}.{alias.name}"
+    if module:
+        names |= {n.name: f"{module}.{n.name}" for n in tree.body if isinstance(n, _DEFS)}
     return modules, names
 
 
-REEXPORTS = digrl_imports(ast.parse((ROOT / "src" / "digrl" / "__init__.py").read_text()))[1]
+def resolve(node, modules, names):
+    """What a name or attribute node reaches, given :func:`resolved_names`.
+
+    A bare name reaches ``module.name`` when ``names`` maps it, and ``m.f``
+    reaches ``x.f`` when ``m`` is the imported ``digrl`` module ``x``. Any
+    other attribute reaches ``.f``, a method of that name, whatever the
+    object. Anything else, and an attribute of ``digrl`` itself, which
+    defines no function, reaches nothing (None).
+    """
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if not isinstance(node, ast.Attribute):
+        return None
+    value = node.value.id if isinstance(node.value, ast.Name) else None
+    if value not in modules:
+        return f".{node.attr}"
+    return f"{modules[value]}.{node.attr}" if modules[value] else None
 
 
 def passed_arguments(tree, module=None):
     """``(callee, key)`` for every argument a call passes: a keyword, a position, ``*`` or ``**``.
 
-    The callee of a bare call ``f(...)`` is ``module.f`` when the calling
-    ``module`` of ``digrl`` defines ``f``, or when ``f`` is imported from
-    ``digrl``; a call ``m.f(...)`` names ``x.f`` when ``m`` is the imported
-    ``digrl`` module ``x``. Any other call ``obj.m(...)`` names ``.m``, a
-    method of that name, whatever the object. Other bare calls name nothing.
+    The callee is what the called name or attribute reaches by :func:`resolve`,
+    the calling ``module``'s own definitions included; a call that reaches
+    nothing passes nothing.
     """
-    modules, names = digrl_imports(tree)
-    if module:
-        names |= {n.name: f"{module}.{n.name}" for n in tree.body if isinstance(n, _DEFS)}
+    modules, names = resolved_names(tree, module)
     found = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in names:
-            callee = names[func.id]
-        elif isinstance(func, ast.Attribute):
-            value = func.value.id if isinstance(func.value, ast.Name) else None
-            if value not in modules:
-                callee = f".{func.attr}"
-            elif modules[value]:
-                callee = f"{modules[value]}.{func.attr}"
-            else:
-                callee = REEXPORTS.get(func.attr, func.attr)
-        else:
+        callee = resolve(node.func, modules, names)
+        if callee is None:
             continue
         for i, arg in enumerate(node.args):
             if isinstance(arg, ast.Starred):
@@ -329,8 +347,6 @@ def test_defaulted_parameters_have_callers():
     for caller in (
         "from .sensor import observe as look\nlook(a, b, c, d)\n",
         "from digrl import sensor\nsensor.observe(a, b, c, d)\n",
-        "import digrl\ndigrl.observe(a, b, c, d)\n",
-        "from digrl import observe\nobserve(a, b, c, d)\n",
     ):
         assert unpassed(defined, passed_arguments(ast.parse(caller)), "sensor") == set(), caller
     # A module's own observe is the package's only inside the package: the

@@ -1,5 +1,4 @@
 import gc
-import warnings
 import weakref
 
 import numpy as np
@@ -99,16 +98,13 @@ class TestRewardNormalizer:
         assert norm.normalize(3.0) == pytest.approx(3.0 / np.sqrt(2.0), rel=1e-12)
         assert norm.std == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
-    def test_constant_stream_floors_once(self):
+    def test_two_equal_rewards_pass_unscaled(self):
+        # Dividing by the std floor would turn the second -1 into -1e8.
         norm = RewardNormalizer()
-        norm.normalize(5.0)
-        with pytest.warns(UserWarning):
-            out = norm.normalize(5.0)
-        assert out == pytest.approx(5.0 / 1e-8)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            norm.normalize(5.0)
-        assert not caught
+        assert norm.normalize(-1.0) == -1.0
+        assert norm.normalize(-1.0) == -1.0
+        assert norm.normalize(-1.0) == -1.0
+        assert norm.normalize(3.0) == pytest.approx(3.0 / 2.0)
 
 
 def gae_one_stream(rewards, values, dones, bootstrap):

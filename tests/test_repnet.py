@@ -60,12 +60,12 @@ class TestForwardShapes:
         p = get_profile("desk")
         net = RepNet(p, seed=0)
         cloud = rng.uniform(-0.2, 0.2, size=(2048, 3))
-        out = net.forward(cloud)
+        out = net.forward(net.plan(cloud))
         assert out["normals"].value.shape == (2048, 3)
         assert out["curvature"].value.shape == (2048, 1)
         assert out["count"].value.shape == (1, 1)
         assert out["code"].value.shape == (p.code_size,)
-        levels = net.plan(cloud).levels
+        levels = net.levels(cloud)
         assert [lv.centers.shape for lv in levels] == [(n, 3) for n in p.level_points]
 
     def test_code_size_both_profiles(self, rng):
@@ -80,19 +80,19 @@ class TestForwardShapes:
     def test_too_small_cloud(self, rng):
         net = RepNet(get_profile("desk"), seed=0)
         with pytest.raises(SizeError):
-            net.forward(rng.uniform(-0.2, 0.2, size=(200, 3)))
+            net.levels(rng.uniform(-0.2, 0.2, size=(200, 3)))
 
     def test_bad_shape(self):
         net = RepNet(get_profile("desk"), seed=0)
         with pytest.raises(ShapeError):
-            net.forward(np.zeros((500, 2)))
+            net.levels(np.zeros((500, 2)))
 
 
 class TestEncoderOnly:
     def test_encode_is_the_forward_code_without_the_decoder(self, rng, monkeypatch):
         net = RepNet(get_profile("desk"), seed=3)
         cloud = rng.uniform(-0.2, 0.2, size=(2048, 3))
-        want = np.array(net.forward(cloud)["code"].value, dtype=np.float64)
+        want = np.array(net.forward(net.plan(cloud))["code"].value, dtype=np.float64)
         calls = []
         idw_weights = repnet.idw_weights
 
@@ -158,7 +158,7 @@ def golden_grad_hash():
     """SHA-256 of every parameter gradient of the golden loss, in store order."""
     pts, normals, curv = golden_cloud()
     net = TestGolden().golden_net()
-    nn.backward(rep_loss(net.forward(pts), normals, curv, 42))
+    nn.backward(rep_loss(net.forward(net.plan(pts)), normals, curv, 42))
     h = hashlib.sha256()
     for name in net.store.names():
         h.update(net.store.get(name).grad.tobytes())
@@ -175,7 +175,7 @@ def test_one_ball_query_per_level(rng, monkeypatch):
 
     monkeypatch.setattr(repnet, "ball_query", counted)
     p = get_profile("desk")
-    RepNet(p, seed=0).forward(rng.uniform(-0.2, 0.2, size=(2048, 3)))
+    RepNet(p, seed=0).levels(rng.uniform(-0.2, 0.2, size=(2048, 3)))
     assert calls == list(p.level_points)
 
 
@@ -204,7 +204,7 @@ def out_bytes(out):
 
 
 class TestPlan:
-    """A forward on a prebuilt plan has the bits of one that groups the cloud."""
+    """A forward on a reused plan has the bits of one on a freshly built plan."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_with_plan_is_bitwise_equal(self, rng, dtype):
@@ -212,9 +212,9 @@ class TestPlan:
         for n in (256, 2048):
             cloud = rng.uniform(-0.2, 0.2, size=(n, 3))
             plan = net.plan(cloud)
-            want = out_bytes(net.forward(cloud))
-            assert out_bytes(net.forward(cloud, plan)) == want
-            assert out_bytes(net.forward(cloud, plan)) == want  # a plan is reusable
+            want = out_bytes(net.forward(net.plan(cloud)))
+            assert out_bytes(net.forward(plan)) == want
+            assert out_bytes(net.forward(plan)) == want  # a plan is reusable
 
     def test_forward_with_plan_on_a_dataset_scene(self, tmp_path):
         profile = get_profile("desk")
@@ -222,23 +222,25 @@ class TestPlan:
         (sample,) = load_rep_dataset(str(tmp_path))
         net = RepNet(profile, seed=2)
         plan = net.plan(sample.points)
-        assert out_bytes(net.forward(sample.points, plan)) == out_bytes(net.forward(sample.points))
-        assert eval_rep(net, [sample], [plan]) == eval_rep(net, [sample])
+        assert out_bytes(net.forward(plan)) == out_bytes(net.forward(net.plan(sample.points)))
+        assert eval_rep(net, [sample], [plan]) == eval_rep(net, [sample], [net.plan(sample.points)])
 
-    def test_plan_of_another_cloud_rejected(self, rng):
+    def test_plans_must_match_the_samples(self):
+        samples = tiny_samples(n_scenes=2)
         net = RepNet(get_profile("desk"), seed=0)
-        plan = net.plan(rng.uniform(-0.2, 0.2, size=(300, 3)))
-        with pytest.raises(ShapeError):
-            net.forward(rng.uniform(-0.2, 0.2, size=(301, 3)), plan)
+        with pytest.raises(SizeError):
+            eval_rep(net, samples, [net.plan(samples[0].points)])
 
     def test_train_rep_matches_rebuilding_geometry_every_epoch(self, monkeypatch):
         samples = tiny_samples(n_scenes=3)
         profile = get_profile("desk")
         net, history = train_rep(samples, profile, seed=4, epochs=3, batch_size=2)
         original = repnet.eval_rep
-        monkeypatch.setattr(
-            repnet, "eval_rep", lambda net, samples, plans=None: original(net, samples)
-        )
+
+        def fresh_plans(net, samples, plans):
+            return original(net, samples, [net.plan(s.points) for s in samples])
+
+        monkeypatch.setattr(repnet, "eval_rep", fresh_plans)
         ref_net, ref_history = train_rep(samples, profile, seed=4, epochs=3, batch_size=2)
         assert history == ref_history
         assert net.store.state_bytes() == ref_net.store.state_bytes()
@@ -265,7 +267,7 @@ class TestPlan:
         train_rep(samples, get_profile("desk"), epochs=3, batch_size=2, log=snapshot)
         levels = len(get_profile("desk").level_points)
         # Every training forward groups its jittered cloud; the evaluation
-        # clouds are grouped in the first epoch only.
+        # clouds are grouped once, before the first epoch.
         clouds = [2 * n_train + n_val, n_train, n_train]
         totals = np.cumsum(clouds) * levels
         assert per_epoch == [dict.fromkeys(counts, int(t)) for t in totals]
@@ -291,8 +293,8 @@ class TestTranslationInvariance:
         net = RepNet(get_profile("desk"), store=store, seed=0)
         cloud = quantized_cloud(rng, 2048)
         shift = np.round(np.array([-0.05, 0.11, 0.0]) / QUANT) * QUANT
-        na, ca, cnt_a = net.predict(cloud)
-        nb, cb, cnt_b = net.predict(cloud + shift)
+        na, ca, cnt_a = net.predict(net.plan(cloud))
+        nb, cb, cnt_b = net.predict(net.plan(cloud + shift))
         assert np.array_equal(na, nb)
         assert np.array_equal(ca, cb)
         assert cnt_a == cnt_b
@@ -301,7 +303,7 @@ class TestTranslationInvariance:
 class TestPredict:
     def test_output_ranges(self, rng):
         net = RepNet(get_profile("desk"), seed=0)
-        normals, curv, count = net.predict(rng.uniform(-0.2, 0.2, size=(2048, 3)))
+        normals, curv, count = net.predict(net.plan(rng.uniform(-0.2, 0.2, size=(2048, 3))))
         assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-9)
         assert np.all((curv >= 0.0) & (curv <= 1.0 / 3.0))
         assert np.isfinite(count)
@@ -309,8 +311,9 @@ class TestPredict:
     def test_count_scaling(self, rng):
         net = RepNet(get_profile("desk"), seed=0)
         cloud = rng.uniform(-0.2, 0.2, size=(2048, 3))
-        out = net.forward(cloud)
-        _, _, count = net.predict(cloud)
+        plan = net.plan(cloud)
+        out = net.forward(plan)
+        _, _, count = net.predict(plan)
         assert count == pytest.approx(out["count"].value.item() * COUNT_SCALE, rel=1e-12)
 
 
@@ -340,7 +343,7 @@ class TestRepLoss:
         net = RepNet(get_profile("desk"), seed=0)
         cloud = rng.uniform(-0.2, 0.2, size=(400, 3))
         gt_n = np.tile([0.0, 0.0, 1.0], (400, 1))
-        out = net.forward(cloud)
+        out = net.forward(net.plan(cloud))
         loss = rep_loss(out, gt_n, np.zeros(400), 5)
         nn.backward(loss)
         for name in ("sa1_l1", "fp1_l2", "cnt_l3"):
@@ -357,7 +360,7 @@ class TestTraining:
             for s in samples:
                 if s.split != "train":
                     continue
-                out = net.forward(s.points)
+                out = net.forward(net.plan(s.points))
                 tot += rep_loss(out, s.normals, s.curvature, s.count).value.item()
             return tot
 
@@ -372,7 +375,7 @@ class TestTraining:
     def test_eval_metrics_shape(self):
         samples = tiny_samples(n_scenes=2)
         net = RepNet(get_profile("desk"), seed=0)
-        metrics = eval_rep(net, samples)
+        metrics = eval_rep(net, samples, [net.plan(s.points) for s in samples])
         assert set(metrics) == {"normal_cos", "normal_deg", "curv_mae", "count_mae"}
         assert -1.0 <= metrics["normal_cos"] <= 1.0
         assert metrics["curv_mae"] >= 0.0
@@ -380,7 +383,7 @@ class TestTraining:
     def test_eval_of_no_samples_rejected(self):
         net = RepNet(get_profile("desk"), seed=0)
         with pytest.raises(SizeError):
-            eval_rep(net, [])
+            eval_rep(net, [], [])
 
     @pytest.mark.parametrize(
         "name, value", [("batch_size", -2), ("batch_size", 0), ("epochs", 0)]

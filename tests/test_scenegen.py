@@ -215,10 +215,12 @@ def total_volume(scene):
 
 def hull_object(points):
     """The convex object of one point set; raises when its hull is degenerate."""
-    built = _hull_objects([np.asarray(points, dtype=np.float64)])
-    if not built:
-        raise DegenerateGeometryError("degenerate hull")
-    return built[0]
+    pts = np.asarray(points, dtype=np.float64)
+    try:
+        hull = ConvexHull(pts)
+    except QhullError as exc:
+        raise DegenerateGeometryError("degenerate hull") from exc
+    return _hull_objects([(pts, hull.simplices, hull.equations[:, :3])])[0]
 
 
 def make_box(dx, dy, dz):
@@ -257,9 +259,6 @@ class TestConvexHull:
 
     def test_coplanar_input_rejected(self, rng):
         flat = np.column_stack([rng.normal(size=(10, 2)), np.zeros(10)])
-        good = rng.normal(size=(10, 3))
-        # The batch stops before the first degenerate hull.
-        assert len(_hull_objects([good, flat, good])) == 1
         with pytest.raises(DegenerateGeometryError):
             hull_object(flat)
 
@@ -384,28 +383,12 @@ class TestPolytopeVolume:
 THIS = sys.modules[__name__]
 
 
-def reject_volumes(monkeypatch, rejected):
-    """Give each hull whose face count passes ``rejected`` a negative volume, in both generators."""
-    reference, batched = polytope_volume_reference, _mesh_volumes
-
-    def one(verts, faces):
-        if rejected(len(faces)):
-            raise DegenerateGeometryError("non-positive mesh volume")
-        return reference(verts, faces)
-
-    def many(verts, faces, counts):
-        return [-v if rejected(n) else v for v, n in zip(batched(verts, faces, counts), counts)]
-
-    monkeypatch.setattr(THIS, "polytope_volume_reference", one)
-    monkeypatch.setattr(scenegen, "_mesh_volumes", many)
-
-
-def reject_qhull(monkeypatch, n_points):
-    """Make Qhull reject every set of ``n_points`` points, in both generators."""
+def reject_qhull(monkeypatch, rejected):
+    """Make Qhull reject every point set whose size passes ``rejected``, in both generators."""
     qhull = ConvexHull
 
     def hull(points):
-        if len(points) == n_points:
+        if rejected(len(points)):
             raise QhullError("rejected")
         return qhull(points)
 
@@ -432,26 +415,32 @@ class TestGenObject:
     def test_matches_one_object_at_a_time(self, seed):
         self.check_against_reference(seed, 250)  # 2,000 objects over the seeds
 
-    @pytest.mark.parametrize("kind", ["volume", "qhull"])
-    def test_rejected_hull_is_redrawn_in_place(self, kind, monkeypatch):
-        if kind == "volume":
-            reject_volumes(monkeypatch, lambda n_faces: n_faces == 20)
-        else:
-            reject_qhull(monkeypatch, 9)
+    def test_rejected_hull_is_redrawn_in_place(self, monkeypatch):
+        reject_qhull(monkeypatch, lambda n_points: n_points == 9)
         batches = []
         build = scenegen._hull_objects
 
-        def counting(point_sets):
-            batches.append(len(point_sets))
-            return build(point_sets)
+        def counting(hulls):
+            batches.append(len(hulls))
+            return build(hulls)
 
         monkeypatch.setattr(scenegen, "_hull_objects", counting)
         self.check_against_reference(3, 100)
-        # Each rejection started a new batch at the rejected object.
-        assert len(batches) > 2 and batches[0] == 100
+        # Rejected draws are redrawn at once; the accepted hulls are built in one batch.
+        assert batches == [100]
+
+    def test_non_positive_volume_raises(self, monkeypatch):
+        batched = _mesh_volumes
+
+        def negative_20_faced(verts, faces, counts):
+            return [-v if n == 20 else v for v, n in zip(batched(verts, faces, counts), counts)]
+
+        monkeypatch.setattr(scenegen, "_mesh_volumes", negative_20_faced)
+        with pytest.raises(DegenerateGeometryError, match="volume must be positive"):
+            gen_objects(np.random.default_rng(3), 100)
 
     def test_exhausted_attempts_raise(self, monkeypatch):
-        reject_volumes(monkeypatch, lambda n_faces: True)
+        reject_qhull(monkeypatch, lambda n_points: True)
         rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
         with pytest.raises(DegenerateGeometryError, match="could not sample"):
             gen_objects(rng_new, 3)
