@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ATTACK_RANGES, OBJECT_COUNT_RANGE, Profile, get_profile, seed_stream
-from .errors import ProtocolError, ShapeError
+from .errors import ProtocolError, ShapeError, SizeError
 from .geometry import HeightMap
 from .kinematics import (
     ArmModel,
@@ -134,6 +134,10 @@ def action_to_attack(action) -> AttackPose:
 class EnvConfig:
     digs_per_episode: int = 10
     count_range: tuple[int, int] = OBJECT_COUNT_RANGE
+
+    def __post_init__(self):
+        if self.digs_per_episode < 1:
+            raise SizeError(f"digs_per_episode must be at least 1, got {self.digs_per_episode}")
 
 
 class ExcavationEnv:

@@ -219,7 +219,10 @@ def obb_hits_aabb(
     """Separating-axis test of oriented boxes against one axis-aligned box.
 
     ``axes[n, :, k]`` is the k-th unit axis of the n-th box. Touching
-    (separation exactly zero) does not count as a hit.
+    (separation exactly zero) does not count as a hit. As in the OBBTree
+    test (Gottschalk, Lin and Manocha 1996), a box stops at its first
+    separating axis: the nine edge-by-edge axes run only on the boxes that
+    the six face axes leave as hits, with each box's own arithmetic.
     """
     d = centers - box_center[None, :]
     hit = np.ones(len(centers), dtype=bool)
@@ -233,7 +236,11 @@ def obb_hits_aabb(
     proj = np.einsum("nj,njk->nk", d, axes)
     ra_b = np.einsum("j,njk->nk", box_half, abs_axes)
     hit &= (np.abs(proj) < ra_b + half[None, :]).all(axis=1)
-    # Cross products of world and bucket axes.
+    # Cross products of world and bucket axes, on the boxes still in contact.
+    rows = np.flatnonzero(hit)
+    if not len(rows):
+        return hit
+    d, axes = d[rows], axes[rows]
     for i in range(3):
         for k in range(3):
             a = np.cross(np.eye(3)[i][None, :], axes[:, :, k])
@@ -245,9 +252,7 @@ def obb_hits_aabb(
             ra = np.abs(a @ np.diag(box_half)).sum(axis=1)
             rb = (half[None, :] * np.abs(np.einsum("nj,njk->nk", a, axes[valid]))).sum(axis=1)
             sep = np.abs(np.einsum("nj,nj->n", d[valid], a)) >= ra + rb
-            sub = hit[valid]
-            sub[sep] = False
-            hit[valid] = sub
+            hit[rows[valid][sep]] = False
     return hit
 
 

@@ -48,8 +48,10 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            # 0 + g in one pass, into a fresh array of the value's dtype: a -0 becomes +0.
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.value))
+        else:
+            self.grad += g
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str):

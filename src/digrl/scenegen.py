@@ -32,9 +32,10 @@ Each wavefront drops in one batched pass onto the wavefronts before it.
 Every earlier object that meets an object is then on the pile when it
 drops, and no other object that meets it is, so it sees the candidate
 supports of a one-by-one drop in placement order and gets the same rest
-height to the last bit. After a dig, :func:`resettle` re-drops only the
-objects whose xy box meets a removed or re-dropped one; the rest keep the
-rest heights a re-drop would give them.
+height to the last bit. After a dig, :func:`resettle` searches only the
+objects whose xy box meets an earlier removed object or one that came to
+rest at a new height; the rest keep the rest heights a re-drop would give
+them.
 """
 
 from __future__ import annotations
@@ -454,7 +455,9 @@ class _Pile:
     ``face_planes`` and ``mesh_edges`` work face by face and edge by edge, so
     each object's rows have the bits they would have alone. When an object
     rests, its own vertex, plane and box rows are lowered in place and its
-    ``rested`` bit is set; the rested objects are the pile.
+    ``rested`` bit is set; the rested objects are the pile. ``moved`` marks
+    the objects whose rows differ from those of the settled scene that known
+    drops come from (see :meth:`settle`).
 
     :meth:`_rest` drops a batch of objects with pairwise-disjoint xy boxes
     onto the pile as it stands, in one vectorised pass. The incoming bodies'
@@ -503,20 +506,28 @@ class _Pile:
         x_meets = (x0[:, None] <= x1) & (x1[:, None] >= x0)
         self.meets = x_meets & (y0[:, None] <= y1) & (y1[:, None] >= y0)
         self.rested = np.zeros(len(placed), dtype=bool)
+        self.moved = np.zeros(len(placed), dtype=bool)
 
     def settle(self, members, drops: list[float | None]) -> list[float]:
         """Rest objects ``members``, one wavefront per :meth:`_rest` pass; returns their z offsets.
 
-        A known drop in ``drops`` rests its object that far down without a
-        search; ``None`` searches it. An object's wavefront is one more than
-        the latest wavefront of an earlier member whose xy box meets its own,
-        and 0 without one. Every earlier member that meets an object lies in
-        an earlier wavefront, so it is on the pile when that object drops. A
-        later member never is: it lies in a later wavefront than the earlier
-        one it meets. Objects of one wavefront meet no other. So each object
-        drops onto exactly the candidate supports, with the same rows, that
-        dropping the members one by one in order gives it, and gets the same
-        rest height to the last bit.
+        An object's wavefront is one more than the latest wavefront of an
+        earlier member whose xy box meets its own, and 0 without one. Every
+        earlier member that meets an object lies in an earlier wavefront, so
+        it is on the pile when that object drops. A later member never is: it
+        lies in a later wavefront than the earlier one it meets. Objects of
+        one wavefront meet no other. So each object drops onto exactly the
+        candidate supports, with the same rows, that dropping the members one
+        by one in order gives it, and gets the same rest height to the last
+        bit.
+
+        ``None`` in ``drops`` searches its object. A known drop, taken from a
+        settled scene, rests its object that far down unless its xy box meets
+        an earlier object marked in ``moved``; then it searches. An object
+        that did not rest at its known drop, to the bit (so a -0 for a +0
+        counts), is marked in ``moved`` as it rests. An object whose earlier
+        neighbours all kept their rows has the candidates, with the rows,
+        that it settled on, so a search would give its known drop again.
         """
         members = np.asarray(members, dtype=np.int64)
         meets = self.meets[np.ix_(members, members)]
@@ -524,10 +535,20 @@ class _Pile:
         for j in range(1, len(members)):
             below = wave[:j][meets[j, :j]]
             wave[j] = below.max() + 1 if len(below) else 0
+        # A NaN matches no rest, so an object without a known drop counts as moved.
+        known = np.array([np.nan if d is None else d for d in drops]).view(np.int64)
         rests = np.zeros(len(members))
         for w in range(wave.max(initial=-1) + 1):
             at = np.flatnonzero(wave == w)
-            rests[at] = self._rest(members[at], [drops[i] for i in at])
+            objs = members[at]
+            # The earlier objects whose boxes meet an object's are all it can rest on.
+            wave_drops = [drops[i] for i in at.tolist()]
+            for k, i in enumerate(objs.tolist()):
+                if wave_drops[k] is not None and (self.meets[i, :i] & self.moved[:i]).any():
+                    wave_drops[k] = None
+            rests[at] = self._rest(objs, wave_drops)
+            # ``_rest`` returns minus the drops, so negating gives back their bits.
+            self.moved[objs] = (-rests[at]).view(np.int64) != known[at]
         return rests.tolist()
 
     def _rest(self, members: np.ndarray, drops: list[float | None]) -> np.ndarray:
@@ -690,16 +711,20 @@ def resettle(scene: Scene, removed=None) -> Scene:
     """Re-drop the objects vertically, in order, keeping (x, y) and rotation.
 
     Used after an excavation removes support from under the pile: pass the
-    pre-dig ``scene`` and the ``removed`` indices. An object is then dirty
-    if its xy AABB meets that of an earlier removed or dirty object, and only
-    dirty objects are re-dropped. A vertical drop keeps xy, so a clean object
-    has the same candidate supports with the same rows as when it settled,
-    and it is added at its known drop, bit for bit what a re-drop gives.
-    That needs ``scene`` to be settled already, as :func:`settle_scene` and
-    this function leave it. ``removed=None`` re-drops every object.
+    pre-dig ``scene``, which must be settled already, as :func:`settle_scene`
+    and this function leave it, and the ``removed`` indices. An object is
+    near if its xy AABB meets that of an earlier removed or near object.
 
-    The remaining objects settle in dependency wavefronts, as in
-    :func:`settle_scene`; one wavefront may hold clean and dirty objects.
+    A vertical drop keeps xy, so an object that is not near has the same
+    candidate supports, with the same rows, as when it settled: it rests at
+    its known drop, bit for bit what a re-drop gives. Every object it could
+    rest on comes earlier in order and is not near either, and every later
+    object that meets a near one is near, so these objects all rest first,
+    in one pass. The near objects then settle in wavefronts among themselves
+    (see :meth:`_Pile.settle`): one searches only if its box meets an earlier
+    object that was removed or that came to rest at a new height, and every
+    other one rests at its known drop. ``removed=None`` re-drops every
+    object, which is the reference that a resettle matches byte for byte.
     """
     if not scene.placed:
         return Scene(scene.tray, [], scene.seed)
@@ -708,17 +733,24 @@ def resettle(scene: Scene, removed=None) -> Scene:
         PlacedObject(p.obj, p.quat.copy(), np.array([p.translation[0], p.translation[1], 0.0]))
         for p in scene.placed
     ]
+    n = len(placed)
     pile = _Pile(placed, [p.world_vertices() for p in placed], scene.tray.floor_z)
-    gone = set(removed or ())
-    moved = np.zeros(len(placed), dtype=bool)  # removed or dirty
-    kept, drops = [], []
-    for i, p in enumerate(scene.placed):
-        moved[i] = removed is None or i in gone or (pile.meets[i, :i] & moved[:i]).any()
-        if i not in gone:
-            kept.append(i)
-            drops.append(None if moved[i] else -float(p.translation[2]))
-    pile.settle(kept, drops)
-    return Scene(scene.tray, [placed[i] for i in kept], scene.seed)
+    if removed is None:
+        pile.settle(range(n), [None] * n)
+        return Scene(scene.tray, placed, scene.seed)
+    gone = np.zeros(n, dtype=bool)
+    gone[list(removed)] = True
+    near = gone.copy()
+    for i in range(n):
+        near[i] |= (pile.meets[i, :i] & near[:i]).any()
+    drops = [-float(p.translation[2]) for p in scene.placed]
+    clean = np.flatnonzero(~near)
+    if len(clean):
+        pile._rest(clean, [drops[i] for i in clean])
+    pile.moved[gone] = True
+    near = np.flatnonzero(near & ~gone)
+    pile.settle(near, [drops[i] for i in near])
+    return Scene(scene.tray, [p for p, g in zip(placed, gone) if not g], scene.seed)
 
 
 def spawn_scene(seed: int, count_range: tuple[int, int]) -> Scene:

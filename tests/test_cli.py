@@ -136,6 +136,31 @@ def test_config_typo_exits_2(tmp_path, capsys, argv, text, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, digs, cap",
+    [
+        (("train-rl",), 0, 4),
+        (("baseline", "--method", "random", "--episodes", 1), -3, 4),
+        (("baseline", "--method", "random", "--episodes", 1), 2, 0),
+    ],
+    ids=["train-rl-env-0", "baseline-env-minus-3", "baseline-attempt-cap-0"],
+)
+def test_episode_without_digs_exits_2(tmp_path, capsys, argv, digs, cap):
+    # Such budgets used to run one-dig episodes. The toy sizes keep a run
+    # that wrongly goes ahead short.
+    path = tmp_path / "nodig.cfg"
+    path.write_text(
+        "[rl]\nn_envs = 2\nrollout = 2\nminibatch = 2\nupdate_epochs = 1\ntotal_samples = 2\n\n"
+        f"[env]\ndigs_per_episode = {digs}\ncount_min = 5\ncount_max = 8\n\n"
+        f"[bench]\nvalid_digs = 1\nattempt_cap = {cap}\n"
+    )
+    ckpt = tmp_path / "rep.ckpt"
+    save_ckpt(RepNet(get_profile("desk"), seed=0).store, ckpt)
+    extra = ("--rep-ckpt", ckpt) if argv[0] == "train-rl" else ()
+    assert run(*argv, *extra, "--config", path, "--out", tmp_path / "out") == 2
+    assert "digs_per_episode must be at least 1" in capsys.readouterr().err
+
+
 def test_train_rl_spawns_training_density(tmp_path, monkeypatch):
     # No [env] count keys: training scenes hold 200 to 300 objects, as in
     # bench.TRAIN_COUNT_RANGE, not the 50 to 300 of evaluation.

@@ -6,7 +6,7 @@ import pytest
 from digrl import excavation, sensor
 from digrl.bench import attack_to_action
 from digrl.config import ATTACK_RANGES, get_profile
-from digrl.errors import ProtocolError, ShapeError
+from digrl.errors import ProtocolError, ShapeError, SizeError
 from digrl.excavation import (
     M3_TO_CM3,
     PLAN_FAILURE_REWARD,
@@ -309,6 +309,12 @@ class TestEnv:
         assert steps == 3
         with pytest.raises(ProtocolError):
             env.step([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("digs", [0, -3])
+    def test_episode_needs_a_dig(self, digs):
+        # Such a budget used to run one-dig episodes without an error.
+        with pytest.raises(SizeError, match="digs_per_episode"):
+            self.small_env(digs=digs)
 
     def assert_planner_map_is_noise_free(self, env, obs):
         expected = scene_heightmap(env.scene, env.sensor)

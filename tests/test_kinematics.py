@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from digrl.config import AttackRanges
+from digrl import kinematics
 from digrl.errors import ShapeError
 from digrl.geometry import HeightMap
 from digrl.kinematics import (
@@ -22,7 +24,7 @@ from digrl.kinematics import (
     obb_hits_aabb,
     plan_trajectory,
 )
-from digrl.scenegen import Tray
+from digrl.scenegen import Tray, quat_from_euler, quat_to_matrix
 
 
 def wrap(a):
@@ -299,6 +301,65 @@ class TestPlanFailures:
         assert out.fail_index == 0
 
 
+def obb_hits_aabb_reference(centers, axes, half, box_center, box_half):
+    """All 15 separating axes on every box, with no early exit: the oracle of ``obb_hits_aabb``."""
+    d = centers - box_center[None, :]
+    hit = np.ones(len(centers), dtype=bool)
+    abs_axes = np.abs(axes)
+    for i in range(3):
+        ra = box_half[i]
+        rb = (half[None, :] * abs_axes[:, i, :]).sum(axis=1)
+        hit &= np.abs(d[:, i]) < ra + rb
+    proj = np.einsum("nj,njk->nk", d, axes)
+    ra_b = np.einsum("j,njk->nk", box_half, abs_axes)
+    hit &= (np.abs(proj) < ra_b + half[None, :]).all(axis=1)
+    for i in range(3):
+        for k in range(3):
+            a = np.cross(np.eye(3)[i][None, :], axes[:, :, k])
+            norm = np.linalg.norm(a, axis=1)
+            valid = norm > 1e-12
+            if not valid.any():
+                continue
+            a = a[valid] / norm[valid, None]
+            ra = np.abs(a @ np.diag(box_half)).sum(axis=1)
+            rb = (half[None, :] * np.abs(np.einsum("nj,njk->nk", a, axes[valid]))).sum(axis=1)
+            sep = np.abs(np.einsum("nj,nj->n", d[valid], a)) >= ra + rb
+            sub = hit[valid]
+            sub[sep] = False
+            hit[valid] = sub
+    return hit
+
+
+def face_axes_hit(centers, axes, half, box_center, box_half):
+    """Whether the six face axes alone leave each box in contact."""
+    d = centers - box_center[None, :]
+    abs_axes = np.abs(axes)
+    world = (np.abs(d) < box_half + np.einsum("k,nik->ni", half, abs_axes)).all(axis=1)
+    own_ext = np.einsum("j,njk->nk", box_half, abs_axes) + half
+    own = np.abs(np.einsum("nj,njk->nk", d, axes)) < own_ext
+    return world & own.all(axis=1)
+
+
+# A bucket-sized box against a wall-sized slab. Along each direction, only an
+# edge-by-edge axis separates the two boxes between contact and contact + 1 mm.
+EDGE_HALF = np.array([0.06, 0.06, 0.02])
+EDGE_WALL = (np.zeros(3), np.array([0.5, 0.01, 0.05]))
+EDGE_POSES = [
+    # (yaw, pitch, roll) in degrees, centre direction, contact distance along it
+    ((45.0, 45.0, 0.0), (0.0, 1.0, 1.0), 0.08929),
+    ((45.0, 45.0, 0.0), (1.0, 1.0, 1.0), 0.10936),
+    ((45.0, 0.0, 45.0), (0.0, 1.0, -1.0), 0.08929),
+    ((30.0, 60.0, 0.0), (0.0, 1.0, 1.0), 0.09651),
+    ((45.0, 35.26, 0.0), (1.0, 1.0, 1.0), 0.10992),
+]
+
+
+def edge_pose(euler_deg, direction, distance):
+    rot = quat_to_matrix(quat_from_euler(*np.radians(euler_deg)))
+    u = np.asarray(direction) / np.linalg.norm(direction)
+    return (distance * u)[None, :], rot[None, :, :]
+
+
 class TestBucketGeometry:
     def test_tip_is_bottom_front_edge(self, rng):
         tips = rng.uniform(-0.3, 0.3, size=(50, 3))
@@ -333,6 +394,48 @@ class TestBucketGeometry:
         reach = 0.5 * (c + s) + 0.5  # corner-on contact distance along x
         assert not obb_hits_aabb(np.array([[reach + 1e-3, 0.0, 0.0]]), rot, half, box_c, box_h)[0]
         assert obb_hits_aabb(np.array([[reach - 1e-3, 0.0, 0.0]]), rot, half, box_c, box_h)[0]
+
+    @pytest.mark.parametrize("euler, direction, contact", EDGE_POSES)
+    def test_edge_by_edge_axis_separates(self, euler, direction, contact):
+        for gap, hits in ((1e-3, False), (-1e-3, True)):
+            centers, axes = edge_pose(euler, direction, contact + gap)
+            args = (centers, axes, EDGE_HALF, *EDGE_WALL)
+            # The face axes see contact both times; only a cross axis tells them apart.
+            assert face_axes_hit(*args)[0]
+            assert obb_hits_aabb_reference(*args)[0] == hits
+            assert obb_hits_aabb(*args)[0] == hits
+
+    def test_random_poses_match_reference(self, rng):
+        n = 20_000
+        quats = rng.normal(size=(n, 4))
+        quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+        axes = np.stack([quat_to_matrix(q) for q in quats])
+        centers = rng.uniform(-0.15, 0.15, size=(n, 3))
+        args = (centers, axes, EDGE_HALF, *EDGE_WALL)
+        ref = obb_hits_aabb_reference(*args)
+        assert obb_hits_aabb(*args).tobytes() == ref.tobytes()
+        # The sample holds hits, face-axis misses and cross-axis-only misses.
+        faces = face_axes_hit(*args)
+        assert ref.sum() > 1000 and (~faces).sum() > 1000 and (faces & ~ref).sum() > 100
+
+    def test_planned_waypoints_match_reference(self, monkeypatch):
+        calls = []
+
+        def both(*args):
+            calls.append((obb_hits_aabb(*args), obb_hits_aabb_reference(*args), args))
+            return calls[-1][0]
+
+        monkeypatch.setattr(kinematics, "obb_hits_aabb", both)
+        arm, tray = ArmModel(), Tray()
+        for x, y, alpha in itertools.product(
+            np.linspace(-0.37, 0.29, 7), np.linspace(-0.2, 0.2, 5), np.radians([15.0, 60.0, 120.0])
+        ):
+            plan_trajectory(arm, AttackPose(x, y, alpha), flat_bed(0.15), tray, TrajectoryParams())
+        for new, ref, _ in calls:
+            assert new.tobytes() == ref.tobytes()
+        hits = sum(int(ref.sum()) for _, ref, _ in calls)
+        cross_only = sum(int((face_axes_hit(*args) & ~ref).sum()) for _, ref, args in calls)
+        assert hits > 0 and cross_only > 0, (hits, cross_only)
 
     def test_check_collision_clear_and_hit(self):
         tray = Tray()

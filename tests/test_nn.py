@@ -277,6 +277,25 @@ class TestBackwardSemantics:
             assert x.grad.dtype == dtype
             assert x.grad.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_first_gradient_is_zero_plus_g(self, dtype):
+        # A node's first gradient has the bits of 0 + g: a -0 entry becomes
+        # +0, and a float64 gradient is cast into the node's dtype after the
+        # add, so a tiny negative entry still ends as -0 in float32.
+        x = nn.Tensor(np.zeros(4, dtype=dtype), requires_grad=True)
+        g = np.array([-0.0, 0.1, -1e-300, np.nextafter(1.0, 2.0)])
+        x._accumulate(g)
+        want = np.zeros(4, dtype=dtype)
+        want += g
+        assert x.grad.dtype == dtype and x.grad is not g
+        assert x.grad.tobytes() == want.tobytes()
+        assert np.signbit(x.grad).tolist() == [False, False, True, False]
+
+    def test_minus_zero_gradient_reaches_a_leaf_as_plus_zero(self):
+        x = leaf(np.array([1.0, 2.0]))
+        nn.backward(nn.total_sum(nn.mul(x, -0.0)))
+        assert np.signbit(x.grad).tolist() == [False, False]
+
     def test_unreferenced_parameter_keeps_zero_gradient(self, rng):
         store = nn.ParamStore(dtype=np.float64)
         store.add("used", rng.normal(size=(2, 2)))

@@ -963,10 +963,10 @@ class TestWavefronts:
         # Both cubes rest on the bar, not on the floor.
         assert all(p.world_vertices()[:, 2].min() > 0.03 for p in settled.placed[1:])
 
-    def test_resettle_wavefront_mixes_clean_and_dirty(self, tray, monkeypatch, tmp_path):
-        # Two stacks of two cubes. Removing the left base leaves its top
-        # cube dirty and with no remaining support below, so it settles in
-        # the first wavefront beside the clean right base.
+    def test_resettle_rests_clean_objects_first(self, tray, monkeypatch, tmp_path):
+        # Two stacks of two cubes. Removing the left base leaves the right
+        # stack clean: it rests in one pass at its known drops. The left top
+        # cube meets the removed base, so it searches, in a pass of its own.
         cube = make_box(0.0625, 0.0625, 0.0625)
         placed = [PlacedObject(cube, IDENTITY.copy(), np.array([x, 0.0, 0.0]))
                   for x in (-0.125, 0.125, -0.125, 0.125)]
@@ -976,12 +976,58 @@ class TestWavefronts:
         # The cubes are centred on their origin, so a known drop is minus the
         # rest height of the centre.
         assert [(len(batch), drops) for batch, drops in passes] == [
-            (2, [-0.03125, None]),
-            (1, [-0.09375]),
+            (2, [-0.03125, -0.09375]),
+            (1, [None]),
         ]
         TestDirtyResettle.check(scene, [0], tmp_path / "m.scene")
         bottoms = [p.world_vertices()[:, 2].min() for p in after.placed]
         assert bottoms == [0.0, 0.0, 0.0625]
+
+    @staticmethod
+    def slab_beside_a_stack(cubes):
+        """A slab turned 45 degrees, then a stack of cubes, the first beside the slab on the floor.
+
+        The first cube's box meets the slab's box, but its footprint does
+        not; the cubes above it are clear of the slab's box.
+        """
+        slab = PlacedObject(make_box(0.1, 0.1, 0.0625), quat_from_euler(np.pi / 4, 0.0, 0.0),
+                            np.zeros(3))
+        cube = make_box(0.0625, 0.0625, 0.0625)
+        return [slab] + [
+            PlacedObject(cube, IDENTITY.copy(), np.array([x, x, 0.0]))
+            for x in (0.09, 0.11, 0.13)[:cubes]
+        ]
+
+    @pytest.mark.parametrize("floor_z, top_searches", [(0.0, False), (-0.03125, True)])
+    def test_resettle_searches_above_moved_objects_only(
+        self, monkeypatch, tmp_path, floor_z, top_searches
+    ):
+        # Removing the slab re-drops the first cube, which comes back to the
+        # floor. On a floor at 0 it drops as far as before, so the cube on
+        # top rests at its known drop. On a floor at the first cube's bottom
+        # it drops +0, not the -0 its rest height gives back, so it counts as
+        # moved and the cube on top searches.
+        scene = resettle(Scene(Tray(floor_z=floor_z), self.slab_beside_a_stack(2)))
+        known = -scene.placed[2].translation[2]
+        passes = _record_passes(monkeypatch)
+        after = resettle(scene, [0])
+        assert [drops for _, drops in passes] == [[None], [None if top_searches else known]]
+        TestDirtyResettle.check(scene, [0], tmp_path / "m.scene")
+        for p, q in zip(after.placed, scene.placed[1:]):
+            assert p.translation.tobytes() == q.translation.tobytes()
+        assert [p.world_vertices()[:, 2].min() for p in after.placed] == [
+            floor_z, floor_z + 0.0625
+        ]
+
+    def test_resettle_ignores_later_removed_objects(self, tray, monkeypatch, tmp_path):
+        # The middle cube meets the removed top cube, which lies later in
+        # order, so it is no support: only the removed slab makes anything
+        # search, and the first cube comes back to its height.
+        scene = resettle(Scene(tray, self.slab_beside_a_stack(3)))
+        passes = _record_passes(monkeypatch)
+        resettle(scene, [0, 3])
+        assert [drops for _, drops in passes] == [[None], [-scene.placed[2].translation[2]]]
+        TestDirtyResettle.check(scene, [0, 3], tmp_path / "m.scene")
 
     def test_overfull_tray_names_the_failing_object(self, tray, monkeypatch):
         small = make_box(0.03125, 0.03125, 0.03125)
