@@ -66,7 +66,11 @@ def _config_section(args, name: str) -> dict:
     for key, value in raw.items():
         if key not in types:
             raise ConfigError(f"unknown option {key!r} in section [{name}]")
-        out[key] = types[key](value)
+        try:
+            out[key] = types[key](value)
+        except ValueError:
+            kind = types[key].__name__
+            raise ConfigError(f"[{name}] {key} = {value!r}: expected {kind}") from None
     return out
 
 

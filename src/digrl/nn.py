@@ -1,9 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Each op returns a `Tensor` node holding its value, references to its parent
-nodes and a closure that routes incoming gradients to those parents. Calling
-:func:`backward` on a scalar loss walks the recorded graph in exact reverse
-topological order and accumulates gradients into every reachable parameter.
+Every op states its value and one vector-Jacobian product (vjp) per input,
+and :func:`_node` wires them: the node keeps a ``(parent, vjp)`` edge for
+each input that needs a gradient, and ``vjp(g)`` maps the gradient of the
+node to that input's share. Calling :func:`backward` on a scalar loss walks
+the recorded graph in exact reverse topological order, runs each node's
+edges in order and accumulates the results into the parents.
 
 Training runs in float32; gradient checks build float64 stores (see
 ``ParamStore(dtype=...)``). Broadcasting is deliberately restricted: apart
@@ -22,22 +24,21 @@ from .errors import BlobReader, ShapeError, SizeError
 
 _CKPT_MAGIC = b"CKPT"
 _CKPT_VERSION = 1
+_NORM_EPS = 1e-8  # normalize_rows divides rows shorter than this by it
+_VAR_EPS = 1e-5  # standardize_cols adds this to each column's variance
 
 
 class Tensor:
-    """A value in the computation graph."""
+    """A value in the computation graph; a leaf has no edges, and only :func:`_node` adds them."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "_param")
+    __slots__ = ("value", "grad", "requires_grad", "_edges", "_param")
 
-    def __init__(self, value, parents=(), backward=None, requires_grad=False, param=None):
+    def __init__(self, value, edges=(), requires_grad=False, param=None):
         self.value = value
         self.grad = None
-        self._parents = parents
-        self._backward = backward
+        self._edges = edges
         self._param = param
-        self.requires_grad = requires_grad or param is not None or any(
-            p.requires_grad for p in parents
-        )
+        self.requires_grad = requires_grad or param is not None or bool(edges)
 
     @staticmethod
     def const(value, dtype=None) -> "Tensor":
@@ -52,6 +53,30 @@ class Tensor:
             self.grad = np.add(g, 0.0, out=np.empty_like(self.value))
         else:
             self.grad += g
+
+
+def _node(value, *edges) -> Tensor:
+    """An op's result ``value``, with the ``(parent, vjp)`` edges whose parent needs a grad."""
+    return Tensor(value, [e for e in edges if e[0].requires_grad])
+
+
+def _keep(g):
+    return g
+
+
+def _sum(g):
+    return g.sum()
+
+
+def _sum_rows(g):
+    return g.sum(axis=0)
+
+
+def _placed(like: np.ndarray, index, g) -> np.ndarray:
+    """Zeros shaped like ``like`` with ``g`` written at ``index``."""
+    out = np.zeros_like(like)
+    out[index] = g
+    return out
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str):
@@ -70,92 +95,44 @@ def add(a: Tensor, b) -> Tensor:
     b = _scalarize(b, a)
     if b.value.ndim:
         _same_shape(a, b, "add")
-    out_val = a.value + b.value
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g if b.value.ndim else g.sum())
-
-    return Tensor(out_val, (a, b), bw)
+    return _node(a.value + b.value, (a, _keep), (b, _keep if b.value.ndim else _sum))
 
 
 def sub(a: Tensor, b) -> Tensor:
     b = _scalarize(b, a)
     if a.value.ndim and b.value.ndim:
         _same_shape(a, b, "sub")
-    out_val = a.value - b.value
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g if a.value.ndim else g.sum())
-        if b.requires_grad:
-            b._accumulate(-g if b.value.ndim else -g.sum())
-
-    return Tensor(out_val, (a, b), bw)
+    return _node(
+        a.value - b.value,
+        (a, _keep if a.value.ndim else _sum),
+        (b, (lambda g: -g) if b.value.ndim else (lambda g: -g.sum())),
+    )
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _scalarize(b, a)
     if b.value.ndim:
         _same_shape(a, b, "mul")
-    out_val = a.value * b.value
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * b.value)
-        if b.requires_grad:
-            gb = g * a.value
-            b._accumulate(gb if b.value.ndim else gb.sum())
-
-    return Tensor(out_val, (a, b), bw)
-
-
-def neg(a: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return Tensor(-a.value, (a,), bw)
+    return _node(
+        a.value * b.value,
+        (a, lambda g: g * b.value),
+        (b, (lambda g: g * a.value) if b.value.ndim else (lambda g: (g * a.value).sum())),
+    )
 
 
 def exp(a: Tensor) -> Tensor:
     out_val = np.exp(a.value)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * out_val)
-
-    return Tensor(out_val, (a,), bw)
-
-
-def square(a: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * (2.0 * a.value))
-
-    return Tensor(a.value * a.value, (a,), bw)
+    return _node(out_val, (a, lambda g: g * out_val))
 
 
 def tanh(a: Tensor) -> Tensor:
     out_val = np.tanh(a.value)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - out_val * out_val))
-
-    return Tensor(out_val, (a,), bw)
+    return _node(out_val, (a, lambda g: g * (1.0 - out_val * out_val)))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.value > 0
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * mask)
-
-    return Tensor(a.value * mask, (a,), bw)
+    return _node(a.value * mask, (a, lambda g: g * mask))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -166,34 +143,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"linear: incompatible shapes {x.value.shape}, {w.value.shape}, {b.value.shape}"
         )
-    out_val = x.value @ w.value + b.value
-
-    def bw(g):
-        if x.requires_grad:
-            x._accumulate(g @ w.value.T)
-        if w.requires_grad:
-            w._accumulate(x.value.T @ g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
-
-    return Tensor(out_val, (x, w, b), bw)
+    return _node(
+        x.value @ w.value + b.value,
+        (x, lambda g: g @ w.value.T),
+        (w, lambda g: x.value.T @ g),
+        (b, _sum_rows),
+    )
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
     if not tensors:
         raise SizeError("concat of nothing")
     out_val = np.concatenate([t.value for t in tensors], axis=axis)
-    sizes = [t.value.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(sl)])
-
-    return Tensor(out_val, tuple(tensors), bw)
+    ends = np.cumsum([0] + [t.value.shape[axis] for t in tensors])
+    lead = (slice(None),) * (axis % out_val.ndim)
+    # Each input's vjp takes its own slice of the gradient along ``axis``.
+    spans = [lead + (slice(lo, hi),) for lo, hi in zip(ends, ends[1:])]
+    return _node(out_val, *[(t, lambda g, at=at: g[at]) for t, at in zip(tensors, spans)])
 
 
 def _scatter_add_rows(like: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -221,13 +187,10 @@ def _scatter_add_rows(like: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np
 def gather_rows(x: Tensor, idx) -> Tensor:
     """Select rows by integer index; duplicate indices accumulate gradient."""
     idx = np.asarray(idx, dtype=np.int64)
-    out_val = x.value[idx]
-
-    def bw(g):
-        if x.requires_grad:
-            x._accumulate(_scatter_add_rows(x.value, idx.reshape(-1), g.reshape(-1, g.shape[-1])))
-
-    return Tensor(out_val, (x,), bw)
+    return _node(
+        x.value[idx],
+        (x, lambda g: _scatter_add_rows(x.value, idx.reshape(-1), g.reshape(-1, g.shape[-1]))),
+    )
 
 
 def _first_holders(x: np.ndarray, pooled: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -262,35 +225,29 @@ def max_pool_groups(x: Tensor, starts) -> Tensor:
     zero = out_val == 0.0
     if zero.any():
         out_val[zero] = x.value[_first_holders(x.value, out_val, starts), cols][zero]
-
-    def bw(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.value)
-            gx[_first_holders(x.value, out_val, starts), cols] = g
-            x._accumulate(gx)
-
-    return Tensor(out_val, (x,), bw)
+    return _node(
+        out_val,
+        (x, lambda g: _placed(x.value, (_first_holders(x.value, out_val, starts), cols), g)),
+    )
 
 
-def normalize_rows(x: Tensor, eps: float = 1e-8) -> Tensor:
-    """Scale each row to unit length; rows shorter than ``eps`` divide by ``eps``."""
+def normalize_rows(x: Tensor) -> Tensor:
+    """Scale each row to unit length; rows shorter than ``_NORM_EPS`` divide by it."""
     if x.value.ndim != 2:
         raise ShapeError("normalize_rows expects a 2-D tensor")
     norms = np.linalg.norm(x.value, axis=1, keepdims=True)
-    guarded = norms <= eps
-    denom = np.where(guarded, eps, norms)
+    guarded = norms <= _NORM_EPS
+    denom = np.where(guarded, _NORM_EPS, norms)
     out_val = x.value / denom
 
-    def bw(g):
-        if x.requires_grad:
-            dot = np.sum(g * out_val, axis=1, keepdims=True)
-            gx = np.where(guarded, g / eps, (g - out_val * dot) / denom)
-            x._accumulate(gx)
+    def vjp(g):
+        dot = np.sum(g * out_val, axis=1, keepdims=True)
+        return np.where(guarded, g / _NORM_EPS, (g - out_val * dot) / denom)
 
-    return Tensor(out_val, (x,), bw)
+    return _node(out_val, (x, vjp))
 
 
-def standardize_cols(x: Tensor, eps: float = 1e-5) -> Tensor:
+def standardize_cols(x: Tensor) -> Tensor:
     """Center and scale each column to zero mean and unit variance over rows.
 
     Constant columns come out as zeros, so a feature that carries no
@@ -302,59 +259,42 @@ def standardize_cols(x: Tensor, eps: float = 1e-5) -> Tensor:
     mu = x.value.mean(axis=0, keepdims=True)
     centered = x.value - mu
     var = np.mean(centered * centered, axis=0, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _VAR_EPS)
     out_val = centered * inv
 
-    def bw(g):
-        if x.requires_grad:
-            g_mean = g.mean(axis=0, keepdims=True)
-            gy_mean = np.mean(g * out_val, axis=0, keepdims=True)
-            x._accumulate(inv * (g - g_mean - out_val * gy_mean))
+    def vjp(g):
+        g_mean = g.mean(axis=0, keepdims=True)
+        gy_mean = np.mean(g * out_val, axis=0, keepdims=True)
+        return inv * (g - g_mean - out_val * gy_mean)
 
-    return Tensor(out_val, (x,), bw)
+    return _node(out_val, (x, vjp))
 
 
 def total_sum(a: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.value, g))
-
-    return Tensor(np.asarray(a.value.sum(), dtype=a.value.dtype), (a,), bw)
+    out_val = np.asarray(a.value.sum(), dtype=a.value.dtype)
+    return _node(out_val, (a, lambda g: np.full_like(a.value, g)))
 
 
 def mean(a: Tensor) -> Tensor:
     size = a.value.size
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.value, g / size))
-
-    return Tensor(np.asarray(a.value.mean(), dtype=a.value.dtype), (a,), bw)
+    out_val = np.asarray(a.value.mean(), dtype=a.value.dtype)
+    return _node(out_val, (a, lambda g: np.full_like(a.value, g / size)))
 
 
 def row_sum(a: Tensor) -> Tensor:
     """Sum a (N, F) tensor along its feature axis, yielding (N,)."""
     if a.value.ndim != 2:
         raise ShapeError("row_sum expects a 2-D tensor")
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(np.repeat(g[:, None], a.value.shape[1], axis=1))
-
-    return Tensor(a.value.sum(axis=1), (a,), bw)
+    return _node(
+        a.value.sum(axis=1), (a, lambda g: np.repeat(g[:, None], a.value.shape[1], axis=1))
+    )
 
 
 def broadcast_rows(a: Tensor, n: int) -> Tensor:
     """Tile a (F,) vector into (n, F); the transpose of the bias-sum broadcast."""
     if a.value.ndim != 1:
         raise ShapeError("broadcast_rows expects a 1-D tensor")
-    out_val = np.tile(a.value, (n, 1))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g.sum(axis=0))
-
-    return Tensor(out_val, (a,), bw)
+    return _node(np.tile(a.value, (n, 1)), (a, _sum_rows))
 
 
 def scale_rows(x: Tensor, s) -> Tensor:
@@ -364,65 +304,41 @@ def scale_rows(x: Tensor, s) -> Tensor:
     col = np.asarray(s, dtype=x.value.dtype).reshape(-1, 1)
     if len(col) != len(x.value):
         raise ShapeError(f"scale factors {len(col)} != rows {len(x.value)}")
-
-    def bw(g):
-        if x.requires_grad:
-            x._accumulate(g * col)
-
-    return Tensor(x.value * col, (x,), bw)
+    return _node(x.value * col, (x, lambda g: g * col))
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "minimum")
     take_a = a.value <= b.value
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * take_a)
-        if b.requires_grad:
-            b._accumulate(g * ~take_a)
-
-    return Tensor(np.where(take_a, a.value, b.value), (a, b), bw)
+    out_val = np.where(take_a, a.value, b.value)
+    return _node(out_val, (a, lambda g: g * take_a), (b, lambda g: g * ~take_a))
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     inside = (a.value >= lo) & (a.value <= hi)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * inside)
-
-    return Tensor(np.clip(a.value, lo, hi), (a,), bw)
+    return _node(np.clip(a.value, lo, hi), (a, lambda g: g * inside))
 
 
 def col_slice(a: Tensor, start: int, stop: int) -> Tensor:
     if a.value.ndim != 2:
         raise ShapeError("col_slice expects a 2-D tensor")
-
-    def bw(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.value)
-            ga[:, start:stop] = g
-            a._accumulate(ga)
-
-    return Tensor(np.ascontiguousarray(a.value[:, start:stop]), (a,), bw)
+    cols = (slice(None), slice(start, stop))
+    return _node(np.ascontiguousarray(a.value[cols]), (a, lambda g: _placed(a.value, cols, g)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.value.shape))
-
-    return Tensor(a.value.reshape(shape), (a,), bw)
+    return _node(a.value.reshape(shape), (a, lambda g: g.reshape(a.value.shape)))
 
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(node) through the graph below ``loss``.
 
     The loss must be scalar. Nodes are visited in exact reverse topological
-    order (postorder of an iterative DFS, reversed); constant subgraphs are
-    pruned. Parameter leaves forward their gradient into their ParamStore
-    slot, so several graph references to one parameter sum up correctly.
+    order (postorder of an iterative DFS, reversed); each runs its edges in
+    order, adding ``vjp(node.grad)`` into the edge's parent. Constant inputs
+    have no edge, so constant subgraphs are pruned. Parameter leaves forward
+    their gradient into their ParamStore slot, so several graph references
+    to one parameter sum up correctly.
     """
     if loss.value.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.value.shape}")
@@ -437,19 +353,19 @@ def backward(loss: Tensor) -> None:
         if id(node) in seen:
             continue
         # Mark at expansion, not at push: a node reachable over several paths
-        # must finish after every consumer, or its backward would fire before
+        # must finish after every consumer, or its edges would run before
         # all of its gradient has arrived.
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p, _ in node._edges:
+            if id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.value)
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        for p, vjp in node._edges:
+            p._accumulate(vjp(node.grad))
     for node in topo:
-        if node._param is not None and node.grad is not None:
+        if node._param is not None:
             node._param.grad += node.grad
 
 
@@ -467,12 +383,7 @@ def smooth_l1(pred: Tensor, target) -> Tensor:
     vals = np.where(small, 0.5 * d * d, np.abs(d) - 0.5)
     out_val = np.asarray(vals.mean(), dtype=pred.value.dtype)
     size = d.size
-
-    def bw(g):
-        if pred.requires_grad:
-            pred._accumulate(g * np.clip(d, -1.0, 1.0) / size)
-
-    return Tensor(out_val, (pred,), bw)
+    return _node(out_val, (pred, lambda g: g * np.clip(d, -1.0, 1.0) / size))
 
 
 def normal_loss(pred: Tensor, gt_unit) -> Tensor:
@@ -490,7 +401,8 @@ def normal_loss(pred: Tensor, gt_unit) -> Tensor:
 
 def mse(pred: Tensor, target) -> Tensor:
     """Mean squared error against a raw-array target."""
-    return mean(square(sub(pred, target)))
+    d = sub(pred, target)
+    return mean(mul(d, d))
 
 
 # ---------------------------------------------------------------------------

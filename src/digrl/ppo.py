@@ -129,10 +129,10 @@ class PolicyCore:
         mean, values = self._forward(codes_t)
         ls = self._clipped_log_std()
         ls_rows = nn.broadcast_rows(ls, b)
-        inv_std = nn.exp(nn.neg(ls_rows))
+        inv_std = nn.exp(nn.mul(ls_rows, -1.0))
         u_t = nn.Tensor.const(u, self.store.dtype)
         z = nn.mul(nn.sub(u_t, mean), inv_std)
-        quad = nn.mul(nn.row_sum(nn.square(z)), -0.5)
+        quad = nn.mul(nn.row_sum(nn.mul(z, z)), -0.5)
         logdet = nn.mul(nn.row_sum(ls_rows), -1.0)
         const_part = -(self.act_dim * _HALF_LOG_2PI) - squash_correction(u)
         logp = nn.add(nn.add(quad, logdet), nn.Tensor.const(const_part, self.store.dtype))
@@ -231,7 +231,7 @@ def ppo_loss(
     adv_t = nn.Tensor.const(advantages, dtype)
     surr1 = nn.mul(ratio, adv_t)
     surr2 = nn.mul(nn.clip(ratio, 1.0 - CLIP_EPS, 1.0 + CLIP_EPS), adv_t)
-    pg_loss = nn.neg(nn.mean(nn.minimum(surr1, surr2)))
+    pg_loss = nn.mul(nn.mean(nn.minimum(surr1, surr2)), -1.0)
     v_loss = nn.mse(values, np.asarray(returns, dtype=dtype))
     loss = nn.add(pg_loss, nn.mul(v_loss, 0.5 * VF_COEF))
     stats = {

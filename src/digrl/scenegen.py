@@ -240,7 +240,7 @@ class RigidObject:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
         self.faces = np.asarray(self.faces, dtype=np.int64)
-        if self.volume <= 0:
+        if not self.volume > 0:
             raise DegenerateGeometryError(f"object volume must be positive, got {self.volume}")
 
 
@@ -800,7 +800,10 @@ def load_scene(path) -> Scene:
     (version,) = rd.unpack("<I")
     if version != _SCENE_VERSION:
         raise ShapeError(f"unsupported scene version {version}")
-    tray = Tray(*rd.unpack("<5d"))
+    fields = rd.unpack("<5d")
+    if not (np.isfinite(fields).all() and fields[0] > 0 and fields[1] > 0):
+        raise ShapeError(f"{path}: tray {fields} is not finite with a positive length and width")
+    tray = Tray(*fields)
     seed, count = rd.unpack("<qI")
     verts, faces, poses = [], [], []
     for index in range(count):
@@ -814,11 +817,21 @@ def load_scene(path) -> Scene:
     rd.finish()
     volumes = []
     if count:
-        joined, shifted, _, n_faces = _laid_end_to_end(verts, faces)
+        joined, shifted, starts, n_faces = _laid_end_to_end(verts, faces)
+        quats, trans = np.array([p[1] for p in poses]), np.array([p[2] for p in poses])
+        vertex_rows = np.flatnonzero(~np.isfinite(joined).all(axis=1))
+        for what, bad in (
+            ("a non-finite vertex", np.searchsorted(starts, vertex_rows, "right") - 1),
+            ("a non-finite quaternion", np.flatnonzero(~np.isfinite(quats).all(axis=1))),
+            ("a non-finite translation", np.flatnonzero(~np.isfinite(trans).all(axis=1))),
+            ("a zero quaternion", np.flatnonzero(~(np.linalg.norm(quats, axis=1) > 0))),
+        ):
+            if len(bad):
+                raise ShapeError(f"{path}: object {bad[0]} has {what}")
         volumes = _mesh_volumes(joined, shifted, n_faces)
     placed = []
     for index, (vol, v, f, (density, quat, trans)) in enumerate(zip(volumes, verts, faces, poses)):
-        if vol <= 0:
+        if not vol > 0:
             raise DegenerateGeometryError(f"{path}: object {index} has volume {vol}")
         placed.append(PlacedObject(RigidObject(v, f, vol, density), quat, trans))
     return Scene(tray, placed, None if seed < 0 else int(seed))

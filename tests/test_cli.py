@@ -11,8 +11,8 @@ import pytest
 
 from digrl import cli, excavation
 from digrl.config import get_profile
-from digrl.nn import save_ckpt
-from digrl.repnet import RepNet
+from digrl.nn import load_ckpt, save_ckpt
+from digrl.repnet import RepNet, eval_rep, load_rep_dataset
 
 TOY_CONFIG = """\
 [scenes]
@@ -57,6 +57,8 @@ def test_pipeline_from_one_config(tmp_path, config, capsys):
     assert run("gen-scenes", "--config", config, "--out", data) == 0
     assert run("label", "--config", config, "--data", data) == 0
     assert run("train-rep", "--config", config, "--data", data, "--out", rep) == 0
+    assert run("eval-rep", "--data", data, "--ckpt", rep / "rep.ckpt", "--out", rep) == 0
+    assert run("eval-rep", "--data", data, "--ckpt", rep / "nope.ckpt") == 2
     assert run("train-rl", "--config", config, "--rep-ckpt", rep / "rep.ckpt", "--out", rl) == 0
     policy = rl / "policy_rep.ckpt"
     assert run(
@@ -83,6 +85,7 @@ def test_pipeline_from_one_config(tmp_path, config, capsys):
         "data/scenes/0001.xyzl",
         "rep/rep.ckpt",
         "rep/rep_metrics.csv",
+        "rep/rep_eval.csv",
         "rl/policy_rep.ckpt",
         "rl/rl_curve.csv",
         "eval/rl_metrics.csv",
@@ -93,6 +96,18 @@ def test_pipeline_from_one_config(tmp_path, config, capsys):
     assert [line.split()[0] for line in table[2:]] == ["rl", "heuristic", "random"]
     with open(tmp_path / "report" / "report.csv", newline="") as fh:
         assert [r["method"] for r in csv.DictReader(fh)] == ["rl", "heuristic", "random"]
+
+    # One row per split that has samples, each equal to eval_rep on the checkpoint.
+    samples = load_rep_dataset(data)
+    net = RepNet(get_profile(), store=load_ckpt(rep / "rep.ckpt"))
+    with open(rep / "rep_eval.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    splits = [split for split in ("train", "val") if any(s.split == split for s in samples)]
+    assert [r["split"] for r in rows] == splits and [r["epoch"] for r in rows] == ["0"] * len(rows)
+    for row in rows:
+        subset = [s for s in samples if s.split == row["split"]]
+        want = eval_rep(net, subset, [net.plan(s.points) for s in subset])
+        assert {k: float(row[k]) for k in want} == want
 
 
 def test_samples_flag_overrides_config_total(tmp_path, config):
@@ -124,11 +139,18 @@ def test_missing_input_exits_2(tmp_path, capsys):
         (("baseline", "--method", "random"), "[bnch]\nvalid_digs = 1\n", "sections ['bnch']"),
         (("report", "--inputs", "metrics.csv"), "[rep]\nepochs = 1\n[eval]\n", "sections ['eval']"),
         (("train-rl", "--rep-ckpt", "rep.ckpt"), "[rl]\nn_env = 2\n", "option 'n_env' in section [rl]"),
+        (
+            ("train-rl", "--rep-ckpt", "rep.ckpt"),
+            "[rl]\nn_envs = 2.5\n",
+            "error: [rl] n_envs = '2.5': expected int\n",
+        ),
+        (("train-rep", "--data", "data"), "[rep]\nlr = fast\n", "lr = 'fast': expected float"),
     ],
-    ids=["section-rll", "section-bnch", "section-eval", "key-n_env"],
+    ids=["section-rll", "section-bnch", "section-eval", "key-n_env", "value-n_envs", "value-lr"],
 )
 def test_config_typo_exits_2(tmp_path, capsys, argv, text, message):
     # A misspelt section used to be skipped, and the run went on with the defaults.
+    # A value that did not parse gave Python's bare message, which named no option.
     path = tmp_path / "typo.cfg"
     path.write_text(text)
     assert run(*argv, "--config", path, "--out", tmp_path / "out") == 2

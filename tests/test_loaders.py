@@ -7,8 +7,12 @@ cut is inside its comment line). A malformed dataset manifest line raises
 ShapeError naming the file and line, and so does a text line that is not
 UTF-8, an xyzl point that is not finite, normal without a direction or
 curvature that is not finite, and a metrics row whose field count differs from its header.
+A scene file with a non-finite vertex, quaternion, translation or tray
+field, a zero quaternion, or a tray length or width that is not positive
+raises ShapeError naming the file (and the object).
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -16,10 +20,10 @@ import pytest
 
 from digrl import nn
 from digrl.bench import METRICS_FIELDS, collect_report
-from digrl.errors import EmptyObservationError, ShapeError
+from digrl.errors import DegenerateGeometryError, EmptyObservationError, ShapeError
 from digrl.geometry import PointCloud, load_xyzl, save_xyzl
 from digrl.repnet import label_scene_files, load_rep_dataset
-from digrl.scenegen import load_scene, save_scene, spawn_scene
+from digrl.scenegen import RigidObject, load_scene, save_scene, spawn_scene
 
 
 def scene_file(path):
@@ -79,6 +83,69 @@ def test_face_index_beyond_its_object_raises_shape_error(index, tmp_path):
     save_scene(scene, tmp_path / "bad.scene")
     with pytest.raises(ShapeError, match=f"object {index} has a face index beyond"):
         load_scene(tmp_path / "bad.scene")
+
+
+def set_vertex(value, index=1, row=2):
+    def spoil(scene):
+        scene.placed[index].obj.vertices[row, 1] = value
+
+    return spoil
+
+
+def set_pose(attr, value):
+    def spoil(scene):
+        getattr(scene.placed[1], attr)[...] = value
+
+    return spoil
+
+
+def set_tray(**fields):
+    def spoil(scene):
+        scene.tray = dataclasses.replace(scene.tray, **fields)
+
+    return spoil
+
+
+TRAY = r"tray \(.*\) is not finite with a positive length and width"
+SPOILT_SCENES = [
+    pytest.param(set_vertex(np.nan), r"object 1 has a non-finite vertex", id="vertex-nan"),
+    pytest.param(set_vertex(-np.inf), r"object 1 has a non-finite vertex", id="vertex-inf"),
+    pytest.param(set_vertex(np.nan, 2, 0), r"object 2 has a non-finite vertex", id="vertex-first"),
+    pytest.param(set_pose("quat", np.nan), r"object 1 has a non-finite quaternion", id="quat-nan"),
+    pytest.param(set_pose("quat", 0.0), r"object 1 has a zero quaternion", id="quat-zero"),
+    pytest.param(set_pose("quat", 1e-200), r"object 1 has a zero quaternion", id="quat-tiny"),
+    pytest.param(
+        set_pose("translation", np.inf), r"object 1 has a non-finite translation", id="trans-inf"
+    ),
+    pytest.param(set_tray(inner_length=np.nan), TRAY, id="tray-length-nan"),
+    pytest.param(set_tray(inner_width=0.0), TRAY, id="tray-width-zero"),
+    pytest.param(set_tray(inner_length=-0.8), TRAY, id="tray-length-negative"),
+    pytest.param(set_tray(wall_height=np.inf), TRAY, id="tray-wall-inf"),
+    pytest.param(set_tray(floor_z=np.nan), TRAY, id="tray-floor-nan"),
+]
+
+
+@pytest.mark.parametrize("spoil, message", SPOILT_SCENES)
+def test_non_finite_scene_raises_shape_error(spoil, message, tmp_path):
+    # Such scenes used to load: a NaN vertex gives a NaN volume, which passed
+    # `vol <= 0`, and a NaN tray or a zero quaternion only failed in observe.
+    scene = spawn_scene(3, (3, 3))
+    spoil(scene)
+    save_scene(scene, tmp_path / "bad.scene")
+    with pytest.raises(ShapeError, match=rf"bad\.scene: {message}"):
+        load_scene(tmp_path / "bad.scene")
+
+
+def test_nan_volume_raises_degenerate_geometry(tmp_path):
+    # Finite vertices this large overflow the signed tetrahedra to a NaN volume.
+    scene = spawn_scene(3, (3, 3))
+    scene.placed[1].obj.vertices *= 1e110
+    save_scene(scene, tmp_path / "huge.scene")
+    with pytest.raises(DegenerateGeometryError, match="object 1 has volume nan"):
+        load_scene(tmp_path / "huge.scene")
+    obj = scene.placed[0].obj
+    with pytest.raises(DegenerateGeometryError, match="got nan"):
+        RigidObject(obj.vertices, obj.faces, float("nan"))
 
 
 def xyzl_file(path):

@@ -177,8 +177,6 @@ UNPASSED: set[str] = {
     "gae(gamma)",
     "gae(lam)",
     "main(argv)",
-    "normalize_rows(eps)",
-    "standardize_cols(eps)",
 }
 
 

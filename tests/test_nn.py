@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,8 +54,8 @@ class TestGradients:
             "sub": lambda t: nn.sub(t, nn.Tensor.const(other)),
             "mul": lambda t: nn.mul(t, nn.Tensor.const(other)),
             "mul_scalar": lambda t: nn.mul(t, -2.5),
-            "neg": nn.neg,
-            "square": nn.square,
+            "mul_minus_one": lambda t: nn.mul(t, -1.0),
+            "mul_self": lambda t: nn.mul(t, t),
             "tanh": nn.tanh,
             "exp": lambda t: nn.exp(nn.mul(t, 0.3)),
         }
@@ -64,6 +67,24 @@ class TestGradients:
                 return t, weighted_sum(op(t), np.random.default_rng(5))
 
             err = fd_max_rel_err(build, x0)
+            assert err < 1e-6, f"{name}: {err}"
+
+    def test_scalar_tensor_operand(self, rng):
+        # A 0-d operand next to a (4, 3) one gets the sum of its gradient.
+        other = nn.Tensor.const(rng.normal(size=(4, 3)))
+        cases = {
+            "add": lambda s: nn.add(other, s),
+            "sub": lambda s: nn.sub(other, s),
+            "sub_from_scalar": lambda s: nn.sub(s, other),
+            "mul": lambda s: nn.mul(other, s),
+        }
+        for name, op in cases.items():
+
+            def build(arr, op=op):
+                s = leaf(arr)
+                return s, weighted_sum(op(s), np.random.default_rng(5))
+
+            err = fd_max_rel_err(build, np.array(0.7))
             assert err < 1e-6, f"{name}: {err}"
 
     def test_relu_away_from_kink(self, rng):
@@ -239,7 +260,7 @@ class TestBackwardSemantics:
 
         def grads(a, b):
             t = leaf(x0)
-            l1 = nn.total_sum(nn.square(t))
+            l1 = nn.total_sum(nn.mul(t, t))
             l2 = nn.mean(nn.tanh(t))
             nn.backward(nn.add(nn.mul(l1, a), nn.mul(l2, b)))
             return t.grad.copy()
@@ -252,7 +273,7 @@ class TestBackwardSemantics:
     def test_non_scalar_loss_rejected(self):
         x = leaf(np.ones((2, 2)))
         with pytest.raises(ShapeError):
-            nn.backward(nn.square(x))
+            nn.backward(nn.mul(x, x))
 
     def test_max_pool_gradient_only_at_argmax(self):
         x = leaf(np.array([[1.0, 5.0], [3.0, 2.0], [2.0, 7.0]]))
@@ -301,9 +322,86 @@ class TestBackwardSemantics:
         store.add("used", rng.normal(size=(2, 2)))
         store.add("idle", rng.normal(size=(3,)))
         store.zero_grads()
-        nn.backward(nn.total_sum(nn.square(store.tensor("used"))))
+        used = store.tensor("used")
+        nn.backward(nn.total_sum(nn.mul(used, used)))
         assert np.array_equal(store.get("idle").grad, np.zeros(3))
         assert np.abs(store.get("used").grad).sum() > 0
+
+
+# Each multi-input op with its input shapes.
+MULTI_INPUT_OPS = {
+    "add": (nn.add, [(3, 2), (3, 2)]),
+    "sub": (nn.sub, [(3, 2), (3, 2)]),
+    "mul": (nn.mul, [(3, 2), (3, 2)]),
+    "minimum": (nn.minimum, [(3, 2), (3, 2)]),
+    "linear": (nn.linear, [(3, 4), (4, 2), (2,)]),
+    "concat": (lambda *ts: nn.concat(list(ts)), [(3, 2), (3, 1), (3, 4)]),
+}
+
+
+def wiring_faults(source):
+    """Sorted breaches of the wiring rule in ``source``, as (function, fault) pairs.
+
+    Only ``_node`` may pass edges to ``Tensor``, only ``backward`` may call
+    ``_accumulate``, and no op may define a ``bw`` closure.
+    """
+    faults = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if scope is not None and child.name == "bw":
+                    faults.append((scope, "nested bw"))
+                inner = child.name if scope is None else scope
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                with_edges = len(child.args) > 1 or any(
+                    k.arg in (None, "edges") for k in child.keywords
+                )
+                if name == "Tensor" and with_edges and scope != "_node":
+                    faults.append((scope, "Tensor with edges"))
+                if name == "_accumulate" and scope != "backward":
+                    faults.append((scope, "_accumulate"))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return sorted(faults, key=str)
+
+
+class TestWiringRule:
+    @pytest.mark.parametrize("name", sorted(MULTI_INPUT_OPS))
+    def test_constant_input_keeps_no_gradient(self, rng, name):
+        op, shapes = MULTI_INPUT_OPS[name]
+        for const in range(len(shapes)):
+            values = [rng.normal(size=shape) for shape in shapes]
+            ts = [nn.Tensor.const(v) if i == const else leaf(v) for i, v in enumerate(values)]
+            nn.backward(weighted_sum(op(*ts), rng))
+            assert [t.grad is None for t in ts] == [i == const for i in range(len(ts))]
+        out = op(*[nn.Tensor.const(v) for v in values])
+        assert not out.requires_grad and not out._edges
+
+    def test_only_node_wires_edges(self):
+        probe = (
+            "def add(a, b):\n"
+            "    def bw(g):\n"
+            "        a._accumulate(g)\n"
+            "    return nn.Tensor(a.value + b.value, (a, b), bw)\n"
+            "def _node(value, *edges):\n"
+            "    return Tensor(value, edges)\n"
+        )
+        assert wiring_faults(probe) == [
+            ("add", "Tensor with edges"), ("add", "_accumulate"), ("add", "nested bw")
+        ]
+        package = sorted(Path(nn.__file__).parent.glob("*.py"))
+        assert Path(nn.__file__) in package
+        found = {
+            path.name: faults
+            for path in package
+            if (faults := wiring_faults(path.read_text(encoding="utf-8")))
+        }
+        assert found == {}
 
 
 class TestOpIdentities:
@@ -480,7 +578,8 @@ class TestParamStoreAndAdam:
         for _ in range(500):
             store.zero_grads()
             x = store.tensor("x")
-            loss = nn.total_sum(nn.square(nn.sub(x, np.array([target]))))
+            d = nn.sub(x, np.array([target]))
+            loss = nn.total_sum(nn.mul(d, d))
             nn.backward(loss)
             store.adam_step(lr=0.01)
         assert abs(float(store.get("x").value[0]) - target) < 1e-3
