@@ -19,10 +19,16 @@ minimized over projected vertices of both bodies and crossings of projected
 edges, which together contain the true contact column.
 
 Each drop is branch and bound. The floor and the incoming vertices above
-the pile give an attained clearance, an upper bound on the drop; a rested
-body whose top lies more than that bound, plus a rounding margin, below the
-incoming object cannot hold a smaller gap, so its vertices and edges are
-skipped. Only gaps above the minimum are skipped, so the settled scene is
+one seed support, the highest rested body under the object's box, give an
+attained clearance, an upper bound on the drop. A rested body whose top lies
+more than that bound, plus a rounding margin, below the incoming object
+cannot hold a smaller gap, so it is skipped before its upper envelope is
+evaluated at all; the incoming and rested vertices of the bodies kept lower
+the bound further. Each crossing of projected edges is then bounded from
+below by one face plane of each body, computed with the envelopes' own
+arithmetic, so the bound never exceeds the gap those envelopes give to the
+bit; only crossings whose bound is at most the drop get both full
+envelopes. Only gaps above the minimum are skipped, so the settled scene is
 the same to the last bit as without pruning (see ``_Pile``).
 
 An object can only rest on an earlier object whose xy box meets its own, so
@@ -140,10 +146,12 @@ def _mesh_volumes(verts: np.ndarray, faces: np.ndarray, n_faces: np.ndarray) -> 
     """
     _check_watertight(faces)
     v0, v1, v2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    rows = np.einsum("ij,ij->i", v0, _cross(v1, v2))
-    # One pairwise sum per mesh over its own rows: the bits of a lone mesh.
-    ends = np.cumsum(n_faces)
-    return [float(rows[e - n : e].sum() / 6.0) for n, e in zip(n_faces.tolist(), ends.tolist())]
+    # Huge finite vertices overflow to an inf or NaN volume, which callers reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.einsum("ij,ij->i", v0, _cross(v1, v2))
+        # One pairwise sum per mesh over its own rows: the bits of a lone mesh.
+        ends = np.cumsum(n_faces)
+        return [float(rows[e - n : e].sum() / 6.0) for n, e in zip(n_faces.tolist(), ends.tolist())]
 
 
 def _laid_end_to_end(verts: list[np.ndarray], faces: list[np.ndarray]):
@@ -240,8 +248,10 @@ class RigidObject:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
         self.faces = np.asarray(self.faces, dtype=np.int64)
-        if not self.volume > 0:
-            raise DegenerateGeometryError(f"object volume must be positive, got {self.volume}")
+        if not 0 < self.volume < np.inf:
+            raise DegenerateGeometryError(
+                f"object volume must be positive and finite, got {self.volume}"
+            )
 
 
 def _hull_objects(hulls: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> list[RigidObject]:
@@ -250,7 +260,7 @@ def _hull_objects(hulls: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> lis
     The winding fix, the watertight check and the volumes run once over all
     the hulls laid end to end; every step is elementwise or per face, so
     each object gets the bits it would get alone. A hull whose volume is
-    not positive raises DegenerateGeometryError.
+    not positive and finite raises DegenerateGeometryError.
     """
     point_sets, facets, planes = zip(*hulls)
     n_faces = np.array([len(f) for f in facets])
@@ -372,13 +382,24 @@ class Scene:
         return len(self.placed)
 
 
-def mesh_edges(faces: np.ndarray) -> np.ndarray:
-    """Unique undirected edges (E, 2) of a triangle mesh, sorted by (low, high) vertex."""
+def mesh_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unique undirected edges (E, 2) of a triangle mesh, sorted by (low, high) vertex.
+
+    Also returns two faces (E, 2) that hold each edge: the first and the
+    last in the sort, so the same face twice when only one holds it.
+    """
     pairs = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]), axis=1)
     # One integer key per pair keeps the row-wise unique's (low, high) order.
     n = int(pairs.max()) + 1 if len(pairs) else 1
-    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
-    return np.stack([keys // n, keys % n], axis=1)
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    last = np.append(first[1:], len(keys))[: len(first)] - 1
+    # Pair p of the three stacked blocks comes from face p mod F.
+    face = order % len(faces)
+    keys = keys[first]
+    return np.stack([keys // n, keys % n], axis=1), np.stack([face[first], face[last]], axis=1)
 
 
 def _segment_crossings(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -432,6 +453,12 @@ def _gather_runs(starts: np.ndarray, lengths: np.ndarray, run_starts: np.ndarray
 # ``2**-7`` m (7.8 mm) is exact in binary and leaves 0.6 mm over the rounding,
 # enough for the tolerance unless those weights reach 6e5, a spike far sharper
 # than a hull of 8 to 24 points at radii of 1 to 7 cm.
+#
+# The settle's test holds for any attained ``bound``, however it was found: an
+# incoming vertex's z is exact and at least ``aabb_min_z``, and a computed upper
+# envelope of body k stays below ``hi_k_z`` plus the margin, so even a body's
+# incoming-vertex gaps exceed ``bound`` when it fails the test. So the test can
+# run on the seed bound, before the full vertex pass.
 _PRUNE_MARGIN = 2.0**-7
 
 
@@ -448,43 +475,56 @@ class _Pile:
     The meshes of ``placed``, at the world vertices ``wverts`` they drop
     from, are laid end to end in order, once per settle: ``planes`` holds
     the face planes (nx, ny, nz, offset), ``verts`` the world vertices and
-    ``segs`` the edges projected to xy. Object ``k`` owns ``counts[k]`` rows
-    of each, in that column order, from row ``starts[k]`` on. ``lo`` and
-    ``hi`` are the objects' AABB corners, and ``meets`` is the (n, n) matrix
-    of which objects' xy boxes meet, boundaries included, as the drop tests.
-    ``face_planes`` and ``mesh_edges`` work face by face and edge by edge, so
-    each object's rows have the bits they would have alone. When an object
-    rests, its own vertex, plane and box rows are lowered in place and its
-    ``rested`` bit is set; the rested objects are the pile. ``moved`` marks
-    the objects whose rows differ from those of the settled scene that known
-    drops come from (see :meth:`settle`).
+    ``segs`` the edges projected to xy, with their xy boxes ``seg_lo`` and
+    ``seg_hi``. Object ``k`` owns ``counts[k]`` rows of each, in that column
+    order, from row ``starts[k]`` on. ``seg_planes`` gives each edge two
+    plane rows of its own object for the crossing bound (see
+    :func:`_crossing_bounds`): below, a face of the edge with
+    ``nz < -1e-12``, else the object's most downward-facing plane; above, a
+    face of the edge with ``nz > 1e-12``, else its most upward-facing plane.
+    ``lo`` and ``hi`` are the objects' AABB corners, and ``meets`` is the
+    (n, n) matrix of which objects' xy boxes meet, boundaries included, as
+    the drop tests. ``face_planes`` and ``mesh_edges`` work face by face and
+    edge by edge, so each object's rows have the bits they would have alone.
+    When an object rests, its own vertex, plane and box rows are lowered in
+    place and its ``rested`` bit is set; the rested objects are the pile. An
+    xy never moves, and lowering keeps each plane's normal, so ``segs``,
+    their boxes, ``seg_planes`` and ``meets`` hold for the whole settle.
+    ``moved`` marks the objects whose rows differ from those of the settled
+    scene that known drops come from (see :meth:`settle`).
 
     :meth:`_rest` drops a batch of objects with pairwise-disjoint xy boxes
     onto the pile as it stands, in one vectorised pass. The incoming bodies'
     vertices, planes and edges are padded to one length by repeating each
-    body's first row, which only repeats a gap. One mask over the rested
-    AABBs picks every (body, candidate support) pair, and one fancy index
-    gathers the candidates' rows. Each body's drop is then a branch and
-    bound over three gap families, each gap evaluated against the planes of
-    its own two bodies:
+    body's first row, which only repeats a gap. The ``meets`` rows of the
+    incoming objects pick every (body, candidate support) pair, and one
+    fancy index gathers the candidates' rows. Each body's drop is then a
+    branch and bound over three gap families, each gap evaluated against the
+    planes of its own two bodies, with the bound ``drop`` lowered as each
+    step attains a smaller gap:
 
-    1. The floor gap and the incoming vertices against every candidate's
-       upper envelope. Their minimum ``bound`` is a clearance that is
-       attained, so the drop is at most ``bound``.
-    2. The nearby rested vertices under, and the crossings of projected
-       edges with, the incoming lower envelope, only over candidates ``k``
-       with ``aabb_min_z - hi_k_z <= bound + _PRUNE_MARGIN``. Every such gap
-       of a body ``k`` is the incoming lower envelope, which is at least
-       ``aabb_min_z``, minus a point of ``k``, which is at most ``hi_k_z``;
-       a body that fails the test has no gap below ``bound`` and cannot set
-       the minimum.
+    1. The floor gap and the incoming vertices against the upper envelope of
+       one seed candidate, the one with the highest top. Every gap found is
+       attained, so the drop is at most ``drop``.
+    2. The incoming vertices against every other candidate ``k`` with
+       ``aabb_min_z - hi_k_z <= drop + _PRUNE_MARGIN``. Every gap of a body
+       ``k`` is a point of the incoming body, at least ``aabb_min_z``, above
+       a point of ``k``, at most ``hi_k_z``; a body that fails the test has
+       no gap below ``drop`` and cannot set the minimum. The margin covers
+       the envelopes' rounding and feasibility tolerance (see
+       ``_PRUNE_MARGIN``).
+    3. Over the candidates that still pass that test: the nearby rested
+       vertices under the incoming lower envelope. Then, over the
+       candidates that pass it with the drop those give, the crossings of
+       projected edges. Each crossing is first bounded from below by one
+       plane per body (:func:`_crossing_bounds`), and both full envelopes
+       run only where that bound is at most ``drop``.
 
-    The margin covers the envelopes' rounding and feasibility tolerance (see
-    ``_PRUNE_MARGIN``). Pruning only drops gaps that exceed ``bound``, and
-    the drop is the minimum of the rest, each computed with the same
-    elementwise float operations as in a per-body loop over every
-    candidate; so rest heights, and the settled scene bytes, depend neither
-    on the pruning nor on how bodies and candidates are grouped.
+    Pruning only drops gaps that exceed an attained clearance, and the drop
+    is the minimum of the rest, each computed with the same elementwise float
+    operations as in a per-body loop over every candidate; so rest heights,
+    and the settled scene bytes, depend neither on the pruning nor on how
+    bodies and candidates are grouped.
     """
 
     def __init__(self, placed: list[PlacedObject], wverts: list[np.ndarray], floor: float):
@@ -492,13 +532,28 @@ class _Pile:
         faces = [p.obj.faces for p in placed]
         verts, faces, vert_starts, n_planes = _laid_end_to_end(wverts, faces)
         self.planes = np.column_stack(face_planes(verts, faces))
-        edges = mesh_edges(faces)
+        edges, edge_faces = mesh_edges(faces)
         self.segs = verts[:, :2][edges]
+        self.seg_lo, self.seg_hi = self.segs.min(axis=1), self.segs.max(axis=1)
         self.verts = verts
         n_verts = np.diff(vert_starts, append=len(verts))
         n_segs = np.diff(np.searchsorted(edges[:, 0], vert_starts), append=len(edges))
         self.counts = np.column_stack([n_planes, n_verts, n_segs])
         self.starts = np.cumsum(self.counts, axis=0) - self.counts
+        # Faces are laid end to end like the planes, so a face index is a plane row.
+        nz = self.planes[:, 2]
+        owner = np.repeat(np.arange(len(placed)), n_segs)
+        fz = nz[edge_faces]
+        lower = np.where(fz[:, 0] <= fz[:, 1], edge_faces[:, 0], edge_faces[:, 1])
+        upper = np.where(fz[:, 0] >= fz[:, 1], edge_faces[:, 0], edge_faces[:, 1])
+        lowest = _run_extremes(np.minimum, nz, self.starts[:, 0], n_planes)
+        highest = _run_extremes(np.maximum, nz, self.starts[:, 0], n_planes)
+        self.seg_planes = np.column_stack(
+            [
+                np.where(nz[lower] < -1e-12, lower, lowest[owner]),
+                np.where(nz[upper] > 1e-12, upper, highest[owner]),
+            ]
+        )
         self.lo = np.minimum.reduceat(verts, vert_starts)
         self.hi = np.maximum.reduceat(verts, vert_starts)
         # One (n, n) test per coordinate: numpy loops over a trailing axis of 2 slowly.
@@ -560,11 +615,7 @@ class _Pile:
         search = [i for i, d in enumerate(drops) if d is None]
         drops = np.array([0.0 if d is None else d for d in drops])
         if search:
-            incoming = (
-                _padded(rows, starts[search, col], counts[search, col])
-                for col, rows in enumerate((self.planes, self.verts, self.segs))
-            )
-            drops[search] = self._lowest_gaps(*incoming)
+            drops[search] = self._lowest_gaps(members[search])
         planes, verts = (
             _gather_runs(starts[:, col], counts[:, col], _run_starts(counts[:, col]))
             for col in (0, 1)
@@ -581,75 +632,148 @@ class _Pile:
             p.translation = p.translation + np.array([0.0, 0.0, -drop])
         return -drops
 
-    def _lowest_gaps(self, planes, wverts, segs) -> np.ndarray:
-        """The smallest clearance below each incoming body onto the rested objects: its drop.
+    def _lowest_gaps(self, members: np.ndarray) -> np.ndarray:
+        """The smallest clearance below each object ``members`` onto the rested objects: its drop.
 
-        ``planes`` (B, F, 4), ``wverts`` (B, V, 3) and ``segs`` (B, E, 2, 2)
-        hold the incoming bodies' world planes, vertices and xy edges, padded.
-        The candidates' rows are gathered from the table; none is changed.
+        The incoming objects' rows are gathered from the table, padded; none is changed.
         """
-        aabb_min, aabb_max = wverts.min(axis=1), wverts.max(axis=1)
+        counts, starts = self.counts[members], self.starts[members]
+        tables = ((0, self.planes), (1, self.verts), (2, self.segs), (2, self.seg_planes))
+        planes, wverts, segs, seg_planes = (
+            _padded(rows, starts[:, col], counts[:, col]) for col, rows in tables
+        )
+        aabb_min, aabb_max = self.lo[members], self.hi[members]
         drop = aabb_min[:, 2] - self.floor
-        lo, hi = self.lo, self.hi
-        overlap = (lo[:, :2] <= aabb_max[:, None, :2]) & (hi[:, :2] >= aabb_min[:, None, :2])
-        body, cand = np.nonzero(overlap.all(axis=2) & self.rested)
+        meets = self.meets[members] & self.rested
+        body, cand = np.nonzero(meets)
         if not len(body):
             return drop
-        start, length = self.starts[cand], self.counts[cand]
-        # Incoming vertices above each candidate's upper envelope.
-        n_planes = length[:, 0]
-        plane_starts = _run_starts(n_planes)
-        pl = self.planes[_gather_runs(start[:, 0], n_planes, plane_starts)]
-        row = np.repeat(body, n_planes)
-        c = pl[:, 3:4] - pl[:, 0:1] * wverts[row, :, 0] - pl[:, 1:2] * wverts[row, :, 1]
-        _, r_high, r_ok = _grouped_envelopes(c, pl[:, 2:3], plane_starts)
-        np.minimum.at(drop, body, np.where(r_ok, wverts[body, :, 2] - r_high, np.inf).min(axis=1))
+        top = self.hi[:, 2]
+        # The highest candidate is the likeliest support: its gaps seed the bound.
+        seeded = np.flatnonzero(meets.any(axis=1))
+        seed = np.full(len(members), -1)
+        seed[seeded] = np.where(meets[seeded], top, -np.inf).argmax(axis=1)
+        drop[seeded] = np.minimum(drop[seeded], self._vertices_above(wverts, seeded, seed[seeded]))
         # An attained clearance bounds each drop; a body whose top lies deeper
         # than that (plus rounding) holds no smaller gap.
-        keep = aabb_min[body, 2] - hi[cand, 2] <= drop[body] + _PRUNE_MARGIN
+        depth = aabb_min[body, 2] - top[cand]
+        keep = depth <= drop[body] + _PRUNE_MARGIN
+        full = np.flatnonzero(keep & (cand != seed[body]))
+        if len(full):
+            gaps = self._vertices_above(wverts, body[full], cand[full])
+            np.minimum.at(drop, body[full], gaps)
+        keep &= depth <= drop[body] + _PRUNE_MARGIN
         if not keep.any():
             return drop
-        body, start, length = body[keep], start[keep], length[keep]
+        body, cand = body[keep], cand[keep]
         # Nearby rested vertices under the incoming lower envelope.
-        n_verts = length[:, 1]
-        r_verts = self.verts[_gather_runs(start[:, 1], n_verts, _run_starts(n_verts))]
+        n_verts = self.counts[cand, 1]
+        r_verts = self.verts[_gather_runs(self.starts[cand, 1], n_verts, _run_starts(n_verts))]
         pt_body = np.repeat(body, n_verts)
         near = (r_verts[:, :2] >= aabb_min[pt_body, :2]) & (r_verts[:, :2] <= aabb_max[pt_body, :2])
-        near = near.all(axis=1)
-        pts, pt_body = r_verts[near], pt_body[near]
+        near = np.flatnonzero(near.all(axis=1))
+        if len(near):
+            pts, pt_body = r_verts[near], pt_body[near]
+            low, ok = _lower_envelopes(planes, pt_body, pts[:, :2])
+            np.minimum.at(drop, pt_body[ok], low[ok] - pts[ok, 2])
+            keep = aabb_min[body, 2] - top[cand] <= drop[body] + _PRUNE_MARGIN
+            body, cand = body[keep], cand[keep]
         # Crossings of incoming edges with rested edges whose xy box meets the incoming AABB.
-        n_segs = length[:, 2]
-        r_segs = self.segs[_gather_runs(start[:, 2], n_segs, _run_starts(n_segs))]
+        n_segs = self.counts[cand, 2]
+        rows = _gather_runs(self.starts[cand, 2], n_segs, _run_starts(n_segs))
         pair = np.repeat(np.arange(len(body)), n_segs)
-        seg_lo, seg_hi = r_segs.min(axis=1), r_segs.max(axis=1)
-        meets = (seg_lo <= aabb_max[body[pair], :2]) & (seg_hi >= aabb_min[body[pair], :2])
-        meets = np.flatnonzero(meets.all(axis=1))
-        pair = pair[meets]
-        cross, (seg, _) = _segment_crossings(segs[body[pair]], r_segs[meets][:, None])
-        pair = pair[seg]
-        # The incoming lower envelope over both kinds of column at once.
-        xy = np.concatenate([pts[:, :2], cross])
-        at = np.concatenate([pt_body, body[pair]])
-        own = planes[at].transpose(1, 0, 2)  # (F, columns, 4)
-        c = own[..., 3] - own[..., 0] * xy[:, 0] - own[..., 1] * xy[:, 1]
-        low, _, low_ok = _grouped_envelopes(c, own[..., 2], np.zeros(1, dtype=np.int64))
-        low, low_ok = low[0], low_ok[0]
-        n_pts = len(pts)
-        gaps = [(low[:n_pts] - pts[:, 2])[low_ok[:n_pts]]]
-        at = [pt_body[low_ok[:n_pts]]]
-        if len(cross):
-            # Pair each crossing with the planes of its own rested body only.
-            n_pair = length[pair, 0]
-            pair_starts = _run_starts(n_pair)
-            pp = self.planes[_gather_runs(start[pair, 0], n_pair, pair_starts)]
-            point = np.repeat(np.arange(len(cross)), n_pair)
-            c = pp[:, 3] - cross[point, 0] * pp[:, 0] - cross[point, 1] * pp[:, 1]
-            _, c_high, c_ok = _grouped_envelopes(c, pp[:, 2], pair_starts)
-            both = low_ok[n_pts:] & c_ok
-            gaps.append(low[n_pts:][both] - c_high[both])
-            at.append(body[pair][both])
-        np.minimum.at(drop, np.concatenate(at), np.concatenate(gaps))
+        hits = (self.seg_lo[rows] <= aabb_max[body[pair], :2]) & (
+            self.seg_hi[rows] >= aabb_min[body[pair], :2]
+        )
+        hits = np.flatnonzero(hits.all(axis=1))
+        rows, pair = rows[hits], pair[hits]
+        cross, (seg, edge) = _segment_crossings(segs[body[pair]], self.segs[rows][:, None])
+        if not len(cross):
+            return drop
+        pair, rows = pair[seg], rows[seg]
+        at = body[pair]
+        # Both full envelopes only where one plane per body leaves room for a smaller gap.
+        below, above = seg_planes[at, edge, 0], self.seg_planes[rows, 1]
+        live = np.flatnonzero(_crossing_bounds(self.planes, below, above, cross) <= drop[at])
+        if len(live):
+            gaps, at = self._crossing_gaps(planes, at[live], cand[pair[live]], cross[live])
+            np.minimum.at(drop, at, gaps)
         return drop
+
+    def _vertices_above(self, wverts: np.ndarray, body: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """Per (body, cand) pair, the smallest gap from an incoming vertex down to the candidate.
+
+        ``wverts`` holds the incoming bodies' padded vertices, and ``cand``
+        indexes the table. A pair with no vertex over the candidate gives inf.
+        """
+        n_planes = self.counts[cand, 0]
+        plane_starts = _run_starts(n_planes)
+        pl = self.planes[_gather_runs(self.starts[cand, 0], n_planes, plane_starts)]
+        row = np.repeat(body, n_planes)
+        c = pl[:, 3:4] - pl[:, 0:1] * wverts[row, :, 0] - pl[:, 1:2] * wverts[row, :, 1]
+        _, high, ok = _grouped_envelopes(c, pl[:, 2:3], plane_starts)
+        return np.where(ok, wverts[body, :, 2] - high, np.inf).min(axis=1)
+
+    def _crossing_gaps(
+        self, planes: np.ndarray, at: np.ndarray, cand: np.ndarray, xy: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The gap at each crossing ``xy`` from incoming body ``at`` down to rested object ``cand``.
+
+        ``planes`` holds the incoming bodies' padded planes, and ``cand``
+        indexes the table. Returns the gaps where both envelopes are
+        feasible, and their bodies.
+        """
+        low, low_ok = _lower_envelopes(planes, at, xy)
+        # Pair each crossing with the planes of its own rested body only.
+        n_pair = self.counts[cand, 0]
+        pair_starts = _run_starts(n_pair)
+        pp = self.planes[_gather_runs(self.starts[cand, 0], n_pair, pair_starts)]
+        point = np.repeat(np.arange(len(xy)), n_pair)
+        c = pp[:, 3] - xy[point, 0] * pp[:, 0] - xy[point, 1] * pp[:, 1]
+        _, high, ok = _grouped_envelopes(c, pp[:, 2], pair_starts)
+        both = low_ok & ok
+        return low[both] - high[both], at[both]
+
+
+def _lower_envelopes(
+    planes: np.ndarray, at: np.ndarray, xy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(z_low, feasible) of the padded plane sets ``planes[at]``, one per column ``xy``."""
+    own = planes[at].transpose(1, 0, 2)  # (F, columns, 4)
+    c = own[..., 3] - own[..., 0] * xy[:, 0] - own[..., 1] * xy[:, 1]
+    low, _, ok = _grouped_envelopes(c, own[..., 2], np.zeros(1, dtype=np.int64))
+    return low[0], ok[0]
+
+
+def _crossing_bounds(
+    planes: np.ndarray, below: np.ndarray, above: np.ndarray, xy: np.ndarray
+) -> np.ndarray:
+    """A lower bound on the gap at each crossing ``xy``, from one plane per body.
+
+    It is the z of ``planes`` row ``below``, of the incoming body, minus the
+    z of row ``above``, of the rested one, both at the crossing's column.
+
+    Each plane's z is the envelopes' own ``((o - nx*x) - ny*y) / nz``. A
+    plane with ``nz < -1e-12`` is one of the terms whose maximum is the
+    incoming lower envelope, and one with ``nz > 1e-12`` one of the terms
+    whose minimum is the rested upper envelope; the maximum and minimum are
+    exact, and subtraction rounds monotonically, so the bound is at most the
+    computed gap, bit for bit. Where a plane fails its ``nz`` test the bound
+    is -inf, and its crossing is never pruned.
+    """
+    pb, pa = planes[below], planes[above]
+    ok = (pb[:, 2] < -1e-12) & (pa[:, 2] > 1e-12)
+    z_below = (pb[:, 3] - pb[:, 0] * xy[:, 0] - pb[:, 1] * xy[:, 1]) / np.where(ok, pb[:, 2], -1.0)
+    z_above = (pa[:, 3] - pa[:, 0] * xy[:, 0] - pa[:, 1] * xy[:, 1]) / np.where(ok, pa[:, 2], 1.0)
+    return np.where(ok, z_below - z_above, -np.inf)
+
+
+def _run_extremes(
+    op: np.ufunc, a: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Index of the first smallest (``np.minimum``) or largest (``np.maximum``) of each run."""
+    hit = np.flatnonzero(a == np.repeat(op.reduceat(a, starts), lengths))
+    return hit[np.searchsorted(hit, starts)]
 
 
 def _padded(rows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -831,7 +955,7 @@ def load_scene(path) -> Scene:
         volumes = _mesh_volumes(joined, shifted, n_faces)
     placed = []
     for index, (vol, v, f, (density, quat, trans)) in enumerate(zip(volumes, verts, faces, poses)):
-        if not vol > 0:
+        if not 0 < vol < np.inf:
             raise DegenerateGeometryError(f"{path}: object {index} has volume {vol}")
         placed.append(PlacedObject(RigidObject(v, f, vol, density), quat, trans))
     return Scene(tray, placed, None if seed < 0 else int(seed))

@@ -9,7 +9,8 @@ UTF-8, an xyzl point that is not finite, normal without a direction or
 curvature that is not finite, and a metrics row whose field count differs from its header.
 A scene file with a non-finite vertex, quaternion, translation or tray
 field, a zero quaternion, or a tray length or width that is not positive
-raises ShapeError naming the file (and the object).
+raises ShapeError naming the file (and the object). An object whose volume
+is NaN or overflows to inf raises DegenerateGeometryError naming both.
 """
 
 import dataclasses
@@ -146,6 +147,19 @@ def test_nan_volume_raises_degenerate_geometry(tmp_path):
     obj = scene.placed[0].obj
     with pytest.raises(DegenerateGeometryError, match="got nan"):
         RigidObject(obj.vertices, obj.faces, float("nan"))
+
+
+def test_infinite_volume_raises_degenerate_geometry(tmp_path):
+    # At this scale the vertices stay finite but their volume overflows to inf;
+    # it used to load, after numpy's overflow warning.
+    scene = spawn_scene(3, (3, 3))
+    scene.placed[1].obj.vertices *= 1e104
+    save_scene(scene, tmp_path / "huge.scene")
+    with pytest.raises(DegenerateGeometryError, match=r"huge\.scene: object 1 has volume inf"):
+        load_scene(tmp_path / "huge.scene")
+    obj = scene.placed[0].obj
+    with pytest.raises(DegenerateGeometryError, match="positive and finite, got inf"):
+        RigidObject(obj.vertices, obj.faces, float("inf"))
 
 
 def xyzl_file(path):

@@ -104,7 +104,7 @@ class RestPileReference:
     def drop_and_add(self, placed, drop=None):
         wverts = placed.world_vertices()
         normals, offsets = face_planes(wverts, placed.obj.faces)
-        edges = mesh_edges(placed.obj.faces)
+        edges, _ = mesh_edges(placed.obj.faces)
         seg_new = wverts[:, :2][edges]
         aabb_min, aabb_max = wverts.min(axis=0), wverts.max(axis=0)
         gap_groups = [np.array([aabb_min[2] - self.floor])]
@@ -264,7 +264,7 @@ class TestConvexHull:
 
     def test_watertight_edge_count(self, rng):
         faces = hull_object(rng.normal(size=(30, 3))).faces
-        edges = mesh_edges(faces)
+        edges, _ = mesh_edges(faces)
         # Euler: closed triangle mesh has E = 3F/2 and each undirected edge
         # is shared by exactly two triangles.
         assert len(edges) * 2 == 3 * len(faces)
@@ -300,13 +300,13 @@ class TestMeshTopology:
     def test_mesh_edges_match_rowwise_unique(self, rng):
         for _ in range(100):
             faces = hull_object(rng.normal(size=(int(rng.integers(4, 40)), 3))).faces
-            got, want = mesh_edges(faces), mesh_edges_rowwise(faces)
+            got, want = mesh_edges(faces)[0], mesh_edges_rowwise(faces)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
 
     def test_mesh_edges_of_no_faces(self):
-        got = mesh_edges(np.zeros((0, 3), dtype=np.int64))
-        assert got.shape == (0, 2) and got.dtype == np.int64
+        for got in mesh_edges(np.zeros((0, 3), dtype=np.int64)):
+            assert got.shape == (0, 2) and got.dtype == np.int64
 
     @staticmethod
     def broken_meshes(faces):
@@ -847,7 +847,7 @@ class TestPrunedPile:
         # Replay the candidates the unpruned pile would hand over: edges of
         # every earlier body whose xy box overlaps, that meet the incoming box.
         xy = [p.world_vertices()[:, :2] for p in scene.placed]
-        segs = [v[mesh_edges(p.obj.faces)] for v, p in zip(xy, scene.placed)]
+        segs = [v[mesh_edges(p.obj.faces)[0]] for v, p in zip(xy, scene.placed)]
         lo = np.array([v.min(axis=0) for v in xy])
         hi = np.array([v.max(axis=0) for v in xy])
         candidates = 0
@@ -857,6 +857,172 @@ class TestPrunedPile:
                 candidates += int(((s_lo <= hi[i]) & (s_hi >= lo[i])).all(axis=1).sum())
         assert candidates > 10_000
         assert sum(reached) < 0.4 * candidates, (sum(reached), candidates)
+
+
+    def test_crossing_bounded_by_a_fallback_plane(self):
+        # Crossed bars, as in the first case, but the incoming bar is turned
+        # a quarter turn. Its top edges have no down-facing face, so their
+        # crossings are bounded by its bottom face; they lie over its bottom
+        # edges, and the minimum is attained at those crossings and nowhere
+        # else: no vertex of either bar lies over the other.
+        h = 0.0625
+        turned = quat_from_euler(np.pi / 2, 0.0, 0.0)
+        boxes = [(make_box(0.25, 0.03125, h), (0.0, 0.0, 0.0))]
+        placed = [PlacedObject(box, IDENTITY.copy(), np.array(at)) for box, at in boxes]
+        placed.append(PlacedObject(make_box(0.25, 0.03125, h), turned, np.array([0.0, 0.0, 0.5])))
+        ref = [PlacedObject(p.obj, p.quat.copy(), p.translation.copy()) for p in placed]
+        pile, offsets = settle_in_order(placed)
+        assert offsets == settle_in_order(ref, RestPileReference)[1]
+        for a, b in zip(placed, ref):
+            assert a.translation.tobytes() == b.translation.tobytes()
+        assert placed[1].world_vertices()[:, 2].min() == h
+        # The incoming bar's four top edges and its top face's diagonal.
+        assert _fallback_edges(pile, 1, 0).tolist() == [True] * 5
+
+    @staticmethod
+    def prune_counts(monkeypatch):
+        """Pruning counts of one ``spawn_scene(3, (250, 250))``.
+
+        Returns the meeting (body, candidate) pairs, the pairs in the full
+        vertex pass, the edge crossings and the crossings in full envelopes.
+        """
+        counts = np.zeros(4, dtype=np.int64)
+        passes = []
+        search, above, gaps = _Pile._lowest_gaps, _Pile._vertices_above, _Pile._crossing_gaps
+        crossings = _segment_crossings
+
+        def lowest_gaps(pile, members):
+            counts[0] += (pile.meets[members] & pile.rested).sum()
+            passes.append(0)
+            return search(pile, members)
+
+        def vertices_above(pile, wverts, body, cand):
+            # The first pass of each search is its seed, one candidate per body.
+            counts[1] += len(body) if passes[-1] else 0
+            passes[-1] += 1
+            return above(pile, wverts, body, cand)
+
+        def segment_crossings(a, b):
+            found = crossings(a, b)
+            counts[2] += len(found[0])
+            return found
+
+        def crossing_gaps(pile, planes, at, cand, xy):
+            counts[3] += len(xy)
+            return gaps(pile, planes, at, cand, xy)
+
+        monkeypatch.setattr(_Pile, "_lowest_gaps", lowest_gaps)
+        monkeypatch.setattr(_Pile, "_vertices_above", vertices_above)
+        monkeypatch.setattr(_Pile, "_crossing_gaps", crossing_gaps)
+        monkeypatch.setattr(scenegen, "_segment_crossings", segment_crossings)
+        spawn_scene(3, (250, 250))
+        return counts.tolist()
+
+    def test_most_pairs_skip_the_full_vertex_pass(self, monkeypatch):
+        meeting, full, _, _ = self.prune_counts(monkeypatch)
+        assert meeting > 2000
+        assert full < 0.5 * meeting, (full, meeting)
+
+    def test_most_crossings_skip_the_full_envelopes(self, monkeypatch):
+        _, _, crossings, full = self.prune_counts(monkeypatch)
+        assert crossings > 10_000
+        assert full < crossings / 3, (full, crossings)
+
+
+def _fallback_edges(pile, k, col):
+    """Whether each edge of object ``k``'s top (below plane, ``col`` 0) or bottom
+    (above plane, ``col`` 1) takes a bound plane that is not one of its own faces."""
+    (p0, v0, s0), (_, n_verts, n_segs) = pile.starts[k], pile.counts[k]
+    edges, faces = mesh_edges(pile.placed[k].obj.faces)
+    chosen = pile.seg_planes[s0 : s0 + n_segs, col, None] - p0
+    fallback = (chosen != faces).all(axis=1)
+    z = pile.verts[v0 : v0 + n_verts, 2]
+    return fallback[(z[edges] == (z.max() if col == 0 else z.min())).all(axis=1)]
+
+
+def _bounds_and_gaps(rested, incoming):
+    """At every crossing of the incoming object's projected edges with the rested
+    one's, where both full envelopes are feasible: the one-plane bound, the gap
+    those envelopes give, and the nz of the two bound planes."""
+    pile = _Pile([rested, incoming], [rested.world_vertices(), incoming.world_vertices()], 0.0)
+    (p_r, _, s_r), (p_i, _, s_i) = pile.starts
+    (f_r, _, e_r), (f_i, _, e_i) = pile.counts
+    segs_i, segs_r = pile.segs[s_i : s_i + e_i], pile.segs[s_r : s_r + e_r]
+    cross, (r, i) = _segment_crossings(segs_i[None], segs_r[:, None])
+    below, above = pile.seg_planes[s_i + i, 0], pile.seg_planes[s_r + r, 1]
+    bound = scenegen._crossing_bounds(pile.planes, below, above, cross)
+    own, under = pile.planes[p_i : p_i + f_i], pile.planes[p_r : p_r + f_r]
+    low, _, low_ok = vertical_envelopes(own[:, :3], own[:, 3], cross)
+    _, high, high_ok = vertical_envelopes(under[:, :3], under[:, 3], cross)
+    both = low_ok & high_ok
+    nz = pile.planes[:, 2]
+    return bound[both], (low - high)[both], nz[below[both]], nz[above[both]], pile
+
+
+class TestCrossingBound:
+    """The one-plane bound at a crossing never exceeds the gap of the full envelopes, to the bit."""
+
+    @staticmethod
+    def check(rested, incoming):
+        bound, gap, nz_below, nz_above, pile = _bounds_and_gaps(rested, incoming)
+        assert len(gap) > 0
+        assert (bound <= gap).all(), (bound - gap).max()
+        return bound, gap, nz_below, nz_above, pile
+
+    def test_random_hull_pairs(self, rng):
+        tight = 0
+        for _ in range(40):
+            rested, incoming = (
+                PlacedObject(
+                    hull_object(rng.normal(size=(int(rng.integers(8, 25)), 3)) * 0.03),
+                    quat_from_euler(*rng.uniform(0.0, 2 * np.pi, size=3)),
+                    np.array([*rng.uniform(-0.03, 0.03, size=2), z]),
+                )
+                for z in (0.0, 0.2)
+            )
+            bound, gap, *_ = self.check(rested, incoming)
+            tight += int((bound == gap).sum())
+        # Edges on the bodies' facing sides give the gap itself.
+        assert tight > 0
+
+    @pytest.mark.parametrize("pitch", [1.5e-12, 0.9e-12])
+    def test_faces_near_the_nz_threshold(self, pitch):
+        # Pitched this little, the x-facing sides have |nz| of about
+        # ``pitch``: just above 1e-12 they are bound planes, just below side planes.
+        box = make_box(0.08, 0.06, 0.04)
+        rested = PlacedObject(box, quat_from_euler(0.3, pitch, 0.0), np.zeros(3))
+        incoming = PlacedObject(box, quat_from_euler(1.1, pitch, 0.0), np.array([0.01, 0.0, 0.2]))
+        _, _, nz_below, nz_above, _ = self.check(rested, incoming)
+        steep = (np.abs(nz_below) < 1e-11).any() or (np.abs(nz_above) < 1e-11).any()
+        assert steep == (pitch > 1e-12)
+
+    def test_fallback_planes_over_projected_twin_edges(self):
+        # An upright box: its top edges project onto its bottom edges, and
+        # have only an up face and a vertical one, so their below plane is
+        # the box's bottom face; the rested box's bottom edges take its top.
+        box = make_box(0.08, 0.06, 0.04)
+        rested = PlacedObject(box, quat_from_euler(0.5, 0.0, 0.0), np.zeros(3))
+        incoming = PlacedObject(box, IDENTITY.copy(), np.array([0.01, 0.0, 0.2]))
+        bound, gap, _, _, pile = self.check(rested, incoming)
+        assert _fallback_edges(pile, 1, 0).tolist() == [True] * 5
+        assert _fallback_edges(pile, 0, 1).tolist() == [True] * 5
+        # The bottom face is level, so every bound is exact.
+        assert (bound == gap).all()
+
+    def test_plane_failing_the_nz_test_never_prunes(self):
+        # Rows: a down plane at z = 0.5, a side plane, up planes at z = 0.2 and
+        # one just too flat to count; a bound needs a down and an up plane.
+        planes = np.array(
+            [
+                [0.0, 0.0, -1.0, -0.5],
+                [1.0, 0.0, 0.0, 1.0],
+                [0.0, 0.0, 1.0, 0.2],
+                [0.0, 0.0, 1e-13, 1.0],
+            ]
+        )
+        xy = np.zeros((3, 2))
+        bound = scenegen._crossing_bounds(planes, np.array([0, 1, 0]), np.array([2, 2, 3]), xy)
+        assert bound.tolist() == [0.5 - 0.2, -np.inf, -np.inf]
 
 
 class TestDirtyResettle:
