@@ -1,7 +1,9 @@
 """Baselines, evaluation metrics, and end-to-end experiment drivers.
 
-Every evaluated method produces a flat list of per-dig records; the metrics
-layer reduces those to one row per method. Volume averages count a failed
+Every evaluated method, learned or scripted, runs through one
+:func:`rollout`: the same held-out episodes, the same dig budget, and one
+per-dig record for every dig, failed plans included. The metrics layer
+reduces those records to one row per method. Volume averages count a failed
 plan as zero captured volume, so
 
     avg_v == (plan success fraction) * (avg_v over plan-successful digs)
@@ -11,11 +13,7 @@ holds identically for any record set and is asserted downstream.
 The two scripted baselines act on the same observations the policy sees: the
 greedy one attacks the (x, y) of the highest observed point (ties to the
 lowest point index), clipped to the attack ranges, with a uniformly random
-entry angle, and the random one draws the whole action uniformly. Baselines
-retry failed plans until they bank the required number of plan-valid digs,
-under a hard attempt cap; an episode that exhausts the cap is dropped from
-the record wholesale and reported separately. An episode that empties the
-tray early is kept: there was nothing left to dig.
+entry angle, and the random one draws the whole action uniformly.
 
 The fill rate is over the default ``BucketSpec``, the one every environment digs with.
 """
@@ -34,7 +32,7 @@ from .errors import ConfigError, ShapeError, SizeError
 from .excavation import M3_TO_CM3, BucketSpec, EnvConfig, ExcavationEnv
 from .kinematics import AttackPose
 from .nn import ParamStore
-from .ppo import PolicyCore, dig_record, evaluate_policy, train_rl
+from .ppo import PolicyCore, train_rl
 from .repnet import RepNet
 from .sensor import SensorConfig
 
@@ -90,7 +88,9 @@ def load_metrics_table(path) -> list[dict]:
     """Rows of a metrics CSV.
 
     Raises ShapeError naming ``path`` when a metric column is missing, and
-    naming ``path:line`` when a row has fewer or more fields than the header.
+    naming ``path:line`` when a row has fewer or more fields than the header
+    or a metric cell does not parse as its type (``episodes`` and ``digs``
+    as int, the other metrics as float).
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -99,10 +99,19 @@ def load_metrics_table(path) -> list[dict]:
             raise ShapeError(f"{path}: not a metrics table, missing columns {missing}")
         rows = []
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             # DictReader fills a short row with None and files extra fields under the key None.
             if None in row or None in row.values():
-                where, width = f"{path}:{reader.line_num}", len(reader.fieldnames)
+                width = len(reader.fieldnames)
                 raise ShapeError(f"{where}: expected {width} fields like the header")
+            for k in METRICS_FIELDS[1:]:  # every column after ``method`` is a number
+                kind = int if k in ("episodes", "digs") else float
+                try:
+                    kind(row[k])
+                except ValueError:
+                    raise ShapeError(
+                        f"{where}: column {k} = {row[k]!r} is not {kind.__name__}"
+                    ) from None
             rows.append(row)
         return rows
 
@@ -126,7 +135,9 @@ def heuristic_action(obs, rng: np.random.Generator) -> np.ndarray:
     """Attack the (x, y) of the highest observed point, random entry angle.
 
     Ties go to the lowest point index. ``attack_to_action`` clips a point
-    outside the ranges onto their edge.
+    outside the ranges onto their edge. When the arm cannot reach the
+    highest point, the plan fails, the observation stays the same, and the
+    next dig aims at the same point; only alpha is drawn again.
     """
     x, y, _ = obs.points[int(np.argmax(obs.points[:, 2]))]
     alpha = rng.uniform(*ATTACK_RANGES.alpha)
@@ -137,51 +148,64 @@ def random_action(rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=3)
 
 
+def rollout(act, encode, make_env, n_episodes: int, seed: int) -> list[dict]:
+    """Roll one method through the evaluation episodes; one record per dig.
+
+    All episodes run in one environment, ``make_env(stream_seed(seed,
+    "env-9000"))``, so every method sees the same scenes in the same order.
+    An episode runs until the environment says it is done, so the budget is
+    its ``digs_per_episode``, and a failed plan is a record with 0 cm³.
+    ``act(code)`` gives the action for ``code = encode(obs)``; ``encode``
+    runs again only when the observation object changes, so failed plans
+    cost no encode.
+    """
+    if n_episodes <= 0:
+        raise SizeError("need at least one evaluation episode")
+    env = make_env(stream_seed(seed, "env-9000"))
+    records = []
+    for ep in range(n_episodes):
+        ob = env.reset()
+        code = encode(ob)
+        done = False
+        while not done:
+            action = act(code)
+            ob2, reward, done, info = env.step(action)
+            records.append(
+                {
+                    "episode": ep,
+                    "dig": info["dig"],
+                    "raw_action": [float(v) for v in action],
+                    "action": [float(v) for v in info["attack"]],
+                    "reward": float(reward),
+                    "plan_ok": bool(info["plan_ok"]),
+                    "failure": info["failure"],
+                    "captured_cm3": float(info["captured_cm3"]),
+                    "objects_left": int(info["objects_left"]),
+                }
+            )
+            if ob2 is not ob:
+                code = encode(ob2)
+            ob = ob2
+    return records
+
+
 def run_baseline(
     method: str,
     n_episodes: int,
     seed: int = 0,
     profile: Profile | None = None,
-    valid_digs: int = 10,
-    attempt_cap: int = 200,
     env_cfg: EnvConfig | None = None,
-    sensor: SensorConfig | None = None,
-) -> tuple[list[dict], int]:
-    """Roll baseline episodes; returns (records, dropped_incomplete_episodes)."""
-    if method not in ("random", "heuristic"):
-        raise ConfigError(f"unknown baseline {method!r}")
-    base_cfg = env_cfg or EnvConfig()
-    cfg = EnvConfig(digs_per_episode=attempt_cap, count_range=base_cfg.count_range)
-    env = ExcavationEnv(
-        profile=profile,
-        seed=stream_seed(seed, f"baseline-{method}-env"),
-        env_cfg=cfg,
-        sensor=sensor,
-    )
+) -> list[dict]:
+    """Roll a scripted baseline through :func:`rollout`; returns its records."""
     act_rng = seed_stream(seed, f"baseline-{method}-act")
-    records: list[dict] = []
-    incomplete = 0
-    for ep in range(n_episodes):
-        obs = env.reset()
-        ep_records: list[dict] = []
-        valid = 0
-        emptied = False
-        done = False
-        while valid < valid_digs and not done:
-            if method == "heuristic":
-                action = heuristic_action(obs, act_rng)
-            else:
-                action = random_action(act_rng)
-            obs, reward, done, info = env.step(action)
-            if info["plan_ok"]:
-                valid += 1
-            emptied = emptied or info["emptied"]
-            ep_records.append(dig_record(ep, info["dig"], action, reward, info))
-        if valid >= valid_digs or emptied:
-            records.extend(ep_records)
-        else:
-            incomplete += 1
-    return records, incomplete
+    if method == "heuristic":
+        act = lambda ob: heuristic_action(ob, act_rng)  # noqa: E731
+    elif method == "random":
+        act = lambda ob: random_action(act_rng)  # noqa: E731
+    else:
+        raise ConfigError(f"unknown baseline {method!r}")
+    make_env = functools.partial(ExcavationEnv, profile, env_cfg=env_cfg)
+    return rollout(act, lambda ob: ob, make_env, n_episodes, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +276,7 @@ def eval_rl_experiment(
     env_cfg: EnvConfig | None = None,
     sensor: SensorConfig | None = None,
 ) -> list[dict]:
-    """Deterministic policy evaluation under the standard dig budget.
+    """Deterministic policy evaluation: :func:`rollout` with the policy mean.
 
     An e2e policy store carries the encoder it was trained with, and that
     encoder is used; otherwise the frozen encoder comes from ``rep_store``.
@@ -261,8 +285,8 @@ def eval_rl_experiment(
     net = RepNet(profile, store=policy_store if "sa1_l1.w" in policy_store else rep_store)
     core = PolicyCore(profile.code_size, store=policy_store)
     make_env = functools.partial(ExcavationEnv, profile, env_cfg=env_cfg, sensor=sensor)
-    return evaluate_policy(
-        core, lambda obs: net.encode(obs.points), make_env, n_episodes, seed=seed
+    return rollout(
+        core.act_deterministic, lambda obs: net.encode(obs.points), make_env, n_episodes, seed
     )
 
 

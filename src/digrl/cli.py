@@ -7,7 +7,8 @@ variable, then ``desk``), ``--out`` where it writes artifacts, and
 ``--config`` pointing at a ``key = value`` file with ``[section]`` headers
 for the tunables that have no dedicated flag; a section or key that
 ``_SECTION_TYPES`` does not list is a runtime failure. ``eval-rl`` and
-``baseline`` each write one metrics CSV, ``<method>_metrics.csv``;
+``baseline`` roll the same evaluation episodes for one ``--seed`` and
+``[env]``, and each writes one metrics CSV, ``<method>_metrics.csv``;
 ``report`` merges such CSVs into one table.
 """
 
@@ -52,7 +53,6 @@ _SECTION_TYPES = {
         "total_samples": int,
     },
     "env": {"digs_per_episode": int, "count_min": int, "count_max": int},
-    "bench": {"valid_digs": int, "attempt_cap": int},
 }
 
 
@@ -231,19 +231,11 @@ def cmd_eval_rl(args) -> int:
 
 def cmd_baseline(args) -> int:
     profile = get_profile(args.profile)
-    sec = _config_section(args, "bench")
     out = _ensure_out(args)
-    records, incomplete = bench.run_baseline(
-        args.method,
-        args.episodes,
-        seed=args.seed,
-        profile=profile,
-        env_cfg=_env_config(args),
-        **sec,
+    records = bench.run_baseline(
+        args.method, args.episodes, seed=args.seed, profile=profile, env_cfg=_env_config(args)
     )
     _score(args.method, records, out)
-    if incomplete:
-        print(f"dropped {incomplete} episode(s) that never reached the valid-dig quota")
     return 0
 
 

@@ -372,51 +372,3 @@ def train_rl(
             )
     return core, curve
 
-
-def dig_record(episode: int, dig: int, action, reward: float, info: dict) -> dict:
-    """One per-dig record: episode and dig index, raw and physical action,
-    reward and plan outcome; keys that ``info`` lacks get neutral defaults.
-    """
-    return {
-        "episode": episode,
-        "dig": dig,
-        "raw_action": [float(v) for v in action],
-        "action": [float(v) for v in info.get("attack", action)],
-        "reward": float(reward),
-        "plan_ok": bool(info.get("plan_ok", True)),
-        "failure": info.get("failure"),
-        "captured_cm3": float(info.get("captured_cm3", 0.0)),
-        "objects_left": int(info.get("objects_left", -1)),
-    }
-
-
-def evaluate_policy(
-    core: PolicyCore,
-    encode,
-    make_env,
-    n_episodes: int,
-    seed: int = 0,
-) -> list[dict]:
-    """Roll deterministic episodes; returns one :func:`dig_record` per dig.
-
-    Actions are the squashed distribution mean. All episodes run in one
-    environment, ``make_env(stream_seed(seed, "env-9000"))``.
-    """
-    if n_episodes <= 0:
-        raise SizeError("need at least one evaluation episode")
-    env = make_env(stream_seed(seed, "env-9000"))
-    records = []
-    for ep in range(n_episodes):
-        ob = env.reset()
-        code = encode(ob)
-        done = False
-        dig = 0
-        while not done:
-            action = core.act_deterministic(code)
-            ob2, reward, done, info = env.step(action)
-            dig += 1
-            records.append(dig_record(ep, dig, action, reward, info))
-            if ob2 is not ob:
-                code = encode(ob2)
-            ob = ob2
-    return records

@@ -1,5 +1,7 @@
 import functools
-from dataclasses import asdict
+import hashlib
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,16 +16,17 @@ from digrl.bench import (
     heuristic_action,
     load_metrics_table,
     random_action,
+    rollout,
     run_baseline,
     save_table,
     train_rl_experiment,
 )
-from digrl.config import ATTACK_RANGES, get_profile
+from digrl.config import ATTACK_RANGES, get_profile, stream_seed
 from digrl.errors import ConfigError, SizeError
 from digrl.excavation import M3_TO_CM3, BucketSpec, EnvConfig, ExcavationEnv, action_to_attack
 from digrl.kinematics import AttackPose
 from digrl.nn import load_ckpt, save_ckpt
-from digrl.ppo import PolicyCore, evaluate_policy
+from digrl.ppo import PolicyCore
 from digrl.repnet import RepNet
 from digrl.sensor import SensorConfig
 
@@ -137,57 +140,99 @@ class TestHeuristic:
         assert -1.0 <= action[2] <= 1.0
 
 
+class StubEnv:
+    """Three digs per episode; a dig with a positive first action changes the observation."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def reset(self):
+        self.digs = 0
+        self.ob = object()
+        return self.ob
+
+    def step(self, action):
+        self.digs += 1
+        ok = action[0] > 0
+        if ok:
+            self.ob = object()
+        info = {
+            "dig": self.digs,
+            "attack": [2.0 * v for v in action],
+            "plan_ok": ok,
+            "failure": None if ok else "unreachable",
+            "captured_cm3": 10.0 if ok else 0.0,
+            "objects_left": 5,
+        }
+        return self.ob, info["captured_cm3"], self.digs == 3, info
+
+
+class TestRollout:
+    def test_records_and_encodes(self):
+        envs, encoded = [], []
+        actions = iter([(1.0,), (-1.0,), (1.0,)] * 2)
+
+        def make_env(seed):
+            envs.append(StubEnv(seed))
+            return envs[-1]
+
+        records = rollout(lambda code: next(actions), encoded.append, make_env, 2, 7)
+        assert [e.seed for e in envs] == [stream_seed(7, "env-9000")]
+        assert [(r["episode"], r["dig"]) for r in records] == [
+            (ep, dig) for ep in range(2) for dig in (1, 2, 3)
+        ]
+        assert [r["plan_ok"] for r in records] == [True, False, True] * 2
+        assert [r["captured_cm3"] for r in records] == [10.0, 0.0, 10.0] * 2
+        assert records[1]["failure"] == "unreachable" and records[1]["action"] == [-2.0]
+        # One encode per reset and per changed observation; the failed plan costs none.
+        assert len(encoded) == 2 * 3
+
+    def test_needs_an_episode(self):
+        with pytest.raises(SizeError, match="need at least one evaluation episode"):
+            rollout(lambda code: (1.0,), lambda ob: ob, StubEnv, 0, 0)
+
+
+def small_sensor_profile():
+    """The desk profile with a 300-point observation, which is all the environment reads of it."""
+    return replace(get_profile("desk"), fps_target=300)
+
+
 class TestRunBaseline:
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
             run_baseline("greedy", 1)
 
-    def test_records_and_drop_accounting(self):
-        records, incomplete = run_baseline(
-            "random",
-            3,
-            seed=5,
-            profile=get_profile("desk"),
-            valid_digs=3,
-            attempt_cap=3,
-            env_cfg=EnvConfig(count_range=(30, 40)),
-            sensor=SensorConfig(fps_target=300),
-        )
-        kept = {r["episode"] for r in records}
-        assert incomplete == 3 - len(kept)
-        for ep in kept:
-            ep_rows = [r for r in records if r["episode"] == ep]
-            assert len(ep_rows) == 3
-            assert sum(r["plan_ok"] for r in ep_rows) == 3
+    @pytest.mark.parametrize("method", ["random", "heuristic"])
+    def test_every_dig_is_a_record(self, method):
+        cfg = EnvConfig(digs_per_episode=3, count_range=(30, 40))
+        records = run_baseline(method, 2, seed=5, profile=small_sensor_profile(), env_cfg=cfg)
+        for ep in range(2):
+            rows = [r for r in records if r["episode"] == ep]
+            assert [r["dig"] for r in rows] == list(range(1, len(rows) + 1))
+            # The full budget, unless the last dig emptied the tray.
+            assert len(rows) == 3 or rows[-1]["objects_left"] == 0
+        assert {r["episode"] for r in records} == {0, 1}
         for r in records:
-            assert set(r) >= {
+            assert r["plan_ok"] or r["captured_cm3"] == 0.0
+            assert set(r) == {
                 "episode", "dig", "raw_action", "action", "reward",
                 "plan_ok", "failure", "captured_cm3", "objects_left",
             }
 
     def test_heuristic_baseline_runs(self):
-        records, incomplete = run_baseline(
-            "heuristic",
-            1,
-            seed=2,
-            profile=get_profile("desk"),
-            valid_digs=2,
-            attempt_cap=12,
-            env_cfg=EnvConfig(count_range=(30, 40)),
-            sensor=SensorConfig(fps_target=300),
-        )
-        assert incomplete in (0, 1)
-        if not incomplete:
-            assert sum(r["plan_ok"] for r in records) >= 2
+        # On a dense tray the highest point is out of reach: every plan fails,
+        # the observation stays, and only alpha is drawn again.
+        cfg = EnvConfig(digs_per_episode=3, count_range=(250, 250))
+        records = run_baseline("heuristic", 1, seed=2, profile=small_sensor_profile(), env_cfg=cfg)
+        assert [r["plan_ok"] for r in records] == [False] * 3
+        assert len({tuple(r["raw_action"][:2]) for r in records}) == 1
+        assert len({r["raw_action"][2] for r in records}) == 3
 
     def test_deterministic(self):
         kwargs = dict(
             seed=9,
-            profile=get_profile("desk"),
-            valid_digs=2,
-            attempt_cap=4,
-            env_cfg=EnvConfig(count_range=(20, 30)),
-            sensor=SensorConfig(fps_target=300),
+            profile=small_sensor_profile(),
+            env_cfg=EnvConfig(digs_per_episode=2, count_range=(20, 30)),
         )
         a = run_baseline("random", 2, **kwargs)
         b = run_baseline("random", 2, **kwargs)
@@ -238,16 +283,36 @@ class TestExperimentDrivers:
 
         def evaluate_with(encoder_store):
             net = RepNet(profile, store=encoder_store)
-            return evaluate_policy(
-                PolicyCore(profile.code_size, store=policy_store),
+            return rollout(
+                PolicyCore(profile.code_size, store=policy_store).act_deterministic,
                 lambda obs: net.encode(obs.points),
                 functools.partial(ExcavationEnv, profile, **env),
                 1,
-                seed=3,
+                3,
             )
 
         assert got == evaluate_with(policy_store)
         assert got != evaluate_with(rep_store)
+
+    def test_golden_eval_rl_hash(self):
+        """Pins the bytes of the policy's records: desk profile, 5 to 8 objects, two episodes.
+
+        Recorded before baselines and policies shared one rollout. The policy
+        seed is one whose mean captures once, so a changed observation is
+        encoded again and the action moves.
+        """
+        profile = get_profile("desk")
+        records = eval_rl_experiment(
+            RepNet(profile, seed=0).store,
+            PolicyCore(profile.code_size, seed=8).store,
+            2,
+            profile=profile,
+            seed=0,
+            env_cfg=EnvConfig(count_range=(5, 8)),
+        )
+        assert sum(r["captured_cm3"] > 0 for r in records) == 1
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == "9cf895b0270affc011f05228bb7c1c48ef34ae7521fe7e0bb9f7c90b6588ea3a"
 
     def test_unknown_variant(self):
         store = RepNet(get_profile("desk"), seed=0).store

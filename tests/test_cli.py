@@ -12,6 +12,7 @@ import pytest
 from digrl import cli, excavation
 from digrl.config import get_profile
 from digrl.nn import load_ckpt, save_ckpt
+from digrl.ppo import PolicyCore
 from digrl.repnet import RepNet, eval_rep, load_rep_dataset
 
 TOY_CONFIG = """\
@@ -34,10 +35,6 @@ total_samples = 4
 digs_per_episode = 2
 count_min = 5
 count_max = 8
-
-[bench]
-valid_digs = 1
-attempt_cap = 4
 """
 
 
@@ -137,6 +134,8 @@ def test_missing_input_exits_2(tmp_path, capsys):
     [
         (("train-rl", "--rep-ckpt", "rep.ckpt"), "[rll]\nn_envs = 2\n", "sections ['rll']"),
         (("baseline", "--method", "random"), "[bnch]\nvalid_digs = 1\n", "sections ['bnch']"),
+        # Baselines run the [env] dig budget, so no section sets a quota or cap of their own.
+        (("baseline", "--method", "random"), "[bench]\nvalid_digs = 1\n", "sections ['bench']"),
         (("report", "--inputs", "metrics.csv"), "[rep]\nepochs = 1\n[eval]\n", "sections ['eval']"),
         (("train-rl", "--rep-ckpt", "rep.ckpt"), "[rl]\nn_env = 2\n", "option 'n_env' in section [rl]"),
         (
@@ -146,7 +145,10 @@ def test_missing_input_exits_2(tmp_path, capsys):
         ),
         (("train-rep", "--data", "data"), "[rep]\nlr = fast\n", "lr = 'fast': expected float"),
     ],
-    ids=["section-rll", "section-bnch", "section-eval", "key-n_env", "value-n_envs", "value-lr"],
+    ids=[
+        "section-rll", "section-bnch", "section-bench", "section-eval",
+        "key-n_env", "value-n_envs", "value-lr",
+    ],
 )
 def test_config_typo_exits_2(tmp_path, capsys, argv, text, message):
     # A misspelt section used to be skipped, and the run went on with the defaults.
@@ -159,22 +161,20 @@ def test_config_typo_exits_2(tmp_path, capsys, argv, text, message):
 
 
 @pytest.mark.parametrize(
-    "argv, digs, cap",
+    "argv, digs",
     [
-        (("train-rl",), 0, 4),
-        (("baseline", "--method", "random", "--episodes", 1), -3, 4),
-        (("baseline", "--method", "random", "--episodes", 1), 2, 0),
+        (("train-rl",), 0),
+        (("baseline", "--method", "random", "--episodes", 1), -3),
     ],
-    ids=["train-rl-env-0", "baseline-env-minus-3", "baseline-attempt-cap-0"],
+    ids=["train-rl-env-0", "baseline-env-minus-3"],
 )
-def test_episode_without_digs_exits_2(tmp_path, capsys, argv, digs, cap):
+def test_episode_without_digs_exits_2(tmp_path, capsys, argv, digs):
     # Such budgets used to run one-dig episodes. The toy sizes keep a run
     # that wrongly goes ahead short.
     path = tmp_path / "nodig.cfg"
     path.write_text(
         "[rl]\nn_envs = 2\nrollout = 2\nminibatch = 2\nupdate_epochs = 1\ntotal_samples = 2\n\n"
-        f"[env]\ndigs_per_episode = {digs}\ncount_min = 5\ncount_max = 8\n\n"
-        f"[bench]\nvalid_digs = 1\nattempt_cap = {cap}\n"
+        f"[env]\ndigs_per_episode = {digs}\ncount_min = 5\ncount_max = 8\n"
     )
     ckpt = tmp_path / "rep.ckpt"
     save_ckpt(RepNet(get_profile("desk"), seed=0).store, ckpt)
@@ -205,3 +205,60 @@ def test_train_rl_spawns_training_density(tmp_path, monkeypatch):
     assert run("train-rl", "--config", path, "--rep-ckpt", ckpt, "--out", tmp_path / "rl") == 0
     assert [r for r, _ in spawned] == [(200, 300)] * 2
     assert all(200 <= n <= 300 for _, n in spawned)
+
+
+def policy_checkpoints(tmp_path):
+    profile = get_profile("desk")
+    rep, policy = tmp_path / "rep.ckpt", tmp_path / "policy.ckpt"
+    save_ckpt(RepNet(profile, seed=0).store, rep)
+    save_ckpt(PolicyCore(profile.code_size, seed=0).store, policy)
+    return ("--rep-ckpt", rep, "--policy-ckpt", policy)
+
+
+def test_every_method_runs_the_same_episodes(tmp_path, config, monkeypatch):
+    # Every method's row covers the same scenes, in the same order, with the
+    # [env] budget of digs per episode and no episode dropped.
+    ckpts = policy_checkpoints(tmp_path)
+    out = tmp_path / "eval"
+    runs = {
+        "rl": ("eval-rl", *ckpts),
+        "heuristic": ("baseline", "--method", "heuristic"),
+        "random": ("baseline", "--method", "random"),
+    }
+    spawned, seen = [], {}
+    spawn = excavation.spawn_scene
+
+    def spy(seed, count_range):
+        spawned.append(seed)
+        return spawn(seed, count_range=count_range)
+
+    monkeypatch.setattr(excavation, "spawn_scene", spy)
+    for method, argv in runs.items():
+        assert run(*argv, "--config", config, "--episodes", 2, "--seed", 4, "--out", out) == 0
+        with open(out / f"{method}_metrics.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        # Two episodes of the toy config's two digs; 5 to 8 objects outlast them.
+        assert (row["episodes"], row["digs"]) == ("2", "4")
+        seen[method] = spawned[:]
+        spawned.clear()
+    assert len(seen["rl"]) == 2
+    assert seen["heuristic"] == seen["rl"] and seen["random"] == seen["rl"]
+
+
+def test_heuristic_on_dense_scenes_writes_a_row(tmp_path):
+    # At 250 objects every greedy plan fails; the failures are the row.
+    path = tmp_path / "dense.cfg"
+    path.write_text("[env]\ndigs_per_episode = 2\ncount_min = 250\ncount_max = 250\n")
+    out = tmp_path / "eval"
+    argv = ("baseline", "--method", "heuristic", "--episodes", 1, "--config", path)
+    assert run(*argv, "--out", out) == 0
+    with open(out / "heuristic_metrics.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["episodes"], row["digs"], float(row["plan_succ_pct"])) == ("1", "2", 0.0)
+
+
+@pytest.mark.parametrize("command", ["eval-rl", "baseline"])
+def test_no_episodes_exits_2(tmp_path, capsys, command):
+    extra = policy_checkpoints(tmp_path) if command == "eval-rl" else ("--method", "random")
+    assert run(command, *extra, "--episodes", 0, "--out", tmp_path / "out") == 2
+    assert "need at least one evaluation episode" in capsys.readouterr().err

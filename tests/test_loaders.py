@@ -6,7 +6,8 @@ every strict prefix raises ShapeError (or EmptyObservationError while the
 cut is inside its comment line). A malformed dataset manifest line raises
 ShapeError naming the file and line, and so does a text line that is not
 UTF-8, an xyzl point that is not finite, normal without a direction or
-curvature that is not finite, and a metrics row whose field count differs from its header.
+curvature that is not finite, and a metrics row whose field count differs from its header
+or whose metric cell does not parse as its number.
 A scene file with a non-finite vertex, quaternion, translation or tray
 field, a zero quaternion, or a tray length or width that is not positive
 raises ShapeError naming the file (and the object). An object whose volume
@@ -252,6 +253,7 @@ def write_bytes(blob):
 
 
 HEADER = ",".join(METRICS_FIELDS)
+ROW = "rl,2,20,55.5,12.3,60.0,92.5"
 FOREIGN_CONTENT = [
     pytest.param(
         "p.ckpt", ckpt_with_foreign_name, nn.load_ckpt, r"p\.ckpt: parameter name is not UTF-8",
@@ -289,9 +291,19 @@ FOREIGN_CONTENT = [
         rf"m\.csv:2: expected {len(METRICS_FIELDS)} fields like the header", id="metrics-short-row",
     ),
     pytest.param(
-        "m.csv", write_bytes(f"{HEADER}\n{HEADER}\n{HEADER},1\n".encode()),
+        "m.csv", write_bytes(f"{HEADER}\n{ROW}\n{ROW},1\n".encode()),
         lambda path: collect_report([str(path)]),
         rf"m\.csv:3: expected {len(METRICS_FIELDS)} fields like the header", id="metrics-long-row",
+    ),
+    pytest.param(
+        "m.csv", write_bytes(f"{HEADER}\n{ROW}\nrl,2,20,abc,12.3,60.0,92.5\n".encode()),
+        lambda path: collect_report([str(path)]),
+        r"m\.csv:3: column avg_v_cm3 = 'abc' is not float", id="metrics-word-cell",
+    ),
+    pytest.param(
+        "m.csv", write_bytes(f"{HEADER}\nrl,2,,55.5,12.3,60.0,92.5\n".encode()),
+        lambda path: collect_report([str(path)]),
+        r"m\.csv:2: column digs = '' is not int", id="metrics-empty-cell",
     ),
 ]
 

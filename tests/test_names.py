@@ -272,17 +272,21 @@ def passed_arguments(tree, module=None):
 
     The callee is what the called name or attribute reaches by :func:`resolve`,
     the calling ``module``'s own definitions included; a call that reaches
-    nothing passes nothing.
+    nothing passes nothing. ``x.partial(f, *args, **kwargs)`` passes its
+    arguments on to ``f``, as ``functools.partial`` does.
     """
     modules, names = resolved_names(tree, module)
     found = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        callee = resolve(node.func, modules, names)
+        func, args = node.func, node.args
+        if resolve(func, modules, names) == ".partial" and args:
+            func, args = args[0], args[1:]
+        callee = resolve(func, modules, names)
         if callee is None:
             continue
-        for i, arg in enumerate(node.args):
+        for i, arg in enumerate(args):
             if isinstance(arg, ast.Starred):
                 found.add((callee, "*"))
                 break
@@ -333,6 +337,11 @@ def test_defaulted_parameters_have_callers():
         ast.parse("from digrl import ppo\nppo.f(1, 2, c=3)\nf(1, 2, c=3)\nK(1)\n")
     )
     assert unpassed(defined, calls, "nn") == {"f(b)", "f(c)", "K(x)", "K.m(y)", "K.m(z)", "K.s(w)"}
+    # A partial passes its bound arguments on; the arguments of its result's call reach nothing.
+    calls = passed_arguments(
+        ast.parse("import functools\nfrom .nn import K, f\nfunctools.partial(f, 1, 2, c=3)(4)\n")
+    )
+    assert unpassed(defined, calls, "nn") == {"K(x)", "K.m(y)", "K.m(z)", "K.s(w)"}
     # A callback of the package function's name is not that function: the
     # benchmark's tracer calls ``observe(tracer, args, kwargs, result)``.
     observe = "def observe(scene, cfg, rng=None, extra=1):\n    pass\n"

@@ -14,7 +14,6 @@ from digrl.ppo import (
     GAMMA,
     PolicyCore,
     RewardNormalizer,
-    evaluate_policy,
     flat_advantages,
     gae,
     ppo_loss,
@@ -356,15 +355,3 @@ class TestTraining:
                 n_envs=5,
                 rollout=768,
             )
-
-    def test_evaluate_policy_records(self):
-        core = PolicyCore(2, act_dim=1, hidden=(8, 4), seed=5)
-        records = evaluate_policy(
-            core, lambda o: o, QuadraticBandit, n_episodes=3, seed=1
-        )
-        assert len(records) == 3
-        for i, rec in enumerate(records):
-            assert rec["episode"] == i and rec["dig"] == 1
-            assert rec["plan_ok"] is True
-        with pytest.raises(SizeError):
-            evaluate_policy(core, lambda o: o, QuadraticBandit, n_episodes=0)
