@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import ATTACK_RANGES, Profile, get_profile, seed_stream, stream_seed
+from .config import ATTACK_RANGES, Profile, seed_stream, stream_seed
 from .errors import ConfigError, ShapeError, SizeError
 from .excavation import M3_TO_CM3, BucketSpec, EnvConfig, ExcavationEnv
 from .kinematics import AttackPose
@@ -192,8 +192,8 @@ def rollout(act, encode, make_env, n_episodes: int, seed: int) -> list[dict]:
 def run_baseline(
     method: str,
     n_episodes: int,
+    profile: Profile,
     seed: int = 0,
-    profile: Profile | None = None,
     env_cfg: EnvConfig | None = None,
 ) -> list[dict]:
     """Roll a scripted baseline through :func:`rollout`; returns its records."""
@@ -218,18 +218,13 @@ TRAIN_COUNT_RANGE = (200, 300)
 
 def train_rl_experiment(
     rep_store: ParamStore,
-    profile: Profile | None = None,
+    profile: Profile,
     seed: int = 0,
     total_samples: int | None = None,
     variant: str = "rep",
-    n_envs: int = 6,
-    rollout: int = 768,
-    minibatch: int = 128,
-    update_epochs: int = 10,
-    lr: float = 3e-4,
     env_cfg: EnvConfig | None = None,
-    log=None,
     sensor: SensorConfig | None = None,
+    **ppo_options,
 ) -> tuple[PolicyCore, list[dict], RepNet]:
     """Train the digging policy on top of a representation.
 
@@ -237,17 +232,17 @@ def train_rl_experiment(
     observation and the optimizer never touches encoder parameters.
     ``variant="e2e"`` shares one parameter store and backpropagates through
     the encoder at every update epoch (only tractable at toy scale).
-    Without ``env_cfg``, scenes hold ``TRAIN_COUNT_RANGE`` objects.
+    Without ``env_cfg``, scenes hold ``TRAIN_COUNT_RANGE`` objects. The
+    ``ppo_options`` (``n_envs``, ``rollout``, ``lr``, ``log``, ...) go to
+    :func:`ppo.train_rl` as given.
     """
-    profile = profile or get_profile()
     net = RepNet(profile, store=rep_store)
     env_cfg = env_cfg or EnvConfig(count_range=TRAIN_COUNT_RANGE)
     make_env = functools.partial(ExcavationEnv, profile, env_cfg=env_cfg, sensor=sensor)
     encode = lambda obs: net.encode(obs.points)  # noqa: E731
-    kwargs = {}
     if variant == "e2e":
-        kwargs["graph_encode"] = lambda obs: net.encoder(net.levels(obs.points))["code"]
-        kwargs["store"] = net.store
+        ppo_options["graph_encode"] = lambda obs: net.encoder(net.levels(obs.points))["code"]
+        ppo_options["store"] = net.store
     elif variant != "rep":
         raise ConfigError(f"unknown variant {variant!r}; expected rep or e2e")
     core, curve = train_rl(
@@ -256,13 +251,7 @@ def train_rl_experiment(
         profile.code_size,
         total_samples if total_samples is not None else profile.rl_total_samples,
         seed=seed,
-        n_envs=n_envs,
-        rollout=rollout,
-        minibatch=minibatch,
-        update_epochs=update_epochs,
-        lr=lr,
-        log=log,
-        **kwargs,
+        **ppo_options,
     )
     return core, curve, net
 
@@ -271,7 +260,7 @@ def eval_rl_experiment(
     rep_store: ParamStore,
     policy_store: ParamStore,
     n_episodes: int,
-    profile: Profile | None = None,
+    profile: Profile,
     seed: int = 0,
     env_cfg: EnvConfig | None = None,
     sensor: SensorConfig | None = None,
@@ -281,7 +270,6 @@ def eval_rl_experiment(
     An e2e policy store carries the encoder it was trained with, and that
     encoder is used; otherwise the frozen encoder comes from ``rep_store``.
     """
-    profile = profile or get_profile()
     net = RepNet(profile, store=policy_store if "sa1_l1.w" in policy_store else rep_store)
     core = PolicyCore(profile.code_size, store=policy_store)
     make_env = functools.partial(ExcavationEnv, profile, env_cfg=env_cfg, sensor=sensor)

@@ -3,10 +3,11 @@
 Exit codes: 0 on success, 1 on a usage error (bad flags or arguments), 2 on
 a runtime failure (missing files, failed runs). Every command takes
 ``--seed``, ``--profile`` (falling back to the DIGRL_PROFILE environment
-variable, then ``desk``), ``--out`` where it writes artifacts, and
-``--config`` pointing at a ``key = value`` file with ``[section]`` headers
-for the tunables that have no dedicated flag; a section or key that
-``_SECTION_TYPES`` does not list is a runtime failure. ``eval-rl`` and
+variable, then ``desk``; the library never reads it), ``--out`` where it
+writes artifacts, and ``--config`` pointing at a ``key = value`` file with
+``[section]`` headers for the tunables that have no flag, so no key repeats
+``--count`` or ``--samples`` (both default to the profile's); a section or
+key that ``_SECTION_TYPES`` does not list is a runtime failure. ``eval-rl`` and
 ``baseline`` roll the same evaluation episodes for one ``--seed`` and
 ``[env]``, and each writes one metrics CSV, ``<method>_metrics.csv``;
 ``report`` merges such CSVs into one table.
@@ -35,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _SECTION_TYPES = {
-    "scenes": {"count_min": int, "count_max": int, "n_scenes": int},
+    "scenes": {"count_min": int, "count_max": int},
     "rep": {
         "epochs": int,
         "batch_size": int,
@@ -50,7 +51,6 @@ _SECTION_TYPES = {
         "minibatch": int,
         "update_epochs": int,
         "lr": float,
-        "total_samples": int,
     },
     "env": {"digs_per_episode": int, "count_min": int, "count_max": int},
 }
@@ -107,17 +107,16 @@ def _progress(label):
 def cmd_gen_scenes(args) -> int:
     profile = get_profile(args.profile)
     sec = _config_section(args, "scenes")
-    n = args.count if args.count is not None else sec.get("n_scenes", profile.rep_scenes)
     out = _ensure_out(args)
-    lines = repnet.gen_scene_files(
+    paths = repnet.gen_scene_files(
         out,
         profile=profile,
         seed=args.seed,
-        n_scenes=n,
+        n_scenes=args.count,
         count_range=_count_range(sec),
         progress=_progress("scenes"),
     )
-    print(f"wrote {len(lines)} scenes under {out}")
+    print(f"wrote {len(paths)} scenes under {out}")
     return 0
 
 
@@ -188,14 +187,11 @@ def cmd_train_rl(args) -> int:
     profile = get_profile(args.profile)
     sec = _config_section(args, "rl")
     out = _ensure_out(args)
-    total = sec.pop("total_samples", None)
-    if args.samples is not None:
-        total = args.samples
     core, curve, _net = bench.train_rl_experiment(
         load_ckpt(args.rep_ckpt),
         profile=profile,
         seed=args.seed,
-        total_samples=total,
+        total_samples=args.samples,
         variant=args.variant,
         env_cfg=_env_config(args, bench.TRAIN_COUNT_RANGE),
         log=print,
@@ -254,7 +250,8 @@ def cmd_report(args) -> int:
 
 def _add_common(sp, out_required: bool = True):
     sp.add_argument("--seed", type=int, default=0, help="master seed for this command")
-    sp.add_argument("--profile", default=None, help="run profile (paper or desk)")
+    env_profile = os.environ.get("DIGRL_PROFILE", "desk")
+    sp.add_argument("--profile", default=env_profile, help="paper or desk (default: %(default)s)")
     sp.add_argument("--config", default=None, help="key=value config file")
     sp.add_argument("--out", required=out_required, help="output directory")
 
@@ -265,7 +262,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("gen-scenes", help="spawn and settle cluttered scenes")
     _add_common(sp)
-    sp.add_argument("--count", type=int, default=None, help="number of scenes")
+    sp.add_argument("--count", type=int, default=None, help="scenes (default: profile's)")
     sp.set_defaults(func=cmd_gen_scenes)
 
     sp = sub.add_parser("label", help="observe raw scenes and attach labels")
@@ -287,7 +284,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("train-rl", help="train the digging policy")
     _add_common(sp)
     sp.add_argument("--rep-ckpt", required=True, help="representation checkpoint")
-    sp.add_argument("--samples", type=int, default=None, help="total environment steps")
+    sp.add_argument("--samples", type=int, default=None, help="env steps (default: profile's)")
     sp.add_argument("--variant", choices=("rep", "e2e"), default="rep")
     sp.set_defaults(func=cmd_train_rl)
 

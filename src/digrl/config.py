@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import configparser
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-
-PROFILE_ENV_VAR = "DIGRL_PROFILE"
 
 
 @dataclass(frozen=True)
@@ -90,10 +87,8 @@ DESK_PROFILE = Profile(
 _PROFILES = {"paper": PAPER_PROFILE, "desk": DESK_PROFILE}
 
 
-def get_profile(name: str | None = None) -> Profile:
-    """Look up a profile by name; ``None`` honours the environment override."""
-    if name is None:
-        name = os.environ.get(PROFILE_ENV_VAR, "desk")
+def get_profile(name: str) -> Profile:
+    """Look up a profile by name."""
     try:
         return _PROFILES[name]
     except KeyError:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ATTACK_RANGES, OBJECT_COUNT_RANGE, Profile, get_profile, seed_stream
+from .config import ATTACK_RANGES, OBJECT_COUNT_RANGE, Profile, seed_stream
 from .errors import ProtocolError, ShapeError, SizeError
 from .geometry import HeightMap
 from .kinematics import (
@@ -146,28 +146,27 @@ class ExcavationEnv:
     ``reset`` builds a fresh scene and returns its observation; ``step``
     takes a normalized action, executes the dig, and returns
     ``(obs, reward, done, info)``. The observation only changes when a dig
-    actually disturbs the scene; failed plans leave it untouched. Stepping a
-    finished episode raises ProtocolError. Sensor noise draws from its own
-    stream of ``seed``, and the planner uses the observation's noise-free
-    heightmap, so noise changes only the observed points. Only the profile,
-    seed, episode config and sensor vary between environments.
+    actually disturbs the scene; failed plans leave it untouched. An episode
+    ends after ``digs_per_episode`` digs or at the dig that empties the tray
+    (``info["objects_left"] == 0``); stepping it then raises ProtocolError.
+    Sensor noise draws from its own stream of ``seed``, and the planner uses
+    the observation's noise-free heightmap, so noise changes only the
+    observed points. Only the profile, seed, episode config and sensor vary
+    between environments.
     """
 
     def __init__(
         self,
-        profile: Profile | None = None,
-        seed: int | None = None,
+        profile: Profile,
+        seed: int,
         env_cfg: EnvConfig | None = None,
         sensor: SensorConfig | None = None,
     ) -> None:
-        self.profile = profile or get_profile()
         self.cfg = env_cfg or EnvConfig()
-        self.sensor = sensor or SensorConfig(fps_target=self.profile.fps_target)
+        self.sensor = sensor or SensorConfig(fps_target=profile.fps_target)
         self._rng = np.random.default_rng(seed)
         # Sensor noise has its own stream, so scene seeds never shift.
-        self._noise_rng = (
-            np.random.default_rng() if seed is None else seed_stream(seed, "sensor-noise")
-        )
+        self._noise_rng = seed_stream(seed, "sensor-noise")
         self._scene: Scene | None = None
         self._obs: ObservationCloud | None = None
         self._digs = 0
@@ -209,14 +208,10 @@ class ExcavationEnv:
             "fail_index": result.outcome.fail_index,
             "captured_cm3": result.captured_volume * M3_TO_CM3,
             "objects_left": result.scene_after.object_count,
-            "emptied": False,
         }
         if result.outcome.ok and result.captured_indices:
             self._scene = result.scene_after
             self._refresh_observation()
-            if self._scene.object_count == 0:
-                info["emptied"] = self._done = True
-        if self._digs >= self.cfg.digs_per_episode:
-            self._done = True
+        self._done = self._digs >= self.cfg.digs_per_episode or self._scene.object_count == 0
         return self._obs, result.reward, self._done, info
 

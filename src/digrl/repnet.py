@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .config import OBJECT_COUNT_RANGE, Profile, get_profile, seed_stream
+from .config import OBJECT_COUNT_RANGE, Profile, seed_stream
 from .errors import DigrlError, ShapeError, SizeError, require_positive, text_lines
 from .geometry import (
     CURVATURE_MAX,
@@ -98,11 +98,11 @@ class RepNet:
 
     def __init__(
         self,
-        profile: Profile | None = None,
+        profile: Profile,
         store: nn.ParamStore | None = None,
         seed: int = 0,
     ) -> None:
-        self.profile = profile or get_profile()
+        self.profile = profile
         p = self.profile
         if store is None:
             store = nn.ParamStore()
@@ -295,58 +295,61 @@ class RepSample:
 
 def gen_scene_files(
     out_dir,
-    profile: Profile | None = None,
+    profile: Profile,
     seed: int = 0,
     n_scenes: int | None = None,
     count_range: tuple[int, int] = OBJECT_COUNT_RANGE,
     progress=None,
 ) -> list[str]:
-    """Spawn settled scenes and write them under ``raw_scenes/NNNN.scene``.
+    """Spawn settled scenes and write them under ``raw_scenes/NNNN.scene``; returns their paths.
 
-    A ``raw_manifest.txt`` records each scene's seed and object count.
+    ``n_scenes`` defaults to the profile's ``rep_scenes``. Each SCENE file
+    records its scene's seed and object count, so nothing else is written.
     """
-    profile = profile or get_profile()
     n_scenes = n_scenes if n_scenes is not None else profile.rep_scenes
     require_positive(n_scenes=n_scenes)
     raw_dir = os.path.join(out_dir, "raw_scenes")
     os.makedirs(raw_dir, exist_ok=True)
-    lines = []
+    paths = []
     for i in range(n_scenes):
         scene_seed = int(seed_stream(seed, f"rep-scene-{i}").integers(0, 2**62))
-        scene = spawn_scene(scene_seed, count_range=count_range)
-        save_scene(scene, os.path.join(raw_dir, f"{i:04d}.scene"))
-        lines.append(f"{i:04d} seed={scene_seed} count={scene.object_count}")
+        paths.append(os.path.join(raw_dir, f"{i:04d}.scene"))
+        save_scene(spawn_scene(scene_seed, count_range=count_range), paths[-1])
         if progress is not None:
             progress(i + 1, n_scenes)
-    with open(os.path.join(out_dir, "raw_manifest.txt"), "w") as fh:
-        fh.write("# settled scenes, one line per file\n")
-        fh.write("\n".join(lines) + "\n")
-    return lines
+    return paths
 
 
 def label_scene_files(
     root_dir,
+    profile: Profile,
     out_dir=None,
-    profile: Profile | None = None,
     seed: int = 0,
     val_fraction: float = 0.1,
     progress=None,
 ) -> list[str]:
-    """Observe and label every raw scene into ``scenes/NNNN.xyzl``.
+    """Observe and label every ``raw_scenes/<id>.scene`` into ``scenes/<id>.xyzl``.
 
-    The ``manifest.txt`` written next to them carries each scene's seed, true
-    object count, and train/val split tag.
+    Scenes go in the integer order of their ids. The ``manifest.txt`` written
+    next to them, whose lines are returned, carries each scene's seed (-1 if
+    none) and object count, as its SCENE file records them, and its
+    train/val split tag. A missing or empty ``raw_scenes`` raises SizeError,
+    and a scene file whose id is not decimal digits raises ShapeError.
     """
-    profile = profile or get_profile()
     out_dir = out_dir or root_dir
     cfg = SensorConfig(fps_target=profile.fps_target)
-    raw_manifest = os.path.join(root_dir, "raw_manifest.txt")
-    entries = _read_manifest(raw_manifest)
-    if not entries:
-        raise SizeError(f"no scenes listed in {raw_manifest}")
+    raw_dir = os.path.join(root_dir, "raw_scenes")
+    names = os.listdir(raw_dir) if os.path.isdir(raw_dir) else []
+    ids = sorted(name[: -len(".scene")] for name in names if name.endswith(".scene"))
+    if not ids:
+        raise SizeError(f"no .scene files in {raw_dir}")
+    bad = [i for i in ids if not (i.isascii() and i.isdigit())]
+    if bad:
+        raise ShapeError(f"{os.path.join(raw_dir, bad[0])}.scene: the id is not a number")
+    ids.sort(key=int)
     split_rng = seed_stream(seed, "rep-split")
-    splits = np.where(split_rng.random(len(entries)) < val_fraction, "val", "train")
-    if len(entries) == 1:  # a lone scene is all there is to train on
+    splits = np.where(split_rng.random(len(ids)) < val_fraction, "val", "train")
+    if len(ids) == 1:  # a lone scene is all there is to train on
         splits[0] = "train"
     elif (splits == "train").all():  # both splits must be inhabited
         splits[-1] = "val"
@@ -355,16 +358,16 @@ def label_scene_files(
     scene_dir = os.path.join(out_dir, "scenes")
     os.makedirs(scene_dir, exist_ok=True)
     lines = []
-    for k, (scene_id, meta) in enumerate(entries):
-        scene = load_scene(os.path.join(root_dir, "raw_scenes", f"{scene_id}.scene"))
+    for k, scene_id in enumerate(ids):
+        scene = load_scene(os.path.join(raw_dir, f"{scene_id}.scene"))
         obs = label_observation(observe(scene, cfg))
         save_xyzl(os.path.join(scene_dir, f"{scene_id}.xyzl"), obs.cloud)
+        seed_text = -1 if scene.seed is None else scene.seed
         lines.append(
-            f"{scene_id} seed={meta.get('seed', -1)} count={obs.object_count} "
-            f"split={splits[k]}"
+            f"{scene_id} seed={seed_text} count={scene.object_count} split={splits[k]}"
         )
         if progress is not None:
-            progress(k + 1, len(entries))
+            progress(k + 1, len(ids))
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
         fh.write("# labeled observation dataset, one line per scene\n")
         fh.write("\n".join(lines) + "\n")
@@ -450,7 +453,7 @@ def eval_rep(net: RepNet, samples: list[RepSample], plans: list[GroupingPlan]) -
 
 def train_rep(
     samples: list[RepSample],
-    profile: Profile | None = None,
+    profile: Profile,
     seed: int = 0,
     epochs: int = 10,
     batch_size: int = 16,
@@ -470,7 +473,6 @@ def train_rep(
     for this call only. Training aborts on a non-finite loss.
     """
     require_positive(epochs=epochs, batch_size=batch_size)
-    profile = profile or get_profile()
     net = RepNet(profile, seed=seed)
     rng = seed_stream(seed, "rep-train")
     train = [s for s in samples if s.split == "train"]

@@ -42,10 +42,9 @@ class SensorConfig:
 
 @dataclass
 class ObservationCloud:
-    """Sensor output: points in the tray frame plus ground-truth metadata."""
+    """Sensor output: points in the tray frame plus the noise-free heightmap for planning."""
 
     cloud: PointCloud
-    object_count: int | None = None
     heightmap: HeightMap | None = None
 
     @property
@@ -141,9 +140,8 @@ def observe(
 
     Noise of ``cfg.noise_sigma`` draws from ``rng``, which noisy sensing
     needs. Clouds already at or below the target size pass through
-    unsampled. The scene's true object count and its noise-free heightmap
-    (equal to :func:`scene_heightmap`) ride along as metadata for
-    supervision and planning; policies must only consume the points.
+    unsampled. The noise-free heightmap (equal to :func:`scene_heightmap`)
+    rides along for planning; policies must only consume the points.
     """
     # One render serves both outputs: noise goes onto the points only.
     pts = render_surface(scene, cfg).points
@@ -160,7 +158,7 @@ def observe(
         raise EmptyObservationError("sensor crop produced zero points")
     if len(cropped) > cfg.fps_target:
         cropped = cropped[fps(cropped, cfg.fps_target)]
-    return ObservationCloud(PointCloud(cropped), object_count=scene.object_count, heightmap=hmap)
+    return ObservationCloud(PointCloud(cropped), heightmap=hmap)
 
 
 def _orient_steep_downhill(points: np.ndarray, normals: np.ndarray) -> np.ndarray:

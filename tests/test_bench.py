@@ -200,7 +200,7 @@ def small_sensor_profile():
 class TestRunBaseline:
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
-            run_baseline("greedy", 1)
+            run_baseline("greedy", 1, get_profile("desk"))
 
     @pytest.mark.parametrize("method", ["random", "heuristic"])
     def test_every_dig_is_a_record(self, method):

@@ -1,8 +1,8 @@
 """The ``digrl`` command line, run in process through ``cli.main``.
 
-The whole pipeline runs at toy scale from one ``--config`` file: two scenes
-of 5 to 8 objects, one representation epoch, one tiny PPO update, and
-two-dig episodes.
+The whole pipeline runs at toy scale from one ``--config`` file and the
+``--count`` and ``--samples`` flags: two scenes of 5 to 8 objects, one
+representation epoch, one tiny PPO update, and two-dig episodes.
 """
 
 import csv
@@ -19,7 +19,6 @@ TOY_CONFIG = """\
 [scenes]
 count_min = 5
 count_max = 8
-n_scenes = 2
 
 [rep]
 epochs = 1
@@ -29,7 +28,6 @@ n_envs = 2
 rollout = 4
 minibatch = 4
 update_epochs = 1
-total_samples = 4
 
 [env]
 digs_per_episode = 2
@@ -51,12 +49,13 @@ def run(*argv):
 
 def test_pipeline_from_one_config(tmp_path, config, capsys):
     data, rep, rl, ev = (tmp_path / d for d in ("data", "rep", "rl", "eval"))
-    assert run("gen-scenes", "--config", config, "--out", data) == 0
+    assert run("gen-scenes", "--config", config, "--count", 2, "--out", data) == 0
     assert run("label", "--config", config, "--data", data) == 0
     assert run("train-rep", "--config", config, "--data", data, "--out", rep) == 0
     assert run("eval-rep", "--data", data, "--ckpt", rep / "rep.ckpt", "--out", rep) == 0
     assert run("eval-rep", "--data", data, "--ckpt", rep / "nope.ckpt") == 2
-    assert run("train-rl", "--config", config, "--rep-ckpt", rep / "rep.ckpt", "--out", rl) == 0
+    rl_argv = ("--rep-ckpt", rep / "rep.ckpt", "--samples", 4, "--out", rl)
+    assert run("train-rl", "--config", config, *rl_argv) == 0
     policy = rl / "policy_rep.ckpt"
     assert run(
         "eval-rl", "--config", config, "--rep-ckpt", rep / "rep.ckpt",
@@ -74,7 +73,6 @@ def test_pipeline_from_one_config(tmp_path, config, capsys):
     written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
     assert written == {
         "toy.cfg",
-        "data/raw_manifest.txt",
         "data/raw_scenes/0000.scene",
         "data/raw_scenes/0001.scene",
         "data/manifest.txt",
@@ -96,7 +94,7 @@ def test_pipeline_from_one_config(tmp_path, config, capsys):
 
     # One row per split that has samples, each equal to eval_rep on the checkpoint.
     samples = load_rep_dataset(data)
-    net = RepNet(get_profile(), store=load_ckpt(rep / "rep.ckpt"))
+    net = RepNet(get_profile("desk"), store=load_ckpt(rep / "rep.ckpt"))
     with open(rep / "rep_eval.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     splits = [split for split in ("train", "val") if any(s.split == split for s in samples)]
@@ -107,7 +105,7 @@ def test_pipeline_from_one_config(tmp_path, config, capsys):
         assert {k: float(row[k]) for k in want} == want
 
 
-def test_samples_flag_overrides_config_total(tmp_path, config):
+def test_samples_flag_sets_the_total(tmp_path, config):
     ckpt = tmp_path / "rep.ckpt"
     save_ckpt(RepNet(get_profile("desk"), seed=0).store, ckpt)
     out = tmp_path / "rl"
@@ -116,6 +114,16 @@ def test_samples_flag_overrides_config_total(tmp_path, config):
     ) == 0
     with open(out / "rl_curve.csv", newline="") as fh:
         assert [int(r["samples"]) for r in csv.DictReader(fh)] == [4, 8]
+
+
+def test_profile_falls_back_to_the_environment(tmp_path, capsys, monkeypatch):
+    # The command line alone reads DIGRL_PROFILE, and --profile wins over it.
+    monkeypatch.setenv("DIGRL_PROFILE", "nope")
+    argv = ("baseline", "--method", "random", "--episodes", 0, "--out", tmp_path / "out")
+    assert run(*argv) == 2
+    assert "unknown profile 'nope'" in capsys.readouterr().err
+    assert run(*argv, "--profile", "desk") == 2
+    assert "need at least one evaluation episode" in capsys.readouterr().err
 
 
 def test_usage_error_exits_1(tmp_path):
@@ -138,6 +146,13 @@ def test_missing_input_exits_2(tmp_path, capsys):
         (("baseline", "--method", "random"), "[bench]\nvalid_digs = 1\n", "sections ['bench']"),
         (("report", "--inputs", "metrics.csv"), "[rep]\nepochs = 1\n[eval]\n", "sections ['eval']"),
         (("train-rl", "--rep-ckpt", "rep.ckpt"), "[rl]\nn_env = 2\n", "option 'n_env' in section [rl]"),
+        # The totals have one source each, the flags --count and --samples.
+        (("gen-scenes",), "[scenes]\nn_scenes = 2\n", "option 'n_scenes' in section [scenes]"),
+        (
+            ("train-rl", "--rep-ckpt", "rep.ckpt"),
+            "[rl]\ntotal_samples = 4\n",
+            "option 'total_samples' in section [rl]",
+        ),
         (
             ("train-rl", "--rep-ckpt", "rep.ckpt"),
             "[rl]\nn_envs = 2.5\n",
@@ -147,7 +162,7 @@ def test_missing_input_exits_2(tmp_path, capsys):
     ],
     ids=[
         "section-rll", "section-bnch", "section-bench", "section-eval",
-        "key-n_env", "value-n_envs", "value-lr",
+        "key-n_env", "key-n_scenes", "key-total_samples", "value-n_envs", "value-lr",
     ],
 )
 def test_config_typo_exits_2(tmp_path, capsys, argv, text, message):
@@ -163,7 +178,7 @@ def test_config_typo_exits_2(tmp_path, capsys, argv, text, message):
 @pytest.mark.parametrize(
     "argv, digs",
     [
-        (("train-rl",), 0),
+        (("train-rl", "--samples", 2), 0),
         (("baseline", "--method", "random", "--episodes", 1), -3),
     ],
     ids=["train-rl-env-0", "baseline-env-minus-3"],
@@ -173,7 +188,7 @@ def test_episode_without_digs_exits_2(tmp_path, capsys, argv, digs):
     # that wrongly goes ahead short.
     path = tmp_path / "nodig.cfg"
     path.write_text(
-        "[rl]\nn_envs = 2\nrollout = 2\nminibatch = 2\nupdate_epochs = 1\ntotal_samples = 2\n\n"
+        "[rl]\nn_envs = 2\nrollout = 2\nminibatch = 2\nupdate_epochs = 1\n\n"
         f"[env]\ndigs_per_episode = {digs}\ncount_min = 5\ncount_max = 8\n"
     )
     ckpt = tmp_path / "rep.ckpt"
@@ -188,8 +203,8 @@ def test_train_rl_spawns_training_density(tmp_path, monkeypatch):
     # bench.TRAIN_COUNT_RANGE, not the 50 to 300 of evaluation.
     path = tmp_path / "rl.cfg"
     path.write_text(
-        "[rl]\nn_envs = 2\nrollout = 2\nminibatch = 2\nupdate_epochs = 1\n"
-        "total_samples = 2\n\n[env]\ndigs_per_episode = 2\n"
+        "[rl]\nn_envs = 2\nrollout = 2\nminibatch = 2\nupdate_epochs = 1\n\n"
+        "[env]\ndigs_per_episode = 2\n"
     )
     ckpt = tmp_path / "rep.ckpt"
     save_ckpt(RepNet(get_profile("desk"), seed=0).store, ckpt)
@@ -202,7 +217,8 @@ def test_train_rl_spawns_training_density(tmp_path, monkeypatch):
         return scene
 
     monkeypatch.setattr(excavation, "spawn_scene", spy)
-    assert run("train-rl", "--config", path, "--rep-ckpt", ckpt, "--out", tmp_path / "rl") == 0
+    argv = ("--rep-ckpt", ckpt, "--samples", 2, "--out", tmp_path / "rl")
+    assert run("train-rl", "--config", path, *argv) == 0
     assert [r for r, _ in spawned] == [(200, 300)] * 2
     assert all(200 <= n <= 300 for _, n in spawned)
 

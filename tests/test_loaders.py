@@ -24,7 +24,7 @@ from digrl import nn
 from digrl.bench import METRICS_FIELDS, collect_report
 from digrl.errors import DegenerateGeometryError, EmptyObservationError, ShapeError
 from digrl.geometry import PointCloud, load_xyzl, save_xyzl
-from digrl.repnet import label_scene_files, load_rep_dataset
+from digrl.repnet import load_rep_dataset
 from digrl.scenegen import RigidObject, load_scene, save_scene, spawn_scene
 
 
@@ -314,9 +314,3 @@ def test_foreign_content_raises_shape_error(name, write, load, message, tmp_path
     write(path)
     with pytest.raises(ShapeError, match=message):
         load(path)
-
-
-def test_raw_manifest_bad_line_raises_shape_error(tmp_path):
-    (tmp_path / "raw_manifest.txt").write_text("0000 seed=1 count=3\n0001 seed=2 count\n")
-    with pytest.raises(ShapeError, match=r"raw_manifest\.txt:2: expected key=value"):
-        label_scene_files(tmp_path)

@@ -5,6 +5,11 @@ A missing import raises NameError only when the line that reads the name
 runs, so a branch that seldom runs can hide one. This scan finds such names
 from the compiler's own symbol tables, without running the module.
 
+Only ``cli`` resolves a run profile, from ``--profile`` or DIGRL_PROFILE;
+every other module takes the profile its caller gives it. Every key of the
+config file's ``[rl]`` and ``[rep]`` sections names a defaulted parameter
+of the function it tunes, and no key sets what a flag sets.
+
 Every public top-level function or class of the package, and every public
 method or property of a public class, has a caller outside the tests, apart
 from a fixed list of known leftovers that may only shrink. Likewise every
@@ -16,10 +21,14 @@ resolve it to that one, and an attribute of any other object reaches every
 method of its name.
 """
 
+import argparse
 import ast
 import builtins
+import inspect
 import symtable
 from pathlib import Path
+
+from digrl import cli, ppo, repnet
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "digrl").glob("*.py"))
@@ -372,3 +381,49 @@ def test_defaulted_parameters_have_callers():
     )
     assert found - UNPASSED == set(), "defaulted parameters that no caller outside the tests passes"
     assert UNPASSED - found == set(), "stale entries: these parameters are gone or passed now"
+
+
+def test_only_the_cli_resolves_a_profile():
+    probe = "from .config import get_profile\ndef f(p=None):\n    return p or get_profile()\n"
+    assert "config.get_profile" in referenced_names(ast.parse(probe), "bench")
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    lookups = {m for m, tree in trees.items() if "config.get_profile" in referenced_names(tree, m)}
+    assert lookups == {"cli"}
+    assert {p.stem for p in PACKAGE if "DIGRL_PROFILE" in p.read_text(encoding="utf-8")} == {"cli"}
+
+
+def flag_dests(parser):
+    """The ``dest`` of every option of every subcommand."""
+    dests = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                dests |= {a.dest for a in sub._actions}
+    return dests
+
+
+def defaulted(fn):
+    """The names of ``fn``'s parameters that have a default."""
+    return {n for n, p in inspect.signature(fn).parameters.items() if p.default is not p.empty}
+
+
+def stray_keys(section_types, tunables, flags):
+    """``[section] key`` for each key not in ``tunables[section]``, or that a flag sets."""
+    return {
+        f"[{section}] {key}"
+        for section, names in tunables.items()
+        for key in section_types[section]
+        if key not in names or key in flags
+    }
+
+
+def test_config_keys_are_tunables_without_a_flag():
+    flags = flag_dests(cli.build_parser())
+    assert {"seed", "count", "samples"} <= flags
+    # The label split's fraction shares the [rep] section with training.
+    split = {"val_fraction"} & defaulted(repnet.label_scene_files)
+    tunables = {"rl": defaulted(ppo.train_rl), "rep": defaulted(repnet.train_rep) | split}
+    # A total that a flag sets, a key whose parameter is gone, and a flag's own name.
+    probe = {"rl": {"lr": float, "total_samples": int, "n_env": int}, "rep": {"seed": int}}
+    assert stray_keys(probe, tunables, flags) == {"[rl] total_samples", "[rl] n_env", "[rep] seed"}
+    assert stray_keys(cli._SECTION_TYPES, tunables, flags) == set()

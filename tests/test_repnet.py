@@ -1,7 +1,9 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from digrl.repnet import (
     rep_loss,
     train_rep,
 )
-from digrl.scenegen import spawn_scene
+from digrl.scenegen import save_scene, spawn_scene
 from digrl.sensor import SensorConfig, label_observation, observe
 
 QUANT = 2.0 ** -20  # grid on which float64 addition is exact for |v| < 2^11
@@ -48,7 +50,7 @@ def tiny_samples(n_scenes=5, n_points=300):
                 points=obs.cloud.points,
                 normals=obs.cloud.normals,
                 curvature=obs.cloud.curvature,
-                count=obs.object_count,
+                count=scene.object_count,
                 split="val" if i == n_scenes - 1 else "train",
             )
         )
@@ -442,11 +444,63 @@ class TestDataset:
         for sub in ("manifest.txt", "scenes/0000.xyzl", "scenes/0001.xyzl"):
             assert (tmp_path / "a" / sub).read_bytes() == (tmp_path / "b" / sub).read_bytes()
 
+    def test_golden_manifest_hash(self, tmp_path):
+        # The SHA-256 of the manifest text when the scenes' seeds and counts
+        # came from a second file, raw_manifest.txt; the SCENE files now
+        # carry them alone. The benchmark digest hashes the scene and xyzl
+        # bytes, not this text.
+        root = tmp_path / "data"
+        profile = get_profile("desk")
+        build_dataset(str(root), profile=profile, seed=11, n_scenes=3, count_range=(3, 6))
+        digest = hashlib.sha256((root / "manifest.txt").read_bytes()).hexdigest()
+        assert digest == "1206b3e0b08777b88a0941f53b9233029d02766ee1de6c8c313cdc3f5ecbb365"
+        written = {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+        ids = ("0000", "0001", "0002")
+        files = [f"raw_scenes/{i}.scene" for i in ids] + [f"scenes/{i}.xyzl" for i in ids]
+        assert written == {"manifest.txt", *files}
+
+    def test_scene_ids_sort_as_integers(self, tmp_path):
+        # By name, 10000 sorts before 1001; the paper profile writes 35,000
+        # scenes, so a name sort would reshuffle the train/val split.
+        raw = tmp_path / "raw_scenes"
+        raw.mkdir()
+        ids = ["0002", "1001", "9999", "10000"]
+        scenes = {}
+        for k, scene_id in enumerate(ids):
+            scenes[scene_id] = spawn_scene(seed=200 + k, count_range=(3, 5))
+            save_scene(scenes[scene_id], raw / f"{scene_id}.scene")
+        (raw / "notes.txt").write_text("not a scene\n")
+        profile = replace(get_profile("desk"), fps_target=300)
+        lines = label_scene_files(str(tmp_path), profile, seed=3)
+        assert [line.split()[0] for line in lines] == ids
+        for line in lines:
+            scene = scenes[line.split()[0]]
+            assert line.split()[1:3] == [f"seed={scene.seed}", f"count={scene.object_count}"]
+        assert [s.scene_id for s in load_rep_dataset(str(tmp_path))] == ids
+
+    def test_scene_id_not_a_number_raises_shape_error(self, tmp_path):
+        raw = tmp_path / "raw_scenes"
+        raw.mkdir()
+        save_scene(spawn_scene(seed=200, count_range=(3, 5)), raw / "0000.scene")
+        (raw / "0001b.scene").write_bytes((raw / "0000.scene").read_bytes())
+        with pytest.raises(ShapeError, match=r"raw_scenes/0001b\.scene: "):
+            label_scene_files(str(tmp_path), get_profile("desk"))
+        assert not (tmp_path / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("make_dir", [False, True], ids=["missing", "empty"])
+    def test_no_raw_scenes_raises_size_error(self, tmp_path, make_dir):
+        raw = tmp_path / "raw_scenes"
+        if make_dir:
+            raw.mkdir()
+            (raw / "0000.txt").write_text("not a scene\n")
+        with pytest.raises(SizeError, match=f"no .scene files in {re.escape(str(raw))}$"):
+            label_scene_files(str(tmp_path), get_profile("desk"))
+
     @pytest.mark.parametrize("n_scenes", [0, -1])
     def test_non_positive_scene_count_rejected(self, n_scenes, tmp_path):
         # A count of 0 used to write an empty manifest that ``label`` then rejected.
         with pytest.raises(SizeError, match=f"n_scenes must be at least 1, got {n_scenes}"):
-            gen_scene_files(tmp_path / "data", n_scenes=n_scenes)
+            gen_scene_files(tmp_path / "data", get_profile("desk"), n_scenes=n_scenes)
         assert not (tmp_path / "data").exists()
 
     def test_missing_labels_rejected(self, tmp_path):

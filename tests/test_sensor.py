@@ -135,10 +135,6 @@ class TestObserve:
         b = observe(small_scene, SensorConfig(fps_target=2048))
         assert np.array_equal(a.points, b.points)
 
-    def test_object_count_metadata(self, small_scene):
-        obs = observe(small_scene, SensorConfig())
-        assert obs.object_count == small_scene.object_count
-
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.002])
     def test_heightmap_metadata_is_noise_free(self, small_scene, noise_sigma):
         cfg = SensorConfig(fps_target=2048, noise_sigma=noise_sigma)
@@ -196,7 +192,7 @@ class TestLabels:
         assert np.any(cloud.normals[:, 2] < 0.0)
         assert np.all((cloud.curvature >= 0.0) & (cloud.curvature <= 1.0 / 3.0))
         assert np.array_equal(cloud.points, obs.points)
-        assert labeled.object_count == obs.object_count
+        assert labeled.heightmap is obs.heightmap
 
     def test_flat_region_labels(self, tray):
         """Floor points far from any object get vertical normals, zero curvature."""
