@@ -34,7 +34,6 @@ from .kinematics import AttackPose
 from .nn import ParamStore
 from .ppo import PolicyCore, train_rl
 from .repnet import RepNet
-from .sensor import SensorConfig
 
 
 @dataclass
@@ -223,7 +222,6 @@ def train_rl_experiment(
     total_samples: int | None = None,
     variant: str = "rep",
     env_cfg: EnvConfig | None = None,
-    sensor: SensorConfig | None = None,
     **ppo_options,
 ) -> tuple[PolicyCore, list[dict], RepNet]:
     """Train the digging policy on top of a representation.
@@ -238,7 +236,7 @@ def train_rl_experiment(
     """
     net = RepNet(profile, store=rep_store)
     env_cfg = env_cfg or EnvConfig(count_range=TRAIN_COUNT_RANGE)
-    make_env = functools.partial(ExcavationEnv, profile, env_cfg=env_cfg, sensor=sensor)
+    make_env = functools.partial(ExcavationEnv, profile, env_cfg=env_cfg)
     encode = lambda obs: net.encode(obs.points)  # noqa: E731
     if variant == "e2e":
         ppo_options["graph_encode"] = lambda obs: net.encoder(net.levels(obs.points))["code"]
@@ -263,7 +261,6 @@ def eval_rl_experiment(
     profile: Profile,
     seed: int = 0,
     env_cfg: EnvConfig | None = None,
-    sensor: SensorConfig | None = None,
 ) -> list[dict]:
     """Deterministic policy evaluation: :func:`rollout` with the policy mean.
 
@@ -272,7 +269,7 @@ def eval_rl_experiment(
     """
     net = RepNet(profile, store=policy_store if "sa1_l1.w" in policy_store else rep_store)
     core = PolicyCore(profile.code_size, store=policy_store)
-    make_env = functools.partial(ExcavationEnv, profile, env_cfg=env_cfg, sensor=sensor)
+    make_env = functools.partial(ExcavationEnv, profile, env_cfg=env_cfg)
     return rollout(
         core.act_deterministic, lambda obs: net.encode(obs.points), make_env, n_episodes, seed
     )

@@ -122,7 +122,8 @@ def cmd_gen_scenes(args) -> int:
 
 def cmd_label(args) -> int:
     profile = get_profile(args.profile)
-    sec = _config_section(args, "rep")
+    # Only [rep] val_fraction is the label step's; without it the library's default holds.
+    split = {k: v for k, v in _config_section(args, "rep").items() if k == "val_fraction"}
     out = args.out or args.data
     os.makedirs(out, exist_ok=True)
     lines = repnet.label_scene_files(
@@ -130,8 +131,8 @@ def cmd_label(args) -> int:
         out_dir=out,
         profile=profile,
         seed=args.seed,
-        val_fraction=sec.get("val_fraction", 0.1),
         progress=_progress("labels"),
+        **split,
     )
     print(f"labeled {len(lines)} scenes into {out}")
     return 0

@@ -32,7 +32,7 @@ from .kinematics import (
     plan_trajectory,
 )
 from .scenegen import Scene, resettle, spawn_scene
-from .sensor import ObservationCloud, SensorConfig, observe, scene_heightmap
+from .sensor import ObservationCloud, observe, scene_heightmap
 
 M3_TO_CM3 = 1.0e6
 PLAN_FAILURE_REWARD = -1.0
@@ -49,7 +49,6 @@ class BucketSpec:
 
 @dataclass
 class DigResult:
-    attack: AttackPose
     outcome: PlanOutcome
     captured_indices: tuple[int, ...]
     captured_volume: float  # m^3
@@ -110,16 +109,16 @@ def execute_dig(
 ) -> DigResult:
     """Plan and score one dig. The input scene is never mutated."""
     if hmap is None:
-        hmap = scene_heightmap(scene, SensorConfig())
+        hmap = scene_heightmap(scene)
     outcome = plan_trajectory(arm, attack, hmap, scene.tray, params)
     if not outcome.ok:
-        return DigResult(attack, outcome, (), 0.0, PLAN_FAILURE_REWARD, scene)
+        return DigResult(outcome, (), 0.0, PLAN_FAILURE_REWARD, scene)
     traj = outcome.trajectory
     tips, _ = fk_batch(arm, traj.joints)
     drag_tips = tips[traj.phase_slice("drag")]
     taken, vol = capture_from_drag(scene, drag_tips, hmap, bucket)
     after = resettle(scene, taken) if taken else Scene(scene.tray, list(scene.placed), scene.seed)
-    return DigResult(attack, outcome, tuple(taken), vol, vol * M3_TO_CM3, after)
+    return DigResult(outcome, tuple(taken), vol, vol * M3_TO_CM3, after)
 
 
 def action_to_attack(action) -> AttackPose:
@@ -132,8 +131,15 @@ def action_to_attack(action) -> AttackPose:
 
 @dataclass
 class EnvConfig:
+    """Episode budget, scene density and sensor noise of one environment.
+
+    ``noise_sigma`` is the stddev, in metres, of the Gaussian z noise added
+    to the observed points; 0 senses the surface exactly.
+    """
+
     digs_per_episode: int = 10
     count_range: tuple[int, int] = OBJECT_COUNT_RANGE
+    noise_sigma: float = 0.0
 
     def __post_init__(self):
         if self.digs_per_episode < 1:
@@ -149,21 +155,16 @@ class ExcavationEnv:
     actually disturbs the scene; failed plans leave it untouched. An episode
     ends after ``digs_per_episode`` digs or at the dig that empties the tray
     (``info["objects_left"] == 0``); stepping it then raises ProtocolError.
-    Sensor noise draws from its own stream of ``seed``, and the planner uses
-    the observation's noise-free heightmap, so noise changes only the
-    observed points. Only the profile, seed, episode config and sensor vary
+    Observations keep the profile's ``fps_target`` points. Sensor noise of
+    ``env_cfg.noise_sigma`` draws from its own stream of ``seed``, and the
+    planner uses the observation's noise-free heightmap, so noise changes
+    only the observed points. Only the profile, seed and episode config vary
     between environments.
     """
 
-    def __init__(
-        self,
-        profile: Profile,
-        seed: int,
-        env_cfg: EnvConfig | None = None,
-        sensor: SensorConfig | None = None,
-    ) -> None:
+    def __init__(self, profile: Profile, seed: int, env_cfg: EnvConfig | None = None) -> None:
         self.cfg = env_cfg or EnvConfig()
-        self.sensor = sensor or SensorConfig(fps_target=profile.fps_target)
+        self.fps_target = profile.fps_target
         self._rng = np.random.default_rng(seed)
         # Sensor noise has its own stream, so scene seeds never shift.
         self._noise_rng = seed_stream(seed, "sensor-noise")
@@ -185,7 +186,7 @@ class ExcavationEnv:
         return self._obs
 
     def _refresh_observation(self) -> None:
-        self._obs = observe(self._scene, self.sensor, self._noise_rng)
+        self._obs = observe(self._scene, self.fps_target, self._noise_rng, self.cfg.noise_sigma)
 
     def step(self, action) -> tuple[ObservationCloud, float, bool, dict]:
         if self._done or self._scene is None:

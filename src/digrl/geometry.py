@@ -30,6 +30,7 @@ from scipy.spatial import cKDTree
 from .errors import EmptyObservationError, ShapeError, SizeError, text_lines
 
 CURVATURE_MAX = 1.0 / 3.0
+PCA_K = 30  # points per PCA neighbourhood, the point itself included
 
 # Rows per pairwise-distance block: a 512 x 2,048 float64 block is 8 MB, a
 # 512 x 20k one 82 MB. The PCA labels' bits follow the gemm of these blocks.
@@ -301,8 +302,8 @@ def _knn_indices(pts: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def estimate_normals_curvature(cloud, k: int = 30) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point PCA surface labels from k-neighborhoods.
+def estimate_normals_curvature(cloud) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point PCA surface labels from k-neighborhoods, k = ``PCA_K``.
 
     A neighborhood is a point's k nearest points, itself included, ranked as
     the chunked brute force ranks them, ties and all: tree candidates where
@@ -319,7 +320,8 @@ def estimate_normals_curvature(cloud, k: int = 30) -> tuple[np.ndarray, np.ndarr
     n = len(pts)
     if n == 0:
         raise SizeError("cannot label an empty cloud")
-    if not 0 < k <= n:
+    k = PCA_K
+    if k > n:
         raise SizeError(f"k={k} out of range for cloud of {n}")
     idx = _knn_indices(pts, k)
     nbr = pts[idx]  # (N, k, 3)

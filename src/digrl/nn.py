@@ -26,19 +26,23 @@ _CKPT_MAGIC = b"CKPT"
 _CKPT_VERSION = 1
 _NORM_EPS = 1e-8  # normalize_rows divides rows shorter than this by it
 _VAR_EPS = 1e-5  # standardize_cols adds this to each column's variance
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Tensor:
-    """A value in the computation graph; a leaf has no edges, and only :func:`_node` adds them."""
+    """A value in the computation graph; a leaf has no edges, and only :func:`_node` adds them.
+
+    Only a parameter's leaf (``param``) and the nodes above one need a gradient.
+    """
 
     __slots__ = ("value", "grad", "requires_grad", "_edges", "_param")
 
-    def __init__(self, value, edges=(), requires_grad=False, param=None):
+    def __init__(self, value, edges=(), param=None):
         self.value = value
         self.grad = None
         self._edges = edges
         self._param = param
-        self.requires_grad = requires_grad or param is not None or bool(edges)
+        self.requires_grad = param is not None or bool(edges)
 
     @staticmethod
     def const(value, dtype=None) -> "Tensor":
@@ -465,25 +469,18 @@ class ParamStore:
         for p in self._params.values():
             p.grad[...] = 0.0
 
-    def adam_step(
-        self,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def adam_step(self, lr: float, weight_decay: float = 0.0) -> None:
         """One Adam update with bias correction and decoupled weight decay."""
         self.step += 1
-        c1 = 1.0 - beta1**self.step
-        c2 = 1.0 - beta2**self.step
+        c1 = 1.0 - ADAM_BETA1**self.step
+        c2 = 1.0 - ADAM_BETA2**self.step
         for p in self._params.values():
             g = p.grad
-            p.m *= beta1
-            p.m += (1.0 - beta1) * g
-            p.v *= beta2
-            p.v += (1.0 - beta2) * g * g
-            update = (p.m / c1) / (np.sqrt(p.v / c2) + eps)
+            p.m *= ADAM_BETA1
+            p.m += (1.0 - ADAM_BETA1) * g
+            p.v *= ADAM_BETA2
+            p.v += (1.0 - ADAM_BETA2) * g * g
+            update = (p.m / c1) / (np.sqrt(p.v / c2) + ADAM_EPS)
             if weight_decay:
                 update = update + weight_decay * p.value
             p.value -= lr * update

@@ -26,6 +26,8 @@ from . import nn
 from .config import seed_stream, stream_seed
 from .errors import SizeError, require_positive
 
+ACT_DIM = 3  # (x, y, alpha)
+HIDDEN = (256, 64)  # widths of the two trunk layers
 GAMMA = 0.99
 GAE_LAMBDA = 0.95
 CLIP_EPS = 0.2
@@ -53,24 +55,16 @@ class ActStep:
 class PolicyCore:
     """Trunk + Gaussian head + value head over precomputed codes."""
 
-    def __init__(
-        self,
-        code_size: int,
-        act_dim: int = 3,
-        hidden: tuple[int, int] = (256, 64),
-        store: nn.ParamStore | None = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, code_size: int, store: nn.ParamStore | None = None, seed: int = 0) -> None:
         self.code_size = code_size
-        self.act_dim = act_dim
         self.store = store if store is not None else nn.ParamStore()
         if "pi_l1.w" not in self.store:
             rng = seed_stream(seed, "policy-init")
-            self.store.add_linear("pi_l1", code_size, hidden[0], rng)
-            self.store.add_linear("pi_l2", hidden[0], hidden[1], rng)
-            self.store.add_linear("pi_mean", hidden[1], act_dim, rng)
-            self.store.add_linear("pi_value", hidden[1], 1, rng)
-            self.store.add("pi_log_std", np.zeros(act_dim))
+            self.store.add_linear("pi_l1", code_size, HIDDEN[0], rng)
+            self.store.add_linear("pi_l2", HIDDEN[0], HIDDEN[1], rng)
+            self.store.add_linear("pi_mean", HIDDEN[1], ACT_DIM, rng)
+            self.store.add_linear("pi_value", HIDDEN[1], 1, rng)
+            self.store.add("pi_log_std", np.zeros(ACT_DIM))
 
     def _forward(self, codes: nn.Tensor) -> tuple[nn.Tensor, nn.Tensor]:
         s = self.store
@@ -98,12 +92,12 @@ class PolicyCore:
         """Sample one squashed action; density evaluated at the raw sample."""
         mean, value, log_std = self._np_dist(code)
         std = np.exp(log_std)
-        u = mean + std * rng.standard_normal(self.act_dim)
+        u = mean + std * rng.standard_normal(ACT_DIM)
         z = (u - mean) / std
         logp = float(
             -0.5 * np.sum(z * z)
             - np.sum(log_std)
-            - self.act_dim * _HALF_LOG_2PI
+            - ACT_DIM * _HALF_LOG_2PI
             - squash_correction(u)[0]
         )
         return ActStep(np.tanh(u), u, logp, value)
@@ -134,11 +128,11 @@ class PolicyCore:
         z = nn.mul(nn.sub(u_t, mean), inv_std)
         quad = nn.mul(nn.row_sum(nn.mul(z, z)), -0.5)
         logdet = nn.mul(nn.row_sum(ls_rows), -1.0)
-        const_part = -(self.act_dim * _HALF_LOG_2PI) - squash_correction(u)
+        const_part = -(ACT_DIM * _HALF_LOG_2PI) - squash_correction(u)
         logp = nn.add(nn.add(quad, logdet), nn.Tensor.const(const_part, self.store.dtype))
         entropy = nn.add(
             nn.total_sum(ls),
-            float(self.act_dim * (0.5 + _HALF_LOG_2PI)),
+            float(ACT_DIM * (0.5 + _HALF_LOG_2PI)),
         )
         return logp, values, entropy
 
@@ -179,10 +173,10 @@ def gae(
     values: np.ndarray,
     dones: np.ndarray,
     bootstrap: float | np.ndarray,
-    gamma: float = GAMMA,
-    lam: float = GAE_LAMBDA,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generalized advantage estimation along the last (time) axis, newest-last.
+
+    The discount is ``GAMMA`` and the trace decay ``GAE_LAMBDA``.
 
     Leading axes are independent streams, one per environment. ``bootstrap``
     holds the value of each stream's state after its final step; it only
@@ -193,8 +187,8 @@ def gae(
     next_adv = 0.0
     for i in range(adv.shape[-1] - 1, -1, -1):
         live = 1.0 - dones[..., i]
-        delta = rewards[..., i] + gamma * next_value * live - values[..., i]
-        next_adv = delta + gamma * lam * live * next_adv
+        delta = rewards[..., i] + GAMMA * next_value * live - values[..., i]
+        next_adv = delta + GAMMA * GAE_LAMBDA * live * next_adv
         adv[..., i] = next_adv
         next_value = values[..., i]
     return adv, adv + values
@@ -258,13 +252,11 @@ def train_rl(
     code_size: int,
     total_samples: int,
     seed: int = 0,
-    act_dim: int = 3,
     n_envs: int = 6,
     rollout: int = 768,
     minibatch: int = 128,
     update_epochs: int = 10,
     lr: float = 3e-4,
-    hidden: tuple[int, int] = (256, 64),
     graph_encode=None,
     store: nn.ParamStore | None = None,
     log=None,
@@ -288,7 +280,7 @@ def train_rl(
     updates = total_samples // rollout
     if updates <= 0:
         raise SizeError(f"total_samples={total_samples} is below one rollout of {rollout}")
-    core = PolicyCore(code_size, act_dim=act_dim, hidden=hidden, store=store, seed=seed)
+    core = PolicyCore(code_size, store=store, seed=seed)
     act_rng = seed_stream(seed, "rl-act")
     sgd_rng = seed_stream(seed, "rl-minibatch")
     normalizer = RewardNormalizer()
@@ -302,7 +294,7 @@ def train_rl(
     rounds = rollout // n_envs
     # Row e, column t holds env e's step of round t; every update refills them.
     b_codes = np.empty((n_envs, rounds, code_size))
-    b_us = np.empty((n_envs, rounds, act_dim))
+    b_us = np.empty((n_envs, rounds, ACT_DIM))
     b_logps, b_rewards, b_values, b_dones = (np.empty((n_envs, rounds)) for _ in range(4))
     curve: list[dict] = []
     for update in range(1, updates + 1):
@@ -340,7 +332,7 @@ def train_rl(
         )
         advantages, returns = flat_advantages(b_rewards, b_values, b_dones, bootstraps)
         flat_codes = b_codes.reshape(rollout, code_size)
-        flat_us = b_us.reshape(rollout, act_dim)
+        flat_us = b_us.reshape(rollout, ACT_DIM)
         flat_logps = b_logps.reshape(rollout)
         for _ in range(update_epochs):
             perm = sgd_rng.permutation(rollout)

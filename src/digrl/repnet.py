@@ -52,7 +52,7 @@ from .geometry import (
     save_xyzl,
 )
 from .scenegen import load_scene, save_scene, spawn_scene
-from .sensor import SensorConfig, label_observation, observe
+from .sensor import label_observation, observe
 
 NORMAL_LOSS_WEIGHT = 10.0
 COUNT_SCALE = 300.0  # object counts are regressed as count / COUNT_SCALE
@@ -337,7 +337,6 @@ def label_scene_files(
     and a scene file whose id is not decimal digits raises ShapeError.
     """
     out_dir = out_dir or root_dir
-    cfg = SensorConfig(fps_target=profile.fps_target)
     raw_dir = os.path.join(root_dir, "raw_scenes")
     names = os.listdir(raw_dir) if os.path.isdir(raw_dir) else []
     ids = sorted(name[: -len(".scene")] for name in names if name.endswith(".scene"))
@@ -360,7 +359,7 @@ def label_scene_files(
     lines = []
     for k, scene_id in enumerate(ids):
         scene = load_scene(os.path.join(raw_dir, f"{scene_id}.scene"))
-        obs = label_observation(observe(scene, cfg))
+        obs = label_observation(observe(scene, profile.fps_target))
         save_xyzl(os.path.join(scene_dir, f"{scene_id}.xyzl"), obs.cloud)
         seed_text = -1 if scene.seed is None else scene.seed
         lines.append(
@@ -379,9 +378,9 @@ def _read_manifest(path) -> list[tuple[str, dict]]:
 
     A line is a scene id followed by ``key=value`` tokens; blank lines and
     ``#`` comments are skipped. Every entry needs a ``count`` of decimal
-    digits, which is returned as an int, and a ``split`` tag, if present,
-    must be ``train`` or ``val``. A malformed or non-UTF-8 line raises
-    ShapeError naming ``path:line``.
+    digits, which is returned as an int, and a ``split`` tag of ``train`` or
+    ``val``. A malformed or non-UTF-8 line raises ShapeError naming
+    ``path:line``.
     """
     entries = []
     for lineno, line in text_lines(path):
@@ -398,8 +397,8 @@ def _read_manifest(path) -> list[tuple[str, dict]]:
         if not (count.isascii() and count.isdigit()):
             raise ShapeError(f"{where}: needs an integer count=, got {meta.get('count')!r}")
         meta["count"] = int(count)
-        if meta.get("split", "train") not in SPLITS:
-            raise ShapeError(f"{where}: split={meta['split']!r} is not one of {SPLITS}")
+        if meta.get("split") not in SPLITS:
+            raise ShapeError(f"{where}: split={meta.get('split')!r} is not one of {SPLITS}")
         entries.append((scene_id, meta))
     return entries
 
@@ -415,7 +414,7 @@ def load_rep_dataset(data_dir) -> list[RepSample]:
                 normals=cloud.normals,
                 curvature=cloud.curvature,
                 count=meta["count"],
-                split=meta.get("split", "train"),
+                split=meta["split"],
             )
         )
     if not samples:

@@ -10,6 +10,10 @@ so buried bodies cost almost nothing and the heights keep their bits. One
 end; each body the culling keeps reads its own slice. The grid is emitted
 x-major, so a crop of it has the non-decreasing x that lets ``fps`` update
 one contiguous slab per pick.
+
+The ray pitch is the constant ``RAY_PITCH``; the FPS target and the z noise
+come from the caller, the target from its run profile and the noise from its
+environment config.
 """
 
 from __future__ import annotations
@@ -25,27 +29,18 @@ from .errors import EmptyObservationError, ShapeError
 from .geometry import HeightMap, PointCloud, estimate_normals_curvature, fps
 from .scenegen import _PRUNE_MARGIN, Scene, _laid_end_to_end, face_planes, vertical_envelopes
 
-DEFAULT_RAY_PITCH = 0.005  # m; ~16k rays over the default tray footprint
+RAY_PITCH = 0.005  # m; ~16k rays over the default tray footprint
 STEEP_NZ = 0.35      # below this the upward-flip convention stops pinning the sign
 _SIDE_OFFSET = 0.02  # m; distance to each side of a steep face when comparing ground
 _SIDE_RADIUS = 0.015  # m; disk radius for the side height samples
 
 
 @dataclass
-class SensorConfig:
-    """Ray grid pitch, z noise and FPS target; the crop is the attack ranges' (x, y) box."""
-
-    ray_pitch: float = DEFAULT_RAY_PITCH
-    noise_sigma: float = 0.0  # stddev of additive z noise, metres
-    fps_target: int = 7000
-
-
-@dataclass
 class ObservationCloud:
-    """Sensor output: points in the tray frame plus the noise-free heightmap for planning."""
+    """Sensor output: points in the tray frame and the noise-free heightmap that planning reads."""
 
     cloud: PointCloud
-    heightmap: HeightMap | None = None
+    heightmap: HeightMap
 
     @property
     def points(self) -> np.ndarray:
@@ -55,17 +50,15 @@ class ObservationCloud:
         return len(self.cloud)
 
 
-def _ray_axes(tray, cfg: SensorConfig) -> tuple[np.ndarray, np.ndarray]:
+def _ray_axes(tray) -> tuple[np.ndarray, np.ndarray]:
     """Centres of the ray columns along x and along y."""
-    if cfg.ray_pitch <= 0:
-        raise ShapeError("ray pitch must be positive")
     (x0, x1), (y0, y1) = tray.x_range, tray.y_range
-    nx = max(1, int(round((x1 - x0) / cfg.ray_pitch)))
-    ny = max(1, int(round((y1 - y0) / cfg.ray_pitch)))
-    return x0 + (np.arange(nx) + 0.5) * cfg.ray_pitch, y0 + (np.arange(ny) + 0.5) * cfg.ray_pitch
+    nx = max(1, int(round((x1 - x0) / RAY_PITCH)))
+    ny = max(1, int(round((y1 - y0) / RAY_PITCH)))
+    return x0 + (np.arange(nx) + 0.5) * RAY_PITCH, y0 + (np.arange(ny) + 0.5) * RAY_PITCH
 
 
-def _surface_grid(scene: Scene, cfg: SensorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _surface_grid(scene: Scene) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ray-grid axes and per-cell surface heights over the tray floor.
 
     A cell's height is the maximum over the floor and every body's upper
@@ -78,7 +71,7 @@ def _surface_grid(scene: Scene, cfg: SensorConfig) -> tuple[np.ndarray, np.ndarr
     each body's planes have the bits they would have alone.
     """
     tray = scene.tray
-    xs, ys = _ray_axes(tray, cfg)
+    xs, ys = _ray_axes(tray)
     x0, y0 = tray.x_range[0], tray.y_range[0]
     nx, ny = len(xs), len(ys)
     heights = np.full((nx, ny), tray.floor_z, dtype=np.float64)
@@ -92,8 +85,8 @@ def _surface_grid(scene: Scene, cfg: SensorConfig) -> tuple[np.ndarray, np.ndarr
     his = np.maximum.reduceat(verts, vert_starts)
     # Per body: its footprint box's window of ray cells, clipped to the
     # grid, and its run of planes.
-    first = np.maximum(0, np.floor((los[:, :2] - (x0, y0)) / cfg.ray_pitch - 0.5))
-    last = np.minimum((nx - 1, ny - 1), np.ceil((his[:, :2] - (x0, y0)) / cfg.ray_pitch))
+    first = np.maximum(0, np.floor((los[:, :2] - (x0, y0)) / RAY_PITCH - 0.5))
+    last = np.minimum((nx - 1, ny - 1), np.ceil((his[:, :2] - (x0, y0)) / RAY_PITCH))
     plane_ends = np.cumsum(n_faces)
     runs = np.column_stack([first, last, plane_ends - n_faces, plane_ends])
     runs = runs.astype(np.int64).tolist()
@@ -113,52 +106,56 @@ def _surface_grid(scene: Scene, cfg: SensorConfig) -> tuple[np.ndarray, np.ndarr
     return xs, ys, heights
 
 
-def _grid_heightmap(xs: np.ndarray, ys: np.ndarray, heights: np.ndarray, cfg: SensorConfig) -> HeightMap:
+def _grid_heightmap(xs: np.ndarray, ys: np.ndarray, heights: np.ndarray) -> HeightMap:
     return HeightMap(
-        origin=np.array([xs[0] - 0.5 * cfg.ray_pitch, ys[0] - 0.5 * cfg.ray_pitch]),
-        resolution=cfg.ray_pitch,
+        origin=np.array([xs[0] - 0.5 * RAY_PITCH, ys[0] - 0.5 * RAY_PITCH]),
+        resolution=RAY_PITCH,
         heights=heights,
     )
 
 
-def scene_heightmap(scene: Scene, cfg: SensorConfig) -> HeightMap:
+def scene_heightmap(scene: Scene) -> HeightMap:
     """Noise-free surface heights of the whole tray as a grid."""
-    return _grid_heightmap(*_surface_grid(scene, cfg), cfg)
+    return _grid_heightmap(*_surface_grid(scene))
 
 
-def render_surface(scene: Scene, cfg: SensorConfig) -> PointCloud:
+def render_surface(scene: Scene) -> PointCloud:
     """Cast the full ray grid over the tray floor and return one noise-free point per ray."""
-    xs, ys, heights = _surface_grid(scene, cfg)
+    xs, ys, heights = _surface_grid(scene)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     return PointCloud(np.stack([gx.reshape(-1), gy.reshape(-1), heights.reshape(-1)], axis=1))
 
 
 def observe(
-    scene: Scene, cfg: SensorConfig, rng: np.random.Generator | None = None
+    scene: Scene,
+    fps_target: int,
+    rng: np.random.Generator | None = None,
+    noise_sigma: float = 0.0,
 ) -> ObservationCloud:
-    """Render, add z noise, crop to the attack ranges' (x, y), and downsample to the FPS target.
+    """Render, add z noise, crop to the attack ranges' (x, y), and downsample to ``fps_target``.
 
-    Noise of ``cfg.noise_sigma`` draws from ``rng``, which noisy sensing
-    needs. Clouds already at or below the target size pass through
-    unsampled. The noise-free heightmap (equal to :func:`scene_heightmap`)
-    rides along for planning; policies must only consume the points.
+    Gaussian z noise of stddev ``noise_sigma`` metres draws from ``rng``,
+    which noisy sensing needs. Clouds already at or below the target size
+    pass through unsampled. The noise-free heightmap (equal to
+    :func:`scene_heightmap`) rides along for planning; policies must only
+    consume the points.
     """
     # One render serves both outputs: noise goes onto the points only.
-    pts = render_surface(scene, cfg).points
-    xs, ys = _ray_axes(scene.tray, cfg)
-    hmap = _grid_heightmap(xs, ys, pts[:, 2].reshape(len(xs), len(ys)).copy(), cfg)
-    if cfg.noise_sigma > 0.0:
+    pts = render_surface(scene).points
+    xs, ys = _ray_axes(scene.tray)
+    hmap = _grid_heightmap(xs, ys, pts[:, 2].reshape(len(xs), len(ys)).copy())
+    if noise_sigma > 0.0:
         if rng is None:
             raise ShapeError("noisy sensing needs an rng")
-        pts[:, 2] += rng.normal(0.0, cfg.noise_sigma, size=len(pts))
+        pts[:, 2] += rng.normal(0.0, noise_sigma, size=len(pts))
     (x0, x1), (y0, y1) = ATTACK_RANGES.x, ATTACK_RANGES.y
     keep = (pts[:, 0] >= x0) & (pts[:, 0] <= x1) & (pts[:, 1] >= y0) & (pts[:, 1] <= y1)
     cropped = pts[keep]
     if len(cropped) == 0:
         raise EmptyObservationError("sensor crop produced zero points")
-    if len(cropped) > cfg.fps_target:
-        cropped = cropped[fps(cropped, cfg.fps_target)]
-    return ObservationCloud(PointCloud(cropped), heightmap=hmap)
+    if len(cropped) > fps_target:
+        cropped = cropped[fps(cropped, fps_target)]
+    return ObservationCloud(PointCloud(cropped), hmap)
 
 
 def _orient_steep_downhill(points: np.ndarray, normals: np.ndarray) -> np.ndarray:

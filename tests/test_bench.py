@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from digrl import excavation, sensor
 from digrl.bench import (
     METRICS_FIELDS,
     attack_to_action,
@@ -28,7 +29,6 @@ from digrl.kinematics import AttackPose
 from digrl.nn import load_ckpt, save_ckpt
 from digrl.ppo import PolicyCore
 from digrl.repnet import RepNet
-from digrl.sensor import SensorConfig
 
 
 def dig_record(episode, captured, plan_ok):
@@ -242,7 +242,7 @@ class TestRunBaseline:
 class TestExperimentDrivers:
     def tiny_kwargs(self):
         return dict(
-            profile=get_profile("desk"),
+            profile=replace(get_profile("desk"), fps_target=512),
             seed=0,
             total_samples=8,
             n_envs=2,
@@ -250,7 +250,6 @@ class TestExperimentDrivers:
             minibatch=4,
             update_epochs=1,
             env_cfg=EnvConfig(digs_per_episode=4, count_range=(20, 30)),
-            sensor=SensorConfig(fps_target=512),
         )
 
     def test_rep_variant_freezes_encoder(self):
@@ -278,15 +277,16 @@ class TestExperimentDrivers:
         save_ckpt(core.store, tmp_path / "policy.ckpt")
         rep_store = load_ckpt(tmp_path / "rep.ckpt")
         policy_store = load_ckpt(tmp_path / "policy.ckpt")
-        env = dict(env_cfg=kwargs["env_cfg"], sensor=kwargs["sensor"])
-        got = eval_rl_experiment(rep_store, policy_store, 1, profile=profile, seed=3, **env)
+        got = eval_rl_experiment(
+            rep_store, policy_store, 1, profile=profile, seed=3, env_cfg=kwargs["env_cfg"]
+        )
 
         def evaluate_with(encoder_store):
             net = RepNet(profile, store=encoder_store)
             return rollout(
                 PolicyCore(profile.code_size, store=policy_store).act_deterministic,
                 lambda obs: net.encode(obs.points),
-                functools.partial(ExcavationEnv, profile, **env),
+                functools.partial(ExcavationEnv, profile, env_cfg=kwargs["env_cfg"]),
                 1,
                 3,
             )
@@ -318,6 +318,44 @@ class TestExperimentDrivers:
         store = RepNet(get_profile("desk"), seed=0).store
         with pytest.raises(ConfigError):
             train_rl_experiment(store, variant="both", **self.tiny_kwargs())
+
+
+class TestSensorNoise:
+    """A noise setting in ``env_cfg`` reaches the observations of every evaluated method."""
+
+    @staticmethod
+    def first_observation(monkeypatch, evaluate, noise_sigma):
+        seen = []
+
+        def recording(*args):
+            seen.append(sensor.observe(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(excavation, "observe", recording)
+        evaluate(EnvConfig(digs_per_episode=1, count_range=(20, 30), noise_sigma=noise_sigma))
+        return seen[0]
+
+    @pytest.mark.parametrize("method", ["random", "heuristic", "rl"])
+    def test_noise_reaches_the_observations(self, monkeypatch, method):
+        profile = small_sensor_profile()
+        if method == "rl":
+            rep_store = RepNet(profile, seed=0).store
+            policy_store = PolicyCore(profile.code_size, seed=8).store
+
+            def evaluate(env_cfg):
+                return eval_rl_experiment(rep_store, policy_store, 1, profile, 4, env_cfg)
+
+        else:
+
+            def evaluate(env_cfg):
+                return run_baseline(method, 1, profile, 4, env_cfg)
+
+        clean = self.first_observation(monkeypatch, evaluate, 0.0)
+        noisy = self.first_observation(monkeypatch, evaluate, 0.002)
+        # The same scene: the planner's map agrees, the observed points do not.
+        assert noisy.heightmap.heights.tobytes() == clean.heightmap.heights.tobytes()
+        assert noisy.points.shape == clean.points.shape
+        assert noisy.points.tobytes() != clean.points.tobytes()
 
 
 class TestReport:

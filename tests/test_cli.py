@@ -9,7 +9,7 @@ import csv
 
 import pytest
 
-from digrl import cli, excavation
+from digrl import cli, excavation, repnet
 from digrl.config import get_profile
 from digrl.nn import load_ckpt, save_ckpt
 from digrl.ppo import PolicyCore
@@ -196,6 +196,26 @@ def test_episode_without_digs_exits_2(tmp_path, capsys, argv, digs):
     extra = ("--rep-ckpt", ckpt) if argv[0] == "train-rl" else ()
     assert run(*argv, *extra, "--config", path, "--out", tmp_path / "out") == 2
     assert "digs_per_episode must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rep, passed",
+    [("epochs = 1\n", {}), ("epochs = 1\nval_fraction = 0.5\n", {"val_fraction": 0.5})],
+    ids=["unset", "set"],
+)
+def test_label_passes_only_a_configured_val_fraction(tmp_path, monkeypatch, rep, passed):
+    # Without the key the library's own default applies; the CLI repeats no default.
+    seen = []
+
+    def spy(root_dir, **kwargs):
+        seen.append({k: v for k, v in kwargs.items() if k == "val_fraction"})
+        return []
+
+    monkeypatch.setattr(repnet, "label_scene_files", spy)
+    path = tmp_path / "label.cfg"
+    path.write_text(f"[rep]\n{rep}")
+    assert run("label", "--config", path, "--data", tmp_path / "data") == 0
+    assert seen == [passed]
 
 
 def test_train_rl_spawns_training_density(tmp_path, monkeypatch):

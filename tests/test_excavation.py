@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from digrl.scenegen import (
     save_scene,
     spawn_scene,
 )
-from digrl.sensor import SensorConfig, scene_heightmap
+from digrl.sensor import scene_heightmap
 from test_scenegen import _scene_bytes, make_box, penetration_depth, total_volume
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -204,7 +205,7 @@ class TestDigSequence:
         ranges, arm, params, bucket = ATTACK_RANGES, ArmModel(), TrajectoryParams(), BucketSpec()
         captures = 0
         for _ in range(20):
-            hmap = scene_heightmap(scene, SensorConfig())
+            hmap = scene_heightmap(scene)
             for _ in range(500):  # draw until the planner accepts, so most digs capture
                 attack = AttackPose(*(rng.uniform(*r) for r in (ranges.x, ranges.y, ranges.alpha)))
                 if plan_trajectory(arm, attack, hmap, scene.tray, params).ok:
@@ -228,7 +229,7 @@ class TestDigSequence:
         scene = spawn_scene(3, (250, 250))
         rng = np.random.default_rng(3)
         ranges, arm, params, bucket = ATTACK_RANGES, ArmModel(), TrajectoryParams(), BucketSpec()
-        hmap = scene_heightmap(scene, SensorConfig())
+        hmap = scene_heightmap(scene)
         captures = 0
         for _ in range(1000):
             attack = AttackPose(*(rng.uniform(*r) for r in (ranges.x, ranges.y, ranges.alpha)))
@@ -241,7 +242,7 @@ class TestDigSequence:
             path = tmp_path / "s.scene"
             assert _scene_bytes(result.scene_after, path) == _scene_bytes(full, path)
             scene = result.scene_after
-            hmap = scene_heightmap(scene, SensorConfig())
+            hmap = scene_heightmap(scene)
             captures += 1
             if captures == 20:
                 break
@@ -282,10 +283,9 @@ class TestEnv:
 
     def small_env(self, seed=0, digs=3, noise_sigma=0.0):
         return ExcavationEnv(
-            profile=get_profile("desk"),
+            profile=replace(get_profile("desk"), fps_target=512),
             seed=seed,
-            env_cfg=EnvConfig(digs_per_episode=digs, count_range=(5, 8)),
-            sensor=SensorConfig(fps_target=512, noise_sigma=noise_sigma),
+            env_cfg=EnvConfig(digs_per_episode=digs, count_range=(5, 8), noise_sigma=noise_sigma),
         )
 
     def test_episode_protocol(self):
@@ -322,7 +322,7 @@ class TestEnv:
             self.small_env(digs=digs)
 
     def assert_planner_map_is_noise_free(self, env, obs):
-        expected = scene_heightmap(env.scene, env.sensor)
+        expected = scene_heightmap(env.scene)
         assert obs.heightmap.heights.tobytes() == expected.heights.tobytes()
         assert obs.heightmap.origin.tobytes() == expected.origin.tobytes()
         assert obs.heightmap.resolution == expected.resolution

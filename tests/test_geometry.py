@@ -17,7 +17,7 @@ from digrl.geometry import (
     save_xyzl,
 )
 from digrl.scenegen import spawn_scene
-from digrl.sensor import SensorConfig, observe
+from digrl.sensor import observe
 
 
 def fps_oracle(pts, n):
@@ -171,14 +171,21 @@ def assert_idw_matches_brute(src, dst, k):
     return redone
 
 
+def pca_labels(pts, k):
+    """``estimate_normals_curvature(pts)`` over neighborhoods of ``k`` points."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "PCA_K", k)
+        return estimate_normals_curvature(pts)
+
+
 def assert_labels_match_reference(pts, k):
     """Same index matrix and label bytes as the brute force; returns the rows redone."""
     idx, redone = knn_rows_redone(pts, k)
     assert np.array_equal(idx, neighbor_indices_reference(pts, k))
-    got = estimate_normals_curvature(pts, k)
+    got = pca_labels(pts, k)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_knn_indices", neighbor_indices_reference)
-        want = estimate_normals_curvature(pts, k)
+        want = pca_labels(pts, k)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
     return redone
@@ -239,7 +246,7 @@ def fps_update_widths(monkeypatch, pts, n):
 @pytest.fixture(scope="module")
 def desk_crop(small_scene):
     """The full 132 x 80 ray crop of a rendered scene, unsampled."""
-    return observe(small_scene, SensorConfig(fps_target=10 ** 6)).points
+    return observe(small_scene, 10 ** 6).points
 
 
 # One object count from each of the five scene-dataset strata (50-300).
@@ -253,8 +260,7 @@ def strata_crops():
     for count in STRATA_COUNTS:
         scene = spawn_scene(seed=count, count_range=(count, count))
         for sigma in (0.0, 0.003):
-            cfg = SensorConfig(fps_target=2048, noise_sigma=sigma)
-            crops[count, sigma] = observe(scene, cfg, np.random.default_rng(count)).points
+            crops[count, sigma] = observe(scene, 2048, np.random.default_rng(count), sigma).points
     return crops
 
 
@@ -262,7 +268,7 @@ def strata_crops():
 def crop_250():
     """A desk observation (2,048 FPS points) of a settled 250-object scene."""
     scene = spawn_scene(seed=5, count_range=(250, 250))
-    return observe(scene, SensorConfig(fps_target=2048)).points
+    return observe(scene, 2048).points
 
 
 class TestFps:
@@ -340,8 +346,7 @@ class TestFps:
             return fps(cloud, n)
 
         monkeypatch.setattr(sensor, "fps", recording)
-        cfg = SensorConfig(fps_target=2048, noise_sigma=noise)
-        observe(small_scene, cfg, np.random.default_rng(5))
+        observe(small_scene, 2048, np.random.default_rng(5), noise)
         assert len(seen) == 1 and len(seen[0]) > 2048
         assert x_non_decreasing(seen[0])
 
@@ -480,7 +485,7 @@ class TestNormalsCurvature:
     def test_plane_gives_vertical_normals_zero_curvature(self, rng):
         xy = rng.uniform(-1, 1, size=(400, 2))
         pts = np.column_stack([xy, np.zeros(len(xy))])
-        normals, curv = estimate_normals_curvature(pts, k=12)
+        normals, curv = pca_labels(pts, 12)
         assert np.allclose(np.abs(normals[:, 2]), 1.0, atol=1e-9)
         assert np.all(normals[:, 2] > 0)
         assert np.all(curv <= 1e-6)
@@ -491,7 +496,7 @@ class TestNormalsCurvature:
         v = rng.normal(size=(2000, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         pts = r * v
-        normals, curv = estimate_normals_curvature(pts, k=30)
+        normals, curv = estimate_normals_curvature(pts)
         radial = np.sign(v[:, 2])[:, None] * v
         radial[v[:, 2] == 0] = v[v[:, 2] == 0]
         cos = np.abs(np.sum(normals * v, axis=1))
@@ -501,14 +506,14 @@ class TestNormalsCurvature:
 
     def test_normals_unit_and_upward(self, rng):
         pts = rng.normal(size=(200, 3))
-        normals, curv = estimate_normals_curvature(pts, k=10)
+        normals, curv = pca_labels(pts, 10)
         assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-9)
         assert np.all(normals[:, 2] >= 0)
         assert np.all((curv >= 0) & (curv <= CURVATURE_MAX + 1e-12))
 
     def test_coincident_neighborhood_flagged_degenerate(self):
         pts = np.zeros((10, 3))
-        normals, curv = estimate_normals_curvature(pts, k=5)
+        normals, curv = pca_labels(pts, 5)
         assert np.array_equal(normals, np.tile([0.0, 0.0, 1.0], (10, 1)))
         assert np.all(curv == 0)
 
@@ -715,7 +720,7 @@ def save_xyzl_reference(path, cloud):
 class TestXyzl:
     def test_labeled_round_trip(self, rng, tmp_path):
         pts = rng.uniform(-1, 1, size=(40, 3))
-        normals, curv = estimate_normals_curvature(pts, k=8)
+        normals, curv = pca_labels(pts, 8)
         cloud = PointCloud(pts, normals, curv)
         p = tmp_path / "lab.xyzl"
         save_xyzl(p, cloud)
@@ -727,7 +732,7 @@ class TestXyzl:
     def test_bytes_match_per_line_writer(self, rng, tmp_path):
         pts = rng.uniform(-1, 1, size=(64, 3))
         pts[:3] = [[-0.0, 1e-300, 1e6], [1e6, -0.0, -1e-300], [0.0, -1e6, 123456789.0]]
-        normals, curv = estimate_normals_curvature(pts, k=8)
+        normals, curv = pca_labels(pts, 8)
         normals[0] = (-0.0, -0.0, 1.0)
         curv[:3] = (-0.0, 1e-300, 0.0)
         cloud = PointCloud(pts, normals, curv)

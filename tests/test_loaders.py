@@ -231,6 +231,8 @@ BAD_MANIFEST_LINES = [
     pytest.param("0000 count=3_0 split=train", COUNT + "'3_0'", id="count-digit-groups"),
     pytest.param("0000 seed=1 count=2 train", "expected key=value, got 'train'", id="bare-token"),
     pytest.param("0000 count=2 split=tset", "split='tset' is not one of", id="split-typo"),
+    # A line without a split loaded as a training scene.
+    pytest.param("0000 seed=1 count=2", "split=None is not one of", id="no-split"),
 ]
 
 

@@ -172,21 +172,11 @@ def test_public_names_have_callers():
 
 
 # Defaulted parameters that no caller in the package or the benchmark passes:
-# numeric constants the tests sweep, the sensor the tests shrink, and the argv
-# that ``tests/test_cli.py`` drives ``main`` with (the console script passes
-# none). Delete an entry together with its parameter, or once a caller passes
-# it; never add one. A class's entries are its constructor's.
-UNPASSED: set[str] = {
-    "ParamStore.adam_step(beta1)",
-    "ParamStore.adam_step(beta2)",
-    "ParamStore.adam_step(eps)",
-    "Tensor(requires_grad)",
-    "estimate_normals_curvature(k)",
-    "eval_rl_experiment(sensor)",
-    "gae(gamma)",
-    "gae(lam)",
-    "main(argv)",
-}
+# only the argv that ``tests/test_cli.py`` drives ``main`` with (the console
+# script passes none). A value that no caller varies is a module constant,
+# which a test patches. Delete an entry together with its parameter, or once a
+# caller passes it; never add one. A class's entries are its constructor's.
+UNPASSED: set[str] = {"main(argv)"}
 
 
 def defaulted_parameters(tree):

@@ -9,7 +9,9 @@ from digrl.errors import ShapeError, SizeError
 
 
 def leaf(arr):
-    return nn.Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
+    """A float64 tensor that collects its gradient, as a parameter's leaf does."""
+    value = np.asarray(arr, dtype=np.float64)
+    return nn.Tensor(value, param=nn.Param(value))
 
 
 def fd_max_rel_err(build, x0, h=1e-5):
@@ -287,7 +289,8 @@ class TestBackwardSemantics:
     def test_gather_rows_gradient_sums_like_add_at(self, rng, dtype):
         # Few rows take many entries each, with magnitudes over six decades,
         # so any other summation order changes low bits.
-        x = nn.Tensor(np.zeros((40, 6), dtype=dtype), requires_grad=True)
+        x0 = np.zeros((40, 6), dtype=dtype)
+        x = nn.Tensor(x0, param=nn.Param(x0))
         for idx in (rng.integers(0, 5, size=700), rng.integers(0, 40, size=(30, 9))):
             scale = 10.0 ** rng.uniform(-3, 3, size=idx.shape + (1,))
             w = nn.Tensor.const(rng.normal(size=idx.shape + (6,)) * scale, dtype=dtype)
@@ -303,7 +306,7 @@ class TestBackwardSemantics:
         # A node's first gradient has the bits of 0 + g: a -0 entry becomes
         # +0, and a float64 gradient is cast into the node's dtype after the
         # add, so a tiny negative entry still ends as -0 in float32.
-        x = nn.Tensor(np.zeros(4, dtype=dtype), requires_grad=True)
+        x = nn.Tensor(np.zeros(4, dtype=dtype))
         g = np.array([-0.0, 0.1, -1e-300, np.nextafter(1.0, 2.0)])
         x._accumulate(g)
         want = np.zeros(4, dtype=dtype)

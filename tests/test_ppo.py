@@ -22,12 +22,32 @@ from digrl.ppo import (
 )
 
 
+@pytest.fixture
+def toy_discounts(monkeypatch):
+    """gamma 0.9 and lambda 0.8, whose products stay readable by hand."""
+    monkeypatch.setattr(ppo, "GAMMA", 0.9)
+    monkeypatch.setattr(ppo, "GAE_LAMBDA", 0.8)
+
+
+@pytest.fixture
+def toy_policy(monkeypatch):
+    """A (16, 8) trunk, small enough for float64 checks."""
+    monkeypatch.setattr(ppo, "HIDDEN", (16, 8))
+
+
+@pytest.fixture
+def bandit_policy(monkeypatch):
+    """One action dimension and a (4, 4) trunk; the toy bandits read the first action only."""
+    monkeypatch.setattr(ppo, "ACT_DIM", 1)
+    monkeypatch.setattr(ppo, "HIDDEN", (4, 4))
+
+
 class TestGae:
-    def test_hand_computed_chain(self):
+    def test_hand_computed_chain(self, toy_discounts):
         rewards = np.array([1.0, 0.0, 2.0])
         values = np.array([0.5, 0.2, 0.1])
         dones = np.zeros(3)
-        adv, ret = gae(rewards, values, dones, bootstrap=0.3, gamma=0.9, lam=0.8)
+        adv, ret = gae(rewards, values, dones, bootstrap=0.3)
         d2 = 2.0 + 0.9 * 0.3 - 0.1
         d1 = 0.0 + 0.9 * 0.1 - 0.2
         d0 = 1.0 + 0.9 * 0.2 - 0.5
@@ -37,10 +57,10 @@ class TestGae:
         assert adv == pytest.approx([e0, e1, e2], abs=1e-12)
         assert ret == pytest.approx(adv + values, abs=1e-12)
 
-    def test_done_blocks_propagation(self):
+    def test_done_blocks_propagation(self, toy_discounts):
         rewards = np.array([1.0, 0.0, 2.0])
         values = np.array([0.5, 0.2, 0.1])
-        adv, _ = gae(rewards, values, np.array([0.0, 1.0, 0.0]), 0.3, gamma=0.9, lam=0.8)
+        adv, _ = gae(rewards, values, np.array([0.0, 1.0, 0.0]), 0.3)
         assert adv[1] == pytest.approx(0.0 - 0.2, abs=1e-12)
         assert adv[0] == pytest.approx((1.0 + 0.9 * 0.2 - 0.5) + 0.72 * adv[1], abs=1e-12)
 
@@ -56,9 +76,10 @@ class TestGae:
         assert (GAMMA, GAE_LAMBDA) == (0.99, 0.95)
 
 
+@pytest.mark.usefixtures("toy_policy")
 class TestPolicyHead:
     def core(self, dtype=np.float64):
-        return PolicyCore(6, act_dim=3, hidden=(16, 8), store=nn.ParamStore(dtype=dtype), seed=3)
+        return PolicyCore(6, store=nn.ParamStore(dtype=dtype), seed=3)
 
     def test_act_matches_graph_evaluate(self, rng):
         core = self.core()
@@ -172,10 +193,11 @@ class TestRolloutArrays:
         assert ret.shape == (8,)
 
 
+@pytest.mark.usefixtures("toy_policy")
 class TestPpoLoss:
     def setup_batch(self, rng, core, n=16):
         codes = rng.normal(size=(n, core.code_size))
-        us = rng.normal(size=(n, core.act_dim))
+        us = rng.normal(size=(n, ppo.ACT_DIM))
         logp, values, _ = core.evaluate(codes, us)
         old = np.asarray(logp.value, dtype=np.float64).copy()
         adv = rng.normal(size=n)
@@ -183,7 +205,7 @@ class TestPpoLoss:
         return codes, us, old, adv, rets
 
     def test_unit_ratio_reduces_to_advantage_mean(self, rng):
-        core = PolicyCore(4, hidden=(16, 8), store=nn.ParamStore(dtype=np.float64), seed=1)
+        core = PolicyCore(4, store=nn.ParamStore(dtype=np.float64), seed=1)
         codes, us, old, adv, rets = self.setup_batch(rng, core)
         loss, stats = ppo_loss(core, codes, us, old, adv, rets)
         assert stats["clip_frac"] == 0.0
@@ -193,13 +215,13 @@ class TestPpoLoss:
         )
 
     def test_shifted_old_logp_clips(self, rng):
-        core = PolicyCore(4, hidden=(16, 8), store=nn.ParamStore(dtype=np.float64), seed=1)
+        core = PolicyCore(4, store=nn.ParamStore(dtype=np.float64), seed=1)
         codes, us, old, adv, rets = self.setup_batch(rng, core)
         _, stats = ppo_loss(core, codes, us, old - 1.0, adv, rets)
         assert stats["clip_frac"] == 1.0
 
     def test_gradients_reach_all_heads(self, rng):
-        core = PolicyCore(4, hidden=(16, 8), store=nn.ParamStore(dtype=np.float64), seed=1)
+        core = PolicyCore(4, store=nn.ParamStore(dtype=np.float64), seed=1)
         codes, us, old, adv, rets = self.setup_batch(rng, core)
         loss, _ = ppo_loss(core, codes, us, old, adv, rets)
         core.store.zero_grads()
@@ -223,7 +245,7 @@ class QuadraticBandit:
 
 
 class TestTraining:
-    def test_seed_streams_distinct(self):
+    def test_seed_streams_distinct(self, bandit_policy):
         seeds = []
         train_rl(
             make_env=lambda seed: seeds.append(seed) or QuadraticBandit(seed),
@@ -231,17 +253,17 @@ class TestTraining:
             code_size=2,
             total_samples=6,
             seed=5,
-            act_dim=1,
             n_envs=6,
             rollout=6,
             minibatch=6,
             update_epochs=1,
-            hidden=(4, 4),
         )
         assert seeds == [stream_seed(5, f"env-{i}") for i in range(6)]
         assert len(set(seeds)) == 6
 
-    def test_quadratic_bandit_improves(self, tmp_path):
+    def test_quadratic_bandit_improves(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ppo, "ACT_DIM", 1)
+        monkeypatch.setattr(ppo, "HIDDEN", (16, 8))
         code = np.zeros(2)
         core, curve = train_rl(
             make_env=QuadraticBandit,
@@ -249,13 +271,11 @@ class TestTraining:
             code_size=2,
             total_samples=1536,
             seed=0,
-            act_dim=1,
             n_envs=2,
             rollout=64,
             minibatch=32,
             update_epochs=4,
             lr=3e-3,
-            hidden=(16, 8),
         )
         assert len(curve) == 24
         assert set(curve[0]) == set(CURVE_FIELDS)
@@ -269,7 +289,7 @@ class TestTraining:
         assert len(text) == 25
 
     @pytest.mark.parametrize("e2e", [False, True])
-    def test_batch_keeps_clouds_only_for_e2e(self, monkeypatch, e2e):
+    def test_batch_keeps_clouds_only_for_e2e(self, monkeypatch, bandit_policy, e2e):
         # Every reset and step hands out a new observation; at the update,
         # count how many of them are still alive.
         handed = []
@@ -300,12 +320,10 @@ class TestTraining:
             encode=lambda o: o.x,
             code_size=2,
             total_samples=8,
-            act_dim=1,
             n_envs=2,
             rollout=8,
             minibatch=4,
             update_epochs=1,
-            hidden=(4, 4),
             graph_encode=(lambda o: nn.Tensor.const(o.x)) if e2e else None,
         )
         # Each env's current observation, plus the 8 of the rollout for e2e.
@@ -323,7 +341,6 @@ class TestTraining:
             encode=lambda o: o,
             code_size=2,
             total_samples=8,
-            act_dim=1,
             n_envs=2,
             rollout=8,
             minibatch=4,

@@ -27,7 +27,7 @@ from digrl.repnet import (
     train_rep,
 )
 from digrl.scenegen import save_scene, spawn_scene
-from digrl.sensor import SensorConfig, label_observation, observe
+from digrl.sensor import label_observation, observe
 
 QUANT = 2.0 ** -20  # grid on which float64 addition is exact for |v| < 2^11
 
@@ -39,11 +39,10 @@ def quantized_cloud(rng, n, spread=0.2):
 
 def tiny_samples(n_scenes=5, n_points=300):
     """Labeled low-count scenes small enough for unit-test training."""
-    cfg = SensorConfig(fps_target=n_points)
     samples = []
     for i in range(n_scenes):
         scene = spawn_scene(seed=100 + i, count_range=(3, 6))
-        obs = label_observation(observe(scene, cfg))
+        obs = label_observation(observe(scene, n_points))
         samples.append(
             RepSample(
                 scene_id=f"{i:04d}",

@@ -36,7 +36,7 @@ from digrl.scenegen import (
     spawn_scene,
     vertical_envelopes,
 )
-from digrl.sensor import SensorConfig, label_observation, observe
+from digrl.sensor import label_observation, observe
 
 # ---------------------------------------------------------------------------
 # Frozen oracle: exact minimum translation distance between convex polytopes
@@ -753,7 +753,7 @@ class TestBatchedPile:
     def test_golden_label_hash(self):
         """Pins the PCA label bits of one desk observation, downhill flips included."""
         scene = spawn_scene(seed=5, count_range=(250, 250))
-        cloud = label_observation(observe(scene, SensorConfig(fps_target=2048))).cloud
+        cloud = label_observation(observe(scene, 2048)).cloud
         digest = hashlib.sha256(cloud.normals.tobytes() + cloud.curvature.tobytes()).hexdigest()
         assert digest == "26f2720c3ac4acfd5d50a56059806e438b05bd662bea0a285526cd7c6d90dc5b"
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from digrl import sensor
-from digrl.config import ATTACK_RANGES
+from digrl.config import ATTACK_RANGES, PAPER_PROFILE
 from digrl.errors import EmptyObservationError, ShapeError
 from digrl.geometry import estimate_normals_curvature
 from digrl.scenegen import (
@@ -18,7 +18,6 @@ from digrl.scenegen import (
 )
 from digrl.sensor import (
     STEEP_NZ,
-    SensorConfig,
     _orient_steep_downhill,
     _ray_axes,
     _surface_grid,
@@ -30,6 +29,7 @@ from digrl.sensor import (
 from test_scenegen import make_box, settle_in_order
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
+PAPER_FPS = PAPER_PROFILE.fps_target  # 7,000 of the crop's 10,560 rays
 
 
 def box_scene(dx=0.10, dy=0.10, dz=0.05, center=(0.0, 0.0)):
@@ -42,13 +42,13 @@ def box_scene(dx=0.10, dy=0.10, dz=0.05, center=(0.0, 0.0)):
 class TestRenderSurface:
     def test_empty_tray_is_flat_floor(self, tray):
         scene = Scene(tray, [])
-        cloud = render_surface(scene, SensorConfig())
+        cloud = render_surface(scene)
         # 0.80 m x 0.50 m tray at 5 mm pitch.
         assert len(cloud) == 160 * 100
         assert np.all(cloud.points[:, 2] == tray.floor_z)
 
     def test_ray_grid_cell_centers(self, tray):
-        cloud = render_surface(Scene(tray, []), SensorConfig())
+        cloud = render_surface(Scene(tray, []))
         xs = np.unique(cloud.points[:, 0])
         ys = np.unique(cloud.points[:, 1])
         assert xs[0] == pytest.approx(-0.40 + 0.0025, abs=1e-12)
@@ -57,7 +57,7 @@ class TestRenderSurface:
 
     def test_box_top_and_floor(self):
         scene = box_scene()
-        cloud = render_surface(scene, SensorConfig())
+        cloud = render_surface(scene)
         pts = cloud.points
         over = (np.abs(pts[:, 0]) < 0.0475 + 1e-9) & (np.abs(pts[:, 1]) < 0.0475 + 1e-9)
         assert np.allclose(pts[over, 2], 0.05, atol=1e-9)
@@ -67,7 +67,7 @@ class TestRenderSurface:
 
     def test_highest_surface_wins(self, small_scene):
         """No returned point may sit under any object's top envelope."""
-        cloud = render_surface(small_scene, SensorConfig())
+        cloud = render_surface(small_scene)
         pts = cloud.points
         for placed in small_scene.placed:
             normals, offsets = face_planes(placed.world_vertices(), placed.obj.faces)
@@ -75,25 +75,17 @@ class TestRenderSurface:
             assert np.all(pts[feasible, 2] >= z_high[feasible] - 1e-9)
 
     def test_points_never_below_floor(self, small_scene):
-        cloud = render_surface(small_scene, SensorConfig())
+        cloud = render_surface(small_scene)
         assert np.all(cloud.points[:, 2] >= small_scene.tray.floor_z)
-
-    def test_bad_ray_pitch(self, tray):
-        with pytest.raises(ShapeError):
-            render_surface(Scene(tray, []), SensorConfig(ray_pitch=0.0))
 
     # The render is noise-free; ``observe`` adds the noise to its points.
     def test_noise_needs_rng(self, tray):
         with pytest.raises(ShapeError):
-            observe(Scene(tray, []), SensorConfig(noise_sigma=0.001))
+            observe(Scene(tray, []), PAPER_FPS, noise_sigma=0.001)
 
     def test_noise_statistics(self, tray, rng):
-        cfg = SensorConfig(noise_sigma=0.002, fps_target=10 ** 6)
-        assert render_surface(Scene(tray, []), cfg).points.tobytes() == (
-            render_surface(Scene(tray, []), SensorConfig()).points.tobytes()
-        )
-        clean = observe(Scene(tray, []), SensorConfig(fps_target=10 ** 6))
-        noisy = observe(Scene(tray, []), cfg, rng)
+        clean = observe(Scene(tray, []), 10 ** 6)
+        noisy = observe(Scene(tray, []), 10 ** 6, rng, 0.002)
         dz = noisy.points[:, 2] - clean.points[:, 2]
         assert np.allclose(noisy.points[:, :2], clean.points[:, :2])
         assert abs(dz.std() - 0.002) < 0.0002
@@ -102,44 +94,42 @@ class TestRenderSurface:
 
 class TestSceneHeightmap:
     def test_matches_surface_grid(self, small_scene):
-        cfg = SensorConfig()
-        hm = scene_heightmap(small_scene, cfg)
-        cloud = render_surface(small_scene, cfg)
+        hm = scene_heightmap(small_scene)
+        cloud = render_surface(small_scene)
         assert hm.heights.shape == (160, 100)
         assert np.array_equal(hm.heights.reshape(-1), cloud.points[:, 2])
         cx, cy = hm.origin + 0.5 * hm.resolution
         assert cx == pytest.approx(cloud.points[0, 0], abs=1e-12)
         assert cy == pytest.approx(cloud.points[0, 1], abs=1e-12)
-        assert hm.resolution == cfg.ray_pitch
+        assert hm.resolution == sensor.RAY_PITCH == 0.005
 
 
 class TestObserve:
     def test_crop_bounds(self, small_scene):
-        obs = observe(small_scene, SensorConfig())
+        obs = observe(small_scene, PAPER_FPS)
         pts = obs.points
         (x0, x1), (y0, y1) = ATTACK_RANGES.x, ATTACK_RANGES.y
         assert np.all(pts[:, 0] >= x0) and np.all(pts[:, 0] <= x1)
         assert np.all(pts[:, 1] >= y0) and np.all(pts[:, 1] <= y1)
 
     def test_downsamples_to_target(self, small_scene):
-        obs = observe(small_scene, SensorConfig(fps_target=2048))
+        obs = observe(small_scene, 2048)
         assert len(obs) == 2048
 
     def test_small_cloud_passes_through(self, small_scene):
         # The default crop keeps 132 x 80 ray columns; a huge target is a no-op.
-        obs = observe(small_scene, SensorConfig(fps_target=10 ** 6))
+        obs = observe(small_scene, 10 ** 6)
         assert len(obs) == 132 * 80
 
     def test_deterministic_without_noise(self, small_scene):
-        a = observe(small_scene, SensorConfig(fps_target=2048))
-        b = observe(small_scene, SensorConfig(fps_target=2048))
+        a = observe(small_scene, 2048)
+        b = observe(small_scene, 2048)
         assert np.array_equal(a.points, b.points)
 
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.002])
     def test_heightmap_metadata_is_noise_free(self, small_scene, noise_sigma):
-        cfg = SensorConfig(fps_target=2048, noise_sigma=noise_sigma)
-        obs = observe(small_scene, cfg, np.random.default_rng(5))
-        hm = scene_heightmap(small_scene, cfg)
+        obs = observe(small_scene, 2048, np.random.default_rng(5), noise_sigma)
+        hm = scene_heightmap(small_scene)
         assert obs.heightmap.heights.tobytes() == hm.heights.tobytes()
         assert obs.heightmap.origin.tobytes() == hm.origin.tobytes()
         assert obs.heightmap.resolution == hm.resolution
@@ -147,9 +137,8 @@ class TestObserve:
         assert labeled.heightmap is obs.heightmap
 
     def test_noisy_observation_matches_noisy_render(self, small_scene):
-        cfg = SensorConfig(fps_target=10 ** 6, noise_sigma=0.002)
-        obs = observe(small_scene, cfg, np.random.default_rng(5))
-        surface = render_surface(small_scene, cfg).points
+        obs = observe(small_scene, 10 ** 6, np.random.default_rng(5), 0.002)
+        surface = render_surface(small_scene).points
         surface[:, 2] += np.random.default_rng(5).normal(0.0, 0.002, size=len(surface))
         (x0, x1), (y0, y1) = ATTACK_RANGES.x, ATTACK_RANGES.y
         keep = (
@@ -158,25 +147,25 @@ class TestObserve:
         )
         assert obs.points.tobytes() == surface[keep].tobytes()
         with pytest.raises(ShapeError):
-            observe(small_scene, cfg)
+            observe(small_scene, 10 ** 6, noise_sigma=0.002)
 
-    def test_empty_crop_raises(self, tray):
+    def test_empty_crop_raises(self, tray, monkeypatch):
         # One ray per axis, at (0.10, 0.25): y lies outside the crop.
-        cfg = SensorConfig(ray_pitch=1.0)
-        assert np.allclose(render_surface(Scene(tray, []), cfg).points, [[0.1, 0.25, 0.0]])
+        monkeypatch.setattr(sensor, "RAY_PITCH", 1.0)
+        assert np.allclose(render_surface(Scene(tray, [])).points, [[0.1, 0.25, 0.0]])
         with pytest.raises(EmptyObservationError):
-            observe(Scene(tray, []), cfg)
+            observe(Scene(tray, []), PAPER_FPS)
 
     def test_fps_keeps_subset(self, small_scene):
-        full = observe(small_scene, SensorConfig(fps_target=10 ** 6))
-        sub = observe(small_scene, SensorConfig(fps_target=500))
+        full = observe(small_scene, 10 ** 6)
+        sub = observe(small_scene, 500)
         full_rows = {tuple(p) for p in full.points}
         assert all(tuple(p) in full_rows for p in sub.points)
 
 
 class TestLabels:
     def test_label_fields(self, small_scene):
-        obs = observe(small_scene, SensorConfig(fps_target=2048))
+        obs = observe(small_scene, 2048)
         labeled = label_observation(obs)
         cloud = labeled.cloud
         assert cloud.normals is not None and cloud.curvature is not None
@@ -197,7 +186,7 @@ class TestLabels:
     def test_flat_region_labels(self, tray):
         """Floor points far from any object get vertical normals, zero curvature."""
         scene = box_scene(center=(-0.25, -0.12))
-        labeled = label_observation(observe(scene, SensorConfig(fps_target=10 ** 6)))
+        labeled = label_observation(observe(scene, 10 ** 6))
         pts = labeled.points
         far = (pts[:, 0] > 0.10) & (pts[:, 1] > 0.05) & (pts[:, 2] == 0.0)
         assert far.sum() > 100
@@ -251,9 +240,8 @@ class TestOrientSteepDownhill:
     @pytest.mark.parametrize("seed,count", [(5, 250), (50, 60), (51, 150)])
     def test_matches_reference_on_desk_crops(self, seed, count, sigma):
         scene = spawn_scene(seed=seed, count_range=(count, count))
-        cfg = SensorConfig(fps_target=2048, noise_sigma=sigma)
-        pts = observe(scene, cfg, np.random.default_rng(seed)).points
-        normals, _ = estimate_normals_curvature(pts, 30)
+        pts = observe(scene, 2048, np.random.default_rng(seed), sigma).points
+        normals, _ = estimate_normals_curvature(pts)
         got = self.assert_matches_reference(pts, normals)
         assert (got != normals).any()
 
@@ -283,17 +271,18 @@ class TestOrientSteepDownhill:
         assert flipped == {0.0: 0, 1e-12: 41}.get(scale, flipped)
 
 
-def footprint_windows(scene, cfg):
+def footprint_windows(scene):
     """Per body: the ray cells of its footprint box, as index arrays, or None when empty."""
-    xs, ys = _ray_axes(scene.tray, cfg)
+    xs, ys = _ray_axes(scene.tray)
+    pitch = sensor.RAY_PITCH
     x0, y0 = scene.tray.x_range[0], scene.tray.y_range[0]
     for placed in scene.placed:
         wverts = placed.world_vertices()
         lo, hi = wverts.min(axis=0), wverts.max(axis=0)
-        i0 = max(0, int(np.floor((lo[0] - x0) / cfg.ray_pitch - 0.5)))
-        i1 = min(len(xs) - 1, int(np.ceil((hi[0] - x0) / cfg.ray_pitch)))
-        j0 = max(0, int(np.floor((lo[1] - y0) / cfg.ray_pitch - 0.5)))
-        j1 = min(len(ys) - 1, int(np.ceil((hi[1] - y0) / cfg.ray_pitch)))
+        i0 = max(0, int(np.floor((lo[0] - x0) / pitch - 0.5)))
+        i1 = min(len(xs) - 1, int(np.ceil((hi[0] - x0) / pitch)))
+        j0 = max(0, int(np.floor((lo[1] - y0) / pitch - 0.5)))
+        j1 = min(len(ys) - 1, int(np.ceil((hi[1] - y0) / pitch)))
         if i1 < i0 or j1 < j0:
             yield placed, None
             continue
@@ -301,7 +290,7 @@ def footprint_windows(scene, cfg):
         yield placed, (ii.reshape(-1), jj.reshape(-1))
 
 
-def surface_grid_reference(scene, cfg):
+def surface_grid_reference(scene):
     """The per-body render loop that the culled ``_surface_grid`` replaced.
 
     Every body, in placement order, evaluates its envelopes on every cell of
@@ -309,10 +298,10 @@ def surface_grid_reference(scene, cfg):
     largest ``z_high - top`` of a body, the slack that ``_PRUNE_MARGIN`` must
     exceed.
     """
-    xs, ys = _ray_axes(scene.tray, cfg)
+    xs, ys = _ray_axes(scene.tray)
     heights = np.full((len(xs), len(ys)), scene.tray.floor_z, dtype=np.float64)
     worst = -np.inf
-    for placed, cells in footprint_windows(scene, cfg):
+    for placed, cells in footprint_windows(scene):
         if cells is None:
             continue
         ii, jj = cells
@@ -339,7 +328,7 @@ def reference_renders():
         spawned = spawn_scene(300 + k, (round(50 * 6 ** (k / 19)),) * 2)
         n = spawned.object_count
         for scene in (spawned, resettle(spawned, range(n // 2, n, 3))):
-            cases.append((scene, *surface_grid_reference(scene, SensorConfig())))
+            cases.append((scene, *surface_grid_reference(scene)))
     return cases
 
 
@@ -348,16 +337,15 @@ class TestCulledRender:
 
     def test_heights_match_reference(self, reference_renders):
         for scene, want, _ in reference_renders:
-            assert _surface_grid(scene, SensorConfig())[2].tobytes() == want.tobytes()
+            assert _surface_grid(scene)[2].tobytes() == want.tobytes()
 
     def test_margin_exceeds_envelope_slack(self, reference_renders):
         worst = max(slack for _, _, slack in reference_renders)
         assert worst < _PRUNE_MARGIN, worst
 
     def test_most_footprint_cells_are_skipped(self, monkeypatch):
-        cfg = SensorConfig()
         scene = spawn_scene(5, (250, 250))
-        footprint = sum(len(c[0]) for _, c in footprint_windows(scene, cfg) if c is not None)
+        footprint = sum(len(c[0]) for _, c in footprint_windows(scene) if c is not None)
         reached = []
 
         def counting(normals, offsets, xy):
@@ -365,8 +353,8 @@ class TestCulledRender:
             return vertical_envelopes(normals, offsets, xy)
 
         monkeypatch.setattr(sensor, "vertical_envelopes", counting)
-        heights = _surface_grid(scene, cfg)[2]
-        assert heights.tobytes() == surface_grid_reference(scene, cfg)[0].tobytes()
+        heights = _surface_grid(scene)[2]
+        assert heights.tobytes() == surface_grid_reference(scene)[0].tobytes()
         assert sum(reached) < 0.4 * footprint, (sum(reached), footprint)
 
     @staticmethod
@@ -379,8 +367,8 @@ class TestCulledRender:
             return vertical_envelopes(normals, offsets, xy)
 
         monkeypatch.setattr(sensor, "vertical_envelopes", counting)
-        heights = _surface_grid(scene, SensorConfig())[2]
-        assert heights.tobytes() == surface_grid_reference(scene, SensorConfig())[0].tobytes()
+        heights = _surface_grid(scene)[2]
+        assert heights.tobytes() == surface_grid_reference(scene)[0].tobytes()
         return heights, len(evaluated)
 
     @staticmethod
