@@ -1,13 +1,15 @@
 """Command-line interface for the excavation workbench.
 
 Exit codes: 0 on success, 1 on a usage error (bad flags or arguments), 2 on
-a runtime failure (missing files, failed runs). Every command takes
-``--seed``, ``--profile`` (falling back to the DIGRL_PROFILE environment
-variable, then ``desk``; the library never reads it), ``--out`` where it
-writes artifacts, and ``--config`` pointing at a ``key = value`` file with
-``[section]`` headers for the tunables that have no flag, so no key repeats
-``--count`` or ``--samples`` (both default to the profile's); a section or
-key that ``_SECTION_TYPES`` does not list is a runtime failure. ``eval-rl`` and
+a runtime failure (missing files, failed runs). A command accepts only the
+flags it reads. Every command takes ``--out`` where it writes artifacts and
+``--config`` pointing at a ``key = value`` file with ``[section]`` headers
+for the tunables that have no flag, so no key repeats ``--count`` or
+``--samples`` (both default to the profile's); a section or key that
+``_SECTION_TYPES`` does not list is a runtime failure. Every command but
+``report`` takes ``--profile`` (falling back to the DIGRL_PROFILE
+environment variable, then ``desk``; the library never reads it), and every
+command but ``eval-rep`` and ``report`` takes ``--seed``. ``eval-rl`` and
 ``baseline`` roll the same evaluation episodes for one ``--seed`` and
 ``[env]``, and each writes one metrics CSV, ``<method>_metrics.csv``;
 ``report`` merges such CSVs into one table.
@@ -249,10 +251,16 @@ def cmd_report(args) -> int:
 # Parser wiring
 
 
-def _add_common(sp, out_required: bool = True):
-    sp.add_argument("--seed", type=int, default=0, help="master seed for this command")
-    env_profile = os.environ.get("DIGRL_PROFILE", "desk")
-    sp.add_argument("--profile", default=env_profile, help="paper or desk (default: %(default)s)")
+def _add_common(sp, out_required: bool = True, run_flags=("--seed", "--profile")):
+    """``--config``, ``--out`` and those of ``--seed`` and ``--profile`` the command reads."""
+    if "--seed" in run_flags:
+        sp.add_argument("--seed", type=int, default=0, help="master seed for this command")
+    if "--profile" in run_flags:
+        sp.add_argument(
+            "--profile",
+            default=os.environ.get("DIGRL_PROFILE", "desk"),
+            help="paper or desk (default: %(default)s)",
+        )
     sp.add_argument("--config", default=None, help="key=value config file")
     sp.add_argument("--out", required=out_required, help="output directory")
 
@@ -277,7 +285,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_train_rep)
 
     sp = sub.add_parser("eval-rep", help="evaluate a representation checkpoint")
-    _add_common(sp, out_required=False)
+    _add_common(sp, out_required=False, run_flags=("--profile",))
     sp.add_argument("--data", required=True, help="labeled dataset directory")
     sp.add_argument("--ckpt", required=True, help="representation checkpoint")
     sp.set_defaults(func=cmd_eval_rep)
@@ -307,7 +315,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_baseline)
 
     sp = sub.add_parser("report", help="merge metric tables into one report")
-    _add_common(sp, out_required=False)
+    _add_common(sp, out_required=False, run_flags=())
     sp.add_argument("--inputs", nargs="+", required=True, help="metrics CSV files")
     sp.set_defaults(func=cmd_report)
     return parser

@@ -48,8 +48,6 @@ class Profile:
     fps_target: int
     level_points: tuple[int, ...]
     level_widths: tuple[int, ...]
-    level_radii: tuple[float, ...]
-    level_group_sizes: tuple[int, ...]
     fp_widths: tuple[int, ...]
     rep_scenes: int
     rl_total_samples: int
@@ -65,8 +63,6 @@ PAPER_PROFILE = Profile(
     fps_target=7000,
     level_points=(1024, 256, 64, 16, 8),
     level_widths=(128, 128, 128, 64, 32),
-    level_radii=(0.05, 0.10, 0.20, 0.30, 0.40),
-    level_group_sizes=(32, 32, 32, 16, 8),
     fp_widths=(256, 256, 256, 128, 4),
     rep_scenes=35000,
     rl_total_samples=30000,
@@ -77,8 +73,6 @@ DESK_PROFILE = Profile(
     fps_target=2048,
     level_points=(256, 64, 32, 16, 8),
     level_widths=(96, 96, 96, 64, 32),
-    level_radii=(0.05, 0.10, 0.20, 0.30, 0.40),
-    level_group_sizes=(32, 32, 32, 16, 8),
     fp_widths=(128, 128, 128, 128, 4),
     rep_scenes=300,
     rl_total_samples=5000,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ATTACK_RANGES, OBJECT_COUNT_RANGE, Profile, seed_stream
-from .errors import ProtocolError, ShapeError, SizeError
+from .errors import ConfigError, ProtocolError, ShapeError, SizeError
 from .geometry import HeightMap
 from .kinematics import (
     ArmModel,
@@ -107,7 +107,7 @@ def execute_dig(
     bucket: BucketSpec,
     hmap: HeightMap | None = None,
 ) -> DigResult:
-    """Plan and score one dig. The input scene is never mutated."""
+    """Plan and score one dig; ``scene_after`` is the unmutated input scene without a capture."""
     if hmap is None:
         hmap = scene_heightmap(scene)
     outcome = plan_trajectory(arm, attack, hmap, scene.tray, params)
@@ -117,7 +117,7 @@ def execute_dig(
     tips, _ = fk_batch(arm, traj.joints)
     drag_tips = tips[traj.phase_slice("drag")]
     taken, vol = capture_from_drag(scene, drag_tips, hmap, bucket)
-    after = resettle(scene, taken) if taken else Scene(scene.tray, list(scene.placed), scene.seed)
+    after = resettle(scene, taken) if taken else scene
     return DigResult(outcome, tuple(taken), vol, vol * M3_TO_CM3, after)
 
 
@@ -134,7 +134,8 @@ class EnvConfig:
     """Episode budget, scene density and sensor noise of one environment.
 
     ``noise_sigma`` is the stddev, in metres, of the Gaussian z noise added
-    to the observed points; 0 senses the surface exactly.
+    to the observed points; 0 senses the surface exactly, and a negative or
+    non-finite value raises ConfigError.
     """
 
     digs_per_episode: int = 10
@@ -144,6 +145,8 @@ class EnvConfig:
     def __post_init__(self):
         if self.digs_per_episode < 1:
             raise SizeError(f"digs_per_episode must be at least 1, got {self.digs_per_episode}")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 class ExcavationEnv:
@@ -210,7 +213,7 @@ class ExcavationEnv:
             "captured_cm3": result.captured_volume * M3_TO_CM3,
             "objects_left": result.scene_after.object_count,
         }
-        if result.outcome.ok and result.captured_indices:
+        if result.captured_indices:
             self._scene = result.scene_after
             self._refresh_observation()
         self._done = self._digs >= self.cfg.digs_per_episode or self._scene.object_count == 0

@@ -366,7 +366,7 @@ def plan_trajectory(
     close_pitches = pitch_dig + np.sign(dphi) * arm.angular_speed * arm.dt * np.arange(
         1, n_close + 1
     )
-    final_pitch = float(close_pitches[-1]) if n_close else pitch_dig
+    final_pitch = float(close_pitches[-1])
 
     # Drag toward the base, truncated where the wrist would leave the
     # reachable annulus or where closing the bucket at the drag endpoint
@@ -403,27 +403,21 @@ def plan_trajectory(
 
     tip_after = drag[-1] if n_drag else pen[-1]
     rise = params.lift_height - tip_after[2]
-    lift_z = []
+    lift_z = np.empty(0)
     if rise > 1e-12:
         n_full = int(math.floor(rise / step))
-        lift_z = list(tip_after[2] + step * np.arange(1, n_full + 1))
-        if not lift_z or lift_z[-1] < params.lift_height - 1e-12:
-            lift_z.append(params.lift_height)
+        lift_z = tip_after[2] + step * np.arange(1, n_full + 1)
+        if not n_full or lift_z[-1] < params.lift_height - 1e-12:
+            lift_z = np.append(lift_z, params.lift_height)
+    lift = np.repeat(tip_after[None, :], len(lift_z), axis=0)
+    lift[:, 2] = lift_z
 
-    positions = [pen]
-    pitches = [np.full(n_pen + 1, pitch_dig)]
-    if n_drag:
-        positions.append(drag)
-        pitches.append(np.full(n_drag, pitch_dig))
-    positions.append(np.repeat(tip_after[None, :], n_close, axis=0))
-    pitches.append(close_pitches)
-    if lift_z:
-        lift = np.repeat(tip_after[None, :], len(lift_z), axis=0)
-        lift[:, 2] = lift_z
-        positions.append(lift)
-        pitches.append(np.full(len(lift_z), final_pitch))
-    positions = np.concatenate(positions, axis=0)
-    pitches = np.concatenate(pitches)
+    # A missing drag or lift is an empty block.
+    hold = np.repeat(tip_after[None, :], n_close, axis=0)
+    positions = np.concatenate([pen, drag, hold, lift])
+    pitches = np.concatenate(
+        [np.full(n_pen + 1 + n_drag, pitch_dig), close_pitches, np.full(len(lift_z), final_pitch)]
+    )
     pen_end = n_pen
     drag_end = pen_end + n_drag
     close_end = drag_end + n_close

@@ -57,6 +57,9 @@ from .sensor import label_observation, observe
 NORMAL_LOSS_WEIGHT = 10.0
 COUNT_SCALE = 300.0  # object counts are regressed as count / COUNT_SCALE
 INTERP_K = 3
+# Ball-query radius (m) and member cap of each encoder level, at every profile.
+LEVEL_RADII = (0.05, 0.10, 0.20, 0.30, 0.40)
+LEVEL_GROUP_SIZES = (32, 32, 32, 16, 8)
 SPLITS = ("train", "val")
 
 
@@ -158,7 +161,7 @@ class RepNet:
         prev = pts
         for i in range(len(p.level_points)):
             centers = prev[fps(prev, p.level_points[i])]
-            groups = ball_query(prev, centers, p.level_radii[i], p.level_group_sizes[i])
+            groups = ball_query(prev, centers, LEVEL_RADII[i], LEVEL_GROUP_SIZES[i])
             # Row-major order lays each group's members out as one run; no
             # group is empty.
             valid = groups >= 0
@@ -169,7 +172,7 @@ class RepNet:
             # Offsets are divided by the grouping radius so every level sees
             # inputs near unit scale; raw meter offsets are too small for the
             # tanh layers to train on.
-            rel = (prev[members] - centers[rows]) / p.level_radii[i]
+            rel = (prev[members] - centers[rows]) / LEVEL_RADII[i]
             levels.append(Level(centers, members, starts, rel.astype(self.store.dtype)))
             prev = centers
         return tuple(levels)
@@ -184,7 +187,7 @@ class RepNet:
             for j in range(len(levels), 0, -1)
         )
         nearest = positions[1][stencils[-1][0][:, 0]]
-        skip = (pts - nearest) / self.profile.level_radii[0]
+        skip = (pts - nearest) / LEVEL_RADII[0]
         return GroupingPlan(levels, stencils, skip.astype(self.store.dtype))
 
     def encoder(self, levels: tuple[Level, ...]) -> dict:

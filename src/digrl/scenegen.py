@@ -38,10 +38,11 @@ Each wavefront drops in one batched pass onto the wavefronts before it.
 Every earlier object that meets an object is then on the pile when it
 drops, and no other object that meets it is, so it sees the candidate
 supports of a one-by-one drop in placement order and gets the same rest
-height to the last bit. After a dig, :func:`resettle` searches only the
-objects whose xy box meets an earlier removed object or one that came to
-rest at a new height; the rest keep the rest heights a re-drop would give
-them.
+height to the last bit. After a dig, :func:`resettle` settles the kept
+objects with their known drops under one rule, ``_Pile.moved``: an object
+searches only if its xy box meets an earlier object that was removed or
+came to rest at a new height; every other one rests at its known drop, the
+height a re-drop would give it.
 """
 
 from __future__ import annotations
@@ -593,14 +594,13 @@ class _Pile:
         # A NaN matches no rest, so an object without a known drop counts as moved.
         known = np.array([np.nan if d is None else d for d in drops]).view(np.int64)
         rests = np.zeros(len(members))
+        order = np.arange(len(self.placed))
         for w in range(wave.max(initial=-1) + 1):
             at = np.flatnonzero(wave == w)
             objs = members[at]
             # The earlier objects whose boxes meet an object's are all it can rest on.
-            wave_drops = [drops[i] for i in at.tolist()]
-            for k, i in enumerate(objs.tolist()):
-                if wave_drops[k] is not None and (self.meets[i, :i] & self.moved[:i]).any():
-                    wave_drops[k] = None
+            stale = (self.meets[objs] & self.moved & (order < objs[:, None])).any(axis=1)
+            wave_drops = [None if s else drops[i] for i, s in zip(at.tolist(), stale.tolist())]
             rests[at] = self._rest(objs, wave_drops)
             # ``_rest`` returns minus the drops, so negating gives back their bits.
             self.moved[objs] = (-rests[at]).view(np.int64) != known[at]
@@ -836,19 +836,13 @@ def resettle(scene: Scene, removed=None) -> Scene:
 
     Used after an excavation removes support from under the pile: pass the
     pre-dig ``scene``, which must be settled already, as :func:`settle_scene`
-    and this function leave it, and the ``removed`` indices. An object is
-    near if its xy AABB meets that of an earlier removed or near object.
-
-    A vertical drop keeps xy, so an object that is not near has the same
-    candidate supports, with the same rows, as when it settled: it rests at
-    its known drop, bit for bit what a re-drop gives. Every object it could
-    rest on comes earlier in order and is not near either, and every later
-    object that meets a near one is near, so these objects all rest first,
-    in one pass. The near objects then settle in wavefronts among themselves
-    (see :meth:`_Pile.settle`): one searches only if its box meets an earlier
-    object that was removed or that came to rest at a new height, and every
-    other one rests at its known drop. ``removed=None`` re-drops every
-    object, which is the reference that a resettle matches byte for byte.
+    and this function leave it, and the ``removed`` indices. The removed
+    objects are marked moved, and the kept ones settle in wavefronts with
+    their known drops (see :meth:`_Pile.settle`): one searches only if its
+    box meets an earlier object that was removed or that came to rest at a
+    new height, and every other one rests at its known drop.
+    ``removed=None`` re-drops every object, which is the reference that a
+    resettle matches byte for byte.
     """
     if not scene.placed:
         return Scene(scene.tray, [], scene.seed)
@@ -862,19 +856,10 @@ def resettle(scene: Scene, removed=None) -> Scene:
     if removed is None:
         pile.settle(range(n), [None] * n)
         return Scene(scene.tray, placed, scene.seed)
-    gone = np.zeros(n, dtype=bool)
-    gone[list(removed)] = True
-    near = gone.copy()
-    for i in range(n):
-        near[i] |= (pile.meets[i, :i] & near[:i]).any()
-    drops = [-float(p.translation[2]) for p in scene.placed]
-    clean = np.flatnonzero(~near)
-    if len(clean):
-        pile._rest(clean, [drops[i] for i in clean])
-    pile.moved[gone] = True
-    near = np.flatnonzero(near & ~gone)
-    pile.settle(near, [drops[i] for i in near])
-    return Scene(scene.tray, [p for p, g in zip(placed, gone) if not g], scene.seed)
+    pile.moved[list(removed)] = True
+    kept = np.flatnonzero(~pile.moved)
+    pile.settle(kept, [-float(scene.placed[i].translation[2]) for i in kept])
+    return Scene(scene.tray, [placed[i] for i in kept], scene.seed)
 
 
 def spawn_scene(seed: int, count_range: tuple[int, int]) -> Scene:

@@ -5,7 +5,10 @@ The whole pipeline runs at toy scale from one ``--config`` file and the
 representation epoch, one tiny PPO update, and two-dig episodes.
 """
 
+import argparse
+import ast
 import csv
+import inspect
 
 import pytest
 
@@ -129,6 +132,69 @@ def test_profile_falls_back_to_the_environment(tmp_path, capsys, monkeypatch):
 def test_usage_error_exits_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("baseline", "--method", "greedy", "--out", tmp_path)
+    assert exc.value.code == 1
+
+
+def args_reads(tree):
+    """Per top-level function, the ``args`` attributes it reads.
+
+    A function reads what it reads itself and what every function of the
+    same module that it hands ``args`` to reads.
+    """
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    direct, hands = {}, {}
+    for name, fn in defs.items():
+        nodes = list(ast.walk(fn))
+        direct[name] = {
+            n.attr
+            for n in nodes
+            if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "args"
+        }
+        hands[name] = {
+            n.func.id
+            for n in nodes
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in defs
+            and any(isinstance(a, ast.Name) and a.id == "args" for a in n.args)
+        }
+
+    def reads(name, seen=frozenset()):
+        out = set(direct[name])
+        for callee in hands[name] - seen - {name}:
+            out |= reads(callee, seen | {name})
+        return out
+
+    return reads
+
+
+def test_every_flag_is_read():
+    # eval-rep took a --seed and report a --seed and a --profile that nothing read.
+    probe = ast.parse(
+        "def cmd(args):\n    return helper(args)\n"
+        "def helper(args):\n    return args.seed + other(1)\n"
+        "def other(args):\n    return args.profile\n"
+    )
+    assert args_reads(probe)("cmd") == {"seed"}
+    reads = args_reads(ast.parse(inspect.getsource(cli)))
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(sub.choices) == 8
+    for command, sp in sub.choices.items():
+        flags = {a.dest for a in sp._actions} - {"help"}
+        unread = flags - reads(sp.get_default("func").__name__) - reads("main")
+        assert unread == set(), command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval-rep", "--data", "data", "--ckpt", "rep.ckpt", "--seed", 1),
+        ("report", "--inputs", "metrics.csv", "--seed", 1),
+        ("report", "--inputs", "metrics.csv", "--profile", "desk"),
+    ],
+    ids=["eval-rep-seed", "report-seed", "report-profile"],
+)
+def test_unread_flag_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
     assert exc.value.code == 1
 
 

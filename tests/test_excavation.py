@@ -7,7 +7,7 @@ import pytest
 from digrl import excavation, sensor
 from digrl.bench import attack_to_action
 from digrl.config import ATTACK_RANGES, get_profile
-from digrl.errors import ProtocolError, ShapeError, SizeError
+from digrl.errors import ConfigError, ProtocolError, ShapeError, SizeError
 from digrl.excavation import (
     M3_TO_CM3,
     PLAN_FAILURE_REWARD,
@@ -172,6 +172,18 @@ class TestExecuteDig:
         assert result.captured_indices == ()
         assert result.reward == 0.0
 
+    def test_dig_without_capture_returns_the_input_scene(self):
+        # The drag passes beside both boxes: the plan succeeds and nothing is
+        # captured, so nothing re-settles and no copy of the scene is made.
+        scene = boxes_scene([(0.2, 0.0), (0.05, 0.1)])
+        result = execute_dig(
+            scene, AttackPose(0.1, -0.1, math.radians(60.0)), ArmModel(),
+            TrajectoryParams(), BucketSpec(),
+        )
+        assert result.outcome.ok
+        assert result.captured_indices == () and result.reward == 0.0
+        assert result.scene_after is scene
+
     def test_plan_failure_leaves_scene(self):
         scene = boxes_scene([(0.05, 0.0)])
         result = execute_dig(
@@ -320,6 +332,16 @@ class TestEnv:
         # Such a budget used to run one-dig episodes without an error.
         with pytest.raises(SizeError, match="digs_per_episode"):
             self.small_env(digs=digs)
+
+    @pytest.mark.parametrize("noise_sigma", [-0.002, np.nan, np.inf])
+    def test_noise_must_be_finite_and_non_negative(self, noise_sigma):
+        # A negative sigma used to be accepted and sensed the surface exactly.
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            EnvConfig(noise_sigma=noise_sigma)
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.002])
+    def test_noise_accepted(self, noise_sigma):
+        assert EnvConfig(noise_sigma=noise_sigma).noise_sigma == noise_sigma
 
     def assert_planner_map_is_noise_free(self, env, obs):
         expected = scene_heightmap(env.scene)

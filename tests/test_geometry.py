@@ -16,6 +16,7 @@ from digrl.geometry import (
     load_xyzl,
     save_xyzl,
 )
+from digrl.repnet import LEVEL_GROUP_SIZES, LEVEL_RADII
 from digrl.scenegen import spawn_scene
 from digrl.sensor import observe
 
@@ -442,7 +443,7 @@ class TestBallQuery:
         p = get_profile("desk")
         level = crop_250
         assert len(level) == 2048
-        for n, r, k in zip(p.level_points, p.level_radii, p.level_group_sizes):
+        for n, r, k in zip(p.level_points, LEVEL_RADII, LEVEL_GROUP_SIZES):
             centers = level[fps(level, n)]
             assert_rows_match_reference(level, centers, r, k)
             level = centers
@@ -646,7 +647,7 @@ class TestTreeQueriesMatchBruteForce:
             shift[:2] = rng.uniform(-0.1, 0.1, size=2)
             for pts in (cloud, cloud + shift):
                 positions = [pts]
-                for n, r, k in zip(p.level_points, p.level_radii, p.level_group_sizes):
+                for n, r, k in zip(p.level_points, LEVEL_RADII, LEVEL_GROUP_SIZES):
                     prev = positions[-1]
                     centers = prev[fps(prev, n)]
                     got = ball_query(prev, centers, r, k)

@@ -14,7 +14,8 @@ Every public top-level function or class of the package, and every public
 method or property of a public class, has a caller outside the tests, apart
 from a fixed list of known leftovers that may only shrink. Likewise every
 defaulted parameter of those functions and methods is passed by a caller
-outside the tests, by keyword, by position or through ``*`` or ``**``. Both
+outside the tests, by keyword, by position, through ``*``, or through a
+``**`` whose keys the caller shows (see :func:`double_star_keys`). Both
 checks resolve a name through the caller's own definitions and its imports
 from ``digrl``: a read or call reaches a function or class only when they
 resolve it to that one, and an attribute of any other object reaches every
@@ -267,18 +268,17 @@ def resolve(node, modules, names):
 
 
 def passed_arguments(tree, module=None):
-    """``(callee, key)`` for every argument a call passes: a keyword, a position, ``*`` or ``**``.
+    """``(callee, key)`` for every argument a call passes: a keyword, a position or ``*``.
 
     The callee is what the called name or attribute reaches by :func:`resolve`,
     the calling ``module``'s own definitions included; a call that reaches
     nothing passes nothing. ``x.partial(f, *args, **kwargs)`` passes its
-    arguments on to ``f``, as ``functools.partial`` does.
+    arguments on to ``f``, as ``functools.partial`` does. A ``**`` argument
+    passes the keys of :func:`double_star_keys`.
     """
     modules, names = resolved_names(tree, module)
     found = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for scope, node in _calls(tree, module):
         func, args = node.func, node.args
         if resolve(func, modules, names) == ".partial" and args:
             func, args = args[0], args[1:]
@@ -290,21 +290,111 @@ def passed_arguments(tree, module=None):
                 found.add((callee, "*"))
                 break
             found.add((callee, i))
-        found |= {(callee, kw.arg or "**") for kw in node.keywords}
+        for kw in node.keywords:
+            keys = {kw.arg} if kw.arg else double_star_keys(kw.value, scope, modules, names)
+            found |= {(callee, key) for key in keys}
     return found
+
+
+def _calls(tree, module):
+    """Each call node, with the innermost function definition around it as ``(def, name)``.
+
+    ``name`` is what a caller's call of that definition reaches by
+    :func:`resolve`: ``module.f`` for a top-level function of the package,
+    ``module.K`` for the ``__init__`` of its class ``K``, ``.m`` for any
+    other method, and None otherwise. Outside a definition the scope is
+    ``(tree, None)``.
+    """
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, ast.FunctionDef):
+                name = None
+                if node is tree and module:
+                    name = f"{module}.{child.name}"
+                elif isinstance(node, ast.ClassDef):
+                    name = f".{child.name}"
+                    if child.name == "__init__":
+                        name = f"{module}.{node.name}" if module else None
+                inner = (child, name)
+            elif isinstance(child, ast.Call):
+                yield scope, child
+            yield from walk(child, inner)
+
+    yield from walk(tree, (tree, None))
+
+
+def double_star_keys(value, scope, modules, names):
+    """The keys that the ``**value`` of a call inside ``scope`` (a module or a definition) can pass.
+
+    These are the string keys of the dict displays in ``value``, and, for a
+    name, in what its definition assigns to it, plus the keys it sets by
+    ``name["key"] = ...``. A ``cli._config_section(args, "section")`` call
+    there passes that section's ``_SECTION_TYPES`` keys. A forward of the
+    definition's own ``**name`` parameter also passes every keyword that a
+    call of the definition passes and that none of its named parameters
+    takes; it is kept as ``("**", definition, named parameters)`` until
+    :func:`forwarded` resolves it.
+    """
+    fn, name = scope
+    exprs, keys = [value], set()
+    if isinstance(value, ast.Name):
+        for node in ast.walk(fn):
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                if isinstance(target, ast.Name) and target.id == value.id:
+                    exprs.append(node.value)
+                elif (
+                    isinstance(target, ast.Subscript)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == value.id
+                    and isinstance(target.slice, ast.Constant)
+                ):
+                    keys.add(target.slice.value)
+        if name and fn.args.kwarg and fn.args.kwarg.arg == value.id:
+            named = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            keys.add(("**", name, frozenset(a.arg for a in named)))
+    for node in (n for expr in exprs for n in ast.walk(expr)):
+        if isinstance(node, ast.Dict):
+            keys |= {k.value for k in node.keys if isinstance(k, ast.Constant)}
+        elif (
+            isinstance(node, ast.Call)
+            and resolve(node.func, modules, names) == "cli._config_section"
+            and isinstance(node.args[-1], ast.Constant)
+        ):
+            keys |= set(cli._SECTION_TYPES[node.args[-1].value])
+    return {k for k in keys if isinstance(k, (str, tuple))}
+
+
+def forwarded(passed):
+    """``passed`` with each ``**`` forward replaced by the keywords that reach it, to a fixpoint."""
+    plain = {p for p in passed if not isinstance(p[1], tuple)}
+    forwards = [(callee, key[1], key[2]) for callee, key in passed if isinstance(key, tuple)]
+    while True:
+        reached = {
+            (callee, key)
+            for callee, source, named in forwards
+            for caller, key in plain
+            if caller == source and isinstance(key, str) and key != "*" and key not in named
+        }
+        if reached <= plain:
+            return plain
+        plain |= reached
 
 
 def unpassed(defined, passed, module):
     """The defaulted parameters of ``module`` that no call in ``passed`` can set.
 
-    ``defined`` is :func:`defaulted_parameters` of that module, and each
-    result reads ``callee(parameter)``.
+    ``defined`` is :func:`defaulted_parameters` of that module, ``passed``
+    is :func:`passed_arguments` of the callers, forwards unresolved, and
+    each result reads ``callee(parameter)``.
     """
+    passed = forwarded(passed)
     out = set()
     for name, param, position in defined:
         cls, _, method = name.rpartition(".")
         callee = f".{method}" if cls else f"{module}.{name}"
-        keys = {(callee, param), (callee, "**")}
+        keys = {(callee, param)}
         if position is not None:
             keys |= {(callee, position), (callee, "*")}
         if not keys & passed:
@@ -326,9 +416,29 @@ def test_defaulted_parameters_have_callers():
         ("K.m", "y", 0), ("K.m", "z", 1), ("K.s", "w", 0),
     }
     calls = passed_arguments(
-        ast.parse("from .nn import K, f\nf(1, 2)\nK(**kw)\nobj.m(5)\nK.s(*args)\n")
+        ast.parse("from .nn import K, f\nf(1, 2)\nkw = {'x': 0}\nK(**kw)\nobj.m(5)\nK.s(*args)\n")
     )
     assert unpassed(defined, calls, "nn") == {"f(c)", "K.m(z)"}
+    # A ``**`` whose keys the module does not show passes nothing.
+    calls = passed_arguments(ast.parse("from .nn import K\nK(**kw)\n"))
+    assert "K(x)" in unpassed(defined, calls, "nn")
+    # A forward of a function's own ``**`` passes the keywords its callers
+    # pass that it does not take itself, and the keys it sets; it used to
+    # pass every parameter of the callee.
+    forward = ast.parse(
+        "def outer(a, flag=0, **opts):\n    opts['store'] = 1\n    return inner(a, **opts)\n"
+        "def inner(a, b=1, log=None, store=None, flag=None):\n    pass\n"
+        "outer(0, flag=1, log=print)\n"
+    )
+    calls = passed_arguments(forward, "ppo")
+    assert unpassed(defaulted_parameters(forward), calls, "ppo") == {"inner(b)", "inner(flag)"}
+    # A ``**`` of a config section passes that section's keys.
+    section = ast.parse(
+        "from .cli import _config_section\nfrom .ppo import train\n"
+        "def cmd(args):\n    sec = _config_section(args, 'rl')\n    return train(0, **sec)\n"
+    )
+    train = defaulted_parameters(ast.parse("def train(a, lr=0.1, b=1):\n    pass\n"))
+    assert unpassed(train, passed_arguments(section), "ppo") == {"train(b)"}
     calls = passed_arguments(ast.parse("from digrl import nn\nnn.f(0, c=3)\nobj.m(z=1)\n"))
     assert unpassed(defined, calls, "nn") == {"f(b)", "K(x)", "K.m(y)", "K.s(w)"}
     # Another module's f, and names the caller neither defines nor imports, pass nothing.

@@ -1072,6 +1072,48 @@ class TestDirtyResettle:
         kept = Scene(spawned.tray, spawned.placed[:-1], spawned.seed)
         assert dirty == _scene_bytes(kept, tmp_path / "s.scene")
 
+    @pytest.mark.parametrize("seed", range(100, 104))
+    def test_searches_exactly_above_moved_objects(self, seed, monkeypatch, tmp_path):
+        # Three dig-like removals in a row, each of the column of objects
+        # whose centroids lie within 4 cm of a random object's in xy.
+        searched = []
+        search = _Pile._lowest_gaps
+
+        def recording(pile, members):
+            searched.extend(members.tolist())
+            return search(pile, members)
+
+        monkeypatch.setattr(_Pile, "_lowest_gaps", recording)
+        scene = spawn_scene(seed, (100, 250))
+        rng = np.random.default_rng(seed)
+        counts = np.zeros(3, dtype=np.int64)
+        for _ in range(3):
+            centroids = np.array([p.translation for p in scene.placed])
+            at = centroids[rng.integers(len(centroids))]
+            removed = np.flatnonzero(np.linalg.norm(centroids[:, :2] - at[:2], axis=1) < 0.04)
+            searched.clear()
+            after = resettle(scene, removed)
+            got = sorted(searched)
+            kept = np.setdiff1d(np.arange(scene.object_count), removed)
+            # Removed, or come to rest at a new height.
+            moved = np.ones(scene.object_count, dtype=bool)
+            moved[kept] = [
+                p.translation.tobytes() != scene.placed[i].translation.tobytes()
+                for i, p in zip(kept.tolist(), after.placed)
+            ]
+            xy = [p.world_vertices()[:, :2] for p in scene.placed]
+            lo, hi = np.array([v.min(axis=0) for v in xy]), np.array([v.max(axis=0) for v in xy])
+            meets = ((lo[:, None] <= hi[None]) & (hi[:, None] >= lo[None])).all(axis=2)
+            assert got == [j for j in kept.tolist() if (meets[j, :j] & moved[:j]).any()]
+            full = resettle(Scene(scene.tray, [scene.placed[i] for i in kept], scene.seed))
+            path = tmp_path / "d.scene"
+            assert _scene_bytes(after, path) == _scene_bytes(full, path)
+            counts += (len(got), len(kept) - len(got), moved[kept].sum())
+            scene = after
+        # Some objects search, some rest at their known drops, and some kept
+        # objects come to rest at a new height.
+        assert (counts > 0).all(), counts
+
 
 def _record_passes(monkeypatch):
     """Record the (batch, drops) of every ``_Pile._rest`` pass."""
@@ -1129,10 +1171,11 @@ class TestWavefronts:
         # Both cubes rest on the bar, not on the floor.
         assert all(p.world_vertices()[:, 2].min() > 0.03 for p in settled.placed[1:])
 
-    def test_resettle_rests_clean_objects_first(self, tray, monkeypatch, tmp_path):
+    def test_resettle_searches_only_above_a_removed_object(self, tray, monkeypatch, tmp_path):
         # Two stacks of two cubes. Removing the left base leaves the right
-        # stack clean: it rests in one pass at its known drops. The left top
-        # cube meets the removed base, so it searches, in a pass of its own.
+        # stack unmoved: its cubes rest at their known drops, in the
+        # wavefronts of the kept objects. The left top cube meets the removed
+        # base, so it searches, in the first pass beside the right base.
         cube = make_box(0.0625, 0.0625, 0.0625)
         placed = [PlacedObject(cube, IDENTITY.copy(), np.array([x, 0.0, 0.0]))
                   for x in (-0.125, 0.125, -0.125, 0.125)]
@@ -1142,8 +1185,8 @@ class TestWavefronts:
         # The cubes are centred on their origin, so a known drop is minus the
         # rest height of the centre.
         assert [(len(batch), drops) for batch, drops in passes] == [
-            (2, [-0.03125, -0.09375]),
-            (1, [None]),
+            (2, [-0.03125, None]),
+            (1, [-0.09375]),
         ]
         TestDirtyResettle.check(scene, [0], tmp_path / "m.scene")
         bottoms = [p.world_vertices()[:, 2].min() for p in after.placed]
