@@ -152,15 +152,7 @@ def cmd_train_rep(args) -> int:
     save_ckpt(net.store, os.path.join(out, "rep.ckpt"))
     bench.save_table(history, repnet.METRIC_FIELDS, os.path.join(out, "rep_metrics.csv"))
     final = [h for h in history if h["split"] == "val"] or history
-    print(
-        "final val: cos=%.4f deg=%.2f curv_mae=%.4f count_mae=%.2f"
-        % (
-            final[-1]["normal_cos"],
-            final[-1]["normal_deg"],
-            final[-1]["curv_mae"],
-            final[-1]["count_mae"],
-        )
-    )
+    print("final " + repnet.format_metrics(final[-1]))
     return 0
 
 
@@ -168,20 +160,12 @@ def cmd_eval_rep(args) -> int:
     profile = get_profile(args.profile)
     samples = repnet.load_rep_dataset(args.data)
     net = repnet.RepNet(profile, store=load_ckpt(args.ckpt))
-    rows = []
-    for split in ("train", "val"):
-        subset = [s for s in samples if s.split == split]
-        if not subset:
-            continue
-        row = {"epoch": 0, "split": split}
-        row.update(repnet.eval_rep(net, subset, [net.plan(s.points) for s in subset]))
-        rows.append(row)
-        print(
-            "%s: cos=%.4f deg=%.2f curv_mae=%.4f count_mae=%.2f"
-            % (split, row["normal_cos"], row["normal_deg"], row["curv_mae"], row["count_mae"])
-        )
+    rows = repnet.eval_splits(net, samples, [net.plan(s.points) for s in samples])
+    for row in rows:
+        print(repnet.format_metrics(row))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
+        rows = [{"epoch": 0, **row} for row in rows]
         bench.save_table(rows, repnet.METRIC_FIELDS, os.path.join(args.out, "rep_eval.csv"))
     return 0
 

@@ -63,7 +63,7 @@ PAPER_PROFILE = Profile(
     fps_target=7000,
     level_points=(1024, 256, 64, 16, 8),
     level_widths=(128, 128, 128, 64, 32),
-    fp_widths=(256, 256, 256, 128, 4),
+    fp_widths=(256, 256, 256, 128),
     rep_scenes=35000,
     rl_total_samples=30000,
 )
@@ -73,7 +73,7 @@ DESK_PROFILE = Profile(
     fps_target=2048,
     level_points=(256, 64, 32, 16, 8),
     level_widths=(96, 96, 96, 64, 32),
-    fp_widths=(128, 128, 128, 128, 4),
+    fp_widths=(128, 128, 128, 128),
     rep_scenes=300,
     rl_total_samples=5000,
 )
@@ -109,7 +109,8 @@ def load_config(path: str) -> dict[str, dict[str, str]]:
     """Read a plain ``key = value`` file with ``[section]`` headers.
 
     Values are returned as strings; callers coerce what they need and reject
-    the sections and keys they do not know.
+    the sections and keys they do not know. A ``[DEFAULT]`` key, which
+    configparser would copy into every section, raises ConfigError.
     """
     parser = configparser.ConfigParser()
     try:
@@ -118,4 +119,6 @@ def load_config(path: str) -> dict[str, dict[str, str]]:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    if parser.defaults():
+        raise ConfigError(f"{path}: [DEFAULT] sets {sorted(parser.defaults())}; name a section")
     return {section: dict(parser.items(section)) for section in parser.sections()}

@@ -346,43 +346,34 @@ def idw_weights(src_points, dst_points, k: int = 3) -> tuple[np.ndarray, np.ndar
     Returns (idx (D,k), weights (D,k)); weights per row sum to 1. A dst point
     coinciding with a source point copies that source exactly (weight 1).
 
-    Sources rank by their ``_sq_dist`` value, as a brute force over every
-    source would: the k smallest by ``argpartition``, ordered by a stable
-    ``argsort`` (for k equal to the source count, every source in index
-    order, stably sorted). The difference form, not the expanded quadratic,
-    cancels any common translation exactly, which keeps the stencils (and
-    everything downstream) bitwise translation invariant. A KD-tree offers
-    each row k + 1 candidates, and a row keeps their ranking when
-    ``_certify`` settles it. Its tolerance, 32 eps of the squared distance
-    to the last candidate, covers the relative rounding of ``_sq_dist``
-    (about 5 eps) and of the tree's squared distance (about 8 eps) on
-    either side. Every other row is rebuilt by the brute force.
+    Needs ``0 < k < n`` for n sources. Sources rank by their ``_sq_dist``
+    value, as a brute force over every source would: the k smallest by
+    ``argpartition``, ordered by a stable ``argsort``. The difference form,
+    not the expanded quadratic, cancels any common translation exactly,
+    which keeps the stencils (and everything downstream) bitwise
+    translation invariant. A KD-tree offers each row k + 1 candidates, and
+    a row keeps their ranking when ``_certify`` settles it. Its tolerance,
+    32 eps of the squared distance to the last candidate, covers the
+    relative rounding of ``_sq_dist`` (about 5 eps) and of the tree's
+    squared distance (about 8 eps) on either side. Every other row is
+    rebuilt by the brute force.
     """
     src = _as_points(src_points)
     dst = _as_points(dst_points)
     n = len(src)
-    if n == 0:
-        raise SizeError("interpolation needs at least one source point")
-    if not 0 < k <= n:
+    if not 0 < k < n:
         raise SizeError(f"k={k} out of range for {n} source points")
-    redo = np.arange(len(dst))
-    idx = np.empty((len(dst), k), dtype=np.int64)
-    nd2 = np.empty((len(dst), k))
-    if k < n:
-        dist, cand = cKDTree(src).query(dst, k + 1)
-        tol = 32.0 * np.finfo(np.float64).eps * dist[:, -1] ** 2
-        last = dist[:, -1] ** 2 if k + 1 < n else np.full(len(dst), np.inf)
-        d2 = _sq_dist(dst[:, None, :], src[cand])
-        idx, d2, ok = _certify(d2, cand, k, last, tol)
-        nd2 = d2[:, :k]
-        redo = np.flatnonzero(~ok)
+    dist, cand = cKDTree(src).query(dst, k + 1)
+    tol = 32.0 * np.finfo(np.float64).eps * dist[:, -1] ** 2
+    last = dist[:, -1] ** 2 if k + 1 < n else np.full(len(dst), np.inf)
+    d2 = _sq_dist(dst[:, None, :], src[cand])
+    idx, d2, ok = _certify(d2, cand, k, last, tol)
+    nd2 = d2[:, :k]
+    redo = np.flatnonzero(~ok)
     for lo in range(0, len(redo), _CHUNK):
         rows = redo[lo : lo + _CHUNK]
         d2 = _sq_dist(dst[rows, None, :], src[None, :, :])
-        if k < n:
-            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        else:
-            part = np.tile(np.arange(n), (len(rows), 1))
+        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
         near = np.take_along_axis(d2, part, axis=1)
         order = np.argsort(near, kind="stable", axis=1)
         idx[rows] = np.take_along_axis(part, order, axis=1)

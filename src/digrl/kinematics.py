@@ -304,14 +304,10 @@ def _wall_clearances(
     y high). Clearance along the face normal is a sufficient separation, so
     the demands err toward stopping short, never toward allowing contact.
     """
-    h0, h1, h2 = np.asarray(bucket) / 2.0
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    cp, sp = np.cos(pitches), np.sin(pitches)
-    x_ax = np.stack([cp * cy, cp * sy, sp], axis=1)
-    y_ax = np.tile([-sy, cy, 0.0], (len(pitches), 1))
-    z_ax = np.stack([-sp * cy, -sp * sy, cp], axis=1)
-    off = -h0 * x_ax + h2 * z_ax
-    ext = h0 * np.abs(x_ax) + h1 * np.abs(y_ax) + h2 * np.abs(z_ax)
+    # With the tip at the origin, a frame's center is its offset from the tip.
+    zeros = np.zeros((len(pitches), 3))
+    off, axes, (h0, h1, h2) = bucket_frames(zeros, pitches, np.full(len(pitches), yaw), bucket)
+    ext = h0 * np.abs(axes[:, :, 0]) + h1 * np.abs(axes[:, :, 1]) + h2 * np.abs(axes[:, :, 2])
     wall_top = tray.floor_z + tray.wall_height
     live = tip_z + off[:, 2] - ext[:, 2] < wall_top
     demands = np.zeros(4)

@@ -57,6 +57,8 @@ from .sensor import label_observation, observe
 NORMAL_LOSS_WEIGHT = 10.0
 COUNT_SCALE = 300.0  # object counts are regressed as count / COUNT_SCALE
 INTERP_K = 3
+# Decoder output columns: 3 for the normal, then 1 for the curvature.
+LABEL_WIDTH = 4
 # Ball-query radius (m) and member cap of each encoder level, at every profile.
 LEVEL_RADII = (0.05, 0.10, 0.20, 0.30, 0.40)
 LEVEL_GROUP_SIZES = (32, 32, 32, 16, 8)
@@ -117,17 +119,17 @@ class RepNet:
                 store.add_linear(f"sa{i + 1}_l2", width, width, rng)
                 f_prev = width
             # Decoder, coarsest first: fp5 refines onto level-4 points, ...,
-            # fp1 onto the raw cloud. The last stage keeps a hidden layer at
-            # the second-to-last decoder width before the 4-channel output.
-            w = p.level_widths
-            fpw = p.fp_widths
-            ins = [w[4] + w[3], fpw[0] + w[2], fpw[1] + w[1], fpw[2] + w[0], fpw[3] + 3]
-            for j in range(4):
-                store.add_linear(f"fp{5 - j}_l1", ins[j], fpw[j], rng)
-                store.add_linear(f"fp{5 - j}_l2", fpw[j], fpw[j], rng)
-            store.add_linear("fp1_l1", ins[4], fpw[3], rng)
-            store.add_linear("fp1_l2", fpw[3], fpw[4], rng)
-            store.add_linear("cnt_l1", w[4], 64, rng)
+            # fp1 onto the raw cloud, whose skip input is its 3 offsets. The
+            # last stage keeps a hidden layer at the last decoder width
+            # before the label output.
+            skips = (*p.level_widths[-2::-1], 3)
+            for j, skip in enumerate(skips):
+                width = p.fp_widths[min(j, len(p.fp_widths) - 1)]
+                out = width if j + 1 < len(skips) else LABEL_WIDTH
+                store.add_linear(f"fp{len(skips) - j}_l1", f_prev + skip, width, rng)
+                store.add_linear(f"fp{len(skips) - j}_l2", width, out, rng)
+                f_prev = out
+            store.add_linear("cnt_l1", p.level_widths[-1], 64, rng)
             store.add_linear("cnt_l2", 64, 32, rng)
             store.add_linear("cnt_l3", 32, 1, rng)
         self.store = store
@@ -183,7 +185,7 @@ class RepNet:
         pts = np.asarray(points, dtype=np.float64)
         positions = [pts] + [lv.centers for lv in levels]
         stencils = tuple(
-            idw_weights(positions[j], positions[j - 1], k=min(INTERP_K, len(positions[j])))
+            idw_weights(positions[j], positions[j - 1], k=INTERP_K)
             for j in range(len(levels), 0, -1)
         )
         nearest = positions[1][stencils[-1][0][:, 0]]
@@ -242,7 +244,7 @@ class RepNet:
                 cur = self._layer(cur, "fp1_l2")
 
         normals = nn.col_slice(cur, 0, 3)
-        curvature = nn.col_slice(cur, 3, 4)
+        curvature = nn.col_slice(cur, 3, LABEL_WIDTH)
         ch = nn.relu(self._norm_layer(level_feats[-1], "cnt_l1"))
         pooled = nn.max_pool_groups(ch, [0])
         ch = nn.relu(self._layer(pooled, "cnt_l2"))
@@ -308,10 +310,14 @@ def gen_scene_files(
 
     ``n_scenes`` defaults to the profile's ``rep_scenes``. Each SCENE file
     records its scene's seed and object count, so nothing else is written.
+    A ``raw_scenes`` that already holds SCENE files raises DigrlError, since
+    ``label`` would mix the old scenes into the new set; nothing is deleted.
     """
     n_scenes = n_scenes if n_scenes is not None else profile.rep_scenes
     require_positive(n_scenes=n_scenes)
     raw_dir = os.path.join(out_dir, "raw_scenes")
+    if os.path.isdir(raw_dir) and any(name.endswith(".scene") for name in os.listdir(raw_dir)):
+        raise DigrlError(f"{raw_dir} already holds .scene files; generate into a new directory")
     os.makedirs(raw_dir, exist_ok=True)
     paths = []
     for i in range(n_scenes):
@@ -453,6 +459,30 @@ def eval_rep(net: RepNet, samples: list[RepSample], plans: list[GroupingPlan]) -
     }
 
 
+def eval_splits(net: RepNet, samples: list[RepSample], plans: list[GroupingPlan]) -> list[dict]:
+    """One :func:`eval_rep` row, tagged ``split``, per split of ``SPLITS`` that holds a sample.
+
+    ``plans[i]`` is the :meth:`RepNet.plan` of ``samples[i]``.
+    """
+    if len(plans) != len(samples):
+        raise SizeError(f"{len(plans)} plans for {len(samples)} samples")
+    rows = []
+    for split in SPLITS:
+        keep = [i for i, s in enumerate(samples) if s.split == split]
+        if keep:
+            metrics = eval_rep(net, [samples[i] for i in keep], [plans[i] for i in keep])
+            rows.append({"split": split, **metrics})
+    return rows
+
+
+def format_metrics(row: dict) -> str:
+    """One printed line of an :func:`eval_splits` row."""
+    return (
+        "{split} cos={normal_cos:.4f} deg={normal_deg:.2f} "
+        "curv_mae={curv_mae:.4f} count_mae={count_mae:.2f}".format_map(row)
+    )
+
+
 def train_rep(
     samples: list[RepSample],
     profile: Profile,
@@ -478,11 +508,9 @@ def train_rep(
     net = RepNet(profile, seed=seed)
     rng = seed_stream(seed, "rep-train")
     train = [s for s in samples if s.split == "train"]
-    val = [s for s in samples if s.split == "val"]
     if not train:
         raise SizeError("no training split")
-    splits = {"train": train, "val": val}
-    plans = {name: [net.plan(s.points) for s in split] for name, split in splits.items()}
+    plans = [net.plan(s.points) for s in samples]
     history = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(train))
@@ -498,24 +526,10 @@ def train_rep(
                     raise DigrlError(f"non-finite loss at epoch {epoch}")
                 nn.backward(loss)
             net.store.adam_step(lr, weight_decay=weight_decay)
-        for split_name, split_samples in splits.items():
-            if not split_samples:
-                continue
-            row = {"epoch": epoch, "split": split_name}
-            row.update(eval_rep(net, split_samples, plans[split_name]))
-            history.append(row)
+        for row in eval_splits(net, samples, plans):
+            history.append({"epoch": epoch, **row})
             if log is not None:
-                log(
-                    "epoch %d %s cos=%.4f deg=%.2f curv=%.4f count=%.2f"
-                    % (
-                        epoch,
-                        split_name,
-                        row["normal_cos"],
-                        row["normal_deg"],
-                        row["curv_mae"],
-                        row["count_mae"],
-                    )
-                )
+                log(f"epoch {epoch} " + format_metrics(row))
     return net, history
 
 

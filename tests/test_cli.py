@@ -54,8 +54,11 @@ def test_pipeline_from_one_config(tmp_path, config, capsys):
     data, rep, rl, ev = (tmp_path / d for d in ("data", "rep", "rl", "eval"))
     assert run("gen-scenes", "--config", config, "--count", 2, "--out", data) == 0
     assert run("label", "--config", config, "--data", data) == 0
+    capsys.readouterr()
     assert run("train-rep", "--config", config, "--data", data, "--out", rep) == 0
+    train_out = capsys.readouterr().out.splitlines()
     assert run("eval-rep", "--data", data, "--ckpt", rep / "rep.ckpt", "--out", rep) == 0
+    eval_out = capsys.readouterr().out.splitlines()
     assert run("eval-rep", "--data", data, "--ckpt", rep / "nope.ckpt") == 2
     rl_argv = ("--rep-ckpt", rep / "rep.ckpt", "--samples", 4, "--out", rl)
     assert run("train-rl", "--config", config, *rl_argv) == 0
@@ -106,6 +109,18 @@ def test_pipeline_from_one_config(tmp_path, config, capsys):
         subset = [s for s in samples if s.split == row["split"]]
         want = eval_rep(net, subset, [net.plan(s.points) for s in subset])
         assert {k: float(row[k]) for k in want} == want
+
+    # train-rep's epoch log, its final line and eval-rep's lines all print a
+    # metrics row through repnet.format_metrics.
+    def floats(row):
+        return {k: v if k in ("epoch", "split") else float(v) for k, v in row.items()}
+
+    with open(rep / "rep_metrics.csv", newline="") as fh:
+        history = [floats(r) for r in csv.DictReader(fh)]
+    final = [h for h in history if h["split"] == "val"] or history
+    logged = [f"epoch {h['epoch']} " + repnet.format_metrics(h) for h in history]
+    assert train_out == logged + ["final " + repnet.format_metrics(final[-1])]
+    assert eval_out == [repnet.format_metrics(floats(r)) for r in rows]
 
 
 def test_samples_flag_sets_the_total(tmp_path, config):
@@ -364,3 +379,26 @@ def test_no_episodes_exits_2(tmp_path, capsys, command):
     extra = policy_checkpoints(tmp_path) if command == "eval-rl" else ("--method", "random")
     assert run(command, *extra, "--episodes", 0, "--out", tmp_path / "out") == 2
     assert "need at least one evaluation episode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [("train-rep", "--data", "data"), ("train-rl", "--rep-ckpt", "rep.ckpt")],
+    ids=["train-rep", "train-rl"],
+)
+def test_default_section_exits_2(tmp_path, capsys, argv):
+    # A [DEFAULT] key used to reach every section unseen: lr set both [rep] and [rl].
+    path = tmp_path / "default.cfg"
+    path.write_text("[DEFAULT]\nlr = 0.5\n\n[rep]\nepochs = 2\n")
+    assert run(*argv, "--config", path, "--out", tmp_path / "out") == 2
+    assert "[DEFAULT] sets ['lr']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_scenes_into_a_used_directory_exits_2(tmp_path, config, capsys):
+    data = tmp_path / "data"
+    assert run("gen-scenes", "--config", config, "--count", 2, "--seed", 1, "--out", data) == 0
+    before = {p.name: p.read_bytes() for p in (data / "raw_scenes").iterdir()}
+    argv = ("gen-scenes", "--config", config, "--count", 1, "--seed", 2, "--out", data)
+    assert run(*argv) == 2
+    assert f"{data / 'raw_scenes'} already holds .scene files" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (data / "raw_scenes").iterdir()} == before

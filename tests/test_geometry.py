@@ -116,10 +116,7 @@ def idw_brute(src, dst, k):
     for lo in range(0, len(dst), geometry._CHUNK):
         hi = min(lo + geometry._CHUNK, len(dst))
         d2 = np.sum((dst[lo:hi, None, :] - src[None, :, :]) ** 2, axis=-1)
-        if k < len(src):
-            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        else:
-            part = np.tile(np.arange(len(src)), (hi - lo, 1))
+        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
         rows = np.arange(hi - lo)[:, None]
         order = np.argsort(d2[rows, part], kind="stable", axis=1)
         nearest = part[rows, order]
@@ -585,7 +582,8 @@ class TestIdw:
         assert w[0].tolist() == [1.0, 0.0, 0.0]
 
     def test_equidistant_pair_averages(self):
-        src = np.array([[-1.0, 0, 0], [1.0, 0, 0]])
+        # A third, farther source keeps k below the source count.
+        src = np.array([[-1.0, 0, 0], [1.0, 0, 0], [0.0, 3.0, 0]])
         idx, w = idw_weights(src, np.array([[0.0, 0, 0]]), k=2)
         assert idx.tolist() == [[0, 1]]
         assert w[0] == pytest.approx([0.5, 0.5], abs=1e-12)
@@ -685,14 +683,17 @@ class TestTreeQueriesMatchBruteForce:
             got = ball_query(crop_250, centers, r, 32)
             assert np.array_equal(got, ball_query_brute(crop_250, centers, r, 32))
 
-    def test_k_up_to_the_source_count(self, rng):
-        for n in (1, 2, 3, 5):
+    def test_k_below_the_source_count(self, rng):
+        for n in (2, 3, 5):
             src = rng.uniform(-1, 1, size=(n, 3))
             dst = np.concatenate([rng.uniform(-1, 1, size=(40, 3)), src])
-            for k in range(1, n + 1):
+            for k in range(1, n):
                 assert_idw_matches_brute(src, dst, k)
-        # Equidistant sources keep their index order when k covers them all.
-        src = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+            # The encoder's levels always hold more points than its stencil takes.
+            with pytest.raises(SizeError, match=f"k={n} out of range for {n} source points"):
+                idw_weights(src, dst, k=n)
+        # Ties at the k-th distance rank as the brute force ranks them.
+        src = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 5.0]])
         for k in (2, 3):
             assert_idw_matches_brute(src, np.zeros((1, 3)), k)
 

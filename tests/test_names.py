@@ -331,7 +331,9 @@ def double_star_keys(value, scope, modules, names):
     These are the string keys of the dict displays in ``value``, and, for a
     name, in what its definition assigns to it, plus the keys it sets by
     ``name["key"] = ...``. A ``cli._config_section(args, "section")`` call
-    there passes that section's ``_SECTION_TYPES`` keys. A forward of the
+    there passes that section's ``_SECTION_TYPES`` keys, but only those
+    that the filters of the dict comprehensions around it keep (see
+    :func:`comprehension_keeps`). A forward of the
     definition's own ``**name`` parameter also passes every keyword that a
     call of the definition passes and that none of its named parameters
     takes; it is kept as ``("**", definition, named parameters)`` until
@@ -354,7 +356,11 @@ def double_star_keys(value, scope, modules, names):
         if name and fn.args.kwarg and fn.args.kwarg.arg == value.id:
             named = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
             keys.add(("**", name, frozenset(a.arg for a in named)))
+    kept = {}  # id of a node inside filtered dict comprehensions -> the keys they keep
     for node in (n for expr in exprs for n in ast.walk(expr)):
+        if isinstance(node, ast.DictComp) and (keeps := comprehension_keeps(node)) is not None:
+            for inner in ast.walk(node):
+                kept[id(inner)] = kept.get(id(inner), keeps) & keeps
         if isinstance(node, ast.Dict):
             keys |= {k.value for k in node.keys if isinstance(k, ast.Constant)}
         elif (
@@ -362,8 +368,41 @@ def double_star_keys(value, scope, modules, names):
             and resolve(node.func, modules, names) == "cli._config_section"
             and isinstance(node.args[-1], ast.Constant)
         ):
-            keys |= set(cli._SECTION_TYPES[node.args[-1].value])
+            section = set(cli._SECTION_TYPES[node.args[-1].value])
+            keys |= section & kept.get(id(node), section)
     return {k for k in keys if isinstance(k, (str, tuple))}
+
+
+def comprehension_keeps(comp):
+    """The keys that the ``if`` clauses of a dict comprehension let through, or None for any.
+
+    A clause counts when it tests the comprehension's key name with ``==``
+    against a constant or with ``in`` against a display of constants; any
+    other clause may keep every key.
+    """
+    key = comp.key.id if isinstance(comp.key, ast.Name) else None
+    keeps = None
+    for cond in (c for gen in comp.generators for c in gen.ifs):
+        if not (
+            isinstance(cond, ast.Compare)
+            and isinstance(cond.left, ast.Name)
+            and cond.left.id == key
+            and len(cond.ops) == 1
+        ):
+            continue
+        op, right = cond.ops[0], cond.comparators[0]
+        if isinstance(op, ast.Eq) and isinstance(right, ast.Constant):
+            values = {right.value}
+        elif (
+            isinstance(op, ast.In)
+            and isinstance(right, (ast.Tuple, ast.List, ast.Set))
+            and all(isinstance(e, ast.Constant) for e in right.elts)
+        ):
+            values = {e.value for e in right.elts}
+        else:
+            continue
+        keeps = values if keeps is None else keeps & values
+    return keeps
 
 
 def forwarded(passed):
@@ -439,6 +478,16 @@ def test_defaulted_parameters_have_callers():
     )
     train = defaulted_parameters(ast.parse("def train(a, lr=0.1, b=1):\n    pass\n"))
     assert unpassed(train, passed_arguments(section), "ppo") == {"train(b)"}
+    # A dict comprehension's filter passes only the section keys it keeps;
+    # the whole section used to pass, as for ``cli.cmd_label``'s ``**split``.
+    filters = (("k == 'n_envs'", {"train(lr)", "train(b)"}), ("k in ('lr', 'b')", {"train(b)"}))
+    for keep, want in filters:
+        comp = ast.parse(
+            "from .cli import _config_section\nfrom .ppo import train\ndef cmd(args):\n"
+            f"    sec = {{k: v for k, v in _config_section(args, 'rl').items() if {keep}}}\n"
+            "    return train(0, **sec)\n"
+        )
+        assert unpassed(train, passed_arguments(comp), "ppo") == want, keep
     calls = passed_arguments(ast.parse("from digrl import nn\nnn.f(0, c=3)\nobj.m(z=1)\n"))
     assert unpassed(defined, calls, "nn") == {"f(b)", "K(x)", "K.m(y)", "K.s(w)"}
     # Another module's f, and names the caller neither defines nor imports, pass nothing.

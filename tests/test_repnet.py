@@ -13,13 +13,15 @@ import digrl
 from digrl import nn, repnet
 from digrl.config import get_profile
 from digrl.bench import save_table
-from digrl.errors import ShapeError, SizeError
+from digrl.errors import DigrlError, ShapeError, SizeError
 from digrl.repnet import (
     COUNT_SCALE,
     METRIC_FIELDS,
     RepNet,
     RepSample,
     eval_rep,
+    eval_splits,
+    format_metrics,
     gen_scene_files,
     label_scene_files,
     load_rep_dataset,
@@ -301,6 +303,51 @@ class TestTranslationInvariance:
         assert cnt_a == cnt_b
 
 
+@pytest.fixture(scope="module")
+def desk_observations():
+    """Desk observations of three 200-300 object scenes, seeds 100-102."""
+    p = get_profile("desk")
+    return {
+        seed: observe(spawn_scene(seed, count_range=(200, 300)), p.fps_target).cloud.points
+        for seed in (100, 101, 102)
+    }
+
+
+def same_grouping(a, b):
+    """Whether two plans hold the same members at every level and the same IDW stencil indices."""
+    return all(np.array_equal(x.members, y.members) for x, y in zip(a.levels, b.levels)) and all(
+        np.array_equal(x[0], y[0]) for x, y in zip(a.stencils, b.stencils)
+    )
+
+
+class TestTranslationInvarianceOnObservations:
+    """A planar shift of an observed cloud that keeps its grouping keeps its outputs.
+
+    The shifts are not quantized, so their rounding can move a point across
+    a ball's radius or reorder near ties; the cases below are those where no
+    level's members and no stencil index changed.
+    """
+
+    @pytest.mark.parametrize(
+        "seed, s",
+        [(100, 0.001), (100, 0.05), (101, 0.001), (101, 0.05), (101, 0.10), (102, 0.001)],
+    )
+    def test_outputs_and_code_features_unchanged(self, desk_observations, seed, s):
+        net = RepNet(get_profile("desk"), seed=0)
+        pts = desk_observations[seed]
+        shifted = pts + (s, -s / 2, 0.0)
+        plan, plan_shifted = net.plan(pts), net.plan(shifted)
+        assert same_grouping(plan, plan_shifted)
+        a, b = net.forward(plan), net.forward(plan_shifted)
+        for key in ("normals", "curvature", "count"):
+            assert np.allclose(a[key].value, b[key].value, rtol=0.0, atol=1e-6), key
+        rows = get_profile("desk").level_points[-1]
+        # The code's last 3 columns are absolute centers, which do move.
+        fa = net.encode(pts).reshape(rows, -1)[:, :-3]
+        fb = net.encode(shifted).reshape(rows, -1)[:, :-3]
+        assert np.allclose(fa, fb, rtol=0.0, atol=1e-6)
+
+
 class TestPredict:
     def test_output_ranges(self, rng):
         net = RepNet(get_profile("desk"), seed=0)
@@ -380,6 +427,26 @@ class TestTraining:
         assert set(metrics) == {"normal_cos", "normal_deg", "curv_mae", "count_mae"}
         assert -1.0 <= metrics["normal_cos"] <= 1.0
         assert metrics["curv_mae"] >= 0.0
+
+    def test_eval_splits_rows_per_inhabited_split(self):
+        samples = tiny_samples(n_scenes=3)
+        net = RepNet(get_profile("desk"), seed=0)
+        plans = [net.plan(s.points) for s in samples]
+        rows = eval_splits(net, samples, plans)
+        assert [row["split"] for row in rows] == ["train", "val"]
+        for row in rows:
+            keep = [i for i, s in enumerate(samples) if s.split == row["split"]]
+            want = eval_rep(net, [samples[i] for i in keep], [plans[i] for i in keep])
+            assert row == {"split": row["split"], **want}
+        train_only = [s for s in samples if s.split == "train"]
+        rows = eval_splits(net, train_only, [net.plan(s.points) for s in train_only])
+        assert [row["split"] for row in rows] == ["train"]
+        with pytest.raises(SizeError):
+            eval_splits(net, samples, plans[:1])
+
+    def test_format_metrics_line(self):
+        row = dict(split="val", normal_cos=0.5, normal_deg=60.0, curv_mae=0.1, count_mae=3.0)
+        assert format_metrics(row) == "val cos=0.5000 deg=60.00 curv_mae=0.1000 count_mae=3.00"
 
     def test_eval_of_no_samples_rejected(self):
         net = RepNet(get_profile("desk"), seed=0)
@@ -501,6 +568,18 @@ class TestDataset:
         with pytest.raises(SizeError, match=f"n_scenes must be at least 1, got {n_scenes}"):
             gen_scene_files(tmp_path / "data", get_profile("desk"), n_scenes=n_scenes)
         assert not (tmp_path / "data").exists()
+
+    def test_second_dataset_into_one_directory_rejected(self, tmp_path):
+        # A second run used to overwrite 0000 only, and label mixed in the
+        # first run's other scenes.
+        root = tmp_path / "data"
+        profile = get_profile("desk")
+        gen_scene_files(root, profile, seed=1, n_scenes=2, count_range=(3, 5))
+        before = {p.name: p.read_bytes() for p in (root / "raw_scenes").iterdir()}
+        raw = re.escape(str(root / "raw_scenes"))
+        with pytest.raises(DigrlError, match=f"{raw} already holds"):
+            gen_scene_files(root, profile, seed=2, n_scenes=1, count_range=(3, 5))
+        assert {p.name: p.read_bytes() for p in (root / "raw_scenes").iterdir()} == before
 
     def test_missing_labels_rejected(self, tmp_path):
         root = tmp_path / "data"
