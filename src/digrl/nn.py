@@ -5,7 +5,11 @@ and :func:`_node` wires them: the node keeps a ``(parent, vjp)`` edge for
 each input that needs a gradient, and ``vjp(g)`` maps the gradient of the
 node to that input's share. Calling :func:`backward` on a scalar loss walks
 the recorded graph in exact reverse topological order, runs each node's
-edges in order and accumulates the results into the parents.
+edges in order and accumulates the results into the parents. The walk
+consumes the graph: each interior node drops its gradient and its edges
+once they have run, so activations are freed as the walk passes them.
+After backward only leaves keep ``.grad``, and a consumed graph cannot be
+walked again.
 
 Training runs in float32; gradient checks build float64 stores (see
 ``ParamStore(dtype=...)``). Broadcasting is deliberately restricted: apart
@@ -20,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .errors import BlobReader, ShapeError, SizeError
+from .errors import BlobReader, ProtocolError, ShapeError, SizeError
 
 _CKPT_MAGIC = b"CKPT"
 _CKPT_VERSION = 1
@@ -197,6 +201,30 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     )
 
 
+def weighted_gather(x: Tensor, idx, wts) -> Tensor:
+    """Row d is ``sum_k x[idx[d, k]] * wts[d, k]`` for a (D, K) stencil of constant weights.
+
+    The K terms add in k order, and the gradient sums one scatter-add per k,
+    also in k order, so both have the bits of a ``gather_rows`` times weight
+    chain added term by term.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    wts = np.asarray(wts, dtype=x.value.dtype)
+    if idx.ndim != 2 or idx.shape != wts.shape:
+        raise ShapeError(f"weighted_gather: index {idx.shape} and weight {wts.shape} differ")
+    out_val = x.value[idx[:, 0]] * wts[:, :1]
+    for k in range(1, idx.shape[1]):
+        out_val += x.value[idx[:, k]] * wts[:, k : k + 1]
+
+    def vjp(g):
+        gx = _scatter_add_rows(x.value, idx[:, 0], g * wts[:, :1])
+        for k in range(1, idx.shape[1]):
+            gx += _scatter_add_rows(x.value, idx[:, k], g * wts[:, k : k + 1])
+        return gx
+
+    return _node(out_val, (x, vjp))
+
+
 def _first_holders(x: np.ndarray, pooled: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """(G, F) index of the first row of each run holding that run's max, per column."""
     n = len(x)
@@ -301,16 +329,6 @@ def broadcast_rows(a: Tensor, n: int) -> Tensor:
     return _node(np.tile(a.value, (n, 1)), (a, _sum_rows))
 
 
-def scale_rows(x: Tensor, s) -> Tensor:
-    """Multiply each row of a (N, F) tensor by a constant per-row factor."""
-    if x.value.ndim != 2:
-        raise ShapeError("scale_rows expects a 2-D tensor")
-    col = np.asarray(s, dtype=x.value.dtype).reshape(-1, 1)
-    if len(col) != len(x.value):
-        raise ShapeError(f"scale factors {len(col)} != rows {len(x.value)}")
-    return _node(x.value * col, (x, lambda g: g * col))
-
-
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "minimum")
     take_a = a.value <= b.value
@@ -335,14 +353,20 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) through the graph below ``loss``.
+    """Accumulate d(loss)/d(node) through the graph below ``loss``, consuming it.
 
     The loss must be scalar. Nodes are visited in exact reverse topological
     order (postorder of an iterative DFS, reversed); each runs its edges in
-    order, adding ``vjp(node.grad)`` into the edge's parent. Constant inputs
-    have no edge, so constant subgraphs are pruned. Parameter leaves forward
-    their gradient into their ParamStore slot, so several graph references
-    to one parameter sum up correctly.
+    order, adding ``vjp(node.grad)`` into the edge's parent, and then drops
+    its gradient and its edges, which frees the arrays its vjps captured.
+    So after backward only leaves keep ``.grad``, and a walk that reaches a
+    consumed node (one that needs a gradient but has neither edges nor a
+    parameter) raises ProtocolError before any gradient moves: a second
+    backward over one loss, or a new loss built on a consumed graph, would
+    otherwise silently give zero gradients. Constant inputs have no edge,
+    so constant subgraphs are pruned. After the walk, parameter leaves add
+    their gradient into their ParamStore slot in forward topological order,
+    so several graph references to one parameter sum up in a fixed order.
     """
     if loss.value.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.value.shape}")
@@ -356,6 +380,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node.requires_grad and node._param is None and not node._edges:
+            raise ProtocolError("backward reached a graph that an earlier backward consumed")
         # Mark at expansion, not at push: a node reachable over several paths
         # must finish after every consumer, or its edges would run before
         # all of its gradient has arrived.
@@ -364,13 +390,17 @@ def backward(loss: Tensor) -> None:
         for p, _ in node._edges:
             if id(p) not in seen:
                 stack.append((p, False))
+    leaves = [node for node in topo if node._param is not None]
     loss.grad = np.ones_like(loss.value)
-    for node in reversed(topo):
-        for p, vjp in node._edges:
-            p._accumulate(vjp(node.grad))
-    for node in topo:
-        if node._param is not None:
-            node._param.grad += node.grad
+    while topo:
+        node = topo.pop()
+        if node._edges:
+            for p, vjp in node._edges:
+                p._accumulate(vjp(node.grad))
+            node.grad = None
+            node._edges = ()
+    for node in leaves:
+        node._param.grad += node.grad
 
 
 # ---------------------------------------------------------------------------

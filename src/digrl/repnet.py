@@ -12,19 +12,23 @@ alone, so the policy's encode runs the encoder and no decoder.
 The decoder walks back up: features are interpolated onto the next finer
 level by inverse-squared-distance weighting over the three nearest coarse
 centers, concatenated with that level's encoder features, and mixed by
-another two-layer MLP. At the finest step the skip input is each point's
-offset to its nearest first-level center, so the whole per-point path sees
-only relative geometry and is exactly translation invariant.
+another two-layer MLP. Each step's interpolation is one
+``nn.weighted_gather`` node, and the plan stores its IDW weights in the
+store's dtype, so a float32 net multiplies float32 weights. At the finest
+step the skip input is each point's offset to its nearest first-level
+center, so the whole per-point path sees only relative geometry and is
+exactly translation invariant.
 
 The sampling, grouping and interpolation depend on the coordinates alone,
 so :meth:`RepNet.plan` computes them once as a :class:`GroupingPlan`: per
 encoder level the FPS centers, the ball-query members with the start of
 each group's run and the radius-scaled offsets, and per decoder step the
-IDW indices and weights, plus the finest skip offsets. :meth:`RepNet.forward`
-and :meth:`RepNet.predict` run on a plan, and :meth:`RepNet.encoder` on the
-encoder levels alone (:meth:`RepNet.levels`), so the policy's encode computes
-no decoder stencil. ``train_rep`` builds the plans of its evaluation clouds
-once per call; nothing caches them across calls.
+IDW indices and weights (in the store's dtype), plus the finest skip
+offsets. :meth:`RepNet.forward` and :meth:`RepNet.predict` run on a plan,
+and :meth:`RepNet.encoder` on the encoder levels alone
+(:meth:`RepNet.levels`), so the policy's encode computes no decoder
+stencil. ``train_rep`` builds the plans of its evaluation clouds once per
+call; nothing caches them across calls.
 
 Per-point heads predict the surface normal and the curvature; a global head
 max-pools the coarsest features into an object-count estimate. Training is
@@ -89,8 +93,8 @@ class GroupingPlan:
     ``levels`` holds each encoder level's :class:`Level`, its groups laid
     out as runs of member rows. ``stencils`` holds the decoder's IDW
     (indices, weights), coarsest step first, and ``skip`` each point's
-    offset to its nearest first-level center over the first radius, in the
-    store's dtype.
+    offset to its nearest first-level center over the first radius. The
+    weights and ``skip`` are in the store's dtype.
     """
 
     levels: tuple[Level, ...]
@@ -184,13 +188,14 @@ class RepNet:
         levels = self.levels(points)
         pts = np.asarray(points, dtype=np.float64)
         positions = [pts] + [lv.centers for lv in levels]
-        stencils = tuple(
-            idw_weights(positions[j], positions[j - 1], k=INTERP_K)
-            for j in range(len(levels), 0, -1)
-        )
+        dtype = self.store.dtype
+        stencils = []
+        for j in range(len(levels), 0, -1):
+            idx, wts = idw_weights(positions[j], positions[j - 1], k=INTERP_K)
+            stencils.append((idx, wts.astype(dtype)))
         nearest = positions[1][stencils[-1][0][:, 0]]
         skip = (pts - nearest) / LEVEL_RADII[0]
-        return GroupingPlan(levels, stencils, skip.astype(self.store.dtype))
+        return GroupingPlan(levels, tuple(stencils), skip.astype(dtype))
 
     def encoder(self, levels: tuple[Level, ...]) -> dict:
         """Set abstraction over one cloud's :meth:`levels`: the encoder half of :meth:`forward`.
@@ -224,19 +229,11 @@ class RepNet:
         the flattened ``code``.
         """
         enc = self.encoder(plan.levels)
-        dtype = self.store.dtype
         level_feats = enc["feats"]
         cur = level_feats[-1]
         for j, (idx, wts) in zip(range(len(level_feats), 0, -1), plan.stencils):
-            parts = [
-                nn.scale_rows(nn.gather_rows(cur, idx[:, kk]), wts[:, kk].astype(dtype))
-                for kk in range(idx.shape[1])
-            ]
-            interp = parts[0]
-            for extra in parts[1:]:
-                interp = nn.add(interp, extra)
             skip = level_feats[j - 2] if j > 1 else nn.Tensor.const(plan.skip)
-            x = nn.concat([interp, skip], axis=1)
+            x = nn.concat([nn.weighted_gather(cur, idx, wts), skip], axis=1)
             cur = nn.tanh(self._norm_layer(x, f"fp{j}_l1"))
             if j > 1:
                 cur = nn.tanh(self._norm_layer(cur, f"fp{j}_l2"))
@@ -462,24 +459,45 @@ def eval_rep(net: RepNet, samples: list[RepSample], plans: list[GroupingPlan]) -
 def eval_splits(net: RepNet, samples: list[RepSample], plans: list[GroupingPlan]) -> list[dict]:
     """One :func:`eval_rep` row, tagged ``split``, per split of ``SPLITS`` that holds a sample.
 
-    ``plans[i]`` is the :meth:`RepNet.plan` of ``samples[i]``.
+    ``plans[i]`` is the :meth:`RepNet.plan` of ``samples[i]``. Each row also
+    carries, on its split, the constant predictor's score on each metric:
+    ``normal_cos_floor`` is the mean cos of (0, 0, 1) against the labels,
+    ``curv_mae_floor`` the curvature MAE of the training labels' median and
+    ``count_mae_floor`` the count MAE of the training mean count. The
+    constants are fit on the training samples passed in, or on all of them
+    if none is a training sample.
     """
     if len(plans) != len(samples):
         raise SizeError(f"{len(plans)} plans for {len(samples)} samples")
+    fit = [s for s in samples if s.split == "train"] or samples
+    curv_median = float(np.median(np.concatenate([s.curvature for s in fit])))
+    count_mean = float(np.mean([s.count for s in fit]))
     rows = []
     for split in SPLITS:
         keep = [i for i, s in enumerate(samples) if s.split == split]
         if keep:
-            metrics = eval_rep(net, [samples[i] for i in keep], [plans[i] for i in keep])
-            rows.append({"split": split, **metrics})
+            part = [samples[i] for i in keep]
+            n_points = sum(len(s.points) for s in part)
+            cos_sum = sum(float(np.sum(s.normals[:, 2])) for s in part)
+            curv_sum = sum(float(np.sum(np.abs(curv_median - s.curvature))) for s in part)
+            rows.append(
+                {
+                    "split": split,
+                    **eval_rep(net, part, [plans[i] for i in keep]),
+                    "normal_cos_floor": cos_sum / n_points,
+                    "curv_mae_floor": curv_sum / n_points,
+                    "count_mae_floor": float(np.mean([abs(count_mean - s.count) for s in part])),
+                }
+            )
     return rows
 
 
 def format_metrics(row: dict) -> str:
-    """One printed line of an :func:`eval_splits` row."""
+    """One printed line of an :func:`eval_splits` row, each floor after its metric."""
     return (
-        "{split} cos={normal_cos:.4f} deg={normal_deg:.2f} "
-        "curv_mae={curv_mae:.4f} count_mae={count_mae:.2f}".format_map(row)
+        "{split} cos={normal_cos:.4f} (floor {normal_cos_floor:.4f}) deg={normal_deg:.2f} "
+        "curv_mae={curv_mae:.4f} (floor {curv_mae_floor:.4f}) "
+        "count_mae={count_mae:.2f} (floor {count_mae_floor:.2f})".format_map(row)
     )
 
 
@@ -533,4 +551,14 @@ def train_rep(
     return net, history
 
 
-METRIC_FIELDS = ("epoch", "split", "normal_cos", "normal_deg", "curv_mae", "count_mae")
+METRIC_FIELDS = (
+    "epoch",
+    "split",
+    "normal_cos",
+    "normal_cos_floor",
+    "normal_deg",
+    "curv_mae",
+    "curv_mae_floor",
+    "count_mae",
+    "count_mae_floor",
+)

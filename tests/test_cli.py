@@ -16,7 +16,7 @@ from digrl import cli, excavation, repnet
 from digrl.config import get_profile
 from digrl.nn import load_ckpt, save_ckpt
 from digrl.ppo import PolicyCore
-from digrl.repnet import RepNet, eval_rep, load_rep_dataset
+from digrl.repnet import RepNet, load_rep_dataset
 
 TOY_CONFIG = """\
 [scenes]
@@ -98,25 +98,30 @@ def test_pipeline_from_one_config(tmp_path, config, capsys):
     with open(tmp_path / "report" / "report.csv", newline="") as fh:
         assert [r["method"] for r in csv.DictReader(fh)] == ["rl", "heuristic", "random"]
 
-    # One row per split that has samples, each equal to eval_rep on the checkpoint.
-    samples = load_rep_dataset(data)
-    net = RepNet(get_profile("desk"), store=load_ckpt(rep / "rep.ckpt"))
-    with open(rep / "rep_eval.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    splits = [split for split in ("train", "val") if any(s.split == split for s in samples)]
-    assert [r["split"] for r in rows] == splits and [r["epoch"] for r in rows] == ["0"] * len(rows)
-    for row in rows:
-        subset = [s for s in samples if s.split == row["split"]]
-        want = eval_rep(net, subset, [net.plan(s.points) for s in subset])
-        assert {k: float(row[k]) for k in want} == want
-
-    # train-rep's epoch log, its final line and eval-rep's lines all print a
-    # metrics row through repnet.format_metrics.
     def floats(row):
         return {k: v if k in ("epoch", "split") else float(v) for k, v in row.items()}
 
+    # One row per split that has samples, each equal to eval_splits on the
+    # checkpoint, with every metric's floor in its own column.
+    samples = load_rep_dataset(data)
+    net = RepNet(get_profile("desk"), store=load_ckpt(rep / "rep.ckpt"))
+    with open(rep / "rep_eval.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert tuple(reader.fieldnames) == repnet.METRIC_FIELDS
+    splits = [split for split in ("train", "val") if any(s.split == split for s in samples)]
+    assert [r["split"] for r in rows] == splits and [r["epoch"] for r in rows] == ["0"] * len(rows)
+    plans = [net.plan(s.points) for s in samples]
+    assert [floats(r) for r in rows] == [
+        {"epoch": "0", **row} for row in repnet.eval_splits(net, samples, plans)
+    ]
+
+    # train-rep's epoch log, its final line and eval-rep's lines all print a
+    # metrics row through repnet.format_metrics.
     with open(rep / "rep_metrics.csv", newline="") as fh:
-        history = [floats(r) for r in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        history = [floats(r) for r in reader]
+    assert tuple(reader.fieldnames) == repnet.METRIC_FIELDS
     final = [h for h in history if h["split"] == "val"] or history
     logged = [f"epoch {h['epoch']} " + repnet.format_metrics(h) for h in history]
     assert train_out == logged + ["final " + repnet.format_metrics(final[-1])]

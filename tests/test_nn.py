@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from digrl import nn
-from digrl.errors import ShapeError, SizeError
+from digrl.config import get_profile
+from digrl.errors import ProtocolError, ShapeError, SizeError
+from digrl.repnet import RepNet, rep_loss
 
 
 def leaf(arr):
@@ -130,14 +132,14 @@ class TestGradients:
 
         assert fd_max_rel_err(build, a0) < 1e-6
 
-    def test_gather_and_scale_rows(self, rng):
+    def test_weighted_gather(self, rng):
         x0 = rng.normal(size=(6, 3))
-        idx = np.array([0, 2, 2, 5, 1])
-        s = rng.normal(size=5)
+        idx = np.array([[0, 2, 2], [5, 1, 0], [2, 2, 2], [4, 0, 5], [1, 3, 2]])
+        wts = rng.normal(size=idx.shape)
 
         def build(arr):
             t = leaf(arr)
-            out = nn.scale_rows(nn.gather_rows(t, idx), s)
+            out = nn.weighted_gather(t, idx, wts)
             return t, weighted_sum(out, np.random.default_rng(5))
 
         assert fd_max_rel_err(build, x0) < 1e-6
@@ -320,6 +322,32 @@ class TestBackwardSemantics:
         nn.backward(nn.total_sum(nn.mul(x, -0.0)))
         assert np.signbit(x.grad).tolist() == [False, False]
 
+    def test_backward_consumes_the_graph(self):
+        x = leaf(np.array([1.5, -2.0]))
+        y = nn.mul(x, x)
+        loss = nn.total_sum(y)
+        nn.backward(loss)
+        assert np.array_equal(x.grad, 2 * x.value)
+        assert y.grad is None and loss.grad is None and not y._edges and not loss._edges
+
+    def test_second_backward_over_one_loss_raises(self):
+        x = leaf(np.array([1.5, -2.0]))
+        loss = nn.total_sum(nn.mul(x, x))
+        nn.backward(loss)
+        with pytest.raises(ProtocolError):
+            nn.backward(loss)
+        assert np.array_equal(x._param.grad, 2 * x.value)
+
+    def test_loss_on_a_consumed_graph_raises(self):
+        # The fresh branch comes first in the new loss, and still no
+        # gradient moves: the walk finds the consumed node before any vjp runs.
+        x = leaf(np.array([1.5, -2.0]))
+        y = nn.mul(x, x)
+        nn.backward(nn.total_sum(y))
+        with pytest.raises(ProtocolError):
+            nn.backward(nn.add(nn.total_sum(nn.mul(x, 3.0)), nn.total_sum(nn.mul(y, 2.0))))
+        assert np.array_equal(x._param.grad, 2 * x.value)
+
     def test_unreferenced_parameter_keeps_zero_gradient(self, rng):
         store = nn.ParamStore(dtype=np.float64)
         store.add("used", rng.normal(size=(2, 2)))
@@ -329,6 +357,109 @@ class TestBackwardSemantics:
         nn.backward(nn.total_sum(nn.mul(used, used)))
         assert np.array_equal(store.get("idle").grad, np.zeros(3))
         assert np.abs(store.get("used").grad).sum() > 0
+
+
+def reference_backward(loss):
+    """The backward loop that keeps the graph, as it was before the walk consumed it."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p, _ in node._edges:
+            if id(p) not in seen:
+                stack.append((p, False))
+    loss.grad = np.ones_like(loss.value)
+    for node in reversed(topo):
+        for p, vjp in node._edges:
+            p._accumulate(vjp(node.grad))
+    for node in topo:
+        if node._param is not None:
+            node._param.grad += node.grad
+
+
+def reference_scale_rows(x, s):
+    """The row-scaling op that ``weighted_gather`` replaced."""
+    col = np.asarray(s, dtype=x.value.dtype).reshape(-1, 1)
+    return nn._node(x.value * col, (x, lambda g: g * col))
+
+
+def store_grads(store, backward, build_loss):
+    store.zero_grads()
+    backward(build_loss())
+    return [store.get(name).grad.tobytes() for name in store.names()]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestConsumingBackwardMatchesReference:
+    """The consuming walk gives the old loop's parameter gradients, byte for byte."""
+
+    def test_desk_repnet_loss(self, dtype):
+        rng = np.random.default_rng(2027)
+        pts = rng.uniform((-0.2, -0.2, 0.0), (0.2, 0.2, 0.03), size=(2048, 3))
+        normals = rng.normal(size=(2048, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        curv = rng.uniform(0.0, 1.0 / 3.0, size=2048)
+        net = RepNet(get_profile("desk"), store=nn.ParamStore(dtype=dtype), seed=0)
+        plan = net.plan(pts)
+
+        def build_loss():
+            return rep_loss(net.forward(plan), normals, curv, 42)
+
+        want = store_grads(net.store, reference_backward, build_loss)
+        assert store_grads(net.store, nn.backward, build_loss) == want
+
+    def test_parameter_used_twice(self, dtype):
+        # One leaf feeds two layers, and three more leaves share its
+        # parameter, as each row of a minibatch takes its own; inputs and
+        # weights spread over six decades, so any other order of the
+        # parameter's sums changes low bits.
+        rng = np.random.default_rng(7)
+        store = nn.ParamStore(dtype=dtype)
+        store.add("w", rng.normal(size=(5, 5)) * 10.0 ** rng.uniform(-3, 3, size=(5, 5)))
+        store.add("b", rng.normal(size=5))
+        x = rng.normal(size=(9, 5)) * 10.0 ** rng.uniform(-3, 3, size=(9, 1))
+        x = nn.Tensor.const(x, dtype)
+
+        def build_loss():
+            w, b = store.tensor("w"), store.tensor("b")
+            h = nn.tanh(nn.linear(nn.tanh(nn.linear(x, w, b)), w, b))
+            rows = [nn.linear(h, store.tensor("w"), store.tensor("b")) for _ in range(3)]
+            return nn.total_sum(nn.mul(nn.add(nn.add(rows[0], rows[1]), rows[2]), h))
+
+        want = store_grads(store, reference_backward, build_loss)
+        assert store_grads(store, nn.backward, build_loss) == want
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_weighted_gather_matches_gather_scale_add_chain(rng, dtype):
+    # Few rows take many entries each, with magnitudes over six decades, so
+    # any other order of the forward or the gradient sums changes low bits.
+    x0 = rng.normal(size=(40, 6)) * 10.0 ** rng.uniform(-3, 3, size=(40, 1))
+    x0 = x0.astype(dtype)
+    for idx in (rng.integers(0, 5, size=(700, 3)), rng.integers(0, 40, size=(30, 3))):
+        wts = rng.uniform(0.0, 1.0, size=idx.shape) * 10.0 ** rng.uniform(-3, 3, size=idx.shape)
+        up = rng.normal(size=(len(idx), 6)) * 10.0 ** rng.uniform(-3, 3, size=(len(idx), 1))
+        up = nn.Tensor.const(up, dtype)
+        x_ref = nn.Tensor(x0, param=nn.Param(x0))
+        parts = [
+            reference_scale_rows(nn.gather_rows(x_ref, idx[:, k]), wts[:, k])
+            for k in range(idx.shape[1])
+        ]
+        want = nn.add(nn.add(parts[0], parts[1]), parts[2])
+        x = nn.Tensor(x0, param=nn.Param(x0))
+        got = nn.weighted_gather(x, idx, wts)
+        assert got.value.dtype == dtype
+        assert got.value.tobytes() == want.value.tobytes()
+        nn.backward(nn.total_sum(nn.mul(want, up)))
+        nn.backward(nn.total_sum(nn.mul(got, up)))
+        assert x.grad.dtype == dtype
+        assert x.grad.tobytes() == x_ref.grad.tobytes()
 
 
 # Each multi-input op with its input shapes.
@@ -474,6 +605,8 @@ class TestOpIdentities:
             nn.add(leaf(np.ones((2, 2))), leaf(np.ones((3, 2))))
         with pytest.raises(ShapeError):
             nn.smooth_l1(leaf(np.ones((2, 2))), np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            nn.weighted_gather(leaf(np.ones((3, 2))), np.zeros((4, 3), dtype=int), np.ones((4, 1)))
 
 
 class TestLossValues:

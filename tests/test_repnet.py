@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -166,6 +167,34 @@ def golden_grad_hash():
     for name in net.store.names():
         h.update(net.store.get(name).grad.tobytes())
     return h.hexdigest()
+
+
+def test_training_steps_hold_one_graph():
+    """Two training steps, as ``train_rep`` runs them, peak near one forward graph.
+
+    ``out`` and ``loss`` still reference the first step's graph while the
+    second is built, so only a backward that consumes its graph keeps the
+    peak below two graphs; one that kept it measured 3.0 graphs here.
+    """
+    pts, normals, curv = golden_cloud()
+    net = RepNet(get_profile("desk"), seed=0)
+    plans = [net.plan(pts), net.plan(pts + [0.01, -0.005, 0.0])]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = rep_loss(net.forward(plans[0]), normals, curv, 42)
+        graph = tracemalloc.get_traced_memory()[0] - base
+        del loss
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for plan in plans:
+            out = net.forward(plan)
+            loss = rep_loss(out, normals, curv, 42)
+            nn.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * graph
 
 
 def test_one_ball_query_per_level(rng, monkeypatch):
@@ -437,16 +466,63 @@ class TestTraining:
         for row in rows:
             keep = [i for i, s in enumerate(samples) if s.split == row["split"]]
             want = eval_rep(net, [samples[i] for i in keep], [plans[i] for i in keep])
-            assert row == {"split": row["split"], **want}
+            assert {k: row[k] for k in want} == want
+            assert set(row) == set(METRIC_FIELDS) - {"epoch"}
         train_only = [s for s in samples if s.split == "train"]
         rows = eval_splits(net, train_only, [net.plan(s.points) for s in train_only])
         assert [row["split"] for row in rows] == ["train"]
         with pytest.raises(SizeError):
             eval_splits(net, samples, plans[:1])
 
+    def test_constant_predictor_floors_by_hand(self):
+        # Two training clouds: normals straight up or sideways, curvature
+        # 0.125 or 0.375, 4 or 8 objects. So the constants are the median
+        # 0.25 and the mean count 6. The validation cloud's normals all
+        # have z = 0.5, its curvature is 0.5 and it holds 3 objects.
+        a, b, v = tiny_samples(n_scenes=3)
+
+        def labelled(s, normal, curv, count):
+            n = len(s.points)
+            return replace(
+                s, normals=np.tile(normal, (n, 1)), curvature=np.full(n, curv), count=count
+            )
+
+        samples = [
+            labelled(a, [0.0, 0.0, 1.0], 0.125, 4),
+            labelled(b, [1.0, 0.0, 0.0], 0.375, 8),
+            labelled(v, [np.sqrt(0.75), 0.0, 0.5], 0.5, 3),
+        ]
+        net = RepNet(get_profile("desk"), seed=0)
+        plans = [net.plan(s.points) for s in samples]
+        floors = ("normal_cos_floor", "curv_mae_floor", "count_mae_floor")
+        train, val = eval_splits(net, samples, plans)
+        share_up = len(a.points) / (len(a.points) + len(b.points))
+        assert [train[k] for k in floors] == [share_up, 0.125, 2.0]
+        assert [val[k] for k in floors] == [0.5, 0.25, 3.0]
+        # With no training sample, the constants are fit on all of them:
+        # median 0.375 and mean count 5.
+        as_val = [replace(s, split="val") for s in samples]
+        (only,) = eval_splits(net, as_val, plans)
+        assert only["split"] == "val" and only["count_mae_floor"] == 2.0
+        n_a, n_b, n_v = (len(s.points) for s in samples)
+        want = (0.25 * n_a + 0.0 * n_b + 0.125 * n_v) / (n_a + n_b + n_v)
+        assert only["curv_mae_floor"] == pytest.approx(want, rel=1e-12)
+
     def test_format_metrics_line(self):
-        row = dict(split="val", normal_cos=0.5, normal_deg=60.0, curv_mae=0.1, count_mae=3.0)
-        assert format_metrics(row) == "val cos=0.5000 deg=60.00 curv_mae=0.1000 count_mae=3.00"
+        row = dict(
+            split="val",
+            normal_cos=0.5,
+            normal_cos_floor=0.25,
+            normal_deg=60.0,
+            curv_mae=0.1,
+            curv_mae_floor=0.2,
+            count_mae=3.0,
+            count_mae_floor=4.5,
+        )
+        assert format_metrics(row) == (
+            "val cos=0.5000 (floor 0.2500) deg=60.00 curv_mae=0.1000 (floor 0.2000) "
+            "count_mae=3.00 (floor 4.50)"
+        )
 
     def test_eval_of_no_samples_rejected(self):
         net = RepNet(get_profile("desk"), seed=0)
@@ -595,13 +671,19 @@ class TestDataset:
                 "epoch": 1,
                 "split": "train",
                 "normal_cos": 0.5,
+                "normal_cos_floor": 0.25,
                 "normal_deg": 60.0,
                 "curv_mae": 0.1,
+                "curv_mae_floor": 0.2,
                 "count_mae": 3.0,
+                "count_mae_floor": 4.5,
             }
         ]
         path = tmp_path / "m.csv"
         save_table(rows, METRIC_FIELDS, path)
         text = path.read_text().strip().splitlines()
-        assert text[0] == "epoch,split,normal_cos,normal_deg,curv_mae,count_mae"
-        assert text[1].startswith("1,train,0.5,60.0,")
+        assert text[0] == (
+            "epoch,split,normal_cos,normal_cos_floor,normal_deg,"
+            "curv_mae,curv_mae_floor,count_mae,count_mae_floor"
+        )
+        assert text[1].startswith("1,train,0.5,0.25,60.0,")
