@@ -1,10 +1,12 @@
 """Baselines, evaluation metrics, and end-to-end experiment drivers.
 
 Every evaluated method, learned or scripted, runs through one
-:func:`rollout`: the same held-out episodes, the same dig budget, and one
-per-dig record for every dig, failed plans included. The metrics layer
-reduces those records to one row per method. Volume averages count a failed
-plan as zero captured volume, so
+:func:`evaluate` and so one :func:`rollout`: the same held-out episodes, the
+same dig budget, and one per-dig record for every dig, failed plans
+included. ``METHODS`` names them: ``rl`` (a trained agent, loaded from one
+store that holds its encoder and its policy), ``heuristic`` and ``random``.
+The metrics layer reduces those records to one row per method. Volume
+averages count a failed plan as zero captured volume, so
 
     avg_v == (plan success fraction) * (avg_v over plan-successful digs)
 
@@ -188,23 +190,39 @@ def rollout(act, encode, make_env, n_episodes: int, seed: int) -> list[dict]:
     return records
 
 
-def run_baseline(
+METHODS = ("rl", "heuristic", "random")
+
+
+def evaluate(
     method: str,
     n_episodes: int,
     profile: Profile,
     seed: int = 0,
     env_cfg: EnvConfig | None = None,
+    agent: ParamStore | None = None,
 ) -> list[dict]:
-    """Roll a scripted baseline through :func:`rollout`; returns its records."""
+    """Roll one of ``METHODS`` through :func:`rollout`; returns its records.
+
+    ``rl`` acts with the policy mean of a trained ``agent``: one store that
+    holds the encoder the policy acted on, then the policy, as ``train-rl``
+    writes it. Only ``rl`` takes an agent. The scripted methods act on the
+    observation itself and draw from the ``baseline-{method}-act`` stream.
+    """
+    if (method == "rl") != (agent is not None):
+        raise ConfigError(f"method {method!r} {'needs an' if agent is None else 'takes no'} agent")
+    encode = lambda ob: ob  # noqa: E731
     act_rng = seed_stream(seed, f"baseline-{method}-act")
-    if method == "heuristic":
+    if method == "rl":
+        net, core = RepNet(profile, store=agent), PolicyCore(profile.code_size, store=agent)
+        act, encode = core.act_deterministic, lambda ob: net.encode(ob.points)
+    elif method == "heuristic":
         act = lambda ob: heuristic_action(ob, act_rng)  # noqa: E731
     elif method == "random":
         act = lambda ob: random_action(act_rng)  # noqa: E731
     else:
-        raise ConfigError(f"unknown baseline {method!r}")
+        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
     make_env = functools.partial(ExcavationEnv, profile, env_cfg=env_cfg)
-    return rollout(act, lambda ob: ob, make_env, n_episodes, seed)
+    return rollout(act, encode, make_env, n_episodes, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +242,7 @@ def train_rl_experiment(
     env_cfg: EnvConfig | None = None,
     **ppo_options,
 ) -> tuple[PolicyCore, list[dict], RepNet]:
-    """Train the digging policy on top of a representation.
+    """Train the digging policy on top of the encoder that ``rep_store`` holds.
 
     ``variant="rep"`` freezes the encoder: codes are computed once per new
     observation and the optimizer never touches encoder parameters.
@@ -252,27 +270,6 @@ def train_rl_experiment(
         **ppo_options,
     )
     return core, curve, net
-
-
-def eval_rl_experiment(
-    rep_store: ParamStore,
-    policy_store: ParamStore,
-    n_episodes: int,
-    profile: Profile,
-    seed: int = 0,
-    env_cfg: EnvConfig | None = None,
-) -> list[dict]:
-    """Deterministic policy evaluation: :func:`rollout` with the policy mean.
-
-    An e2e policy store carries the encoder it was trained with, and that
-    encoder is used; otherwise the frozen encoder comes from ``rep_store``.
-    """
-    net = RepNet(profile, store=policy_store if "sa1_l1.w" in policy_store else rep_store)
-    core = PolicyCore(profile.code_size, store=policy_store)
-    make_env = functools.partial(ExcavationEnv, profile, env_cfg=env_cfg)
-    return rollout(
-        core.act_deterministic, lambda obs: net.encode(obs.points), make_env, n_episodes, seed
-    )
 
 
 def format_report(rows: list[dict]) -> str:

@@ -9,10 +9,12 @@ for the tunables that have no flag, so no key repeats ``--count`` or
 ``_SECTION_TYPES`` does not list is a runtime failure. Every command but
 ``report`` takes ``--profile`` (falling back to the DIGRL_PROFILE
 environment variable, then ``desk``; the library never reads it), and every
-command but ``eval-rep`` and ``report`` takes ``--seed``. ``eval-rl`` and
-``baseline`` roll the same evaluation episodes for one ``--seed`` and
-``[env]``, and each writes one metrics CSV, ``<method>_metrics.csv``;
-``report`` merges such CSVs into one table.
+command but ``eval-rep`` and ``report`` takes ``--seed``. ``evaluate``
+rolls the same evaluation episodes for one ``--seed`` and ``[env]`` with a
+scripted ``--method``, or with ``--method rl`` and the one checkpoint that
+``train-rl`` writes per agent (its encoder, then its policy). Each run
+writes one metrics CSV, ``<name>_metrics.csv``, named after the method or
+the agent checkpoint's stem; ``report`` merges such CSVs into one table.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from pathlib import Path
 
 from . import bench, ppo, repnet
 from .config import OBJECT_COUNT_RANGE, get_profile, load_config
@@ -157,9 +160,8 @@ def cmd_train_rep(args) -> int:
 
 
 def cmd_eval_rep(args) -> int:
-    profile = get_profile(args.profile)
+    net = repnet.RepNet(get_profile(args.profile), store=load_ckpt(args.ckpt))
     samples = repnet.load_rep_dataset(args.data)
-    net = repnet.RepNet(profile, store=load_ckpt(args.ckpt))
     rows = repnet.eval_splits(net, samples, [net.plan(s.points) for s in samples])
     for row in rows:
         print(repnet.format_metrics(row))
@@ -174,7 +176,7 @@ def cmd_train_rl(args) -> int:
     profile = get_profile(args.profile)
     sec = _config_section(args, "rl")
     out = _ensure_out(args)
-    core, curve, _net = bench.train_rl_experiment(
+    core, curve, net = bench.train_rl_experiment(
         load_ckpt(args.rep_ckpt),
         profile=profile,
         seed=args.seed,
@@ -184,7 +186,12 @@ def cmd_train_rl(args) -> int:
         log=print,
         **sec,
     )
-    save_ckpt(core.store, os.path.join(out, f"policy_{args.variant}.ckpt"))
+    # One checkpoint per agent: the encoder the policy acted on, then the
+    # policy. The e2e policy was drawn into the encoder's store already.
+    if core.store is not net.store:
+        for name in core.store.names():
+            net.store.add(name, core.store.get(name).value)
+    save_ckpt(net.store, os.path.join(out, f"policy_{args.variant}.ckpt"))
     bench.save_table(curve, ppo.CURVE_FIELDS, os.path.join(out, "rl_curve.csv"))
     print(f"trained {args.variant} policy over {curve[-1]['samples']} samples")
     return 0
@@ -197,28 +204,15 @@ def _score(method: str, records: list[dict], out: str) -> None:
     print(bench.format_report([row]))
 
 
-def cmd_eval_rl(args) -> int:
+def cmd_evaluate(args) -> int:
     profile = get_profile(args.profile)
     out = _ensure_out(args)
-    records = bench.eval_rl_experiment(
-        load_ckpt(args.rep_ckpt),
-        load_ckpt(args.policy_ckpt),
-        args.episodes,
-        profile=profile,
-        seed=args.seed,
-        env_cfg=_env_config(args),
+    agent = load_ckpt(args.policy_ckpt) if args.policy_ckpt else None
+    records = bench.evaluate(
+        args.method, args.episodes, profile, args.seed, _env_config(args), agent
     )
-    _score("rl", records, out)
-    return 0
-
-
-def cmd_baseline(args) -> int:
-    profile = get_profile(args.profile)
-    out = _ensure_out(args)
-    records = bench.run_baseline(
-        args.method, args.episodes, seed=args.seed, profile=profile, env_cfg=_env_config(args)
-    )
-    _score(args.method, records, out)
+    # A learned row is named after its checkpoint, so rep and e2e agents stay apart.
+    _score(Path(args.policy_ckpt).stem if args.policy_ckpt else args.method, records, out)
     return 0
 
 
@@ -281,22 +275,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--variant", choices=("rep", "e2e"), default="rep")
     sp.set_defaults(func=cmd_train_rl)
 
-    sp = sub.add_parser("eval-rl", help="evaluate a trained policy")
+    sp = sub.add_parser("evaluate", help="evaluate a trained agent or a scripted baseline")
     _add_common(sp)
-    sp.add_argument(
-        "--rep-ckpt",
-        required=True,
-        help="representation checkpoint, unused when the policy checkpoint holds its e2e encoder",
-    )
-    sp.add_argument("--policy-ckpt", required=True)
+    sp.add_argument("--method", choices=bench.METHODS, required=True)
     sp.add_argument("--episodes", type=int, default=20)
-    sp.set_defaults(func=cmd_eval_rl)
-
-    sp = sub.add_parser("baseline", help="run a scripted baseline")
-    _add_common(sp)
-    sp.add_argument("--method", choices=("random", "heuristic"), required=True)
-    sp.add_argument("--episodes", type=int, default=20)
-    sp.set_defaults(func=cmd_baseline)
+    sp.add_argument("--policy-ckpt", help="agent checkpoint from train-rl, for --method rl only")
+    sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("report", help="merge metric tables into one report")
     _add_common(sp, out_required=False, run_flags=())
@@ -308,6 +292,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "evaluate" and (args.method == "rl") != (args.policy_ckpt is not None):
+        parser.error("evaluate: --policy-ckpt goes with --method rl, and only with it")
     try:
         if args.config:
             unknown = sorted(set(load_config(args.config)) - set(_SECTION_TYPES))

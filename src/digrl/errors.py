@@ -96,3 +96,17 @@ def require_positive(**sizes: int) -> None:
     for name, value in sizes.items():
         if value < 1:
             raise SizeError(f"{name} must be at least 1, got {value}")
+
+
+# Rules for float tunables, as (what the rule says, its test); NaN fails every test.
+POSITIVE = ("finite and > 0", lambda v: 0.0 < v < np.inf)
+NON_NEGATIVE = ("finite and >= 0", lambda v: 0.0 <= v < np.inf)
+FRACTION = ("in [0, 1)", lambda v: 0.0 <= v < 1.0)
+
+
+def require(rule: tuple, **values: float) -> None:
+    """Raise ConfigError naming the first of ``values`` that breaks ``rule``."""
+    text, holds = rule
+    for name, value in values.items():
+        if not holds(value):
+            raise ConfigError(f"{name} must be {text}, got {value}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ATTACK_RANGES, OBJECT_COUNT_RANGE, Profile, seed_stream
-from .errors import ConfigError, ProtocolError, ShapeError, SizeError
+from .errors import NON_NEGATIVE, ProtocolError, ShapeError, SizeError, require
 from .geometry import HeightMap
 from .kinematics import (
     ArmModel,
@@ -145,8 +145,7 @@ class EnvConfig:
     def __post_init__(self):
         if self.digs_per_episode < 1:
             raise SizeError(f"digs_per_episode must be at least 1, got {self.digs_per_episode}")
-        if not 0.0 <= self.noise_sigma < np.inf:
-            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        require(NON_NEGATIVE, noise_sigma=self.noise_sigma)
 
 
 class ExcavationEnv:

@@ -528,6 +528,36 @@ class ParamStore:
         return b"".join(chunks)
 
 
+def bind(store: ParamStore | None, draw, rng: np.random.Generator | None) -> ParamStore:
+    """The store a network reads its parameters from.
+
+    ``draw(s, rng)`` adds the network's parameters, in order, to an empty
+    store ``s``. With an ``rng`` the network is new, and its draws go into
+    ``store`` (a new float32 one for None), which must hold none of them, so
+    they keep their rng order. Without one the network is loaded: ``store``
+    must hold each parameter at its drawn shape, beside any other network's.
+    ShapeError names the first parameter that breaks the rule, and a refused
+    store is left as it was.
+    """
+    store = ParamStore() if store is None else store
+    drawn = ParamStore(store.dtype)
+    draw(drawn, np.random.default_rng(0) if rng is None else rng)
+    for name in drawn.names():
+        want = drawn.get(name).value.shape
+        if rng is not None:
+            if name in store:
+                raise ShapeError(f"parameter {name!r} is already in the store of a new network")
+        elif name not in store:
+            raise ShapeError(f"parameter {name!r} is missing from the store")
+        elif store.get(name).value.shape != want:
+            got = store.get(name).value.shape
+            raise ShapeError(f"parameter {name!r} is {got} in the store, the network needs {want}")
+    if rng is not None:
+        for name in drawn.names():
+            store.add(name, drawn.get(name).value)
+    return store
+
+
 def save_ckpt(store: ParamStore, path) -> None:
     """Serialize parameter values (float32, little-endian) to ``path``."""
     with open(path, "wb") as fh:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import nn
 from .config import seed_stream, stream_seed
-from .errors import SizeError, require_positive
+from .errors import POSITIVE, DigrlError, SizeError, require, require_positive
 
 ACT_DIM = 3  # (x, y, alpha)
 HIDDEN = (256, 64)  # widths of the two trunk layers
@@ -53,18 +53,26 @@ class ActStep:
 
 
 class PolicyCore:
-    """Trunk + Gaussian head + value head over precomputed codes."""
+    """Trunk + Gaussian head + value head over precomputed codes.
 
-    def __init__(self, code_size: int, store: nn.ParamStore | None = None, seed: int = 0) -> None:
+    With a ``seed`` the policy is new and draws its parameters from the
+    ``policy-init`` stream, also into an encoder's store (the e2e variant);
+    without one it reads them from ``store`` (see :func:`nn.bind`).
+    """
+
+    def __init__(
+        self, code_size: int, store: nn.ParamStore | None = None, seed: int | None = None
+    ) -> None:
         self.code_size = code_size
-        self.store = store if store is not None else nn.ParamStore()
-        if "pi_l1.w" not in self.store:
-            rng = seed_stream(seed, "policy-init")
-            self.store.add_linear("pi_l1", code_size, HIDDEN[0], rng)
-            self.store.add_linear("pi_l2", HIDDEN[0], HIDDEN[1], rng)
-            self.store.add_linear("pi_mean", HIDDEN[1], ACT_DIM, rng)
-            self.store.add_linear("pi_value", HIDDEN[1], 1, rng)
-            self.store.add("pi_log_std", np.zeros(ACT_DIM))
+        rng = None if seed is None else seed_stream(seed, "policy-init")
+        self.store = nn.bind(store, self._draw, rng)
+
+    def _draw(self, store: nn.ParamStore, rng: np.random.Generator) -> None:
+        store.add_linear("pi_l1", self.code_size, HIDDEN[0], rng)
+        store.add_linear("pi_l2", HIDDEN[0], HIDDEN[1], rng)
+        store.add_linear("pi_mean", HIDDEN[1], ACT_DIM, rng)
+        store.add_linear("pi_value", HIDDEN[1], 1, rng)
+        store.add("pi_log_std", np.zeros(ACT_DIM))
 
     def _forward(self, codes: nn.Tensor) -> tuple[nn.Tensor, nn.Tensor]:
         s = self.store
@@ -277,6 +285,7 @@ def train_rl(
     if n_envs <= 0 or rollout % n_envs:
         raise SizeError(f"rollout={rollout} is not a multiple of n_envs={n_envs}")
     require_positive(rollout=rollout, minibatch=minibatch, update_epochs=update_epochs)
+    require(POSITIVE, lr=lr)
     updates = total_samples // rollout
     if updates <= 0:
         raise SizeError(f"total_samples={total_samples} is below one rollout of {rollout}")
@@ -346,6 +355,8 @@ def train_rl(
                 loss, _ = ppo_loss(
                     core, mb_codes, flat_us[sel], flat_logps[sel], advantages[sel], returns[sel]
                 )
+                if not np.isfinite(loss.value):
+                    raise DigrlError(f"non-finite loss at update {update}")
                 core.store.zero_grads()
                 nn.backward(loss)
                 core.store.adam_step(lr)

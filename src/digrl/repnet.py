@@ -45,7 +45,8 @@ import numpy as np
 
 from . import nn
 from .config import OBJECT_COUNT_RANGE, Profile, seed_stream
-from .errors import DigrlError, ShapeError, SizeError, require_positive, text_lines
+from .errors import FRACTION, NON_NEGATIVE, POSITIVE, DigrlError, ShapeError, SizeError
+from .errors import require, require_positive, text_lines
 from .geometry import (
     CURVATURE_MAX,
     PointCloud,
@@ -103,40 +104,44 @@ class GroupingPlan:
 
 
 class RepNet:
-    """Encoder-decoder over one observed cloud, built on the autodiff graph."""
+    """Encoder-decoder over one observed cloud, built on the autodiff graph.
+
+    With a ``seed`` the network is new and draws its parameters from the
+    ``repnet-init`` stream; without one it reads them from ``store``, as
+    loaded from a checkpoint (see :func:`nn.bind`).
+    """
 
     def __init__(
         self,
         profile: Profile,
         store: nn.ParamStore | None = None,
-        seed: int = 0,
+        seed: int | None = None,
     ) -> None:
         self.profile = profile
+        rng = None if seed is None else seed_stream(seed, "repnet-init")
+        self.store = nn.bind(store, self._draw, rng)
+
+    def _draw(self, store: nn.ParamStore, rng: np.random.Generator) -> None:
         p = self.profile
-        if store is None:
-            store = nn.ParamStore()
-        if "sa1_l1.w" not in store:
-            rng = seed_stream(seed, "repnet-init")
-            f_prev = 0
-            for i, width in enumerate(p.level_widths):
-                store.add_linear(f"sa{i + 1}_l1", 3 + f_prev, width, rng)
-                store.add_linear(f"sa{i + 1}_l2", width, width, rng)
-                f_prev = width
-            # Decoder, coarsest first: fp5 refines onto level-4 points, ...,
-            # fp1 onto the raw cloud, whose skip input is its 3 offsets. The
-            # last stage keeps a hidden layer at the last decoder width
-            # before the label output.
-            skips = (*p.level_widths[-2::-1], 3)
-            for j, skip in enumerate(skips):
-                width = p.fp_widths[min(j, len(p.fp_widths) - 1)]
-                out = width if j + 1 < len(skips) else LABEL_WIDTH
-                store.add_linear(f"fp{len(skips) - j}_l1", f_prev + skip, width, rng)
-                store.add_linear(f"fp{len(skips) - j}_l2", width, out, rng)
-                f_prev = out
-            store.add_linear("cnt_l1", p.level_widths[-1], 64, rng)
-            store.add_linear("cnt_l2", 64, 32, rng)
-            store.add_linear("cnt_l3", 32, 1, rng)
-        self.store = store
+        f_prev = 0
+        for i, width in enumerate(p.level_widths):
+            store.add_linear(f"sa{i + 1}_l1", 3 + f_prev, width, rng)
+            store.add_linear(f"sa{i + 1}_l2", width, width, rng)
+            f_prev = width
+        # Decoder, coarsest first: fp5 refines onto level-4 points, ..., fp1
+        # onto the raw cloud, whose skip input is its 3 offsets. The last
+        # stage keeps a hidden layer at the last decoder width before the
+        # label output.
+        skips = (*p.level_widths[-2::-1], 3)
+        for j, skip in enumerate(skips):
+            width = p.fp_widths[min(j, len(p.fp_widths) - 1)]
+            out = width if j + 1 < len(skips) else LABEL_WIDTH
+            store.add_linear(f"fp{len(skips) - j}_l1", f_prev + skip, width, rng)
+            store.add_linear(f"fp{len(skips) - j}_l2", width, out, rng)
+            f_prev = out
+        store.add_linear("cnt_l1", p.level_widths[-1], 64, rng)
+        store.add_linear("cnt_l2", 64, 32, rng)
+        store.add_linear("cnt_l3", 32, 1, rng)
 
     def _layer(self, x: nn.Tensor, name: str) -> nn.Tensor:
         return nn.linear(x, self.store.tensor(name + ".w"), self.store.tensor(name + ".b"))
@@ -342,6 +347,7 @@ def label_scene_files(
     train/val split tag. A missing or empty ``raw_scenes`` raises SizeError,
     and a scene file whose id is not decimal digits raises ShapeError.
     """
+    require(FRACTION, val_fraction=val_fraction)
     out_dir = out_dir or root_dir
     raw_dir = os.path.join(root_dir, "raw_scenes")
     names = os.listdir(raw_dir) if os.path.isdir(raw_dir) else []
@@ -523,6 +529,8 @@ def train_rep(
     for this call only. Training aborts on a non-finite loss.
     """
     require_positive(epochs=epochs, batch_size=batch_size)
+    require(POSITIVE, lr=lr)
+    require(NON_NEGATIVE, weight_decay=weight_decay, translate_jitter=translate_jitter)
     net = RepNet(profile, seed=seed)
     rng = seed_stream(seed, "rep-train")
     train = [s for s in samples if s.split == "train"]

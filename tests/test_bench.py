@@ -12,13 +12,12 @@ from digrl.bench import (
     attack_to_action,
     collect_report,
     compute_metrics,
-    eval_rl_experiment,
+    evaluate,
     format_report,
     heuristic_action,
     load_metrics_table,
     random_action,
     rollout,
-    run_baseline,
     save_table,
     train_rl_experiment,
 )
@@ -197,15 +196,48 @@ def small_sensor_profile():
     return replace(get_profile("desk"), fps_target=300)
 
 
+def golden_agent(profile):
+    """The golden policy's agent store: the seed-0 encoder, then the seed-8 policy."""
+    store = RepNet(profile, seed=0).store
+    PolicyCore(profile.code_size, store=store, seed=8)
+    return store
+
+
 class TestRunBaseline:
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
-            run_baseline("greedy", 1, get_profile("desk"))
+            evaluate("greedy", 1, get_profile("desk"))
+
+    @pytest.mark.parametrize(
+        "method, agent", [("rl", None), ("random", "agent")], ids=["rl-without", "random-with"]
+    )
+    def test_agent_goes_with_rl_only(self, method, agent):
+        profile = get_profile("desk")
+        agent = golden_agent(profile) if agent else None
+        with pytest.raises(ConfigError, match=f"method '{method}' (needs an|takes no) agent"):
+            evaluate(method, 1, profile, agent=agent)
+
+    @pytest.mark.parametrize(
+        "method, digest",
+        [
+            ("random", "b663a9454115823c88e12b9c39c454f8430c981e52b2a214d08a0997ada3c1cd"),
+            ("heuristic", "4fd4a1094ed60ac81a8386937b6114df5fe7f46301c6947cd5c37055e6054423"),
+        ],
+    )
+    def test_golden_baseline_hash(self, method, digest):
+        """Pins a baseline's records on the golden evaluation settings.
+
+        The digests were recorded with ``run_baseline``, the baselines' own
+        driver before one ``evaluate`` served every method.
+        """
+        profile = get_profile("desk")
+        records = evaluate(method, 2, profile, seed=0, env_cfg=EnvConfig(count_range=(5, 8)))
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("method", ["random", "heuristic"])
     def test_every_dig_is_a_record(self, method):
         cfg = EnvConfig(digs_per_episode=3, count_range=(30, 40))
-        records = run_baseline(method, 2, seed=5, profile=small_sensor_profile(), env_cfg=cfg)
+        records = evaluate(method, 2, seed=5, profile=small_sensor_profile(), env_cfg=cfg)
         for ep in range(2):
             rows = [r for r in records if r["episode"] == ep]
             assert [r["dig"] for r in rows] == list(range(1, len(rows) + 1))
@@ -223,7 +255,7 @@ class TestRunBaseline:
         # On a dense tray the highest point is out of reach: every plan fails,
         # the observation stays, and only alpha is drawn again.
         cfg = EnvConfig(digs_per_episode=3, count_range=(250, 250))
-        records = run_baseline("heuristic", 1, seed=2, profile=small_sensor_profile(), env_cfg=cfg)
+        records = evaluate("heuristic", 1, seed=2, profile=small_sensor_profile(), env_cfg=cfg)
         assert [r["plan_ok"] for r in records] == [False] * 3
         assert len({tuple(r["raw_action"][:2]) for r in records}) == 1
         assert len({r["raw_action"][2] for r in records}) == 3
@@ -234,8 +266,8 @@ class TestRunBaseline:
             profile=small_sensor_profile(),
             env_cfg=EnvConfig(digs_per_episode=2, count_range=(20, 30)),
         )
-        a = run_baseline("random", 2, **kwargs)
-        b = run_baseline("random", 2, **kwargs)
+        a = evaluate("random", 2, **kwargs)
+        b = evaluate("random", 2, **kwargs)
         assert a == b
 
 
@@ -273,42 +305,41 @@ class TestExperimentDrivers:
         profile = kwargs["profile"]
         store = RepNet(profile, seed=0).store
         save_ckpt(store, tmp_path / "rep.ckpt")
-        core, _, _ = train_rl_experiment(store, variant="e2e", **kwargs)
+        core, _, net = train_rl_experiment(store, variant="e2e", **kwargs)
+        assert core.store is net.store  # the e2e agent is one store already
         save_ckpt(core.store, tmp_path / "policy.ckpt")
-        rep_store = load_ckpt(tmp_path / "rep.ckpt")
-        policy_store = load_ckpt(tmp_path / "policy.ckpt")
-        got = eval_rl_experiment(
-            rep_store, policy_store, 1, profile=profile, seed=3, env_cfg=kwargs["env_cfg"]
-        )
+        agent = load_ckpt(tmp_path / "policy.ckpt")
+        got = evaluate("rl", 1, profile, seed=3, env_cfg=kwargs["env_cfg"], agent=agent)
 
         def evaluate_with(encoder_store):
             net = RepNet(profile, store=encoder_store)
             return rollout(
-                PolicyCore(profile.code_size, store=policy_store).act_deterministic,
+                PolicyCore(profile.code_size, store=agent).act_deterministic,
                 lambda obs: net.encode(obs.points),
                 functools.partial(ExcavationEnv, profile, env_cfg=kwargs["env_cfg"]),
                 1,
                 3,
             )
 
-        assert got == evaluate_with(policy_store)
-        assert got != evaluate_with(rep_store)
+        assert got == evaluate_with(agent)
+        assert got != evaluate_with(load_ckpt(tmp_path / "rep.ckpt"))
 
     def test_golden_eval_rl_hash(self):
         """Pins the bytes of the policy's records: desk profile, 5 to 8 objects, two episodes.
 
-        Recorded before baselines and policies shared one rollout. The policy
-        seed is one whose mean captures once, so a changed observation is
-        encoded again and the action moves.
+        Recorded before baselines and policies shared one rollout, when the
+        encoder and the policy came from two stores. The policy seed is one
+        whose mean captures once, so a changed observation is encoded again
+        and the action moves.
         """
         profile = get_profile("desk")
-        records = eval_rl_experiment(
-            RepNet(profile, seed=0).store,
-            PolicyCore(profile.code_size, seed=8).store,
+        records = evaluate(
+            "rl",
             2,
             profile=profile,
             seed=0,
             env_cfg=EnvConfig(count_range=(5, 8)),
+            agent=golden_agent(profile),
         )
         assert sum(r["captured_cm3"] > 0 for r in records) == 1
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
@@ -324,7 +355,7 @@ class TestSensorNoise:
     """A noise setting in ``env_cfg`` reaches the observations of every evaluated method."""
 
     @staticmethod
-    def first_observation(monkeypatch, evaluate, noise_sigma):
+    def first_observation(monkeypatch, run, noise_sigma):
         seen = []
 
         def recording(*args):
@@ -332,26 +363,19 @@ class TestSensorNoise:
             return seen[-1]
 
         monkeypatch.setattr(excavation, "observe", recording)
-        evaluate(EnvConfig(digs_per_episode=1, count_range=(20, 30), noise_sigma=noise_sigma))
+        run(EnvConfig(digs_per_episode=1, count_range=(20, 30), noise_sigma=noise_sigma))
         return seen[0]
 
     @pytest.mark.parametrize("method", ["random", "heuristic", "rl"])
     def test_noise_reaches_the_observations(self, monkeypatch, method):
         profile = small_sensor_profile()
-        if method == "rl":
-            rep_store = RepNet(profile, seed=0).store
-            policy_store = PolicyCore(profile.code_size, seed=8).store
+        agent = golden_agent(profile) if method == "rl" else None
 
-            def evaluate(env_cfg):
-                return eval_rl_experiment(rep_store, policy_store, 1, profile, 4, env_cfg)
+        def evaluate_method(env_cfg):
+            return evaluate(method, 1, profile, 4, env_cfg, agent)
 
-        else:
-
-            def evaluate(env_cfg):
-                return run_baseline(method, 1, profile, 4, env_cfg)
-
-        clean = self.first_observation(monkeypatch, evaluate, 0.0)
-        noisy = self.first_observation(monkeypatch, evaluate, 0.002)
+        clean = self.first_observation(monkeypatch, evaluate_method, 0.0)
+        noisy = self.first_observation(monkeypatch, evaluate_method, 0.002)
         # The same scene: the planner's map agrees, the observed points do not.
         assert noisy.heightmap.heights.tobytes() == clean.heightmap.heights.tobytes()
         assert noisy.points.shape == clean.points.shape

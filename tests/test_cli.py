@@ -9,6 +9,8 @@ import argparse
 import ast
 import csv
 import inspect
+import pathlib
+import shlex
 
 import pytest
 
@@ -62,16 +64,20 @@ def test_pipeline_from_one_config(tmp_path, config, capsys):
     assert run("eval-rep", "--data", data, "--ckpt", rep / "nope.ckpt") == 2
     rl_argv = ("--rep-ckpt", rep / "rep.ckpt", "--samples", 4, "--out", rl)
     assert run("train-rl", "--config", config, *rl_argv) == 0
-    policy = rl / "policy_rep.ckpt"
-    assert run(
-        "eval-rl", "--config", config, "--rep-ckpt", rep / "rep.ckpt",
-        "--policy-ckpt", policy, "--episodes", 1, "--out", ev,
-    ) == 0
-    for method in ("heuristic", "random"):
-        assert run(
-            "baseline", "--config", config, "--method", method, "--episodes", 1, "--out", ev
-        ) == 0
-    metrics = [ev / f"{m}_metrics.csv" for m in ("rl", "heuristic", "random")]
+    assert run("train-rl", "--config", config, *rl_argv, "--variant", "e2e") == 0
+    # Both agents evaluate into one directory: each row and file is named
+    # after its checkpoint, so neither overwrites the other.
+    runs = {
+        "policy_rep": ("rl", "--policy-ckpt", rl / "policy_rep.ckpt"),
+        "policy_e2e": ("rl", "--policy-ckpt", rl / "policy_e2e.ckpt"),
+        "heuristic": ("heuristic",),
+        "random": ("random",),
+    }
+    for method in runs.values():
+        argv = ("--config", config, "--episodes", 1, "--out", ev)
+        assert run("evaluate", "--method", *method, *argv) == 0
+    methods = list(runs)
+    metrics = [ev / f"{m}_metrics.csv" for m in methods]
     capsys.readouterr()
     assert run("report", "--inputs", *metrics, "--out", tmp_path / "report") == 0
     table = capsys.readouterr().out.splitlines()
@@ -88,15 +94,30 @@ def test_pipeline_from_one_config(tmp_path, config, capsys):
         "rep/rep_metrics.csv",
         "rep/rep_eval.csv",
         "rl/policy_rep.ckpt",
+        "rl/policy_e2e.ckpt",
         "rl/rl_curve.csv",
-        "eval/rl_metrics.csv",
+        "eval/policy_rep_metrics.csv",
+        "eval/policy_e2e_metrics.csv",
         "eval/heuristic_metrics.csv",
         "eval/random_metrics.csv",
         "report/report.csv",
     }
-    assert [line.split()[0] for line in table[2:]] == ["rl", "heuristic", "random"]
+    assert [line.split()[0] for line in table[2:]] == methods
     with open(tmp_path / "report" / "report.csv", newline="") as fh:
-        assert [r["method"] for r in csv.DictReader(fh)] == ["rl", "heuristic", "random"]
+        assert [r["method"] for r in csv.DictReader(fh)] == methods
+
+    # Each agent checkpoint holds the encoder its policy acted on, then the
+    # policy: the rep agent the frozen rep.ckpt, the e2e agent its trained copy.
+    encoder = load_ckpt(rep / "rep.ckpt")
+    policy = PolicyCore(get_profile("desk").code_size, seed=0).store.names()
+
+    def encoder_bytes(store):
+        return [store.get(name).value.tobytes() for name in encoder.names()]
+
+    for variant in ("rep", "e2e"):
+        agent = load_ckpt(rl / f"policy_{variant}.ckpt")
+        assert agent.names() == encoder.names() + policy
+        assert (encoder_bytes(agent) == encoder_bytes(encoder)) == (variant == "rep")
 
     def floats(row):
         return {k: v if k in ("epoch", "split") else float(v) for k, v in row.items()}
@@ -142,7 +163,7 @@ def test_samples_flag_sets_the_total(tmp_path, config):
 def test_profile_falls_back_to_the_environment(tmp_path, capsys, monkeypatch):
     # The command line alone reads DIGRL_PROFILE, and --profile wins over it.
     monkeypatch.setenv("DIGRL_PROFILE", "nope")
-    argv = ("baseline", "--method", "random", "--episodes", 0, "--out", tmp_path / "out")
+    argv = ("evaluate", "--method", "random", "--episodes", 0, "--out", tmp_path / "out")
     assert run(*argv) == 2
     assert "unknown profile 'nope'" in capsys.readouterr().err
     assert run(*argv, "--profile", "desk") == 2
@@ -151,8 +172,21 @@ def test_profile_falls_back_to_the_environment(tmp_path, capsys, monkeypatch):
 
 def test_usage_error_exits_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
-        run("baseline", "--method", "greedy", "--out", tmp_path)
+        run("evaluate", "--method", "greedy", "--out", tmp_path)
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--method", "rl"), ("--method", "random", "--policy-ckpt", "policy_rep.ckpt")],
+    ids=["rl-without-ckpt", "random-with-ckpt"],
+)
+def test_policy_ckpt_goes_with_rl_only(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run("evaluate", *argv, "--out", tmp_path / "out")
+    assert exc.value.code == 1
+    assert "--policy-ckpt goes with --method rl, and only with it" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def args_reads(tree):
@@ -196,7 +230,7 @@ def test_every_flag_is_read():
     assert args_reads(probe)("cmd") == {"seed"}
     reads = args_reads(ast.parse(inspect.getsource(cli)))
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert len(sub.choices) == 8
+    assert len(sub.choices) == 7
     for command, sp in sub.choices.items():
         flags = {a.dest for a in sp._actions} - {"help"}
         unread = flags - reads(sp.get_default("func").__name__) - reads("main")
@@ -227,9 +261,9 @@ def test_missing_input_exits_2(tmp_path, capsys):
     "argv, text, message",
     [
         (("train-rl", "--rep-ckpt", "rep.ckpt"), "[rll]\nn_envs = 2\n", "sections ['rll']"),
-        (("baseline", "--method", "random"), "[bnch]\nvalid_digs = 1\n", "sections ['bnch']"),
+        (("evaluate", "--method", "random"), "[bnch]\nvalid_digs = 1\n", "sections ['bnch']"),
         # Baselines run the [env] dig budget, so no section sets a quota or cap of their own.
-        (("baseline", "--method", "random"), "[bench]\nvalid_digs = 1\n", "sections ['bench']"),
+        (("evaluate", "--method", "random"), "[bench]\nvalid_digs = 1\n", "sections ['bench']"),
         (("report", "--inputs", "metrics.csv"), "[rep]\nepochs = 1\n[eval]\n", "sections ['eval']"),
         (("train-rl", "--rep-ckpt", "rep.ckpt"), "[rl]\nn_env = 2\n", "option 'n_env' in section [rl]"),
         # The totals have one source each, the flags --count and --samples.
@@ -265,7 +299,7 @@ def test_config_typo_exits_2(tmp_path, capsys, argv, text, message):
     "argv, digs",
     [
         (("train-rl", "--samples", 2), 0),
-        (("baseline", "--method", "random", "--episodes", 1), -3),
+        (("evaluate", "--method", "random", "--episodes", 1), -3),
     ],
     ids=["train-rl-env-0", "baseline-env-minus-3"],
 )
@@ -329,23 +363,25 @@ def test_train_rl_spawns_training_density(tmp_path, monkeypatch):
     assert all(200 <= n <= 300 for _, n in spawned)
 
 
-def policy_checkpoints(tmp_path):
+def agent_checkpoint(tmp_path):
+    """An agent checkpoint as train-rl writes one: the encoder, then the policy."""
     profile = get_profile("desk")
-    rep, policy = tmp_path / "rep.ckpt", tmp_path / "policy.ckpt"
-    save_ckpt(RepNet(profile, seed=0).store, rep)
-    save_ckpt(PolicyCore(profile.code_size, seed=0).store, policy)
-    return ("--rep-ckpt", rep, "--policy-ckpt", policy)
+    store = RepNet(profile, seed=0).store
+    PolicyCore(profile.code_size, store=store, seed=0)
+    path = tmp_path / "policy.ckpt"
+    save_ckpt(store, path)
+    return ("--method", "rl", "--policy-ckpt", path)
 
 
 def test_every_method_runs_the_same_episodes(tmp_path, config, monkeypatch):
     # Every method's row covers the same scenes, in the same order, with the
-    # [env] budget of digs per episode and no episode dropped.
-    ckpts = policy_checkpoints(tmp_path)
+    # [env] budget of digs per episode and no episode dropped. The agent's
+    # row is named after its checkpoint, policy.ckpt.
     out = tmp_path / "eval"
     runs = {
-        "rl": ("eval-rl", *ckpts),
-        "heuristic": ("baseline", "--method", "heuristic"),
-        "random": ("baseline", "--method", "random"),
+        "policy": agent_checkpoint(tmp_path),
+        "heuristic": ("--method", "heuristic"),
+        "random": ("--method", "random"),
     }
     spawned, seen = [], {}
     spawn = excavation.spawn_scene
@@ -356,15 +392,16 @@ def test_every_method_runs_the_same_episodes(tmp_path, config, monkeypatch):
 
     monkeypatch.setattr(excavation, "spawn_scene", spy)
     for method, argv in runs.items():
-        assert run(*argv, "--config", config, "--episodes", 2, "--seed", 4, "--out", out) == 0
+        argv = ("evaluate", *argv, "--config", config, "--episodes", 2, "--seed", 4)
+        assert run(*argv, "--out", out) == 0
         with open(out / f"{method}_metrics.csv", newline="") as fh:
             (row,) = csv.DictReader(fh)
         # Two episodes of the toy config's two digs; 5 to 8 objects outlast them.
         assert (row["episodes"], row["digs"]) == ("2", "4")
         seen[method] = spawned[:]
         spawned.clear()
-    assert len(seen["rl"]) == 2
-    assert seen["heuristic"] == seen["rl"] and seen["random"] == seen["rl"]
+    assert len(seen["policy"]) == 2
+    assert seen["heuristic"] == seen["policy"] and seen["random"] == seen["policy"]
 
 
 def test_heuristic_on_dense_scenes_writes_a_row(tmp_path):
@@ -372,17 +409,17 @@ def test_heuristic_on_dense_scenes_writes_a_row(tmp_path):
     path = tmp_path / "dense.cfg"
     path.write_text("[env]\ndigs_per_episode = 2\ncount_min = 250\ncount_max = 250\n")
     out = tmp_path / "eval"
-    argv = ("baseline", "--method", "heuristic", "--episodes", 1, "--config", path)
+    argv = ("evaluate", "--method", "heuristic", "--episodes", 1, "--config", path)
     assert run(*argv, "--out", out) == 0
     with open(out / "heuristic_metrics.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert (row["episodes"], row["digs"], float(row["plan_succ_pct"])) == ("1", "2", 0.0)
 
 
-@pytest.mark.parametrize("command", ["eval-rl", "baseline"])
-def test_no_episodes_exits_2(tmp_path, capsys, command):
-    extra = policy_checkpoints(tmp_path) if command == "eval-rl" else ("--method", "random")
-    assert run(command, *extra, "--episodes", 0, "--out", tmp_path / "out") == 2
+@pytest.mark.parametrize("scripted", [False, True], ids=["eval-rl", "baseline"])
+def test_no_episodes_exits_2(tmp_path, capsys, scripted):
+    method = ("--method", "random") if scripted else agent_checkpoint(tmp_path)
+    assert run("evaluate", *method, "--episodes", 0, "--out", tmp_path / "out") == 2
     assert "need at least one evaluation episode" in capsys.readouterr().err
 
 
@@ -407,3 +444,105 @@ def test_gen_scenes_into_a_used_directory_exits_2(tmp_path, config, capsys):
     assert run(*argv) == 2
     assert f"{data / 'raw_scenes'} already holds .scene files" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in (data / "raw_scenes").iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("evaluate", "--method", "rl", "--policy-ckpt", "rep.ckpt"),
+            "parameter 'pi_l1.w' is missing from the store",
+        ),
+        (
+            ("evaluate", "--method", "rl", "--policy-ckpt", "policy_only.ckpt"),
+            "parameter 'sa1_l1.w' is missing from the store",
+        ),
+        (
+            ("train-rl", "--rep-ckpt", "policy_only.ckpt", "--samples", 4),
+            "parameter 'sa1_l1.w' is missing from the store",
+        ),
+        (
+            ("train-rl", "--rep-ckpt", "agent.ckpt", "--samples", 4, "--variant", "e2e"),
+            "parameter 'pi_l1.w' is already in the store of a new network",
+        ),
+        (
+            ("eval-rep", "--profile", "paper", "--data", "data", "--ckpt", "rep.ckpt"),
+            "parameter 'sa1_l1.w' is (3, 96) in the store, the network needs (3, 128)",
+        ),
+        (
+            ("eval-rep", "--data", "data", "--ckpt", "policy_only.ckpt"),
+            "parameter 'sa1_l1.w' is missing from the store",
+        ),
+    ],
+    ids=[
+        "evaluate-encoder-only", "evaluate-pre-change-policy", "train-rl-policy-as-encoder",
+        "train-rl-e2e-on-an-agent", "eval-rep-desk-weights-at-paper", "eval-rep-policy-only",
+    ],
+)
+def test_checkpoint_without_its_network_exits_2(tmp_path, config, capsys, argv, message):
+    # Each of these used to draw the missing network at random, or run the
+    # paper grouping on desk weights, and exit 0.
+    profile = get_profile("desk")
+    save_ckpt(RepNet(profile, seed=0).store, tmp_path / "rep.ckpt")
+    # A policy checkpoint as train-rl wrote it before it saved the encoder too.
+    save_ckpt(PolicyCore(profile.code_size, seed=0).store, tmp_path / "policy_only.ckpt")
+    agent = RepNet(profile, seed=0).store
+    PolicyCore(profile.code_size, store=agent, seed=0)
+    save_ckpt(agent, tmp_path / "agent.ckpt")
+    argv = [tmp_path / a if str(a).endswith(".ckpt") else a for a in argv]
+    assert run(*argv, "--config", config, "--out", tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("train-rl", "--samples", 4), "[rl]\nlr = nan\n", "lr must be finite and > 0, got nan"),
+        (("train-rep",), "[rep]\nlr = -0.5\n", "lr must be finite and > 0, got -0.5"),
+        (
+            ("train-rep",),
+            "[rep]\nweight_decay = -1e-4\n",
+            "weight_decay must be finite and >= 0, got -0.0001",
+        ),
+        (
+            ("train-rep",),
+            "[rep]\ntranslate_jitter = inf\n",
+            "translate_jitter must be finite and >= 0, got inf",
+        ),
+        (("label",), "[rep]\nval_fraction = 1.5\n", "val_fraction must be in [0, 1), got 1.5"),
+        (("label",), "[rep]\nval_fraction = -3\n", "val_fraction must be in [0, 1), got -3.0"),
+        (("label",), "[rep]\nval_fraction = nan\n", "val_fraction must be in [0, 1), got nan"),
+    ],
+    ids=[
+        "rl-lr", "rep-lr", "rep-weight_decay", "rep-translate_jitter",
+        "rep-val_fraction-1.5", "rep-val_fraction-minus-3", "rep-val_fraction-nan",
+    ],
+)
+def test_tunable_out_of_range_exits_2(tmp_path, capsys, monkeypatch, argv, text, message):
+    # The lr and val_fraction cases used to exit 0, with a NaN policy, a
+    # diverged encoder or inverted splits.
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    ckpt = tmp_path / "rep.ckpt"
+    save_ckpt(RepNet(get_profile("desk"), seed=0).store, ckpt)
+    # train-rep checks its tunables before it looks at the samples.
+    monkeypatch.setattr(repnet, "load_rep_dataset", lambda path: [])
+    data, out = ("--data", tmp_path / "data"), ("--out", tmp_path / "out")
+    extra = {"train-rl": ("--rep-ckpt", ckpt, *out), "train-rep": (*data, *out), "label": data}
+    assert run(*argv, *extra[argv[0]], "--config", path) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    # The documented pipeline must not drift from the command line, and it
+    # shows every command.
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    prefix = "python3 -m digrl.cli "
+    lines = [line for line in readme.read_text().splitlines() if line.startswith(prefix)]
+    commands = [shlex.split(line)[3:] for line in lines]
+    parser = cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for argv in commands} == set(sub.choices)

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -719,6 +720,62 @@ class TestParamStoreAndAdam:
             nn.backward(loss)
             store.adam_step(lr=0.01)
         assert abs(float(store.get("x").value[0]) - target) < 1e-3
+
+
+def draw_two_layers(store, rng):
+    store.add_linear("a", 3, 4, rng)
+    store.add_linear("b", 4, 2, rng)
+
+
+class TestBind:
+    """A new network draws into a store that holds none of it; a loaded one reads all of it."""
+
+    def test_new_draws_keep_their_rng_order(self):
+        alone = nn.bind(None, draw_two_layers, np.random.default_rng(7))
+        shared = nn.ParamStore()
+        shared.add("encoder", np.ones(5))
+        assert nn.bind(shared, draw_two_layers, np.random.default_rng(7)) is shared
+        assert shared.names() == ["encoder", "a.w", "a.b", "b.w", "b.b"]
+        for name in alone.names():
+            assert shared.get(name).value.tobytes() == alone.get(name).value.tobytes()
+
+    def test_loaded_store_is_read_as_it_is(self):
+        store = nn.bind(None, draw_two_layers, np.random.default_rng(7))
+        before = store.state_bytes()
+        assert nn.bind(store, draw_two_layers, None) is store
+        assert store.state_bytes() == before
+
+    @pytest.mark.parametrize(
+        "held, rng, message",
+        [
+            ((), None, "parameter 'a.w' is missing from the store"),
+            (("a.w", "a.b", "b.w"), None, "parameter 'b.b' is missing from the store"),
+            (("a.w", "a.b"), 7, "parameter 'a.w' is already in the store of a new network"),
+            (("b.b",), 7, "parameter 'b.b' is already in the store of a new network"),
+        ],
+        ids=["load-none", "load-part", "new-over-part", "new-over-last"],
+    )
+    def test_store_breaking_its_rule_is_refused_untouched(self, held, rng, message):
+        full = nn.bind(None, draw_two_layers, np.random.default_rng(0))
+        store = nn.ParamStore()
+        for name in held:
+            store.add(name, full.get(name).value)
+        before = store.state_bytes()
+        rng = None if rng is None else np.random.default_rng(rng)
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            nn.bind(store, draw_two_layers, rng)
+        assert store.state_bytes() == before
+
+    def test_shape_mismatch_is_refused(self):
+        store = nn.bind(None, draw_two_layers, np.random.default_rng(0))
+
+        def wider(s, rng):
+            s.add_linear("a", 3, 5, rng)
+            s.add_linear("b", 5, 2, rng)
+
+        message = "parameter 'a.w' is (3, 4) in the store, the network needs (3, 5)"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            nn.bind(store, wider, None)
 
 
 class TestCheckpoint:

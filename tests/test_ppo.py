@@ -7,7 +7,7 @@ import pytest
 from digrl import nn, ppo
 from digrl.bench import save_table
 from digrl.config import stream_seed
-from digrl.errors import SizeError
+from digrl.errors import DigrlError, SizeError
 from digrl.ppo import (
     CURVE_FIELDS,
     GAE_LAMBDA,
@@ -328,6 +328,21 @@ class TestTraining:
         )
         # Each env's current observation, plus the 8 of the rollout for e2e.
         assert alive == [2 + (8 if e2e else 0)] * 2
+
+    def test_stops_on_a_non_finite_loss(self, bandit_policy):
+        # A NaN code makes every action, reward and so the loss NaN; the
+        # update used to go ahead and write NaN into every parameter.
+        with pytest.raises(DigrlError, match="non-finite loss at update 1"):
+            train_rl(
+                make_env=QuadraticBandit,
+                encode=lambda o: np.full(2, np.nan),
+                code_size=2,
+                total_samples=4,
+                n_envs=2,
+                rollout=4,
+                minibatch=4,
+                update_epochs=1,
+            )
 
     @pytest.mark.parametrize(
         "name, value", [("minibatch", -4), ("minibatch", 0), ("update_epochs", 0), ("rollout", 0)]
