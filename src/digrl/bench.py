@@ -33,7 +33,7 @@ from .config import ATTACK_RANGES, Profile, seed_stream, stream_seed
 from .errors import ConfigError, ShapeError, SizeError
 from .excavation import M3_TO_CM3, BucketSpec, EnvConfig, ExcavationEnv
 from .kinematics import AttackPose
-from .nn import ParamStore
+from .nn import ParamStore, joined
 from .ppo import PolicyCore, train_rl
 from .repnet import RepNet
 
@@ -157,8 +157,8 @@ def rollout(act, encode, make_env, n_episodes: int, seed: int) -> list[dict]:
     An episode runs until the environment says it is done, so the budget is
     its ``digs_per_episode``, and a failed plan is a record with 0 cm³.
     ``act(code)`` gives the action for ``code = encode(obs)``; ``encode``
-    runs again only when the observation object changes, so failed plans
-    cost no encode.
+    runs again only when the observation object changes within an episode,
+    so failed plans and an episode's last dig cost no encode.
     """
     if n_episodes <= 0:
         raise SizeError("need at least one evaluation episode")
@@ -184,7 +184,7 @@ def rollout(act, encode, make_env, n_episodes: int, seed: int) -> list[dict]:
                     "objects_left": int(info["objects_left"]),
                 }
             )
-            if ob2 is not ob:
+            if not done and ob2 is not ob:
                 code = encode(ob2)
             ob = ob2
     return records
@@ -241,16 +241,16 @@ def train_rl_experiment(
     variant: str = "rep",
     env_cfg: EnvConfig | None = None,
     **ppo_options,
-) -> tuple[PolicyCore, list[dict], RepNet]:
-    """Train the digging policy on top of the encoder that ``rep_store`` holds.
+) -> tuple[PolicyCore, list[dict], ParamStore]:
+    """Train a new policy on the encoder in ``rep_store``, an encoder's or an agent's store.
 
     ``variant="rep"`` freezes the encoder: codes are computed once per new
     observation and the optimizer never touches encoder parameters.
-    ``variant="e2e"`` shares one parameter store and backpropagates through
-    the encoder at every update epoch (only tractable at toy scale).
-    Without ``env_cfg``, scenes hold ``TRAIN_COUNT_RANGE`` objects. The
-    ``ppo_options`` (``n_envs``, ``rollout``, ``lr``, ``log``, ...) go to
-    :func:`ppo.train_rl` as given.
+    ``variant="e2e"`` backpropagates through the encoder at every update
+    epoch and trains it in place (only tractable at toy scale). Without
+    ``env_cfg``, scenes hold ``TRAIN_COUNT_RANGE`` objects. The ``ppo_options``
+    (``n_envs``, ``rollout``, ``lr``, ``log``, ...) go to :func:`ppo.train_rl`
+    as given. Returns the policy, its curve and the agent for :func:`evaluate`.
     """
     net = RepNet(profile, store=rep_store)
     env_cfg = env_cfg or EnvConfig(count_range=TRAIN_COUNT_RANGE)
@@ -261,15 +261,9 @@ def train_rl_experiment(
         ppo_options["store"] = net.store
     elif variant != "rep":
         raise ConfigError(f"unknown variant {variant!r}; expected rep or e2e")
-    core, curve = train_rl(
-        make_env,
-        encode,
-        profile.code_size,
-        total_samples if total_samples is not None else profile.rl_total_samples,
-        seed=seed,
-        **ppo_options,
-    )
-    return core, curve, net
+    total = profile.rl_total_samples if total_samples is None else total_samples
+    core, curve = train_rl(make_env, encode, profile.code_size, total, seed=seed, **ppo_options)
+    return core, curve, joined(net.store, core.store)
 
 
 def format_report(rows: list[dict]) -> str:

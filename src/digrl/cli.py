@@ -12,9 +12,11 @@ environment variable, then ``desk``; the library never reads it), and every
 command but ``eval-rep`` and ``report`` takes ``--seed``. ``evaluate``
 rolls the same evaluation episodes for one ``--seed`` and ``[env]`` with a
 scripted ``--method``, or with ``--method rl`` and the one checkpoint that
-``train-rl`` writes per agent (its encoder, then its policy). Each run
-writes one metrics CSV, ``<name>_metrics.csv``, named after the method or
-the agent checkpoint's stem; ``report`` merges such CSVs into one table.
+``train-rl`` writes per agent, ``policy_<variant>.ckpt`` (its encoder, then
+its policy), beside its curve ``policy_<variant>_curve.csv``; ``train-rl``
+reads the encoder of an agent checkpoint too. Each run writes one metrics
+CSV, ``<name>_metrics.csv``, named after the method or the agent
+checkpoint's stem; ``report`` merges such CSVs into one table.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def cmd_train_rl(args) -> int:
     profile = get_profile(args.profile)
     sec = _config_section(args, "rl")
     out = _ensure_out(args)
-    core, curve, net = bench.train_rl_experiment(
+    _, curve, agent = bench.train_rl_experiment(
         load_ckpt(args.rep_ckpt),
         profile=profile,
         seed=args.seed,
@@ -186,13 +188,9 @@ def cmd_train_rl(args) -> int:
         log=print,
         **sec,
     )
-    # One checkpoint per agent: the encoder the policy acted on, then the
-    # policy. The e2e policy was drawn into the encoder's store already.
-    if core.store is not net.store:
-        for name in core.store.names():
-            net.store.add(name, core.store.get(name).value)
-    save_ckpt(net.store, os.path.join(out, f"policy_{args.variant}.ckpt"))
-    bench.save_table(curve, ppo.CURVE_FIELDS, os.path.join(out, "rl_curve.csv"))
+    stem = os.path.join(out, f"policy_{args.variant}")
+    save_ckpt(agent, stem + ".ckpt")
+    bench.save_table(curve, ppo.CURVE_FIELDS, stem + "_curve.csv")
     print(f"trained {args.variant} policy over {curve[-1]['samples']} samples")
     return 0
 
@@ -270,7 +268,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("train-rl", help="train the digging policy")
     _add_common(sp)
-    sp.add_argument("--rep-ckpt", required=True, help="representation checkpoint")
+    sp.add_argument("--rep-ckpt", required=True, help="representation or agent checkpoint")
     sp.add_argument("--samples", type=int, default=None, help="env steps (default: profile's)")
     sp.add_argument("--variant", choices=("rep", "e2e"), default="rep")
     sp.set_defaults(func=cmd_train_rl)

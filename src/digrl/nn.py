@@ -470,9 +470,12 @@ class ParamStore:
         self.step = 0
 
     def add(self, name: str, value) -> Param:
+        return self.share(name, Param(np.array(value, dtype=self.dtype)))
+
+    def share(self, name: str, p: Param) -> Param:
+        """Hold ``p`` itself under ``name``; every store holding it reads and trains one array."""
         if name in self._params:
             raise SizeError(f"duplicate parameter {name!r}")
-        p = Param(np.array(value, dtype=self.dtype))
         self._params[name] = p
         return p
 
@@ -533,29 +536,39 @@ def bind(store: ParamStore | None, draw, rng: np.random.Generator | None) -> Par
 
     ``draw(s, rng)`` adds the network's parameters, in order, to an empty
     store ``s``. With an ``rng`` the network is new, and its draws go into
-    ``store`` (a new float32 one for None), which must hold none of them, so
-    they keep their rng order. Without one the network is loaded: ``store``
-    must hold each parameter at its drawn shape, beside any other network's.
-    ShapeError names the first parameter that breaks the rule, and a refused
-    store is left as it was.
+    the empty ``store`` (a new float32 one for None). Without one it is
+    loaded: ``store`` holds each parameter at its drawn shape, maybe beside
+    another network's, and the result is a new store sharing exactly this
+    network's ``Param`` objects, in draw order. ShapeError names the first
+    parameter that breaks the rule, and a refused store is left as it was.
     """
     store = ParamStore() if store is None else store
+    if rng is not None and store.names():
+        raise ShapeError(f"a new network needs an empty store, this one holds {store.names()[0]!r}")
+    if rng is not None:
+        draw(store, rng)
+        return store
     drawn = ParamStore(store.dtype)
-    draw(drawn, np.random.default_rng(0) if rng is None else rng)
+    draw(drawn, np.random.default_rng(0))
+    loaded = ParamStore(store.dtype)
     for name in drawn.names():
         want = drawn.get(name).value.shape
-        if rng is not None:
-            if name in store:
-                raise ShapeError(f"parameter {name!r} is already in the store of a new network")
-        elif name not in store:
+        if name not in store:
             raise ShapeError(f"parameter {name!r} is missing from the store")
-        elif store.get(name).value.shape != want:
+        if store.get(name).value.shape != want:
             got = store.get(name).value.shape
             raise ShapeError(f"parameter {name!r} is {got} in the store, the network needs {want}")
-    if rng is not None:
-        for name in drawn.names():
-            store.add(name, drawn.get(name).value)
-    return store
+        loaded.share(name, store.get(name))
+    return loaded
+
+
+def joined(*stores: ParamStore) -> ParamStore:
+    """One store that shares the parameters of ``stores``, in their order."""
+    out = ParamStore(stores[0].dtype)
+    for s in stores:
+        for name in s.names():
+            out.share(name, s.get(name))
+    return out
 
 
 def save_ckpt(store: ParamStore, path) -> None:

@@ -56,8 +56,8 @@ class PolicyCore:
     """Trunk + Gaussian head + value head over precomputed codes.
 
     With a ``seed`` the policy is new and draws its parameters from the
-    ``policy-init`` stream, also into an encoder's store (the e2e variant);
-    without one it reads them from ``store`` (see :func:`nn.bind`).
+    ``policy-init`` stream into an empty store; without one it reads its own
+    from ``store``, an agent's too (see :func:`nn.bind`).
     """
 
     def __init__(
@@ -279,8 +279,8 @@ def train_rl(
     log-probs, normalized rewards, values and dones, flattened env-major for
     the minibatches. With ``graph_encode`` set, the rollout also keeps each
     step's observation, and update batches rebuild its code through that
-    callable's graph so encoder parameters train jointly; pass the encoder's
-    ``store`` so the optimizer sees them. Without it no observation is kept.
+    callable's graph so encoder parameters train jointly: each minibatch
+    Adam-steps the encoder's ``store`` too. Without it no observation is kept.
     """
     if n_envs <= 0 or rollout % n_envs:
         raise SizeError(f"rollout={rollout} is not a multiple of n_envs={n_envs}")
@@ -289,7 +289,9 @@ def train_rl(
     updates = total_samples // rollout
     if updates <= 0:
         raise SizeError(f"total_samples={total_samples} is below one rollout of {rollout}")
-    core = PolicyCore(code_size, store=store, seed=seed)
+    core = PolicyCore(code_size, seed=seed)
+    # Adam updates each parameter alone: a step over both stores is one over each.
+    trained = core.store if store is None else nn.joined(store, core.store)
     act_rng = seed_stream(seed, "rl-act")
     sgd_rng = seed_stream(seed, "rl-minibatch")
     normalizer = RewardNormalizer()
@@ -330,12 +332,9 @@ def train_rl(
                     raw_acc[e] = norm_acc[e] = 0.0
                     fail_acc[e] = dig_acc[e] = 0
                     next_obs = envs[e].reset()
-                    obs[e] = next_obs
+                if done or next_obs is not obs[e]:
                     codes[e] = encode(next_obs)
-                else:
-                    if next_obs is not obs[e]:
-                        codes[e] = encode(next_obs)
-                    obs[e] = next_obs
+                obs[e] = next_obs
         bootstraps = np.array(
             [0.0 if b_dones[e, -1] else core.value_of(codes[e]) for e in range(n_envs)]
         )
@@ -357,9 +356,9 @@ def train_rl(
                 )
                 if not np.isfinite(loss.value):
                     raise DigrlError(f"non-finite loss at update {update}")
-                core.store.zero_grads()
+                trained.zero_grads()
                 nn.backward(loss)
-                core.store.adam_step(lr)
+                trained.adam_step(lr)
         row = {
             "update": update,
             "samples": update * rollout,

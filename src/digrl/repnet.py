@@ -342,9 +342,8 @@ def label_scene_files(
     """Observe and label every ``raw_scenes/<id>.scene`` into ``scenes/<id>.xyzl``.
 
     Scenes go in the integer order of their ids. The ``manifest.txt`` written
-    next to them, whose lines are returned, carries each scene's seed (-1 if
-    none) and object count, as its SCENE file records them, and its
-    train/val split tag. A missing or empty ``raw_scenes`` raises SizeError,
+    next to them, whose lines are returned, carries each scene's object count
+    and train/val split. A missing or empty ``raw_scenes`` raises SizeError,
     and a scene file whose id is not decimal digits raises ShapeError.
     """
     require(FRACTION, val_fraction=val_fraction)
@@ -373,10 +372,7 @@ def label_scene_files(
         scene = load_scene(os.path.join(raw_dir, f"{scene_id}.scene"))
         obs = label_observation(observe(scene, profile.fps_target))
         save_xyzl(os.path.join(scene_dir, f"{scene_id}.xyzl"), obs.cloud)
-        seed_text = -1 if scene.seed is None else scene.seed
-        lines.append(
-            f"{scene_id} seed={seed_text} count={scene.object_count} split={splits[k]}"
-        )
+        lines.append(f"{scene_id} count={scene.object_count} split={splits[k]}")
         if progress is not None:
             progress(k + 1, len(ids))
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:

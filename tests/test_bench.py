@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from digrl import excavation, sensor
+from digrl import excavation, ppo, sensor
 from digrl.bench import (
     METRICS_FIELDS,
     attack_to_action,
@@ -25,7 +25,7 @@ from digrl.config import ATTACK_RANGES, get_profile, stream_seed
 from digrl.errors import ConfigError, SizeError
 from digrl.excavation import M3_TO_CM3, BucketSpec, EnvConfig, ExcavationEnv, action_to_attack
 from digrl.kinematics import AttackPose
-from digrl.nn import load_ckpt, save_ckpt
+from digrl.nn import joined, load_ckpt, save_ckpt
 from digrl.ppo import PolicyCore
 from digrl.repnet import RepNet
 
@@ -183,8 +183,10 @@ class TestRollout:
         assert [r["plan_ok"] for r in records] == [True, False, True] * 2
         assert [r["captured_cm3"] for r in records] == [10.0, 0.0, 10.0] * 2
         assert records[1]["failure"] == "unreachable" and records[1]["action"] == [-2.0]
-        # One encode per reset and per changed observation; the failed plan costs none.
-        assert len(encoded) == 2 * 3
+        # One encode per reset and per changed observation; the failed plan
+        # costs none, and neither does the new observation of an episode's
+        # last dig, which no action reads.
+        assert len(encoded) == 2 * 2
 
     def test_needs_an_episode(self):
         with pytest.raises(SizeError, match="need at least one evaluation episode"):
@@ -198,9 +200,22 @@ def small_sensor_profile():
 
 def golden_agent(profile):
     """The golden policy's agent store: the seed-0 encoder, then the seed-8 policy."""
-    store = RepNet(profile, seed=0).store
-    PolicyCore(profile.code_size, store=store, seed=8)
-    return store
+    return joined(RepNet(profile, seed=0).store, PolicyCore(profile.code_size, seed=8).store)
+
+
+def test_loaded_networks_hold_only_their_own_parameters():
+    # Each network loads its own parameters out of an agent store, shared
+    # and not copied, and leaves the other network's alone.
+    profile = get_profile("desk")
+    agent = golden_agent(profile)
+    before = agent.state_bytes()
+    encoder = RepNet(profile, store=agent).store
+    policy = PolicyCore(profile.code_size, store=agent).store
+    assert encoder.names() == RepNet(profile, seed=0).store.names()
+    assert policy.names() == PolicyCore(profile.code_size, seed=0).store.names()
+    for store in (encoder, policy):
+        assert all(store.get(name) is agent.get(name) for name in store.names())
+    assert agent.state_bytes() == before
 
 
 class TestRunBaseline:
@@ -288,26 +303,32 @@ class TestExperimentDrivers:
         profile = get_profile("desk")
         store = RepNet(profile, seed=0).store
         before = store.state_bytes()
-        core, curve, net = train_rl_experiment(store, **self.tiny_kwargs())
-        assert net.store.state_bytes() == before
+        core, curve, agent = train_rl_experiment(store, **self.tiny_kwargs())
+        assert store.state_bytes() == before
         assert len(curve) == 1
-        assert "pi_l1.w" in core.store
+        # The policy trained in a store of its own; the agent is the frozen
+        # encoder, then that policy.
+        assert core.store.names() == PolicyCore(profile.code_size, seed=0).store.names()
+        assert agent.names() == store.names() + core.store.names()
+        assert joined(store, core.store).state_bytes() == agent.state_bytes()
 
     def test_e2e_variant_trains_encoder(self):
         profile = get_profile("desk")
         store = RepNet(profile, seed=0).store
-        before = store.state_bytes()
-        _, _, net = train_rl_experiment(store, variant="e2e", **self.tiny_kwargs())
-        assert net.store.state_bytes() != before
+        names = store.names()
+        before = [store.get(name).value.tobytes() for name in names]
+        core, _, agent = train_rl_experiment(store, variant="e2e", **self.tiny_kwargs())
+        assert core.store.names() == PolicyCore(profile.code_size, seed=0).store.names()
+        assert agent.names() == names + core.store.names()
+        assert [agent.get(name).value.tobytes() for name in names] != before
 
     def test_e2e_policy_evaluates_with_its_trained_encoder(self, tmp_path):
         kwargs = self.tiny_kwargs()
         profile = kwargs["profile"]
         store = RepNet(profile, seed=0).store
         save_ckpt(store, tmp_path / "rep.ckpt")
-        core, _, net = train_rl_experiment(store, variant="e2e", **kwargs)
-        assert core.store is net.store  # the e2e agent is one store already
-        save_ckpt(core.store, tmp_path / "policy.ckpt")
+        _, _, agent = train_rl_experiment(store, variant="e2e", **kwargs)
+        save_ckpt(agent, tmp_path / "policy.ckpt")
         agent = load_ckpt(tmp_path / "policy.ckpt")
         got = evaluate("rl", 1, profile, seed=3, env_cfg=kwargs["env_cfg"], agent=agent)
 
@@ -344,6 +365,46 @@ class TestExperimentDrivers:
         assert sum(r["captured_cm3"] > 0 for r in records) == 1
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == "9cf895b0270affc011f05228bb7c1c48ef34ae7521fe7e0bb9f7c90b6588ea3a"
+
+    @staticmethod
+    def single_store_agent(monkeypatch, store, variant, profile, env_cfg, **options):
+        """The agent's bytes along the single-store path that trained both variants before.
+
+        The e2e policy was drawn into the encoder's store, and one Adam step
+        over that store trained both networks; the rep policy trained in its
+        own store, and its values were appended to the encoder's afterwards.
+        """
+        net = RepNet(profile, store=store)
+        policy_core = ppo.PolicyCore
+
+        def policy_in_the_encoder_store(code_size, seed):
+            core = policy_core(code_size, seed=seed)
+            if variant == "e2e":
+                core.store = joined(net.store, core.store)
+            return core
+
+        monkeypatch.setattr(ppo, "PolicyCore", policy_in_the_encoder_store)
+        if variant == "e2e":
+            options["graph_encode"] = lambda obs: net.encoder(net.levels(obs.points))["code"]
+        core, _ = ppo.train_rl(
+            functools.partial(ExcavationEnv, profile, env_cfg=env_cfg),
+            lambda obs: net.encode(obs.points),
+            profile.code_size,
+            **options,
+        )
+        return (core.store if variant == "e2e" else joined(net.store, core.store)).state_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("variant", ["rep", "e2e"])
+    def test_agent_matches_the_single_store_path(self, monkeypatch, variant, seed):
+        # A policy in a store of its own trains as one drawn into the encoder's store did.
+        kwargs = {**self.tiny_kwargs(), "seed": seed}
+        profile = kwargs["profile"]
+        _, _, agent = train_rl_experiment(RepNet(profile, seed=1).store, variant=variant, **kwargs)
+        want = self.single_store_agent(
+            monkeypatch, RepNet(profile, seed=1).store, variant, **kwargs
+        )
+        assert agent.state_bytes() == want
 
     def test_unknown_variant(self):
         store = RepNet(get_profile("desk"), seed=0).store

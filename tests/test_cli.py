@@ -16,7 +16,7 @@ import pytest
 
 from digrl import cli, excavation, repnet
 from digrl.config import get_profile
-from digrl.nn import load_ckpt, save_ckpt
+from digrl.nn import joined, load_ckpt, save_ckpt
 from digrl.ppo import PolicyCore
 from digrl.repnet import RepNet, load_rep_dataset
 
@@ -95,7 +95,8 @@ def test_pipeline_from_one_config(tmp_path, config, capsys):
         "rep/rep_eval.csv",
         "rl/policy_rep.ckpt",
         "rl/policy_e2e.ckpt",
-        "rl/rl_curve.csv",
+        "rl/policy_rep_curve.csv",
+        "rl/policy_e2e_curve.csv",
         "eval/policy_rep_metrics.csv",
         "eval/policy_e2e_metrics.csv",
         "eval/heuristic_metrics.csv",
@@ -156,7 +157,7 @@ def test_samples_flag_sets_the_total(tmp_path, config):
     assert run(
         "train-rl", "--config", config, "--rep-ckpt", ckpt, "--samples", 8, "--out", out
     ) == 0
-    with open(out / "rl_curve.csv", newline="") as fh:
+    with open(out / "policy_rep_curve.csv", newline="") as fh:
         assert [int(r["samples"]) for r in csv.DictReader(fh)] == [4, 8]
 
 
@@ -366,10 +367,9 @@ def test_train_rl_spawns_training_density(tmp_path, monkeypatch):
 def agent_checkpoint(tmp_path):
     """An agent checkpoint as train-rl writes one: the encoder, then the policy."""
     profile = get_profile("desk")
-    store = RepNet(profile, seed=0).store
-    PolicyCore(profile.code_size, store=store, seed=0)
+    agent = joined(RepNet(profile, seed=0).store, PolicyCore(profile.code_size, seed=0).store)
     path = tmp_path / "policy.ckpt"
-    save_ckpt(store, path)
+    save_ckpt(agent, path)
     return ("--method", "rl", "--policy-ckpt", path)
 
 
@@ -462,10 +462,6 @@ def test_gen_scenes_into_a_used_directory_exits_2(tmp_path, config, capsys):
             "parameter 'sa1_l1.w' is missing from the store",
         ),
         (
-            ("train-rl", "--rep-ckpt", "agent.ckpt", "--samples", 4, "--variant", "e2e"),
-            "parameter 'pi_l1.w' is already in the store of a new network",
-        ),
-        (
             ("eval-rep", "--profile", "paper", "--data", "data", "--ckpt", "rep.ckpt"),
             "parameter 'sa1_l1.w' is (3, 96) in the store, the network needs (3, 128)",
         ),
@@ -476,7 +472,7 @@ def test_gen_scenes_into_a_used_directory_exits_2(tmp_path, config, capsys):
     ],
     ids=[
         "evaluate-encoder-only", "evaluate-pre-change-policy", "train-rl-policy-as-encoder",
-        "train-rl-e2e-on-an-agent", "eval-rep-desk-weights-at-paper", "eval-rep-policy-only",
+        "eval-rep-desk-weights-at-paper", "eval-rep-policy-only",
     ],
 )
 def test_checkpoint_without_its_network_exits_2(tmp_path, config, capsys, argv, message):
@@ -486,13 +482,26 @@ def test_checkpoint_without_its_network_exits_2(tmp_path, config, capsys, argv, 
     save_ckpt(RepNet(profile, seed=0).store, tmp_path / "rep.ckpt")
     # A policy checkpoint as train-rl wrote it before it saved the encoder too.
     save_ckpt(PolicyCore(profile.code_size, seed=0).store, tmp_path / "policy_only.ckpt")
-    agent = RepNet(profile, seed=0).store
-    PolicyCore(profile.code_size, store=agent, seed=0)
-    save_ckpt(agent, tmp_path / "agent.ckpt")
     argv = [tmp_path / a if str(a).endswith(".ckpt") else a for a in argv]
     assert run(*argv, "--config", config, "--out", tmp_path / "out") == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("variant", ["rep", "e2e"])
+def test_agent_checkpoint_trains_either_variant(tmp_path, config, variant):
+    # train-rl reads only the encoder of an agent checkpoint. The e2e variant
+    # used to refuse one, and the rep variant failed at the save after training.
+    given = agent_checkpoint(tmp_path)[-1]
+    out = tmp_path / "rl"
+    argv = ("--rep-ckpt", given, "--samples", 4, "--variant", variant, "--out", out)
+    assert run("train-rl", "--config", config, *argv) == 0
+    given, agent = load_ckpt(given), load_ckpt(out / f"policy_{variant}.ckpt")
+    assert agent.names() == given.names()
+    encoder = RepNet(get_profile("desk"), seed=0).store.names()
+    kept = [agent.get(n).value.tobytes() == given.get(n).value.tobytes() for n in encoder]
+    # The e2e update trains the encoder's layers below the code.
+    assert all(kept) == (variant == "rep")
 
 
 @pytest.mark.parametrize(

@@ -728,30 +728,44 @@ def draw_two_layers(store, rng):
 
 
 class TestBind:
-    """A new network draws into a store that holds none of it; a loaded one reads all of it."""
+    """A new network draws into an empty store; a loaded one shares exactly its own parameters."""
 
     def test_new_draws_keep_their_rng_order(self):
         alone = nn.bind(None, draw_two_layers, np.random.default_rng(7))
-        shared = nn.ParamStore()
-        shared.add("encoder", np.ones(5))
-        assert nn.bind(shared, draw_two_layers, np.random.default_rng(7)) is shared
-        assert shared.names() == ["encoder", "a.w", "a.b", "b.w", "b.b"]
-        for name in alone.names():
-            assert shared.get(name).value.tobytes() == alone.get(name).value.tobytes()
+        given = nn.ParamStore()
+        assert nn.bind(given, draw_two_layers, np.random.default_rng(7)) is given
+        assert given.names() == ["a.w", "a.b", "b.w", "b.b"]
+        assert given.state_bytes() == alone.state_bytes()
 
     def test_loaded_store_is_read_as_it_is(self):
-        store = nn.bind(None, draw_two_layers, np.random.default_rng(7))
+        # An agent store: another network's parameter, then this network's.
+        drawn = nn.bind(None, draw_two_layers, np.random.default_rng(7))
+        store = nn.ParamStore()
+        store.add("encoder", np.ones(5))
+        store = nn.joined(store, drawn)
         before = store.state_bytes()
-        assert nn.bind(store, draw_two_layers, None) is store
+        loaded = nn.bind(store, draw_two_layers, None)
+        assert loaded.names() == drawn.names()
+        assert all(loaded.get(name) is store.get(name) for name in loaded.names())
         assert store.state_bytes() == before
+
+    def test_joined_shares_each_store_in_order(self):
+        a = nn.bind(None, draw_two_layers, np.random.default_rng(1))
+        b = nn.ParamStore()
+        b.add("c", np.zeros(2))
+        both = nn.joined(a, b)
+        assert both.names() == a.names() + b.names()
+        assert all(both.get(name) is s.get(name) for s in (a, b) for name in s.names())
+        with pytest.raises(SizeError, match="duplicate parameter 'c'"):
+            nn.joined(both, b)
 
     @pytest.mark.parametrize(
         "held, rng, message",
         [
             ((), None, "parameter 'a.w' is missing from the store"),
             (("a.w", "a.b", "b.w"), None, "parameter 'b.b' is missing from the store"),
-            (("a.w", "a.b"), 7, "parameter 'a.w' is already in the store of a new network"),
-            (("b.b",), 7, "parameter 'b.b' is already in the store of a new network"),
+            (("a.w", "a.b"), 7, "a new network needs an empty store, this one holds 'a.w'"),
+            (("b.b",), 7, "a new network needs an empty store, this one holds 'b.b'"),
         ],
         ids=["load-none", "load-part", "new-over-part", "new-over-last"],
     )

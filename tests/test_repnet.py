@@ -587,15 +587,15 @@ class TestDataset:
             assert (tmp_path / "a" / sub).read_bytes() == (tmp_path / "b" / sub).read_bytes()
 
     def test_golden_manifest_hash(self, tmp_path):
-        # The SHA-256 of the manifest text when the scenes' seeds and counts
-        # came from a second file, raw_manifest.txt; the SCENE files now
-        # carry them alone. The benchmark digest hashes the scene and xyzl
-        # bytes, not this text.
+        # The SHA-256 of the manifest text recorded when each line also
+        # carried its scene's ``seed=``, with those tokens cut out (it was
+        # 1206b3e0… with them). The SCENE files carry each scene's seed. The
+        # benchmark digest hashes the scene and xyzl bytes, not this text.
         root = tmp_path / "data"
         profile = get_profile("desk")
         build_dataset(str(root), profile=profile, seed=11, n_scenes=3, count_range=(3, 6))
         digest = hashlib.sha256((root / "manifest.txt").read_bytes()).hexdigest()
-        assert digest == "1206b3e0b08777b88a0941f53b9233029d02766ee1de6c8c313cdc3f5ecbb365"
+        assert digest == "de0f5bc70925f6069840a97849d21308946abb6b9943aaa9079576d4c5440300"
         written = {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
         ids = ("0000", "0001", "0002")
         files = [f"raw_scenes/{i}.scene" for i in ids] + [f"scenes/{i}.xyzl" for i in ids]
@@ -617,7 +617,7 @@ class TestDataset:
         assert [line.split()[0] for line in lines] == ids
         for line in lines:
             scene = scenes[line.split()[0]]
-            assert line.split()[1:3] == [f"seed={scene.seed}", f"count={scene.object_count}"]
+            assert line.split()[1] == f"count={scene.object_count}"
         assert [s.scene_id for s in load_rep_dataset(str(tmp_path))] == ids
 
     def test_scene_id_not_a_number_raises_shape_error(self, tmp_path):
